@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, EmptyDataError, UnsupportedModelError
-from .models import ModelSpec, TaskDataset, per_example_grads
+from .models import ModelSpec, TaskDataset, _per_example_grad_matrix
 from .params import DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -73,10 +73,8 @@ def fisher_diag(
         raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
     k = data.n if cfg.max_examples is None else min(data.n, int(cfg.max_examples))
     subset = data if k == data.n else data.slice(np.arange(k))
-    grads = per_example_grads(spec, loss_kind, theta, subset)
-    sq = np.zeros(theta.layout.total_len)
-    for g in grads:
-        sq += g.values * g.values
+    G = _per_example_grad_matrix(spec, loss_kind, theta, subset)
+    sq = (G * G).sum(axis=0)
     if cfg.mode == "avg":
         sq /= k
     return DiagCurvature(theta.layout, sq + cfg.delta_floor)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,12 @@ class ModelSpec:
 
     def layout(self) -> ParamLayout:
         """Canonical parameter layout for this architecture."""
+        return self._layout
+
+    # Cached in the instance ``__dict__``; equality and hashing still
+    # compare only the dataclass fields.
+    @cached_property
+    def _layout(self) -> ParamLayout:
         if self.kind == "mlp":
             h, d = self.hidden, self.n_features
             return ParamLayout((("w1", (h, d)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))))
@@ -149,32 +156,19 @@ def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: Tas
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
-def _mlp_forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray):
-    w1 = theta.tensor("w1")
-    b1 = theta.tensor("b1")
-    w2 = theta.tensor("w2")
-    b2 = theta.tensor("b2")
-    z1 = X @ w1.T + b1
-    if spec.activation == "tanh":
-        a1 = np.tanh(z1)
-    else:
-        a1 = np.maximum(z1, 0.0)
-    out = a1 @ w2 + b2[0]
-    return z1, a1, out
+def _forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray):
+    """Raw outputs plus the hidden state backprop needs (None for linear models)."""
+    if spec.kind != "mlp":
+        return X @ theta.values, None
+    z1 = X @ theta.tensor("w1").T + theta.tensor("b1")
+    a1 = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
+    return a1 @ theta.tensor("w2") + theta.tensor("b2")[0], (z1, a1)
 
 
-def _raw_outputs(spec: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
-    if spec.kind == "mlp":
-        return _mlp_forward(spec, theta, X)[2]
-    return X @ theta.values
-
-
-def _per_example_losses(spec, loss_kind, theta, data) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _raw_outputs(spec, theta, data.inputs)
-        if loss_kind == "squared_error":
-            return 0.5 * (out - data.targets) ** 2
-        return np.logaddexp(0.0, out) - data.targets * out
+def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    if loss_kind == "squared_error":
+        return 0.5 * (out - targets) ** 2
+    return np.logaddexp(0.0, out) - targets * out
 
 
 def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> float:
@@ -182,7 +176,8 @@ def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     if reduce not in ("sum", "mean"):
         raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
     _check_inputs(spec, loss_kind, theta, data)
-    losses = _per_example_losses(spec, loss_kind, theta, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _losses(loss_kind, _forward(spec, theta, data.inputs)[0], data.targets)
     if reduce == "mean":
         if data.n == 0:
             raise EmptyDataError("mean loss of an empty dataset is undefined")
@@ -200,6 +195,28 @@ def _output_grads(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.nd
     return expit(out) - targets
 
 
+def _act_deriv(activation: str, z1: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    if activation == "tanh":
+        return 1.0 - a1 * a1
+    return (z1 > 0.0).astype(np.float64)
+
+
+def _backward(spec, theta, X, g, hidden, per_example=False) -> np.ndarray:
+    """Backprop output gradients ``g`` to the flat parameter gradient.
+
+    Returns the summed ``(d,)`` gradient, or the ``(n, d)`` matrix of
+    per-example gradients when ``per_example`` is set.
+    """
+    if hidden is None:
+        return X * g[:, None] if per_example else X.T @ g
+    z1, a1 = hidden
+    dz1 = (g[:, None] * theta.tensor("w2")) * _act_deriv(spec.activation, z1, a1)
+    if per_example:
+        dW1 = dz1[:, :, None] * X[:, None, :]
+        return np.concatenate([dW1.reshape(len(g), -1), dz1, a1 * g[:, None], g[:, None]], axis=1)
+    return np.concatenate([(dz1.T @ X).reshape(-1), dz1.sum(axis=0), a1.T @ g, np.array([g.sum()])])
+
+
 def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> ParamVector:
     """Analytic gradient of :func:`loss` with the same reduction."""
     if reduce not in ("sum", "mean"):
@@ -210,23 +227,8 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
         if reduce == "mean":
             raise EmptyDataError("mean gradient of an empty dataset is undefined")
         return ParamVector.zeros(layout)
-    X, y = data.inputs, data.targets
-    if spec.kind == "mlp":
-        z1, a1, out = _mlp_forward(spec, theta, X)
-        g = _output_grads(loss_kind, out, y)
-        w2 = theta.tensor("w2")
-        dz1 = (g[:, None] * w2) * _act_deriv(spec.activation, z1, a1)
-        parts = [
-            (dz1.T @ X).reshape(-1),
-            dz1.sum(axis=0),
-            a1.T @ g,
-            np.array([g.sum()]),
-        ]
-        flat = np.concatenate(parts)
-    else:
-        out = X @ theta.values
-        g = _output_grads(loss_kind, out, y)
-        flat = X.T @ g
+    out, hidden = _forward(spec, theta, data.inputs)
+    flat = _backward(spec, theta, data.inputs, _output_grads(loss_kind, out, data.targets), hidden)
     if reduce == "mean":
         flat = flat / data.n
     if not np.all(np.isfinite(flat)):
@@ -234,35 +236,43 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     return ParamVector(layout, flat)
 
 
-def _act_deriv(activation: str, z1: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    if activation == "tanh":
-        return 1.0 - a1 * a1
-    return (z1 > 0.0).astype(np.float64)
+def _value_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> tuple[float, np.ndarray]:
+    """Summed loss and its flat gradient from a single forward pass.
+
+    Equals ``loss(..., "sum")`` and ``grad(..., "sum").values`` and raises
+    the same errors; the training loop uses it to halve its data passes.
+    """
+    _check_inputs(spec, loss_kind, theta, data)
+    if data.n == 0:
+        return 0.0, np.zeros(spec.layout().total_len)
+    X, y = data.inputs, data.targets
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, hidden = _forward(spec, theta, X)
+        value = float(np.sum(_losses(loss_kind, out, y)))
+    if not np.isfinite(value):
+        raise NumericError("loss overflowed to a non-finite value")
+    flat = _backward(spec, theta, X, _output_grads(loss_kind, out, y), hidden)
+    if not np.all(np.isfinite(flat)):
+        raise NumericError("gradient overflowed to non-finite values")
+    return value, flat
+
+
+def _per_example_grad_matrix(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:
+    """``(n, d)`` per-example gradients; row i belongs to example i."""
+    _check_inputs(spec, loss_kind, theta, data)
+    if data.n == 0:
+        return np.zeros((0, spec.layout().total_len))
+    out, hidden = _forward(spec, theta, data.inputs)
+    G = _backward(spec, theta, data.inputs, _output_grads(loss_kind, out, data.targets), hidden, per_example=True)
+    if not np.all(np.isfinite(G)):
+        raise NumericError("per-example gradients overflowed to non-finite values")
+    return G
 
 
 def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> list[ParamVector]:
     """One gradient per example, in dataset order; their sum equals ``grad(..., reduce='sum')``."""
-    _check_inputs(spec, loss_kind, theta, data)
     layout = spec.layout()
-    X, y = data.inputs, data.targets
-    if data.n == 0:
-        return []
-    if spec.kind == "mlp":
-        z1, a1, out = _mlp_forward(spec, theta, X)
-        g = _output_grads(loss_kind, out, y)
-        w2 = theta.tensor("w2")
-        dz1 = (g[:, None] * w2) * _act_deriv(spec.activation, z1, a1)
-        dW1 = dz1[:, :, None] * X[:, None, :]
-        G = np.concatenate(
-            [dW1.reshape(data.n, -1), dz1, a1 * g[:, None], g[:, None]], axis=1
-        )
-    else:
-        out = X @ theta.values
-        g = _output_grads(loss_kind, out, y)
-        G = X * g[:, None]
-    if not np.all(np.isfinite(G)):
-        raise NumericError("per-example gradients overflowed to non-finite values")
-    return [ParamVector(layout, row) for row in G]
+    return [ParamVector(layout, row) for row in _per_example_grad_matrix(spec, loss_kind, theta, data)]
 
 
 def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, h: float, reduce: str = "sum") -> ParamVector:
@@ -291,7 +301,7 @@ def predict(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> np.ndarra
         raise EmptyDataError("cannot predict on an empty dataset")
     if data.n_features != spec.n_features:
         raise LayoutError("dataset feature count does not match the model")
-    out = _raw_outputs(spec, theta, data.inputs)
+    out = _forward(spec, theta, data.inputs)[0]
     if not np.all(np.isfinite(out)):
         raise NumericError("model outputs overflowed to non-finite values")
     if spec.kind == "logistic":
@@ -314,7 +324,7 @@ def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
         raise EmptyDataError("cannot compute accuracy on an empty dataset")
     if data.n_features != spec.n_features:
         raise LayoutError("dataset feature count does not match the model")
-    out = _raw_outputs(spec, theta, data.inputs)
+    out = _forward(spec, theta, data.inputs)[0]
     pred = (out >= 0.0).astype(np.float64)
     return float(np.mean(pred == data.targets))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -73,9 +74,20 @@ class ParamLayout:
     def __post_init__(self):
         object.__setattr__(self, "entries", _normalize_entries(self.entries))
 
-    @property
+    # The cached properties below live in the instance ``__dict__``, not in
+    # the dataclass fields, so equality and hashing still see only ``entries``.
+    @cached_property
+    def _slice_map(self) -> dict[str, slice]:
+        out, start = {}, 0
+        for name, shape in self.entries:
+            size = int(np.prod(shape))
+            out[name] = slice(start, start + size)
+            start += size
+        return out
+
+    @cached_property
     def total_len(self) -> int:
-        return int(sum(int(np.prod(shape)) for _, shape in self.entries))
+        return sum(s.stop - s.start for s in self._slice_map.values())
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -83,12 +95,7 @@ class ParamLayout:
 
     def slices(self) -> dict[str, slice]:
         """Flat-index slice of each named tensor, in layout order."""
-        out, start = {}, 0
-        for name, shape in self.entries:
-            size = int(np.prod(shape))
-            out[name] = slice(start, start + size)
-            start += size
-        return out
+        return dict(self._slice_map)
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         for entry_name, shape in self.entries:
@@ -127,7 +134,7 @@ class ParamVector:
 
     def tensor(self, name: str) -> np.ndarray:
         """Read-only view of one named tensor, reshaped to its layout shape."""
-        view = self.values[self.layout.slices()[name]]
+        view = self.values[self.layout._slice_map[name]]
         return view.reshape(self.layout.shape_of(name))
 
     def with_values(self, values) -> "ParamVector":

@@ -13,11 +13,14 @@ the merging and diagnostics modules assume the returned parameters are
 (approximately) stationary points of these objectives, so convergence is
 expressed as a stationarity-residual bound rather than an epoch count.
 
-The optimizer is Adam with the quadratic penalty applied *decoupled*
-from the adaptive preconditioner (the AdamW treatment of its L2 term);
-because that decoupling biases the fixed point slightly away from the
-true stationary point, every trainer finishes with an L-BFGS-B polish on
-the full objective to push the residual to optimizer precision.
+Every fit ends in an L-BFGS-B solve of the full objective, which pushes
+the residual to optimizer precision.  The linear and logistic objectives
+are strictly convex once the penalty is positive, so they go straight to
+that solve.  The MLP objective is not, and the minimum found depends on
+the path: an MLP fit first runs Adam, with the quadratic penalty applied
+*decoupled* from the adaptive preconditioner (the AdamW treatment of its
+L2 term), and L-BFGS-B then removes the small bias that decoupling leaves
+in the fixed point.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     LayoutError,
     SingularSystemError,
 )
-from .models import ModelSpec, TaskDataset, grad, loss
+from .models import ModelSpec, TaskDataset, _value_grad, grad, loss
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -56,7 +59,13 @@ RESIDUAL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer hyperparameters; defaults follow common Adam practice."""
+    """Adam hyperparameters; defaults follow common Adam practice.
+
+    They govern only the Adam warm start of MLP fits.  Linear and logistic
+    fits are convex and solved by L-BFGS-B alone, so these fields do not
+    change their result (``seed`` and ``epochs`` are still recorded in the
+    checkpoint metadata).
+    """
 
     lr: float = 0.05
     beta1: float = 0.9
@@ -107,30 +116,42 @@ class QuadraticAnchor:
         return cls(ParamVector.zeros(layout), DiagCurvature.zeros(layout), delta)
 
 
+def _weighted_tasks(datasets, alphas):
+    """(alpha, data) pairs that contribute to ``sum_t alpha_t * L_t``."""
+    return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0 and data.n]
+
+
 def _task_value_grad(spec, loss_kind, datasets, alphas, theta_values):
     """Value and gradient of ``sum_t alpha_t * L_t`` at theta (sum reduction)."""
     layout = spec.layout()
     theta = ParamVector(layout, theta_values)
     value = 0.0
     g = np.zeros(layout.total_len)
-    for alpha, data in zip(alphas, datasets):
-        if alpha == 0.0 or data.n == 0:
-            continue
-        value += alpha * loss(spec, loss_kind, theta, data, "sum")
-        g += alpha * grad(spec, loss_kind, theta, data, "sum").values
+    for alpha, data in _weighted_tasks(datasets, alphas):
+        v, gd = _value_grad(spec, loss_kind, theta, data)
+        value += alpha * v
+        g += alpha * gd
     return value, g
 
 
 def anchored_objective(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
     """Full objective value: weighted data losses plus the anchored penalty."""
-    value, _ = _task_value_grad(spec, loss_kind, datasets, alphas, theta.values)
+    value = 0.0
+    for alpha, data in _weighted_tasks(datasets, alphas):
+        value += alpha * loss(spec, loss_kind, theta, data, "sum")
     diff = theta.values - anchor.anchor.values
     return float(value + 0.5 * np.sum(anchor.effective_diag * diff * diff))
 
 
 def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
-    """L2 norm of the full-objective gradient at theta."""
-    _, g = _task_value_grad(spec, loss_kind, datasets, alphas, theta.values)
+    """L2 norm of the full-objective gradient at theta.
+
+    Built from the public :func:`grad`, so the trainers' final gate is an
+    independent check on the fused evaluation they optimize with.
+    """
+    g = np.zeros(theta.layout.total_len)
+    for alpha, data in _weighted_tasks(datasets, alphas):
+        g += alpha * grad(spec, loss_kind, theta, data, "sum").values
     g = g + anchor.effective_diag * (theta.values - anchor.anchor.values)
     return float(np.linalg.norm(g))
 
@@ -154,7 +175,8 @@ def adam_decoupled_minimize(
     explicit decoupled step to first order, and it is stable for any
     penalty strength; a step on zero data loss therefore always moves
     each coordinate with positive penalty strictly toward the anchor,
-    never past it.
+    never past it.  Each step checks that its value, gradient and new
+    iterate are finite and raises :class:`DivergenceError` otherwise.
     """
     theta = np.array(x0, dtype=np.float64)
     reg = anchor.effective_diag
@@ -173,7 +195,9 @@ def adam_decoupled_minimize(
             bs = int(cfg.batch_size)
             batches = [order[i : i + bs] for i in range(0, n_examples, bs)]
         for idx in batches:
-            _, g = data_value_grad(theta, idx)
+            value, g = data_value_grad(theta, idx)
+            if not (np.isfinite(value) and np.all(np.isfinite(g))):
+                raise DivergenceError("training loss became non-finite")
             if idx is not None and len(idx):
                 g = g * (n_examples / len(idx))
             if cfg.grad_clip_norm is not None:
@@ -187,10 +211,8 @@ def adam_decoupled_minimize(
             vhat = v / (1 - cfg.beta2**step)
             theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
             theta = theta - shrink * (theta - a)
-        value, _ = data_value_grad(theta, None)
-        diff = theta - a
-        if not np.isfinite(value + 0.5 * np.sum(reg * diff * diff)):
-            raise DivergenceError("training loss became non-finite")
+            if not np.all(np.isfinite(theta)):
+                raise DivergenceError("training iterate became non-finite")
     return theta
 
 
@@ -202,43 +224,39 @@ def _fit(
     anchor: QuadraticAnchor,
     cfg: TrainConfig,
     x0: np.ndarray,
-    polish: bool = True,
 ) -> ParamVector:
-    layout = spec.layout()
+    theta = x0
+    if spec.kind == "mlp":
+        # Nonconvex: the Adam path decides which local minimum L-BFGS-B
+        # refines.  Convex kinds have one minimum and skip straight to it.
+        def data_value_grad(theta_values, idx):
+            sets = datasets if idx is None else [d.slice(idx) for d in datasets]
+            return _task_value_grad(spec, loss_kind, sets, alphas, theta_values)
 
-    def data_value_grad(theta_values, idx):
-        if idx is None:
-            return _task_value_grad(spec, loss_kind, datasets, alphas, theta_values)
-        sliced = [d.slice(idx) for d in datasets]
-        return _task_value_grad(spec, loss_kind, sliced, alphas, theta_values)
+        # Minibatching shuffles indices of a single dataset; multi-dataset
+        # objectives (the joint target) always run full-batch.
+        n_examples = datasets[0].n if len(datasets) == 1 else 0
+        theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
 
-    # Minibatching shuffles indices of a single dataset; multi-dataset
-    # objectives (the joint target) always run full-batch.
-    n_examples = datasets[0].n if len(datasets) == 1 else 0
-    theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
+    a = anchor.anchor.values
+    reg = anchor.effective_diag
 
-    if polish:
-        a = anchor.anchor.values
-        reg = anchor.effective_diag
+    def full_value_grad(theta_values):
+        value, g = _task_value_grad(spec, loss_kind, datasets, alphas, theta_values)
+        diff = theta_values - a
+        return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
-        def full_value_grad(theta_values):
-            value, g = _task_value_grad(spec, loss_kind, datasets, alphas, theta_values)
-            diff = theta_values - a
-            return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
-
-        result = _scipy_minimize(
-            full_value_grad,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        theta = result.x
-
-    out = ParamVector(layout, theta)
+    result = _scipy_minimize(
+        full_value_grad,
+        theta,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14},
+    )
+    out = ParamVector(spec.layout(), result.x)
     residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, out)
-    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
-    if polish and residual > bound:
+    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(result.x)))
+    if residual > bound:
         raise DivergenceError(
             f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"
         )

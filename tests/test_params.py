@@ -61,6 +61,15 @@ class TestParamLayout:
         assert slices["a"] == slice(0, 2)
         assert slices["b"] == slice(2, 5)
 
+    def test_cached_derived_fields_leave_equality_and_hash_alone(self):
+        entries = (("a", (2, 3)), ("b", (4,)))
+        used, fresh = ParamLayout(entries), ParamLayout(entries)
+        assert used.total_len == 10
+        used.slices()["a"] = slice(0, 1)  # callers get a copy
+        assert used.slices()["a"] == slice(0, 6)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != ParamLayout((("a", (2, 3)), ("c", (4,))))
+
 
 class TestParamVector:
     def test_length_mismatch_rejected(self):

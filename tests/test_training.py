@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradmerge import models, training
 from gradmerge.errors import ConfigError, DivergenceError, SingularSystemError
 from gradmerge.models import ModelSpec, TaskDataset
 from gradmerge.params import DiagCurvature, ParamVector
@@ -35,6 +38,15 @@ def random_linear(seed, n=30, d=4):
     theta_star = rng.standard_normal(d)
     y = X @ theta_star + 0.1 * rng.standard_normal(n)
     return TaskDataset(f"lin{seed}", X, y, seed=seed)
+
+
+MLP2 = ModelSpec("mlp", 2, hidden=3, activation="tanh")
+
+
+def classification(seed, n):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    return TaskDataset("c", X, (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float))
 
 
 class TestTrainConfig:
@@ -279,3 +291,80 @@ class TestDecoupledStep:
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.5)
         res = stationarity_residual(spec, "squared_error", [data], [1.0], anchor, ckpt.params)
         assert res <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
+
+    def test_mlp_minibatch_training_is_deterministic(self):
+        data = classification(3, n=64)
+        cfg = TrainConfig(lr=0.05, epochs=40, batch_size=16, seed=9)
+        a = train_anchor(MLP2, "logistic_nll", data, delta=0.1, cfg=cfg)
+        b = train_anchor(MLP2, "logistic_nll", data, delta=0.1, cfg=cfg)
+        np.testing.assert_array_equal(a.params.values, b.params.values)
+
+    def test_mlp_grad_clipping_runs(self):
+        data = classification(17, n=20)
+        cfg = TrainConfig(lr=0.05, epochs=60, grad_clip_norm=1.0, seed=0)
+        ckpt = train_anchor(MLP2, "logistic_nll", data, delta=0.5, cfg=cfg)
+        anchor = QuadraticAnchor.ridge_only(MLP2.layout(), 0.5)
+        res = stationarity_residual(MLP2, "logistic_nll", [data], [1.0], anchor, ckpt.params)
+        assert res <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
+
+
+class TestConvexFitsIgnoreAdam:
+    @given(
+        kind=st.sampled_from(["logistic", "linear_regression"]),
+        epochs=st.integers(1, 400),
+        lr=st.floats(1e-4, 1.0),
+        batch_size=st.one_of(st.just("full"), st.integers(1, 80)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_trained_params_do_not_depend_on_adam_settings(self, kind, epochs, lr, batch_size):
+        spec = ModelSpec(kind, 2)
+        loss_kind = "logistic_nll" if kind == "logistic" else "squared_error"
+        data = classification(21, n=60)
+        cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=0)
+        base = train_anchor(spec, loss_kind, data, delta=0.3, cfg=CFG).params
+        other = train_anchor(spec, loss_kind, data, delta=0.3, cfg=cfg).params
+        np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
+        anchor = QuadraticAnchor(base, DiagCurvature.constant(spec.layout(), 2.0), 0.3)
+        task = classification(22, n=40)
+        tuned = finetune_task(spec, loss_kind, task, anchor, CFG).params
+        retuned = finetune_task(spec, loss_kind, task, anchor, cfg).params
+        np.testing.assert_allclose(retuned.values, tuned.values, rtol=0.0, atol=1e-8)
+
+
+class TestFitCost:
+    """Cost guards that count calls instead of timing them, so they cannot flake."""
+
+    #: Objective evaluations allowed for the default-task logistic anchor
+    #: (it takes 14 at seed 0; 200 Adam epochs alone used to take 200).
+    MAX_CONVEX_EVALS = 50
+
+    def test_convex_anchor_is_one_lbfgs_solve(self, monkeypatch):
+        from gradmerge.harness import default_spec, gen_tasks
+
+        spec = default_spec()
+        data = gen_tasks(spec, 0)[0]
+        adam_calls, evals = [], []
+        monkeypatch.setattr(training, "adam_decoupled_minimize", lambda *a, **k: adam_calls.append(a))
+        real = training._value_grad
+        monkeypatch.setattr(training, "_value_grad", lambda *a: evals.append(a) or real(*a))
+        train_anchor(spec.model, spec.loss, data, spec.anchor.delta, spec.train)
+        assert adam_calls == []
+        assert 0 < len(evals) <= self.MAX_CONVEX_EVALS
+
+    @pytest.mark.parametrize("batch_size,rows_per_epoch", [("full", [40]), (16, [16, 16, 8])])
+    def test_mlp_adam_step_is_one_forward_pass(self, monkeypatch, batch_size, rows_per_epoch):
+        rows, adam_rows = [], []
+        real_forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda s, t, X: rows.append(len(X)) or real_forward(s, t, X))
+        real_adam = training.adam_decoupled_minimize
+
+        def adam(*args, **kwargs):
+            start = len(rows)
+            out = real_adam(*args, **kwargs)
+            adam_rows.extend(rows[start:])
+            return out
+
+        monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
+        cfg = TrainConfig(lr=0.05, epochs=5, batch_size=batch_size, seed=0)
+        train_anchor(MLP2, "logistic_nll", classification(4, n=40), delta=0.1, cfg=cfg)
+        assert adam_rows == rows_per_epoch * 5
