@@ -53,7 +53,6 @@ from .merging import (
     MergeInputs,
     merge,
     merge_average,
-    merge_fa1,
     merge_fisher,
     merge_masked,
     merge_task_arithmetic,
@@ -140,7 +139,6 @@ __all__ = [
     "merge_average",
     "merge_fisher",
     "merge_task_arithmetic",
-    "merge_fa1",
     "merge_uncertainty",
     "merge_masked",
     "remove_task",

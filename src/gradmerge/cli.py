@@ -42,15 +42,12 @@ from .harness import (
     run_removal,
     sweep_alpha,
 )
-from .merging import ADDITION_METHODS, MergeInputs, merged_checkpoint
+from .merging import ADDITION_METHODS, CURVATURE_METHODS, merged_checkpoint
 from .models import save_dataset
 from .oracles import oracle_summary, oracle_table_csv, run_oracle_suite
 from .params import Checkpoint, load_checkpoint, save_checkpoint
 
 __all__ = ["cli", "main", "build_parser"]
-
-#: Methods whose merge reads curvature diagonals from the checkpoints.
-_CURVATURE_METHODS = ("fa", "fa1", "ours")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +183,7 @@ def _cmd_merge(args) -> int:
     out = _out_dir(args)
     stems = ["anchor"] + [f"task{t}" for t in range(1, spec.n_tasks)]
     loaded = {stem: load_checkpoint(out / stem) for stem in stems}
-    if args.method in _CURVATURE_METHODS:
+    if args.method in CURVATURE_METHODS:
         for stem in stems:
             if loaded[stem].curvature is None:
                 raise MissingCurvatureError(
@@ -196,10 +193,8 @@ def _cmd_merge(args) -> int:
     anchor = loaded["anchor"]
     tasks = [loaded[stem] for stem in stems[1:]]
     params = merge_checkpoints(anchor, tasks, spec.anchor.delta, args.method, args.alpha)
-    inputs = MergeInputs(
-        anchor, tuple((float(args.alpha), ck) for ck in tasks), spec.anchor.delta
-    )
-    save_checkpoint(merged_checkpoint(args.method, inputs, params), out / f"merged-{args.method}")
+    merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks), anchor.anchor_id)
+    save_checkpoint(merged, out / f"merged-{args.method}")
     tests = gen_tasks(spec, seed)[spec.n_tasks :]
     eval_sets = tests[1:] if len(tests) > 1 else tests[:1]
     outcome = evaluate_params(spec, args.method, args.alpha, params, eval_sets)

@@ -532,21 +532,17 @@ def merge_checkpoints(
 ) -> ParamVector:
     """One catalog merge with a uniform weight on every task checkpoint.
 
-    With no task checkpoints every method degenerates to the anchor.  At
-    ``alpha == 0`` the anchor is returned outright: every method reduces
-    to it algebraically, and short-circuiting makes the sweep's left
-    endpoint bitwise exact (the plain average is the one method that
-    would otherwise ignore the weights entirely).
+    With no task checkpoints, or at ``alpha == 0``, the anchor is returned
+    outright: adding nothing leaves the anchor, and short-circuiting makes
+    the sweep's left endpoint bitwise exact (the plain average is the one
+    method that would otherwise ignore the weights entirely).  ``ties``
+    uses ``mask``, by default :data:`TIES_MASK`.
     """
-    if method not in ADDITION_METHODS:
-        raise ConfigError(f"unknown addition method {method!r}; expected one of {ADDITION_METHODS}")
     tasks = tuple(tasks)
     if not tasks or alpha == 0.0:
         return anchor.params
     inputs = MergeInputs(anchor, tuple((float(alpha), ck) for ck in tasks), delta)
-    if method == "ties":
-        return merge(method, inputs, mask=mask or TIES_MASK)
-    return merge(method, inputs)
+    return merge(method, inputs, mask=mask or TIES_MASK)
 
 
 def merge_with_alpha(
@@ -651,10 +647,8 @@ def run_addition(
         outcomes[label] = outcome
         rows.extend(_metric_rows(outcome))
         if out is not None:
-            inputs = MergeInputs(
-                state.anchor, tuple((a, ck) for ck in state.tasks), spec.anchor.delta
-            )
-            save_checkpoint(merged_checkpoint(method, inputs, params), out / f"merged-{method}")
+            merged = merged_checkpoint(method, params, [a] * len(state.tasks), state.anchor.anchor_id)
+            save_checkpoint(merged, out / f"merged-{method}")
             _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
     target = train_target(state, float(alpha))
     outcomes["all-data"] = evaluate_params(spec, "all-data", float(alpha), target.params, eval_sets)

@@ -1,42 +1,50 @@
 """Model merging schemes and the curvature-weighted data-removal update.
 
-All merges are pure functions from checkpoints to a merged parameter
-vector.  The catalog:
+Every merge in the catalog and the removal update are one kernel over
+stacked task rows:
 
-* ``merge_average`` — arithmetic mean of task parameters, or a weighted
-  mean that includes the anchor.
-* ``merge_fisher`` — Fisher-weighted averaging: each parameter is a
-  curvature-weighted mean of the task values.
-* ``merge_task_arithmetic`` — anchor plus scaled task increments
-  ``theta_t - theta_anchor``; negative scales subtract a task.
-* ``merge_fa1`` — a Fisher-style variant that weights task *increments*
-  by Fishers evaluated at the increment vectors; included as a baseline.
-* ``merge_uncertainty`` — the curvature-preconditioned merge: with
-  pooled curvature ``hbar = h0 + sum_t alpha_t h_t``, the output is
+    base + sum_k coef_k * (rows_k - base)
 
-      anchor + sum_t alpha_t hbar^-1 (h0 + h_t) (theta_t - anchor).
+where ``rows`` is ``(k, d)`` and ``coef`` is ``(k, d)`` (per coordinate)
+or ``(k, 1)`` (per row).  A method is only a choice of base, rows and
+coefficients, which is the paper's point that averaging, task
+arithmetic and Fisher averaging are special cases of one curvature-
+preconditioned update.  With ``h0`` the anchor curvature plus the ridge
+``delta`` and ``hbar = h0 + sum_t alpha_t h_t``:
 
-  With identity anchor curvature and zero task curvature this reduces
-  exactly to task arithmetic (and with alpha = 1/T to the arithmetic
-  mean), making the implicit assumptions of those schemes explicit.  On
-  anchored linear regression with exact Hessians it reproduces the
-  jointly trained model exactly, and its output is the stationary point
-  of the quadratic surrogate objective checked by the oracles module.
-* ``merge_masked`` — trim/elect-sign sparse merging: keep only the
-  largest task increments (optionally resolving per-coordinate sign
-  conflicts by magnitude-weighted majority) and apply task arithmetic to
-  the survivors.
-* ``remove_task`` — inverse merge: subtract one task's contribution from
-  a model trained on a superset of data, preconditioned by the curvature
-  of the retained data.  On anchored linear regression with exact
-  curvature this coincides with leave-subset-out retraining.
+* ``merge_task_arithmetic`` (``ta``) — base anchor, coefficient
+  ``alpha_t``; negative weights subtract a task.
+* ``merge_uncertainty`` (``ours``) — base anchor, coefficient
+  ``alpha_t (h0 + h_t) / hbar``.  With identity anchor curvature and
+  zero task curvature this is ``ta`` (and with alpha = 1/T the mean).
+  On anchored linear regression with exact Hessians it reproduces the
+  jointly trained model, and its output is the stationary point of the
+  quadratic surrogate objective checked by the oracles module.
+* ``merge_fisher`` (``fa``) — coefficient ``alpha_t F_t / (F0 + sum_t
+  alpha_t F_t)``: a per-coordinate Fisher-weighted mean.  ``F0`` is the
+  anchor Fisher (base anchor) with ``include_anchor``, else 0 (base 0).
+* ``merge_average`` — base 0.  Unweighted (``am``): coefficient ``1/T``
+  on each task, ignoring the anchor and the weights.  Weighted
+  (``wam``): rows ``[anchor; theta_1..theta_T]`` with coefficients
+  ``[alpha0; alpha_t]``.
+* ``merge_masked`` (``ties``) — base anchor, coefficient ``alpha_t *
+  mask_t * agree_t``: only the largest task increments survive, and
+  optionally only those agreeing with a per-coordinate sign election.
+* ``remove_task`` — one row, coefficient ``-alpha (h0 + h_t) /
+  (hbar_minus + delta)``: subtract one task's contribution from a model
+  trained on a superset of data.  On anchored linear regression with
+  exact curvature this coincides with leave-subset-out retraining.
+
+Degenerate inputs follow one rule across the catalog: a merge of zero
+tasks raises :class:`EmptyMergeError`, and a method in
+``CURVATURE_METHODS`` raises :class:`MissingCurvatureError` when a
+checkpoint it reads has no curvature.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +55,7 @@ from .errors import (
     MissingCurvatureError,
     SingularCurvatureError,
 )
-from .params import (
-    Checkpoint,
-    DiagCurvature,
-    ParamVector,
-    combine,
-    precondition_combine,
-)
+from .params import Checkpoint, DiagCurvature, ParamVector
 
 __all__ = [
     "MergeInputs",
@@ -61,19 +63,23 @@ __all__ = [
     "merge_average",
     "merge_fisher",
     "merge_task_arithmetic",
-    "merge_fa1",
     "merge_uncertainty",
     "merge_masked",
     "remove_task",
     "merge",
     "merged_checkpoint",
     "ADDITION_METHODS",
+    "CURVATURE_METHODS",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Method registry keys accepted by :func:`merge`.
-ADDITION_METHODS = ("am", "wam", "ta", "fa", "fa1", "ties", "ours")
+ADDITION_METHODS = ("am", "wam", "ta", "fa", "ties", "ours")
+
+#: Methods whose merge reads curvature diagonals from the checkpoints.
+CURVATURE_METHODS = ("fa", "ours")
+
+#: Methods that read task weights as mixture masses, so reject negative ones.
+_NONNEGATIVE_METHODS = ("am", "wam", "fa", "ties")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,121 +130,84 @@ class MaskConfig:
             raise ConfigError("keep_fraction must lie in (0, 1]")
 
 
-def _require_nonnegative_alphas(inputs: MergeInputs, method: str) -> None:
-    if any(alpha < 0 for alpha in inputs.alphas):
+def _stack(inputs: MergeInputs, method: str, anchor_curvature: bool = True):
+    """Validate a merge's inputs once and stack the tasks into arrays.
+
+    Returns the task weights as a ``(T, 1)`` column, the task parameters
+    ``(T, d)``, and for ``CURVATURE_METHODS`` the task curvatures
+    ``(T, d)`` (otherwise ``None``).  ``anchor_curvature`` says whether a
+    curvature method also reads the anchor's curvature.
+    """
+    if not inputs.tasks:
+        raise EmptyMergeError(f"{method} needs at least one task checkpoint")
+    if method in _NONNEGATIVE_METHODS and any(alpha < 0 for alpha in inputs.alphas):
         raise ConfigError(f"{method} does not accept negative task weights")
-
-
-def _task_curvatures(inputs: MergeInputs, method: str) -> list[DiagCurvature]:
-    out = []
+    alphas = np.array(inputs.alphas)[:, None]
+    thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
+    if method not in CURVATURE_METHODS:
+        return alphas, thetas, None
     for i, (_, ckpt) in enumerate(inputs.tasks):
         if ckpt.curvature is None:
             raise MissingCurvatureError(f"{method} needs curvature on every task checkpoint; task {i} has none")
-        out.append(ckpt.curvature)
-    return out
+    if anchor_curvature and inputs.anchor.curvature is None:
+        raise MissingCurvatureError(f"{method} needs curvature on the anchor checkpoint")
+    return alphas, thetas, np.stack([ckpt.curvature.values for _, ckpt in inputs.tasks])
 
 
-def _anchor_h0(inputs: MergeInputs) -> DiagCurvature:
-    """Anchor curvature plus the ridge; identity fallback with a warning."""
-    layout = inputs.layout
-    if inputs.anchor.curvature is None:
-        logger.warning(
-            "anchor checkpoint has no curvature; falling back to identity anchor curvature"
-        )
-        base = np.ones(layout.total_len)
-    else:
-        base = inputs.anchor.curvature.values
-    return DiagCurvature(layout, base + inputs.delta)
+def _require_positive(den: np.ndarray, what: str) -> None:
+    if np.any(den <= 0.0):
+        raise SingularCurvatureError(f"{what} must be strictly positive elementwise")
+
+
+def _kernel(layout, base, rows: np.ndarray, coef: np.ndarray) -> ParamVector:
+    """``base + sum_k coef_k * (rows_k - base)``: the one merge expression.
+
+    An overflow surfaces as the :class:`NumericError` that
+    :class:`ParamVector` raises for non-finite values.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = base + (coef * (rows - base)).sum(axis=0)
+    return ParamVector(layout, values)
 
 
 def merge_average(inputs: MergeInputs, weighted: bool = False, alpha0: float = 0.0) -> ParamVector:
-    """Arithmetic mean of task parameters, or a weighted mean with the anchor.
+    """Arithmetic mean of task parameters, or a weighted sum with the anchor.
 
-    Unweighted: ignores the stored task weights and averages the task
-    checkpoints with weight 1/T.  Weighted: ``alpha0 * anchor +
-    sum_t alpha_t * theta_t``; the weights are used as given and are not
-    renormalized.
+    Unweighted: ignores the anchor and the stored task weights and
+    averages the task checkpoints with weight 1/T.  Weighted: ``alpha0 *
+    anchor + sum_t alpha_t * theta_t``; the weights are used as given and
+    are not renormalized.
     """
-    if not inputs.tasks:
-        raise EmptyMergeError("cannot average zero task checkpoints")
-    _require_nonnegative_alphas(inputs, "averaging")
+    alphas, thetas, _ = _stack(inputs, "wam" if weighted else "am")
     if not weighted:
-        T = len(inputs.tasks)
-        return combine([(1.0 / T, ckpt.params) for _, ckpt in inputs.tasks])
+        return _kernel(inputs.layout, 0.0, thetas, np.full_like(alphas, 1.0 / len(thetas)))
     if alpha0 < 0:
         raise ConfigError("weighted averaging does not accept a negative anchor weight")
-    terms = [(float(alpha0), inputs.anchor.params)]
-    terms += [(alpha, ckpt.params) for alpha, ckpt in inputs.tasks]
-    return combine(terms)
+    rows = np.vstack([inputs.anchor.params.values, thetas])
+    return _kernel(inputs.layout, 0.0, rows, np.vstack([[float(alpha0)], alphas]))
 
 
 def merge_fisher(inputs: MergeInputs, include_anchor: bool = False) -> ParamVector:
     """Fisher averaging: elementwise curvature-weighted mean of parameters.
 
     Computes ``(sum_t alpha_t F_t theta_t) / (sum_t alpha_t F_t)``; with
-    ``include_anchor`` the anchor joins the sum with weight 1 and its own
-    Fisher.
+    ``include_anchor`` the anchor joins the mean with weight 1 and its
+    own Fisher.
     """
-    if not inputs.tasks:
-        raise EmptyMergeError("cannot Fisher-average zero task checkpoints")
-    _require_nonnegative_alphas(inputs, "Fisher averaging")
-    fishers = _task_curvatures(inputs, "Fisher averaging")
-    layout = inputs.layout
-    num = np.zeros(layout.total_len)
-    den = np.zeros(layout.total_len)
+    alphas, thetas, fishers = _stack(inputs, "fa", anchor_curvature=include_anchor)
+    weighted = alphas * fishers
+    f0, base = 0.0, 0.0
     if include_anchor:
-        if inputs.anchor.curvature is None:
-            raise MissingCurvatureError(
-                "Fisher averaging with include_anchor needs curvature on the anchor checkpoint"
-            )
-        num += inputs.anchor.curvature.values * inputs.anchor.params.values
-        den += inputs.anchor.curvature.values
-    for (alpha, ckpt), fisher in zip(inputs.tasks, fishers):
-        num += alpha * fisher.values * ckpt.params.values
-        den += alpha * fisher.values
-    if np.any(den <= 0.0):
-        raise SingularCurvatureError(
-            "pooled Fisher has non-positive entries; increase the floor or task weights"
-        )
-    return ParamVector(layout, num / den)
+        f0, base = inputs.anchor.curvature.values, inputs.anchor.params.values
+    den = f0 + weighted.sum(axis=0)
+    _require_positive(den, "pooled Fisher")
+    return _kernel(inputs.layout, base, thetas, weighted / den)
 
 
 def merge_task_arithmetic(inputs: MergeInputs) -> ParamVector:
     """Anchor plus weighted task increments; negative weights subtract."""
-    terms = [(1.0, inputs.anchor.params)]
-    for alpha, ckpt in inputs.tasks:
-        terms.append((alpha, ckpt.params))
-        terms.append((-alpha, inputs.anchor.params))
-    return combine(terms)
-
-
-def merge_fa1(inputs: MergeInputs) -> ParamVector:
-    """Fisher-weighted increment averaging (baseline).
-
-    ``F_bar^-1 (F_anchor theta_anchor + sum_t alpha_t Fhat_t
-    (theta_t - theta_anchor))`` with ``F_bar = F_anchor + sum_t alpha_t
-    Fhat_t``.  The task Fishers ``Fhat_t`` are understood to be evaluated
-    at the increment vectors and must be supplied by the caller in the
-    task checkpoints' curvature slots.  The scheme mixes a weighted
-    *parameter* with weighted *increments*, so it is kept only for
-    comparison.
-    """
-    if not inputs.tasks:
-        raise EmptyMergeError("cannot merge zero task checkpoints")
-    _require_nonnegative_alphas(inputs, "fa1")
-    if inputs.anchor.curvature is None:
-        raise MissingCurvatureError("fa1 needs curvature on the anchor checkpoint")
-    fishers = _task_curvatures(inputs, "fa1")
-    layout = inputs.layout
-    f0 = inputs.anchor.curvature.values
-    num = f0 * inputs.anchor.params.values
-    den = f0.copy()
-    for (alpha, ckpt), fisher in zip(inputs.tasks, fishers):
-        num += alpha * fisher.values * (ckpt.params.values - inputs.anchor.params.values)
-        den += alpha * fisher.values
-    if np.any(den <= 0.0):
-        raise SingularCurvatureError("pooled fa1 Fisher has non-positive entries")
-    return ParamVector(layout, num / den)
+    alphas, thetas, _ = _stack(inputs, "ta")
+    return _kernel(inputs.layout, inputs.anchor.params.values, thetas, alphas)
 
 
 def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
@@ -246,31 +215,14 @@ def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
 
     Pools curvature as ``hbar = h0 + sum_t alpha_t h_t`` and moves the
     anchor along each task increment with the per-coordinate factor
-    ``alpha_t * (h0 + h_t) / hbar``.  ``h0`` is the anchor curvature plus
-    the ridge ``delta``; an anchor without curvature falls back to the
-    identity with a logged warning.
+    ``alpha_t * (h0 + h_t) / hbar``, where ``h0`` is the anchor curvature
+    plus the ridge ``delta``.
     """
-    h0 = _anchor_h0(inputs)
-    task_curv = _task_curvatures(inputs, "uncertainty merging")
-    hbar_values = h0.values.copy()
-    for (alpha, _), ht in zip(inputs.tasks, task_curv):
-        hbar_values = hbar_values + alpha * ht.values
-    if np.any(hbar_values <= 0.0):
-        raise SingularCurvatureError("pooled curvature must be strictly positive elementwise")
-    hbar = DiagCurvature(inputs.layout, hbar_values)
-    terms = [
-        (alpha, h0, ht, ckpt.params)
-        for (alpha, ckpt), ht in zip(inputs.tasks, task_curv)
-    ]
-    return precondition_combine(inputs.anchor.params, terms, hbar)
-
-
-def _top_k_mask(increment: np.ndarray, k: int) -> np.ndarray:
-    """Binary mask of the k largest-magnitude entries; ties prefer lower index."""
-    order = np.argsort(-np.abs(increment), kind="stable")
-    mask = np.zeros(increment.size)
-    mask[order[:k]] = 1.0
-    return mask
+    alphas, thetas, curvs = _stack(inputs, "ours")
+    h0 = inputs.anchor.curvature.values + inputs.delta
+    hbar = h0 + (alphas * curvs).sum(axis=0)
+    _require_positive(hbar, "pooled curvature")
+    return _kernel(inputs.layout, inputs.anchor.params.values, thetas, alphas * (h0 + curvs) / hbar)
 
 
 def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> ParamVector:
@@ -284,23 +236,18 @@ def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> Pa
     elected sign are zeroed.  The election rule is one concrete choice
     among several used in practice and is labeled experimental.
     """
-    _require_nonnegative_alphas(inputs, "masked merging")
-    if not inputs.tasks:
-        return inputs.anchor.params
-    d = inputs.layout.total_len
-    k = int(math.ceil(mask_cfg.keep_fraction * d))
-    anchor_values = inputs.anchor.params.values
-    contributions = []
-    for alpha, ckpt in inputs.tasks:
-        increment = ckpt.params.values - anchor_values
-        mask = _top_k_mask(increment, k)
-        contributions.append(alpha * mask * increment)
-    stacked = np.vstack(contributions)
+    alphas, thetas, _ = _stack(inputs, "ties")
+    anchor = inputs.anchor.params.values
+    increments = thetas - anchor
+    k = int(math.ceil(mask_cfg.keep_fraction * anchor.size))
+    keep = np.argsort(-np.abs(increments), axis=1, kind="stable")[:, :k]
+    mask = np.zeros_like(increments)
+    np.put_along_axis(mask, keep, 1.0, axis=1)
+    coef = alphas * mask
     if mask_cfg.elect_sign:
-        elected = np.sign(stacked.sum(axis=0))
-        agree = np.sign(stacked) == elected
-        stacked = np.where(agree, stacked, 0.0)
-    return ParamVector(inputs.layout, anchor_values + stacked.sum(axis=0))
+        contributions = coef * increments
+        coef = coef * (np.sign(contributions) == np.sign(contributions.sum(axis=0)))
+    return _kernel(inputs.layout, anchor, thetas, coef)
 
 
 def remove_task(
@@ -327,32 +274,25 @@ def remove_task(
     if delta < 0 or not math.isfinite(delta):
         raise ConfigError("delta must be finite and >= 0")
     denom = hbar_minus.values + delta
-    if np.any(denom <= 0.0):
-        raise SingularCurvatureError("retained-data curvature plus delta must be strictly positive")
-    hbar = DiagCurvature(layout, denom)
-    return precondition_combine(
-        anchor.params, [(-float(alpha), h0, ckpt.curvature, ckpt.params)], hbar
-    )
+    _require_positive(denom, "retained-data curvature plus delta")
+    coef = -float(alpha) * (h0.values + ckpt.curvature.values) / denom
+    return _kernel(layout, anchor.params.values, ckpt.params.values[None], coef[None])
 
 
-def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig | None = None, alpha0: float | None = None) -> ParamVector:
+def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig | None = None) -> ParamVector:
     """Dispatch a merge by registry name (see ``ADDITION_METHODS``).
 
-    For ``wam``, the anchor weight defaults to ``max(0, 1 - sum alpha_t)``
-    so that the weights form a convex-style combination around the anchor.
+    For ``wam``, the anchor weight is ``max(0, 1 - sum alpha_t)`` so that
+    the weights form a convex-style combination around the anchor.
     """
     if method == "am":
-        return merge_average(inputs, weighted=False)
+        return merge_average(inputs)
     if method == "wam":
-        if alpha0 is None:
-            alpha0 = max(0.0, 1.0 - sum(inputs.alphas))
-        return merge_average(inputs, weighted=True, alpha0=alpha0)
+        return merge_average(inputs, weighted=True, alpha0=max(0.0, 1.0 - sum(inputs.alphas)))
     if method == "ta":
         return merge_task_arithmetic(inputs)
     if method == "fa":
         return merge_fisher(inputs, include_anchor=True)
-    if method == "fa1":
-        return merge_fa1(inputs)
     if method == "ties":
         return merge_masked(inputs, mask or MaskConfig())
     if method == "ours":
@@ -360,11 +300,14 @@ def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig | None = None, a
     raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
 
 
-def merged_checkpoint(method: str, inputs: MergeInputs, params: ParamVector, extra_meta: dict[str, str] | None = None) -> Checkpoint:
+def merged_checkpoint(
+    method: str,
+    params: ParamVector,
+    alphas,
+    anchor_id: str | None = None,
+    extra_meta: dict[str, str] | None = None,
+) -> Checkpoint:
     """Wrap a merge result as a checkpoint recording method and weights."""
-    meta = {
-        "method": method,
-        "alphas": ",".join(repr(a) for a in inputs.alphas),
-    }
+    meta = {"method": method, "alphas": ",".join(repr(float(a)) for a in alphas)}
     meta.update(extra_meta or {})
-    return Checkpoint.of(params, anchor_id=inputs.anchor.anchor_id, meta=meta)
+    return Checkpoint.of(params, anchor_id=anchor_id, meta=meta)

@@ -27,7 +27,6 @@ from .errors import (
     NumericError,
     SingularCurvatureError,
     SingularSystemError,
-    UnsupportedError,
 )
 from .merging import MergeInputs, merge_uncertainty, remove_task
 from .models import TaskDataset
@@ -39,7 +38,6 @@ __all__ = [
     "joint_closed_form_oracle",
     "influence_oracle",
     "map_surrogate_check",
-    "grid_argmin_oracle",
     "alt_removal_oracle",
     "MergeFixture",
     "RemovalFixture",
@@ -215,34 +213,6 @@ def map_surrogate_check(
     for alpha, theta_t, ht in tasks:
         g = g + float(alpha) * (h0.values + ht.values) * (c - theta_t.values)
     return float(np.linalg.norm(g))
-
-
-def grid_argmin_oracle(objective, box: list[tuple[float, float]], resolution: int = 100) -> ParamVector:
-    """Brute-force minimizer over a dense grid (one or two dimensions).
-
-    Ties resolve to the first grid point in row-major order, so results
-    are platform independent.
-    """
-    d = len(box)
-    if d == 0:
-        raise ConfigError("box must have at least one dimension")
-    if d > 2:
-        raise UnsupportedError("grid search supports at most two dimensions")
-    if resolution < 100:
-        raise ConfigError("resolution must be >= 100 points per axis")
-    axes = [np.linspace(float(lo), float(hi), resolution) for lo, hi in box]
-    if d == 1:
-        values = np.array([float(objective(np.array([x]))) for x in axes[0]])
-        best = int(np.argmin(values))
-        point = np.array([axes[0][best]])
-    else:
-        values = np.empty((resolution, resolution))
-        for i, x in enumerate(axes[0]):
-            for j, y in enumerate(axes[1]):
-                values[i, j] = float(objective(np.array([x, y])))
-        best = int(np.argmin(values))
-        point = np.array([axes[0][best // resolution], axes[1][best % resolution]])
-    return ParamVector(_vector_layout(d), point)
 
 
 def alt_removal_oracle(

@@ -3,8 +3,8 @@
 Every model in this package lives in a single flat float64 vector plus a
 :class:`ParamLayout` that says how the flat storage maps back to named
 tensors.  Merging, curvature estimation, and diagnostics all operate on
-these flat vectors, so the types and kernels here are the common
-currency of the whole package.
+these flat vectors, so the types here are the common currency of the
+whole package.
 
 Checkpoints are stored as two files sharing a stem: ``<stem>.meta.json``
 (layout, anchor reference, free-form string metadata) and
@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     IoError,
     LayoutError,
     NumericError,
-    SingularCurvatureError,
 )
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "ParamVector",
     "DiagCurvature",
     "Checkpoint",
-    "combine",
-    "precondition_combine",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -192,53 +189,6 @@ class Checkpoint:
         meta: Mapping[str, str] | None = None,
     ) -> "Checkpoint":
         return cls(params.layout, params, curvature, anchor_id, dict(meta or {}))
-
-
-def combine(terms: Sequence[tuple[float, ParamVector]]) -> ParamVector:
-    """Linear combination ``sum_i weight_i * vec_i`` over a shared layout."""
-    if not terms:
-        raise ConfigError("combine() requires at least one (weight, vector) term")
-    layout = terms[0][1].layout
-    acc = np.zeros(layout.total_len)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for weight, vec in terms:
-            if vec.layout != layout:
-                raise LayoutError("combine() terms must share one layout")
-            acc += float(weight) * vec.values
-    if not np.all(np.isfinite(acc)):
-        raise NumericError("combine() produced non-finite values")
-    return ParamVector(layout, acc)
-
-
-def precondition_combine(
-    anchor: ParamVector,
-    terms: Sequence[tuple[float, DiagCurvature, DiagCurvature, ParamVector]],
-    hbar: DiagCurvature,
-) -> ParamVector:
-    """Preconditioned update around an anchor.
-
-    Computes, elementwise on the diagonals,
-
-        anchor + sum_t alpha_t * hbar^-1 * (h0 + h_t) * (theta_t - anchor)
-
-    which is the shared kernel behind every curvature-weighted merge: the
-    anchor is moved along each task increment, scaled per coordinate by
-    how much of the pooled curvature ``hbar`` that task (plus the anchor)
-    accounts for.
-    """
-    layout = anchor.layout
-    if hbar.layout != layout:
-        raise LayoutError("hbar layout does not match anchor layout")
-    if np.any(hbar.values <= 0.0):
-        raise SingularCurvatureError("hbar must be strictly positive elementwise")
-    acc = anchor.values.copy()
-    for alpha, h0, ht, theta in terms:
-        if h0.layout != layout or ht.layout != layout or theta.layout != layout:
-            raise LayoutError("precondition_combine() terms must share the anchor layout")
-        acc += float(alpha) * (h0.values + ht.values) / hbar.values * (theta.values - anchor.values)
-    if not np.all(np.isfinite(acc)):
-        raise NumericError("precondition_combine() produced non-finite values")
-    return ParamVector(layout, acc)
 
 
 def _meta_path(path_stem) -> Path:

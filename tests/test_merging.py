@@ -1,7 +1,5 @@
 """Tests for the merging catalog and the data-removal update."""
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +10,16 @@ from gradmerge.errors import (
     EmptyMergeError,
     LayoutError,
     MissingCurvatureError,
+    NumericError,
     SingularCurvatureError,
 )
 from gradmerge.merging import (
     ADDITION_METHODS,
+    CURVATURE_METHODS,
     MaskConfig,
     MergeInputs,
     merge,
     merge_average,
-    merge_fa1,
     merge_fisher,
     merge_masked,
     merge_task_arithmetic,
@@ -161,9 +160,16 @@ class TestMergeFisher:
 class TestMergeTaskArithmetic:
     def test_no_increments_returns_anchor(self):
         anchor = [1.5, -0.5]
-        tasks = tuple((0.7, ckpt(anchor)) for _ in range(3))
-        inputs = MergeInputs(anchor=ckpt(anchor), tasks=tasks)
-        np.testing.assert_allclose(merge_task_arithmetic(inputs).values, anchor)
+        tasks = tuple((0.7, ckpt(anchor, [1.0, 2.0])) for _ in range(3))
+        inputs = MergeInputs(anchor=ckpt(anchor, [2.0, 3.0]), tasks=tasks)
+        for method in ("ta", "fa", "ties", "ours"):
+            np.testing.assert_array_equal(merge(method, inputs).values, anchor)
+
+    def test_opposite_weights_cancel(self):
+        inputs = MergeInputs(
+            anchor=ckpt([1.0, -2.0]), tasks=((1.0, ckpt([4.0, 3.0])), (-1.0, ckpt([4.0, 3.0])))
+        )
+        np.testing.assert_array_equal(merge_task_arithmetic(inputs).values, [1.0, -2.0])
 
     def test_single_task_unit_weight(self):
         inputs = MergeInputs(anchor=ckpt([2.0]), tasks=((1.0, ckpt([5.0])),))
@@ -178,36 +184,6 @@ class TestMergeTaskArithmetic:
     def test_negative_weight_subtracts_task(self):
         inputs = MergeInputs(anchor=ckpt([1.0]), tasks=((-0.5, ckpt([3.0])),))
         np.testing.assert_allclose(merge_task_arithmetic(inputs).values, [0.0])
-
-
-class TestMergeFa1:
-    def test_zero_increments_with_zero_task_fishers(self):
-        anchor = ckpt([2.0, -1.0], [1.0, 4.0])
-        tasks = ((1.0, ckpt([2.0, -1.0], [0.0, 0.0])),)
-        inputs = MergeInputs(anchor=anchor, tasks=tasks)
-        np.testing.assert_allclose(merge_fa1(inputs).values, [2.0, -1.0])
-
-    def test_single_task_zero_fisher_keeps_anchor(self):
-        inputs = MergeInputs(
-            anchor=ckpt([3.0], [2.0]), tasks=((1.0, ckpt([9.0], [0.0])),)
-        )
-        np.testing.assert_allclose(merge_fa1(inputs).values, [3.0])
-
-    def test_scalar_fixture(self):
-        inputs = MergeInputs(
-            anchor=ckpt([2.0], [1.0]), tasks=((1.0, ckpt([2.5], [1.0])),)
-        )
-        np.testing.assert_allclose(merge_fa1(inputs).values, [1.25])
-
-    def test_missing_anchor_curvature_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((1.0, ckpt([1.0], [1.0])),))
-        with pytest.raises(MissingCurvatureError):
-            merge_fa1(inputs)
-
-    def test_missing_task_curvature_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0], [1.0]), tasks=((1.0, ckpt([1.0])),))
-        with pytest.raises(MissingCurvatureError):
-            merge_fa1(inputs)
 
 
 class TestMergeUncertainty:
@@ -258,14 +234,6 @@ class TestMergeUncertainty:
             fa = merge_fisher(inputs).values
             np.testing.assert_allclose(ours, fa, atol=1e-8)
 
-    def test_identity_fallback_warns_and_matches_flat_anchor(self, caplog):
-        tasks = ((1.0, ckpt([4.0], [0.0])),)
-        bare = MergeInputs(anchor=ckpt([1.0]), tasks=tasks)
-        with caplog.at_level(logging.WARNING, logger="gradmerge.merging"):
-            out = merge_uncertainty(bare)
-        assert any("identity" in rec.message for rec in caplog.records)
-        np.testing.assert_allclose(out.values, [4.0])
-
     def test_nonpositive_pooled_curvature_rejected(self):
         inputs = MergeInputs(anchor=ckpt([0.0], [1.0]), tasks=((-1.0, ckpt([1.0], [2.0])),))
         with pytest.raises(SingularCurvatureError):
@@ -307,9 +275,10 @@ class TestMergeInvariances:
             tasks=tuple(inputs.tasks[i] for i in perm),
             delta=inputs.delta,
         )
-        for fn in (merge_task_arithmetic, merge_uncertainty, merge_fisher, merge_average):
-            a = fn(inputs).values
-            b = fn(shuffled).values
+        mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
+        for method in ADDITION_METHODS:
+            a = merge(method, inputs, mask=mask).values
+            b = merge(method, shuffled, mask=mask).values
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     @given(
@@ -329,8 +298,35 @@ class TestMergeInvariances:
                 for alpha, t in inputs.tasks
             ),
         )
-        base = merge_uncertainty(inputs).values
-        np.testing.assert_allclose(merge_uncertainty(scaled).values, base, atol=1e-12)
+        for fn in (merge_uncertainty, merge_fisher):
+            np.testing.assert_allclose(fn(scaled).values, fn(inputs).values, atol=1e-12)
+        # Removal: scaling h0, h_t and the retained curvature together.
+        anchor, (alpha, task) = inputs.anchor, inputs.tasks[0]
+        h0, hbar_minus = anchor.curvature, inputs.tasks[1][1].curvature
+        removed = remove_task(anchor, (alpha, task), hbar_minus, h0)
+        scaled_task = (alpha, ckpt(task.params.values, scale * task.curvature.values))
+        scaled_removed = remove_task(
+            anchor, scaled_task, curv(scale * hbar_minus.values), curv(scale * h0.values)
+        )
+        np.testing.assert_allclose(scaled_removed.values, removed.values, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        split=st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_splitting_a_task_in_half_changes_nothing(self, seed, split):
+        rng = np.random.default_rng(seed)
+        inputs = random_inputs(rng, d=5, n_tasks=3)
+        alpha, task = inputs.tasks[split]
+        halves = (alpha / 2, task), (alpha / 2, task)
+        tasks = inputs.tasks[:split] + halves + inputs.tasks[split + 1 :]
+        halved = MergeInputs(anchor=inputs.anchor, tasks=tasks, delta=inputs.delta)
+        mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
+        for method in ("ta", "wam", "fa", "ours", "ties"):
+            a = merge(method, inputs, mask=mask).values
+            b = merge(method, halved, mask=mask).values
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
 class TestMergeMasked:
@@ -519,6 +515,36 @@ class TestLinearExactness:
             np.testing.assert_allclose(out.values, retrained.values, atol=1e-9)
 
 
+class TestDegenerateInputs:
+    """One rule across the catalog: no tasks, or missing curvature, raise."""
+
+    @pytest.mark.parametrize("method", ADDITION_METHODS)
+    def test_zero_tasks_rejected(self, method):
+        inputs = MergeInputs(anchor=ckpt([1.0, 2.0], [1.0, 1.0]))
+        with pytest.raises(EmptyMergeError):
+            merge(method, inputs)
+
+    @pytest.mark.parametrize("method", ADDITION_METHODS)
+    def test_anchor_without_curvature(self, method):
+        inputs = MergeInputs(anchor=ckpt([1.0, 2.0]), tasks=((0.5, ckpt([3.0, 0.0], [1.0, 2.0])),))
+        if method in CURVATURE_METHODS:
+            with pytest.raises(MissingCurvatureError):
+                merge(method, inputs)
+        else:
+            assert np.all(np.isfinite(merge(method, inputs).values))
+
+    def test_overflow_rejected(self):
+        huge = MergeInputs(
+            anchor=ckpt([-1e308, 0.0], [1.0, 1.0]),
+            tasks=((10.0, ckpt([1e308, 1e308], [0.0, 1.0])),),
+        )
+        for method in ("wam", "ta", "ours"):
+            with pytest.raises(NumericError):
+                merge(method, huge)
+        with pytest.raises(NumericError):
+            remove_task(huge.anchor, huge.tasks[0], curv([1.0, 1.0]), curv([1.0, 1.0]))
+
+
 class TestDispatcher:
     def test_registry_covers_every_addition_method(self):
         rng = np.random.default_rng(8)
@@ -527,6 +553,39 @@ class TestDispatcher:
             out = merge(method, inputs)
             assert out.layout == inputs.layout
             assert np.all(np.isfinite(out.values))
+
+    def test_matches_per_task_loop_reference(self):
+        # Each catalog formula written out task by task, without the kernel.
+        rng = np.random.default_rng(11)
+        mask = MaskConfig(keep_fraction=0.5, elect_sign=True)
+        for _ in range(50):
+            d = int(rng.integers(1, 9))
+            inputs = random_inputs(rng, d=d, n_tasks=int(rng.integers(1, 6)), delta=0.1)
+            a, f0 = inputs.anchor.params.values, inputs.anchor.curvature.values
+            T, total = len(inputs.tasks), sum(inputs.alphas)
+            ref = {"am": 0.0, "wam": max(0.0, 1.0 - total) * a, "ta": a.copy()}
+            fa_num, fa_den, hbar = f0 * a, f0.copy(), f0 + 0.1
+            for alpha, task in inputs.tasks:
+                theta, h = task.params.values, task.curvature.values
+                ref["am"] = ref["am"] + theta / T
+                ref["wam"] = ref["wam"] + alpha * theta
+                ref["ta"] = ref["ta"] + alpha * (theta - a)
+                fa_num, fa_den, hbar = fa_num + alpha * h * theta, fa_den + alpha * h, hbar + alpha * h
+            ref["fa"] = fa_num / fa_den
+            ref["ours"] = a.copy()
+            contributions = []
+            k = int(np.ceil(0.5 * d))
+            for alpha, task in inputs.tasks:
+                inc = task.params.values - a
+                ref["ours"] = ref["ours"] + alpha * (f0 + 0.1 + task.curvature.values) / hbar * inc
+                keep = np.zeros(d)
+                keep[np.argsort(-np.abs(inc), kind="stable")[:k]] = 1.0
+                contributions.append(alpha * keep * inc)
+            elected = np.sign(np.sum(contributions, axis=0))
+            ref["ties"] = a + sum(np.where(np.sign(c) == elected, c, 0.0) for c in contributions)
+            for method in ADDITION_METHODS:
+                out = merge(method, inputs, mask=mask).values
+                np.testing.assert_allclose(out, ref[method], rtol=1e-12, atol=1e-12, err_msg=method)
 
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)
@@ -544,7 +603,7 @@ class TestDispatcher:
         rng = np.random.default_rng(10)
         inputs = random_inputs(rng, d=3, n_tasks=2)
         params = merge("ours", inputs)
-        out = merged_checkpoint("ours", inputs, params, extra_meta={"seed": "0"})
+        out = merged_checkpoint("ours", params, inputs.alphas, extra_meta={"seed": "0"})
         assert out.meta["method"] == "ours"
         assert out.meta["alphas"] == ",".join(repr(a) for a in inputs.alphas)
         assert out.meta["seed"] == "0"

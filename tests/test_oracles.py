@@ -7,7 +7,6 @@ from gradmerge.errors import (
     ConfigError,
     SingularCurvatureError,
     SingularSystemError,
-    UnsupportedError,
 )
 from gradmerge.merging import merge_uncertainty, remove_task
 from gradmerge.models import TaskDataset
@@ -15,7 +14,6 @@ from gradmerge.oracles import (
     ORACLE_TABLE_HEADER,
     OracleResult,
     alt_removal_oracle,
-    grid_argmin_oracle,
     influence_oracle,
     joint_closed_form_oracle,
     linear_merge_fixture,
@@ -209,38 +207,6 @@ class TestMapSurrogateCheck:
         h0 = DiagCurvature(layout, [2.0, 1.0])
         tasks = [(0.8, anchor, DiagCurvature.zeros(layout))]
         assert map_surrogate_check(anchor, h0, tasks, anchor) == 0.0
-
-
-class TestGridArgminOracle:
-    def test_convex_quadratic_within_one_cell(self):
-        out = grid_argmin_oracle(lambda x: float((x[0] - 0.37) ** 2), [(-1.0, 1.0)], 401)
-        cell = 2.0 / 400
-        assert abs(out.values[0] - 0.37) <= cell
-
-    def test_two_dimensional_quadratic(self):
-        out = grid_argmin_oracle(
-            lambda x: float((x[0] - 0.2) ** 2 + (x[1] + 0.4) ** 2),
-            [(-1.0, 1.0), (-1.0, 1.0)],
-            201,
-        )
-        cell = 2.0 / 200
-        assert abs(out.values[0] - 0.2) <= cell and abs(out.values[1] + 0.4) <= cell
-
-    def test_constant_objective_breaks_ties_to_first_point(self):
-        out = grid_argmin_oracle(lambda x: 1.0, [(-1.0, 1.0), (2.0, 3.0)], 100)
-        np.testing.assert_allclose(out.values, [-1.0, 2.0])
-
-    def test_excluded_optimum_lands_on_boundary(self):
-        out = grid_argmin_oracle(lambda x: float((x[0] - 5.0) ** 2), [(0.0, 1.0)], 100)
-        np.testing.assert_allclose(out.values, [1.0])
-
-    def test_three_dimensions_rejected(self):
-        with pytest.raises(UnsupportedError):
-            grid_argmin_oracle(lambda x: 0.0, [(0, 1)] * 3, 100)
-
-    def test_coarse_resolution_rejected(self):
-        with pytest.raises(ConfigError):
-            grid_argmin_oracle(lambda x: 0.0, [(0, 1)], 50)
 
 
 class TestAltRemovalOracle:

@@ -4,21 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradmerge.errors import (
-    ConfigError,
     CorruptCheckpointError,
     IoError,
     LayoutError,
     NumericError,
     SingularCurvatureError,
 )
+from gradmerge.merging import MergeInputs, merge_task_arithmetic, merge_uncertainty, remove_task
 from gradmerge.params import (
     Checkpoint,
     DiagCurvature,
     ParamLayout,
     ParamVector,
-    combine,
     load_checkpoint,
-    precondition_combine,
     save_checkpoint,
 )
 
@@ -106,34 +104,31 @@ class TestDiagCurvature:
         assert np.all(d.values == 0.0)
 
 
+def weighted_sum(terms):
+    """``sum_k w_k v_k`` through the merge kernel: task arithmetic around a
+    zero anchor, so each term's increment is the vector itself."""
+    layout = terms[0][1].layout
+    zero = Checkpoint.of(ParamVector(layout, np.zeros(layout.total_len)))
+    tasks = tuple((w, Checkpoint.of(v)) for w, v in terms)
+    return merge_task_arithmetic(MergeInputs(anchor=zero, tasks=tasks))
+
+
 class TestCombine:
+    """Weighted sums of parameter vectors, the linear part of every merge."""
+
     def test_identity(self):
         v = vec([1.0, -2.0, 3.5])
-        out = combine([(1.0, v)])
+        out = weighted_sum([(1.0, v)])
         np.testing.assert_array_equal(out.values, v.values)
 
     def test_convexity_on_equal_inputs(self):
         v = vec([1.0, -2.0, 3.5])
-        out = combine([(0.5, v), (0.5, v)])
+        out = weighted_sum([(0.5, v), (0.5, v)])
         np.testing.assert_allclose(out.values, v.values, atol=1e-15)
-
-    def test_self_cancellation(self):
-        v = vec([1.0, 2.0])
-        out = combine([(1.0, v), (-1.0, v)])
-        np.testing.assert_array_equal(out.values, [0.0, 0.0])
-
-    def test_empty_terms_rejected(self):
-        with pytest.raises(ConfigError):
-            combine([])
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(LayoutError):
-            combine([(1.0, vec([1.0])), (1.0, vec([1.0, 2.0]))])
-
-    def test_overflow_rejected(self):
-        v = vec([1e308, 1e308])
-        with pytest.raises(NumericError):
-            combine([(10.0, v)])
+            weighted_sum([(1.0, vec([1.0])), (1.0, vec([1.0, 2.0]))])
 
     @given(
         st.lists(
@@ -152,16 +147,22 @@ class TestCombine:
         terms = [(w, ParamVector(layout, vals)) for w, vals in raw_terms]
         shuffled = list(terms)
         rnd.shuffle(shuffled)
-        a = combine(terms).values
-        b = combine(shuffled).values
+        a = weighted_sum(terms).values
+        b = weighted_sum(shuffled).values
         np.testing.assert_allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
 
 class TestPreconditionCombine:
+    """The curvature-preconditioned update ``anchor + sum_t alpha_t (h0 +
+    h_t) / hbar * (theta_t - anchor)``.  ``merge_uncertainty`` pools
+    ``hbar`` itself; ``remove_task`` takes it explicitly and flips the
+    sign of the step."""
+
     def test_zero_increments_return_anchor(self):
         anchor = vec([1.0, -1.0, 2.0])
         h = diag([1.0, 2.0, 3.0], anchor.layout)
-        out = precondition_combine(anchor, [(1.0, h, h, anchor)], hbar=h)
+        base = Checkpoint.of(anchor, curvature=h)
+        out = merge_uncertainty(MergeInputs(anchor=base, tasks=((1.0, base),)))
         np.testing.assert_array_equal(out.values, anchor.values)
 
     def test_single_task_identity_preconditioner_recovers_task(self):
@@ -169,7 +170,11 @@ class TestPreconditionCombine:
         theta = vec([2.0, -3.0], anchor.layout)
         ones = diag([1.0, 1.0], anchor.layout)
         zeros = DiagCurvature.zeros(anchor.layout)
-        out = precondition_combine(anchor, [(1.0, ones, zeros, theta)], hbar=ones)
+        inputs = MergeInputs(
+            anchor=Checkpoint.of(anchor, curvature=ones),
+            tasks=((1.0, Checkpoint.of(theta, curvature=zeros)),),
+        )
+        out = merge_uncertainty(inputs)
         np.testing.assert_allclose(out.values, theta.values, atol=1e-15)
 
     def test_two_task_scalar_fixture(self):
@@ -179,28 +184,31 @@ class TestPreconditionCombine:
         # jointly trained closed-form solution for the same data.
         anchor = vec([0.0])
         one = diag([1.0], anchor.layout)
-        out = precondition_combine(
-            anchor,
-            [
-                (1.0, one, one, vec([1.0], anchor.layout)),
-                (1.0, one, one, vec([2.0], anchor.layout)),
-            ],
-            hbar=diag([3.0], anchor.layout),
+        inputs = MergeInputs(
+            anchor=Checkpoint.of(anchor, curvature=one),
+            tasks=(
+                (1.0, Checkpoint.of(vec([1.0], anchor.layout), curvature=one)),
+                (1.0, Checkpoint.of(vec([2.0], anchor.layout), curvature=one)),
+            ),
         )
+        out = merge_uncertainty(inputs)
         np.testing.assert_allclose(out.values, [2.0], atol=1e-12)
 
     def test_nonpositive_hbar_rejected(self):
         anchor = vec([0.0, 0.0])
         one = diag([1.0, 1.0], anchor.layout)
         bad = DiagCurvature(anchor.layout, [1.0, 0.0])
+        task = (1.0, Checkpoint.of(anchor, curvature=one))
         with pytest.raises(SingularCurvatureError):
-            precondition_combine(anchor, [(1.0, one, one, anchor)], hbar=bad)
+            remove_task(Checkpoint.of(anchor), task, hbar_minus=bad, h0=one)
 
     def test_layout_mismatch_rejected(self):
         anchor = vec([0.0, 0.0])
         one = diag([1.0, 1.0], anchor.layout)
+        theta = vec([1.0])
+        task = (1.0, Checkpoint.of(theta, curvature=diag([1.0], theta.layout)))
         with pytest.raises(LayoutError):
-            precondition_combine(anchor, [(1.0, one, one, vec([1.0]))], hbar=one)
+            remove_task(Checkpoint.of(anchor), task, hbar_minus=one, h0=one)
 
     @given(
         st.floats(1e-6, 1e6),
@@ -212,19 +220,20 @@ class TestPreconditionCombine:
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, c, theta, h0, ht, hbar):
         layout = ParamLayout((("w", (3,)),))
-        anchor = ParamVector(layout, [0.5, -0.5, 1.0])
-        term = (0.7, DiagCurvature(layout, h0), DiagCurvature(layout, ht), ParamVector(layout, theta))
-        base = precondition_combine(anchor, [term], DiagCurvature(layout, hbar)).values
-        scaled_term = (
-            0.7,
-            DiagCurvature(layout, c * np.asarray(h0)),
-            DiagCurvature(layout, c * np.asarray(ht)),
-            ParamVector(layout, theta),
-        )
-        scaled = precondition_combine(
-            anchor, [scaled_term], DiagCurvature(layout, c * np.asarray(hbar))
-        ).values
-        np.testing.assert_allclose(scaled, base, atol=1e-12 * max(1.0, np.abs(base).max()))
+        anchor = Checkpoint.of(ParamVector(layout, [0.5, -0.5, 1.0]))
+
+        def step(scale):
+            curv = DiagCurvature(layout, scale * np.asarray(ht))
+            task = (0.7, Checkpoint.of(ParamVector(layout, theta), curvature=curv))
+            return remove_task(
+                anchor,
+                task,
+                hbar_minus=DiagCurvature(layout, scale * np.asarray(hbar)),
+                h0=DiagCurvature(layout, scale * np.asarray(h0)),
+            ).values
+
+        base = step(1.0)
+        np.testing.assert_allclose(step(c), base, atol=1e-12 * max(1.0, np.abs(base).max()))
 
 
 class TestCheckpointIO:
