@@ -12,7 +12,8 @@ configured method and scores it against a jointly trained baseline,
 :func:`run_removal` subtracts one task's contribution from an anchor
 trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
-weights without retraining anything.
+weights without retraining anything; it merges and scores the whole grid
+in one batch per method.
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import FisherConfig, anchor_curvature, exact_hessian_diag, fisher_diag
-from .errors import ConfigError, IoError
-from .merging import (
+from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError
+# ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
+# ``perfbench/spans.py`` wraps them on this module.
+from .merging import (  # noqa: F401
     ADDITION_METHODS,
     MaskConfig,
     MergeInputs,
     merge,
+    merge_grid,
     merge_task_arithmetic,
     merged_checkpoint,
     remove_task,
 )
-from .models import LOSS_KINDS, ModelSpec, TaskDataset, accuracy, loss
+from .models import LOSS_KINDS, ModelSpec, TaskDataset, _forward, _losses, accuracy, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     QuadraticAnchor,
@@ -492,6 +496,52 @@ class MethodOutcome:
     true_avg: float
 
 
+def _score_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_sets=None):
+    """Score every row of ``values`` ``(A, d)``, each distinct test set once.
+
+    Returns the per-set scores of ``eval_sets`` as a list of ``(A,)``
+    columns plus the ``(A,)`` ``avg`` and ``true_avg`` over
+    ``aggregate_sets`` (default: ``eval_sets``).  Linear models take one
+    ``(A, d) @ (d, n)`` product per set, the MLP one forward pass per row.
+    Pooled accuracy is the total count of correct predictions over the
+    total n; a pooled loss averages the concatenated per-example losses.
+    """
+    model = spec.model
+    classify = model.kind != "linear_regression"
+    agg = list(eval_sets if aggregate_sets is None else aggregate_sets)
+    if not agg:
+        raise ConfigError("evaluation needs at least one aggregate dataset")
+    scored = {}  # id(dataset) -> (A,) correct-prediction counts, or (A, n) losses
+    for ds in (*eval_sets, *agg):
+        if id(ds) in scored:
+            continue
+        if ds.n == 0:
+            raise EmptyDataError(f"cannot score the empty test set {ds.task_id!r}")
+        if ds.n_features != model.n_features:
+            raise LayoutError("dataset feature count does not match the model")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if model.kind == "mlp":
+                out = np.stack([_forward(model, ParamVector(model.layout(), v), ds.inputs)[0] for v in values])
+            else:
+                out = values @ ds.inputs.T
+            if classify:
+                scored[id(ds)] = np.count_nonzero((out >= 0.0) == ds.targets, axis=1)
+            else:
+                scored[id(ds)] = _losses(spec.loss, out, ds.targets)
+
+    def score(ds: TaskDataset) -> np.ndarray:
+        return scored[id(ds)] / ds.n if classify else scored[id(ds)].mean(axis=1)
+
+    per_task = [score(ds) for ds in eval_sets]
+    avg = np.stack([score(ds) for ds in agg], axis=1).mean(axis=1)
+    if classify:
+        return per_task, avg, sum(scored[id(ds)] for ds in agg) / sum(ds.n for ds in agg)
+    true_avg = np.concatenate([scored[id(ds)] for ds in agg], axis=1).mean(axis=1)
+    if not all(np.all(np.isfinite(v)) for v in (*per_task, avg, true_avg)):
+        raise NumericError("loss overflowed to a non-finite value")
+    return per_task, avg, true_avg
+
+
 def evaluate_params(
     spec: ExperimentSpec,
     method: str,
@@ -505,21 +555,31 @@ def evaluate_params(
     ``aggregate_sets`` (default: ``eval_sets``) controls which sets enter
     the two aggregates; the per-task column always covers ``eval_sets``.
     """
-    classify = spec.model.kind != "linear_regression"
-    metric = "accuracy" if classify else "loss"
+    if theta.layout != spec.model.layout():
+        raise LayoutError("theta layout does not match the model's canonical layout")
+    metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
+    per_task, avg, true_avg = _score_rows(spec, theta.values[None], eval_sets, aggregate_sets)
+    per_task = tuple((ds.task_id, float(col[0])) for ds, col in zip(eval_sets, per_task))
+    return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
-    def score(ds: TaskDataset) -> float:
-        if classify:
-            return accuracy(spec.model, theta, ds)
-        return loss(spec.model, spec.loss, theta, ds, reduce="mean")
 
-    agg = list(eval_sets if aggregate_sets is None else aggregate_sets)
-    if not agg:
-        raise ConfigError("evaluation needs at least one aggregate dataset")
-    per_task = tuple((ds.task_id, score(ds)) for ds in eval_sets)
-    avg = float(np.mean([score(ds) for ds in agg]))
-    true_avg = score(_concat_datasets(agg, "pooled"))
-    return MethodOutcome(method, float(alpha), theta, metric, per_task, avg, true_avg)
+def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas, mask=None) -> np.ndarray:
+    """``(A, d)`` catalog merges, row ``a`` with weight ``alphas[a]`` on every task.
+
+    With no task checkpoints, or at ``alpha == 0``, the row is the anchor
+    outright: adding nothing leaves the anchor, and short-circuiting makes
+    the sweep's left endpoint bitwise exact (the plain average is the one
+    method that would otherwise ignore the weights entirely).  ``ties``
+    uses ``mask``, by default :data:`TIES_MASK`.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    values = np.tile(anchor.params.values, (alphas.size, 1))
+    live = alphas != 0.0
+    tasks = tuple(tasks)
+    if tasks and live.any():
+        inputs = MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta)
+        values[live] = merge_grid(method, inputs, alphas[live], mask=mask or TIES_MASK)
+    return values
 
 
 def merge_checkpoints(
@@ -532,17 +592,11 @@ def merge_checkpoints(
 ) -> ParamVector:
     """One catalog merge with a uniform weight on every task checkpoint.
 
-    With no task checkpoints, or at ``alpha == 0``, the anchor is returned
-    outright: adding nothing leaves the anchor, and short-circuiting makes
-    the sweep's left endpoint bitwise exact (the plain average is the one
-    method that would otherwise ignore the weights entirely).  ``ties``
-    uses ``mask``, by default :data:`TIES_MASK`.
+    The one-row sweep merge: with no task checkpoints, or at ``alpha ==
+    0``, it is the anchor.  ``ties`` uses ``mask``, by default
+    :data:`TIES_MASK`.
     """
-    tasks = tuple(tasks)
-    if not tasks or alpha == 0.0:
-        return anchor.params
-    inputs = MergeInputs(anchor, tuple((float(alpha), ck) for ck in tasks), delta)
-    return merge(method, inputs, mask=mask or TIES_MASK)
+    return ParamVector(anchor.layout, _merge_rows(anchor, tasks, delta, method, (alpha,), mask)[0])
 
 
 def merge_with_alpha(
@@ -779,9 +833,10 @@ def sweep_alpha(
 ) -> SweepResult:
     """Evaluate every method in ``spec.methods`` across ``spec.alphas``.
 
-    Training happens once; only merging and scoring repeat per weight.
-    Emits aggregate summary rows plus a two-column ``sweep_<method>.dat``
-    file per method, ready for any plotting tool.  Duplicate grid values
+    Training happens once; each method then merges the whole grid in one
+    broadcast and scores it with one product per test set.  Emits
+    aggregate summary rows plus a two-column ``sweep_<method>.dat`` file
+    per method, ready for any plotting tool.  Duplicate grid values
     produce duplicate rows, deterministically.
     """
     bad = [m for m in spec.methods if m not in ADDITION_METHODS]
@@ -798,15 +853,13 @@ def sweep_alpha(
     rows: list[str] = []
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     for method in spec.methods:
-        points = []
-        for a in spec.alphas:
-            outcome = evaluate_params(
-                spec, method, a, merge_with_alpha(state, method, a), eval_sets
-            )
-            rows.append(f"{method},{a!r},avg,{metric},{outcome.avg!r}")
-            rows.append(f"{method},{a!r},true_avg,{metric},{outcome.true_avg!r}")
-            points.append((float(a), outcome.avg))
-        series[method] = tuple(points)
+        values = _merge_rows(state.anchor, state.tasks, spec.anchor.delta, method, spec.alphas)
+        _, avg, true_avg = _score_rows(spec, values, eval_sets)
+        points = tuple(zip(spec.alphas, avg.tolist()))
+        for (a, v), t in zip(points, true_avg.tolist()):
+            rows.append(f"{method},{a!r},avg,{metric},{v!r}")
+            rows.append(f"{method},{a!r},true_avg,{metric},{t!r}")
+        series[method] = points
         if out is not None:
             _write_lines(out / f"sweep_{method}.dat", None, [f"{a!r} {v!r}" for a, v in points])
             _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)

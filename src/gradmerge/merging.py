@@ -5,12 +5,15 @@ stacked task rows:
 
     base + sum_k coef_k * (rows_k - base)
 
-where ``rows`` is ``(k, d)`` and ``coef`` is ``(k, d)`` (per coordinate)
-or ``(k, 1)`` (per row).  A method is only a choice of base, rows and
-coefficients, which is the paper's point that averaging, task
-arithmetic and Fisher averaging are special cases of one curvature-
-preconditioned update.  With ``h0`` the anchor curvature plus the ridge
-``delta`` and ``hbar = h0 + sum_t alpha_t h_t``:
+where ``rows`` is ``(k, d)`` and ``coef`` is ``(A, k, d)`` (per
+coordinate) or ``(A, k, 1)`` (per row), computed from an ``(A, T)``
+matrix of task weights: :func:`merge_grid` returns all ``A`` merges of a
+weight sweep at once, and every single merge is its ``A = 1`` row.  A
+method is only a choice of base, rows and coefficients, which is the
+paper's point that averaging, task arithmetic and Fisher averaging are
+special cases of one curvature-preconditioned update.  With ``h0`` the
+anchor curvature plus the ridge ``delta`` and ``hbar = h0 + sum_t
+alpha_t h_t``:
 
 * ``merge_task_arithmetic`` (``ta``) — base anchor, coefficient
   ``alpha_t``; negative weights subtract a task.
@@ -53,6 +56,7 @@ from .errors import (
     EmptyMergeError,
     LayoutError,
     MissingCurvatureError,
+    NumericError,
     SingularCurvatureError,
 )
 from .params import Checkpoint, DiagCurvature, ParamVector
@@ -67,6 +71,7 @@ __all__ = [
     "merge_masked",
     "remove_task",
     "merge",
+    "merge_grid",
     "merged_checkpoint",
     "ADDITION_METHODS",
     "CURVATURE_METHODS",
@@ -130,28 +135,27 @@ class MaskConfig:
             raise ConfigError("keep_fraction must lie in (0, 1]")
 
 
-def _stack(inputs: MergeInputs, method: str, anchor_curvature: bool = True):
-    """Validate a merge's inputs once and stack the tasks into arrays.
+def _stack(inputs: MergeInputs, method: str, weights: np.ndarray, anchor_curvature: bool = True):
+    """Validate a merge's inputs and ``(A, T)`` task weights once, and stack the tasks.
 
-    Returns the task weights as a ``(T, 1)`` column, the task parameters
-    ``(T, d)``, and for ``CURVATURE_METHODS`` the task curvatures
-    ``(T, d)`` (otherwise ``None``).  ``anchor_curvature`` says whether a
-    curvature method also reads the anchor's curvature.
+    Returns the task parameters ``(T, d)`` and for ``CURVATURE_METHODS``
+    the task curvatures ``(T, d)`` (otherwise ``None``).
+    ``anchor_curvature`` says whether a curvature method also reads the
+    anchor's curvature.
     """
     if not inputs.tasks:
         raise EmptyMergeError(f"{method} needs at least one task checkpoint")
-    if method in _NONNEGATIVE_METHODS and any(alpha < 0 for alpha in inputs.alphas):
+    if method in _NONNEGATIVE_METHODS and np.any(weights < 0):
         raise ConfigError(f"{method} does not accept negative task weights")
-    alphas = np.array(inputs.alphas)[:, None]
     thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
     if method not in CURVATURE_METHODS:
-        return alphas, thetas, None
+        return thetas, None
     for i, (_, ckpt) in enumerate(inputs.tasks):
         if ckpt.curvature is None:
             raise MissingCurvatureError(f"{method} needs curvature on every task checkpoint; task {i} has none")
     if anchor_curvature and inputs.anchor.curvature is None:
         raise MissingCurvatureError(f"{method} needs curvature on the anchor checkpoint")
-    return alphas, thetas, np.stack([ckpt.curvature.values for _, ckpt in inputs.tasks])
+    return thetas, np.stack([ckpt.curvature.values for _, ckpt in inputs.tasks])
 
 
 def _require_positive(den: np.ndarray, what: str) -> None:
@@ -159,15 +163,74 @@ def _require_positive(den: np.ndarray, what: str) -> None:
         raise SingularCurvatureError(f"{what} must be strictly positive elementwise")
 
 
-def _kernel(layout, base, rows: np.ndarray, coef: np.ndarray) -> ParamVector:
-    """``base + sum_k coef_k * (rows_k - base)``: the one merge expression.
+def _kernel(base, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``base + sum_k coef[a, k] * (rows_k - base)``: the one merge expression.
 
-    An overflow surfaces as the :class:`NumericError` that
-    :class:`ParamVector` raises for non-finite values.
+    Evaluated at half scale, which is exact for normal floats and keeps
+    ``rows - base`` finite whenever the merge is (a Fisher mean of -1e308
+    and 1e308, say); an overflowing merge raises :class:`NumericError`.
     """
+    half = 0.5 * base
     with np.errstate(over="ignore", invalid="ignore"):
-        values = base + (coef * (rows - base)).sum(axis=0)
-    return ParamVector(layout, values)
+        values = 2.0 * (half + (coef * (0.5 * rows - half)).sum(axis=1))
+    if not np.all(np.isfinite(values)):
+        raise NumericError("parameter values must be finite")
+    return values
+
+
+def _single(grid_merge, inputs: MergeInputs, *args) -> ParamVector:
+    """Run a grid merge on the one row of the stored task weights."""
+    return ParamVector(inputs.layout, grid_merge(inputs, np.array([inputs.alphas]), *args)[0])
+
+
+def _average(inputs: MergeInputs, weights: np.ndarray, weighted: bool, alpha0) -> np.ndarray:
+    thetas, _ = _stack(inputs, "wam" if weighted else "am", weights)
+    if not weighted:
+        return _kernel(0.0, thetas, np.full((len(weights), len(thetas), 1), 1.0 / len(thetas)))
+    alpha0 = np.broadcast_to(alpha0, len(weights))
+    if np.any(alpha0 < 0):
+        raise ConfigError("weighted averaging does not accept a negative anchor weight")
+    rows = np.vstack([inputs.anchor.params.values, thetas])
+    return _kernel(0.0, rows, np.column_stack([alpha0, weights])[:, :, None])
+
+
+def _fisher(inputs: MergeInputs, weights: np.ndarray, include_anchor: bool) -> np.ndarray:
+    thetas, fishers = _stack(inputs, "fa", weights, anchor_curvature=include_anchor)
+    weighted = weights[:, :, None] * fishers
+    f0 = inputs.anchor.curvature.values if include_anchor else 0.0
+    den = f0 + weighted.sum(axis=1)
+    _require_positive(den, "pooled Fisher")
+    base = inputs.anchor.params.values if include_anchor else 0.0
+    return _kernel(base, thetas, weighted / den[:, None])
+
+
+def _task_arithmetic(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    thetas, _ = _stack(inputs, "ta", weights)
+    return _kernel(inputs.anchor.params.values, thetas, weights[:, :, None])
+
+
+def _uncertainty(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    thetas, curvs = _stack(inputs, "ours", weights)
+    h0 = inputs.anchor.curvature.values + inputs.delta
+    weights = weights[:, :, None]
+    hbar = h0 + (weights * curvs).sum(axis=1)
+    _require_positive(hbar, "pooled curvature")
+    return _kernel(inputs.anchor.params.values, thetas, weights * (h0 + curvs) / hbar[:, None])
+
+
+def _masked(inputs: MergeInputs, weights: np.ndarray, mask_cfg: MaskConfig) -> np.ndarray:
+    thetas, _ = _stack(inputs, "ties", weights)
+    anchor = inputs.anchor.params.values
+    increments = thetas - anchor
+    k = int(math.ceil(mask_cfg.keep_fraction * anchor.size))
+    keep = np.argsort(-np.abs(increments), axis=1, kind="stable")[:, :k]
+    mask = np.zeros_like(increments)
+    np.put_along_axis(mask, keep, 1.0, axis=1)
+    coef = weights[:, :, None] * mask
+    if mask_cfg.elect_sign:
+        contributions = coef * increments
+        coef = coef * (np.sign(contributions) == np.sign(contributions.sum(axis=1, keepdims=True)))
+    return _kernel(anchor, thetas, coef)
 
 
 def merge_average(inputs: MergeInputs, weighted: bool = False, alpha0: float = 0.0) -> ParamVector:
@@ -178,13 +241,7 @@ def merge_average(inputs: MergeInputs, weighted: bool = False, alpha0: float = 0
     anchor + sum_t alpha_t * theta_t``; the weights are used as given and
     are not renormalized.
     """
-    alphas, thetas, _ = _stack(inputs, "wam" if weighted else "am")
-    if not weighted:
-        return _kernel(inputs.layout, 0.0, thetas, np.full_like(alphas, 1.0 / len(thetas)))
-    if alpha0 < 0:
-        raise ConfigError("weighted averaging does not accept a negative anchor weight")
-    rows = np.vstack([inputs.anchor.params.values, thetas])
-    return _kernel(inputs.layout, 0.0, rows, np.vstack([[float(alpha0)], alphas]))
+    return _single(_average, inputs, weighted, alpha0)
 
 
 def merge_fisher(inputs: MergeInputs, include_anchor: bool = False) -> ParamVector:
@@ -194,20 +251,12 @@ def merge_fisher(inputs: MergeInputs, include_anchor: bool = False) -> ParamVect
     ``include_anchor`` the anchor joins the mean with weight 1 and its
     own Fisher.
     """
-    alphas, thetas, fishers = _stack(inputs, "fa", anchor_curvature=include_anchor)
-    weighted = alphas * fishers
-    f0, base = 0.0, 0.0
-    if include_anchor:
-        f0, base = inputs.anchor.curvature.values, inputs.anchor.params.values
-    den = f0 + weighted.sum(axis=0)
-    _require_positive(den, "pooled Fisher")
-    return _kernel(inputs.layout, base, thetas, weighted / den)
+    return _single(_fisher, inputs, include_anchor)
 
 
 def merge_task_arithmetic(inputs: MergeInputs) -> ParamVector:
     """Anchor plus weighted task increments; negative weights subtract."""
-    alphas, thetas, _ = _stack(inputs, "ta")
-    return _kernel(inputs.layout, inputs.anchor.params.values, thetas, alphas)
+    return _single(_task_arithmetic, inputs)
 
 
 def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
@@ -218,11 +267,7 @@ def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
     ``alpha_t * (h0 + h_t) / hbar``, where ``h0`` is the anchor curvature
     plus the ridge ``delta``.
     """
-    alphas, thetas, curvs = _stack(inputs, "ours")
-    h0 = inputs.anchor.curvature.values + inputs.delta
-    hbar = h0 + (alphas * curvs).sum(axis=0)
-    _require_positive(hbar, "pooled curvature")
-    return _kernel(inputs.layout, inputs.anchor.params.values, thetas, alphas * (h0 + curvs) / hbar)
+    return _single(_uncertainty, inputs)
 
 
 def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> ParamVector:
@@ -236,18 +281,7 @@ def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> Pa
     elected sign are zeroed.  The election rule is one concrete choice
     among several used in practice and is labeled experimental.
     """
-    alphas, thetas, _ = _stack(inputs, "ties")
-    anchor = inputs.anchor.params.values
-    increments = thetas - anchor
-    k = int(math.ceil(mask_cfg.keep_fraction * anchor.size))
-    keep = np.argsort(-np.abs(increments), axis=1, kind="stable")[:, :k]
-    mask = np.zeros_like(increments)
-    np.put_along_axis(mask, keep, 1.0, axis=1)
-    coef = alphas * mask
-    if mask_cfg.elect_sign:
-        contributions = coef * increments
-        coef = coef * (np.sign(contributions) == np.sign(contributions.sum(axis=0)))
-    return _kernel(inputs.layout, anchor, thetas, coef)
+    return _single(_masked, inputs, mask_cfg)
 
 
 def remove_task(
@@ -276,28 +310,38 @@ def remove_task(
     denom = hbar_minus.values + delta
     _require_positive(denom, "retained-data curvature plus delta")
     coef = -float(alpha) * (h0.values + ckpt.curvature.values) / denom
-    return _kernel(layout, anchor.params.values, ckpt.params.values[None], coef[None])
+    return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
+
+
+def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig | None = None) -> np.ndarray:
+    """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
+
+    Row ``a`` merges with task weights ``scales[a] * alpha_t``.  For
+    ``wam`` its anchor weight is ``max(0, 1 - sum_t scales[a] alpha_t)``,
+    so that the weights form a convex-style combination around the anchor.
+    """
+    scales = np.asarray(scales, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(scales)):
+        raise ConfigError("merge scales must be finite")
+    weights = scales[:, None] * np.array(inputs.alphas)
+    if method == "am":
+        return _average(inputs, weights, False, 0.0)
+    if method == "wam":
+        return _average(inputs, weights, True, np.maximum(0.0, 1.0 - weights.sum(axis=1)))
+    if method == "ta":
+        return _task_arithmetic(inputs, weights)
+    if method == "fa":
+        return _fisher(inputs, weights, True)
+    if method == "ties":
+        return _masked(inputs, weights, mask or MaskConfig())
+    if method == "ours":
+        return _uncertainty(inputs, weights)
+    raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
 
 
 def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig | None = None) -> ParamVector:
-    """Dispatch a merge by registry name (see ``ADDITION_METHODS``).
-
-    For ``wam``, the anchor weight is ``max(0, 1 - sum alpha_t)`` so that
-    the weights form a convex-style combination around the anchor.
-    """
-    if method == "am":
-        return merge_average(inputs)
-    if method == "wam":
-        return merge_average(inputs, weighted=True, alpha0=max(0.0, 1.0 - sum(inputs.alphas)))
-    if method == "ta":
-        return merge_task_arithmetic(inputs)
-    if method == "fa":
-        return merge_fisher(inputs, include_anchor=True)
-    if method == "ties":
-        return merge_masked(inputs, mask or MaskConfig())
-    if method == "ours":
-        return merge_uncertainty(inputs)
-    raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
+    """Dispatch a merge by registry name (see ``ADDITION_METHODS``): :func:`merge_grid` at scale 1."""
+    return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,), mask=mask)[0])
 
 
 def merged_checkpoint(

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from gradmerge.errors import ConfigError
+from gradmerge.errors import ConfigError, EmptyDataError, LayoutError
 from gradmerge.harness import (
+    ADDITION_METHODS,
     REMOVAL_METHODS,
     SUMMARY_HEADER,
     AnchorConfig,
@@ -28,7 +29,7 @@ from gradmerge.harness import (
     run_removal,
     sweep_alpha,
 )
-from gradmerge.models import ModelSpec, TaskDataset, accuracy
+from gradmerge.models import ModelSpec, TaskDataset, accuracy, loss
 from gradmerge.params import load_checkpoint
 from gradmerge.training import closed_form_solve
 
@@ -441,6 +442,95 @@ class TestSweepAlpha:
     def test_rejects_removal_methods(self):
         with pytest.raises(ConfigError):
             sweep_alpha(default_removal_spec(), seed=0)
+
+
+#: A grid with the anchor endpoint, a duplicate, and weights above 1.
+EQUIVALENCE_GRID = (0.0, 0.3, 0.3, 1.0, 1.7)
+
+
+@pytest.fixture(scope="module", params=["logistic", "mlp", "linear_regression"])
+def kind_state(request):
+    kinds = {
+        "logistic": small_spec(),
+        "mlp": small_spec(model=ModelSpec("mlp", 2, hidden=4, activation="tanh")),
+        "linear_regression": linear_spec(),
+    }
+    spec = dataclasses.replace(kinds[request.param], methods=ADDITION_METHODS, alphas=EQUIVALENCE_GRID)
+    return run_pipeline(spec, seed=0)
+
+
+class TestSweepGrid:
+    """The batched sweep against a per-alpha loop of merge and evaluate."""
+
+    def test_rows_match_per_alpha_loop(self, kind_state):
+        spec = kind_state.spec
+        res = sweep_alpha(spec, state=kind_state)
+        rows = iter(res.rows)
+        for method in spec.methods:
+            for a in spec.alphas:
+                params = merge_with_alpha(kind_state, method, a)
+                ref = evaluate_params(spec, method, a, params, kind_state.test_sets[1:])
+                for label, value in (("avg", ref.avg), ("true_avg", ref.true_avg)):
+                    head, got = next(rows).rsplit(",", 1)
+                    assert head == f"{method},{a!r},{label},{ref.metric}"
+                    if ref.metric == "accuracy":
+                        assert float(got) == value
+                    else:
+                        np.testing.assert_allclose(float(got), value, rtol=1e-12)
+        assert next(rows, None) is None
+
+    def test_evaluate_params_matches_model_scores(self, kind_state):
+        # Unequal set sizes separate avg from true_avg, and the aggregate
+        # is a different selection than the per-task column.
+        spec = kind_state.spec
+        theta = merge_with_alpha(kind_state, "ours", 0.7)
+        sets = [ds.slice(np.arange(n)) for ds, n in zip(kind_state.test_sets, (40, 25, 33))]
+        agg = sets[1:]
+
+        def score(ds):
+            if spec.model.kind == "linear_regression":
+                return loss(spec.model, spec.loss, theta, ds, reduce="mean")
+            return accuracy(spec.model, theta, ds)
+
+        pooled = TaskDataset(
+            "pooled", np.vstack([ds.inputs for ds in agg]), np.concatenate([ds.targets for ds in agg])
+        )
+        out = evaluate_params(spec, "ours", 0.7, theta, sets, agg)
+        assert [task for task, _ in out.per_task] == [ds.task_id for ds in sets]
+        got = [value for _, value in out.per_task] + [out.avg, out.true_avg]
+        ref = [score(ds) for ds in sets] + [float(np.mean([score(ds) for ds in agg])), score(pooled)]
+        assert out.avg != out.true_avg
+        np.testing.assert_allclose(got, ref, rtol=1e-12 if out.metric == "loss" else 0.0)
+
+    def test_evaluate_params_rejects_empty_and_mismatched_sets(self, default_state):
+        spec, theta = default_state.spec, default_state.anchor.params
+        with pytest.raises(EmptyDataError):
+            evaluate_params(spec, "anchor", 0.0, theta, [TaskDataset("empty", np.zeros((0, 2)), [])])
+        with pytest.raises(LayoutError):
+            evaluate_params(spec, "anchor", 0.0, theta, [TaskDataset("wide", np.zeros((3, 5)), np.zeros(3))])
+
+    @pytest.mark.parametrize("method", ("am", "wam", "fa", "ties"))
+    def test_negative_weight_rejected_like_per_alpha_loop(self, default_state, method):
+        spec = dataclasses.replace(default_state.spec, methods=(method,), alphas=(0.0, -0.5))
+        with pytest.raises(ConfigError) as loop_error:
+            merge_with_alpha(default_state, method, -0.5)
+        with pytest.raises(ConfigError) as sweep_error:
+            sweep_alpha(spec, state=default_state)
+        assert str(sweep_error.value) == str(loop_error.value)
+
+    def test_negative_weight_accepted_by_ta(self, default_state):
+        spec = dataclasses.replace(default_state.spec, methods=("ta",), alphas=(0.0, -0.5))
+        params = merge_with_alpha(default_state, "ta", -0.5)
+        ref = evaluate_params(spec, "ta", -0.5, params, default_state.test_sets[1:])
+        assert sweep_alpha(spec, state=default_state).series["ta"][1] == (-0.5, ref.avg)
+
+    def test_single_task_sweeps_the_anchor(self):
+        spec = small_spec(n_tasks=1, methods=ADDITION_METHODS, alphas=EQUIVALENCE_GRID)
+        state = run_pipeline(spec, seed=0)
+        res = sweep_alpha(spec, state=state)
+        anchor = evaluate_params(spec, "anchor", 0.0, state.anchor.params, state.test_sets[:1])
+        for points in res.series.values():
+            assert [v for _, v in points] == [anchor.avg] * len(spec.alphas)
 
 
 class TestDiagnosticBridge:

@@ -21,6 +21,7 @@ from gradmerge.merging import (
     merge,
     merge_average,
     merge_fisher,
+    merge_grid,
     merge_masked,
     merge_task_arithmetic,
     merge_uncertainty,
@@ -544,6 +545,13 @@ class TestDegenerateInputs:
         with pytest.raises(NumericError):
             remove_task(huge.anchor, huge.tasks[0], curv([1.0, 1.0]), curv([1.0, 1.0]))
 
+    def test_fisher_mean_of_extreme_entries_stays_finite(self):
+        huge = MergeInputs(
+            anchor=ckpt([-1e308, 0.0], [1.0, 1.0]),
+            tasks=((10.0, ckpt([1e308, 1e308], [0.0, 1.0])),),
+        )
+        np.testing.assert_allclose(merge("fa", huge).values, [-1e308, 10 / 11 * 1e308], rtol=1e-12)
+
 
 class TestDispatcher:
     def test_registry_covers_every_addition_method(self):
@@ -586,6 +594,21 @@ class TestDispatcher:
             for method in ADDITION_METHODS:
                 out = merge(method, inputs, mask=mask).values
                 np.testing.assert_allclose(out, ref[method], rtol=1e-12, atol=1e-12, err_msg=method)
+
+    def test_grid_rows_equal_single_merges(self):
+        rng = np.random.default_rng(12)
+        mask = MaskConfig(keep_fraction=0.5, elect_sign=True)
+        scales = (0.0, 0.25, 0.25, 1.0, 1.8)
+        for _ in range(20):
+            inputs = random_inputs(rng, d=int(rng.integers(1, 9)), n_tasks=int(rng.integers(1, 6)), delta=0.1)
+            for method in ADDITION_METHODS:
+                grid = merge_grid(method, inputs, scales, mask=mask)
+                assert grid.shape == (len(scales), inputs.layout.total_len)
+                for scale, row in zip(scales, grid):
+                    scaled = MergeInputs(
+                        inputs.anchor, tuple((scale * a, ck) for a, ck in inputs.tasks), inputs.delta
+                    )
+                    np.testing.assert_array_equal(row, merge(method, scaled, mask=mask).values, err_msg=method)
 
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)
