@@ -22,8 +22,9 @@ from pathlib import Path
 
 from .diagnostics import MISMATCH_TABLE_HEADER, mismatch_table_csv, mismatch_vs_error_table
 from .errors import ConfigError, GradmergeError, MissingCurvatureError
-from .harness import (
-    TIES_MASK,
+# ``estimate_task_curvature`` is unused here but stays importable:
+# ``perfbench/spans.py`` wraps it on this module.
+from .harness import (  # noqa: F401
     ExperimentSpec,
     build_diagnostic_fixture,
     default_removal_spec,
@@ -31,16 +32,22 @@ from .harness import (
     estimate_anchor_h0,
     estimate_task_curvature,
     evaluate_params,
+    evaluation_sets,
     fixture_from_state,
     gen_tasks,
     load_spec,
     merge_checkpoints,
+    output_dir,
     parse_h0_source,
     resolve_seed,
     run_addition,
     run_pipeline,
     run_removal,
+    save_run,
     sweep_alpha,
+    train_stage,
+    with_task_curvature,
+    write_text,
 )
 from .merging import ADDITION_METHODS, CURVATURE_METHODS, merged_checkpoint
 from .models import save_dataset
@@ -131,8 +138,7 @@ def _out_dir(args) -> Path:
 def _cmd_gen(args) -> int:
     spec = _spec_for(args)
     seed = _seed_for(args, spec)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(_out_dir(args))
     sets = gen_tasks(spec, seed)
     for t, ds in enumerate(sets[: spec.n_tasks]):
         save_dataset(ds, out / f"task{t}.json")
@@ -145,16 +151,13 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     spec = _spec_for(args)
     seed = _seed_for(args, spec)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    state = run_pipeline(spec, seed)
-    stripped = Checkpoint.of(
-        state.anchor.params, None, state.anchor.anchor_id, state.anchor.meta
-    )
-    save_checkpoint(stripped, out / "anchor")
-    for t, ck in enumerate(state.tasks, start=1):
-        save_checkpoint(Checkpoint.of(ck.params, None, ck.anchor_id, ck.meta), out / f"task{t}")
-    print(f"wrote anchor and {len(state.tasks)} task checkpoints to {out}")
+    out = output_dir(_out_dir(args))
+    trains = gen_tasks(spec, seed)[: spec.n_tasks]
+    anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
+    # The anchor is written without its penalty diagonal: ``fisher``
+    # estimates it, from the source its own ``--h0`` names.
+    save_run(out, Checkpoint.of(anchor.params, None, anchor.anchor_id, anchor.meta), tasks)
+    print(f"wrote anchor and {len(tasks)} task checkpoints to {out}")
     return 0
 
 
@@ -162,18 +165,13 @@ def _cmd_fisher(args) -> int:
     spec = _spec_for(args)
     seed = _seed_for(args, spec)
     out = _out_dir(args)
-    sets = gen_tasks(spec, seed)
-    trains = sets[: spec.n_tasks]
+    trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor = load_checkpoint(out / "anchor")
     h0 = estimate_anchor_h0(spec, anchor.params, trains[0])
-    save_checkpoint(
-        Checkpoint.of(anchor.params, h0, anchor.anchor_id, anchor.meta), out / "anchor"
-    )
-    for t in range(1, spec.n_tasks):
-        ck = load_checkpoint(out / f"task{t}")
-        curv = estimate_task_curvature(spec, ck.params, trains[t])
-        save_checkpoint(Checkpoint.of(ck.params, curv, ck.anchor_id, ck.meta), out / f"task{t}")
-    print(f"attached curvature to anchor and {spec.n_tasks - 1} task checkpoints in {out}")
+    tasks = [load_checkpoint(out / f"task{t}") for t in range(1, spec.n_tasks)]
+    tasks = with_task_curvature(spec, tasks, trains[1:])
+    save_run(out, Checkpoint.of(anchor.params, h0, anchor.anchor_id, anchor.meta), tasks)
+    print(f"attached curvature to anchor and {len(tasks)} task checkpoints in {out}")
     return 0
 
 
@@ -182,21 +180,18 @@ def _cmd_merge(args) -> int:
     seed = _seed_for(args, spec)
     out = _out_dir(args)
     stems = ["anchor"] + [f"task{t}" for t in range(1, spec.n_tasks)]
-    loaded = {stem: load_checkpoint(out / stem) for stem in stems}
+    anchor, *tasks = loaded = [load_checkpoint(out / stem) for stem in stems]
     if args.method in CURVATURE_METHODS:
-        for stem in stems:
-            if loaded[stem].curvature is None:
+        for stem, ck in zip(stems, loaded):
+            if ck.curvature is None:
                 raise MissingCurvatureError(
                     f"checkpoint {str(out / stem)!r} has no curvature diagonal; "
                     "run the fisher step first"
                 )
-    anchor = loaded["anchor"]
-    tasks = [loaded[stem] for stem in stems[1:]]
     params = merge_checkpoints(anchor, tasks, spec.anchor.delta, args.method, args.alpha)
     merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks), anchor.anchor_id)
     save_checkpoint(merged, out / f"merged-{args.method}")
-    tests = gen_tasks(spec, seed)[spec.n_tasks :]
-    eval_sets = tests[1:] if len(tests) > 1 else tests[:1]
+    eval_sets = evaluation_sets(gen_tasks(spec, seed)[spec.n_tasks :])
     outcome = evaluate_params(spec, args.method, args.alpha, params, eval_sets)
     print(
         f"merged-{args.method} alpha={args.alpha!r}: "
@@ -218,11 +213,10 @@ def _cmd_remove(args) -> int:
 def _cmd_diagnose(args) -> int:
     spec = _spec_for(args)
     seed = _seed_for(args, spec)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(_out_dir(args))
     fixture = build_diagnostic_fixture(spec, seed, alpha=args.alpha)
-    rows = mismatch_vs_error_table(list(spec.methods), [fixture], mask=TIES_MASK)
-    (out / "report.csv").write_text(mismatch_table_csv(rows))
+    rows = mismatch_vs_error_table(list(spec.methods), [fixture])
+    write_text(out / "report.csv", mismatch_table_csv(rows))
     print(f"wrote {len(rows)} diagnostic rows to {out / 'report.csv'}")
     return 0
 
@@ -239,25 +233,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     seed = resolve_seed(default_spec(), getattr(args, "seed", None))
+    out = output_dir(args.out) if getattr(args, "out", None) is not None else None
     results = run_oracle_suite(seed=seed, n_fixtures=args.fixtures)
     print(oracle_table_csv(results), end="")
     print(oracle_summary(results))
-    if getattr(args, "out", None) is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle_table.csv").write_text(oracle_table_csv(results))
+    if out is not None:
+        write_text(out / "oracle_table.csv", oracle_table_csv(results))
     return 0 if all(r.passed for r in results) else 2
 
 
 def _cmd_report(args) -> int:
     spec = _spec_for(args)
     seed = _seed_for(args, spec)
-    out = _out_dir(args)
+    out = output_dir(_out_dir(args))
     state = run_pipeline(spec, seed)
     result = run_addition(spec, out, seed, alpha=args.alpha, state=state)
     fixture = fixture_from_state(state, result.target.params, args.alpha)
-    rows = mismatch_vs_error_table(list(spec.methods), [fixture], mask=TIES_MASK)
-    (out / "report.csv").write_text(mismatch_table_csv(rows))
+    rows = mismatch_vs_error_table(list(spec.methods), [fixture])
+    write_text(out / "report.csv", mismatch_table_csv(rows))
     for label in list(spec.methods) + ["all-data", "anchor"]:
         outcome = result.outcomes[label]
         print(f"{label}: avg {outcome.metric} {outcome.avg!r}, true avg {outcome.true_avg!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, SingularCurvatureError
-from .merging import MaskConfig, MergeInputs, merge
+from .merging import MergeInputs, merge
 from .models import ModelSpec, TaskDataset, grad, loss
 from .params import Checkpoint, ParamVector
 from .training import QuadraticAnchor
@@ -257,19 +257,16 @@ def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> Mismatch
     )
 
 
-def mismatch_vs_error_table(
-    methods: list[str], fixtures: list[DiagnosticFixture], mask: MaskConfig | None = None
-) -> list[MismatchRow]:
+def mismatch_vs_error_table(methods: list[str], fixtures: list[DiagnosticFixture]) -> list[MismatchRow]:
     """Flat per-(method, fixture, task) table of mismatch vs actual error.
 
     Rows come out in deterministic method-major, fixture-minor, task
-    order; an empty fixture list yields an empty table.  ``mask`` only
-    affects the masked merge method.
+    order; an empty fixture list yields an empty table.
     """
     rows = []
     for method in methods:
         for fixture in fixtures:
-            merged = merge(method, fixture.merge_inputs(), mask=mask)
+            merged = merge(method, fixture.merge_inputs())
             report = mismatch_report(fixture, merged)
             for (alpha, _, train, test), (task_id, norm) in zip(fixture.tasks, report.per_task):
                 exact, first_order = test_loss_delta(

@@ -33,7 +33,6 @@ from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericEr
 # ``perfbench/spans.py`` wraps them on this module.
 from .merging import (  # noqa: F401
     ADDITION_METHODS,
-    MaskConfig,
     MergeInputs,
     merge,
     merge_grid,
@@ -56,7 +55,6 @@ __all__ = [
     "REMOVAL_METHODS",
     "HARNESS_METHODS",
     "SUMMARY_HEADER",
-    "TIES_MASK",
     "PerTaskConfig",
     "AnchorConfig",
     "ExperimentSpec",
@@ -67,8 +65,14 @@ __all__ = [
     "default_removal_spec",
     "resolve_seed",
     "gen_tasks",
+    "output_dir",
+    "write_text",
+    "save_run",
     "PipelineState",
+    "train_stage",
+    "with_task_curvature",
     "run_pipeline",
+    "evaluation_sets",
     "MethodOutcome",
     "evaluate_params",
     "estimate_anchor_h0",
@@ -97,10 +101,6 @@ HARNESS_METHODS = ADDITION_METHODS + REMOVAL_METHODS
 
 #: Column order of summary.csv rows.
 SUMMARY_HEADER = "method,alpha,task,metric,value"
-
-#: Mask settings used for the "ties" method: trim to the top 20% of
-#: coordinates and zero out contributions that lose the sign election.
-TIES_MASK = MaskConfig(keep_fraction=0.2, elect_sign=True)
 
 
 def parse_alphas(value) -> tuple[float, ...]:
@@ -448,6 +448,38 @@ class PipelineState:
     tasks: tuple[Checkpoint, ...]
 
 
+def train_stage(
+    spec: ExperimentSpec, seed: int, anchor_data: TaskDataset, blocks
+) -> tuple[Checkpoint, QuadraticAnchor, tuple[Checkpoint, ...]]:
+    """The anchored training stage that every protocol shares.
+
+    Trains the anchor on ``anchor_data`` with seed ``seed``, estimates its
+    penalty diagonal ``h0`` per ``spec.anchor.source``, and fine-tunes
+    each ``(t, data)`` of ``blocks`` under that penalty with seed ``seed +
+    t``.  Returns the anchor checkpoint (carrying ``h0``), the quadratic
+    penalty, and the fine-tuned checkpoints, which carry no curvature:
+    :func:`with_task_curvature` is the separate step that adds it.
+    """
+    cfg = dataclasses.replace(spec.train, seed=seed)
+    base = train_anchor(spec.model, spec.loss, anchor_data, spec.anchor.delta, cfg)
+    h0 = estimate_anchor_h0(spec, base.params, anchor_data)
+    anchor = Checkpoint.of(base.params, h0, meta=base.meta)
+    quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
+    tuned = tuple(
+        finetune_task(spec.model, spec.loss, data, quad, dataclasses.replace(cfg, seed=seed + t), anchor_id="anchor")
+        for t, data in blocks
+    )
+    return anchor, quad, tuned
+
+
+def with_task_curvature(spec: ExperimentSpec, tasks, datasets) -> tuple[Checkpoint, ...]:
+    """The task-curvature step: each checkpoint plus its diagonal on its own training data."""
+    return tuple(
+        Checkpoint.of(ck.params, estimate_task_curvature(spec, ck.params, data), ck.anchor_id, ck.meta)
+        for ck, data in zip(tasks, datasets, strict=True)
+    )
+
+
 def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     """Train the anchor on task 0 and fine-tune every remaining task from it.
 
@@ -458,24 +490,20 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     seed = resolve_seed(spec, seed)
     sets = gen_tasks(spec, seed)
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
-    cfg = dataclasses.replace(spec.train, seed=seed)
-    base = train_anchor(spec.model, spec.loss, trains[0], spec.anchor.delta, cfg)
-    h0 = estimate_anchor_h0(spec, base.params, trains[0])
-    anchor = Checkpoint.of(base.params, h0, meta=base.meta)
-    quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
-    tasks = []
-    for t in range(1, spec.n_tasks):
-        tuned = finetune_task(
-            spec.model,
-            spec.loss,
-            trains[t],
-            quad,
-            dataclasses.replace(cfg, seed=seed + t),
-            anchor_id="anchor",
-        )
-        curv = estimate_task_curvature(spec, tuned.params, trains[t])
-        tasks.append(Checkpoint.of(tuned.params, curv, tuned.anchor_id, tuned.meta))
-    return PipelineState(spec, seed, trains, tests, anchor, quad, tuple(tasks))
+    anchor, quad, tuned = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
+    return PipelineState(spec, seed, trains, tests, anchor, quad, with_task_curvature(spec, tuned, trains[1:]))
+
+
+def evaluation_sets(test_sets) -> tuple[TaskDataset, ...]:
+    """The test sets an addition merge is scored on: the added tasks' sets,
+    or task 0's alone when no task was added."""
+    return tuple(test_sets[1:] if len(test_sets) > 1 else test_sets[:1])
+
+
+def _require_methods(spec: ExperimentSpec, allowed, protocol: str) -> None:
+    bad = [m for m in spec.methods if m not in allowed]
+    if bad:
+        raise ConfigError(f"{protocol} only handles the methods {allowed}, got {bad}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,14 +591,13 @@ def evaluate_params(
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
 
-def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas, mask=None) -> np.ndarray:
+def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas) -> np.ndarray:
     """``(A, d)`` catalog merges, row ``a`` with weight ``alphas[a]`` on every task.
 
     With no task checkpoints, or at ``alpha == 0``, the row is the anchor
     outright: adding nothing leaves the anchor, and short-circuiting makes
     the sweep's left endpoint bitwise exact (the plain average is the one
-    method that would otherwise ignore the weights entirely).  ``ties``
-    uses ``mask``, by default :data:`TIES_MASK`.
+    method that would otherwise ignore the weights entirely).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     values = np.tile(anchor.params.values, (alphas.size, 1))
@@ -578,34 +605,22 @@ def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas, ma
     tasks = tuple(tasks)
     if tasks and live.any():
         inputs = MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta)
-        values[live] = merge_grid(method, inputs, alphas[live], mask=mask or TIES_MASK)
+        values[live] = merge_grid(method, inputs, alphas[live])
     return values
 
 
-def merge_checkpoints(
-    anchor: Checkpoint,
-    tasks,
-    delta: float,
-    method: str,
-    alpha: float,
-    mask: MaskConfig | None = None,
-) -> ParamVector:
+def merge_checkpoints(anchor: Checkpoint, tasks, delta: float, method: str, alpha: float) -> ParamVector:
     """One catalog merge with a uniform weight on every task checkpoint.
 
     The one-row sweep merge: with no task checkpoints, or at ``alpha ==
-    0``, it is the anchor.  ``ties`` uses ``mask``, by default
-    :data:`TIES_MASK`.
+    0``, it is the anchor.
     """
-    return ParamVector(anchor.layout, _merge_rows(anchor, tasks, delta, method, (alpha,), mask)[0])
+    return ParamVector(anchor.layout, _merge_rows(anchor, tasks, delta, method, (alpha,))[0])
 
 
-def merge_with_alpha(
-    state: PipelineState, method: str, alpha: float, mask: MaskConfig | None = None
-) -> ParamVector:
+def merge_with_alpha(state: PipelineState, method: str, alpha: float) -> ParamVector:
     """:func:`merge_checkpoints` over a trained pipeline state."""
-    return merge_checkpoints(
-        state.anchor, state.tasks, state.spec.anchor.delta, method, alpha, mask
-    )
+    return merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
 
 
 def train_target(state: PipelineState, alpha: float) -> Checkpoint:
@@ -635,12 +650,33 @@ def _metric_rows(outcome: MethodOutcome) -> list[str]:
     return rows
 
 
-def _write_lines(path: Path, header, rows) -> None:
-    lines = ([header] if header is not None else []) + list(rows)
+def output_dir(path) -> Path:
+    """Create a run's output directory and its parents; failures raise IoError."""
+    out = Path(path)
     try:
-        path.write_text("\n".join(lines) + "\n")
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"failed to create output directory {out!s}: {exc}") from exc
+    return out
+
+
+def write_text(path, text: str) -> None:
+    """Write one output file; failures raise IoError."""
+    try:
+        Path(path).write_text(text)
     except OSError as exc:
         raise IoError(f"failed to write {path!s}: {exc}") from exc
+
+
+def save_run(out: Path, anchor: Checkpoint, tasks) -> None:
+    """Write a run's checkpoints under ``out`` as ``anchor`` and ``task1`` .. ``task{T-1}``."""
+    save_checkpoint(anchor, out / "anchor")
+    for t, ck in enumerate(tasks, start=1):
+        save_checkpoint(ck, out / f"task{t}")
+
+
+def _write_lines(path: Path, header, rows) -> None:
+    write_text(path, "\n".join(([header] if header is not None else []) + list(rows)) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -674,23 +710,17 @@ def run_addition(
     ``<method>-oracle-tuned``: picking the weight on test data is not a
     fair comparison.
     """
-    bad = [m for m in spec.methods if m not in ADDITION_METHODS]
-    if bad:
-        raise ConfigError(f"run_addition only handles addition methods, got {bad}")
+    _require_methods(spec, ADDITION_METHODS, "run_addition")
     overrides = {m: float(a) for m, a in dict(alpha_overrides or {}).items()}
     unlisted = sorted(set(overrides) - set(spec.methods))
     if unlisted:
         raise ConfigError(f"alpha overrides name methods not in spec.methods: {unlisted}")
+    out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(state.anchor, out / "anchor")
-        for t, ck in enumerate(state.tasks, start=1):
-            save_checkpoint(ck, out / f"task{t}")
-    eval_sets = state.test_sets[1:] if len(state.test_sets) > 1 else state.test_sets[:1]
+    if out is not None:
+        save_run(out, state.anchor, state.tasks)
+    eval_sets = evaluation_sets(state.test_sets)
     rows: list[str] = []
     outcomes: dict[str, MethodOutcome] = {}
     for method in spec.methods:
@@ -741,9 +771,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
     ``datasets`` substitutes a pre-built train+test list (as produced by
     :func:`gen_tasks`) for the generated one.
     """
-    bad = [m for m in spec.methods if m not in REMOVAL_METHODS]
-    if bad:
-        raise ConfigError(f"run_removal only handles removal methods, got {bad}")
+    _require_methods(spec, REMOVAL_METHODS, "run_removal")
     if spec.n_tasks < 2:
         raise ConfigError("removal needs at least two task blocks")
     seed = resolve_seed(spec, seed)
@@ -754,46 +782,20 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
         )
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
     removed = spec.n_tasks - 1
-    pooled = _concat_datasets(trains, "large")
-    cfg = dataclasses.replace(spec.train, seed=seed)
-    base = train_anchor(spec.model, spec.loss, pooled, spec.anchor.delta, cfg)
-    h_full = estimate_anchor_h0(spec, base.params, pooled)
-    anchor = Checkpoint.of(base.params, h_full, meta=base.meta)
-    quad = QuadraticAnchor(anchor.params, h_full, spec.anchor.delta)
+    out = output_dir(out_dir) if out_dir is not None else None
     slice_data = trains[removed]
-    if slice_data.n == 0:
-        task_ck = Checkpoint.of(anchor.params, DiagCurvature.zeros(spec.model.layout()), "anchor")
-    else:
-        tuned = finetune_task(
-            spec.model,
-            spec.loss,
-            slice_data,
-            quad,
-            dataclasses.replace(cfg, seed=seed + removed),
-            anchor_id="anchor",
-        )
-        task_ck = Checkpoint.of(
-            tuned.params, estimate_task_curvature(spec, tuned.params, slice_data), "anchor", tuned.meta
-        )
+    blocks = [(removed, slice_data)] if slice_data.n else []
+    anchor, quad, tuned = train_stage(spec, seed, _concat_datasets(trains, "large"), blocks)
+    if not tuned:  # an empty block leaves the anchor unchanged
+        tuned = (Checkpoint.of(anchor.params, anchor_id="anchor"),)
+    (task_ck,) = with_task_curvature(spec, tuned, [slice_data])
     kept = _concat_datasets([trains[t] for t in range(spec.n_tasks) if t != removed], "kept")
     hbar_minus = estimate_task_curvature(spec, anchor.params, kept)
-    h0_eff = DiagCurvature(spec.model.layout(), h_full.values + spec.anchor.delta)
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    h0_eff = DiagCurvature(spec.model.layout(), quad.effective_diag)
+    if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
-    merged: dict[str, ParamVector] = {}
-    for method in spec.methods:
-        if method == "remove-ta":
-            inputs = MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta)
-            merged[method] = merge_task_arithmetic(inputs)
-        else:
-            merged[method] = remove_task(
-                anchor, (1.0, task_ck), hbar_minus, h0_eff, spec.anchor.delta
-            )
-    retrain = train_anchor(spec.model, spec.loss, kept, spec.anchor.delta, cfg)
+    retrain = train_anchor(spec.model, spec.loss, kept, spec.anchor.delta, dataclasses.replace(spec.train, seed=seed))
     kept_tests = [tests[t] for t in range(spec.n_tasks) if t != removed]
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}
@@ -810,7 +812,11 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
             _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
 
     for method in spec.methods:
-        record(method, 1.0, merged[method], f"merged-{method}")
+        if method == "remove-ta":
+            theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
+        else:
+            theta = remove_task(anchor, (1.0, task_ck), hbar_minus, h0_eff, spec.anchor.delta)
+        record(method, 1.0, theta, f"merged-{method}")
     record("retrain", 0.0, retrain.params, "retrain")
     record("anchor", 0.0, anchor.params, None)
     return RemovalResult(
@@ -839,17 +845,12 @@ def sweep_alpha(
     per method, ready for any plotting tool.  Duplicate grid values
     produce duplicate rows, deterministically.
     """
-    bad = [m for m in spec.methods if m not in ADDITION_METHODS]
-    if bad:
-        raise ConfigError(f"sweep_alpha only handles addition methods, got {bad}")
+    _require_methods(spec, ADDITION_METHODS, "sweep_alpha")
+    out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
-    eval_sets = state.test_sets[1:] if len(state.test_sets) > 1 else state.test_sets[:1]
+    eval_sets = evaluation_sets(state.test_sets)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     for method in spec.methods:
@@ -863,8 +864,6 @@ def sweep_alpha(
         if out is not None:
             _write_lines(out / f"sweep_{method}.dat", None, [f"{a!r} {v!r}" for a, v in points])
             _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
-    if out is not None:
-        _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
     return SweepResult(state, metric, series, tuple(rows))
 
 

@@ -33,6 +33,7 @@ alpha_t h_t``:
 * ``merge_masked`` (``ties``) — base anchor, coefficient ``alpha_t *
   mask_t * agree_t``: only the largest task increments survive, and
   optionally only those agreeing with a per-coordinate sign election.
+  The registry's ``ties`` is :data:`TIES_MASK` (top 20%, sign-elected).
 * ``remove_task`` — one row, coefficient ``-alpha (h0 + h_t) /
   (hbar_minus + delta)``: subtract one task's contribution from a model
   trained on a superset of data.  On anchored linear regression with
@@ -64,6 +65,7 @@ from .params import Checkpoint, DiagCurvature, ParamVector
 __all__ = [
     "MergeInputs",
     "MaskConfig",
+    "TIES_MASK",
     "merge_average",
     "merge_fisher",
     "merge_task_arithmetic",
@@ -133,6 +135,12 @@ class MaskConfig:
     def __post_init__(self):
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
+
+
+#: The registry's ``ties`` rule (TIES-merging: trim, elect a sign, merge):
+#: keep the top 20% of each task's increment coordinates and zero out
+#: contributions that lose the per-coordinate sign election.
+TIES_MASK = MaskConfig(keep_fraction=0.2, elect_sign=True)
 
 
 def _stack(inputs: MergeInputs, method: str, weights: np.ndarray, anchor_curvature: bool = True):
@@ -270,7 +278,7 @@ def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
     return _single(_uncertainty, inputs)
 
 
-def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> ParamVector:
+def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = TIES_MASK) -> ParamVector:
     """Trim/elect-sign sparse merge.
 
     Per task, only the ``ceil(keep_fraction * d)`` largest-magnitude
@@ -279,7 +287,8 @@ def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = MaskConfig()) -> Pa
     coordinate first elects a sign by magnitude-weighted majority over
     the masked, weighted increments; contributions disagreeing with the
     elected sign are zeroed.  The election rule is one concrete choice
-    among several used in practice and is labeled experimental.
+    among several used in practice and is labeled experimental.  The
+    default is :data:`TIES_MASK`, the registry's ``ties``.
     """
     return _single(_masked, inputs, mask_cfg)
 
@@ -313,12 +322,13 @@ def remove_task(
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
 
 
-def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig | None = None) -> np.ndarray:
+def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig = TIES_MASK) -> np.ndarray:
     """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
 
     Row ``a`` merges with task weights ``scales[a] * alpha_t``.  For
     ``wam`` its anchor weight is ``max(0, 1 - sum_t scales[a] alpha_t)``,
     so that the weights form a convex-style combination around the anchor.
+    ``ties`` trims and elects signs per ``mask``.
     """
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(scales)):
@@ -333,13 +343,13 @@ def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig | N
     if method == "fa":
         return _fisher(inputs, weights, True)
     if method == "ties":
-        return _masked(inputs, weights, mask or MaskConfig())
+        return _masked(inputs, weights, mask)
     if method == "ours":
         return _uncertainty(inputs, weights)
     raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
 
 
-def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig | None = None) -> ParamVector:
+def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig = TIES_MASK) -> ParamVector:
     """Dispatch a merge by registry name (see ``ADDITION_METHODS``): :func:`merge_grid` at scale 1."""
     return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,), mask=mask)[0])
 

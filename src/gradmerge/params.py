@@ -134,9 +134,6 @@ class ParamVector:
         view = self.values[self.layout._slice_map[name]]
         return view.reshape(self.layout.shape_of(name))
 
-    def with_values(self, values) -> "ParamVector":
-        return ParamVector(self.layout, values)
-
 
 @dataclass(frozen=True, eq=False)
 class DiagCurvature:

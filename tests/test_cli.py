@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from gradmerge import cli as cli_module
+from gradmerge import harness
 from gradmerge.cli import cli
 from gradmerge.diagnostics import MISMATCH_TABLE_HEADER
-from gradmerge.harness import SUMMARY_HEADER
+from gradmerge.harness import SUMMARY_HEADER, default_spec, run_pipeline
 from gradmerge.oracles import ORACLE_TABLE_HEADER
 from gradmerge.params import load_checkpoint
 
@@ -123,6 +125,33 @@ class TestStagedWorkflow:
         anchor = load_checkpoint(out / "anchor")
         np.testing.assert_array_equal(anchor.curvature.values, [2.0, 2.0])
 
+    def test_train_estimates_no_task_curvature(self, small_config, monkeypatch):
+        config, out = small_config
+        calls = []
+        original = harness.estimate_task_curvature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_task_curvature", counting)
+        monkeypatch.setattr(cli_module, "estimate_task_curvature", counting)
+        assert run_cli("train", "--config", config, "--out", out) == 0
+        assert calls == []
+        assert run_cli("fisher", "--config", config, "--out", out) == 0
+        assert len(calls) == 1  # n_tasks - 1
+
+    def test_train_then_fisher_equals_run_pipeline(self, tmp_path):
+        assert run_cli("train", "--out", tmp_path, "--seed", "3") == 0
+        assert run_cli("fisher", "--out", tmp_path, "--seed", "3") == 0
+        state = run_pipeline(default_spec(), 3)
+        expected = [("anchor", state.anchor)] + [(f"task{t}", ck) for t, ck in enumerate(state.tasks, start=1)]
+        for stem, ck in expected:
+            disk = load_checkpoint(tmp_path / stem)
+            assert disk.params.values.tobytes() == ck.params.values.tobytes(), stem
+            assert disk.curvature.values.tobytes() == ck.curvature.values.tobytes(), stem
+            assert (disk.anchor_id, disk.meta) == (ck.anchor_id, ck.meta), stem
+
     def test_negative_weight_numeric_failure_exits_two(self, small_config, capsys):
         config, out = small_config
         assert run_cli("train", "--config", config, "--out", out) == 0
@@ -164,6 +193,16 @@ class TestProtocols:
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == MISMATCH_TABLE_HEADER
         assert len(lines) == 1 + 2  # two methods x one fixture x one task
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", ["gen", "train", "report", "diagnose", "sweep", "remove", "oracle-check"])
+    def test_out_naming_a_regular_file_exits_one(self, small_config, command, capsys):
+        config, out = small_config
+        out.write_text("not a directory\n")
+        extra = {"remove": [], "oracle-check": ["--fixtures", "1"]}.get(command, ["--config", config])
+        assert run_cli(command, "--out", out, "--seed", "0", *extra) == 1
+        assert "IoError" in capsys.readouterr().err
 
 
 class TestOracleCheck:

@@ -543,6 +543,17 @@ class TestDiagnosticBridge:
             via_state = merge_with_alpha(default_state, method, 1.0)
             np.testing.assert_allclose(via_fixture.values, via_state.values, atol=1e-12)
 
+    def test_ties_is_the_registry_rule(self, default_state):
+        from gradmerge.merging import TIES_MASK, MergeInputs, merge, merge_masked
+
+        spec = default_state.spec
+        inputs = MergeInputs(default_state.anchor, tuple((1.0, ck) for ck in default_state.tasks), spec.anchor.delta)
+        expected = merge_masked(inputs, TIES_MASK).values.tobytes()
+        assert merge("ties", inputs).values.tobytes() == expected
+        assert merge_with_alpha(default_state, "ties", 1.0).values.tobytes() == expected
+        fixture = build_diagnostic_fixture(spec, state=default_state, alpha=1.0)
+        assert merge("ties", fixture.merge_inputs()).values.tobytes() == expected
+
     def test_fixture_mismatch_orders_ta_and_ours(self, default_state):
         from gradmerge.diagnostics import mismatch_report
 

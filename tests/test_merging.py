@@ -16,6 +16,7 @@ from gradmerge.errors import (
 from gradmerge.merging import (
     ADDITION_METHODS,
     CURVATURE_METHODS,
+    TIES_MASK,
     MaskConfig,
     MergeInputs,
     merge,
@@ -361,6 +362,18 @@ class TestMergeMasked:
         np.testing.assert_allclose(out.values, [3.0])
         no_election = merge_masked(inputs, MaskConfig(keep_fraction=1.0))
         np.testing.assert_allclose(no_election.values, [2.0])
+
+    def test_registry_ties_is_the_sign_elected_rule(self):
+        rng = np.random.default_rng(21)
+        unelected_differs = False
+        for _ in range(30):
+            inputs = random_inputs(rng, d=int(rng.integers(1, 12)), n_tasks=int(rng.integers(1, 6)))
+            elected = merge_masked(inputs, TIES_MASK).values
+            assert merge("ties", inputs).values.tobytes() == elected.tobytes()
+            assert merge_grid("ties", inputs, (1.0,))[0].tobytes() == elected.tobytes()
+            unelected = merge_masked(inputs, MaskConfig(keep_fraction=TIES_MASK.keep_fraction)).values
+            unelected_differs |= not np.array_equal(unelected, elected)
+        assert unelected_differs
 
     def test_invalid_keep_fraction_rejected(self):
         for bad in (0.0, -0.5, 1.5):
