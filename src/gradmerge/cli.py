@@ -20,7 +20,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .diagnostics import MISMATCH_TABLE_HEADER, mismatch_table_csv, mismatch_vs_error_table
+from .diagnostics import mismatch_table_csv, mismatch_vs_error_table
 from .errors import ConfigError, GradmergeError, MissingCurvatureError
 # ``estimate_task_curvature`` is unused here but stays importable:
 # ``perfbench/spans.py`` wraps it on this module.

@@ -25,14 +25,13 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, EmptyDataError, UnsupportedModelError
-from .models import ModelSpec, TaskDataset, _per_example_grad_matrix
-from .params import DiagCurvature, ParamLayout, ParamVector
+from .models import ModelSpec, TaskDataset, per_example_grads
+from .params import DiagCurvature, ParamVector
 
 __all__ = [
     "FisherConfig",
     "fisher_diag",
     "exact_hessian_diag",
-    "anchor_curvature",
 ]
 
 
@@ -73,7 +72,7 @@ def fisher_diag(
         raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
     k = data.n if cfg.max_examples is None else min(data.n, int(cfg.max_examples))
     subset = data if k == data.n else data.slice(np.arange(k))
-    G = _per_example_grad_matrix(spec, loss_kind, theta, subset)
+    G = per_example_grads(spec, loss_kind, theta, subset)
     sq = (G * G).sum(axis=0)
     if cfg.mode == "avg":
         sq /= k
@@ -100,36 +99,3 @@ def exact_hessian_diag(
         s = expit(X @ theta.values)
         diag = (s * (1.0 - s)) @ (X * X)
     return DiagCurvature(spec.layout(), diag)
-
-
-def anchor_curvature(
-    source: str,
-    *,
-    layout: ParamLayout | None = None,
-    scale: float | None = None,
-    spec: ModelSpec | None = None,
-    loss_kind: str | None = None,
-    theta: ParamVector | None = None,
-    data: TaskDataset | None = None,
-    cfg: FisherConfig | None = None,
-) -> DiagCurvature:
-    """Anchor curvature from one of three sources.
-
-    ``identity`` needs ``layout`` and a strictly positive ``scale`` and
-    covers the case where no anchor data is available; ``fisher`` and
-    ``exact`` delegate to the corresponding estimator and need ``spec``,
-    ``loss_kind``, ``theta``, and ``data`` (plus ``cfg`` for fisher).
-    """
-    if source == "identity":
-        if layout is None:
-            raise ConfigError("identity curvature needs an explicit layout")
-        if scale is None or not scale > 0:
-            raise ConfigError("identity curvature needs a strictly positive scale")
-        return DiagCurvature.constant(layout, float(scale))
-    if source in ("fisher", "exact"):
-        if spec is None or loss_kind is None or theta is None or data is None:
-            raise ConfigError(f"{source} curvature needs spec, loss_kind, theta, and data")
-        if source == "fisher":
-            return fisher_diag(spec, loss_kind, theta, data, cfg or FisherConfig())
-        return exact_hessian_diag(spec, loss_kind, theta, data)
-    raise ConfigError(f"unknown curvature source {source!r}; expected identity, fisher, or exact")

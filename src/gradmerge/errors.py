@@ -17,7 +17,6 @@ __all__ = [
     "EmptyMergeError",
     "MissingCurvatureError",
     "UnsupportedModelError",
-    "UnsupportedError",
     "NumericError",
     "SingularCurvatureError",
     "SingularSystemError",
@@ -61,10 +60,6 @@ class MissingCurvatureError(GradmergeError):
 
 class UnsupportedModelError(GradmergeError):
     """The requested operation is not defined for this model kind."""
-
-
-class UnsupportedError(GradmergeError):
-    """The requested operation is outside the supported problem range."""
 
 
 class NumericError(GradmergeError):

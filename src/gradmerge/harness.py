@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import FisherConfig, anchor_curvature, exact_hessian_diag, fisher_diag
+from .curvature import FisherConfig, exact_hessian_diag, fisher_diag
 from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError
 # ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
@@ -78,7 +78,6 @@ __all__ = [
     "estimate_anchor_h0",
     "estimate_task_curvature",
     "merge_checkpoints",
-    "merge_with_alpha",
     "train_target",
     "AdditionResult",
     "run_addition",
@@ -283,7 +282,7 @@ class ExperimentSpec:
         for key, sub in sections:
             if key in kwargs:
                 kwargs[key] = _sub_config(sub, kwargs[key], key)
-        return cls(**kwargs)
+        return _construct(cls, kwargs, "experiment config")
 
 
 def _sub_config(cls, payload, what: str):
@@ -293,10 +292,14 @@ def _sub_config(cls, payload, what: str):
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"unknown keys in config section {what!r}: {unknown}")
-    try:
-        return cls(**payload)
-    except TypeError as exc:
-        raise ConfigError(f"bad config section {what!r}: {exc}") from exc
+    return _construct(cls, payload, f"config section {what!r}")
+
+
+def _construct(cls, kwargs, what: str):
+    try:  # a wrong-typed value (``"epochs": "x"``) fails as TypeError or ValueError
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -419,11 +422,10 @@ def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDatas
     """Anchor penalty diagonal per ``spec.anchor.source``."""
     source = spec.anchor.source
     if source.startswith("identity"):
-        scale = float(source.split(":", 1)[1])
-        return anchor_curvature("identity", layout=spec.model.layout(), scale=scale)
-    return anchor_curvature(
-        source, spec=spec.model, loss_kind=spec.loss, theta=theta, data=data, cfg=spec.fisher
-    )
+        return DiagCurvature.constant(spec.model.layout(), float(source.split(":", 1)[1]))
+    if source == "exact":
+        return exact_hessian_diag(spec.model, spec.loss, theta, data)
+    return fisher_diag(spec.model, spec.loss, theta, data, spec.fisher)
 
 
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
@@ -618,11 +620,6 @@ def merge_checkpoints(anchor: Checkpoint, tasks, delta: float, method: str, alph
     return ParamVector(anchor.layout, _merge_rows(anchor, tasks, delta, method, (alpha,))[0])
 
 
-def merge_with_alpha(state: PipelineState, method: str, alpha: float) -> ParamVector:
-    """:func:`merge_checkpoints` over a trained pipeline state."""
-    return merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
-
-
 def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     """Joint-target baseline trained on every added task at one weight."""
     added = list(state.train_sets[1:])
@@ -726,7 +723,7 @@ def run_addition(
     for method in spec.methods:
         a = overrides.get(method, float(alpha))
         label = method if method not in overrides else f"{method}-oracle-tuned"
-        params = merge_with_alpha(state, method, a)
+        params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, a)
         outcome = evaluate_params(spec, label, a, params, eval_sets)
         outcomes[label] = outcome
         rows.extend(_metric_rows(outcome))

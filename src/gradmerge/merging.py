@@ -33,7 +33,9 @@ alpha_t h_t``:
 * ``merge_masked`` (``ties``) — base anchor, coefficient ``alpha_t *
   mask_t * agree_t``: only the largest task increments survive, and
   optionally only those agreeing with a per-coordinate sign election.
-  The registry's ``ties`` is :data:`TIES_MASK` (top 20%, sign-elected).
+  The registry's ``ties`` is always :data:`TIES_MASK` (top 20%,
+  sign-elected); any other :class:`MaskConfig` goes through
+  ``merge_masked``.
 * ``remove_task`` — one row, coefficient ``-alpha (h0 + h_t) /
   (hbar_minus + delta)``: subtract one task's contribution from a model
   trained on a superset of data.  On anchored linear regression with
@@ -322,13 +324,13 @@ def remove_task(
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
 
 
-def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig = TIES_MASK) -> np.ndarray:
+def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
     """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
 
     Row ``a`` merges with task weights ``scales[a] * alpha_t``.  For
     ``wam`` its anchor weight is ``max(0, 1 - sum_t scales[a] alpha_t)``,
     so that the weights form a convex-style combination around the anchor.
-    ``ties`` trims and elects signs per ``mask``.
+    ``ties`` trims and elects signs per :data:`TIES_MASK`.
     """
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(scales)):
@@ -343,25 +345,18 @@ def merge_grid(method: str, inputs: MergeInputs, scales, *, mask: MaskConfig = T
     if method == "fa":
         return _fisher(inputs, weights, True)
     if method == "ties":
-        return _masked(inputs, weights, mask)
+        return _masked(inputs, weights, TIES_MASK)
     if method == "ours":
         return _uncertainty(inputs, weights)
     raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
 
 
-def merge(method: str, inputs: MergeInputs, *, mask: MaskConfig = TIES_MASK) -> ParamVector:
+def merge(method: str, inputs: MergeInputs) -> ParamVector:
     """Dispatch a merge by registry name (see ``ADDITION_METHODS``): :func:`merge_grid` at scale 1."""
-    return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,), mask=mask)[0])
+    return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,))[0])
 
 
-def merged_checkpoint(
-    method: str,
-    params: ParamVector,
-    alphas,
-    anchor_id: str | None = None,
-    extra_meta: dict[str, str] | None = None,
-) -> Checkpoint:
+def merged_checkpoint(method: str, params: ParamVector, alphas, anchor_id: str | None = None) -> Checkpoint:
     """Wrap a merge result as a checkpoint recording method and weights."""
     meta = {"method": method, "alphas": ",".join(repr(float(a)) for a in alphas)}
-    meta.update(extra_meta or {})
     return Checkpoint.of(params, anchor_id=anchor_id, meta=meta)

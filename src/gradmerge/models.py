@@ -1,10 +1,10 @@
 """Tiny differentiable model zoo: linear regression, binary logistic
 regression, and a one-hidden-layer MLP.
 
-Each model exposes summed/averaged loss, analytic gradients, per-example
-gradients (the raw material for empirical-Fisher curvature), a central
-finite-difference gradient as an independent check, and prediction /
-accuracy helpers.  Gradients are hand-derived backprop rather than a
+Each model exposes summed/averaged loss, analytic gradients, the
+``(n, d)`` matrix of per-example gradients (the raw material for
+empirical-Fisher curvature), a central finite-difference gradient as an
+independent check, and a classification accuracy helper.  Gradients are hand-derived backprop rather than a
 general autodiff engine: three fixed architectures keep the arithmetic
 auditable and the package dependency-light.
 
@@ -47,10 +47,8 @@ __all__ = [
     "grad",
     "per_example_grads",
     "fd_grad",
-    "predict",
     "accuracy",
     "save_dataset",
-    "load_dataset",
 ]
 
 MODEL_KINDS = ("linear_regression", "logistic", "mlp")
@@ -257,8 +255,8 @@ def _value_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskD
     return value, flat
 
 
-def _per_example_grad_matrix(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:
-    """``(n, d)`` per-example gradients; row i belongs to example i."""
+def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:
+    """``(n, d)`` per-example gradients in dataset order; the rows sum to ``grad(..., reduce='sum')``."""
     _check_inputs(spec, loss_kind, theta, data)
     if data.n == 0:
         return np.zeros((0, spec.layout().total_len))
@@ -267,12 +265,6 @@ def _per_example_grad_matrix(spec: ModelSpec, loss_kind: str, theta: ParamVector
     if not np.all(np.isfinite(G)):
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G
-
-
-def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> list[ParamVector]:
-    """One gradient per example, in dataset order; their sum equals ``grad(..., reduce='sum')``."""
-    layout = spec.layout()
-    return [ParamVector(layout, row) for row in _per_example_grad_matrix(spec, loss_kind, theta, data)]
 
 
 def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, h: float, reduce: str = "sum") -> ParamVector:
@@ -291,22 +283,6 @@ def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDatas
         lm = loss(spec, loss_kind, ParamVector(theta.layout, minus), data, reduce)
         out[j] = (lp - lm) / (2.0 * h)
     return ParamVector(theta.layout, out)
-
-
-def predict(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> np.ndarray:
-    """Raw outputs for regression models, probabilities for logistic ones."""
-    if theta.layout != spec.layout():
-        raise LayoutError("theta layout does not match the model's canonical layout")
-    if data.n == 0:
-        raise EmptyDataError("cannot predict on an empty dataset")
-    if data.n_features != spec.n_features:
-        raise LayoutError("dataset feature count does not match the model")
-    out = _forward(spec, theta, data.inputs)[0]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("model outputs overflowed to non-finite values")
-    if spec.kind == "logistic":
-        return expit(out)
-    return out
 
 
 def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
@@ -342,15 +318,3 @@ def save_dataset(data: TaskDataset, path) -> None:
     except OSError as exc:
         raise IoError(f"failed to write dataset {path!s}: {exc}") from exc
 
-
-def load_dataset(path) -> TaskDataset:
-    """Inverse of :func:`save_dataset`."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"failed to read dataset {path!s}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-        return TaskDataset(doc["task_id"], doc["inputs"], doc["targets"], doc.get("seed", 0))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed dataset file {path!s}: {exc}") from exc

@@ -398,6 +398,8 @@ def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
     anchor variant; and the surrogate-gradient norm at the merge output.
     All fixtures derive from the single seed, which callers should log.
     """
+    if n_fixtures < 1:
+        raise ConfigError(f"a suite of zero checks proves nothing: n_fixtures must be >= 1, got {n_fixtures}")
     rng = np.random.default_rng(seed)
     results = []
     for i in range(n_fixtures):

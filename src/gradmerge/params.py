@@ -86,14 +86,6 @@ class ParamLayout:
     def total_len(self) -> int:
         return sum(s.stop - s.start for s in self._slice_map.values())
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def slices(self) -> dict[str, slice]:
-        """Flat-index slice of each named tensor, in layout order."""
-        return dict(self._slice_map)
-
     def shape_of(self, name: str) -> tuple[int, ...]:
         for entry_name, shape in self.entries:
             if entry_name == name:

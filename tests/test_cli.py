@@ -69,6 +69,23 @@ class TestParsing:
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run_cli("gen", "--config", tmp_path / "nope.json", "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n_tasks": "x"},
+            {"per_task": {"n_train": "x"}},
+            {"train": {"batch_size": "abc"}},
+            {"train": {"epochs": "x"}},
+            {"fisher": {"max_examples": "x"}},
+        ],
+        ids=["n_tasks", "n_train", "batch_size", "epochs", "max_examples"],
+    )
+    def test_non_numeric_integer_field_exits_one(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", bad, "--out", tmp_path / "o") == 1
+        assert "ConfigError" in capsys.readouterr().err
+
 
 class TestGen:
     def test_rerun_is_byte_identical(self, small_config):
@@ -218,6 +235,12 @@ class TestOracleCheck:
         lines = (tmp_path / "oracle_table.csv").read_text().splitlines()
         assert lines[0] == ORACLE_TABLE_HEADER
         assert len(lines) == 1 + 5 * 3
+
+    @pytest.mark.parametrize("fixtures", ["0", "-3"])
+    def test_no_fixtures_exits_one(self, fixtures, capsys):
+        assert run_cli("oracle-check", "--fixtures", fixtures) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "n_fixtures" in err
 
     def test_failing_suite_exits_two(self, monkeypatch, capsys):
         from gradmerge import cli as cli_module

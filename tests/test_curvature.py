@@ -3,13 +3,13 @@ import pytest
 
 from gradmerge.curvature import (
     FisherConfig,
-    anchor_curvature,
     exact_hessian_diag,
     fisher_diag,
 )
 from gradmerge.errors import ConfigError, EmptyDataError, UnsupportedModelError
+from gradmerge.harness import AnchorConfig, ExperimentSpec, estimate_anchor_h0
 from gradmerge.models import ModelSpec, TaskDataset, per_example_grads
-from gradmerge.params import ParamLayout, ParamVector
+from gradmerge.params import ParamVector
 
 LIN1 = ModelSpec("linear_regression", 1)
 LOG1 = ModelSpec("logistic", 1)
@@ -52,7 +52,7 @@ class TestFisherDiag:
     def test_single_example_square_plus_floor(self):
         data = data_1d([1.5], [2.0])
         theta = theta_of(LIN1, [0.0])
-        g = per_example_grads(LIN1, "squared_error", theta, data)[0].values
+        g = per_example_grads(LIN1, "squared_error", theta, data)[0]
         out = fisher_diag(LIN1, "squared_error", theta, data, FisherConfig(delta_floor=1e-10))
         np.testing.assert_allclose(out.values, g * g + 1e-10, rtol=1e-15)
 
@@ -158,29 +158,33 @@ class TestExactHessianDiag:
 
 
 class TestAnchorCurvature:
+    """The anchor source string is dispatched by ``harness.estimate_anchor_h0``."""
+
+    @staticmethod
+    def h0(source, seed=4, fisher=FisherConfig()):
+        spec, theta, data = random_case(seed)
+        exp = ExperimentSpec(model=spec, anchor=AnchorConfig(source=source), fisher=fisher)
+        return estimate_anchor_h0(exp, theta, data), (spec, theta, data)
+
     def test_identity(self):
-        layout = ParamLayout((("w", (3,)),))
-        out = anchor_curvature("identity", layout=layout, scale=1.0)
+        out, _ = self.h0("identity")
         np.testing.assert_array_equal(out.values, [1.0, 1.0, 1.0])
 
     def test_identity_zero_scale_rejected(self):
-        layout = ParamLayout((("w", (3,)),))
         with pytest.raises(ConfigError):
-            anchor_curvature("identity", layout=layout, scale=0.0)
+            AnchorConfig(source="identity:0.0")
 
     def test_fisher_delegates(self):
-        spec, theta, data = random_case(4)
         cfg = FisherConfig(delta_floor=1e-8)
-        a = anchor_curvature("fisher", spec=spec, loss_kind="logistic_nll", theta=theta, data=data, cfg=cfg)
+        a, (spec, theta, data) = self.h0("fisher", 4, cfg)
         b = fisher_diag(spec, "logistic_nll", theta, data, cfg)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_exact_delegates(self):
-        spec, theta, data = random_case(5)
-        a = anchor_curvature("exact", spec=spec, loss_kind="logistic_nll", theta=theta, data=data)
+        a, (spec, theta, data) = self.h0("exact", 5)
         b = exact_hessian_diag(spec, "logistic_nll", theta, data)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
-            anchor_curvature("kfac", layout=ParamLayout((("w", (1,)),)), scale=1.0)
+            AnchorConfig(source="kfac")

@@ -69,7 +69,7 @@ class TestFisherReduction:
         cfg = FisherConfig(mode=mode)
         sq = np.zeros(spec.layout().total_len)
         for g in per_example_grads(spec, loss_kind, theta, data):
-            sq += g.values * g.values
+            sq += g * g
         if mode == "avg":
             sq /= data.n
         np.testing.assert_array_equal(fisher_diag(spec, loss_kind, theta, data, cfg).values, sq + cfg.delta_floor)

@@ -20,7 +20,7 @@ from gradmerge.harness import (
     evaluate_params,
     gen_tasks,
     load_spec,
-    merge_with_alpha,
+    merge_checkpoints,
     parse_alphas,
     parse_h0_source,
     resolve_seed,
@@ -32,6 +32,11 @@ from gradmerge.harness import (
 from gradmerge.models import ModelSpec, TaskDataset, accuracy, loss
 from gradmerge.params import load_checkpoint
 from gradmerge.training import closed_form_solve
+
+
+def merged(state, method, alpha):
+    """One catalog merge over a trained pipeline state, as ``run_addition`` makes it."""
+    return merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
 
 
 def small_spec(**kw):
@@ -468,7 +473,7 @@ class TestSweepGrid:
         rows = iter(res.rows)
         for method in spec.methods:
             for a in spec.alphas:
-                params = merge_with_alpha(kind_state, method, a)
+                params = merged(kind_state, method, a)
                 ref = evaluate_params(spec, method, a, params, kind_state.test_sets[1:])
                 for label, value in (("avg", ref.avg), ("true_avg", ref.true_avg)):
                     head, got = next(rows).rsplit(",", 1)
@@ -483,7 +488,7 @@ class TestSweepGrid:
         # Unequal set sizes separate avg from true_avg, and the aggregate
         # is a different selection than the per-task column.
         spec = kind_state.spec
-        theta = merge_with_alpha(kind_state, "ours", 0.7)
+        theta = merged(kind_state, "ours", 0.7)
         sets = [ds.slice(np.arange(n)) for ds, n in zip(kind_state.test_sets, (40, 25, 33))]
         agg = sets[1:]
 
@@ -513,14 +518,14 @@ class TestSweepGrid:
     def test_negative_weight_rejected_like_per_alpha_loop(self, default_state, method):
         spec = dataclasses.replace(default_state.spec, methods=(method,), alphas=(0.0, -0.5))
         with pytest.raises(ConfigError) as loop_error:
-            merge_with_alpha(default_state, method, -0.5)
+            merged(default_state, method, -0.5)
         with pytest.raises(ConfigError) as sweep_error:
             sweep_alpha(spec, state=default_state)
         assert str(sweep_error.value) == str(loop_error.value)
 
     def test_negative_weight_accepted_by_ta(self, default_state):
         spec = dataclasses.replace(default_state.spec, methods=("ta",), alphas=(0.0, -0.5))
-        params = merge_with_alpha(default_state, "ta", -0.5)
+        params = merged(default_state, "ta", -0.5)
         ref = evaluate_params(spec, "ta", -0.5, params, default_state.test_sets[1:])
         assert sweep_alpha(spec, state=default_state).series["ta"][1] == (-0.5, ref.avg)
 
@@ -540,7 +545,7 @@ class TestDiagnosticBridge:
 
         for method in ("ta", "ours"):
             via_fixture = merge(method, fixture.merge_inputs())
-            via_state = merge_with_alpha(default_state, method, 1.0)
+            via_state = merged(default_state, method, 1.0)
             np.testing.assert_allclose(via_fixture.values, via_state.values, atol=1e-12)
 
     def test_ties_is_the_registry_rule(self, default_state):
@@ -550,7 +555,7 @@ class TestDiagnosticBridge:
         inputs = MergeInputs(default_state.anchor, tuple((1.0, ck) for ck in default_state.tasks), spec.anchor.delta)
         expected = merge_masked(inputs, TIES_MASK).values.tobytes()
         assert merge("ties", inputs).values.tobytes() == expected
-        assert merge_with_alpha(default_state, "ties", 1.0).values.tobytes() == expected
+        assert merged(default_state, "ties", 1.0).values.tobytes() == expected
         fixture = build_diagnostic_fixture(spec, state=default_state, alpha=1.0)
         assert merge("ties", fixture.merge_inputs()).values.tobytes() == expected
 
@@ -559,7 +564,7 @@ class TestDiagnosticBridge:
 
         fixture = build_diagnostic_fixture(default_state.spec, state=default_state, alpha=1.0)
         mm = {
-            m: mismatch_report(fixture, merge_with_alpha(default_state, m, 1.0)).total_weighted_norm
+            m: mismatch_report(fixture, merged(default_state, m, 1.0)).total_weighted_norm
             for m in ("ta", "ours")
         }
         assert mm["ours"] < mm["ta"]

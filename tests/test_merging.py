@@ -30,12 +30,18 @@ from gradmerge.merging import (
     remove_task,
 )
 from gradmerge.models import TaskDataset
+from gradmerge.oracles import linear_merge_fixture
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 from gradmerge.training import QuadraticAnchor, closed_form_solve
 
 
 def layout_of(d):
     return ParamLayout([("w", (d,))])
+
+
+def merge_or_mask(method, inputs, mask):
+    """A registry merge, with ``ties`` run under ``mask`` instead of TIES_MASK."""
+    return merge_masked(inputs, mask) if method == "ties" else merge(method, inputs)
 
 
 def vec(values):
@@ -279,8 +285,8 @@ class TestMergeInvariances:
         )
         mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
         for method in ADDITION_METHODS:
-            a = merge(method, inputs, mask=mask).values
-            b = merge(method, shuffled, mask=mask).values
+            a = merge_or_mask(method, inputs, mask).values
+            b = merge_or_mask(method, shuffled, mask).values
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     @given(
@@ -326,8 +332,8 @@ class TestMergeInvariances:
         halved = MergeInputs(anchor=inputs.anchor, tasks=tasks, delta=inputs.delta)
         mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
         for method in ("ta", "wam", "fa", "ours", "ties"):
-            a = merge(method, inputs, mask=mask).values
-            b = merge(method, halved, mask=mask).values
+            a = merge_or_mask(method, inputs, mask).values
+            b = merge_or_mask(method, halved, mask).values
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
@@ -449,6 +455,25 @@ class TestRemoveTask:
                 h0=curv([3.0]),
                 delta=-1.0,
             )
+
+    @given(seed=st.integers(0, 10_000), penalty_seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_merge_then_remove_round_trip(self, seed, penalty_seed):
+        # Merge T diagonal quadratic tasks, fine-tune task T from the merge in
+        # closed form under any penalty P, remove it: the merge of the first
+        # T-1 tasks comes back, because the algebra cancels P exactly.
+        fix = linear_merge_fixture(np.random.default_rng(seed))
+        inputs, layout = fix.inputs, fix.inputs.layout
+        merged = merge_uncertainty(inputs)
+        penalty = curv(np.random.default_rng(penalty_seed).uniform(0.1, 10.0, layout.total_len))
+        finetuned = closed_form_solve([fix.datasets[-1]], [1.0], QuadraticAnchor(merged, penalty))
+        (alpha_last, last), kept = inputs.tasks[-1], inputs.tasks[:-1]
+        hbar_minus = inputs.anchor.curvature.values + sum(a * ck.curvature.values for a, ck in kept)
+        removed = remove_task(
+            Checkpoint.of(merged), (alpha_last, Checkpoint.of(finetuned, last.curvature)), curv(hbar_minus), penalty
+        ).values
+        expected = merge_uncertainty(MergeInputs(inputs.anchor, kept, inputs.delta)).values
+        assert np.max(np.abs(removed - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def orthogonal_design(rng, n, d):
@@ -605,23 +630,22 @@ class TestDispatcher:
             elected = np.sign(np.sum(contributions, axis=0))
             ref["ties"] = a + sum(np.where(np.sign(c) == elected, c, 0.0) for c in contributions)
             for method in ADDITION_METHODS:
-                out = merge(method, inputs, mask=mask).values
+                out = merge_or_mask(method, inputs, mask).values
                 np.testing.assert_allclose(out, ref[method], rtol=1e-12, atol=1e-12, err_msg=method)
 
     def test_grid_rows_equal_single_merges(self):
         rng = np.random.default_rng(12)
-        mask = MaskConfig(keep_fraction=0.5, elect_sign=True)
         scales = (0.0, 0.25, 0.25, 1.0, 1.8)
         for _ in range(20):
             inputs = random_inputs(rng, d=int(rng.integers(1, 9)), n_tasks=int(rng.integers(1, 6)), delta=0.1)
             for method in ADDITION_METHODS:
-                grid = merge_grid(method, inputs, scales, mask=mask)
+                grid = merge_grid(method, inputs, scales)
                 assert grid.shape == (len(scales), inputs.layout.total_len)
                 for scale, row in zip(scales, grid):
                     scaled = MergeInputs(
                         inputs.anchor, tuple((scale * a, ck) for a, ck in inputs.tasks), inputs.delta
                     )
-                    np.testing.assert_array_equal(row, merge(method, scaled, mask=mask).values, err_msg=method)
+                    np.testing.assert_array_equal(row, merge(method, scaled).values, err_msg=method)
 
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)
@@ -639,8 +663,6 @@ class TestDispatcher:
         rng = np.random.default_rng(10)
         inputs = random_inputs(rng, d=3, n_tasks=2)
         params = merge("ours", inputs)
-        out = merged_checkpoint("ours", params, inputs.alphas, extra_meta={"seed": "0"})
-        assert out.meta["method"] == "ours"
-        assert out.meta["alphas"] == ",".join(repr(a) for a in inputs.alphas)
-        assert out.meta["seed"] == "0"
+        out = merged_checkpoint("ours", params, inputs.alphas)
+        assert out.meta == {"method": "ours", "alphas": ",".join(repr(a) for a in inputs.alphas)}
         np.testing.assert_array_equal(out.params.values, params.values)
