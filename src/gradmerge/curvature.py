@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, EmptyDataError, UnsupportedModelError
-from .models import ModelSpec, TaskDataset, per_example_grads
+from .models import ModelSpec, TaskDataset, _check_inputs, per_example_grads
 from .params import DiagCurvature, ParamVector
 
 __all__ = [
@@ -56,7 +56,7 @@ class FisherConfig:
             raise ConfigError(f"fisher mode must be 'sum' or 'avg', got {self.mode!r}")
         if not np.isfinite(self.delta_floor) or self.delta_floor < 0:
             raise ConfigError("delta_floor must be finite and >= 0")
-        if self.max_examples is not None and int(self.max_examples) < 1:
+        if self.max_examples is not None and self.max_examples < 1:
             raise ConfigError("max_examples must be a positive int or None")
 
 
@@ -70,7 +70,7 @@ def fisher_diag(
     """Empirical Fisher diagonal: reduced squared per-example gradients plus floor."""
     if data.n == 0:
         raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
-    k = data.n if cfg.max_examples is None else min(data.n, int(cfg.max_examples))
+    k = data.n if cfg.max_examples is None else min(data.n, cfg.max_examples)
     subset = data if k == data.n else data.slice(np.arange(k))
     G = per_example_grads(spec, loss_kind, theta, subset)
     sq = (G * G).sum(axis=0)
@@ -88,8 +88,7 @@ def exact_hessian_diag(
     """Exact Hessian diagonal of the summed loss; linear and logistic only."""
     if spec.kind == "mlp":
         raise UnsupportedModelError("exact Hessian diagonals are only available for linear_regression and logistic")
-    if theta.layout != spec.layout():
-        raise ConfigError("theta layout does not match the model")
+    _check_inputs(spec, loss_kind, theta, data)
     X = data.inputs
     if data.n == 0:
         return DiagCurvature.zeros(spec.layout())

@@ -40,7 +40,7 @@ from .merging import (  # noqa: F401
     merged_checkpoint,
     remove_task,
 )
-from .models import LOSS_KINDS, ModelSpec, TaskDataset, _forward, _losses, accuracy, loss  # noqa: F401
+from .models import ModelSpec, TaskDataset, _check_loss, _forward, _losses, accuracy, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     QuadraticAnchor,
@@ -187,9 +187,6 @@ class PerTaskConfig:
     identical: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_train", int(self.n_train))
-        object.__setattr__(self, "n_test", int(self.n_test))
-        object.__setattr__(self, "seed", int(self.seed))
         if self.n_train < 0:
             raise ConfigError("n_train must be >= 0")
         if self.n_test < 1:
@@ -238,13 +235,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("experiment name must be a nonempty string")
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.loss!r}; expected one of {LOSS_KINDS}")
-        if self.model.kind == "linear_regression" and self.loss != "squared_error":
-            raise ConfigError("linear_regression experiments need squared_error loss")
-        if self.model.kind == "logistic" and self.loss != "logistic_nll":
-            raise ConfigError("logistic experiments need logistic_nll loss")
-        object.__setattr__(self, "n_tasks", int(self.n_tasks))
+        _check_loss(self.model, self.loss)
         if self.n_tasks < 1:
             raise ConfigError("n_tasks must be >= 1")
         if self.curvature not in ("fisher", "exact"):
@@ -265,38 +256,39 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, payload) -> "ExperimentSpec":
         """Build a spec from a parsed JSON object, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        kwargs = dict(payload)
-        sections = (
-            ("model", ModelSpec),
-            ("per_task", PerTaskConfig),
-            ("anchor", AnchorConfig),
-            ("fisher", FisherConfig),
-            ("train", TrainConfig),
-        )
-        for key, sub in sections:
-            if key in kwargs:
-                kwargs[key] = _sub_config(sub, kwargs[key], key)
-        return _construct(cls, kwargs, "experiment config")
+        return _from_json(cls, payload, "experiment config")
 
 
-def _sub_config(cls, payload, what: str):
+#: Config sections, by the annotation of the :class:`ExperimentSpec` field holding each.
+_SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig, FisherConfig, TrainConfig)}
+
+
+def _from_json(cls, payload, what: str):
+    """The config boundary: build ``cls`` and its sections from parsed JSON.
+
+    Unknown keys are rejected, and numeric fields hold to their annotated
+    types (strings, under postponed evaluation): an integer field takes
+    only an ``int``, a float field an ``int`` or a ``float``, and neither a
+    ``bool``.  ``None`` and strings pass where the annotation lists them.
+    """
     if not isinstance(payload, dict):
-        raise ConfigError(f"config section {what!r} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
+        raise ConfigError(f"{what} must be a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(types))
     if unknown:
-        raise ConfigError(f"unknown keys in config section {what!r}: {unknown}")
-    return _construct(cls, payload, f"config section {what!r}")
-
-
-def _construct(cls, kwargs, what: str):
-    try:  # a wrong-typed value (``"epochs": "x"``) fails as TypeError or ValueError
+        raise ConfigError(f"unknown keys in {what}: {unknown}")
+    kwargs = dict(payload)
+    for name, value in payload.items():
+        kinds = [k.strip() for k in types[name].split("|")]
+        if types[name] in _SECTIONS:
+            kwargs[name] = _from_json(_SECTIONS[types[name]], value, f"config section {name!r}")
+        elif ("int" in kinds or "float" in kinds) and not (
+            (value is None and "None" in kinds) or (isinstance(value, str) and "str" in kinds)
+        ):
+            number = (int, float) if "float" in kinds else int
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ConfigError(f"{what} field {name!r} must be {types[name]}, got {value!r}")
+    try:  # a wrong-typed value (``"methods": 5``) fails as TypeError or ValueError
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
@@ -334,16 +326,20 @@ def default_removal_spec() -> ExperimentSpec:
 
 
 def resolve_seed(spec: ExperimentSpec, override=None) -> int:
-    """Explicit override beats the ``GRADMERGE_SEED`` env var beats the config."""
-    if override is not None:
-        return int(override)
+    """Explicit override beats the ``GRADMERGE_SEED`` env var beats the config; negative seeds are refused."""
     env = os.environ.get(ENV_SEED_VAR)
-    if env is not None:
+    if override is not None:
+        seed, source = int(override), "seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), ENV_SEED_VAR
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED_VAR} must be an integer, got {env!r}") from exc
-    return spec.per_task.seed
+    else:
+        seed, source = spec.per_task.seed, "per_task.seed"
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _direction(n_features: int, angle: float) -> np.ndarray:
@@ -551,7 +547,7 @@ def _score_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_s
             raise LayoutError("dataset feature count does not match the model")
         with np.errstate(over="ignore", invalid="ignore"):
             if model.kind == "mlp":
-                out = np.stack([_forward(model, ParamVector(model.layout(), v), ds.inputs)[0] for v in values])
+                out = np.stack([_forward(model, v, ds.inputs)[0] for v in values])
             else:
                 out = values @ ds.inputs.T
             if classify:

@@ -17,6 +17,11 @@ Conventions
 * The logistic loss uses the log-sum-exp form throughout; curvature
   estimates square gradients, which amplifies any instability.
 * Classification tie at probability exactly 0.5 predicts class 1.
+
+Validation happens where data enters: the public functions check every
+call, while the kernels ``_forward``, ``_backward`` and ``_value_grad``
+take the flat ``(d,)`` parameter array and trust their caller, so a fit
+checks each dataset once (:func:`_check_data`) and then steps on arrays.
 """
 
 from __future__ import annotations
@@ -134,16 +139,29 @@ class ModelSpec:
             return ParamLayout((("w1", (h, d)), ("b1", (h,)), ("w2", (h,)), ("b2", (1,))))
         return ParamLayout((("w", (self.n_features,)),))
 
+    def _mlp_views(self, values: np.ndarray):
+        """``w1, b1, w2, b2`` of a flat MLP parameter array, as views in layout order."""
+        h, d = self.hidden, self.n_features
+        hd = h * d
+        return values[:hd].reshape(h, d), values[hd : hd + h], values[hd + h : hd + 2 * h], values[-1]
 
-def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> None:
+
+#: The loss each convex model kind is defined with; an MLP takes either.
+_PAIRED_LOSS = {"linear_regression": "squared_error", "logistic": "logistic_nll"}
+
+
+def _check_loss(spec: ModelSpec, loss_kind: str) -> None:
+    """The one rule pairing a loss kind with a model kind."""
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    if spec.kind == "linear_regression" and loss_kind != "squared_error":
-        raise ConfigError("linear_regression only supports squared_error loss")
-    if spec.kind == "logistic" and loss_kind != "logistic_nll":
-        raise ConfigError("logistic models only support logistic_nll loss")
-    if theta.layout != spec.layout():
-        raise LayoutError("theta layout does not match the model's canonical layout")
+    paired = _PAIRED_LOSS.get(spec.kind, loss_kind)
+    if loss_kind != paired:
+        raise ConfigError(f"{spec.kind} models only support {paired} loss")
+
+
+def _check_data(spec: ModelSpec, loss_kind: str, data: TaskDataset) -> None:
+    """Loss pairing, feature count and targets: what a fit checks once per dataset."""
+    _check_loss(spec, loss_kind)
     if data.n and data.n_features != spec.n_features:
         raise LayoutError(
             f"dataset has {data.n_features} features but the model expects {spec.n_features}"
@@ -154,13 +172,20 @@ def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: Tas
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
-def _forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray):
+def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> None:
+    _check_data(spec, loss_kind, data)
+    if theta.layout != spec.layout():
+        raise LayoutError("theta layout does not match the model's canonical layout")
+
+
+def _forward(spec: ModelSpec, values: np.ndarray, X: np.ndarray):
     """Raw outputs plus the hidden state backprop needs (None for linear models)."""
     if spec.kind != "mlp":
-        return X @ theta.values, None
-    z1 = X @ theta.tensor("w1").T + theta.tensor("b1")
+        return X @ values, None
+    w1, b1, w2, b2 = spec._mlp_views(values)
+    z1 = X @ w1.T + b1
     a1 = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
-    return a1 @ theta.tensor("w2") + theta.tensor("b2")[0], (z1, a1)
+    return a1 @ w2 + b2, (z1, a1)
 
 
 def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -175,7 +200,7 @@ def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
         raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
     _check_inputs(spec, loss_kind, theta, data)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = _losses(loss_kind, _forward(spec, theta, data.inputs)[0], data.targets)
+        losses = _losses(loss_kind, _forward(spec, theta.values, data.inputs)[0], data.targets)
     if reduce == "mean":
         if data.n == 0:
             raise EmptyDataError("mean loss of an empty dataset is undefined")
@@ -199,7 +224,7 @@ def _act_deriv(activation: str, z1: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return (z1 > 0.0).astype(np.float64)
 
 
-def _backward(spec, theta, X, g, hidden, per_example=False) -> np.ndarray:
+def _backward(spec, values, X, g, hidden, per_example=False) -> np.ndarray:
     """Backprop output gradients ``g`` to the flat parameter gradient.
 
     Returns the summed ``(d,)`` gradient, or the ``(n, d)`` matrix of
@@ -208,7 +233,7 @@ def _backward(spec, theta, X, g, hidden, per_example=False) -> np.ndarray:
     if hidden is None:
         return X * g[:, None] if per_example else X.T @ g
     z1, a1 = hidden
-    dz1 = (g[:, None] * theta.tensor("w2")) * _act_deriv(spec.activation, z1, a1)
+    dz1 = (g[:, None] * spec._mlp_views(values)[2]) * _act_deriv(spec.activation, z1, a1)
     if per_example:
         dW1 = dz1[:, :, None] * X[:, None, :]
         return np.concatenate([dW1.reshape(len(g), -1), dz1, a1 * g[:, None], g[:, None]], axis=1)
@@ -225,8 +250,8 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
         if reduce == "mean":
             raise EmptyDataError("mean gradient of an empty dataset is undefined")
         return ParamVector.zeros(layout)
-    out, hidden = _forward(spec, theta, data.inputs)
-    flat = _backward(spec, theta, data.inputs, _output_grads(loss_kind, out, data.targets), hidden)
+    out, hidden = _forward(spec, theta.values, data.inputs)
+    flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), hidden)
     if reduce == "mean":
         flat = flat / data.n
     if not np.all(np.isfinite(flat)):
@@ -234,22 +259,19 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     return ParamVector(layout, flat)
 
 
-def _value_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> tuple[float, np.ndarray]:
-    """Summed loss and its flat gradient from a single forward pass.
+def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y) -> tuple[float, np.ndarray]:
+    """Summed loss and its flat gradient at ``values`` from a single forward pass.
 
-    Equals ``loss(..., "sum")`` and ``grad(..., "sum").values`` and raises
-    the same errors; the training loop uses it to halve its data passes.
+    Equals ``loss(..., "sum")`` and ``grad(..., "sum").values`` for rows
+    that passed :func:`_check_data`, raising the same overflow errors; the
+    training loop uses it to halve its data passes.
     """
-    _check_inputs(spec, loss_kind, theta, data)
-    if data.n == 0:
-        return 0.0, np.zeros(spec.layout().total_len)
-    X, y = data.inputs, data.targets
     with np.errstate(over="ignore", invalid="ignore"):
-        out, hidden = _forward(spec, theta, X)
+        out, hidden = _forward(spec, values, X)
         value = float(np.sum(_losses(loss_kind, out, y)))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
-    flat = _backward(spec, theta, X, _output_grads(loss_kind, out, y), hidden)
+    flat = _backward(spec, values, X, _output_grads(loss_kind, out, y), hidden)
     if not np.all(np.isfinite(flat)):
         raise NumericError("gradient overflowed to non-finite values")
     return value, flat
@@ -260,8 +282,8 @@ def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data:
     _check_inputs(spec, loss_kind, theta, data)
     if data.n == 0:
         return np.zeros((0, spec.layout().total_len))
-    out, hidden = _forward(spec, theta, data.inputs)
-    G = _backward(spec, theta, data.inputs, _output_grads(loss_kind, out, data.targets), hidden, per_example=True)
+    out, hidden = _forward(spec, theta.values, data.inputs)
+    G = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), hidden, per_example=True)
     if not np.all(np.isfinite(G)):
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G
@@ -294,13 +316,10 @@ def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
     """
     if spec.kind == "linear_regression":
         raise ConfigError("accuracy is undefined for linear_regression models")
-    if theta.layout != spec.layout():
-        raise LayoutError("theta layout does not match the model's canonical layout")
     if data.n == 0:
         raise EmptyDataError("cannot compute accuracy on an empty dataset")
-    if data.n_features != spec.n_features:
-        raise LayoutError("dataset feature count does not match the model")
-    out = _forward(spec, theta, data.inputs)[0]
+    _check_inputs(spec, "logistic_nll", theta, data)  # scored labels are {0,1}, as for that loss
+    out = _forward(spec, theta.values, data.inputs)[0]
     pred = (out >= 0.0).astype(np.float64)
     return float(np.mean(pred == data.targets))
 

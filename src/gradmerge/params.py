@@ -1,10 +1,11 @@
 """Flat parameter vectors, diagonal curvature, and bit-exact checkpoint IO.
 
 Every model in this package lives in a single flat float64 vector plus a
-:class:`ParamLayout` that says how the flat storage maps back to named
-tensors.  Merging, curvature estimation, and diagnostics all operate on
-these flat vectors, so the types here are the common currency of the
-whole package.
+:class:`ParamLayout`, the ordered (name, shape) entries that fix its
+length and identify the architecture it belongs to.  Merging, curvature
+estimation, training and diagnostics all compute on the flat vectors, so
+the types here are the common currency of the whole package.  They
+validate their values once, on construction.
 
 Checkpoints are stored as two files sharing a stem: ``<stem>.meta.json``
 (layout, anchor reference, free-form string metadata) and
@@ -17,6 +18,7 @@ diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -55,6 +57,8 @@ def _normalize_entries(entries) -> tuple[tuple[str, tuple[int, ...]], ...]:
         if name in seen:
             raise LayoutError(f"duplicate layout entry name {name!r}")
         seen.add(name)
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in shape):
+            raise LayoutError(f"layout entry {name!r} has a non-integer shape {shape!r}")
         shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise LayoutError(f"layout entry {name!r} has non-positive shape {shape}")
@@ -71,26 +75,11 @@ class ParamLayout:
     def __post_init__(self):
         object.__setattr__(self, "entries", _normalize_entries(self.entries))
 
-    # The cached properties below live in the instance ``__dict__``, not in
-    # the dataclass fields, so equality and hashing still see only ``entries``.
-    @cached_property
-    def _slice_map(self) -> dict[str, slice]:
-        out, start = {}, 0
-        for name, shape in self.entries:
-            size = int(np.prod(shape))
-            out[name] = slice(start, start + size)
-            start += size
-        return out
-
+    # Cached in the instance ``__dict__``, not in the dataclass fields, so
+    # equality and hashing still see only ``entries``.
     @cached_property
     def total_len(self) -> int:
-        return sum(s.stop - s.start for s in self._slice_map.values())
-
-    def shape_of(self, name: str) -> tuple[int, ...]:
-        for entry_name, shape in self.entries:
-            if entry_name == name:
-                return shape
-        raise LayoutError(f"layout has no entry named {name!r}")
+        return sum(math.prod(shape) for _, shape in self.entries)
 
 
 def _validated_values(layout: ParamLayout, values, *, nonnegative: bool) -> np.ndarray:
@@ -120,11 +109,6 @@ class ParamVector:
     @classmethod
     def zeros(cls, layout: ParamLayout) -> "ParamVector":
         return cls(layout, np.zeros(layout.total_len))
-
-    def tensor(self, name: str) -> np.ndarray:
-        """Read-only view of one named tensor, reshaped to its layout shape."""
-        view = self.values[self.layout._slice_map[name]]
-        return view.reshape(self.layout.shape_of(name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +218,9 @@ def load_checkpoint(path_stem) -> Checkpoint:
     anchor_id = doc["anchor_id"]
     if anchor_id is not None and not isinstance(anchor_id, str):
         raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} has a non-string anchor_id")
-    has_curvature = bool(doc["has_curvature"])
+    has_curvature = doc["has_curvature"]
+    if not isinstance(has_curvature, bool):
+        raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} has a non-boolean has_curvature")
     n = layout.total_len
     expected = 8 * n * (2 if has_curvature else 1)
     if len(blob) != expected:

@@ -21,6 +21,11 @@ the path: an MLP fit first runs Adam, with the quadratic penalty applied
 *decoupled* from the adaptive preconditioner (the AdamW treatment of its
 L2 term), and L-BFGS-B then removes the small bias that decoupling leaves
 in the fixed point.
+
+A fit checks its datasets once, before its first step; both optimizers
+then evaluate the fused kernel ``models._value_grad`` on the flat ``(d,)``
+parameter array and index the datasets' arrays for Adam minibatches.  The
+final stationarity gate goes through the public, checked ``grad``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     LayoutError,
     SingularSystemError,
 )
-from .models import ModelSpec, TaskDataset, _value_grad, grad, loss
+from .models import ModelSpec, TaskDataset, _check_data, _value_grad, grad, loss
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -83,9 +88,9 @@ class TrainConfig:
             raise ConfigError("beta1/beta2 must lie in [0, 1)")
         if not self.eps > 0:
             raise ConfigError("eps must be > 0")
-        if int(self.epochs) < 1:
+        if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.batch_size != "full" and int(self.batch_size) < 1:
+        if self.batch_size != "full" and (isinstance(self.batch_size, str) or self.batch_size < 1):
             raise ConfigError("batch_size must be a positive int or 'full'")
         if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
             raise ConfigError("grad_clip_norm must be > 0 when set")
@@ -121,14 +126,12 @@ def _weighted_tasks(datasets, alphas):
     return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0 and data.n]
 
 
-def _task_value_grad(spec, loss_kind, datasets, alphas, theta_values):
-    """Value and gradient of ``sum_t alpha_t * L_t`` at theta (sum reduction)."""
-    layout = spec.layout()
-    theta = ParamVector(layout, theta_values)
+def _task_value_grad(spec, loss_kind, tasks, theta_values):
+    """Value and gradient of ``sum_t alpha_t * L_t`` over ``(alpha, X, y)`` rows (sum reduction)."""
     value = 0.0
-    g = np.zeros(layout.total_len)
-    for alpha, data in _weighted_tasks(datasets, alphas):
-        v, gd = _value_grad(spec, loss_kind, theta, data)
+    g = np.zeros(theta_values.size)
+    for alpha, X, y in tasks:
+        v, gd = _value_grad(spec, loss_kind, theta_values, X, y)
         value += alpha * v
         g += alpha * gd
     return value, g
@@ -175,8 +178,8 @@ def adam_decoupled_minimize(
     explicit decoupled step to first order, and it is stable for any
     penalty strength; a step on zero data loss therefore always moves
     each coordinate with positive penalty strictly toward the anchor,
-    never past it.  Each step checks that its value, gradient and new
-    iterate are finite and raises :class:`DivergenceError` otherwise.
+    never past it.  A step that leaves a non-finite iterate, as a
+    non-finite gradient does, raises :class:`DivergenceError`.
     """
     theta = np.array(x0, dtype=np.float64)
     reg = anchor.effective_diag
@@ -186,18 +189,16 @@ def adam_decoupled_minimize(
     v = np.zeros_like(theta)
     step = 0
     rng = np.random.default_rng(cfg.seed)
-    full = cfg.batch_size == "full" or n_examples == 0 or int(cfg.batch_size) >= n_examples
-    for _ in range(int(cfg.epochs)):
+    full = cfg.batch_size == "full" or n_examples == 0 or cfg.batch_size >= n_examples
+    for _ in range(cfg.epochs):
         if full:
             batches = [None]
         else:
             order = rng.permutation(n_examples)
-            bs = int(cfg.batch_size)
+            bs = cfg.batch_size
             batches = [order[i : i + bs] for i in range(0, n_examples, bs)]
         for idx in batches:
-            value, g = data_value_grad(theta, idx)
-            if not (np.isfinite(value) and np.all(np.isfinite(g))):
-                raise DivergenceError("training loss became non-finite")
+            _, g = data_value_grad(theta, idx)
             if idx is not None and len(idx):
                 g = g * (n_examples / len(idx))
             if cfg.grad_clip_norm is not None:
@@ -225,13 +226,18 @@ def _fit(
     cfg: TrainConfig,
     x0: np.ndarray,
 ) -> ParamVector:
+    if anchor.anchor.layout != spec.layout():
+        raise LayoutError("anchor layout does not match the model")
+    for data in datasets:
+        _check_data(spec, loss_kind, data)
+    tasks = [(alpha, data.inputs, data.targets) for alpha, data in _weighted_tasks(datasets, alphas)]
     theta = x0
     if spec.kind == "mlp":
         # Nonconvex: the Adam path decides which local minimum L-BFGS-B
         # refines.  Convex kinds have one minimum and skip straight to it.
         def data_value_grad(theta_values, idx):
-            sets = datasets if idx is None else [d.slice(idx) for d in datasets]
-            return _task_value_grad(spec, loss_kind, sets, alphas, theta_values)
+            batch = tasks if idx is None else [(alpha, X[idx], y[idx]) for alpha, X, y in tasks]
+            return _task_value_grad(spec, loss_kind, batch, theta_values)
 
         # Minibatching shuffles indices of a single dataset; multi-dataset
         # objectives (the joint target) always run full-batch.
@@ -242,7 +248,7 @@ def _fit(
     reg = anchor.effective_diag
 
     def full_value_grad(theta_values):
-        value, g = _task_value_grad(spec, loss_kind, datasets, alphas, theta_values)
+        value, g = _task_value_grad(spec, loss_kind, tasks, theta_values)
         diff = theta_values - a
         return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
@@ -315,8 +321,6 @@ def finetune_task(
     condition ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
     with residual norm at most ``1e-4 * (1 + ||theta||)``.
     """
-    if anchor.anchor.layout != spec.layout():
-        raise LayoutError("anchor layout does not match the model")
     theta = _fit(spec, loss_kind, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, anchor.anchor.values))
     return Checkpoint.of(
         theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec, loss_kind)
@@ -337,8 +341,6 @@ def train_joint_target(
         raise ConfigError("datasets and alphas must have equal length")
     if any(a < 0 for a in alphas):
         raise ConfigError("joint-target alphas must be >= 0")
-    if anchor.anchor.layout != spec.layout():
-        raise LayoutError("anchor layout does not match the model")
     theta = _fit(
         spec, loss_kind, list(datasets), [float(a) for a in alphas], anchor, cfg,
         _init_theta(spec, cfg, anchor.anchor.values),

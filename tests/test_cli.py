@@ -86,6 +86,45 @@ class TestParsing:
         assert run_cli("train", "--config", bad, "--out", tmp_path / "o") == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"n_tasks": 2.7}, "n_tasks"),
+            ({"per_task": {"n_train": True}}, "n_train"),
+            ({"train": {"epochs": 1.5}}, "epochs"),
+            ({"fisher": {"max_examples": 2.5}}, "max_examples"),
+            ({"model": {"kind": "mlp", "n_features": 2, "hidden": True, "activation": "tanh"}}, "hidden"),
+            ({"model": {"kind": "logistic", "n_features": 2.5}}, "n_features"),
+            ({"train": {"lr": True}}, "lr"),
+        ],
+        ids=["n_tasks", "n_train", "epochs", "max_examples", "hidden", "n_features", "lr"],
+    )
+    def test_fractional_or_boolean_number_exits_one(self, tmp_path, capsys, payload, field):
+        # Integer fields take only an int and float fields never a bool;
+        # nothing is truncated or read as 1.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and repr(field) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "env", "config"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, monkeypatch, route):
+        argv = ["report", "--out", tmp_path / "o"]
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        elif route == "env":
+            monkeypatch.setenv("GRADMERGE_SEED", "-5")
+            argv[0] = "sweep"
+        else:
+            config = tmp_path / "neg.json"
+            config.write_text(json.dumps({"per_task": {"seed": -3}}))
+            argv += ["--config", config]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "must be >= 0" in err
+
 
 class TestGen:
     def test_rerun_is_byte_identical(self, small_config):

@@ -6,7 +6,7 @@ from gradmerge.curvature import (
     exact_hessian_diag,
     fisher_diag,
 )
-from gradmerge.errors import ConfigError, EmptyDataError, UnsupportedModelError
+from gradmerge.errors import ConfigError, EmptyDataError, LayoutError, UnsupportedModelError
 from gradmerge.harness import AnchorConfig, ExperimentSpec, estimate_anchor_h0
 from gradmerge.models import ModelSpec, TaskDataset, per_example_grads
 from gradmerge.params import ParamVector
@@ -122,6 +122,16 @@ class TestExactHessianDiag:
         theta = ParamVector.zeros(spec.layout())
         with pytest.raises(UnsupportedModelError):
             exact_hessian_diag(spec, "logistic_nll", theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
+
+    @pytest.mark.parametrize("spec,loss_kind", [(LIN1, "squared_error"), (LOG1, "logistic_nll")])
+    def test_checks_inputs_like_the_loss(self, spec, loss_kind):
+        theta = theta_of(spec, [0.5])
+        with pytest.raises(LayoutError):
+            exact_hessian_diag(spec, loss_kind, theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
+        with pytest.raises(LayoutError):
+            exact_hessian_diag(spec, loss_kind, ParamVector.zeros(ModelSpec(spec.kind, 2).layout()), data_1d([1.0], [1.0]))
+        with pytest.raises(ConfigError):
+            exact_hessian_diag(spec, "logistic_nll" if spec is LIN1 else "squared_error", theta, data_1d([1.0], [1.0]))
 
     def test_single_example_fisher_is_hessian_times_squared_residual(self):
         # With one example, fisher entry j is (x_j r)^2 and the linear

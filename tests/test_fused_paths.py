@@ -6,8 +6,10 @@ import pytest
 
 from gradmerge.curvature import FisherConfig, fisher_diag
 from gradmerge.errors import ConfigError, LayoutError, NumericError
+from gradmerge import training
 from gradmerge.models import ModelSpec, TaskDataset, _value_grad, grad, loss, per_example_grads
 from gradmerge.params import ParamVector
+from gradmerge.training import TrainConfig, train_anchor
 
 CASES = [
     (ModelSpec("linear_regression", 3), "squared_error"),
@@ -35,7 +37,7 @@ class TestFusedValueGrad:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loss_and_grad(self, spec, loss_kind, seed):
         theta, data = random_pair(spec, loss_kind, seed)
-        value, g = _value_grad(spec, loss_kind, theta, data)
+        value, g = _value_grad(spec, loss_kind, theta.values, data.inputs, data.targets)
         assert value == pytest.approx(loss(spec, loss_kind, theta, data, "sum"), rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g, grad(spec, loss_kind, theta, data, "sum").values, rtol=1e-12, atol=0.0)
 
@@ -43,22 +45,34 @@ class TestFusedValueGrad:
     def test_empty_data(self, spec, loss_kind):
         theta, _ = random_pair(spec, loss_kind, 0)
         empty = TaskDataset("e", np.zeros((0, spec.n_features)), [])
-        value, g = _value_grad(spec, loss_kind, theta, empty)
+        value, g = _value_grad(spec, loss_kind, theta.values, empty.inputs, empty.targets)
         assert value == 0.0 == loss(spec, loss_kind, theta, empty, "sum")
         np.testing.assert_array_equal(g, grad(spec, loss_kind, theta, empty, "sum").values)
         assert g.shape == (spec.layout().total_len,)
 
-    def test_same_errors_as_loss(self):
-        lin, log = ModelSpec("linear_regression", 1), ModelSpec("logistic", 1)
-        one = TaskDataset("t", [[1.0]], [2.0])
-        with pytest.raises(LayoutError):
-            _value_grad(lin, "squared_error", ParamVector(ModelSpec("linear_regression", 2).layout(), [0.0, 0.0]), one)
-        with pytest.raises(ConfigError):
-            _value_grad(log, "logistic_nll", ParamVector(log.layout(), [0.0]), TaskDataset("t", [[1.0]], [0.5]))
+    def test_same_errors_as_loss(self, monkeypatch):
+        # The kernel trusts its caller, so a fit raises the public
+        # functions' input errors before its first evaluation.
+        evals = []
+        monkeypatch.setattr(training, "_value_grad", lambda *a: evals.append(a))
+        lin, log = ModelSpec("linear_regression", 2), ModelSpec("logistic", 1)
+        cases = [
+            (LayoutError, lin, "squared_error", TaskDataset("t", [[1.0]], [2.0])),
+            (ConfigError, log, "logistic_nll", TaskDataset("t", [[1.0]], [0.5])),
+            (ConfigError, log, "squared_error", TaskDataset("t", [[1.0]], [1.0])),
+        ]
+        for error, spec, loss_kind, data in cases:
+            theta = ParamVector.zeros(spec.layout())
+            with pytest.raises(error):
+                loss(spec, loss_kind, theta, data)
+            with pytest.raises(error):
+                train_anchor(spec, loss_kind, data, 0.1, TrainConfig())
+        assert evals == []
+        monkeypatch.undo()
         spec = ModelSpec("mlp", 1, hidden=2, activation="relu")
-        big = ParamVector(spec.layout(), np.full(spec.layout().total_len, 1e200))
+        big = np.full(spec.layout().total_len, 1e200)
         with pytest.raises(NumericError):
-            _value_grad(spec, "squared_error", big, TaskDataset("t", [[1.0]], [0.0]))
+            _value_grad(spec, "squared_error", big, np.ones((1, 1)), np.zeros(1))
 
 
 class TestFisherReduction:

@@ -51,6 +51,20 @@ class TestModelSpec:
         assert [name for name, _ in spec.layout().entries] == ["w1", "b1", "w2", "b2"]
         assert spec.layout().total_len == 12 + 4 + 4 + 1
 
+    def test_mlp_views_follow_layout_order(self):
+        # The flat vector holds w1 row-major, then b1, w2 and b2, each as a
+        # view in place; the forward pass reads them through these views.
+        spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")
+        values = np.arange(spec.layout().total_len, dtype=float)
+        w1, b1, w2, b2 = spec._mlp_views(values)
+        np.testing.assert_array_equal(w1, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(b1, [6.0, 7.0, 8.0])
+        np.testing.assert_array_equal(w2, [9.0, 10.0, 11.0])
+        assert b2 == 12.0
+        assert all(np.shares_memory(view, values) for view in (w1, b1, w2))
+        shapes = [shape for _, shape in spec.layout().entries]
+        assert [w1.shape, b1.shape, w2.shape] == shapes[:3] and shapes[3] == (1,)
+
     def test_hidden_required_iff_mlp(self):
         with pytest.raises(ConfigError):
             ModelSpec("mlp", 3)
@@ -152,7 +166,8 @@ class TestGrad:
         seed = 0
         while True:
             theta, data = random_pair(spec, "logistic_nll", seed)
-            z1 = data.inputs @ theta.tensor("w1").T + theta.tensor("b1")
+            w1, b1, _, _ = spec._mlp_views(theta.values)
+            z1 = data.inputs @ w1.T + b1
             if np.min(np.abs(z1)) > 1e-3:
                 break
             seed += 1

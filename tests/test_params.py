@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from gradmerge.errors import (
     SingularCurvatureError,
 )
 from gradmerge.merging import MergeInputs, merge_task_arithmetic, merge_uncertainty, remove_task
+from gradmerge.models import ModelSpec
 from gradmerge.params import (
     Checkpoint,
     DiagCurvature,
@@ -53,17 +57,29 @@ class TestParamLayout:
         with pytest.raises(LayoutError):
             ParamLayout((("w", (0,)),))
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True])
+    def test_non_integer_shape_rejected(self, size):
+        with pytest.raises(LayoutError):
+            ParamLayout((("w", (size,)),))
+
     def test_slices_are_contiguous_in_order(self):
-        layout = ParamLayout((("a", (2,)), ("b", (3,))))
-        vec = ParamVector(layout, np.arange(5.0))
-        np.testing.assert_array_equal(vec.tensor("a"), [0.0, 1.0])
-        np.testing.assert_array_equal(vec.tensor("b"), [2.0, 3.0, 4.0])
+        # Each entry owns the next run of the flat vector, in the order the
+        # layout lists it; the MLP forward pass reads its tensors there.
+        spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")
+        layout = spec.layout()
+        v = ParamVector(layout, np.arange(layout.total_len, dtype=float))
+        assert [name for name, _ in layout.entries] == ["w1", "b1", "w2", "b2"]
+        start = 0
+        for (_, shape), view in zip(layout.entries, spec._mlp_views(v.values)):
+            size = math.prod(shape)
+            np.testing.assert_array_equal(np.ravel(view), v.values[start : start + size])
+            start += size
+        assert start == layout.total_len
 
     def test_cached_derived_fields_leave_equality_and_hash_alone(self):
         entries = (("a", (2, 3)), ("b", (4,)))
         used, fresh = ParamLayout(entries), ParamLayout(entries)
         assert used.total_len == 10
-        assert used._slice_map["a"] == slice(0, 6)
         assert used == fresh and hash(used) == hash(fresh)
         assert used != ParamLayout((("a", (2, 3)), ("c", (4,))))
 
@@ -87,10 +103,12 @@ class TestParamVector:
             v.values[0] = 9.0
 
     def test_tensor_view_reshapes(self):
-        layout = ParamLayout((("w1", (2, 2)), ("b1", (2,))))
-        v = ParamVector(layout, [1, 2, 3, 4, 5, 6])
-        assert v.tensor("w1").shape == (2, 2)
-        np.testing.assert_array_equal(v.tensor("b1"), [5.0, 6.0])
+        spec = ModelSpec("mlp", 2, hidden=2, activation="tanh")
+        v = ParamVector(spec.layout(), np.arange(1.0, 10.0))
+        w1, b1, _, _ = spec._mlp_views(v.values)
+        assert w1.shape == (2, 2)
+        np.testing.assert_array_equal(b1, [5.0, 6.0])
+        assert np.shares_memory(w1, v.values)
 
 
 class TestDiagCurvature:
@@ -270,14 +288,33 @@ class TestCheckpointIO:
             load_checkpoint(stem)
 
     def test_missing_layout_key_rejected(self, tmp_path):
-        import json
-
         stem = tmp_path / "ck"
         save_checkpoint(self.make_ckpt(False), stem)
         doc = json.loads((tmp_path / "ck.meta.json").read_text())
         del doc["layout"]
         (tmp_path / "ck.meta.json").write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("size", [2.5, "3"])
+    def test_non_integer_layout_shape_rejected(self, tmp_path, size):
+        stem = tmp_path / "ck"
+        save_checkpoint(self.make_ckpt(False), stem)
+        doc = json.loads((tmp_path / "ck.meta.json").read_text())
+        doc["layout"] = [["w", [size]]]
+        (tmp_path / "ck.meta.json").write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="non-integer shape"):
+            load_checkpoint(stem)
+
+    def test_non_boolean_has_curvature_rejected(self, tmp_path):
+        # A truthy string must not make the loader read the blob's tail
+        # as a curvature diagonal.
+        stem = tmp_path / "ck"
+        save_checkpoint(self.make_ckpt(True), stem)
+        doc = json.loads((tmp_path / "ck.meta.json").read_text())
+        doc["has_curvature"] = "no"
+        (tmp_path / "ck.meta.json").write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="has_curvature"):
             load_checkpoint(stem)
 
     def test_missing_files_rejected(self, tmp_path):

@@ -368,3 +368,45 @@ class TestFitCost:
         cfg = TrainConfig(lr=0.05, epochs=5, batch_size=batch_size, seed=0)
         train_anchor(MLP2, "logistic_nll", classification(4, n=40), delta=0.1, cfg=cfg)
         assert adam_rows == rows_per_epoch * 5
+
+    @pytest.mark.parametrize("fit", ["anchor", "joint"])
+    def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
+        # Data checks, ParamVector and TaskDataset constructions happen once
+        # per fit: before its first step and in the final residual gate.
+        # Only the kernel calls grow with the number of Adam steps.
+        sets = [classification(30, n=40), classification(31, n=24)]
+        anchor = QuadraticAnchor(
+            ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
+            DiagCurvature.constant(MLP2.layout(), 0.5),
+            0.1,
+        )
+        counts = {}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+
+            return wrapped
+
+        check = counting("data checks", models._check_data)
+        monkeypatch.setattr(models, "_check_data", check)
+        monkeypatch.setattr(training, "_check_data", check)
+        monkeypatch.setattr(training, "_value_grad", counting("kernel calls", training._value_grad))
+        for cls in (ParamVector, TaskDataset):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+
+        def run(epochs):
+            counts.clear()
+            cfg = TrainConfig(lr=0.05, epochs=epochs, batch_size=8, seed=0)
+            if fit == "anchor":
+                train_anchor(MLP2, "logistic_nll", sets[0], delta=0.1, cfg=cfg)
+            else:
+                train_joint_target(MLP2, "logistic_nll", sets, [1.0, 0.5], anchor, cfg)
+            return dict(counts)
+
+        short, long = run(10), run(40)
+        assert long.pop("kernel calls") > short.pop("kernel calls")
+        assert long == short
+        assert short.get("TaskDataset", 0) == 0
+        assert short["data checks"] == 2 * (1 if fit == "anchor" else len(sets))
