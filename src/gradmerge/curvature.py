@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, EmptyDataError, UnsupportedModelError
-from .models import ModelSpec, TaskDataset, _check_inputs, per_example_grads
+from .models import ModelSpec, TaskDataset, _check_inputs, _sigmoid, per_example_grads
 from .params import DiagCurvature, ParamVector
 
 __all__ = [
@@ -95,6 +94,6 @@ def exact_hessian_diag(
     if spec.kind == "linear_regression":
         diag = np.sum(X * X, axis=0)
     else:
-        s = expit(X @ theta.values)
+        s = _sigmoid(X @ theta.values)
         diag = (s * (1.0 - s)) @ (X * X)
     return DiagCurvature(spec.layout(), diag)

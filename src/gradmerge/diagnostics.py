@@ -197,7 +197,9 @@ def identity_residual_bound(
     The residual vector equals the inverse penalty diagonal applied to
     the joint stationarity defect minus the weighted task defects, so its
     max norm is at most the summed defect norms divided by the smallest
-    penalty entry.
+    penalty entry.  The bound holds for the residual in exact arithmetic;
+    it has no rounding term, so once the fits are stationary to rounding
+    level, both sides are rounding noise.
     """
     if len(task_residuals) != len(alphas):
         raise ConfigError("task_residuals and alphas must have equal length")

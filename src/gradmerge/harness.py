@@ -266,10 +266,11 @@ _SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig, Fis
 def _from_json(cls, payload, what: str):
     """The config boundary: build ``cls`` and its sections from parsed JSON.
 
-    Unknown keys are rejected, and numeric fields hold to their annotated
-    types (strings, under postponed evaluation): an integer field takes
-    only an ``int``, a float field an ``int`` or a ``float``, and neither a
-    ``bool``.  ``None`` and strings pass where the annotation lists them.
+    Unknown keys are rejected, and numeric and boolean fields hold to their
+    annotated types (strings, under postponed evaluation): an integer field
+    takes only an ``int``, a float field an ``int`` or a ``float``, neither
+    a ``bool``, and a boolean field only a ``bool``.  ``None`` and strings
+    pass where the annotation lists them.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -288,6 +289,8 @@ def _from_json(cls, payload, what: str):
             number = (int, float) if "float" in kinds else int
             if isinstance(value, bool) or not isinstance(value, number):
                 raise ConfigError(f"{what} field {name!r} must be {types[name]}, got {value!r}")
+        elif kinds == ["bool"] and not isinstance(value, bool):
+            raise ConfigError(f"{what} field {name!r} must be bool, got {value!r}")
     try:  # a wrong-typed value (``"methods": 5``) fails as TypeError or ValueError
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

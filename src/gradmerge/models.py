@@ -32,7 +32,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -212,10 +211,16 @@ def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     return value
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 or 1 without warnings."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _output_grads(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
     if loss_kind == "squared_error":
         return out - targets
-    return expit(out) - targets
+    return _sigmoid(out) - targets
 
 
 def _act_deriv(activation: str, z1: np.ndarray, a1: np.ndarray) -> np.ndarray:

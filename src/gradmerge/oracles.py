@@ -6,6 +6,8 @@ least-squares problem handled by SVD, the influence oracle factorizes
 dense normal matrices with Cholesky, and gradients are formed inline
 rather than through the model zoo.  Keeping the paths disjoint means an
 agreement between module and oracle is evidence, not circularity.
+``scipy.linalg`` is imported inside the functions that use it, so
+``import gradmerge`` does not load SciPy.
 
 The randomized suite draws features from a standard normal and targets
 from a planted coefficient vector plus noise with standard deviation
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     ConfigError,
@@ -132,6 +133,8 @@ def joint_closed_form_oracle(
         root = math.sqrt(float(alpha))
         blocks.append(root * data.inputs)
         rhs.append(root * data.targets)
+    from scipy import linalg as sla
+
     A = np.vstack(blocks)
     b = np.concatenate(rhs)
     solution, _, rank, _ = sla.lstsq(A, b)
@@ -141,6 +144,8 @@ def joint_closed_form_oracle(
 
 
 def _ridge_solve(X: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
+    from scipy import linalg as sla
+
     d = X.shape[1]
     try:
         factor = sla.cho_factor(X.T @ X + delta * np.eye(d))
@@ -153,6 +158,8 @@ def _influence_pair(
     full_data: TaskDataset, removed: list[int], delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot update and exact retrain after deleting the given rows."""
+    from scipy import linalg as sla
+
     idx = np.asarray(sorted(set(int(i) for i in removed)), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= full_data.n):
         raise ConfigError("removed indices out of range")

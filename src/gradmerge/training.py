@@ -13,19 +13,22 @@ the merging and diagnostics modules assume the returned parameters are
 (approximately) stationary points of these objectives, so convergence is
 expressed as a stationarity-residual bound rather than an epoch count.
 
-Every fit ends in an L-BFGS-B solve of the full objective, which pushes
-the residual to optimizer precision.  The linear and logistic objectives
-are strictly convex once the penalty is positive, so they go straight to
-that solve.  The MLP objective is not, and the minimum found depends on
-the path: an MLP fit first runs Adam, with the quadratic penalty applied
-*decoupled* from the adaptive preconditioner (the AdamW treatment of its
-L2 term), and L-BFGS-B then removes the small bias that decoupling leaves
-in the fixed point.
+The linear and logistic objectives are strictly convex once the penalty
+is positive, and at desk scale their dense ``(d, d)`` Hessian is cheap to
+form exactly, so they are solved directly: linear regression by one
+normal-equation solve (:func:`closed_form_solve`), logistic regression by
+damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
+delta)``.  Neither needs SciPy.  The MLP objective is not convex, and the
+minimum found depends on the path: an MLP fit first runs Adam, with the
+quadratic penalty applied *decoupled* from the adaptive preconditioner
+(the AdamW treatment of its L2 term), and SciPy's L-BFGS-B then removes
+the small bias that decoupling leaves in the fixed point.
 
-A fit checks its datasets once, before its first step; both optimizers
-then evaluate the fused kernel ``models._value_grad`` on the flat ``(d,)``
-parameter array and index the datasets' arrays for Adam minibatches.  The
-final stationarity gate goes through the public, checked ``grad``.
+A fit checks its datasets once, before its first step; the iterative
+solvers then evaluate the fused kernel ``models._value_grad`` on the flat
+``(d,)`` parameter array and index the datasets' arrays for Adam
+minibatches.  Every fit ends in the same stationarity gate, which goes
+through the public, checked ``grad``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import (
     ConfigError,
@@ -41,7 +43,7 @@ from .errors import (
     LayoutError,
     SingularSystemError,
 )
-from .models import ModelSpec, TaskDataset, _check_data, _value_grad, grad, loss
+from .models import ModelSpec, TaskDataset, _check_data, _sigmoid, _value_grad, grad, loss
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -61,15 +63,20 @@ __all__ = [
 #: RESIDUAL_TOL * (1 + ||theta||).
 RESIDUAL_TOL = 1e-4
 
+#: Newton stops at the first iterate whose full-objective gradient norm is
+#: at most NEWTON_TOL * (1 + ||theta||): far inside RESIDUAL_TOL, and short
+#: of the rounding noise a further step would chase.
+NEWTON_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam hyperparameters; defaults follow common Adam practice.
 
     They govern only the Adam warm start of MLP fits.  Linear and logistic
-    fits are convex and solved by L-BFGS-B alone, so these fields do not
-    change their result (``seed`` and ``epochs`` are still recorded in the
-    checkpoint metadata).
+    fits are convex and solved exactly (normal equations, damped Newton),
+    so these fields do not change their result (``seed`` and ``epochs``
+    are still recorded in the checkpoint metadata).
     """
 
     lr: float = 0.05
@@ -217,6 +224,57 @@ def adam_decoupled_minimize(
     return theta
 
 
+def _logistic_hessian(tasks, reg, theta_values):
+    """Dense Hessian of the anchored logistic objective at ``theta_values``.
+
+    Each data term is formed as ``Xs^T Xs`` with rows scaled by
+    ``sqrt(alpha s (1 - s))``, which NumPy computes as a symmetric rank-k
+    update at half the cost of a general product (weights are >= 0).
+    """
+    H = np.diag(reg)
+    for alpha, X, _ in tasks:
+        s = _sigmoid(X @ theta_values)
+        Xs = X * np.sqrt(alpha * s * (1.0 - s))[:, None]
+        H += Xs.T @ Xs
+    return H
+
+
+def _newton(value_grad, hessian, theta):
+    """Damped Newton for a strictly convex objective.
+
+    Each step solves ``H p = -g`` and backtracks by halving.  While the
+    predicted decrease ``g^T H^{-1} g`` is resolvable in the objective's
+    value, a step must pass the Armijo test; below about
+    ``1e-12 (1 + |f|)`` the summed loss cannot tell a better point from a
+    worse one, and a step is accepted only if it lowers the gradient norm.
+    Stops at the first iterate meeting :data:`NEWTON_TOL`.  A step that
+    finds no acceptable point ends the loop, and the caller's
+    stationarity gate judges where it stopped.
+    """
+    f, g = value_grad(theta)
+    for _ in range(50):
+        g_norm = np.linalg.norm(g)
+        if g_norm <= NEWTON_TOL * (1.0 + np.linalg.norm(theta)):
+            break
+        try:
+            step = np.linalg.solve(hessian(theta), -g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Newton system is singular: {exc}") from exc
+        decrease = -float(g @ step)
+        resolvable = decrease > 1e-12 * (1.0 + abs(f))
+        t = 1.0
+        for _ in range(60):
+            trial = theta + t * step
+            f_trial, g_trial = value_grad(trial)
+            if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (np.linalg.norm(g_trial) < g_norm):
+                break
+            t *= 0.5
+        else:
+            break
+        theta, f, g = trial, f_trial, g_trial
+    return theta
+
+
 def _fit(
     spec: ModelSpec,
     loss_kind: str,
@@ -231,19 +289,6 @@ def _fit(
     for data in datasets:
         _check_data(spec, loss_kind, data)
     tasks = [(alpha, data.inputs, data.targets) for alpha, data in _weighted_tasks(datasets, alphas)]
-    theta = x0
-    if spec.kind == "mlp":
-        # Nonconvex: the Adam path decides which local minimum L-BFGS-B
-        # refines.  Convex kinds have one minimum and skip straight to it.
-        def data_value_grad(theta_values, idx):
-            batch = tasks if idx is None else [(alpha, X[idx], y[idx]) for alpha, X, y in tasks]
-            return _task_value_grad(spec, loss_kind, batch, theta_values)
-
-        # Minibatching shuffles indices of a single dataset; multi-dataset
-        # objectives (the joint target) always run full-batch.
-        n_examples = datasets[0].n if len(datasets) == 1 else 0
-        theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
-
     a = anchor.anchor.values
     reg = anchor.effective_diag
 
@@ -252,16 +297,33 @@ def _fit(
         diff = theta_values - a
         return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
-    result = _scipy_minimize(
-        full_value_grad,
-        theta,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    out = ParamVector(spec.layout(), result.x)
+    if spec.kind == "linear_regression":
+        theta = closed_form_solve(datasets, alphas, anchor).values
+    elif spec.kind == "logistic":
+        theta = _newton(full_value_grad, lambda th: _logistic_hessian(tasks, reg, th), x0)
+    else:
+        # Nonconvex: the Adam path decides which local minimum L-BFGS-B
+        # refines.  Only this branch needs SciPy, so it imports it here.
+        from scipy.optimize import minimize
+
+        def data_value_grad(theta_values, idx):
+            batch = tasks if idx is None else [(alpha, X[idx], y[idx]) for alpha, X, y in tasks]
+            return _task_value_grad(spec, loss_kind, batch, theta_values)
+
+        # Minibatching shuffles indices of a single dataset; multi-dataset
+        # objectives (the joint target) always run full-batch.
+        n_examples = datasets[0].n if len(datasets) == 1 else 0
+        theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
+        theta = minimize(
+            full_value_grad,
+            theta,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14},
+        ).x
+    out = ParamVector(spec.layout(), theta)
     residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, out)
-    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(result.x)))
+    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
     if residual > bound:
         raise DivergenceError(
             f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"

@@ -109,6 +109,16 @@ class TestParsing:
         assert "ConfigError" in err and repr(field) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None], ids=["string", "zero", "one", "null"])
+    def test_non_boolean_flag_exits_one(self, tmp_path, capsys, value):
+        # A truthy "no" used to clone task 0 into every task.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"per_task": {"identical": value}}))
+        assert run_cli("train", "--config", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'identical'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("route", ["flag", "env", "config"])
     def test_negative_seed_exits_one(self, tmp_path, capsys, monkeypatch, route):
         argv = ["report", "--out", tmp_path / "o"]

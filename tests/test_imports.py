@@ -1,0 +1,46 @@
+"""SciPy stays off the default path: only the MLP polish and the oracles load it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+
+def scipy_modules():
+    return [m for m in sys.modules if m.startswith("scipy")]
+
+import gradmerge
+from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_pipeline
+from gradmerge.models import ModelSpec
+from gradmerge.oracles import run_oracle_suite
+
+assert scipy_modules() == [], scipy_modules()[:5]
+run_pipeline(default_spec(), seed=0)
+run_pipeline(ExperimentSpec(model=ModelSpec("linear_regression", 2), loss="squared_error"), seed=0)
+assert scipy_modules() == [], scipy_modules()[:5]
+
+mlp = ExperimentSpec(
+    model=ModelSpec("mlp", 2, hidden=4, activation="tanh"),
+    n_tasks=2,
+    per_task=PerTaskConfig(n_train=60, n_test=60),
+)
+run_pipeline(mlp, seed=0)
+assert "scipy.optimize" in sys.modules
+
+results = run_oracle_suite(seed=7, n_fixtures=3)
+assert results and all(r.passed for r in results)
+assert "scipy.linalg" in sys.modules
+print("ok")
+"""
+
+
+def test_scipy_loads_only_for_mlp_fits_and_oracles():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
