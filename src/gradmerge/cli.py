@@ -67,15 +67,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="override the config seed"
-    )
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="output directory (default: ./out)"
-    )
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="JSON experiment config file"
-    )
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the config seed")
+    common.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: ./out)")
+    common.add_argument("--config", default=argparse.SUPPRESS, help="JSON experiment config file")
     return common
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataError, UnsupportedModelError
+from .errors import ConfigError, EmptyDataError, UnsupportedModelError, check_field_types
 from .models import ModelSpec, TaskDataset, _check_inputs, _sigmoid, per_example_grads
 from .params import DiagCurvature, ParamVector
 
@@ -51,6 +51,7 @@ class FisherConfig:
     max_examples: int | None = 100_000
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in ("sum", "avg"):
             raise ConfigError(f"fisher mode must be 'sum' or 'avg', got {self.mode!r}")
         if not np.isfinite(self.delta_floor) or self.delta_floor < 0:

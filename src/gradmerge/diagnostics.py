@@ -85,19 +85,8 @@ class MismatchRow:
     test_loss_delta_fo: float
 
     def as_csv(self) -> str:
-        return ",".join(
-            [self.method, self.fixture, self.task_id]
-            + [
-                repr(float(v))
-                for v in (
-                    self.mismatch_l2,
-                    self.error_l2,
-                    self.identity_residual,
-                    self.test_loss_delta_exact,
-                    self.test_loss_delta_fo,
-                )
-            ]
-        )
+        values = (self.mismatch_l2, self.error_l2, self.identity_residual, self.test_loss_delta_exact, self.test_loss_delta_fo)
+        return ",".join([self.method, self.fixture, self.task_id] + [repr(float(v)) for v in values])
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,10 @@ exit code 1 and the latter to exit code 2 via the ``exit_code``
 attribute, so new exception types should subclass the appropriate base.
 """
 
+import dataclasses
+import functools
+import numbers
+
 __all__ = [
     "GradmergeError",
     "LayoutError",
@@ -78,3 +82,20 @@ class SingularSystemError(NumericError):
 
 class DivergenceError(NumericError):
     """Training diverged or failed to reach the required stationarity."""
+
+
+@functools.cache
+def _scalar_fields(cls) -> tuple:
+    """``(name, annotation, admitted types)`` of each scalar field of config class ``cls``."""
+    admits = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str, "None": type(None)}
+    fields = ((f, tuple(admits.get(k.strip()) for k in f.type.split("|"))) for f in dataclasses.fields(cls))
+    return tuple((f.name, f.type, kinds) for f, kinds in fields if None not in kinds)
+
+
+def check_field_types(config) -> None:
+    """Hold each scalar field of a config dataclass to its (string) annotation: ``int``
+    admits any ``numbers.Integral``, ``float`` any ``numbers.Real``, only ``bool`` a ``bool``."""
+    for name, annotation, kinds in _scalar_fields(type(config)):
+        value = getattr(config, name)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ConfigError(f"{type(config).__name__} field {name!r} must be {annotation}, got {value!r}")

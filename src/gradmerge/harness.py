@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import FisherConfig, exact_hessian_diag, fisher_diag
-from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError
+from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError, check_field_types
 # ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
 from .merging import (  # noqa: F401
@@ -187,6 +187,7 @@ class PerTaskConfig:
     identical: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_train < 0:
             raise ConfigError("n_train must be >= 0")
         if self.n_test < 1:
@@ -205,6 +206,7 @@ class AnchorConfig:
     delta: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         object.__setattr__(self, "source", parse_h0_source(self.source))
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ConfigError(f"anchor delta must be finite and >= 0, got {self.delta!r}")
@@ -233,7 +235,8 @@ class ExperimentSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+        check_field_types(self)
+        if not self.name:
             raise ConfigError("experiment name must be a nonempty string")
         _check_loss(self.model, self.loss)
         if self.n_tasks < 1:
@@ -265,32 +268,17 @@ _SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig, Fis
 
 def _from_json(cls, payload, what: str):
     """The config boundary: build ``cls`` and its sections from parsed JSON.
-
-    Unknown keys are rejected, and numeric and boolean fields hold to their
-    annotated types (strings, under postponed evaluation): an integer field
-    takes only an ``int``, a float field an ``int`` or a ``float``, neither
-    a ``bool``, and a boolean field only a ``bool``.  ``None`` and strings
-    pass where the annotation lists them.
-    """
+    Unknown keys are rejected; each ``__post_init__`` checks its field types."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} must be a JSON object")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - set(types))
     if unknown:
         raise ConfigError(f"unknown keys in {what}: {unknown}")
-    kwargs = dict(payload)
-    for name, value in payload.items():
-        kinds = [k.strip() for k in types[name].split("|")]
-        if types[name] in _SECTIONS:
-            kwargs[name] = _from_json(_SECTIONS[types[name]], value, f"config section {name!r}")
-        elif ("int" in kinds or "float" in kinds) and not (
-            (value is None and "None" in kinds) or (isinstance(value, str) and "str" in kinds)
-        ):
-            number = (int, float) if "float" in kinds else int
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ConfigError(f"{what} field {name!r} must be {types[name]}, got {value!r}")
-        elif kinds == ["bool"] and not isinstance(value, bool):
-            raise ConfigError(f"{what} field {name!r} must be bool, got {value!r}")
+    kwargs = {
+        name: _from_json(_SECTIONS[types[name]], value, f"config section {name!r}") if types[name] in _SECTIONS else value
+        for name, value in payload.items()
+    }
     try:  # a wrong-typed value (``"methods": 5``) fails as TypeError or ValueError
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -22,6 +22,12 @@ Validation happens where data enters: the public functions check every
 call, while the kernels ``_forward``, ``_backward`` and ``_value_grad``
 take the flat ``(d,)`` parameter array and trust their caller, so a fit
 checks each dataset once (:func:`_check_data`) and then steps on arrays.
+``_value_grad`` weights each row, so one call evaluates a fit's whole data
+term ``sum_t alpha_t L_t`` over its stacked tasks.  The MLP's only hidden
+state is the activation array ``a1``, built in place; its derivative ``D``
+is ``1 - a1^2`` (tanh) or the mask ``a1 > 0`` (ReLU).  The summed gradient
+keeps the output gradients ``g`` and ``w2`` out of the ``(n, h)``
+products: ``dW1 = w2 ((X g)^T D)^T`` and ``db1 = w2 (g^T D)``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .errors import (
     IoError,
     LayoutError,
     NumericError,
+    check_field_types,
 )
 from .params import ParamLayout, ParamVector
 
@@ -112,6 +119,7 @@ class ModelSpec:
     activation: str | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.n_features < 1:
@@ -171,20 +179,26 @@ def _check_data(spec: ModelSpec, loss_kind: str, data: TaskDataset) -> None:
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
-def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> None:
+def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> None:
+    if reduce not in ("sum", "mean"):
+        raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
     _check_data(spec, loss_kind, data)
     if theta.layout != spec.layout():
         raise LayoutError("theta layout does not match the model's canonical layout")
 
 
 def _forward(spec: ModelSpec, values: np.ndarray, X: np.ndarray):
-    """Raw outputs plus the hidden state backprop needs (None for linear models)."""
+    """Raw outputs plus the hidden activations ``a1`` (None for linear models)."""
     if spec.kind != "mlp":
         return X @ values, None
     w1, b1, w2, b2 = spec._mlp_views(values)
-    z1 = X @ w1.T + b1
-    a1 = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
-    return a1 @ w2 + b2, (z1, a1)
+    a1 = X @ w1.T
+    a1 += b1
+    if spec.activation == "tanh":
+        np.tanh(a1, out=a1)
+    else:
+        np.maximum(a1, 0.0, out=a1)
+    return a1 @ w2 + b2, a1
 
 
 def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -195,9 +209,7 @@ def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> float:
     """Summed (default) or averaged loss over the dataset."""
-    if reduce not in ("sum", "mean"):
-        raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, loss_kind, theta, data, reduce)
     with np.errstate(over="ignore", invalid="ignore"):
         losses = _losses(loss_kind, _forward(spec, theta.values, data.inputs)[0], data.targets)
     if reduce == "mean":
@@ -223,40 +235,38 @@ def _output_grads(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.nd
     return _sigmoid(out) - targets
 
 
-def _act_deriv(activation: str, z1: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    if activation == "tanh":
-        return 1.0 - a1 * a1
-    return (z1 > 0.0).astype(np.float64)
-
-
-def _backward(spec, values, X, g, hidden, per_example=False) -> np.ndarray:
+def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     """Backprop output gradients ``g`` to the flat parameter gradient.
 
     Returns the summed ``(d,)`` gradient, or the ``(n, d)`` matrix of
     per-example gradients when ``per_example`` is set.
     """
-    if hidden is None:
+    if a1 is None:
         return X * g[:, None] if per_example else X.T @ g
-    z1, a1 = hidden
-    dz1 = (g[:, None] * spec._mlp_views(values)[2]) * _act_deriv(spec.activation, z1, a1)
+    w2 = spec._mlp_views(values)[2]
+    if spec.activation == "tanh":
+        D = a1 * a1
+        np.subtract(1.0, D, out=D)
+    else:
+        D = (a1 > 0.0).astype(np.float64)
     if per_example:
+        dz1 = (g[:, None] * w2) * D
         dW1 = dz1[:, :, None] * X[:, None, :]
         return np.concatenate([dW1.reshape(len(g), -1), dz1, a1 * g[:, None], g[:, None]], axis=1)
-    return np.concatenate([(dz1.T @ X).reshape(-1), dz1.sum(axis=0), a1.T @ g, np.array([g.sum()])])
+    dW1 = w2[:, None] * ((X * g[:, None]).T @ D).T
+    return np.concatenate([dW1.reshape(-1), w2 * (g @ D), a1.T @ g, np.array([g.sum()])])
 
 
 def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> ParamVector:
     """Analytic gradient of :func:`loss` with the same reduction."""
-    if reduce not in ("sum", "mean"):
-        raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, loss_kind, theta, data, reduce)
     layout = spec.layout()
     if data.n == 0:
         if reduce == "mean":
             raise EmptyDataError("mean gradient of an empty dataset is undefined")
         return ParamVector.zeros(layout)
-    out, hidden = _forward(spec, theta.values, data.inputs)
-    flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), hidden)
+    out, a1 = _forward(spec, theta.values, data.inputs)
+    flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1)
     if reduce == "mean":
         flat = flat / data.n
     if not np.all(np.isfinite(flat)):
@@ -264,19 +274,19 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     return ParamVector(layout, flat)
 
 
-def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y) -> tuple[float, np.ndarray]:
-    """Summed loss and its flat gradient at ``values`` from a single forward pass.
+def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> tuple[float, np.ndarray]:
+    """Weighted summed loss ``sum_i w_i l_i`` and its flat gradient from one forward pass.
 
-    Equals ``loss(..., "sum")`` and ``grad(..., "sum").values`` for rows
-    that passed :func:`_check_data`, raising the same overflow errors; the
-    training loop uses it to halve its data passes.
+    For rows that passed :func:`_check_data` and unit weights (1.0
+    multiplies exactly) this equals ``loss(..., "sum")`` and
+    ``grad(..., "sum").values``, raising the same overflow errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out, hidden = _forward(spec, values, X)
-        value = float(np.sum(_losses(loss_kind, out, y)))
+        out, a1 = _forward(spec, values, X)
+        value = float(np.sum(w * _losses(loss_kind, out, y)))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
-    flat = _backward(spec, values, X, _output_grads(loss_kind, out, y), hidden)
+    flat = _backward(spec, values, X, w * _output_grads(loss_kind, out, y), a1)
     if not np.all(np.isfinite(flat)):
         raise NumericError("gradient overflowed to non-finite values")
     return value, flat
@@ -287,8 +297,8 @@ def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data:
     _check_inputs(spec, loss_kind, theta, data)
     if data.n == 0:
         return np.zeros((0, spec.layout().total_len))
-    out, hidden = _forward(spec, theta.values, data.inputs)
-    G = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), hidden, per_example=True)
+    out, a1 = _forward(spec, theta.values, data.inputs)
+    G = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1, per_example=True)
     if not np.all(np.isfinite(G)):
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G
@@ -298,7 +308,7 @@ def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDatas
     """Central finite-difference gradient; independent check on :func:`grad`."""
     if not h > 0.0:
         raise ConfigError("finite-difference step h must be > 0")
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, loss_kind, theta, data, reduce)
     base = theta.values
     out = np.empty_like(base)
     for j in range(base.size):

@@ -21,14 +21,20 @@ damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
 delta)``.  Neither needs SciPy.  The MLP objective is not convex, and the
 minimum found depends on the path: an MLP fit first runs Adam, with the
 quadratic penalty applied *decoupled* from the adaptive preconditioner
-(the AdamW treatment of its L2 term), and SciPy's L-BFGS-B then removes
-the small bias that decoupling leaves in the fixed point.
+(the AdamW treatment of its L2 term), and SciPy's L-BFGS-B then polishes
+the full objective until a step no longer lowers it by a representable
+amount, which meets the stationarity gate.  The polish does not single
+out one minimizer: where the objective is flat to about 1e-8 of its
+value, the last bits of the gradient decide where it stops, so a
+rounding change in the kernel can move an MLP fit's parameters by O(1)
+at an equal objective value.
 
-A fit checks its datasets once, before its first step; the iterative
-solvers then evaluate the fused kernel ``models._value_grad`` on the flat
-``(d,)`` parameter array and index the datasets' arrays for Adam
-minibatches.  Every fit ends in the same stationarity gate, which goes
-through the public, checked ``grad``.
+A fit checks its datasets once and stacks its live tasks into one row
+block ``(X, y, w)``, each row weighted by its task's alpha, before its
+first step; every evaluation of the data term is then one call to the
+kernel ``models._value_grad`` on the flat ``(d,)`` parameter array, and
+Adam minibatches index the block's rows.  Every fit ends in the same
+stationarity gate, which goes through the public, checked ``grad``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
     DivergenceError,
     LayoutError,
     SingularSystemError,
+    check_field_types,
 )
 from .models import ModelSpec, TaskDataset, _check_data, _sigmoid, _value_grad, grad, loss
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
@@ -89,6 +96,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.lr > 0:
             raise ConfigError("lr must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -133,15 +141,12 @@ def _weighted_tasks(datasets, alphas):
     return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0 and data.n]
 
 
-def _task_value_grad(spec, loss_kind, tasks, theta_values):
-    """Value and gradient of ``sum_t alpha_t * L_t`` over ``(alpha, X, y)`` rows (sum reduction)."""
-    value = 0.0
-    g = np.zeros(theta_values.size)
-    for alpha, X, y in tasks:
-        v, gd = _value_grad(spec, loss_kind, theta_values, X, y)
-        value += alpha * v
-        g += alpha * gd
-    return value, g
+def _rows(spec, datasets, alphas):
+    """The row block ``(X, y, w)`` of ``sum_t alpha_t * L_t``: live tasks' rows, weighted by alpha."""
+    live = _weighted_tasks(datasets, alphas)
+    X = np.concatenate([np.zeros((0, spec.n_features))] + [data.inputs for _, data in live])
+    y = np.concatenate([np.zeros(0)] + [data.targets for _, data in live])
+    return X, y, np.concatenate([np.zeros(0)] + [np.full(data.n, alpha) for alpha, data in live])
 
 
 def anchored_objective(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
@@ -224,19 +229,16 @@ def adam_decoupled_minimize(
     return theta
 
 
-def _logistic_hessian(tasks, reg, theta_values):
+def _logistic_hessian(X, w, reg, theta_values):
     """Dense Hessian of the anchored logistic objective at ``theta_values``.
 
-    Each data term is formed as ``Xs^T Xs`` with rows scaled by
-    ``sqrt(alpha s (1 - s))``, which NumPy computes as a symmetric rank-k
+    The data term is formed as ``Xs^T Xs`` with rows scaled by
+    ``sqrt(w s (1 - s))``, which NumPy computes as one symmetric rank-k
     update at half the cost of a general product (weights are >= 0).
     """
-    H = np.diag(reg)
-    for alpha, X, _ in tasks:
-        s = _sigmoid(X @ theta_values)
-        Xs = X * np.sqrt(alpha * s * (1.0 - s))[:, None]
-        H += Xs.T @ Xs
-    return H
+    s = _sigmoid(X @ theta_values)
+    Xs = X * np.sqrt(w * s * (1.0 - s))[:, None]
+    return np.diag(reg) + Xs.T @ Xs
 
 
 def _newton(value_grad, hessian, theta):
@@ -288,39 +290,34 @@ def _fit(
         raise LayoutError("anchor layout does not match the model")
     for data in datasets:
         _check_data(spec, loss_kind, data)
-    tasks = [(alpha, data.inputs, data.targets) for alpha, data in _weighted_tasks(datasets, alphas)]
+    X, y, w = _rows(spec, datasets, alphas)
     a = anchor.anchor.values
     reg = anchor.effective_diag
 
     def full_value_grad(theta_values):
-        value, g = _task_value_grad(spec, loss_kind, tasks, theta_values)
+        value, g = _value_grad(spec, loss_kind, theta_values, X, y, w)
         diff = theta_values - a
         return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
     if spec.kind == "linear_regression":
         theta = closed_form_solve(datasets, alphas, anchor).values
     elif spec.kind == "logistic":
-        theta = _newton(full_value_grad, lambda th: _logistic_hessian(tasks, reg, th), x0)
+        theta = _newton(full_value_grad, lambda th: _logistic_hessian(X, w, reg, th), x0)
     else:
         # Nonconvex: the Adam path decides which local minimum L-BFGS-B
         # refines.  Only this branch needs SciPy, so it imports it here.
         from scipy.optimize import minimize
 
         def data_value_grad(theta_values, idx):
-            batch = tasks if idx is None else [(alpha, X[idx], y[idx]) for alpha, X, y in tasks]
-            return _task_value_grad(spec, loss_kind, batch, theta_values)
+            rows = (X, y, w) if idx is None else (X[idx], y[idx], w[idx])
+            return _value_grad(spec, loss_kind, theta_values, *rows)
 
         # Minibatching shuffles indices of a single dataset; multi-dataset
         # objectives (the joint target) always run full-batch.
-        n_examples = datasets[0].n if len(datasets) == 1 else 0
+        n_examples = len(y) if len(datasets) == 1 else 0
         theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
-        theta = minimize(
-            full_value_grad,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14},
-        ).x
+        options = {"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14}
+        theta = minimize(full_value_grad, theta, jac=True, method="L-BFGS-B", options=options).x
     out = ParamVector(spec.layout(), theta)
     residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, out)
     bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))

@@ -3,6 +3,8 @@ checked against the public per-call functions they replace."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradmerge.curvature import FisherConfig, fisher_diag
 from gradmerge.errors import ConfigError, LayoutError, NumericError
@@ -73,6 +75,54 @@ class TestFusedValueGrad:
         big = np.full(spec.layout().total_len, 1e200)
         with pytest.raises(NumericError):
             _value_grad(spec, "squared_error", big, np.ones((1, 1)), np.zeros(1))
+
+
+def within_rounding(actual, expected, magnitude):
+    """``|actual - expected| <= 1e-12 * magnitude`` elementwise.
+
+    ``magnitude`` is the sum of the absolute terms behind ``expected``, so
+    the bound holds however the summands cancel or are reordered.
+    """
+    assert np.all(np.abs(np.asarray(actual) - expected) <= 1e-12 * magnitude), (actual, expected)
+
+
+class TestWeightedRowBlock:
+    @given(
+        case=st.integers(0, len(CASES) - 1),
+        seed=st.integers(0, 2**16),
+        tasks=st.lists(
+            # Weights stay in the normal range: a subnormal alpha times a
+            # row's loss underflows, and no relative bound holds there.
+            st.tuples(st.integers(0, 12), st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(1e-6, 5.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_call_equals_the_weighted_sum_of_task_losses(self, case, seed, tasks):
+        # A fit's stacked, weighted rows give ``sum_t alpha_t L_t`` and its
+        # gradient in one kernel call; zero weights and empty tasks drop out.
+        spec, loss_kind = CASES[case]
+        datasets = [random_pair(spec, loss_kind, seed + t, n=n)[1] for t, (n, _) in enumerate(tasks)]
+        alphas = [alpha for _, alpha in tasks]
+        theta = random_pair(spec, loss_kind, seed)[0]
+        value, g = _value_grad(spec, loss_kind, theta.values, *training._rows(spec, datasets, alphas))
+        expected_value = sum(a * loss(spec, loss_kind, theta, ds, "sum") for a, ds in zip(alphas, datasets))
+        expected_grad = sum(a * grad(spec, loss_kind, theta, ds, "sum").values for a, ds in zip(alphas, datasets))
+        magnitude = sum(a * np.abs(per_example_grads(spec, loss_kind, theta, ds)).sum(axis=0) for a, ds in zip(alphas, datasets))
+        assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
+        within_rounding(g, expected_grad, magnitude)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("loss_kind", ["logistic_nll", "squared_error"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_summed_mlp_gradient_equals_per_example_column_sums(self, activation, loss_kind, seed):
+        # The summed branch factors g and w2 out of its (n, h) products;
+        # the per-example branch forms every dz1 explicitly.
+        spec = ModelSpec("mlp", 3, hidden=5, activation=activation)
+        theta, data = random_pair(spec, loss_kind, seed, n=40)
+        G = per_example_grads(spec, loss_kind, theta, data)
+        within_rounding(grad(spec, loss_kind, theta, data, "sum").values, G.sum(axis=0), np.abs(G).sum(axis=0))
 
 
 class TestFisherReduction:

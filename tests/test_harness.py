@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gradmerge.curvature import FisherConfig
 from gradmerge.errors import ConfigError, EmptyDataError, LayoutError
 from gradmerge.harness import (
     ADDITION_METHODS,
@@ -31,7 +32,7 @@ from gradmerge.harness import (
 )
 from gradmerge.models import ModelSpec, TaskDataset, accuracy, loss
 from gradmerge.params import load_checkpoint
-from gradmerge.training import closed_form_solve
+from gradmerge.training import TrainConfig, closed_form_solve
 
 
 def merged(state, method, alpha):
@@ -159,6 +160,29 @@ class TestExperimentSpec:
     def test_rejects_exact_curvature_for_mlp(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3), curvature="exact")
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: ExperimentSpec(n_tasks=2.7), "n_tasks"),
+            (lambda: ModelSpec("mlp", 2, hidden=True, activation="tanh"), "hidden"),
+            (lambda: PerTaskConfig(n_train=2.5), "n_train"),
+            (lambda: PerTaskConfig(identical="no"), "identical"),
+            (lambda: AnchorConfig(delta=True), "delta"),
+            (lambda: FisherConfig(max_examples=2.5), "max_examples"),
+            (lambda: TrainConfig(epochs=1.5), "epochs"),
+        ],
+        ids=["experiment", "model", "per_task", "per_task_bool", "anchor", "fisher", "train"],
+    )
+    def test_python_built_sections_hold_fields_to_their_types(self, build, field):
+        # Configs built in Python get the JSON boundary's type rule: a
+        # fractional n_tasks used to fail late, as a TypeError from range.
+        with pytest.raises(ConfigError, match=repr(field)):
+            build()
+
+    def test_numpy_integers_pass_integer_fields(self):
+        spec = ExperimentSpec(n_tasks=np.int64(2), per_task=PerTaskConfig(n_train=np.int32(20), n_test=20))
+        assert len(gen_tasks(spec, 0)) == 4
 
     def test_load_spec_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
