@@ -7,7 +7,8 @@ curvature diagonals to them, ``merge`` applies one catalog method, and
 run the higher-level protocols.  Everything an experiment needs lives in
 one JSON config (see :class:`gradmerge.harness.ExperimentSpec`); the
 flags ``--seed``, ``--out``, and ``--config`` are accepted by every
-subcommand.
+subcommand, and the anchor curvature source is set only by the config's
+``anchor.source``.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numeric
 failures (including a failing oracle suite).
@@ -16,7 +17,6 @@ failures (including a failing oracle suite).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -38,7 +38,6 @@ from .harness import (  # noqa: F401
     load_spec,
     merge_checkpoints,
     output_dir,
-    parse_h0_source,
     resolve_seed,
     run_addition,
     run_pipeline,
@@ -85,40 +84,27 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("gen", _cmd_gen, "synthesize and write per-task train/test datasets")
-    p = add("train", _cmd_train, "train the anchor and per-task fine-tunes")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
-    p = add("fisher", _cmd_fisher, "attach curvature diagonals to trained checkpoints")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
+    add("train", _cmd_train, "train the anchor and per-task fine-tunes")
+    add("fisher", _cmd_fisher, "attach curvature diagonals to trained checkpoints")
     p = add("merge", _cmd_merge, "merge saved checkpoints with one catalog method")
     p.add_argument("--method", required=True, choices=ADDITION_METHODS)
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
-    p = add("remove", _cmd_remove, "subtract a task block and compare to retraining")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
+    add("remove", _cmd_remove, "subtract a task block and compare to retraining")
     p = add("diagnose", _cmd_diagnose, "emit the gradient-mismatch diagnostic table")
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
-    p = add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
+    add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid")
     p = add("oracle-check", _cmd_oracle_check, "run the independent numeric oracle suite")
     p.add_argument("--fixtures", type=int, default=50, help="fixtures per oracle family")
     p = add("report", _cmd_report, "full addition run plus diagnostics in one shot")
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
-    p.add_argument("--h0", default=None, help="anchor curvature source, e.g. identity:2.0")
     return parser
 
 
 def _spec_for(args, removal: bool = False) -> ExperimentSpec:
     config = getattr(args, "config", None)
     if config is not None:
-        spec = load_spec(config)
-    else:
-        spec = default_removal_spec() if removal else default_spec()
-    h0 = getattr(args, "h0", None)
-    if h0:
-        spec = dataclasses.replace(
-            spec, anchor=dataclasses.replace(spec.anchor, source=parse_h0_source(h0))
-        )
-    return spec
+        return load_spec(config)
+    return default_removal_spec() if removal else default_spec()
 
 
 def _seed_for(args, spec: ExperimentSpec) -> int:
@@ -149,7 +135,7 @@ def _cmd_train(args) -> int:
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     # The anchor is written without its penalty diagonal: ``fisher``
-    # estimates it, from the source its own ``--h0`` names.
+    # estimates it, from the config's ``anchor.source``.
     save_run(out, Checkpoint.of(anchor.params, None, anchor.anchor_id, anchor.meta), tasks)
     print(f"wrote anchor and {len(tasks)} task checkpoints to {out}")
     return 0

@@ -245,6 +245,9 @@ class ExperimentSpec:
             raise ConfigError(f"curvature must be 'fisher' or 'exact', got {self.curvature!r}")
         if self.curvature == "exact" and self.model.kind == "mlp":
             raise ConfigError("exact curvature is unavailable for mlp models; use 'fisher'")
+        if self.anchor.delta == 0 and self.model.kind != "linear_regression":
+            # On separable tasks a classifier's unridged loss has no minimizer.
+            raise ConfigError(f"anchor.delta must be > 0 for {self.model.kind} models")
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("methods must be nonempty")

@@ -11,32 +11,31 @@ matrix of task weights: :func:`merge_grid` returns all ``A`` merges of a
 weight sweep at once, and every single merge is its ``A = 1`` row.  A
 method is only a choice of base, rows and coefficients, which is the
 paper's point that averaging, task arithmetic and Fisher averaging are
-special cases of one curvature-preconditioned update.  With ``h0`` the
-anchor curvature plus the ridge ``delta`` and ``hbar = h0 + sum_t
-alpha_t h_t``:
+special cases of one curvature-preconditioned update.  Each registry
+name is one rule.  With ``h0`` the anchor curvature plus the ridge
+``delta`` and ``hbar = h0 + sum_t alpha_t h_t``:
 
-* ``merge_task_arithmetic`` (``ta``) — base anchor, coefficient
-  ``alpha_t``; negative weights subtract a task.
-* ``merge_uncertainty`` (``ours``) — base anchor, coefficient
-  ``alpha_t (h0 + h_t) / hbar``.  With identity anchor curvature and
-  zero task curvature this is ``ta`` (and with alpha = 1/T the mean).
-  On anchored linear regression with exact Hessians it reproduces the
+* ``am`` — base 0, coefficient ``1/T`` on each task: the plain mean of
+  the task checkpoints, ignoring the anchor and the weights.
+* ``wam`` — base 0, rows ``[anchor; theta_1..theta_T]`` with
+  coefficients ``[alpha0; alpha_t]``, where ``alpha0 = max(0, 1 -
+  sum_t alpha_t)``.
+* ``ta`` — base anchor, coefficient ``alpha_t``; negative weights
+  subtract a task (:func:`merge_task_arithmetic`).
+* ``fa`` — base anchor, coefficient ``alpha_t F_t / (F0 + sum_t alpha_t
+  F_t)`` with ``F0`` the anchor's curvature: a per-coordinate
+  Fisher-weighted mean of the anchor and the tasks.
+* ``ties`` — base anchor, coefficient ``alpha_t * mask_t * agree_t``:
+  only each task's top :data:`TIES_KEEP` share of increment
+  coordinates survives, and only where it agrees with a per-coordinate
+  sign election.
+* ``ours`` — base anchor, coefficient ``alpha_t (h0 + h_t) / hbar``
+  (:func:`merge_uncertainty`).  With identity anchor curvature and zero
+  task curvature this is ``ta`` (and with alpha = 1/T the mean).  On
+  anchored linear regression with exact Hessians it reproduces the
   jointly trained model, and its output is the stationary point of the
   quadratic surrogate objective checked by the oracles module.
-* ``merge_fisher`` (``fa``) — coefficient ``alpha_t F_t / (F0 + sum_t
-  alpha_t F_t)``: a per-coordinate Fisher-weighted mean.  ``F0`` is the
-  anchor Fisher (base anchor) with ``include_anchor``, else 0 (base 0).
-* ``merge_average`` — base 0.  Unweighted (``am``): coefficient ``1/T``
-  on each task, ignoring the anchor and the weights.  Weighted
-  (``wam``): rows ``[anchor; theta_1..theta_T]`` with coefficients
-  ``[alpha0; alpha_t]``.
-* ``merge_masked`` (``ties``) — base anchor, coefficient ``alpha_t *
-  mask_t * agree_t``: only the largest task increments survive, and
-  optionally only those agreeing with a per-coordinate sign election.
-  The registry's ``ties`` is always :data:`TIES_MASK` (top 20%,
-  sign-elected); any other :class:`MaskConfig` goes through
-  ``merge_masked``.
-* ``remove_task`` — one row, coefficient ``-alpha (h0 + h_t) /
+* :func:`remove_task` — one row, coefficient ``-alpha (h0 + h_t) /
   (hbar_minus + delta)``: subtract one task's contribution from a model
   trained on a superset of data.  On anchored linear regression with
   exact curvature this coincides with leave-subset-out retraining.
@@ -66,13 +65,9 @@ from .params import Checkpoint, DiagCurvature, ParamVector
 
 __all__ = [
     "MergeInputs",
-    "MaskConfig",
-    "TIES_MASK",
-    "merge_average",
-    "merge_fisher",
+    "TIES_KEEP",
     "merge_task_arithmetic",
     "merge_uncertainty",
-    "merge_masked",
     "remove_task",
     "merge",
     "merge_grid",
@@ -81,14 +76,15 @@ __all__ = [
     "CURVATURE_METHODS",
 ]
 
-#: Method registry keys accepted by :func:`merge`.
-ADDITION_METHODS = ("am", "wam", "ta", "fa", "ties", "ours")
-
 #: Methods whose merge reads curvature diagonals from the checkpoints.
 CURVATURE_METHODS = ("fa", "ours")
 
 #: Methods that read task weights as mixture masses, so reject negative ones.
 _NONNEGATIVE_METHODS = ("am", "wam", "fa", "ties")
+
+#: Share of each task's increment coordinates that ``ties`` keeps (TIES-merging:
+#: trim, elect a sign, merge).
+TIES_KEEP = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,32 +122,12 @@ class MergeInputs:
         return tuple(alpha for alpha, _ in self.tasks)
 
 
-@dataclass(frozen=True)
-class MaskConfig:
-    """Sparse-merge settings: fraction of coordinates kept per task, and
-    whether conflicting signs are resolved by majority election."""
-
-    keep_fraction: float = 0.2
-    elect_sign: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigError("keep_fraction must lie in (0, 1]")
-
-
-#: The registry's ``ties`` rule (TIES-merging: trim, elect a sign, merge):
-#: keep the top 20% of each task's increment coordinates and zero out
-#: contributions that lose the per-coordinate sign election.
-TIES_MASK = MaskConfig(keep_fraction=0.2, elect_sign=True)
-
-
-def _stack(inputs: MergeInputs, method: str, weights: np.ndarray, anchor_curvature: bool = True):
+def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
     """Validate a merge's inputs and ``(A, T)`` task weights once, and stack the tasks.
 
     Returns the task parameters ``(T, d)`` and for ``CURVATURE_METHODS``
-    the task curvatures ``(T, d)`` (otherwise ``None``).
-    ``anchor_curvature`` says whether a curvature method also reads the
-    anchor's curvature.
+    the task curvatures ``(T, d)`` (otherwise ``None``); those methods
+    also read the anchor's curvature.
     """
     if not inputs.tasks:
         raise EmptyMergeError(f"{method} needs at least one task checkpoint")
@@ -163,7 +139,7 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray, anchor_curvatu
     for i, (_, ckpt) in enumerate(inputs.tasks):
         if ckpt.curvature is None:
             raise MissingCurvatureError(f"{method} needs curvature on every task checkpoint; task {i} has none")
-    if anchor_curvature and inputs.anchor.curvature is None:
+    if inputs.anchor.curvature is None:
         raise MissingCurvatureError(f"{method} needs curvature on the anchor checkpoint")
     return thetas, np.stack([ckpt.curvature.values for _, ckpt in inputs.tasks])
 
@@ -188,35 +164,49 @@ def _kernel(base, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return values
 
 
-def _single(grid_merge, inputs: MergeInputs, *args) -> ParamVector:
-    """Run a grid merge on the one row of the stored task weights."""
-    return ParamVector(inputs.layout, grid_merge(inputs, np.array([inputs.alphas]), *args)[0])
+def _average(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    thetas, _ = _stack(inputs, "am", weights)
+    return _kernel(0.0, thetas, np.full((len(weights), len(thetas), 1), 1.0 / len(thetas)))
 
 
-def _average(inputs: MergeInputs, weights: np.ndarray, weighted: bool, alpha0) -> np.ndarray:
-    thetas, _ = _stack(inputs, "wam" if weighted else "am", weights)
-    if not weighted:
-        return _kernel(0.0, thetas, np.full((len(weights), len(thetas), 1), 1.0 / len(thetas)))
-    alpha0 = np.broadcast_to(alpha0, len(weights))
-    if np.any(alpha0 < 0):
-        raise ConfigError("weighted averaging does not accept a negative anchor weight")
+def _weighted_average(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    thetas, _ = _stack(inputs, "wam", weights)
+    alpha0 = np.maximum(0.0, 1.0 - weights.sum(axis=1))
     rows = np.vstack([inputs.anchor.params.values, thetas])
     return _kernel(0.0, rows, np.column_stack([alpha0, weights])[:, :, None])
-
-
-def _fisher(inputs: MergeInputs, weights: np.ndarray, include_anchor: bool) -> np.ndarray:
-    thetas, fishers = _stack(inputs, "fa", weights, anchor_curvature=include_anchor)
-    weighted = weights[:, :, None] * fishers
-    f0 = inputs.anchor.curvature.values if include_anchor else 0.0
-    den = f0 + weighted.sum(axis=1)
-    _require_positive(den, "pooled Fisher")
-    base = inputs.anchor.params.values if include_anchor else 0.0
-    return _kernel(base, thetas, weighted / den[:, None])
 
 
 def _task_arithmetic(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
     thetas, _ = _stack(inputs, "ta", weights)
     return _kernel(inputs.anchor.params.values, thetas, weights[:, :, None])
+
+
+def _fisher(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    thetas, fishers = _stack(inputs, "fa", weights)
+    weighted = weights[:, :, None] * fishers
+    den = inputs.anchor.curvature.values + weighted.sum(axis=1)
+    _require_positive(den, "pooled Fisher")
+    return _kernel(inputs.anchor.params.values, thetas, weighted / den[:, None])
+
+
+def _ties(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+    """Per task, only the ``ceil(TIES_KEEP * d)`` largest-magnitude increment
+    coordinates survive (ties broken toward lower indices).  Each coordinate
+    then elects a sign by magnitude-weighted majority over the masked,
+    weighted increments, and contributions disagreeing with it are zeroed.
+    The election rule is one concrete choice among several used in practice.
+    """
+    thetas, _ = _stack(inputs, "ties", weights)
+    anchor = inputs.anchor.params.values
+    increments = thetas - anchor
+    k = int(math.ceil(TIES_KEEP * anchor.size))
+    keep = np.argsort(-np.abs(increments), axis=1, kind="stable")[:, :k]
+    mask = np.zeros_like(increments)
+    np.put_along_axis(mask, keep, 1.0, axis=1)
+    coef = weights[:, :, None] * mask
+    contributions = coef * increments
+    coef = coef * (np.sign(contributions) == np.sign(contributions.sum(axis=1, keepdims=True)))
+    return _kernel(anchor, thetas, coef)
 
 
 def _uncertainty(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
@@ -228,71 +218,52 @@ def _uncertainty(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
     return _kernel(inputs.anchor.params.values, thetas, weights * (h0 + curvs) / hbar[:, None])
 
 
-def _masked(inputs: MergeInputs, weights: np.ndarray, mask_cfg: MaskConfig) -> np.ndarray:
-    thetas, _ = _stack(inputs, "ties", weights)
-    anchor = inputs.anchor.params.values
-    increments = thetas - anchor
-    k = int(math.ceil(mask_cfg.keep_fraction * anchor.size))
-    keep = np.argsort(-np.abs(increments), axis=1, kind="stable")[:, :k]
-    mask = np.zeros_like(increments)
-    np.put_along_axis(mask, keep, 1.0, axis=1)
-    coef = weights[:, :, None] * mask
-    if mask_cfg.elect_sign:
-        contributions = coef * increments
-        coef = coef * (np.sign(contributions) == np.sign(contributions.sum(axis=1, keepdims=True)))
-    return _kernel(anchor, thetas, coef)
+#: The catalog: each registry name and its one rule on ``(A, T)`` task weights.
+_RULES = {
+    "am": _average,
+    "wam": _weighted_average,
+    "ta": _task_arithmetic,
+    "fa": _fisher,
+    "ties": _ties,
+    "ours": _uncertainty,
+}
+
+#: Method registry keys accepted by :func:`merge` and :func:`merge_grid`.
+ADDITION_METHODS = tuple(_RULES)
 
 
-def merge_average(inputs: MergeInputs, weighted: bool = False, alpha0: float = 0.0) -> ParamVector:
-    """Arithmetic mean of task parameters, or a weighted sum with the anchor.
+def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
+    """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
 
-    Unweighted: ignores the anchor and the stored task weights and
-    averages the task checkpoints with weight 1/T.  Weighted: ``alpha0 *
-    anchor + sum_t alpha_t * theta_t``; the weights are used as given and
-    are not renormalized.
+    Row ``a`` merges with task weights ``scales[a] * alpha_t``.
     """
-    return _single(_average, inputs, weighted, alpha0)
+    scales = np.asarray(scales, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(scales)):
+        raise ConfigError("merge scales must be finite")
+    if method not in _RULES:
+        raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
+    return _RULES[method](inputs, scales[:, None] * np.array(inputs.alphas))
 
 
-def merge_fisher(inputs: MergeInputs, include_anchor: bool = False) -> ParamVector:
-    """Fisher averaging: elementwise curvature-weighted mean of parameters.
-
-    Computes ``(sum_t alpha_t F_t theta_t) / (sum_t alpha_t F_t)``; with
-    ``include_anchor`` the anchor joins the mean with weight 1 and its
-    own Fisher.
-    """
-    return _single(_fisher, inputs, include_anchor)
+def merge(method: str, inputs: MergeInputs) -> ParamVector:
+    """Dispatch a merge by registry name (see ``ADDITION_METHODS``): :func:`merge_grid` at scale 1."""
+    return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,))[0])
 
 
 def merge_task_arithmetic(inputs: MergeInputs) -> ParamVector:
-    """Anchor plus weighted task increments; negative weights subtract."""
-    return _single(_task_arithmetic, inputs)
+    """``ta``: anchor plus weighted task increments; negative weights subtract."""
+    return merge("ta", inputs)
 
 
 def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
-    """Curvature-preconditioned merge around the anchor.
+    """``ours``: curvature-preconditioned merge around the anchor.
 
     Pools curvature as ``hbar = h0 + sum_t alpha_t h_t`` and moves the
     anchor along each task increment with the per-coordinate factor
     ``alpha_t * (h0 + h_t) / hbar``, where ``h0`` is the anchor curvature
     plus the ridge ``delta``.
     """
-    return _single(_uncertainty, inputs)
-
-
-def merge_masked(inputs: MergeInputs, mask_cfg: MaskConfig = TIES_MASK) -> ParamVector:
-    """Trim/elect-sign sparse merge.
-
-    Per task, only the ``ceil(keep_fraction * d)`` largest-magnitude
-    increment coordinates survive (ties broken toward lower indices), and
-    task arithmetic runs on the survivors.  With ``elect_sign``, each
-    coordinate first elects a sign by magnitude-weighted majority over
-    the masked, weighted increments; contributions disagreeing with the
-    elected sign are zeroed.  The election rule is one concrete choice
-    among several used in practice and is labeled experimental.  The
-    default is :data:`TIES_MASK`, the registry's ``ties``.
-    """
-    return _single(_masked, inputs, mask_cfg)
+    return merge("ours", inputs)
 
 
 def remove_task(
@@ -322,38 +293,6 @@ def remove_task(
     _require_positive(denom, "retained-data curvature plus delta")
     coef = -float(alpha) * (h0.values + ckpt.curvature.values) / denom
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
-
-
-def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
-    """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
-
-    Row ``a`` merges with task weights ``scales[a] * alpha_t``.  For
-    ``wam`` its anchor weight is ``max(0, 1 - sum_t scales[a] alpha_t)``,
-    so that the weights form a convex-style combination around the anchor.
-    ``ties`` trims and elects signs per :data:`TIES_MASK`.
-    """
-    scales = np.asarray(scales, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(scales)):
-        raise ConfigError("merge scales must be finite")
-    weights = scales[:, None] * np.array(inputs.alphas)
-    if method == "am":
-        return _average(inputs, weights, False, 0.0)
-    if method == "wam":
-        return _average(inputs, weights, True, np.maximum(0.0, 1.0 - weights.sum(axis=1)))
-    if method == "ta":
-        return _task_arithmetic(inputs, weights)
-    if method == "fa":
-        return _fisher(inputs, weights, True)
-    if method == "ties":
-        return _masked(inputs, weights, TIES_MASK)
-    if method == "ours":
-        return _uncertainty(inputs, weights)
-    raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
-
-
-def merge(method: str, inputs: MergeInputs) -> ParamVector:
-    """Dispatch a merge by registry name (see ``ADDITION_METHODS``): :func:`merge_grid` at scale 1."""
-    return ParamVector(inputs.layout, merge_grid(method, inputs, (1.0,))[0])
 
 
 def merged_checkpoint(method: str, params: ParamVector, alphas, anchor_id: str | None = None) -> Checkpoint:

@@ -103,11 +103,6 @@ class TaskDataset:
     def n_features(self) -> int:
         return self.inputs.shape[1]
 
-    def slice(self, idx) -> "TaskDataset":
-        """Subset of rows, preserving task_id and seed provenance."""
-        idx = np.asarray(idx)
-        return TaskDataset(self.task_id, self.inputs[idx], self.targets[idx], self.seed)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -210,14 +205,13 @@ def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> float:
     """Summed (default) or averaged loss over the dataset."""
     _check_inputs(spec, loss_kind, theta, data, reduce)
+    if data.n == 0:
+        if reduce == "mean":
+            raise EmptyDataError("mean loss of an empty dataset is undefined")
+        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         losses = _losses(loss_kind, _forward(spec, theta.values, data.inputs)[0], data.targets)
-    if reduce == "mean":
-        if data.n == 0:
-            raise EmptyDataError("mean loss of an empty dataset is undefined")
-        value = float(np.mean(losses))
-    else:
-        value = float(np.sum(losses))
+    value = float(np.mean(losses) if reduce == "mean" else np.sum(losses))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
     return value

@@ -32,8 +32,8 @@ at an equal objective value.
 A fit checks its datasets once and stacks its live tasks into one row
 block ``(X, y, w)``, each row weighted by its task's alpha, before its
 first step; every evaluation of the data term is then one call to the
-kernel ``models._value_grad`` on the flat ``(d,)`` parameter array, and
-Adam minibatches index the block's rows.  Every fit ends in the same
+kernel ``models._value_grad`` on the flat ``(d,)`` parameter array, over
+the whole block (Adam runs full-batch).  Every fit ends in the same
 stationarity gate, which goes through the public, checked ``grad``.
 """
 
@@ -91,8 +91,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     epochs: int = 200
-    batch_size: int | str = "full"
-    grad_clip_norm: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -105,10 +103,6 @@ class TrainConfig:
             raise ConfigError("eps must be > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.batch_size != "full" and (isinstance(self.batch_size, str) or self.batch_size < 1):
-            raise ConfigError("batch_size must be a positive int or 'full'")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
-            raise ConfigError("grad_clip_norm must be > 0 when set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,18 +166,15 @@ def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAn
 
 
 def adam_decoupled_minimize(
-    data_value_grad,
+    value_grad,
     x0: np.ndarray,
     cfg: TrainConfig,
     anchor: QuadraticAnchor,
-    n_examples: int = 0,
 ) -> np.ndarray:
-    """Adam loop with the quadratic penalty applied outside the preconditioner.
+    """Full-batch Adam with the quadratic penalty applied outside the preconditioner.
 
-    ``data_value_grad(theta, idx)`` must return the value and gradient of
-    the data term restricted to example indices ``idx`` (``None`` for the
-    full dataset), scaled so that the full-index call matches the summed
-    objective.  The penalty is applied directly to the update, not fed
+    ``value_grad(theta)`` must return the value and gradient of the
+    summed data term.  The penalty is applied directly to the update, not fed
     through the Adam moments, using its proximal (implicit) form: after
     the gradient step, ``theta <- theta - f * (theta - a)`` with
     ``f = lr*reg / (1 + lr*reg)``.  For small ``lr*reg`` this matches the
@@ -199,33 +190,16 @@ def adam_decoupled_minimize(
     shrink = cfg.lr * reg / (1.0 + cfg.lr * reg)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    step = 0
-    rng = np.random.default_rng(cfg.seed)
-    full = cfg.batch_size == "full" or n_examples == 0 or cfg.batch_size >= n_examples
-    for _ in range(cfg.epochs):
-        if full:
-            batches = [None]
-        else:
-            order = rng.permutation(n_examples)
-            bs = cfg.batch_size
-            batches = [order[i : i + bs] for i in range(0, n_examples, bs)]
-        for idx in batches:
-            _, g = data_value_grad(theta, idx)
-            if idx is not None and len(idx):
-                g = g * (n_examples / len(idx))
-            if cfg.grad_clip_norm is not None:
-                norm = float(np.linalg.norm(g))
-                if norm > cfg.grad_clip_norm:
-                    g = g * (cfg.grad_clip_norm / norm)
-            step += 1
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            mhat = m / (1 - cfg.beta1**step)
-            vhat = v / (1 - cfg.beta2**step)
-            theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
-            theta = theta - shrink * (theta - a)
-            if not np.all(np.isfinite(theta)):
-                raise DivergenceError("training iterate became non-finite")
+    for step in range(1, cfg.epochs + 1):
+        _, g = value_grad(theta)
+        m = cfg.beta1 * m + (1 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        mhat = m / (1 - cfg.beta1**step)
+        vhat = v / (1 - cfg.beta2**step)
+        theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        theta = theta - shrink * (theta - a)
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError("training iterate became non-finite")
     return theta
 
 
@@ -308,14 +282,7 @@ def _fit(
         # refines.  Only this branch needs SciPy, so it imports it here.
         from scipy.optimize import minimize
 
-        def data_value_grad(theta_values, idx):
-            rows = (X, y, w) if idx is None else (X[idx], y[idx], w[idx])
-            return _value_grad(spec, loss_kind, theta_values, *rows)
-
-        # Minibatching shuffles indices of a single dataset; multi-dataset
-        # objectives (the joint target) always run full-batch.
-        n_examples = len(y) if len(datasets) == 1 else 0
-        theta = adam_decoupled_minimize(data_value_grad, x0, cfg, anchor, n_examples)
+        theta = adam_decoupled_minimize(lambda th: _value_grad(spec, loss_kind, th, X, y, w), x0, cfg, anchor)
         options = {"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14}
         theta = minimize(full_value_grad, theta, jac=True, method="L-BFGS-B", options=options).x
     out = ParamVector(spec.layout(), theta)

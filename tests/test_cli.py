@@ -74,11 +74,11 @@ class TestParsing:
         [
             {"n_tasks": "x"},
             {"per_task": {"n_train": "x"}},
-            {"train": {"batch_size": "abc"}},
+            {"per_task": {"n_test": "abc"}},
             {"train": {"epochs": "x"}},
-            {"fisher": {"max_examples": "x"}},
+            {"train": {"seed": "x"}},
         ],
-        ids=["n_tasks", "n_train", "batch_size", "epochs", "max_examples"],
+        ids=["n_tasks", "n_train", "n_test", "epochs", "train_seed"],
     )
     def test_non_numeric_integer_field_exits_one(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -92,12 +92,12 @@ class TestParsing:
             ({"n_tasks": 2.7}, "n_tasks"),
             ({"per_task": {"n_train": True}}, "n_train"),
             ({"train": {"epochs": 1.5}}, "epochs"),
-            ({"fisher": {"max_examples": 2.5}}, "max_examples"),
+            ({"train": {"seed": 2.5}}, "seed"),
             ({"model": {"kind": "mlp", "n_features": 2, "hidden": True, "activation": "tanh"}}, "hidden"),
             ({"model": {"kind": "logistic", "n_features": 2.5}}, "n_features"),
             ({"train": {"lr": True}}, "lr"),
         ],
-        ids=["n_tasks", "n_train", "epochs", "max_examples", "hidden", "n_features", "lr"],
+        ids=["n_tasks", "n_train", "epochs", "train_seed", "hidden", "n_features", "lr"],
     )
     def test_fractional_or_boolean_number_exits_one(self, tmp_path, capsys, payload, field):
         # Integer fields take only an int and float fields never a bool;
@@ -117,6 +117,30 @@ class TestParsing:
         assert run_cli("train", "--config", bad, "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "'identical'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"train": {"batch_size": 16}},
+            {"train": {"grad_clip_norm": 1.0}},
+            {"fisher": {"mode": "avg"}},
+            {"fisher": {"max_examples": 100}},
+            "--h0",
+        ],
+        ids=["batch_size", "grad_clip_norm", "fisher_mode", "max_examples", "h0_flag"],
+    )
+    def test_removed_option_exits_one(self, tmp_path, capsys, removed):
+        # The anchor curvature source is set only by ``anchor.source``.
+        argv = ["report", "--out", tmp_path / "o"]
+        if removed == "--h0":
+            argv += ["--h0", "identity:2.0"]
+        else:
+            config = tmp_path / "removed.json"
+            config.write_text(json.dumps(removed))
+            argv += ["--config", config]
+        assert run_cli(*argv) == 1
+        assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("route", ["flag", "env", "config"])
@@ -184,10 +208,12 @@ class TestStagedWorkflow:
         config, out = small_config
         assert run_cli("fisher", "--config", config, "--out", out) == 1
 
-    def test_identity_h0_flag_overrides_source(self, small_config):
+    def test_fisher_reads_the_anchor_source_from_the_config(self, small_config):
         config, out = small_config
+        payload = json.loads(config.read_text())
+        config.write_text(json.dumps({**payload, "anchor": {"source": "identity:2.0"}}))
         assert run_cli("train", "--config", config, "--out", out) == 0
-        assert run_cli("fisher", "--config", config, "--out", out, "--h0", "identity:2.0") == 0
+        assert run_cli("fisher", "--config", config, "--out", out) == 0
         anchor = load_checkpoint(out / "anchor")
         np.testing.assert_array_equal(anchor.curvature.values, [2.0, 2.0])
 

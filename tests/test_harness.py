@@ -157,6 +157,21 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(loss="squared_error")
 
+    @pytest.mark.parametrize("model", [{"kind": "logistic", "n_features": 2}, {"kind": "mlp", "n_features": 2, "hidden": 3, "activation": "tanh"}])
+    def test_rejects_zero_ridge_for_classifiers(self, model):
+        # Separable tasks leave the unridged objective without a minimizer.
+        per_task = PerTaskConfig(separation=6.0, noise=0.3)
+        with pytest.raises(ConfigError, match="anchor.delta"):
+            ExperimentSpec(model=ModelSpec(**model), anchor=AnchorConfig(delta=0.0), per_task=per_task)
+        payload = {"model": model, "anchor": {"delta": 0.0}, "per_task": {"separation": 6.0, "noise": 0.3}}
+        with pytest.raises(ConfigError, match="anchor.delta"):
+            ExperimentSpec.from_dict(payload)
+
+    def test_zero_ridge_allowed_for_linear_regression(self):
+        model = ModelSpec("linear_regression", 2)
+        spec = ExperimentSpec(model=model, loss="squared_error", anchor=AnchorConfig(delta=0.0))
+        assert spec.anchor.delta == 0.0
+
     def test_rejects_exact_curvature_for_mlp(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3), curvature="exact")
@@ -169,7 +184,7 @@ class TestExperimentSpec:
             (lambda: PerTaskConfig(n_train=2.5), "n_train"),
             (lambda: PerTaskConfig(identical="no"), "identical"),
             (lambda: AnchorConfig(delta=True), "delta"),
-            (lambda: FisherConfig(max_examples=2.5), "max_examples"),
+            (lambda: FisherConfig(delta_floor=True), "delta_floor"),
             (lambda: TrainConfig(epochs=1.5), "epochs"),
         ],
         ids=["experiment", "model", "per_task", "per_task_bool", "anchor", "fisher", "train"],
@@ -513,7 +528,7 @@ class TestSweepGrid:
         # is a different selection than the per-task column.
         spec = kind_state.spec
         theta = merged(kind_state, "ours", 0.7)
-        sets = [ds.slice(np.arange(n)) for ds, n in zip(kind_state.test_sets, (40, 25, 33))]
+        sets = [TaskDataset(ds.task_id, ds.inputs[:n], ds.targets[:n]) for ds, n in zip(kind_state.test_sets, (40, 25, 33))]
         agg = sets[1:]
 
         def score(ds):
@@ -573,12 +588,11 @@ class TestDiagnosticBridge:
             np.testing.assert_allclose(via_fixture.values, via_state.values, atol=1e-12)
 
     def test_ties_is_the_registry_rule(self, default_state):
-        from gradmerge.merging import TIES_MASK, MergeInputs, merge, merge_masked
+        from gradmerge.merging import MergeInputs, merge
 
         spec = default_state.spec
         inputs = MergeInputs(default_state.anchor, tuple((1.0, ck) for ck in default_state.tasks), spec.anchor.delta)
-        expected = merge_masked(inputs, TIES_MASK).values.tobytes()
-        assert merge("ties", inputs).values.tobytes() == expected
+        expected = merge("ties", inputs).values.tobytes()
         assert merged(default_state, "ties", 1.0).values.tobytes() == expected
         fixture = build_diagnostic_fixture(spec, state=default_state, alpha=1.0)
         assert merge("ties", fixture.merge_inputs()).values.tobytes() == expected

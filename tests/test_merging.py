@@ -16,14 +16,10 @@ from gradmerge.errors import (
 from gradmerge.merging import (
     ADDITION_METHODS,
     CURVATURE_METHODS,
-    TIES_MASK,
-    MaskConfig,
+    TIES_KEEP,
     MergeInputs,
     merge,
-    merge_average,
-    merge_fisher,
     merge_grid,
-    merge_masked,
     merge_task_arithmetic,
     merge_uncertainty,
     merged_checkpoint,
@@ -37,11 +33,6 @@ from gradmerge.training import QuadraticAnchor, closed_form_solve
 
 def layout_of(d):
     return ParamLayout([("w", (d,))])
-
-
-def merge_or_mask(method, inputs, mask):
-    """A registry merge, with ``ties`` run under ``mask`` instead of TIES_MASK."""
-    return merge_masked(inputs, mask) if method == "ties" else merge(method, inputs)
 
 
 def vec(values):
@@ -87,82 +78,90 @@ class TestMergeInputs:
         assert inputs.alphas == (-0.5,)
 
 
-class TestMergeAverage:
+class TestAverages:
+    """``am`` (plain mean of the tasks) and ``wam`` (weighted sum with the anchor)."""
+
     def test_arithmetic_mean_of_two_tasks(self):
         inputs = MergeInputs(anchor=ckpt([5.0]), tasks=((1.0, ckpt([0.0])), (1.0, ckpt([2.0]))))
-        np.testing.assert_allclose(merge_average(inputs).values, [1.0])
+        np.testing.assert_allclose(merge("am", inputs).values, [1.0])
 
     def test_mean_of_identical_copies_is_identity(self):
         theta = [0.3, -1.2, 4.0]
         tasks = tuple((1.0, ckpt(theta)) for _ in range(4))
         inputs = MergeInputs(anchor=ckpt([0.0, 0.0, 0.0]), tasks=tasks)
-        np.testing.assert_allclose(merge_average(inputs).values, theta)
+        np.testing.assert_allclose(merge("am", inputs).values, theta)
 
     def test_weighted_all_mass_on_anchor(self):
         inputs = MergeInputs(
             anchor=ckpt([7.0, -2.0]),
             tasks=((0.0, ckpt([1.0, 1.0])), (0.0, ckpt([2.0, 2.0]))),
         )
-        out = merge_average(inputs, weighted=True, alpha0=1.0)
-        np.testing.assert_allclose(out.values, [7.0, -2.0])
+        np.testing.assert_allclose(merge("wam", inputs).values, [7.0, -2.0])
 
     def test_weighted_uses_weights_as_given(self):
         inputs = MergeInputs(anchor=ckpt([4.0]), tasks=((0.5, ckpt([2.0])), (0.25, ckpt([8.0]))))
-        out = merge_average(inputs, weighted=True, alpha0=0.25)
-        np.testing.assert_allclose(out.values, [0.25 * 4 + 0.5 * 2 + 0.25 * 8])
+        np.testing.assert_allclose(merge("wam", inputs).values, [0.25 * 4 + 0.5 * 2 + 0.25 * 8])
+
+    def test_weighted_anchor_weight_is_zero_past_the_simplex(self):
+        inputs = MergeInputs(anchor=ckpt([4.0]), tasks=((0.75, ckpt([2.0])), (0.75, ckpt([8.0]))))
+        np.testing.assert_allclose(merge("wam", inputs).values, [0.75 * 2 + 0.75 * 8])
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(EmptyMergeError):
-            merge_average(MergeInputs(anchor=ckpt([0.0])))
+            merge("am", MergeInputs(anchor=ckpt([0.0])))
 
-    def test_negative_alpha_rejected(self):
+    @pytest.mark.parametrize("method", ["am", "wam"])
+    def test_negative_alpha_rejected(self, method):
         inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((-1.0, ckpt([1.0])),))
         with pytest.raises(ConfigError):
-            merge_average(inputs)
+            merge(method, inputs)
 
 
-class TestMergeFisher:
-    def test_equal_fishers_reduce_to_arithmetic_mean(self):
+class TestFisherAveraging:
+    """``fa``: the per-coordinate Fisher-weighted mean of the anchor and the tasks."""
+
+    def test_equal_fishers_reduce_to_arithmetic_mean_with_anchor(self):
         rng = np.random.default_rng(0)
+        anchor = rng.normal(size=3)
         thetas = [rng.normal(size=3) for _ in range(3)]
         tasks = tuple((1.0, ckpt(t, np.full(3, 2.5))) for t in thetas)
-        inputs = MergeInputs(anchor=ckpt(np.zeros(3)), tasks=tasks)
+        inputs = MergeInputs(anchor=ckpt(anchor, np.full(3, 2.5)), tasks=tasks)
         np.testing.assert_allclose(
-            merge_fisher(inputs).values, np.mean(thetas, axis=0), atol=1e-12
+            merge("fa", inputs).values, np.mean([anchor] + thetas, axis=0), atol=1e-12
         )
 
-    def test_single_task_returns_that_task(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((1.0, ckpt([3.0], [7.0])),))
-        np.testing.assert_allclose(merge_fisher(inputs).values, [3.0])
+    def test_single_task_over_zero_anchor_fisher_returns_that_task(self):
+        inputs = MergeInputs(anchor=ckpt([0.0], [0.0]), tasks=((1.0, ckpt([3.0], [7.0])),))
+        np.testing.assert_allclose(merge("fa", inputs).values, [3.0])
 
     def test_scalar_fixture(self):
         tasks = ((1.0, ckpt([1.0], [3.0])), (1.0, ckpt([3.0], [1.0])))
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=tasks)
-        np.testing.assert_allclose(merge_fisher(inputs).values, [1.5])
+        inputs = MergeInputs(anchor=ckpt([0.0], [0.0]), tasks=tasks)
+        np.testing.assert_allclose(merge("fa", inputs).values, [1.5])
 
     def test_missing_curvature_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((1.0, ckpt([1.0])),))
+        inputs = MergeInputs(anchor=ckpt([0.0], [1.0]), tasks=((1.0, ckpt([1.0])),))
         with pytest.raises(MissingCurvatureError):
-            merge_fisher(inputs)
+            merge("fa", inputs)
 
-    def test_include_anchor_pulls_toward_anchor(self):
+    def test_anchor_pulls_toward_anchor(self):
         inputs = MergeInputs(anchor=ckpt([0.0], [1.0]), tasks=((1.0, ckpt([2.0], [1.0])),))
-        np.testing.assert_allclose(merge_fisher(inputs, include_anchor=True).values, [1.0])
+        np.testing.assert_allclose(merge("fa", inputs).values, [1.0])
 
-    def test_include_anchor_requires_anchor_curvature(self):
+    def test_requires_anchor_curvature(self):
         inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((1.0, ckpt([2.0], [1.0])),))
         with pytest.raises(MissingCurvatureError):
-            merge_fisher(inputs, include_anchor=True)
+            merge("fa", inputs)
 
     def test_zero_pooled_fisher_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((1.0, ckpt([2.0], [0.0])),))
+        inputs = MergeInputs(anchor=ckpt([0.0], [0.0]), tasks=((1.0, ckpt([2.0], [0.0])),))
         with pytest.raises(SingularCurvatureError):
-            merge_fisher(inputs)
+            merge("fa", inputs)
 
     def test_negative_alpha_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((-1.0, ckpt([1.0], [1.0])),))
+        inputs = MergeInputs(anchor=ckpt([0.0], [1.0]), tasks=((-1.0, ckpt([1.0], [1.0])),))
         with pytest.raises(ConfigError):
-            merge_fisher(inputs)
+            merge("fa", inputs)
 
 
 class TestMergeTaskArithmetic:
@@ -224,7 +223,7 @@ class TestMergeUncertainty:
             tasks = tuple((1.0 / T, ckpt(rng.normal(size=d), np.zeros(d))) for _ in range(T))
             inputs = MergeInputs(anchor=anchor, tasks=tasks)
             ours = merge_uncertainty(inputs).values
-            am = merge_average(inputs).values
+            am = merge("am", inputs).values
             np.testing.assert_allclose(ours, am, atol=1e-12)
 
     def test_matches_fisher_averaging_up_to_floor(self):
@@ -239,7 +238,7 @@ class TestMergeUncertainty:
             )
             inputs = MergeInputs(anchor=anchor, tasks=tasks)
             ours = merge_uncertainty(inputs).values
-            fa = merge_fisher(inputs).values
+            fa = merge("fa", inputs).values
             np.testing.assert_allclose(ours, fa, atol=1e-8)
 
     def test_nonpositive_pooled_curvature_rejected(self):
@@ -283,10 +282,9 @@ class TestMergeInvariances:
             tasks=tuple(inputs.tasks[i] for i in perm),
             delta=inputs.delta,
         )
-        mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
         for method in ADDITION_METHODS:
-            a = merge_or_mask(method, inputs, mask).values
-            b = merge_or_mask(method, shuffled, mask).values
+            a = merge(method, inputs).values
+            b = merge(method, shuffled).values
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     @given(
@@ -306,8 +304,8 @@ class TestMergeInvariances:
                 for alpha, t in inputs.tasks
             ),
         )
-        for fn in (merge_uncertainty, merge_fisher):
-            np.testing.assert_allclose(fn(scaled).values, fn(inputs).values, atol=1e-12)
+        for method in CURVATURE_METHODS:
+            np.testing.assert_allclose(merge(method, scaled).values, merge(method, inputs).values, atol=1e-12)
         # Removal: scaling h0, h_t and the retained curvature together.
         anchor, (alpha, task) = inputs.anchor, inputs.tasks[0]
         h0, hbar_minus = anchor.curvature, inputs.tasks[1][1].curvature
@@ -330,66 +328,55 @@ class TestMergeInvariances:
         halves = (alpha / 2, task), (alpha / 2, task)
         tasks = inputs.tasks[:split] + halves + inputs.tasks[split + 1 :]
         halved = MergeInputs(anchor=inputs.anchor, tasks=tasks, delta=inputs.delta)
-        mask = MaskConfig(keep_fraction=0.4, elect_sign=True)
         for method in ("ta", "wam", "fa", "ours", "ties"):
-            a = merge_or_mask(method, inputs, mask).values
-            b = merge_or_mask(method, halved, mask).values
+            a = merge(method, inputs).values
+            b = merge(method, halved).values
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
-class TestMergeMasked:
-    def test_full_keep_equals_task_arithmetic(self):
-        rng = np.random.default_rng(5)
-        inputs = random_inputs(rng, d=6, n_tasks=3, with_curvature=False)
-        out = merge_masked(inputs, MaskConfig(keep_fraction=1.0))
-        np.testing.assert_allclose(out.values, merge_task_arithmetic(inputs).values)
+class TestTies:
+    """``ties`` at d = 5, where ``ceil(TIES_KEEP * 5) = 1`` coordinate per task survives."""
 
-    def test_top_one_of_three_keeps_largest_increment(self):
+    def test_keeps_only_the_largest_increment(self):
         inputs = MergeInputs(
-            anchor=ckpt([0.0, 0.0, 0.0]), tasks=((1.0, ckpt([3.0, -1.0, 0.5])),)
+            anchor=ckpt(np.zeros(5)), tasks=((1.0, ckpt([3.0, -1.0, 0.5, 0.2, -2.0])),)
         )
-        out = merge_masked(inputs, MaskConfig(keep_fraction=1 / 3))
-        np.testing.assert_allclose(out.values, [3.0, 0.0, 0.0])
+        assert int(np.ceil(TIES_KEEP * 5)) == 1
+        np.testing.assert_allclose(merge("ties", inputs).values, [3.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_trims_around_the_anchor(self):
+        anchor = [1.0, 1.0, 1.0, 1.0, 1.0]
+        inputs = MergeInputs(anchor=ckpt(anchor), tasks=((0.5, ckpt([1.5, 1.0, -3.0, 2.0, 1.0])),))
+        np.testing.assert_allclose(merge("ties", inputs).values, [1.0, 1.0, -1.0, 1.0, 1.0])
 
     def test_magnitude_ties_prefer_lower_index(self):
         inputs = MergeInputs(
-            anchor=ckpt([0.0, 0.0]), tasks=((1.0, ckpt([1.0, -1.0])),)
+            anchor=ckpt(np.zeros(5)), tasks=((1.0, ckpt([0.0, -1.0, 1.0, 1.0, 0.0])),)
         )
-        out = merge_masked(inputs, MaskConfig(keep_fraction=0.5))
-        np.testing.assert_allclose(out.values, [1.0, 0.0])
+        np.testing.assert_allclose(merge("ties", inputs).values, [0.0, -1.0, 0.0, 0.0, 0.0])
 
     def test_sign_election_drops_minority_contribution(self):
-        # Coordinate 0 gets +3 and -1: the majority sign is positive, so
-        # only the +3 contribution survives.
+        # Both tasks keep coordinate 0, with +3 and -1: the elected sign is
+        # positive, so only the +3 contribution survives (plain task
+        # arithmetic on the kept coordinates would give +2).
         inputs = MergeInputs(
-            anchor=ckpt([0.0]), tasks=((1.0, ckpt([3.0])), (1.0, ckpt([-1.0])))
+            anchor=ckpt(np.zeros(5)),
+            tasks=((1.0, ckpt([3.0, 0.5, 0.0, 0.0, 0.0])), (1.0, ckpt([-1.0, 0.0, 0.0, 0.5, 0.0]))),
         )
-        out = merge_masked(inputs, MaskConfig(keep_fraction=1.0, elect_sign=True))
-        np.testing.assert_allclose(out.values, [3.0])
-        no_election = merge_masked(inputs, MaskConfig(keep_fraction=1.0))
-        np.testing.assert_allclose(no_election.values, [2.0])
+        np.testing.assert_allclose(merge("ties", inputs).values, [3.0, 0.0, 0.0, 0.0, 0.0])
 
-    def test_registry_ties_is_the_sign_elected_rule(self):
-        rng = np.random.default_rng(21)
-        unelected_differs = False
-        for _ in range(30):
-            inputs = random_inputs(rng, d=int(rng.integers(1, 12)), n_tasks=int(rng.integers(1, 6)))
-            elected = merge_masked(inputs, TIES_MASK).values
-            assert merge("ties", inputs).values.tobytes() == elected.tobytes()
-            assert merge_grid("ties", inputs, (1.0,))[0].tobytes() == elected.tobytes()
-            unelected = merge_masked(inputs, MaskConfig(keep_fraction=TIES_MASK.keep_fraction)).values
-            unelected_differs |= not np.array_equal(unelected, elected)
-        assert unelected_differs
-
-    def test_invalid_keep_fraction_rejected(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ConfigError):
-                MaskConfig(keep_fraction=bad)
+    def test_election_is_weighted_by_alpha(self):
+        # The same increments at weights 0.2 and 1.0 elect the negative sign.
+        inputs = MergeInputs(
+            anchor=ckpt(np.zeros(5)),
+            tasks=((0.2, ckpt([3.0, 0.0, 0.0, 0.0, 0.0])), (1.0, ckpt([-1.0, 0.0, 0.0, 0.0, 0.0]))),
+        )
+        np.testing.assert_allclose(merge("ties", inputs).values, [-1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_negative_alpha_rejected(self):
-        inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((-1.0, ckpt([1.0])),))
+        inputs = MergeInputs(anchor=ckpt(np.zeros(5)), tasks=((-1.0, ckpt(np.ones(5))),))
         with pytest.raises(ConfigError):
-            merge_masked(inputs)
+            merge("ties", inputs)
 
 
 class TestRemoveTask:
@@ -603,9 +590,8 @@ class TestDispatcher:
     def test_matches_per_task_loop_reference(self):
         # Each catalog formula written out task by task, without the kernel.
         rng = np.random.default_rng(11)
-        mask = MaskConfig(keep_fraction=0.5, elect_sign=True)
         for _ in range(50):
-            d = int(rng.integers(1, 9))
+            d = int(rng.integers(1, 13))
             inputs = random_inputs(rng, d=d, n_tasks=int(rng.integers(1, 6)), delta=0.1)
             a, f0 = inputs.anchor.params.values, inputs.anchor.curvature.values
             T, total = len(inputs.tasks), sum(inputs.alphas)
@@ -620,7 +606,7 @@ class TestDispatcher:
             ref["fa"] = fa_num / fa_den
             ref["ours"] = a.copy()
             contributions = []
-            k = int(np.ceil(0.5 * d))
+            k = int(np.ceil(0.2 * d))
             for alpha, task in inputs.tasks:
                 inc = task.params.values - a
                 ref["ours"] = ref["ours"] + alpha * (f0 + 0.1 + task.curvature.values) / hbar * inc
@@ -630,7 +616,7 @@ class TestDispatcher:
             elected = np.sign(np.sum(contributions, axis=0))
             ref["ties"] = a + sum(np.where(np.sign(c) == elected, c, 0.0) for c in contributions)
             for method in ADDITION_METHODS:
-                out = merge_or_mask(method, inputs, mask).values
+                out = merge(method, inputs).values
                 np.testing.assert_allclose(out, ref[method], rtol=1e-12, atol=1e-12, err_msg=method)
 
     def test_grid_rows_equal_single_merges(self):

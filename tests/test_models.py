@@ -130,6 +130,21 @@ class TestLoss:
         with pytest.raises(NumericError):
             loss(spec, "squared_error", big, data_1d([1.0], [0.0]))
 
+    @pytest.mark.parametrize(
+        "spec,loss_kind",
+        [(ModelSpec("logistic", 2), "logistic_nll"), (ModelSpec("mlp", 2, hidden=3, activation="tanh"), "squared_error")],
+        ids=["logistic", "mlp"],
+    )
+    def test_empty_dataset_follows_the_grad_rule(self, spec, loss_kind):
+        # Built from lists, the empty inputs have shape (0, 0), not (0, 2).
+        empty = TaskDataset("e", [], [])
+        zeros = ParamVector.zeros(spec.layout())
+        assert loss(spec, loss_kind, zeros, empty) == 0.0
+        assert not np.any(grad(spec, loss_kind, zeros, empty).values)
+        for fn in (loss, grad):
+            with pytest.raises(EmptyDataError):
+                fn(spec, loss_kind, zeros, empty, "mean")
+
     def test_mlp_loss_survives_checkpoint_round_trip(self, tmp_path):
         from gradmerge.params import Checkpoint, load_checkpoint, save_checkpoint
 
