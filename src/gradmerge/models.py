@@ -19,11 +19,13 @@ Conventions
 * Classification tie at probability exactly 0.5 predicts class 1.
 
 Validation happens where data enters: the public functions check every
-call, while the kernels ``_forward``, ``_backward`` and ``_value_grad``
-take the flat ``(d,)`` parameter array and trust their caller, so a fit
-checks each dataset once (:func:`_check_data`) and then steps on arrays.
-``_value_grad`` weights each row, so one call evaluates a fit's whole data
-term ``sum_t alpha_t L_t`` over its stacked tasks.  The MLP's only hidden
+call, while the kernels ``_forward``, ``_backward``, ``_value_grad``,
+``_grad`` and ``_hessian`` take the flat ``(d,)`` parameter array and
+trust their caller, so a fit checks each dataset once (:func:`_check_data`)
+and then steps on arrays.  The last three weight each row, so one call
+evaluates a fit's whole data term ``sum_t alpha_t L_t`` over its stacked
+tasks: its value and gradient, its gradient alone (for Adam), or its
+dense Hessian (for Newton).  The MLP's only hidden
 state is the activation array ``a1``, built in place; its derivative ``D``
 is ``1 - a1^2`` (tanh) or the mask ``a1 > 0`` (ReLU).  The summed gradient
 keeps the output gradients ``g`` and ``w2`` out of the ``(n, h)``
@@ -244,9 +246,18 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     else:
         D = (a1 > 0.0).astype(np.float64)
     if per_example:
-        dz1 = (g[:, None] * w2) * D
-        dW1 = dz1[:, :, None] * X[:, None, :]
-        return np.concatenate([dW1.reshape(len(g), -1), dz1, a1 * g[:, None], g[:, None]], axis=1)
+        # Written column block by column block into one array: broadcasting
+        # over a short feature axis and concatenating along axis 1 both copy
+        # in runs of a few elements.
+        n, h, d = len(g), spec.hidden, spec.n_features
+        G = np.empty((n, h * d + 2 * h + 1))
+        dz1 = np.multiply(g[:, None] * w2, D, out=G[:, h * d : h * d + h])
+        dW1 = G[:, : h * d].reshape(n, h, d)
+        for k in range(d):
+            np.multiply(dz1, X[:, k : k + 1], out=dW1[:, :, k])
+        np.multiply(a1, g[:, None], out=G[:, h * d + h : -1])
+        G[:, -1] = g
+        return G
     dW1 = w2[:, None] * ((X * g[:, None]).T @ D).T
     return np.concatenate([dW1.reshape(-1), w2 * (g @ D), a1.T @ g, np.array([g.sum()])])
 
@@ -280,10 +291,65 @@ def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> tuple[f
         value = float(np.sum(w * _losses(loss_kind, out, y)))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
+    return value, _summed_grad(spec, loss_kind, values, X, y, w, out, a1)
+
+
+def _grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> np.ndarray:
+    """The gradient :func:`_value_grad` returns, without forming the loss value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, a1 = _forward(spec, values, X)
+        return _summed_grad(spec, loss_kind, values, X, y, w, out, a1)
+
+
+def _summed_grad(spec, loss_kind, values, X, y, w, out, a1) -> np.ndarray:
     flat = _backward(spec, values, X, w * _output_grads(loss_kind, out, y), a1)
     if not np.all(np.isfinite(flat)):
         raise NumericError("gradient overflowed to non-finite values")
-    return value, flat
+    return flat
+
+
+def _hessian(spec: ModelSpec, loss_kind: str, values, X, y, w) -> np.ndarray:
+    """Dense ``(d, d)`` Hessian of the weighted summed loss ``sum_i w_i l_i``.
+
+    The Gauss-Newton part ``Jc^T Jc`` has rows ``sqrt(w_i l_i'') J_i``,
+    where ``J_i`` is row i's output gradient; NumPy forms it as one
+    symmetric rank-k update at half the cost of a general product
+    (weights are >= 0).  The linear models have no other part.  The MLP
+    output adds the residual term ``sum_i r_i grad^2 f_i``, with
+    ``r_i = w_i l_i'``, which is block-diagonal per hidden unit ``j``:
+    ``w2_j sum_i r_i act''(z_ij) xt_i xt_i^T`` on ``(w1_j, b1_j)``, with
+    ``xt = [x, 1]``, and ``sum_i r_i act'(z_ij) xt_i`` against ``w2_j``.
+    ReLU's ``act''`` is zero away from its kinks.
+    """
+    out, a1 = _forward(spec, values, X)
+    if loss_kind == "squared_error":
+        curv = w * np.ones_like(out)
+    else:
+        s = _sigmoid(out)
+        curv = w * s * (1.0 - s)
+    if a1 is None:
+        Xs = X * np.sqrt(curv)[:, None]
+        return Xs.T @ Xs
+    Jc = _backward(spec, values, X, np.sqrt(curv), a1, per_example=True)
+    H = Jc.T @ Jc
+    h, d = spec.hidden, spec.n_features
+    w2 = spec._mlp_views(values)[2]
+    r = w * _output_grads(loss_kind, out, y)
+    xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    # Row j holds unit j's (w1_j, b1_j) coordinates; distinct units' blocks are disjoint.
+    unit = np.concatenate([np.arange(h * d).reshape(h, d), h * d + np.arange(h)[:, None]], axis=1)
+    w2_index = h * d + h + np.arange(h)[:, None]
+    if spec.activation == "tanh":
+        D = 1.0 - a1 * a1
+        c = (r[:, None] * w2) * (-2.0 * a1 * D)
+        outer = (xt[:, :, None] * xt[:, None, :]).reshape(len(X), -1)
+        H[unit[:, :, None], unit[:, None, :]] += (c.T @ outer).reshape(h, d + 1, d + 1)
+    else:
+        D = (a1 > 0.0).astype(np.float64)
+    cross = (r[:, None] * D).T @ xt
+    H[unit, w2_index] += cross
+    H[w2_index, unit] += cross
+    return H
 
 
 def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:

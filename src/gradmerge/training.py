@@ -18,22 +18,23 @@ is positive, and at desk scale their dense ``(d, d)`` Hessian is cheap to
 form exactly, so they are solved directly: linear regression by one
 normal-equation solve (:func:`closed_form_solve`), logistic regression by
 damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
-delta)``.  Neither needs SciPy.  The MLP objective is not convex, and the
-minimum found depends on the path: an MLP fit first runs Adam, with the
-quadratic penalty applied *decoupled* from the adaptive preconditioner
-(the AdamW treatment of its L2 term), and SciPy's L-BFGS-B then polishes
-the full objective until a step no longer lowers it by a representable
-amount, which meets the stationarity gate.  The polish does not single
-out one minimizer: where the objective is flat to about 1e-8 of its
-value, the last bits of the gradient decide where it stops, so a
-rounding change in the kernel can move an MLP fit's parameters by O(1)
-at an equal objective value.
+delta)``.  The MLP objective is not convex, and the minimum found depends
+on the path: an MLP fit first runs Adam, with the quadratic penalty
+applied *decoupled* from the adaptive preconditioner (the AdamW
+treatment of its L2 term), and the same Newton loop then refines the
+point Adam reached, on the exact Hessian (``models._hessian``: the
+Gauss-Newton part plus the residual term).  Where that Hessian is
+indefinite the step uses the magnitudes of its eigenvalues, and next to
+a saddle, where the value can no longer rank such steps, the loop moves
+along the negative curvature instead of converging onto the saddle.
+No fit needs SciPy.
 
 A fit checks its datasets once and stacks its live tasks into one row
 block ``(X, y, w)``, each row weighted by its task's alpha, before its
-first step; every evaluation of the data term is then one call to the
-kernel ``models._value_grad`` on the flat ``(d,)`` parameter array, over
-the whole block (Adam runs full-batch).  Every fit ends in the same
+first step; every evaluation of the data term is then one kernel call on
+the flat ``(d,)`` parameter array, over the whole block: Adam runs
+full-batch on the gradient alone (``models._grad``), and Newton on
+``models._value_grad`` and ``models._hessian``.  Every fit ends in the same
 stationarity gate, which goes through the public, checked ``grad``.
 """
 
@@ -50,7 +51,7 @@ from .errors import (
     SingularSystemError,
     check_field_types,
 )
-from .models import ModelSpec, TaskDataset, _check_data, _sigmoid, _value_grad, grad, loss
+from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _value_grad, grad, loss
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -75,15 +76,27 @@ RESIDUAL_TOL = 1e-4
 #: of the rounding noise a further step would chase.
 NEWTON_TOL = 1e-10
 
+#: Newton steps allowed per fit.  Convex fits take about 10; MLP fits
+#: starting where Adam stopped take a median of 10 and at most about 100.
+NEWTON_MAX_ITER = 200
+
+#: Longest step an MLP Newton iteration tries, in parameter units.  Longer
+#: steps on an indefinite model can carry a fine-tune out of the basin
+#: Adam chose, far from the anchor, where the merge's quadratic picture
+#: fails (uncut, one seed of the mlp-report config lost 32 points of merge
+#: accuracy); at 0.25 some fits need more than NEWTON_MAX_ITER steps.
+MLP_MAX_STEP = 0.5
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam hyperparameters; defaults follow common Adam practice.
 
-    They govern only the Adam warm start of MLP fits.  Linear and logistic
-    fits are convex and solved exactly (normal equations, damped Newton),
-    so these fields do not change their result (``seed`` and ``epochs``
-    are still recorded in the checkpoint metadata).
+    They govern only the Adam phase of MLP fits, which picks the basin
+    that Newton then refines.  Linear and logistic fits are convex and
+    solved exactly (normal equations, damped Newton), so these fields do
+    not change their result (``seed`` and ``epochs`` are still recorded
+    in the checkpoint metadata).
     """
 
     lr: float = 0.05
@@ -166,15 +179,15 @@ def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAn
 
 
 def adam_decoupled_minimize(
-    value_grad,
+    grad_fn,
     x0: np.ndarray,
     cfg: TrainConfig,
     anchor: QuadraticAnchor,
 ) -> np.ndarray:
     """Full-batch Adam with the quadratic penalty applied outside the preconditioner.
 
-    ``value_grad(theta)`` must return the value and gradient of the
-    summed data term.  The penalty is applied directly to the update, not fed
+    ``grad_fn(theta)`` must return the gradient of the summed data term
+    (Adam never needs its value).  The penalty is applied directly to the update, not fed
     through the Adam moments, using its proximal (implicit) form: after
     the gradient step, ``theta <- theta - f * (theta - a)`` with
     ``f = lr*reg / (1 + lr*reg)``.  For small ``lr*reg`` this matches the
@@ -191,7 +204,7 @@ def adam_decoupled_minimize(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for step in range(1, cfg.epochs + 1):
-        _, g = value_grad(theta)
+        g = grad_fn(theta)
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
         mhat = m / (1 - cfg.beta1**step)
@@ -203,43 +216,110 @@ def adam_decoupled_minimize(
     return theta
 
 
-def _logistic_hessian(X, w, reg, theta_values):
-    """Dense Hessian of the anchored logistic objective at ``theta_values``.
+def _convex_step(H, g):
+    """Newton's step ``-H^{-1} g``; a convex objective has no negative curvature to report."""
+    return np.linalg.solve(H, -g), 0.0, None
 
-    The data term is formed as ``Xs^T Xs`` with rows scaled by
-    ``sqrt(w s (1 - s))``, which NumPy computes as one symmetric rank-k
-    update at half the cost of a general product (weights are >= 0).
+
+def _symmetric_eigh(H):
+    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric H.
+
+    LAPACK's divide-and-conquer eigensolver behind ``np.linalg.eigh`` can
+    fail to converge on tightly clustered eigenvalues, which near-identical
+    hidden units produce; the SVD of a symmetric matrix carries the same
+    decomposition, with the sign of eigenvalue k in ``u_k . v_k``.
     """
-    s = _sigmoid(X @ theta_values)
-    Xs = X * np.sqrt(w * s * (1.0 - s))[:, None]
-    return np.diag(reg) + Xs.T @ Xs
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError:
+        U, size, Vt = np.linalg.svd(H)
+        lam = np.copysign(size, np.sum(U * Vt.T, axis=0))
+        order = np.argsort(lam)
+        return lam[order], Vt.T[:, order]
 
 
-def _newton(value_grad, hessian, theta):
-    """Damped Newton for a strictly convex objective.
+def _saddle_free_step(H, g):
+    """Modified-Newton step for an indefinite H, and H's most negative curvature.
 
-    Each step solves ``H p = -g`` and backtracks by halving.  While the
-    predicted decrease ``g^T H^{-1} g`` is resolvable in the objective's
-    value, a step must pass the Armijo test; below about
+    The step is ``-V |Lambda|^{-1} V^T g``, with H's eigenvalues replaced
+    by their magnitudes and floored at ``1e-12 max|lambda|``: a descent
+    direction everywhere, and Newton's step where H is positive definite
+    (which a Cholesky factorization detects without the eigensolve).  It
+    is cut to length :data:`MLP_MAX_STEP`: far from a minimum the
+    quadratic model is a poor guide over longer steps, and they can leave
+    the basin Adam chose.
+    Also returns H's smallest eigenvalue (0.0 where H is positive
+    definite) and a unit eigenvector for it, signed so that ``g^T u <= 0``.
+    """
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        lam, V = _symmetric_eigh(H)
+        size = np.abs(lam)
+        floor = 1e-12 * size.max()
+        if not floor > 0.0:
+            raise np.linalg.LinAlgError("Hessian is zero or non-finite")
+        step = -(V @ ((V.T @ g) / np.maximum(size, floor)))
+        lowest, u = lam[0], (V[:, 0] if g @ V[:, 0] <= 0.0 else -V[:, 0])
+    else:
+        step, lowest, u = _convex_step(H, g)
+    return step / max(1.0, np.linalg.norm(step) / MLP_MAX_STEP), lowest, u
+
+
+def _descend_negative_curvature(value_grad, theta, f, u, kappa, resolution):
+    """First ``theta + s u`` whose value is resolvably lower, or None.
+
+    s starts at :data:`MLP_MAX_STEP` and halves.  Along a unit descent
+    direction u of curvature ``-kappa`` the quadratic model falls by more
+    than ``kappa s^2 / 2``; a trial must realise half of that, and halving
+    stops once half is no longer resolvable.
+    """
+    s = MLP_MAX_STEP
+    while 0.25 * kappa * s * s > resolution:
+        trial = theta + s * u
+        f_trial, g_trial = value_grad(trial)
+        if f_trial <= f - 0.25 * kappa * s * s:
+            return trial, f_trial, g_trial
+        s *= 0.5
+    return None
+
+
+def _newton(value_grad, hessian, theta, newton_step=_convex_step):
+    """Damped Newton for the logistic fit and the MLP's nonconvex one.
+
+    A convex fit steps by ``H p = -g``; the MLP's H may be indefinite, so
+    it passes :func:`_saddle_free_step`.  While the predicted decrease
+    ``-g^T p`` is resolvable in the objective's value, a step must pass
+    the Armijo test, backtracking by halving; below about
     ``1e-12 (1 + |f|)`` the summed loss cannot tell a better point from a
-    worse one, and a step is accepted only if it lowers the gradient norm.
-    Stops at the first iterate meeting :data:`NEWTON_TOL`.  A step that
-    finds no acceptable point ends the loop, and the caller's
-    stationarity gate judges where it stopped.
+    worse one, and the full step is accepted only if it lowers the
+    gradient norm.  A full step that does not has reached the gradient's
+    rounding floor, where shorter ones only crawl.  Near a saddle that
+    test would converge onto it, so when H has negative curvature there,
+    a move along it that lowers the value resolvably comes first.  Stops
+    at the first iterate meeting :data:`NEWTON_TOL`, after
+    :data:`NEWTON_MAX_ITER` steps, or at a step with no acceptable point;
+    the caller's stationarity gate judges where it stopped.
     """
     f, g = value_grad(theta)
-    for _ in range(50):
+    for _ in range(NEWTON_MAX_ITER):
         g_norm = np.linalg.norm(g)
         if g_norm <= NEWTON_TOL * (1.0 + np.linalg.norm(theta)):
             break
         try:
-            step = np.linalg.solve(hessian(theta), -g)
+            step, curvature, u = newton_step(hessian(theta), g)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"Newton system is singular: {exc}") from exc
         decrease = -float(g @ step)
-        resolvable = decrease > 1e-12 * (1.0 + abs(f))
+        resolution = 1e-12 * (1.0 + abs(f))
+        resolvable = decrease > resolution
+        if not resolvable and curvature < 0.0:
+            escaped = _descend_negative_curvature(value_grad, theta, f, u, -curvature, resolution)
+            if escaped is not None:
+                theta, f, g = escaped
+                continue
         t = 1.0
-        for _ in range(60):
+        for _ in range(60 if resolvable else 1):
             trial = theta + t * step
             f_trial, g_trial = value_grad(trial)
             if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (np.linalg.norm(g_trial) < g_norm):
@@ -273,18 +353,19 @@ def _fit(
         diff = theta_values - a
         return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
+    def full_hessian(theta_values):
+        H = _hessian(spec, loss_kind, theta_values, X, y, w)
+        H[np.diag_indices_from(H)] += reg
+        return H
+
     if spec.kind == "linear_regression":
         theta = closed_form_solve(datasets, alphas, anchor).values
     elif spec.kind == "logistic":
-        theta = _newton(full_value_grad, lambda th: _logistic_hessian(X, w, reg, th), x0)
+        theta = _newton(full_value_grad, full_hessian, x0)
     else:
-        # Nonconvex: the Adam path decides which local minimum L-BFGS-B
-        # refines.  Only this branch needs SciPy, so it imports it here.
-        from scipy.optimize import minimize
-
-        theta = adam_decoupled_minimize(lambda th: _value_grad(spec, loss_kind, th, X, y, w), x0, cfg, anchor)
-        options = {"maxiter": 5000, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-14}
-        theta = minimize(full_value_grad, theta, jac=True, method="L-BFGS-B", options=options).x
+        # Nonconvex: the Adam path decides which local minimum Newton refines.
+        theta = adam_decoupled_minimize(lambda th: _grad(spec, loss_kind, th, X, y, w), x0, cfg, anchor)
+        theta = _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
     out = ParamVector(spec.layout(), theta)
     residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, out)
     bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
@@ -365,8 +446,8 @@ def train_joint_target(
     """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty."""
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    if any(a < 0 for a in alphas):
-        raise ConfigError("joint-target alphas must be >= 0")
+    if not all(0.0 <= a < np.inf for a in alphas):
+        raise ConfigError("joint-target alphas must be finite and >= 0")
     theta = _fit(
         spec, loss_kind, list(datasets), [float(a) for a in alphas], anchor, cfg,
         _init_theta(spec, cfg, anchor.anchor.values),

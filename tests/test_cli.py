@@ -233,6 +233,12 @@ class TestStagedWorkflow:
         assert run_cli("fisher", "--config", config, "--out", out) == 0
         assert len(calls) == 1  # n_tasks - 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_joint_target_weight_exits_one(self, small_config, capsys, alpha):
+        config, out = small_config
+        assert run_cli("diagnose", "--alpha", alpha, "--config", config, "--out", out, "--seed", "0") == 1
+        assert "ConfigError" in capsys.readouterr().err
+
     def test_train_then_fisher_equals_run_pipeline(self, tmp_path):
         assert run_cli("train", "--out", tmp_path, "--seed", "3") == 0
         assert run_cli("fisher", "--out", tmp_path, "--seed", "3") == 0

@@ -1,15 +1,17 @@
 """The single-pass evaluators the training and curvature code rely on,
-checked against the public per-call functions they replace."""
+checked against the public per-call functions they replace, and the
+Hessian kernel Newton steps with, checked against differences of the
+gradient."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradmerge.curvature import FisherConfig, fisher_diag
 from gradmerge.errors import ConfigError, LayoutError, NumericError
 from gradmerge import training
-from gradmerge.models import ModelSpec, TaskDataset, _value_grad, grad, loss, per_example_grads
+from gradmerge.models import ModelSpec, TaskDataset, _grad, _hessian, _value_grad, grad, loss, per_example_grads
 from gradmerge.params import ParamVector
 from gradmerge.training import TrainConfig, train_anchor
 
@@ -42,6 +44,14 @@ class TestFusedValueGrad:
         value, g = _value_grad(spec, loss_kind, theta.values, data.inputs, data.targets)
         assert value == pytest.approx(loss(spec, loss_kind, theta, data, "sum"), rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g, grad(spec, loss_kind, theta, data, "sum").values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec,loss_kind", CASES)
+    def test_gradient_kernel_equals_value_grad_gradient(self, spec, loss_kind):
+        # Adam steps on ``_grad``; its iterates must not depend on which kernel it calls.
+        theta, data = random_pair(spec, loss_kind, 4)
+        w = np.random.default_rng(4).uniform(0.0, 2.0, data.n)
+        expected = _value_grad(spec, loss_kind, theta.values, data.inputs, data.targets, w)[1]
+        np.testing.assert_array_equal(_grad(spec, loss_kind, theta.values, data.inputs, data.targets, w), expected)
 
     @pytest.mark.parametrize("spec,loss_kind", CASES)
     def test_empty_data(self, spec, loss_kind):
@@ -123,6 +133,34 @@ class TestWeightedRowBlock:
         theta, data = random_pair(spec, loss_kind, seed, n=40)
         G = per_example_grads(spec, loss_kind, theta, data)
         within_rounding(grad(spec, loss_kind, theta, data, "sum").values, G.sum(axis=0), np.abs(G).sum(axis=0))
+
+
+class TestHessian:
+    @given(case=st.integers(0, len(CASES) - 1), seed=st.integers(0, 2**16), n=st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_central_differences_of_the_gradient(self, case, seed, n):
+        spec, loss_kind = CASES[case]
+        theta, data = random_pair(spec, loss_kind, seed, n=n)
+        X, y, values = data.inputs, data.targets, theta.values
+        w = np.random.default_rng(seed).uniform(0.0, 2.0, n)
+        step = 1e-5
+        if spec.activation == "relu":
+            # A difference across a kink sees act' jump; a step moves every
+            # pre-activation by at most step * (|x|_1 + 1).
+            w1, b1 = spec._mlp_views(values)[:2]
+            margin = step * (np.abs(X).sum(axis=1).max() + 1.0)
+            assume(np.abs(X @ w1.T + b1).min() > 10.0 * margin)
+        H = _hessian(spec, loss_kind, values, X, y, w)
+        fd = np.empty_like(H)
+        for j in range(values.size):
+            e = np.zeros_like(values)
+            e[j] = step
+            plus = _value_grad(spec, loss_kind, values + e, X, y, w)[1]
+            minus = _value_grad(spec, loss_kind, values - e, X, y, w)[1]
+            fd[:, j] = (plus - minus) / (2.0 * step)
+        scale = 1.0 + np.abs(fd).max()
+        np.testing.assert_allclose(H, fd, rtol=0.0, atol=1e-6 * scale)
+        np.testing.assert_allclose(H, H.T, rtol=0.0, atol=1e-13 * scale)
 
 
 class TestFisherReduction:

@@ -1,4 +1,4 @@
-"""SciPy stays off the default path: only the MLP polish and the oracles load it."""
+"""SciPy stays off the default path: only the oracles load it."""
 
 import os
 import subprocess
@@ -29,7 +29,7 @@ mlp = ExperimentSpec(
     per_task=PerTaskConfig(n_train=60, n_test=60),
 )
 run_pipeline(mlp, seed=0)
-assert "scipy.optimize" in sys.modules
+assert scipy_modules() == [], scipy_modules()[:5]
 
 results = run_oracle_suite(seed=7, n_fixtures=3)
 assert results and all(r.passed for r in results)
@@ -38,7 +38,7 @@ print("ok")
 """
 
 
-def test_scipy_loads_only_for_mlp_fits_and_oracles():
+def test_scipy_loads_only_for_oracles():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gradmerge import models, training
 from gradmerge.errors import ConfigError, DivergenceError, SingularSystemError
-from gradmerge.harness import default_spec, run_pipeline
+from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_pipeline, train_target
 from gradmerge.models import ModelSpec, TaskDataset
 from gradmerge.params import DiagCurvature, ParamVector
 from gradmerge.training import (
@@ -229,11 +229,13 @@ class TestJointTarget:
         )
         np.testing.assert_allclose(joint.params.values, anchor.anchor.values, atol=1e-5)
 
-    def test_negative_alpha_rejected(self):
+    # ``a < 0`` is False for NaN, so a sign test alone lets NaN through.
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_alpha_rejected(self, alpha):
         spec = ModelSpec("linear_regression", 3)
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 1.0)
         with pytest.raises(ConfigError):
-            train_joint_target(spec, "squared_error", [random_linear(9, d=3)], [-1.0], anchor, CFG)
+            train_joint_target(spec, "squared_error", [random_linear(9, d=3)], [alpha], anchor, CFG)
 
     def test_joint_value_beats_trivial_candidates(self):
         spec = ModelSpec("logistic", 2)
@@ -328,6 +330,36 @@ class TestNewton:
         atol = NEWTON_TOL / 1e-2 * (1.0 + np.linalg.norm(reference))
         np.testing.assert_allclose(theta, reference, rtol=0.0, atol=atol)
 
+    def test_nonconvex_step_leaves_a_saddle_it_cannot_rank_by_value(self):
+        # f = x^2 - y^2 + y^4/4 has a saddle at 0 and minima at (0, +-sqrt 2).
+        # Next to the saddle the predicted decrease is below the value's
+        # resolution, and the gradient-norm test alone would stop there.
+        def value_grad(p):
+            x, y = p
+            return x * x - y * y + y**4 / 4, np.array([2 * x, -2 * y + y**3])
+
+        def hessian(p):
+            return np.diag([2.0, -2.0 + 3 * p[1] ** 2])
+
+        theta = training._newton(value_grad, hessian, np.array([0.3, 1e-9]), training._saddle_free_step)
+        np.testing.assert_allclose(np.abs(theta), [0.0, np.sqrt(2.0)], rtol=0.0, atol=1e-9)
+
+    def test_eigensolver_failure_falls_back_to_the_svd(self, monkeypatch):
+        # LAPACK's eigh fails to converge on some MLP Hessians with clustered
+        # eigenvalues; the step must still get the same decomposition.
+        A = np.random.default_rng(0).standard_normal((6, 6))
+        H = A + A.T
+        expected = np.linalg.eigvalsh(H)
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        lam, V = training._symmetric_eigh(H)
+        np.testing.assert_allclose(lam, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(V @ np.diag(lam) @ V.T, H, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(6), rtol=0.0, atol=1e-12)
+
     def test_finetune_that_cycled_on_gradient_norm_steps(self, monkeypatch):
         # At this seed, the last fine-tune from the anchor (5.58, 0.10) starts
         # with gradient norm 249.  Accepting any step that lowers the gradient
@@ -336,6 +368,32 @@ class TestNewton:
         state, evals = evaluations_per_fit(monkeypatch, lambda: run_pipeline(default_spec(), seed=5040316))
         np.testing.assert_allclose(state.anchor.params.values, [5.578, 0.103], atol=1e-3)
         assert max(evals) <= TestFitCost.MAX_CONVEX_EVALS
+
+
+class TestMlpStationarity:
+    SPEC = ExperimentSpec(
+        model=ModelSpec("mlp", 2, hidden=4, activation="tanh"),
+        n_tasks=2,
+        per_task=PerTaskConfig(n_train=60, n_test=60),
+    )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_fit_ends_far_inside_the_gate(self, monkeypatch, seed):
+        # Newton on the exact Hessian ends near NEWTON_TOL; the stationarity
+        # gate alone (RESIDUAL_TOL) would pass a fit five orders looser.
+        residuals = []
+        real_fit = training._fit
+
+        def fit(spec, loss_kind, datasets, alphas, anchor, cfg, x0):
+            theta = real_fit(spec, loss_kind, datasets, alphas, anchor, cfg, x0)
+            residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, theta)
+            residuals.append(residual / (1.0 + np.linalg.norm(theta.values)))
+            return theta
+
+        monkeypatch.setattr(training, "_fit", fit)
+        train_target(run_pipeline(self.SPEC, seed), 1.0)
+        assert len(residuals) == 3
+        assert max(residuals) <= 1e-9
 
 
 class TestDecoupledStep:
@@ -347,7 +405,7 @@ class TestDecoupledStep:
         x0 = np.array([3.0, -1.0])
 
         def zero_grad(theta):
-            return 0.0, np.zeros_like(theta)
+            return np.zeros_like(theta)
 
         cfg = TrainConfig(lr=0.1, epochs=1, seed=0)
         out = adam_decoupled_minimize(zero_grad, x0, cfg, anchor)
@@ -361,7 +419,7 @@ class TestDecoupledStep:
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.0)
 
         def explode(theta):
-            return float("nan"), np.full_like(theta, np.nan)
+            return np.full_like(theta, np.nan)
 
         with pytest.raises(DivergenceError):
             adam_decoupled_minimize(explode, np.zeros(1), TrainConfig(epochs=1), anchor)
@@ -448,9 +506,9 @@ class TestFitCost:
     def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
         # Data checks, ParamVector and TaskDataset constructions happen once
         # per fit: before its first step and in the final residual gate.
-        # Only the kernel calls grow with the number of Adam steps; the
-        # polish that follows may need fewer after a longer Adam phase, so
-        # the total need not grow.
+        # Only the Adam kernel's calls grow with the number of Adam steps;
+        # the Newton phase that follows may need fewer value/gradient and
+        # Hessian evaluations after a longer Adam phase, so those need not.
         sets = [classification(30, n=40), classification(31, n=24)]
         anchor = QuadraticAnchor(
             ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
@@ -469,16 +527,9 @@ class TestFitCost:
         check = counting("data checks", models._check_data)
         monkeypatch.setattr(models, "_check_data", check)
         monkeypatch.setattr(training, "_check_data", check)
-        monkeypatch.setattr(training, "_value_grad", counting("kernel calls", training._value_grad))
-        real_adam = training.adam_decoupled_minimize
-
-        def adam(*args, **kwargs):
-            start = counts.get("kernel calls", 0)
-            out = real_adam(*args, **kwargs)
-            counts["Adam kernel calls"] = counts.get("kernel calls", 0) - start
-            return out
-
-        monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
+        monkeypatch.setattr(training, "_grad", counting("Adam kernel calls", training._grad))
+        monkeypatch.setattr(training, "_value_grad", counting("Newton kernel calls", training._value_grad))
+        monkeypatch.setattr(training, "_hessian", counting("Newton kernel calls", training._hessian))
         for cls in (ParamVector, TaskDataset):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
 
@@ -492,8 +543,8 @@ class TestFitCost:
             return dict(counts)
 
         short, long = run(10), run(40)
-        assert long.pop("Adam kernel calls") > short.pop("Adam kernel calls") > 0
-        del long["kernel calls"], short["kernel calls"]
+        assert long.pop("Adam kernel calls") == 40 and short.pop("Adam kernel calls") == 10
+        del long["Newton kernel calls"], short["Newton kernel calls"]
         assert long == short
         assert short.get("TaskDataset", 0) == 0
         assert short["data checks"] == 2 * (1 if fit == "anchor" else len(sets))
