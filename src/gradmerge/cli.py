@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .diagnostics import mismatch_table_csv, mismatch_vs_error_table
@@ -98,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("report", _cmd_report, "full addition run plus diagnostics in one shot")
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
     return parser
+
+
+# ``cli`` parses with one parser per process; parsing leaves it unchanged.
+_shared_parser = cache(build_parser)
 
 
 def _spec_for(args, removal: bool = False) -> ExperimentSpec:
@@ -240,9 +245,8 @@ def _cmd_report(args) -> int:
 
 def cli(argv=None) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help and friends
         code = exc.code

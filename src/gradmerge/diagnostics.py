@@ -164,7 +164,7 @@ def verify_identity(
     if not tasks:
         raise ConfigError("the identity needs at least one task")
     h0eff = anchor.effective_diag
-    if np.any(h0eff <= 0.0):
+    if (h0eff <= 0.0).any():
         raise SingularCurvatureError("anchor penalty diagonal must be strictly positive")
     a = anchor.anchor.values
     residual = target.values - a

@@ -557,7 +557,7 @@ def _score_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_s
     if classify:
         return per_task, avg, sum(scored[id(ds)] for ds in agg) / sum(ds.n for ds in agg)
     true_avg = np.concatenate([scored[id(ds)] for ds in agg], axis=1).mean(axis=1)
-    if not all(np.all(np.isfinite(v)) for v in (*per_task, avg, true_avg)):
+    if not all(np.isfinite(v).all() for v in (*per_task, avg, true_avg)):
         raise NumericError("loss overflowed to a non-finite value")
     return per_task, avg, true_avg
 

@@ -131,7 +131,7 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
     """
     if not inputs.tasks:
         raise EmptyMergeError(f"{method} needs at least one task checkpoint")
-    if method in _NONNEGATIVE_METHODS and np.any(weights < 0):
+    if method in _NONNEGATIVE_METHODS and (weights < 0).any():
         raise ConfigError(f"{method} does not accept negative task weights")
     thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
     if method not in CURVATURE_METHODS:
@@ -145,7 +145,7 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
 
 
 def _require_positive(den: np.ndarray, what: str) -> None:
-    if np.any(den <= 0.0):
+    if (den <= 0.0).any():
         raise SingularCurvatureError(f"{what} must be strictly positive elementwise")
 
 
@@ -159,7 +159,7 @@ def _kernel(base, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     half = 0.5 * base
     with np.errstate(over="ignore", invalid="ignore"):
         values = 2.0 * (half + (coef * (0.5 * rows - half)).sum(axis=1))
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("parameter values must be finite")
     return values
 
@@ -238,7 +238,7 @@ def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
     Row ``a`` merges with task weights ``scales[a] * alpha_t``.
     """
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(scales)):
+    if not np.isfinite(scales).all():
         raise ConfigError("merge scales must be finite")
     if method not in _RULES:
         raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")

@@ -89,7 +89,7 @@ class TaskDataset:
             raise ConfigError(
                 f"dataset has {inputs.shape[0]} input rows but {targets.shape[0]} targets"
             )
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
             raise NumericError("dataset values must be finite")
         inputs.setflags(write=False)
         targets.setflags(write=False)
@@ -172,7 +172,7 @@ def _check_data(spec: ModelSpec, loss_kind: str, data: TaskDataset) -> None:
         )
     if loss_kind == "logistic_nll" and data.n:
         t = data.targets
-        if not np.all((t == 0.0) | (t == 1.0)):
+        if not ((t == 0.0) | (t == 1.0)).all():
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
@@ -274,7 +274,7 @@ def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset,
     flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1)
     if reduce == "mean":
         flat = flat / data.n
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return ParamVector(layout, flat)
 
@@ -303,7 +303,7 @@ def _grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> np.ndarray:
 
 def _summed_grad(spec, loss_kind, values, X, y, w, out, a1) -> np.ndarray:
     flat = _backward(spec, values, X, w * _output_grads(loss_kind, out, y), a1)
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return flat
 
@@ -359,7 +359,7 @@ def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data:
         return np.zeros((0, spec.layout().total_len))
     out, a1 = _forward(spec, theta.values, data.inputs)
     G = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1, per_example=True)
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G
 

@@ -5,9 +5,10 @@ tested modules do not use: the joint solve stacks rows into one
 least-squares problem handled by SVD, the influence oracle factorizes
 dense normal matrices with Cholesky, and gradients are formed inline
 rather than through the model zoo.  Keeping the paths disjoint means an
-agreement between module and oracle is evidence, not circularity.
-``scipy.linalg`` is imported inside the functions that use it, so
-``import gradmerge`` does not load SciPy.
+agreement between module and oracle is evidence, not circularity.  Both
+solves run on NumPy's LAPACK bindings: ``np.linalg.lstsq`` (the SVD-based
+``gelsd`` driver) for the joint solve and ``np.linalg.cholesky`` for the
+normal matrices, so the oracles load no SciPy.
 
 The randomized suite draws features from a standard normal and targets
 from a planted coefficient vector plus noise with standard deviation
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -102,6 +104,7 @@ class OracleResult:
         )
 
 
+@cache
 def _vector_layout(d: int) -> ParamLayout:
     return ParamLayout([("w", (d,))])
 
@@ -133,54 +136,43 @@ def joint_closed_form_oracle(
         root = math.sqrt(float(alpha))
         blocks.append(root * data.inputs)
         rhs.append(root * data.targets)
-    from scipy import linalg as sla
-
     A = np.vstack(blocks)
     b = np.concatenate(rhs)
-    solution, _, rank, _ = sla.lstsq(A, b)
+    solution, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < d:
         raise SingularSystemError("stacked system is rank deficient; add data or a ridge")
     return ParamVector(layout, solution)
 
 
-def _ridge_solve(X: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-    from scipy import linalg as sla
-
-    d = X.shape[1]
+def _cholesky_solve(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve ``M x = rhs`` for symmetric positive definite ``M`` via ``L L^T``."""
     try:
-        factor = sla.cho_factor(X.T @ X + delta * np.eye(d))
-    except sla.LinAlgError as exc:
-        raise SingularSystemError("normal matrix is not positive definite") from exc
-    return sla.cho_solve(factor, X.T @ y)
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} is not positive definite") from exc
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def _influence_pair(
     full_data: TaskDataset, removed: list[int], delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot update and exact retrain after deleting the given rows."""
-    from scipy import linalg as sla
-
     idx = np.asarray(sorted(set(int(i) for i in removed)), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= full_data.n):
         raise ConfigError("removed indices out of range")
     if len(idx) != len(removed):
         raise ConfigError("removed indices must be unique")
     X, y = full_data.inputs, full_data.targets
-    d = full_data.n_features
-    keep = np.setdiff1d(np.arange(full_data.n), idx)
-    theta_full = _ridge_solve(X, y, delta)
+    ridge = delta * np.eye(full_data.n_features)
+    keep = np.ones(full_data.n, dtype=bool)
+    keep[idx] = False
+    theta_full = _cholesky_solve(X.T @ X + ridge, X.T @ y, "normal matrix")
     Xk, yk = X[keep], y[keep]
     Xr, yr = X[idx], y[idx]
-    try:
-        factor = sla.cho_factor(Xk.T @ Xk + delta * np.eye(d))
-    except sla.LinAlgError as exc:
-        raise SingularSystemError("retained normal matrix is not positive definite") from exc
-    retrain = sla.cho_solve(factor, Xk.T @ yk)
-    if idx.size:
-        one_shot = theta_full + sla.cho_solve(factor, Xr.T @ (Xr @ theta_full - yr))
-    else:
-        one_shot = theta_full
-    return one_shot, retrain
+    # Retrain and one-shot right-hand sides share the retained factor.
+    rhs = np.column_stack([Xk.T @ yk, Xr.T @ (Xr @ theta_full - yr)])
+    sol = _cholesky_solve(Xk.T @ Xk + ridge, rhs, "retained normal matrix")
+    return theta_full + sol[:, 1], sol[:, 0]
 
 
 def influence_oracle(full_data: TaskDataset, removed: list[int], delta: float) -> ParamVector:
@@ -236,7 +228,7 @@ def alt_removal_oracle(
     if hbar_minus.layout != anchor.layout:
         raise ConfigError("hbar_minus layout does not match the anchor")
     denom = hbar_minus.values + float(delta)
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise SingularCurvatureError("retained curvature plus delta must be strictly positive")
     X, y = task_data.inputs, task_data.targets
     g = X.T @ (X @ anchor.values - y)

@@ -88,9 +88,9 @@ def _validated_values(layout: ParamLayout, values, *, nonnegative: bool) -> np.n
         raise LayoutError(
             f"value array of length {arr.size} does not fit layout of length {layout.total_len}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("parameter values must be finite")
-    if nonnegative and np.any(arr < 0.0):
+    if nonnegative and (arr < 0.0).any():
         raise NumericError("curvature diagonal must be elementwise >= 0")
     arr.setflags(write=False)
     return arr

@@ -211,7 +211,7 @@ def adam_decoupled_minimize(
         vhat = v / (1 - cfg.beta2**step)
         theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
         theta = theta - shrink * (theta - a)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DivergenceError("training iterate became non-finite")
     return theta
 
@@ -491,7 +491,7 @@ def closed_form_solve(
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"normal equations are singular: {exc}") from exc
     residual = float(np.linalg.norm(A @ theta - b))
-    if not np.all(np.isfinite(theta)) or residual > 1e-9 * (1.0 + float(np.linalg.norm(b))):
+    if not np.isfinite(theta).all() or residual > 1e-9 * (1.0 + float(np.linalg.norm(b))):
         raise SingularSystemError(
             f"normal-equation solve is unreliable (residual {residual:.3e}); "
             "the system is singular or too ill-conditioned"

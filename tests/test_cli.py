@@ -259,6 +259,39 @@ class TestStagedWorkflow:
         assert "SingularCurvatureError" in capsys.readouterr().err
 
 
+class TestSharedParser:
+    """``cli`` reuses one parser per process; no call may leak into the next."""
+
+    def test_merge_alpha_falls_back_to_its_default(self, small_config):
+        config, out = small_config
+        assert run_cli("train", "--config", config, "--out", out) == 0
+        assert run_cli("fisher", "--config", config, "--out", out) == 0
+        assert run_cli("merge", "--method", "ours", "--alpha", "0.5", "--config", config, "--out", out) == 0
+        assert load_checkpoint(out / "merged-ours").meta["alphas"] == "0.5"
+        assert run_cli("merge", "--method", "ours", "--config", config, "--out", out) == 0
+        assert load_checkpoint(out / "merged-ours").meta["alphas"] == "1.0"
+
+    def test_seed_falls_back_to_the_config(self, small_config, monkeypatch):
+        config, out = small_config
+        monkeypatch.delenv("GRADMERGE_SEED", raising=False)
+        assert run_cli("gen", "--config", config, "--out", out / "flag", "--seed", "5") == 0
+        assert run_cli("gen", "--config", config, "--out", out / "config") == 0
+        assert run_cli("gen", "--config", config, "--out", out / "zero", "--seed", "0") == 0
+        names = sorted(p.name for p in (out / "zero").iterdir())
+        assert names
+        for name in names:
+            assert (out / "config" / name).read_bytes() == (out / "zero" / name).read_bytes()
+        assert any((out / "config" / n).read_bytes() != (out / "flag" / n).read_bytes() for n in names)
+
+    def test_usage_error_after_a_successful_call_exits_one(self, small_config, capsys):
+        config, out = small_config
+        assert run_cli("gen", "--config", config, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("merge", "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "--method" in err
+
+
 class TestProtocols:
     def test_report_writes_summary_and_diagnostics(self, small_config, capsys):
         config, out = small_config

@@ -172,6 +172,13 @@ class TestInfluenceOracle:
         with pytest.raises(SingularSystemError):
             influence_oracle(data, [0, 1], delta=0.0)
 
+    def test_singular_full_data_system_rejected(self):
+        # Fewer rows than features and no ridge: X^T X is singular before any row goes.
+        X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]])
+        data = TaskDataset(task_id="full", inputs=X, targets=np.array([1.0, 2.0]), seed=0)
+        with pytest.raises(SingularSystemError, match="^normal matrix"):
+            influence_oracle(data, [], delta=0.0)
+
     def test_internal_agreement_on_random_problems(self):
         rng = np.random.default_rng(1)
         for trial in range(25):
