@@ -12,8 +12,8 @@ configured method and scores it against a jointly trained baseline,
 :func:`run_removal` subtracts one task's contribution from an anchor
 trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
-weights without retraining anything; it merges and scores the whole grid
-in one batch per method.
+weights without retraining anything; it merges the whole grid in one
+batch per method and scores each distinct merged row once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .merging import (  # noqa: F401
     merged_checkpoint,
     remove_task,
 )
-from .models import ModelSpec, TaskDataset, _check_loss, _forward, _losses, accuracy, loss  # noqa: F401
+from .models import ModelSpec, TaskDataset, _check_data, _check_loss, _forward, _losses, accuracy, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     QuadraticAnchor,
@@ -516,38 +516,62 @@ class MethodOutcome:
     true_avg: float
 
 
-def _score_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_sets=None):
-    """Score every row of ``values`` ``(A, d)``, each distinct test set once.
+def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
+    """Check each distinct test set once, for any number of :func:`_score_rows` calls.
 
-    Returns the per-set scores of ``eval_sets`` as a list of ``(A,)``
-    columns plus the ``(A,)`` ``avg`` and ``true_avg`` over
-    ``aggregate_sets`` (default: ``eval_sets``).  Linear models take one
-    ``(A, d) @ (d, n)`` product per set, the MLP one forward pass per row.
-    Pooled accuracy is the total count of correct predictions over the
-    total n; a pooled loss averages the concatenated per-example losses.
+    Returns ``(eval_sets, aggregate_sets, targets)``; ``aggregate_sets``
+    defaults to ``eval_sets`` and ``targets`` maps ``id(ds)`` to what the
+    set is scored against.  A classifier's targets must be ``{0,1}``, the
+    rule :func:`models.accuracy` applies, and become bool labels here.
     """
-    model = spec.model
-    classify = model.kind != "linear_regression"
-    agg = list(eval_sets if aggregate_sets is None else aggregate_sets)
+    classify = spec.model.kind != "linear_regression"
+    eval_sets = tuple(eval_sets)
+    agg = tuple(eval_sets if aggregate_sets is None else aggregate_sets)
     if not agg:
         raise ConfigError("evaluation needs at least one aggregate dataset")
-    scored = {}  # id(dataset) -> (A,) correct-prediction counts, or (A, n) losses
+    targets = {}
     for ds in (*eval_sets, *agg):
-        if id(ds) in scored:
+        if id(ds) in targets:
             continue
         if ds.n == 0:
             raise EmptyDataError(f"cannot score the empty test set {ds.task_id!r}")
-        if ds.n_features != model.n_features:
-            raise LayoutError("dataset feature count does not match the model")
+        _check_data(spec.model, "logistic_nll" if classify else "squared_error", ds)
+        targets[id(ds)] = (ds.targets == 1.0) if classify else ds.targets
+    return eval_sets, agg, targets
+
+
+def _score_rows(spec: ExperimentSpec, values: np.ndarray, sets):
+    """Score every row of ``values`` ``(A, d)`` on ``sets`` from :func:`_scoring_sets`.
+
+    Returns the per-set scores of the eval sets as a list of ``(A,)``
+    columns plus the ``(A,)`` ``avg`` and ``true_avg`` over the aggregate
+    sets.  Each distinct row, keyed by its exact bytes, is scored once and
+    its scores are copied to its repeats.  Linear models take one
+    ``(U, d) @ (d, n)`` product per distinct set, the MLP one forward pass
+    per distinct row.  Pooled accuracy is the total count of correct
+    predictions over the total n; a pooled loss averages the concatenated
+    per-example losses.
+    """
+    eval_sets, agg, targets = sets
+    model = spec.model
+    classify = model.kind != "linear_regression"
+    slots: dict[bytes, int] = {}
+    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in values], dtype=np.intp)
+    unique = np.empty((len(slots), values.shape[1]))
+    unique[inverse] = values
+    scored = {}  # id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
+    for ds in (*eval_sets, *agg):
+        if id(ds) in scored:
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             if model.kind == "mlp":
-                out = np.stack([_forward(model, v, ds.inputs)[0] for v in values])
+                out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
             else:
-                out = values @ ds.inputs.T
-            if classify:
-                scored[id(ds)] = np.count_nonzero((out >= 0.0) == ds.targets, axis=1)
+                out = unique @ ds.inputs.T
+            if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
+                scored[id(ds)] = ((out >= 0.0) == targets[id(ds)]).sum(axis=1, dtype=np.uint32)
             else:
-                scored[id(ds)] = _losses(spec.loss, out, ds.targets)
+                scored[id(ds)] = _losses(spec.loss, out, targets[id(ds)])
 
     def score(ds: TaskDataset) -> np.ndarray:
         return scored[id(ds)] / ds.n if classify else scored[id(ds)].mean(axis=1)
@@ -555,11 +579,12 @@ def _score_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_s
     per_task = [score(ds) for ds in eval_sets]
     avg = np.stack([score(ds) for ds in agg], axis=1).mean(axis=1)
     if classify:
-        return per_task, avg, sum(scored[id(ds)] for ds in agg) / sum(ds.n for ds in agg)
-    true_avg = np.concatenate([scored[id(ds)] for ds in agg], axis=1).mean(axis=1)
-    if not all(np.isfinite(v).all() for v in (*per_task, avg, true_avg)):
-        raise NumericError("loss overflowed to a non-finite value")
-    return per_task, avg, true_avg
+        true_avg = sum(scored[id(ds)] for ds in agg) / sum(ds.n for ds in agg)
+    else:
+        true_avg = np.concatenate([scored[id(ds)] for ds in agg], axis=1).mean(axis=1)
+        if not all(np.isfinite(v).all() for v in (*per_task, avg, true_avg)):
+            raise NumericError("loss overflowed to a non-finite value")
+    return [col[inverse] for col in per_task], avg[inverse], true_avg[inverse]
 
 
 def evaluate_params(
@@ -578,7 +603,8 @@ def evaluate_params(
     if theta.layout != spec.model.layout():
         raise LayoutError("theta layout does not match the model's canonical layout")
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    per_task, avg, true_avg = _score_rows(spec, theta.values[None], eval_sets, aggregate_sets)
+    sets = _scoring_sets(spec, eval_sets, aggregate_sets)
+    per_task, avg, true_avg = _score_rows(spec, theta.values[None], sets)
     per_task = tuple((ds.task_id, float(col[0])) for ds, col in zip(eval_sets, per_task))
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
@@ -628,13 +654,9 @@ def train_target(state: PipelineState, alpha: float) -> Checkpoint:
 
 
 def _metric_rows(outcome: MethodOutcome) -> list[str]:
-    rows = [
-        f"{outcome.method},{outcome.alpha!r},{task_id},{outcome.metric},{value!r}"
-        for task_id, value in outcome.per_task
-    ]
-    rows.append(f"{outcome.method},{outcome.alpha!r},avg,{outcome.metric},{outcome.avg!r}")
-    rows.append(f"{outcome.method},{outcome.alpha!r},true_avg,{outcome.metric},{outcome.true_avg!r}")
-    return rows
+    head = f"{outcome.method},{outcome.alpha!r}"
+    scores = (*outcome.per_task, ("avg", outcome.avg), ("true_avg", outcome.true_avg))
+    return [f"{head},{task_id},{outcome.metric},{value!r}" for task_id, value in scores]
 
 
 def output_dir(path) -> Path:
@@ -662,8 +684,38 @@ def save_run(out: Path, anchor: Checkpoint, tasks) -> None:
         save_checkpoint(ck, out / f"task{t}")
 
 
-def _write_lines(path: Path, header, rows) -> None:
-    write_text(path, "\n".join(([header] if header is not None else []) + list(rows)) + "\n")
+class _Summary:
+    """A run's ``summary.csv`` rows, written as one stream.
+
+    :meth:`add` keeps a batch of rows and, given an output directory,
+    appends it to the file and flushes, so partial results survive a
+    failure.  The first batch creates the file and writes the header.
+    """
+
+    def __init__(self, out: Path | None):
+        self.rows: list[str] = []
+        self._path = None if out is None else out / "summary.csv"
+        self._file = None
+
+    def __enter__(self) -> "_Summary":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def add(self, rows) -> None:
+        self.rows.extend(rows)
+        if self._path is None:
+            return
+        try:
+            if self._file is None:
+                self._file = open(self._path, "w")
+                self._file.write(SUMMARY_HEADER + "\n")
+            self._file.writelines(f"{row}\n" for row in rows)
+            self._file.flush()
+        except OSError as exc:
+            raise IoError(f"failed to write {self._path!s}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,12 +742,12 @@ def run_addition(
     Fine-tuned tasks 1..T-1 are merged into the task-0 anchor at weight
     ``alpha`` and evaluated on the added tasks' test sets, alongside an
     "all-data" row for the jointly trained target and an "anchor" row for
-    the unmerged starting point.  ``summary.csv`` is rewritten after each
-    method so partial results survive a failure, and the anchor, task,
-    target, and merged checkpoints are persisted under ``out_dir`` when
-    given.  Per-method weight overrides are honored but labeled
-    ``<method>-oracle-tuned``: picking the weight on test data is not a
-    fair comparison.
+    the unmerged starting point.  ``summary.csv`` is one stream that gets
+    each method's rows as soon as they are scored, so partial results
+    survive a failure, and the anchor, task, target, and merged
+    checkpoints are persisted under ``out_dir`` when given.  Per-method
+    weight overrides are honored but labeled ``<method>-oracle-tuned``:
+    picking the weight on test data is not a fair comparison.
     """
     _require_methods(spec, ADDITION_METHODS, "run_addition")
     overrides = {m: float(a) for m, a in dict(alpha_overrides or {}).items()}
@@ -708,28 +760,24 @@ def run_addition(
     if out is not None:
         save_run(out, state.anchor, state.tasks)
     eval_sets = evaluation_sets(state.test_sets)
-    rows: list[str] = []
     outcomes: dict[str, MethodOutcome] = {}
-    for method in spec.methods:
-        a = overrides.get(method, float(alpha))
-        label = method if method not in overrides else f"{method}-oracle-tuned"
-        params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, a)
-        outcome = evaluate_params(spec, label, a, params, eval_sets)
-        outcomes[label] = outcome
-        rows.extend(_metric_rows(outcome))
+    with _Summary(out) as summary:
+        for method in spec.methods:
+            a = overrides.get(method, float(alpha))
+            label = method if method not in overrides else f"{method}-oracle-tuned"
+            params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, a)
+            outcomes[label] = evaluate_params(spec, label, a, params, eval_sets)
+            if out is not None:
+                merged = merged_checkpoint(method, params, [a] * len(state.tasks), state.anchor.anchor_id)
+                save_checkpoint(merged, out / f"merged-{method}")
+            summary.add(_metric_rows(outcomes[label]))
+        target = train_target(state, float(alpha))
+        outcomes["all-data"] = evaluate_params(spec, "all-data", float(alpha), target.params, eval_sets)
+        outcomes["anchor"] = evaluate_params(spec, "anchor", 0.0, state.anchor.params, eval_sets)
         if out is not None:
-            merged = merged_checkpoint(method, params, [a] * len(state.tasks), state.anchor.anchor_id)
-            save_checkpoint(merged, out / f"merged-{method}")
-            _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
-    target = train_target(state, float(alpha))
-    outcomes["all-data"] = evaluate_params(spec, "all-data", float(alpha), target.params, eval_sets)
-    rows.extend(_metric_rows(outcomes["all-data"]))
-    outcomes["anchor"] = evaluate_params(spec, "anchor", 0.0, state.anchor.params, eval_sets)
-    rows.extend(_metric_rows(outcomes["anchor"]))
-    if out is not None:
-        save_checkpoint(target, out / "target")
-        _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
-    return AdditionResult(state, float(alpha), outcomes, target, tuple(rows))
+            save_checkpoint(target, out / "target")
+        summary.add(_metric_rows(outcomes["all-data"]) + _metric_rows(outcomes["anchor"]))
+    return AdditionResult(state, float(alpha), outcomes, target, tuple(summary.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -786,28 +834,26 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
     kept_tests = [tests[t] for t in range(spec.n_tasks) if t != removed]
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}
-    rows: list[str] = []
+    summary = _Summary(out)
 
     def record(label: str, alpha: float, theta: ParamVector, stem: str | None) -> None:
         outcomes[label] = evaluate_params(spec, label, alpha, theta, tests, kept_tests)
         dists[label] = float(np.linalg.norm(theta.values - retrain.params.values))
-        rows.extend(_metric_rows(outcomes[label]))
-        rows.append(f"{label},{alpha!r},all,dist_retrain,{dists[label]!r}")
-        if out is not None:
-            if stem is not None:
-                save_checkpoint(Checkpoint.of(theta, anchor_id="anchor", meta={"method": label}), out / stem)
-            _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
+        if out is not None and stem is not None:
+            save_checkpoint(Checkpoint.of(theta, anchor_id="anchor", meta={"method": label}), out / stem)
+        summary.add(_metric_rows(outcomes[label]) + [f"{label},{alpha!r},all,dist_retrain,{dists[label]!r}"])
 
-    for method in spec.methods:
-        if method == "remove-ta":
-            theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
-        else:
-            theta = remove_task(anchor, (1.0, task_ck), hbar_minus, h0_eff, spec.anchor.delta)
-        record(method, 1.0, theta, f"merged-{method}")
-    record("retrain", 0.0, retrain.params, "retrain")
-    record("anchor", 0.0, anchor.params, None)
+    with summary:
+        for method in spec.methods:
+            if method == "remove-ta":
+                theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
+            else:
+                theta = remove_task(anchor, (1.0, task_ck), hbar_minus, h0_eff, spec.anchor.delta)
+            record(method, 1.0, theta, f"merged-{method}")
+        record("retrain", 0.0, retrain.params, "retrain")
+        record("anchor", 0.0, anchor.params, None)
     return RemovalResult(
-        spec, seed, f"task{removed}", anchor, retrain, outcomes, dists, tuple(rows)
+        spec, seed, f"task{removed}", anchor, retrain, outcomes, dists, tuple(summary.rows)
     )
 
 
@@ -826,32 +872,38 @@ def sweep_alpha(
 ) -> SweepResult:
     """Evaluate every method in ``spec.methods`` across ``spec.alphas``.
 
-    Training happens once; each method then merges the whole grid in one
-    broadcast and scores it with one product per test set.  Emits
-    aggregate summary rows plus a two-column ``sweep_<method>.dat`` file
-    per method, ready for any plotting tool.  Duplicate grid values
-    produce duplicate rows, deterministically.
+    Training happens once and the test sets are checked once; each method
+    then merges the whole grid in one broadcast and scores each distinct
+    merged row once, with one product per test set.  ``summary.csv`` is
+    one stream that gets each method's aggregate rows as soon as they are
+    scored, and each method also writes a two-column
+    ``sweep_<method>.dat``, ready for any plotting tool.  Duplicate grid
+    values produce duplicate rows, deterministically.
     """
     _require_methods(spec, ADDITION_METHODS, "sweep_alpha")
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
-    eval_sets = evaluation_sets(state.test_sets)
+    sets = _scoring_sets(spec, evaluation_sets(state.test_sets))
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    rows: list[str] = []
+    alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
-    for method in spec.methods:
-        values = _merge_rows(state.anchor, state.tasks, spec.anchor.delta, method, spec.alphas)
-        _, avg, true_avg = _score_rows(spec, values, eval_sets)
-        points = tuple(zip(spec.alphas, avg.tolist()))
-        for (a, v), t in zip(points, true_avg.tolist()):
-            rows.append(f"{method},{a!r},avg,{metric},{v!r}")
-            rows.append(f"{method},{a!r},true_avg,{metric},{t!r}")
-        series[method] = points
-        if out is not None:
-            _write_lines(out / f"sweep_{method}.dat", None, [f"{a!r} {v!r}" for a, v in points])
-            _write_lines(out / "summary.csv", SUMMARY_HEADER, rows)
-    return SweepResult(state, metric, series, tuple(rows))
+    with _Summary(out) as summary:
+        for method in spec.methods:
+            values = _merge_rows(state.anchor, state.tasks, spec.anchor.delta, method, spec.alphas)
+            _, avg, true_avg = _score_rows(spec, values, sets)
+            avg = avg.tolist()
+            series[method] = tuple(zip(spec.alphas, avg))
+            avg_text = [repr(v) for v in avg]
+            if out is not None:
+                dat = "".join(f"{a} {v}\n" for a, v in zip(alpha_text, avg_text))
+                write_text(out / f"sweep_{method}.dat", dat)
+            summary.add([
+                row
+                for a, v, t in zip(alpha_text, avg_text, true_avg.tolist())
+                for row in (f"{method},{a},avg,{metric},{v}", f"{method},{a},true_avg,{metric},{t!r}")
+            ])
+    return SweepResult(state, metric, series, tuple(summary.rows))
 
 
 def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float):

@@ -51,7 +51,8 @@ from .errors import (
     SingularSystemError,
     check_field_types,
 )
-from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _value_grad, grad, loss
+# ``loss`` is unused here but stays importable: ``perfbench/spans.py`` wraps it on this module.
+from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _value_grad, grad, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "train_joint_target",
     "closed_form_solve",
     "adam_decoupled_minimize",
-    "anchored_objective",
     "stationarity_residual",
 ]
 
@@ -154,15 +154,6 @@ def _rows(spec, datasets, alphas):
     X = np.concatenate([np.zeros((0, spec.n_features))] + [data.inputs for _, data in live])
     y = np.concatenate([np.zeros(0)] + [data.targets for _, data in live])
     return X, y, np.concatenate([np.zeros(0)] + [np.full(data.n, alpha) for alpha, data in live])
-
-
-def anchored_objective(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
-    """Full objective value: weighted data losses plus the anchored penalty."""
-    value = 0.0
-    for alpha, data in _weighted_tasks(datasets, alphas):
-        value += alpha * loss(spec, loss_kind, theta, data, "sum")
-    diff = theta.values - anchor.anchor.values
-    return float(value + 0.5 * np.sum(anchor.effective_diag * diff * diff))
 
 
 def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradmerge.curvature import FisherConfig
-from gradmerge.errors import ConfigError, EmptyDataError, LayoutError
+from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError
 from gradmerge.harness import (
     ADDITION_METHODS,
     REMOVAL_METHODS,
@@ -487,6 +487,21 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError):
             sweep_alpha(default_removal_spec(), seed=0)
 
+    def test_failure_keeps_finished_methods_rows(self, tmp_path, default_state):
+        # fa refuses the negative weight after ta has written its rows.
+        spec = dataclasses.replace(default_state.spec, methods=("ta", "fa"), alphas=(0.0, -0.5))
+        with pytest.raises(ConfigError):
+            sweep_alpha(spec, out_dir=tmp_path, state=default_state)
+        ta = sweep_alpha(dataclasses.replace(spec, methods=("ta",)), state=default_state)
+        assert (tmp_path / "summary.csv").read_text().splitlines() == [SUMMARY_HEADER, *ta.rows]
+        assert (tmp_path / "sweep_ta.dat").exists()
+        assert not (tmp_path / "sweep_fa.dat").exists()
+
+    def test_unwritable_summary_raises_io_error(self, tmp_path, default_state):
+        (tmp_path / "summary.csv").mkdir()
+        with pytest.raises(IoError):
+            sweep_alpha(default_state.spec, out_dir=tmp_path, state=default_state)
+
 
 #: A grid with the anchor endpoint, a duplicate, and weights above 1.
 EQUIVALENCE_GRID = (0.0, 0.3, 0.3, 1.0, 1.7)
@@ -552,6 +567,18 @@ class TestSweepGrid:
             evaluate_params(spec, "anchor", 0.0, theta, [TaskDataset("empty", np.zeros((0, 2)), [])])
         with pytest.raises(LayoutError):
             evaluate_params(spec, "anchor", 0.0, theta, [TaskDataset("wide", np.zeros((3, 5)), np.zeros(3))])
+
+    def test_scoring_requires_binary_targets(self, default_state):
+        # The same {0,1} rule as models.accuracy, in both scoring paths.
+        spec, theta = default_state.spec, default_state.anchor.params
+        odd = TaskDataset("odd", np.ones((4, 2)), [0.5, 0.5, 2.0, 1.0])
+        with pytest.raises(ConfigError, match=r"\{0,1\} targets"):
+            accuracy(spec.model, theta, odd)
+        with pytest.raises(ConfigError, match=r"\{0,1\} targets"):
+            evaluate_params(spec, "anchor", 0.0, theta, [odd])
+        state = dataclasses.replace(default_state, test_sets=(default_state.test_sets[0], odd))
+        with pytest.raises(ConfigError, match=r"\{0,1\} targets"):
+            sweep_alpha(spec, state=state)
 
     @pytest.mark.parametrize("method", ("am", "wam", "fa", "ties"))
     def test_negative_weight_rejected_like_per_alpha_loop(self, default_state, method):

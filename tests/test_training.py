@@ -13,7 +13,6 @@ from gradmerge.training import (
     QuadraticAnchor,
     TrainConfig,
     adam_decoupled_minimize,
-    anchored_objective,
     closed_form_solve,
     finetune_task,
     stationarity_residual,
@@ -27,6 +26,16 @@ CFG = TrainConfig(lr=0.05, epochs=100, seed=0)
 
 def data_1d(xs, ys, task_id="t"):
     return TaskDataset(task_id, np.asarray(xs, dtype=float).reshape(-1, 1), ys)
+
+
+def anchored_objective(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
+    """Reference objective, independent of the trainers' fused evaluation:
+    the weighted per-task losses from ``models.loss`` plus the anchored penalty."""
+    value = sum(
+        alpha * models.loss(spec, loss_kind, theta, data, "sum") for alpha, data in zip(alphas, datasets) if data.n
+    )
+    diff = theta.values - anchor.anchor.values
+    return float(value + 0.5 * np.sum(anchor.effective_diag * diff * diff))
 
 
 def anchor_1d(value, h0, delta=0.0):
