@@ -11,54 +11,37 @@ provided:
   the two models whose Hessians have a closed form (linear regression:
   ``sum_i x_ij^2``; logistic: ``sum_i s_i (1 - s_i) x_ij^2``).
 
-A small floor is *added* to the Fisher diagonal (not clipped to), which
-keeps every entry strictly positive so pooled curvatures stay
-invertible; adding a floor behaves better than clipping because it
-leaves the relative ordering of large entries untouched while still
-regularizing near-zero ones.
+A fixed floor, :data:`FISHER_FLOOR`, is *added* to the Fisher diagonal
+(not clipped to), which keeps every entry strictly positive so pooled
+curvatures stay invertible; adding a floor behaves better than clipping
+because it leaves the relative ordering of large entries untouched while
+still regularizing near-zero ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, EmptyDataError, UnsupportedModelError, check_field_types
+from .errors import EmptyDataError, UnsupportedModelError
 from .models import ModelSpec, TaskDataset, _check_inputs, _sigmoid, per_example_grads
 from .params import DiagCurvature, ParamVector
 
 __all__ = [
-    "FisherConfig",
+    "FISHER_FLOOR",
     "fisher_diag",
     "exact_hessian_diag",
 ]
 
-
-@dataclass(frozen=True)
-class FisherConfig:
-    """The floor ``delta_floor`` added elementwise to the summed squared gradients."""
-
-    delta_floor: float = 1e-10
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not np.isfinite(self.delta_floor) or self.delta_floor < 0:
-            raise ConfigError("delta_floor must be finite and >= 0")
+#: Added elementwise to every empirical Fisher diagonal.
+FISHER_FLOOR = 1e-10
 
 
-def fisher_diag(
-    spec: ModelSpec,
-    loss_kind: str,
-    theta: ParamVector,
-    data: TaskDataset,
-    cfg: FisherConfig = FisherConfig(),
-) -> DiagCurvature:
-    """Empirical Fisher diagonal: summed squared per-example gradients plus floor."""
+def fisher_diag(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
+    """Empirical Fisher diagonal: summed squared per-example gradients plus :data:`FISHER_FLOOR`."""
     if data.n == 0:
         raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
     G = per_example_grads(spec, loss_kind, theta, data)
-    return DiagCurvature(theta.layout, (G * G).sum(axis=0) + cfg.delta_floor)
+    return DiagCurvature(theta.layout, (G * G).sum(axis=0) + FISHER_FLOOR)
 
 
 def exact_hessian_diag(

@@ -222,6 +222,16 @@ def test_loss_delta(
 
 def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> MismatchReport:
     """Score one merged candidate against the fixture's target."""
+    return _mismatch_report(fixture, merged, _identity_residual(fixture))
+
+
+def _identity_residual(fixture: DiagnosticFixture) -> float:
+    """:func:`verify_identity` on the fixture's tasks: one value per fixture, whatever the merge."""
+    tasks = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
+    return verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec, fixture.loss_kind)
+
+
+def _mismatch_report(fixture: DiagnosticFixture, merged: ParamVector, residual: float) -> MismatchReport:
     per_task = []
     total = 0.0
     for alpha, _, train, _ in fixture.tasks:
@@ -229,13 +239,6 @@ def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> Mismatch
         norm = float(np.linalg.norm(mm.values))
         per_task.append((train.task_id, norm))
         total += abs(float(alpha)) * norm
-    residual = verify_identity(
-        fixture.anchor,
-        fixture.target,
-        [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks],
-        fixture.spec,
-        fixture.loss_kind,
-    )
     return MismatchReport(
         per_task=tuple(per_task),
         total_weighted_norm=total,
@@ -248,13 +251,17 @@ def mismatch_vs_error_table(methods: list[str], fixtures: list[DiagnosticFixture
     """Flat per-(method, fixture, task) table of mismatch vs actual error.
 
     Rows come out in deterministic method-major, fixture-minor, task
-    order; an empty fixture list yields an empty table.
+    order; an empty fixture list yields an empty table.  Each fixture's
+    identity residual is computed once, at its first merge.
     """
     rows = []
+    residuals: dict[int, float] = {}
     for method in methods:
-        for fixture in fixtures:
+        for i, fixture in enumerate(fixtures):
             merged = merge(method, fixture.merge_inputs())
-            report = mismatch_report(fixture, merged)
+            if i not in residuals:
+                residuals[i] = _identity_residual(fixture)
+            report = _mismatch_report(fixture, merged, residuals[i])
             for (alpha, _, train, test), (task_id, norm) in zip(fixture.tasks, report.per_task):
                 exact, first_order = test_loss_delta(
                     fixture.spec, fixture.loss_kind, fixture.target, merged, test

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import FisherConfig, exact_hessian_diag, fisher_diag
+from .curvature import exact_hessian_diag, fisher_diag
 from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError, check_field_types
 # ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
@@ -55,6 +55,7 @@ __all__ = [
     "REMOVAL_METHODS",
     "HARNESS_METHODS",
     "SUMMARY_HEADER",
+    "MAX_ALPHA_POINTS",
     "PerTaskConfig",
     "AnchorConfig",
     "ExperimentSpec",
@@ -101,13 +102,17 @@ HARNESS_METHODS = ADDITION_METHODS + REMOVAL_METHODS
 #: Column order of summary.csv rows.
 SUMMARY_HEADER = "method,alpha,task,metric,value"
 
+#: Most points an alpha range string may expand to.
+MAX_ALPHA_POINTS = 10_000
+
 
 def parse_alphas(value) -> tuple[float, ...]:
     """Parse a weight grid: ``"start:stop:step"``, a number, or a sequence.
 
     Range strings include both endpoints (up to float rounding of the
-    step count) and grid values are rounded to twelve decimals so that
-    ``"0.0:1.0:0.1"`` yields the clean 0.0, 0.1, ..., 1.0.
+    step count), may expand to at most :data:`MAX_ALPHA_POINTS` values,
+    and are rounded to twelve decimals so that ``"0.0:1.0:0.1"`` yields
+    the clean 0.0, 0.1, ..., 1.0.
     """
     if isinstance(value, str):
         parts = value.split(":")
@@ -123,7 +128,10 @@ def parse_alphas(value) -> tuple[float, ...]:
             raise ConfigError("alpha range step must be > 0")
         if stop < start:
             raise ConfigError("alpha range must have stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_ALPHA_POINTS:  # also refuses an overflow to inf
+            raise ConfigError(f"alpha range {value!r} has more than {MAX_ALPHA_POINTS} points")
+        count = int(steps) + 1
         return tuple(round(start + i * step, 12) for i in range(count))
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         values = (float(value),)
@@ -173,9 +181,8 @@ class PerTaskConfig:
 
     Classification tasks put class 1 at ``+mean`` and class 0 at
     ``-mean`` where the mean has norm ``separation / 2`` and rotates by
-    equal steps up to ``spread_degrees`` across tasks.  ``identical``
-    clones task 0's draws into every task, which is useful for degenerate
-    sanity checks.
+    equal steps up to ``spread_degrees`` across tasks.  ``seed`` is the
+    run's seed when neither ``--seed`` nor ``GRADMERGE_SEED`` gives one.
     """
 
     n_train: int = 500
@@ -184,7 +191,6 @@ class PerTaskConfig:
     separation: float = 2.2
     spread_degrees: float = 80.0
     seed: int = 0
-    identical: bool = False
 
     def __post_init__(self):
         check_field_types(self)
@@ -220,6 +226,7 @@ class ExperimentSpec:
     methods, but each protocol accepts only its own kind.  ``curvature``
     picks the per-task diagonal estimator ("fisher" or "exact"); the
     anchor's diagonal is governed separately by ``anchor.source``.
+    ``epochs`` is the length of the Adam phase of MLP fits.
     """
 
     name: str = "default"
@@ -228,11 +235,10 @@ class ExperimentSpec:
     n_tasks: int = 5
     per_task: PerTaskConfig = field(default_factory=PerTaskConfig)
     anchor: AnchorConfig = field(default_factory=AnchorConfig)
-    fisher: FisherConfig = field(default_factory=FisherConfig)
     curvature: str = "fisher"
     methods: tuple[str, ...] = ADDITION_METHODS
     alphas: tuple[float, ...] = field(default_factory=lambda: parse_alphas("0.0:1.0:0.1"))
-    train: TrainConfig = field(default_factory=TrainConfig)
+    epochs: int = 200
 
     def __post_init__(self):
         check_field_types(self)
@@ -241,6 +247,8 @@ class ExperimentSpec:
         _check_loss(self.model, self.loss)
         if self.n_tasks < 1:
             raise ConfigError("n_tasks must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         if self.curvature not in ("fisher", "exact"):
             raise ConfigError(f"curvature must be 'fisher' or 'exact', got {self.curvature!r}")
         if self.curvature == "exact" and self.model.kind == "mlp":
@@ -266,7 +274,7 @@ class ExperimentSpec:
 
 
 #: Config sections, by the annotation of the :class:`ExperimentSpec` field holding each.
-_SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig, FisherConfig, TrainConfig)}
+_SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig)}
 
 
 def _from_json(cls, payload, what: str):
@@ -386,10 +394,6 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     tests: list[TaskDataset] = []
     for t in range(spec.n_tasks):
         task_id = f"task{t}"
-        if cfg.identical and t > 0:
-            trains.append(TaskDataset(task_id, trains[0].inputs, trains[0].targets, seed))
-            tests.append(TaskDataset(task_id, tests[0].inputs, tests[0].targets, seed))
-            continue
         if classify:
             angle = spread * t / max(spec.n_tasks - 1, 1)
             mean = 0.5 * cfg.separation * _direction(d, angle)
@@ -415,7 +419,7 @@ def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDatas
         return DiagCurvature.constant(spec.model.layout(), float(source.split(":", 1)[1]))
     if source == "exact":
         return exact_hessian_diag(spec.model, spec.loss, theta, data)
-    return fisher_diag(spec.model, spec.loss, theta, data, spec.fisher)
+    return fisher_diag(spec.model, spec.loss, theta, data)
 
 
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
@@ -424,7 +428,7 @@ def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: Task
         return DiagCurvature.zeros(spec.model.layout())
     if spec.curvature == "exact":
         return exact_hessian_diag(spec.model, spec.loss, theta, data)
-    return fisher_diag(spec.model, spec.loss, theta, data, spec.fisher)
+    return fisher_diag(spec.model, spec.loss, theta, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,13 +456,12 @@ def train_stage(
     penalty, and the fine-tuned checkpoints, which carry no curvature:
     :func:`with_task_curvature` is the separate step that adds it.
     """
-    cfg = dataclasses.replace(spec.train, seed=seed)
-    base = train_anchor(spec.model, spec.loss, anchor_data, spec.anchor.delta, cfg)
+    base = train_anchor(spec.model, spec.loss, anchor_data, spec.anchor.delta, TrainConfig(spec.epochs, seed))
     h0 = estimate_anchor_h0(spec, base.params, anchor_data)
     anchor = Checkpoint.of(base.params, h0, meta=base.meta)
     quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
     tuned = tuple(
-        finetune_task(spec.model, spec.loss, data, quad, dataclasses.replace(cfg, seed=seed + t), anchor_id="anchor")
+        finetune_task(spec.model, spec.loss, data, quad, TrainConfig(spec.epochs, seed + t), anchor_id="anchor")
         for t, data in blocks
     )
     return anchor, quad, tuned
@@ -641,7 +644,7 @@ def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     added = list(state.train_sets[1:])
     if not added:
         return Checkpoint.of(state.anchor.params, anchor_id="anchor")
-    cfg = dataclasses.replace(state.spec.train, seed=state.seed + state.spec.n_tasks)
+    cfg = TrainConfig(state.spec.epochs, state.seed + state.spec.n_tasks)
     return train_joint_target(
         state.spec.model,
         state.spec.loss,
@@ -734,7 +737,6 @@ def run_addition(
     out_dir=None,
     seed=None,
     alpha: float = 1.0,
-    alpha_overrides=None,
     state: PipelineState | None = None,
 ) -> AdditionResult:
     """Anchor-plus-tasks protocol: merge every configured method and score it.
@@ -745,15 +747,10 @@ def run_addition(
     the unmerged starting point.  ``summary.csv`` is one stream that gets
     each method's rows as soon as they are scored, so partial results
     survive a failure, and the anchor, task, target, and merged
-    checkpoints are persisted under ``out_dir`` when given.  Per-method
-    weight overrides are honored but labeled ``<method>-oracle-tuned``:
-    picking the weight on test data is not a fair comparison.
+    checkpoints are persisted under ``out_dir`` when given.
     """
     _require_methods(spec, ADDITION_METHODS, "run_addition")
-    overrides = {m: float(a) for m, a in dict(alpha_overrides or {}).items()}
-    unlisted = sorted(set(overrides) - set(spec.methods))
-    if unlisted:
-        raise ConfigError(f"alpha overrides name methods not in spec.methods: {unlisted}")
+    alpha = float(alpha)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
@@ -763,21 +760,19 @@ def run_addition(
     outcomes: dict[str, MethodOutcome] = {}
     with _Summary(out) as summary:
         for method in spec.methods:
-            a = overrides.get(method, float(alpha))
-            label = method if method not in overrides else f"{method}-oracle-tuned"
-            params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, a)
-            outcomes[label] = evaluate_params(spec, label, a, params, eval_sets)
+            params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
+            outcomes[method] = evaluate_params(spec, method, alpha, params, eval_sets)
             if out is not None:
-                merged = merged_checkpoint(method, params, [a] * len(state.tasks), state.anchor.anchor_id)
+                merged = merged_checkpoint(method, params, [alpha] * len(state.tasks), state.anchor.anchor_id)
                 save_checkpoint(merged, out / f"merged-{method}")
-            summary.add(_metric_rows(outcomes[label]))
-        target = train_target(state, float(alpha))
-        outcomes["all-data"] = evaluate_params(spec, "all-data", float(alpha), target.params, eval_sets)
+            summary.add(_metric_rows(outcomes[method]))
+        target = train_target(state, alpha)
+        outcomes["all-data"] = evaluate_params(spec, "all-data", alpha, target.params, eval_sets)
         outcomes["anchor"] = evaluate_params(spec, "anchor", 0.0, state.anchor.params, eval_sets)
         if out is not None:
             save_checkpoint(target, out / "target")
         summary.add(_metric_rows(outcomes["all-data"]) + _metric_rows(outcomes["anchor"]))
-    return AdditionResult(state, float(alpha), outcomes, target, tuple(summary.rows))
+    return AdditionResult(state, alpha, outcomes, target, tuple(summary.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -830,7 +825,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
     if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
-    retrain = train_anchor(spec.model, spec.loss, kept, spec.anchor.delta, dataclasses.replace(spec.train, seed=seed))
+    retrain = train_anchor(spec.model, spec.loss, kept, spec.anchor.delta, TrainConfig(spec.epochs, seed))
     kept_tests = [tests[t] for t in range(spec.n_tasks) if t != removed]
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}

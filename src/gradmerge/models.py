@@ -1,7 +1,7 @@
 """Tiny differentiable model zoo: linear regression, binary logistic
 regression, and a one-hidden-layer MLP.
 
-Each model exposes summed/averaged loss, analytic gradients, the
+Each model exposes its loss summed over the examples, analytic gradients, the
 ``(n, d)`` matrix of per-example gradients (the raw material for
 empirical-Fisher curvature), a central finite-difference gradient as an
 independent check, and a classification accuracy helper.  Gradients are hand-derived backprop rather than a
@@ -176,9 +176,7 @@ def _check_data(spec: ModelSpec, loss_kind: str, data: TaskDataset) -> None:
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
-def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> None:
-    if reduce not in ("sum", "mean"):
-        raise ConfigError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
+def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> None:
     _check_data(spec, loss_kind, data)
     if theta.layout != spec.layout():
         raise LayoutError("theta layout does not match the model's canonical layout")
@@ -204,16 +202,14 @@ def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, out) - targets * out
 
 
-def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> float:
-    """Summed (default) or averaged loss over the dataset."""
-    _check_inputs(spec, loss_kind, theta, data, reduce)
+def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> float:
+    """Loss summed over the dataset; 0.0 on empty data."""
+    _check_inputs(spec, loss_kind, theta, data)
     if data.n == 0:
-        if reduce == "mean":
-            raise EmptyDataError("mean loss of an empty dataset is undefined")
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         losses = _losses(loss_kind, _forward(spec, theta.values, data.inputs)[0], data.targets)
-    value = float(np.mean(losses) if reduce == "mean" else np.sum(losses))
+    value = float(np.sum(losses))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
     return value
@@ -262,18 +258,14 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     return np.concatenate([dW1.reshape(-1), w2 * (g @ D), a1.T @ g, np.array([g.sum()])])
 
 
-def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, reduce: str = "sum") -> ParamVector:
-    """Analytic gradient of :func:`loss` with the same reduction."""
-    _check_inputs(spec, loss_kind, theta, data, reduce)
+def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> ParamVector:
+    """Analytic gradient of :func:`loss`; zeros on empty data."""
+    _check_inputs(spec, loss_kind, theta, data)
     layout = spec.layout()
     if data.n == 0:
-        if reduce == "mean":
-            raise EmptyDataError("mean gradient of an empty dataset is undefined")
         return ParamVector.zeros(layout)
     out, a1 = _forward(spec, theta.values, data.inputs)
     flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1)
-    if reduce == "mean":
-        flat = flat / data.n
     if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return ParamVector(layout, flat)
@@ -283,8 +275,8 @@ def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> tuple[f
     """Weighted summed loss ``sum_i w_i l_i`` and its flat gradient from one forward pass.
 
     For rows that passed :func:`_check_data` and unit weights (1.0
-    multiplies exactly) this equals ``loss(..., "sum")`` and
-    ``grad(..., "sum").values``, raising the same overflow errors.
+    multiplies exactly) this equals :func:`loss` and ``grad(...).values``,
+    raising the same overflow errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
@@ -353,7 +345,7 @@ def _hessian(spec: ModelSpec, loss_kind: str, values, X, y, w) -> np.ndarray:
 
 
 def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:
-    """``(n, d)`` per-example gradients in dataset order; the rows sum to ``grad(..., reduce='sum')``."""
+    """``(n, d)`` per-example gradients in dataset order; the rows sum to :func:`grad`."""
     _check_inputs(spec, loss_kind, theta, data)
     if data.n == 0:
         return np.zeros((0, spec.layout().total_len))
@@ -364,11 +356,11 @@ def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data:
     return G
 
 
-def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, h: float, reduce: str = "sum") -> ParamVector:
-    """Central finite-difference gradient; independent check on :func:`grad`."""
+def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, h: float) -> ParamVector:
+    """Central finite-difference gradient of :func:`loss`; independent check on :func:`grad`."""
     if not h > 0.0:
         raise ConfigError("finite-difference step h must be > 0")
-    _check_inputs(spec, loss_kind, theta, data, reduce)
+    _check_inputs(spec, loss_kind, theta, data)
     base = theta.values
     out = np.empty_like(base)
     for j in range(base.size):
@@ -376,8 +368,8 @@ def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDatas
         minus = base.copy()
         plus[j] += h
         minus[j] -= h
-        lp = loss(spec, loss_kind, ParamVector(theta.layout, plus), data, reduce)
-        lm = loss(spec, loss_kind, ParamVector(theta.layout, minus), data, reduce)
+        lp = loss(spec, loss_kind, ParamVector(theta.layout, plus), data)
+        lm = loss(spec, loss_kind, ParamVector(theta.layout, minus), data)
         out[j] = (lp - lm) / (2.0 * h)
     return ParamVector(theta.layout, out)
 

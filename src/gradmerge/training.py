@@ -88,32 +88,28 @@ NEWTON_MAX_ITER = 200
 MLP_MAX_STEP = 0.5
 
 
+#: Adam's step size, moment decay rates and denominator guard, which
+#: follow common Adam practice.  Only the Adam phase of MLP fits reads them.
+ADAM_LR = 0.05
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam hyperparameters; defaults follow common Adam practice.
+    """The Adam phase's epoch count and the seed of an MLP's initial point.
 
-    They govern only the Adam phase of MLP fits, which picks the basin
-    that Newton then refines.  Linear and logistic fits are convex and
-    solved exactly (normal equations, damped Newton), so these fields do
-    not change their result (``seed`` and ``epochs`` are still recorded
-    in the checkpoint metadata).
+    Only MLP fits read them.  Linear and logistic fits are convex and
+    solved exactly (normal equations, damped Newton), so neither changes
+    their result; both are still recorded in the checkpoint metadata.
     """
 
-    lr: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.lr > 0:
-            raise ConfigError("lr must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1/beta2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ConfigError("eps must be > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
 
@@ -164,7 +160,7 @@ def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAn
     """
     g = np.zeros(theta.layout.total_len)
     for alpha, data in _weighted_tasks(datasets, alphas):
-        g += alpha * grad(spec, loss_kind, theta, data, "sum").values
+        g += alpha * grad(spec, loss_kind, theta, data).values
     g = g + anchor.effective_diag * (theta.values - anchor.anchor.values)
     return float(np.linalg.norm(g))
 
@@ -178,7 +174,8 @@ def adam_decoupled_minimize(
     """Full-batch Adam with the quadratic penalty applied outside the preconditioner.
 
     ``grad_fn(theta)`` must return the gradient of the summed data term
-    (Adam never needs its value).  The penalty is applied directly to the update, not fed
+    (Adam never needs its value).  It takes ``cfg.epochs`` steps with the
+    ``ADAM_*`` constants.  The penalty is applied directly to the update, not fed
     through the Adam moments, using its proximal (implicit) form: after
     the gradient step, ``theta <- theta - f * (theta - a)`` with
     ``f = lr*reg / (1 + lr*reg)``.  For small ``lr*reg`` this matches the
@@ -191,16 +188,16 @@ def adam_decoupled_minimize(
     theta = np.array(x0, dtype=np.float64)
     reg = anchor.effective_diag
     a = anchor.anchor.values
-    shrink = cfg.lr * reg / (1.0 + cfg.lr * reg)
+    shrink = ADAM_LR * reg / (1.0 + ADAM_LR * reg)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for step in range(1, cfg.epochs + 1):
         g = grad_fn(theta)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1**step)
-        vhat = v / (1 - cfg.beta2**step)
-        theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1**step)
+        vhat = v / (1 - ADAM_BETA2**step)
+        theta = theta - ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)
         theta = theta - shrink * (theta - a)
         if not np.isfinite(theta).all():
             raise DivergenceError("training iterate became non-finite")

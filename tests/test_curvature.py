@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradmerge.curvature import (
-    FisherConfig,
+    FISHER_FLOOR,
     exact_hessian_diag,
     fisher_diag,
 )
@@ -32,31 +32,20 @@ def random_case(seed, n=16, d=3):
     return spec, theta, TaskDataset("r", X, y, seed=seed)
 
 
-class TestFisherConfig:
-    def test_defaults(self):
-        assert FisherConfig().delta_floor == 1e-10
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ConfigError):
-            FisherConfig(delta_floor=-1.0)
-
-
 class TestFisherDiag:
     def test_single_example_square_plus_floor(self):
         data = data_1d([1.5], [2.0])
         theta = theta_of(LIN1, [0.0])
         g = per_example_grads(LIN1, "squared_error", theta, data)[0]
-        out = fisher_diag(LIN1, "squared_error", theta, data, FisherConfig(delta_floor=1e-10))
+        out = fisher_diag(LIN1, "squared_error", theta, data)
+        assert FISHER_FLOOR == 1e-10
         np.testing.assert_allclose(out.values, g * g + 1e-10, rtol=1e-15)
 
     def test_two_example_linear_fixture(self):
         # Per-example gradients at theta=2 on {(1,2),(1,4)} are 0 and -2,
         # so the summed squared gradient is 4.
-        out = fisher_diag(
-            LIN1, "squared_error", theta_of(LIN1, [2.0]), data_1d([1.0, 1.0], [2.0, 4.0]),
-            FisherConfig(delta_floor=0.0),
-        )
-        np.testing.assert_allclose(out.values, [4.0], atol=1e-12)
+        out = fisher_diag(LIN1, "squared_error", theta_of(LIN1, [2.0]), data_1d([1.0, 1.0], [2.0, 4.0]))
+        np.testing.assert_allclose(out.values, [4.0 + FISHER_FLOOR], rtol=1e-15)
 
     def test_empty_dataset_rejected(self):
         empty = TaskDataset("e", np.zeros((0, 1)), [])
@@ -64,19 +53,23 @@ class TestFisherDiag:
             fisher_diag(LIN1, "squared_error", theta_of(LIN1, [0.0]), empty)
 
     def test_floor_is_added_not_clipped(self):
-        spec, theta, data = random_case(1)
-        floor = 0.5
-        base = fisher_diag(spec, "logistic_nll", theta, data, FisherConfig(delta_floor=0.0))
-        floored = fisher_diag(spec, "logistic_nll", theta, data, FisherConfig(delta_floor=floor))
-        np.testing.assert_allclose(floored.values, base.values + floor, rtol=1e-12)
-        assert np.all(floored.values >= floor)
+        # One example with residual -7e-6: the squared gradients are 4.9e-11,
+        # below the floor, and 4.9e-5, far above it.  Clipping would give
+        # [1e-10, 4.9e-5]; adding gives [1.49e-10, 4.9e-5 + 1e-10].
+        spec = ModelSpec("linear_regression", 2)
+        theta = ParamVector.zeros(spec.layout())
+        data = TaskDataset("t", [[1.0, 1000.0]], [7e-6])
+        g = per_example_grads(spec, "squared_error", theta, data)[0]
+        out = fisher_diag(spec, "squared_error", theta, data)
+        np.testing.assert_allclose(out.values, g * g + FISHER_FLOOR, rtol=1e-12)
+        assert out.values[0] == pytest.approx(1.49e-10, rel=1e-9)
 
     def test_order_invariance_of_sum(self):
         spec, theta, data = random_case(3, n=12)
         perm = np.random.default_rng(0).permutation(data.n)
         shuffled = TaskDataset(data.task_id, data.inputs[perm], data.targets[perm], data.seed)
-        a = fisher_diag(spec, "logistic_nll", theta, data, FisherConfig(delta_floor=0.0))
-        b = fisher_diag(spec, "logistic_nll", theta, shuffled, FisherConfig(delta_floor=0.0))
+        a = fisher_diag(spec, "logistic_nll", theta, data)
+        b = fisher_diag(spec, "logistic_nll", theta, shuffled)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12 * max(1.0, a.values.max()))
 
 
@@ -120,9 +113,9 @@ class TestExactHessianDiag:
         theta = ParamVector(spec.layout(), [0.1, 0.2, 0.3])
         data = TaskDataset("one", x, y)
         r = float((x @ theta.values - y)[0])
-        f = fisher_diag(spec, "squared_error", theta, data, FisherConfig(delta_floor=0.0))
+        f = fisher_diag(spec, "squared_error", theta, data)
         h = exact_hessian_diag(spec, "squared_error", theta, data)
-        np.testing.assert_allclose(f.values, h.values * r * r, rtol=1e-12)
+        np.testing.assert_allclose(f.values - FISHER_FLOOR, h.values * r * r, rtol=1e-12)
 
     def test_logistic_matches_fd_of_gradient(self):
         rng = np.random.default_rng(5)
@@ -149,9 +142,9 @@ class TestAnchorCurvature:
     """The anchor source string is dispatched by ``harness.estimate_anchor_h0``."""
 
     @staticmethod
-    def h0(source, seed=4, fisher=FisherConfig()):
+    def h0(source, seed=4):
         spec, theta, data = random_case(seed)
-        exp = ExperimentSpec(model=spec, anchor=AnchorConfig(source=source), fisher=fisher)
+        exp = ExperimentSpec(model=spec, anchor=AnchorConfig(source=source))
         return estimate_anchor_h0(exp, theta, data), (spec, theta, data)
 
     def test_identity(self):
@@ -163,9 +156,8 @@ class TestAnchorCurvature:
             AnchorConfig(source="identity:0.0")
 
     def test_fisher_delegates(self):
-        cfg = FisherConfig(delta_floor=1e-8)
-        a, (spec, theta, data) = self.h0("fisher", 4, cfg)
-        b = fisher_diag(spec, "logistic_nll", theta, data, cfg)
+        a, (spec, theta, data) = self.h0("fisher", 4)
+        b = fisher_diag(spec, "logistic_nll", theta, data)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_exact_delegates(self):

@@ -398,6 +398,20 @@ class TestMismatchTable:
             for value in parts[3:]:
                 float(value)
 
+    def test_identity_is_verified_once_per_fixture(self, monkeypatch):
+        # The identity residual depends on the fixture alone, not on the merge.
+        from gradmerge import diagnostics
+
+        calls = []
+        real = diagnostics.verify_identity
+        monkeypatch.setattr(diagnostics, "verify_identity", lambda *args: calls.append(1) or real(*args))
+        fixture = linear_fixture(13)
+        rows = mismatch_vs_error_table(["ta", "ours"], [fixture])
+        assert len(calls) == 1
+        for row in rows:
+            report = mismatch_report(fixture, merge(row.method, fixture.merge_inputs()))
+            assert row.identity_residual == report.identity_residual
+
     def test_report_matches_direct_merge(self):
         fixture = linear_fixture(12)
         merged = merge("ours", fixture.merge_inputs())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradmerge.curvature import FisherConfig, fisher_diag
+from gradmerge.curvature import FISHER_FLOOR, fisher_diag
 from gradmerge.errors import ConfigError, LayoutError, NumericError
 from gradmerge import training
 from gradmerge.models import ModelSpec, TaskDataset, _grad, _hessian, _value_grad, grad, loss, per_example_grads
@@ -42,8 +42,8 @@ class TestFusedValueGrad:
     def test_matches_loss_and_grad(self, spec, loss_kind, seed):
         theta, data = random_pair(spec, loss_kind, seed)
         value, g = _value_grad(spec, loss_kind, theta.values, data.inputs, data.targets)
-        assert value == pytest.approx(loss(spec, loss_kind, theta, data, "sum"), rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(g, grad(spec, loss_kind, theta, data, "sum").values, rtol=1e-12, atol=0.0)
+        assert value == pytest.approx(loss(spec, loss_kind, theta, data), rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g, grad(spec, loss_kind, theta, data).values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec,loss_kind", CASES)
     def test_gradient_kernel_equals_value_grad_gradient(self, spec, loss_kind):
@@ -58,8 +58,8 @@ class TestFusedValueGrad:
         theta, _ = random_pair(spec, loss_kind, 0)
         empty = TaskDataset("e", np.zeros((0, spec.n_features)), [])
         value, g = _value_grad(spec, loss_kind, theta.values, empty.inputs, empty.targets)
-        assert value == 0.0 == loss(spec, loss_kind, theta, empty, "sum")
-        np.testing.assert_array_equal(g, grad(spec, loss_kind, theta, empty, "sum").values)
+        assert value == 0.0 == loss(spec, loss_kind, theta, empty)
+        np.testing.assert_array_equal(g, grad(spec, loss_kind, theta, empty).values)
         assert g.shape == (spec.layout().total_len,)
 
     def test_same_errors_as_loss(self, monkeypatch):
@@ -117,8 +117,8 @@ class TestWeightedRowBlock:
         alphas = [alpha for _, alpha in tasks]
         theta = random_pair(spec, loss_kind, seed)[0]
         value, g = _value_grad(spec, loss_kind, theta.values, *training._rows(spec, datasets, alphas))
-        expected_value = sum(a * loss(spec, loss_kind, theta, ds, "sum") for a, ds in zip(alphas, datasets))
-        expected_grad = sum(a * grad(spec, loss_kind, theta, ds, "sum").values for a, ds in zip(alphas, datasets))
+        expected_value = sum(a * loss(spec, loss_kind, theta, ds) for a, ds in zip(alphas, datasets))
+        expected_grad = sum(a * grad(spec, loss_kind, theta, ds).values for a, ds in zip(alphas, datasets))
         magnitude = sum(a * np.abs(per_example_grads(spec, loss_kind, theta, ds)).sum(axis=0) for a, ds in zip(alphas, datasets))
         assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
         within_rounding(g, expected_grad, magnitude)
@@ -132,7 +132,7 @@ class TestWeightedRowBlock:
         spec = ModelSpec("mlp", 3, hidden=5, activation=activation)
         theta, data = random_pair(spec, loss_kind, seed, n=40)
         G = per_example_grads(spec, loss_kind, theta, data)
-        within_rounding(grad(spec, loss_kind, theta, data, "sum").values, G.sum(axis=0), np.abs(G).sum(axis=0))
+        within_rounding(grad(spec, loss_kind, theta, data).values, G.sum(axis=0), np.abs(G).sum(axis=0))
 
 
 class TestHessian:
@@ -167,11 +167,10 @@ class TestFisherReduction:
     @pytest.mark.parametrize("spec,loss_kind", CASES)
     def test_equals_loop_over_per_example_grads(self, spec, loss_kind):
         theta, data = random_pair(spec, loss_kind, 5, n=40)
-        cfg = FisherConfig()
         sq = np.zeros(spec.layout().total_len)
         for g in per_example_grads(spec, loss_kind, theta, data):
             sq += g * g
-        np.testing.assert_array_equal(fisher_diag(spec, loss_kind, theta, data, cfg).values, sq + cfg.delta_floor)
+        np.testing.assert_array_equal(fisher_diag(spec, loss_kind, theta, data).values, sq + FISHER_FLOOR)
 
 
 def test_model_layout_is_cached_without_changing_equality():

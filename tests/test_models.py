@@ -82,21 +82,13 @@ class TestModelSpec:
 
 class TestLoss:
     def test_linear_zero_theta(self):
-        value = loss(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]), "sum")
+        value = loss(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
         assert value == pytest.approx(2.0, abs=1e-12)
 
-    def test_logistic_zero_theta_mean_is_ln2(self):
+    def test_logistic_zero_theta_is_ln2_per_example(self):
         data = data_1d([1.0, -1.0, 2.0, 0.5], [1, 0, 1, 0])
-        value = loss(LOG1, "logistic_nll", theta_of(LOG1, [0.0]), data, "mean")
-        assert value == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_mean_equals_sum_over_n(self):
-        for seed in range(5):
-            spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")
-            theta, data = random_pair(spec, "logistic_nll", seed)
-            s = loss(spec, "logistic_nll", theta, data, "sum")
-            m = loss(spec, "logistic_nll", theta, data, "mean")
-            assert m == pytest.approx(s / data.n, abs=1e-12 * max(1.0, abs(s)))
+        value = loss(LOG1, "logistic_nll", theta_of(LOG1, [0.0]), data)
+        assert value == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
     def test_linear_loss_is_exactly_quadratic(self):
         rng = np.random.default_rng(3)
@@ -141,9 +133,6 @@ class TestLoss:
         zeros = ParamVector.zeros(spec.layout())
         assert loss(spec, loss_kind, zeros, empty) == 0.0
         assert not np.any(grad(spec, loss_kind, zeros, empty).values)
-        for fn in (loss, grad):
-            with pytest.raises(EmptyDataError):
-                fn(spec, loss_kind, zeros, empty, "mean")
 
     def test_mlp_loss_survives_checkpoint_round_trip(self, tmp_path):
         from gradmerge.params import Checkpoint, load_checkpoint, save_checkpoint
@@ -158,7 +147,7 @@ class TestLoss:
 
 class TestGrad:
     def test_linear_zero_theta(self):
-        g = grad(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]), "sum")
+        g = grad(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
         np.testing.assert_allclose(g.values, [-2.0], atol=1e-15)
 
     def test_matches_finite_differences_all_kinds(self):
@@ -225,7 +214,7 @@ class TestPerExampleGrads:
         gs = per_example_grads(LOG1, "logistic_nll", theta, data)
         assert gs.shape == (1, 1)
         np.testing.assert_allclose(
-            gs[0], grad(LOG1, "logistic_nll", theta, data, "sum").values, atol=1e-15
+            gs[0], grad(LOG1, "logistic_nll", theta, data).values, atol=1e-15
         )
 
     def test_identical_examples_identical_grads(self):
@@ -247,7 +236,7 @@ class TestPerExampleGrads:
         ]:
             theta, data = random_pair(spec, loss_kind, 5)
             total = per_example_grads(spec, loss_kind, theta, data).sum(axis=0)
-            direct = grad(spec, loss_kind, theta, data, "sum").values
+            direct = grad(spec, loss_kind, theta, data).values
             np.testing.assert_allclose(total, direct, atol=1e-10)
 
 
