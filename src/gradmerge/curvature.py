@@ -36,24 +36,19 @@ __all__ = [
 FISHER_FLOOR = 1e-10
 
 
-def fisher_diag(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
+def fisher_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Empirical Fisher diagonal: summed squared per-example gradients plus :data:`FISHER_FLOOR`."""
     if data.n == 0:
         raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
-    G = per_example_grads(spec, loss_kind, theta, data)
+    G = per_example_grads(spec, theta, data)
     return DiagCurvature(theta.layout, (G * G).sum(axis=0) + FISHER_FLOOR)
 
 
-def exact_hessian_diag(
-    spec: ModelSpec,
-    loss_kind: str,
-    theta: ParamVector,
-    data: TaskDataset,
-) -> DiagCurvature:
+def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Exact Hessian diagonal of the summed loss; linear and logistic only."""
     if spec.kind == "mlp":
         raise UnsupportedModelError("exact Hessian diagonals are only available for linear_regression and logistic")
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, theta, data)
     X = data.inputs
     if data.n == 0:
         return DiagCurvature.zeros(spec.layout())

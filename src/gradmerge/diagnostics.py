@@ -101,7 +101,6 @@ class DiagnosticFixture:
 
     name: str
     spec: ModelSpec
-    loss_kind: str
     anchor: QuadraticAnchor
     target: ParamVector
     tasks: tuple[tuple[float, Checkpoint, TaskDataset, TaskDataset], ...]
@@ -123,13 +122,7 @@ class DiagnosticFixture:
         )
 
 
-def gradient_mismatch(
-    spec: ModelSpec,
-    loss_kind: str,
-    target: ParamVector,
-    task_theta: ParamVector,
-    data: TaskDataset,
-) -> ParamVector:
+def gradient_mismatch(spec: ModelSpec, target: ParamVector, task_theta: ParamVector, data: TaskDataset) -> ParamVector:
     """Difference of summed-loss gradients between two parameter points.
 
     Returns ``grad(target) - grad(task_theta)`` on ``data``; callers
@@ -137,8 +130,8 @@ def gradient_mismatch(
     times the parameter difference, so it doubles as an exact curvature
     probe.
     """
-    g_target = grad(spec, loss_kind, target, data)
-    g_task = grad(spec, loss_kind, task_theta, data)
+    g_target = grad(spec, target, data)
+    g_task = grad(spec, task_theta, data)
     return ParamVector(target.layout, g_target.values - g_task.values)
 
 
@@ -147,7 +140,6 @@ def verify_identity(
     target: ParamVector,
     tasks: list[tuple[float, ParamVector, TaskDataset]],
     spec: ModelSpec,
-    loss_kind: str,
 ) -> float:
     """Max-norm residual of the error-rewriting identity.
 
@@ -170,7 +162,7 @@ def verify_identity(
     residual = target.values - a
     for alpha, theta_t, data in tasks:
         residual = residual - float(alpha) * (theta_t.values - a)
-        mm = gradient_mismatch(spec, loss_kind, target, theta_t, data)
+        mm = gradient_mismatch(spec, target, theta_t, data)
         residual = residual + float(alpha) * mm.values / h0eff
     return float(np.max(np.abs(residual)))
 
@@ -202,11 +194,7 @@ def identity_residual_bound(
 
 
 def test_loss_delta(
-    spec: ModelSpec,
-    loss_kind: str,
-    target: ParamVector,
-    merged: ParamVector,
-    test_data: TaskDataset,
+    spec: ModelSpec, target: ParamVector, merged: ParamVector, test_data: TaskDataset
 ) -> tuple[float, float]:
     """Held-out loss gap between target and merged, exact and linearized.
 
@@ -214,8 +202,8 @@ def test_loss_delta(
     merged))``; the second is the first-order estimate of the first and
     the two agree when the models are close.
     """
-    exact = loss(spec, loss_kind, target, test_data) - loss(spec, loss_kind, merged, test_data)
-    g = grad(spec, loss_kind, merged, test_data)
+    exact = loss(spec, target, test_data) - loss(spec, merged, test_data)
+    g = grad(spec, merged, test_data)
     first_order = float(g.values @ (target.values - merged.values))
     return float(exact), first_order
 
@@ -228,14 +216,14 @@ def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> Mismatch
 def _identity_residual(fixture: DiagnosticFixture) -> float:
     """:func:`verify_identity` on the fixture's tasks: one value per fixture, whatever the merge."""
     tasks = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
-    return verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec, fixture.loss_kind)
+    return verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec)
 
 
 def _mismatch_report(fixture: DiagnosticFixture, merged: ParamVector, residual: float) -> MismatchReport:
     per_task = []
     total = 0.0
     for alpha, _, train, _ in fixture.tasks:
-        mm = gradient_mismatch(fixture.spec, fixture.loss_kind, fixture.target, merged, train)
+        mm = gradient_mismatch(fixture.spec, fixture.target, merged, train)
         norm = float(np.linalg.norm(mm.values))
         per_task.append((train.task_id, norm))
         total += abs(float(alpha)) * norm
@@ -263,9 +251,7 @@ def mismatch_vs_error_table(methods: list[str], fixtures: list[DiagnosticFixture
                 residuals[i] = _identity_residual(fixture)
             report = _mismatch_report(fixture, merged, residuals[i])
             for (alpha, _, train, test), (task_id, norm) in zip(fixture.tasks, report.per_task):
-                exact, first_order = test_loss_delta(
-                    fixture.spec, fixture.loss_kind, fixture.target, merged, test
-                )
+                exact, first_order = test_loss_delta(fixture.spec, fixture.target, merged, test)
                 rows.append(
                     MismatchRow(
                         method=method,

@@ -40,7 +40,7 @@ from .merging import (  # noqa: F401
     merged_checkpoint,
     remove_task,
 )
-from .models import ModelSpec, TaskDataset, _check_data, _check_loss, _forward, _losses, accuracy, loss  # noqa: F401
+from .models import ModelSpec, TaskDataset, _check_data, _forward, _losses, accuracy, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     QuadraticAnchor,
@@ -223,9 +223,12 @@ class ExperimentSpec:
     """Complete, JSON-serializable description of one experiment run.
 
     ``methods`` may mix the addition catalog with the two removal
-    methods, but each protocol accepts only its own kind.  ``curvature``
-    picks the per-task diagonal estimator ("fisher" or "exact"); the
-    anchor's diagonal is governed separately by ``anchor.source``.
+    methods, but each protocol accepts only its own kind.  ``loss`` must
+    name the model kind's own loss (``model.loss``); it stays a key so
+    that existing configs load.  ``curvature`` picks the per-task
+    diagonal estimator ("fisher" or "exact"); the anchor's diagonal is
+    governed separately by ``anchor.source``.  MLPs have no exact
+    Hessian diagonal, so they take "fisher" for both.
     ``epochs`` is the length of the Adam phase of MLP fits.
     """
 
@@ -244,14 +247,15 @@ class ExperimentSpec:
         check_field_types(self)
         if not self.name:
             raise ConfigError("experiment name must be a nonempty string")
-        _check_loss(self.model, self.loss)
+        if self.loss != self.model.loss:
+            raise ConfigError(f"{self.model.kind} models use the {self.model.loss} loss, not {self.loss!r}")
         if self.n_tasks < 1:
             raise ConfigError("n_tasks must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.curvature not in ("fisher", "exact"):
             raise ConfigError(f"curvature must be 'fisher' or 'exact', got {self.curvature!r}")
-        if self.curvature == "exact" and self.model.kind == "mlp":
+        if self.model.kind == "mlp" and "exact" in (self.curvature, self.anchor.source):
             raise ConfigError("exact curvature is unavailable for mlp models; use 'fisher'")
         if self.anchor.delta == 0 and self.model.kind != "linear_regression":
             # On separable tasks a classifier's unridged loss has no minimizer.
@@ -418,8 +422,8 @@ def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDatas
     if source.startswith("identity"):
         return DiagCurvature.constant(spec.model.layout(), float(source.split(":", 1)[1]))
     if source == "exact":
-        return exact_hessian_diag(spec.model, spec.loss, theta, data)
-    return fisher_diag(spec.model, spec.loss, theta, data)
+        return exact_hessian_diag(spec.model, theta, data)
+    return fisher_diag(spec.model, theta, data)
 
 
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
@@ -427,8 +431,8 @@ def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: Task
     if data.n == 0:
         return DiagCurvature.zeros(spec.model.layout())
     if spec.curvature == "exact":
-        return exact_hessian_diag(spec.model, spec.loss, theta, data)
-    return fisher_diag(spec.model, spec.loss, theta, data)
+        return exact_hessian_diag(spec.model, theta, data)
+    return fisher_diag(spec.model, theta, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,12 +460,12 @@ def train_stage(
     penalty, and the fine-tuned checkpoints, which carry no curvature:
     :func:`with_task_curvature` is the separate step that adds it.
     """
-    base = train_anchor(spec.model, spec.loss, anchor_data, spec.anchor.delta, TrainConfig(spec.epochs, seed))
+    base = train_anchor(spec.model, anchor_data, spec.anchor.delta, TrainConfig(spec.epochs, seed))
     h0 = estimate_anchor_h0(spec, base.params, anchor_data)
     anchor = Checkpoint.of(base.params, h0, meta=base.meta)
     quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
     tuned = tuple(
-        finetune_task(spec.model, spec.loss, data, quad, TrainConfig(spec.epochs, seed + t), anchor_id="anchor")
+        finetune_task(spec.model, data, quad, TrainConfig(spec.epochs, seed + t), anchor_id="anchor")
         for t, data in blocks
     )
     return anchor, quad, tuned
@@ -538,7 +542,7 @@ def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
             continue
         if ds.n == 0:
             raise EmptyDataError(f"cannot score the empty test set {ds.task_id!r}")
-        _check_data(spec.model, "logistic_nll" if classify else "squared_error", ds)
+        _check_data(spec.model, ds)
         targets[id(ds)] = (ds.targets == 1.0) if classify else ds.targets
     return eval_sets, agg, targets
 
@@ -574,7 +578,7 @@ def _score_rows(spec: ExperimentSpec, values: np.ndarray, sets):
             if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
                 scored[id(ds)] = ((out >= 0.0) == targets[id(ds)]).sum(axis=1, dtype=np.uint32)
             else:
-                scored[id(ds)] = _losses(spec.loss, out, targets[id(ds)])
+                scored[id(ds)] = _losses(model, out, targets[id(ds)])
 
     def score(ds: TaskDataset) -> np.ndarray:
         return scored[id(ds)] / ds.n if classify else scored[id(ds)].mean(axis=1)
@@ -615,19 +619,13 @@ def evaluate_params(
 def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas) -> np.ndarray:
     """``(A, d)`` catalog merges, row ``a`` with weight ``alphas[a]`` on every task.
 
-    With no task checkpoints, or at ``alpha == 0``, the row is the anchor
-    outright: adding nothing leaves the anchor, and short-circuiting makes
-    the sweep's left endpoint bitwise exact (the plain average is the one
-    method that would otherwise ignore the weights entirely).
+    With no task checkpoints every row is the anchor; at ``alpha == 0``
+    :func:`merge_grid` makes it the anchor.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    values = np.tile(anchor.params.values, (alphas.size, 1))
-    live = alphas != 0.0
     tasks = tuple(tasks)
-    if tasks and live.any():
-        inputs = MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta)
-        values[live] = merge_grid(method, inputs, alphas[live])
-    return values
+    if not tasks:
+        return np.tile(anchor.params.values, (len(alphas), 1))
+    return merge_grid(method, MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta), alphas)
 
 
 def merge_checkpoints(anchor: Checkpoint, tasks, delta: float, method: str, alpha: float) -> ParamVector:
@@ -645,15 +643,7 @@ def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     if not added:
         return Checkpoint.of(state.anchor.params, anchor_id="anchor")
     cfg = TrainConfig(state.spec.epochs, state.seed + state.spec.n_tasks)
-    return train_joint_target(
-        state.spec.model,
-        state.spec.loss,
-        added,
-        [float(alpha)] * len(added),
-        state.quad,
-        cfg,
-        anchor_id="anchor",
-    )
+    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, cfg, anchor_id="anchor")
 
 
 def _metric_rows(outcome: MethodOutcome) -> list[str]:
@@ -825,7 +815,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) ->
     if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
-    retrain = train_anchor(spec.model, spec.loss, kept, spec.anchor.delta, TrainConfig(spec.epochs, seed))
+    retrain = train_anchor(spec.model, kept, spec.anchor.delta, TrainConfig(spec.epochs, seed))
     kept_tests = [tests[t] for t in range(spec.n_tasks) if t != removed]
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}
@@ -912,7 +902,6 @@ def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float):
     return DiagnosticFixture(
         name=state.spec.name,
         spec=state.spec.model,
-        loss_kind=state.spec.loss,
         anchor=state.quad,
         target=target,
         tasks=tasks,

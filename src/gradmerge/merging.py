@@ -41,9 +41,11 @@ name is one rule.  With ``h0`` the anchor curvature plus the ridge
   exact curvature this coincides with leave-subset-out retraining.
 
 Degenerate inputs follow one rule across the catalog: a merge of zero
-tasks raises :class:`EmptyMergeError`, and a method in
-``CURVATURE_METHODS`` raises :class:`MissingCurvatureError` when a
-checkpoint it reads has no curvature.
+tasks raises :class:`EmptyMergeError`, a method in ``CURVATURE_METHODS``
+raises :class:`MissingCurvatureError` when a checkpoint it reads has no
+curvature, and a merge whose task weights are all zero is the anchor
+(adding nothing leaves it unchanged, exactly; ``am`` would otherwise
+ignore the weights).
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class MergeInputs:
 
 
 def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
-    """Validate a merge's inputs and ``(A, T)`` task weights once, and stack the tasks.
+    """Validate a merge's inputs and ``(A, T)`` task weights, and stack the tasks.
 
     Returns the task parameters ``(T, d)`` and for ``CURVATURE_METHODS``
     the task curvatures ``(T, d)`` (otherwise ``None``); those methods
@@ -164,39 +166,34 @@ def _kernel(base, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return values
 
 
-def _average(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
-    thetas, _ = _stack(inputs, "am", weights)
+def _average(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
     return _kernel(0.0, thetas, np.full((len(weights), len(thetas), 1), 1.0 / len(thetas)))
 
 
-def _weighted_average(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
-    thetas, _ = _stack(inputs, "wam", weights)
+def _weighted_average(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
     alpha0 = np.maximum(0.0, 1.0 - weights.sum(axis=1))
     rows = np.vstack([inputs.anchor.params.values, thetas])
     return _kernel(0.0, rows, np.column_stack([alpha0, weights])[:, :, None])
 
 
-def _task_arithmetic(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
-    thetas, _ = _stack(inputs, "ta", weights)
+def _task_arithmetic(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
     return _kernel(inputs.anchor.params.values, thetas, weights[:, :, None])
 
 
-def _fisher(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
-    thetas, fishers = _stack(inputs, "fa", weights)
-    weighted = weights[:, :, None] * fishers
+def _fisher(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
+    weighted = weights[:, :, None] * curvs
     den = inputs.anchor.curvature.values + weighted.sum(axis=1)
     _require_positive(den, "pooled Fisher")
     return _kernel(inputs.anchor.params.values, thetas, weighted / den[:, None])
 
 
-def _ties(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
+def _ties(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
     """Per task, only the ``ceil(TIES_KEEP * d)`` largest-magnitude increment
     coordinates survive (ties broken toward lower indices).  Each coordinate
     then elects a sign by magnitude-weighted majority over the masked,
     weighted increments, and contributions disagreeing with it are zeroed.
     The election rule is one concrete choice among several used in practice.
     """
-    thetas, _ = _stack(inputs, "ties", weights)
     anchor = inputs.anchor.params.values
     increments = thetas - anchor
     k = int(math.ceil(TIES_KEEP * anchor.size))
@@ -209,8 +206,7 @@ def _ties(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
     return _kernel(anchor, thetas, coef)
 
 
-def _uncertainty(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
-    thetas, curvs = _stack(inputs, "ours", weights)
+def _uncertainty(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
     h0 = inputs.anchor.curvature.values + inputs.delta
     weights = weights[:, :, None]
     hbar = h0 + (weights * curvs).sum(axis=1)
@@ -218,7 +214,8 @@ def _uncertainty(inputs: MergeInputs, weights: np.ndarray) -> np.ndarray:
     return _kernel(inputs.anchor.params.values, thetas, weights * (h0 + curvs) / hbar[:, None])
 
 
-#: The catalog: each registry name and its one rule on ``(A, T)`` task weights.
+#: The catalog: each registry name and its one rule on the stacked tasks and
+#: ``(A, T)`` task weights with a nonzero entry in every row.
 _RULES = {
     "am": _average,
     "wam": _weighted_average,
@@ -235,14 +232,21 @@ ADDITION_METHODS = tuple(_RULES)
 def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
     """One catalog method at many weightings: an ``(A, d)`` array in one broadcast.
 
-    Row ``a`` merges with task weights ``scales[a] * alpha_t``.
+    Row ``a`` merges with task weights ``scales[a] * alpha_t``; a row
+    whose weights are all zero is the anchor.
     """
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
     if not np.isfinite(scales).all():
         raise ConfigError("merge scales must be finite")
     if method not in _RULES:
         raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
-    return _RULES[method](inputs, scales[:, None] * np.array(inputs.alphas))
+    weights = scales[:, None] * np.array(inputs.alphas)
+    thetas, curvs = _stack(inputs, method, weights)
+    values = np.tile(inputs.anchor.params.values, (len(weights), 1))
+    live = weights.any(axis=1)
+    if live.any():
+        values[live] = _RULES[method](inputs, thetas, curvs, weights[live])
+    return values
 
 
 def merge(method: str, inputs: MergeInputs) -> ParamVector:

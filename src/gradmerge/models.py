@@ -12,7 +12,10 @@ Conventions
 -----------
 * Linear and logistic models have no bias term; the decision boundary of
   the classifiers passes through the origin.
-* The MLP computes ``w2 . act(W1 x + b1) + b2`` with parameter layout
+* Each kind has one loss, :attr:`ModelSpec.loss`: squared error for
+  linear regression, the Bernoulli negative log-likelihood of the raw
+  output (a logit) for the two classifiers.
+* The MLP computes ``w2 . tanh(W1 x + b1) + b2`` with parameter layout
   order [w1, b1, w2, b2].
 * The logistic loss uses the log-sum-exp form throughout; curvature
   estimates square gradients, which amplifies any instability.
@@ -26,8 +29,8 @@ and then steps on arrays.  The last three weight each row, so one call
 evaluates a fit's whole data term ``sum_t alpha_t L_t`` over its stacked
 tasks: its value and gradient, its gradient alone (for Adam), or its
 dense Hessian (for Newton).  The MLP's only hidden
-state is the activation array ``a1``, built in place; its derivative ``D``
-is ``1 - a1^2`` (tanh) or the mask ``a1 > 0`` (ReLU).  The summed gradient
+state is the tanh activation array ``a1``, built in place; its derivative
+is ``D = 1 - a1^2``.  The summed gradient
 keeps the output gradients ``g`` and ``w2`` out of the ``(n, h)``
 products: ``dW1 = w2 ((X g)^T D)^T`` and ``db1 = w2 (g^T D)``.
 """
@@ -54,7 +57,6 @@ from .params import ParamLayout, ParamVector
 __all__ = [
     "TaskDataset",
     "ModelSpec",
-    "LOSS_KINDS",
     "MODEL_KINDS",
     "loss",
     "grad",
@@ -65,8 +67,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("linear_regression", "logistic", "mlp")
-LOSS_KINDS = ("squared_error", "logistic_nll")
-ACTIVATIONS = ("tanh", "relu")
+ACTIVATIONS = ("tanh",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +126,15 @@ class ModelSpec:
             if self.hidden is None or self.hidden < 1:
                 raise ConfigError("mlp models require a positive hidden width")
             if self.activation not in ACTIVATIONS:
-                raise ConfigError(f"mlp activation must be one of {ACTIVATIONS}")
+                raise ConfigError(f"mlp activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         else:
             if self.hidden is not None or self.activation is not None:
                 raise ConfigError(f"hidden/activation are only valid for mlp, not {self.kind!r}")
+
+    @property
+    def loss(self) -> str:
+        """The loss this kind is defined with: the classifiers' is the Bernoulli NLL."""
+        return "squared_error" if self.kind == "linear_regression" else "logistic_nll"
 
     def layout(self) -> ParamLayout:
         """Canonical parameter layout for this architecture."""
@@ -150,34 +156,20 @@ class ModelSpec:
         return values[:hd].reshape(h, d), values[hd : hd + h], values[hd + h : hd + 2 * h], values[-1]
 
 
-#: The loss each convex model kind is defined with; an MLP takes either.
-_PAIRED_LOSS = {"linear_regression": "squared_error", "logistic": "logistic_nll"}
-
-
-def _check_loss(spec: ModelSpec, loss_kind: str) -> None:
-    """The one rule pairing a loss kind with a model kind."""
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    paired = _PAIRED_LOSS.get(spec.kind, loss_kind)
-    if loss_kind != paired:
-        raise ConfigError(f"{spec.kind} models only support {paired} loss")
-
-
-def _check_data(spec: ModelSpec, loss_kind: str, data: TaskDataset) -> None:
-    """Loss pairing, feature count and targets: what a fit checks once per dataset."""
-    _check_loss(spec, loss_kind)
+def _check_data(spec: ModelSpec, data: TaskDataset) -> None:
+    """Feature count, and a classifier's {0,1} targets: what a fit checks once per dataset."""
     if data.n and data.n_features != spec.n_features:
         raise LayoutError(
             f"dataset has {data.n_features} features but the model expects {spec.n_features}"
         )
-    if loss_kind == "logistic_nll" and data.n:
+    if spec.loss == "logistic_nll" and data.n:
         t = data.targets
         if not ((t == 0.0) | (t == 1.0)).all():
             raise ConfigError("logistic_nll requires {0,1} targets")
 
 
-def _check_inputs(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> None:
-    _check_data(spec, loss_kind, data)
+def _check_inputs(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> None:
+    _check_data(spec, data)
     if theta.layout != spec.layout():
         raise LayoutError("theta layout does not match the model's canonical layout")
 
@@ -189,26 +181,23 @@ def _forward(spec: ModelSpec, values: np.ndarray, X: np.ndarray):
     w1, b1, w2, b2 = spec._mlp_views(values)
     a1 = X @ w1.T
     a1 += b1
-    if spec.activation == "tanh":
-        np.tanh(a1, out=a1)
-    else:
-        np.maximum(a1, 0.0, out=a1)
+    np.tanh(a1, out=a1)
     return a1 @ w2 + b2, a1
 
 
-def _losses(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if loss_kind == "squared_error":
+def _losses(spec: ModelSpec, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    if spec.loss == "squared_error":
         return 0.5 * (out - targets) ** 2
     return np.logaddexp(0.0, out) - targets * out
 
 
-def loss(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> float:
-    """Loss summed over the dataset; 0.0 on empty data."""
-    _check_inputs(spec, loss_kind, theta, data)
+def loss(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
+    """The model's loss (:attr:`ModelSpec.loss`) summed over the dataset; 0.0 on empty data."""
+    _check_inputs(spec, theta, data)
     if data.n == 0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = _losses(loss_kind, _forward(spec, theta.values, data.inputs)[0], data.targets)
+        losses = _losses(spec, _forward(spec, theta.values, data.inputs)[0], data.targets)
     value = float(np.sum(losses))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
@@ -221,8 +210,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _output_grads(loss_kind: str, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if loss_kind == "squared_error":
+def _output_grads(spec: ModelSpec, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    if spec.loss == "squared_error":
         return out - targets
     return _sigmoid(out) - targets
 
@@ -236,11 +225,8 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     if a1 is None:
         return X * g[:, None] if per_example else X.T @ g
     w2 = spec._mlp_views(values)[2]
-    if spec.activation == "tanh":
-        D = a1 * a1
-        np.subtract(1.0, D, out=D)
-    else:
-        D = (a1 > 0.0).astype(np.float64)
+    D = a1 * a1
+    np.subtract(1.0, D, out=D)
     if per_example:
         # Written column block by column block into one array: broadcasting
         # over a short feature axis and concatenating along axis 1 both copy
@@ -258,20 +244,20 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     return np.concatenate([dW1.reshape(-1), w2 * (g @ D), a1.T @ g, np.array([g.sum()])])
 
 
-def grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> ParamVector:
+def grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> ParamVector:
     """Analytic gradient of :func:`loss`; zeros on empty data."""
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, theta, data)
     layout = spec.layout()
     if data.n == 0:
         return ParamVector.zeros(layout)
     out, a1 = _forward(spec, theta.values, data.inputs)
-    flat = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1)
+    flat = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1)
     if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return ParamVector(layout, flat)
 
 
-def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> tuple[float, np.ndarray]:
+def _value_grad(spec: ModelSpec, values, X, y, w=1.0) -> tuple[float, np.ndarray]:
     """Weighted summed loss ``sum_i w_i l_i`` and its flat gradient from one forward pass.
 
     For rows that passed :func:`_check_data` and unit weights (1.0
@@ -280,27 +266,27 @@ def _value_grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> tuple[f
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
-        value = float(np.sum(w * _losses(loss_kind, out, y)))
+        value = float(np.sum(w * _losses(spec, out, y)))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
-    return value, _summed_grad(spec, loss_kind, values, X, y, w, out, a1)
+    return value, _summed_grad(spec, values, X, y, w, out, a1)
 
 
-def _grad(spec: ModelSpec, loss_kind: str, values, X, y, w=1.0) -> np.ndarray:
+def _grad(spec: ModelSpec, values, X, y, w=1.0) -> np.ndarray:
     """The gradient :func:`_value_grad` returns, without forming the loss value."""
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
-        return _summed_grad(spec, loss_kind, values, X, y, w, out, a1)
+        return _summed_grad(spec, values, X, y, w, out, a1)
 
 
-def _summed_grad(spec, loss_kind, values, X, y, w, out, a1) -> np.ndarray:
-    flat = _backward(spec, values, X, w * _output_grads(loss_kind, out, y), a1)
+def _summed_grad(spec, values, X, y, w, out, a1) -> np.ndarray:
+    flat = _backward(spec, values, X, w * _output_grads(spec, out, y), a1)
     if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return flat
 
 
-def _hessian(spec: ModelSpec, loss_kind: str, values, X, y, w) -> np.ndarray:
+def _hessian(spec: ModelSpec, values, X, y, w) -> np.ndarray:
     """Dense ``(d, d)`` Hessian of the weighted summed loss ``sum_i w_i l_i``.
 
     The Gauss-Newton part ``Jc^T Jc`` has rows ``sqrt(w_i l_i'') J_i``,
@@ -309,12 +295,11 @@ def _hessian(spec: ModelSpec, loss_kind: str, values, X, y, w) -> np.ndarray:
     (weights are >= 0).  The linear models have no other part.  The MLP
     output adds the residual term ``sum_i r_i grad^2 f_i``, with
     ``r_i = w_i l_i'``, which is block-diagonal per hidden unit ``j``:
-    ``w2_j sum_i r_i act''(z_ij) xt_i xt_i^T`` on ``(w1_j, b1_j)``, with
-    ``xt = [x, 1]``, and ``sum_i r_i act'(z_ij) xt_i`` against ``w2_j``.
-    ReLU's ``act''`` is zero away from its kinks.
+    ``w2_j sum_i r_i tanh''(z_ij) xt_i xt_i^T`` on ``(w1_j, b1_j)``, with
+    ``xt = [x, 1]``, and ``sum_i r_i tanh'(z_ij) xt_i`` against ``w2_j``.
     """
     out, a1 = _forward(spec, values, X)
-    if loss_kind == "squared_error":
+    if spec.loss == "squared_error":
         curv = w * np.ones_like(out)
     else:
         s = _sigmoid(out)
@@ -326,41 +311,38 @@ def _hessian(spec: ModelSpec, loss_kind: str, values, X, y, w) -> np.ndarray:
     H = Jc.T @ Jc
     h, d = spec.hidden, spec.n_features
     w2 = spec._mlp_views(values)[2]
-    r = w * _output_grads(loss_kind, out, y)
+    r = w * _output_grads(spec, out, y)
     xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)
     # Row j holds unit j's (w1_j, b1_j) coordinates; distinct units' blocks are disjoint.
     unit = np.concatenate([np.arange(h * d).reshape(h, d), h * d + np.arange(h)[:, None]], axis=1)
     w2_index = h * d + h + np.arange(h)[:, None]
-    if spec.activation == "tanh":
-        D = 1.0 - a1 * a1
-        c = (r[:, None] * w2) * (-2.0 * a1 * D)
-        outer = (xt[:, :, None] * xt[:, None, :]).reshape(len(X), -1)
-        H[unit[:, :, None], unit[:, None, :]] += (c.T @ outer).reshape(h, d + 1, d + 1)
-    else:
-        D = (a1 > 0.0).astype(np.float64)
+    D = 1.0 - a1 * a1
+    c = (r[:, None] * w2) * (-2.0 * a1 * D)
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(len(X), -1)
+    H[unit[:, :, None], unit[:, None, :]] += (c.T @ outer).reshape(h, d + 1, d + 1)
     cross = (r[:, None] * D).T @ xt
     H[unit, w2_index] += cross
     H[w2_index, unit] += cross
     return H
 
 
-def per_example_grads(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset) -> np.ndarray:
+def per_example_grads(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> np.ndarray:
     """``(n, d)`` per-example gradients in dataset order; the rows sum to :func:`grad`."""
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, theta, data)
     if data.n == 0:
         return np.zeros((0, spec.layout().total_len))
     out, a1 = _forward(spec, theta.values, data.inputs)
-    G = _backward(spec, theta.values, data.inputs, _output_grads(loss_kind, out, data.targets), a1, per_example=True)
+    G = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1, per_example=True)
     if not np.isfinite(G).all():
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G
 
 
-def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDataset, h: float) -> ParamVector:
+def fd_grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset, h: float) -> ParamVector:
     """Central finite-difference gradient of :func:`loss`; independent check on :func:`grad`."""
     if not h > 0.0:
         raise ConfigError("finite-difference step h must be > 0")
-    _check_inputs(spec, loss_kind, theta, data)
+    _check_inputs(spec, theta, data)
     base = theta.values
     out = np.empty_like(base)
     for j in range(base.size):
@@ -368,8 +350,8 @@ def fd_grad(spec: ModelSpec, loss_kind: str, theta: ParamVector, data: TaskDatas
         minus = base.copy()
         plus[j] += h
         minus[j] -= h
-        lp = loss(spec, loss_kind, ParamVector(theta.layout, plus), data)
-        lm = loss(spec, loss_kind, ParamVector(theta.layout, minus), data)
+        lp = loss(spec, ParamVector(theta.layout, plus), data)
+        lm = loss(spec, ParamVector(theta.layout, minus), data)
         out[j] = (lp - lm) / (2.0 * h)
     return ParamVector(theta.layout, out)
 
@@ -385,7 +367,7 @@ def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
         raise ConfigError("accuracy is undefined for linear_regression models")
     if data.n == 0:
         raise EmptyDataError("cannot compute accuracy on an empty dataset")
-    _check_inputs(spec, "logistic_nll", theta, data)  # scored labels are {0,1}, as for that loss
+    _check_inputs(spec, theta, data)
     out = _forward(spec, theta.values, data.inputs)[0]
     pred = (out >= 0.0).astype(np.float64)
     return float(np.mean(pred == data.targets))

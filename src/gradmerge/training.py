@@ -1,7 +1,7 @@
 """Anchored training: base models, per-task fine-tunes, and joint targets.
 
 Three objectives are supported, all over the summed per-example loss
-``L(theta) = sum_i l_i(theta)``:
+``L(theta) = sum_i l_i(theta)`` of the model kind (``ModelSpec.loss``):
 
 * base/anchor training:   ``L(theta) + (delta/2) ||theta||^2``
 * fine-tuning:            ``L_t(theta) + (1/2) ||theta - a||^2_{H0 + delta}``
@@ -152,7 +152,7 @@ def _rows(spec, datasets, alphas):
     return X, y, np.concatenate([np.zeros(0)] + [np.full(data.n, alpha) for alpha, data in live])
 
 
-def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
+def stationarity_residual(spec, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
     """L2 norm of the full-objective gradient at theta.
 
     Built from the public :func:`grad`, so the trainers' final gate is an
@@ -160,7 +160,7 @@ def stationarity_residual(spec, loss_kind, datasets, alphas, anchor: QuadraticAn
     """
     g = np.zeros(theta.layout.total_len)
     for alpha, data in _weighted_tasks(datasets, alphas):
-        g += alpha * grad(spec, loss_kind, theta, data).values
+        g += alpha * grad(spec, theta, data).values
     g = g + anchor.effective_diag * (theta.values - anchor.anchor.values)
     return float(np.linalg.norm(g))
 
@@ -321,7 +321,6 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
 
 def _fit(
     spec: ModelSpec,
-    loss_kind: str,
     datasets: list[TaskDataset],
     alphas: list[float],
     anchor: QuadraticAnchor,
@@ -331,18 +330,18 @@ def _fit(
     if anchor.anchor.layout != spec.layout():
         raise LayoutError("anchor layout does not match the model")
     for data in datasets:
-        _check_data(spec, loss_kind, data)
+        _check_data(spec, data)
     X, y, w = _rows(spec, datasets, alphas)
     a = anchor.anchor.values
     reg = anchor.effective_diag
 
     def full_value_grad(theta_values):
-        value, g = _value_grad(spec, loss_kind, theta_values, X, y, w)
+        value, g = _value_grad(spec, theta_values, X, y, w)
         diff = theta_values - a
         return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
 
     def full_hessian(theta_values):
-        H = _hessian(spec, loss_kind, theta_values, X, y, w)
+        H = _hessian(spec, theta_values, X, y, w)
         H[np.diag_indices_from(H)] += reg
         return H
 
@@ -352,10 +351,10 @@ def _fit(
         theta = _newton(full_value_grad, full_hessian, x0)
     else:
         # Nonconvex: the Adam path decides which local minimum Newton refines.
-        theta = adam_decoupled_minimize(lambda th: _grad(spec, loss_kind, th, X, y, w), x0, cfg, anchor)
+        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, cfg, anchor)
         theta = _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
     out = ParamVector(spec.layout(), theta)
-    residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, out)
+    residual = stationarity_residual(spec, datasets, alphas, anchor, out)
     bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
     if residual > bound:
         raise DivergenceError(
@@ -376,35 +375,28 @@ def _init_theta(spec: ModelSpec, cfg: TrainConfig, at: np.ndarray | None) -> np.
     return np.zeros(layout.total_len)
 
 
-def _meta(cfg: TrainConfig, objective: str, delta: float, spec: ModelSpec, loss_kind: str) -> dict[str, str]:
+def _meta(cfg: TrainConfig, objective: str, delta: float, spec: ModelSpec) -> dict[str, str]:
     return {
         "objective": objective,
         "seed": str(cfg.seed),
         "epochs": str(cfg.epochs),
         "delta": repr(float(delta)),
         "model": spec.kind,
-        "loss": loss_kind,
+        "loss": spec.loss,
     }
 
 
-def train_anchor(
-    spec: ModelSpec,
-    loss_kind: str,
-    data: TaskDataset,
-    delta: float,
-    cfg: TrainConfig,
-) -> Checkpoint:
+def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, cfg: TrainConfig) -> Checkpoint:
     """Train a base model: summed loss plus ``(delta/2) ||theta||^2``."""
     if delta < 0:
         raise ConfigError("delta must be >= 0")
     anchor = QuadraticAnchor.ridge_only(spec.layout(), delta)
-    theta = _fit(spec, loss_kind, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, None))
-    return Checkpoint.of(theta, meta=_meta(cfg, "anchor", delta, spec, loss_kind))
+    theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, None))
+    return Checkpoint.of(theta, meta=_meta(cfg, "anchor", delta, spec))
 
 
 def finetune_task(
     spec: ModelSpec,
-    loss_kind: str,
     data: TaskDataset,
     anchor: QuadraticAnchor,
     cfg: TrainConfig,
@@ -416,15 +408,12 @@ def finetune_task(
     condition ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
     with residual norm at most ``1e-4 * (1 + ||theta||)``.
     """
-    theta = _fit(spec, loss_kind, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, anchor.anchor.values))
-    return Checkpoint.of(
-        theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec, loss_kind)
-    )
+    theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, anchor.anchor.values))
+    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec))
 
 
 def train_joint_target(
     spec: ModelSpec,
-    loss_kind: str,
     datasets: list[TaskDataset],
     alphas: list[float],
     anchor: QuadraticAnchor,
@@ -437,12 +426,10 @@ def train_joint_target(
     if not all(0.0 <= a < np.inf for a in alphas):
         raise ConfigError("joint-target alphas must be finite and >= 0")
     theta = _fit(
-        spec, loss_kind, list(datasets), [float(a) for a in alphas], anchor, cfg,
+        spec, list(datasets), [float(a) for a in alphas], anchor, cfg,
         _init_theta(spec, cfg, anchor.anchor.values),
     )
-    return Checkpoint.of(
-        theta, anchor_id=anchor_id, meta=_meta(cfg, "joint_target", anchor.delta, spec, loss_kind)
-    )
+    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "joint_target", anchor.delta, spec))
 
 
 def closed_form_solve(

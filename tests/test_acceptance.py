@@ -95,7 +95,7 @@ def test_identity_residual_closed_form_and_trained():
             for (alpha, ck), data in zip(fix.inputs.tasks, fix.datasets)
         ]
         model = ModelSpec("linear_regression", layout.total_len)
-        worst = max(worst, verify_identity(fix.quad, target, tasks, model, "squared_error"))
+        worst = max(worst, verify_identity(fix.quad, target, tasks, model))
     assert worst < 1e-8, f"worst closed-form identity residual {worst:.3e}"
 
     spec = default_spec()
@@ -104,10 +104,10 @@ def test_identity_residual_closed_form_and_trained():
     added = list(state.train_sets[1:])
     alphas = [1.0] * len(added)
     tasks = [(1.0, ck.params, data) for ck, data in zip(state.tasks, added)]
-    residual = verify_identity(state.quad, target.params, tasks, spec.model, spec.loss)
-    joint_defect = stationarity_residual(spec.model, spec.loss, added, alphas, state.quad, target.params)
+    residual = verify_identity(state.quad, target.params, tasks, spec.model)
+    joint_defect = stationarity_residual(spec.model, added, alphas, state.quad, target.params)
     task_defects = [
-        stationarity_residual(spec.model, spec.loss, [data], [1.0], state.quad, ck.params)
+        stationarity_residual(spec.model, [data], [1.0], state.quad, ck.params)
         for ck, data in zip(state.tasks, added)
     ]
     bound = identity_residual_bound(state.quad, joint_defect, task_defects, alphas)
@@ -159,13 +159,12 @@ def test_merge_output_is_surrogate_stationary():
 def test_analytic_gradients_match_finite_differences():
     rng = np.random.default_rng(20260830)
     cases = [
-        (lambda d: ModelSpec("linear_regression", d), "squared_error", False, 20),
-        (lambda d: ModelSpec("logistic", d), "logistic_nll", True, 20),
-        (lambda d: ModelSpec("mlp", d, hidden=3, activation="tanh"), "squared_error", False, 10),
-        (lambda d: ModelSpec("mlp", d, hidden=3, activation="tanh"), "logistic_nll", True, 10),
+        (lambda d: ModelSpec("linear_regression", d), 20),
+        (lambda d: ModelSpec("logistic", d), 20),
+        (lambda d: ModelSpec("mlp", d, hidden=3, activation="tanh"), 20),
     ]
     worst = 0.0
-    for make_spec, loss_kind, binary, n_pairs in cases:
+    for make_spec, n_pairs in cases:
         for _ in range(n_pairs):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(5, 41))
@@ -173,10 +172,11 @@ def test_analytic_gradients_match_finite_differences():
             layout = spec.layout()
             theta = ParamVector(layout, rng.standard_normal(layout.total_len))
             X = rng.standard_normal((n, d))
+            binary = spec.loss == "logistic_nll"
             y = rng.integers(0, 2, size=n).astype(float) if binary else rng.standard_normal(n)
             data = TaskDataset(task_id="fd", inputs=X, targets=y)
-            analytic = grad(spec, loss_kind, theta, data).values
-            numeric = fd_grad(spec, loss_kind, theta, data, h=1e-5).values
+            analytic = grad(spec, theta, data).values
+            numeric = fd_grad(spec, theta, data, h=1e-5).values
             rel = float(np.max(np.abs(analytic - numeric)) / np.max(np.abs(analytic)))
             worst = max(worst, rel)
     assert worst < 1e-5, f"worst gradient relative error {worst:.3e}"

@@ -143,6 +143,21 @@ class TestParsing:
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"loss": "squared_error"}, {"model": {"activation": "relu"}}, {"anchor": {"source": "exact"}}],
+        ids=["squared_error_loss", "relu", "exact_anchor_source"],
+    )
+    def test_mlp_config_it_cannot_run_exits_one_before_training(self, tmp_path, capsys, change):
+        # A classifier MLP is tanh with the logistic loss and has no exact
+        # Hessian diagonal; each refusal comes before any output is written.
+        model = {"kind": "mlp", "n_features": 2, "hidden": 4, "activation": "tanh"} | change.get("model", {})
+        config = tmp_path / "mlp.json"
+        config.write_text(json.dumps({**change, "model": model}))
+        assert run_cli("report", "--config", config, "--out", tmp_path / "o") == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_alpha_range_past_the_point_cap_exits_one(self, tmp_path, capsys):
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({"alphas": "0:1e308:1e-308"}))
@@ -310,6 +325,22 @@ class TestProtocols:
         assert any(line.startswith("all-data,") for line in summary)
         stdout = capsys.readouterr().out
         assert "ours:" in stdout and "all-data:" in stdout
+
+    def test_report_at_zero_weight_scores_and_diagnoses_one_am_merge(self, tmp_path):
+        # summary.csv, report.csv and the merged-am checkpoint all describe
+        # the same merge, which at zero weight is the anchor.
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"n_tasks": 3, "per_task": {"n_train": 80, "n_test": 80}, "methods": ["am", "ta"]}))
+        out = tmp_path / "out"
+        assert run_cli("report", "--config", config, "--out", out, "--seed", "0", "--alpha", "0") == 0
+        merged_am = load_checkpoint(out / "merged-am").params.values
+        np.testing.assert_array_equal(merged_am, load_checkpoint(out / "anchor").params.values)
+        distance = float(np.linalg.norm(merged_am - load_checkpoint(out / "target").params.values))
+        report = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert {float(row[4]) for row in report if row[0] == "am"} == {distance}
+        summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        scores = {label: [(row[2], row[4]) for row in summary if row[0] == label] for label in ("am", "anchor")}
+        assert scores["am"] == scores["anchor"]
 
     def test_sweep_writes_dat_files(self, small_config, capsys):
         config, out = small_config

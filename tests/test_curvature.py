@@ -36,21 +36,21 @@ class TestFisherDiag:
     def test_single_example_square_plus_floor(self):
         data = data_1d([1.5], [2.0])
         theta = theta_of(LIN1, [0.0])
-        g = per_example_grads(LIN1, "squared_error", theta, data)[0]
-        out = fisher_diag(LIN1, "squared_error", theta, data)
+        g = per_example_grads(LIN1, theta, data)[0]
+        out = fisher_diag(LIN1, theta, data)
         assert FISHER_FLOOR == 1e-10
         np.testing.assert_allclose(out.values, g * g + 1e-10, rtol=1e-15)
 
     def test_two_example_linear_fixture(self):
         # Per-example gradients at theta=2 on {(1,2),(1,4)} are 0 and -2,
         # so the summed squared gradient is 4.
-        out = fisher_diag(LIN1, "squared_error", theta_of(LIN1, [2.0]), data_1d([1.0, 1.0], [2.0, 4.0]))
+        out = fisher_diag(LIN1, theta_of(LIN1, [2.0]), data_1d([1.0, 1.0], [2.0, 4.0]))
         np.testing.assert_allclose(out.values, [4.0 + FISHER_FLOOR], rtol=1e-15)
 
     def test_empty_dataset_rejected(self):
         empty = TaskDataset("e", np.zeros((0, 1)), [])
         with pytest.raises(EmptyDataError):
-            fisher_diag(LIN1, "squared_error", theta_of(LIN1, [0.0]), empty)
+            fisher_diag(LIN1, theta_of(LIN1, [0.0]), empty)
 
     def test_floor_is_added_not_clipped(self):
         # One example with residual -7e-6: the squared gradients are 4.9e-11,
@@ -59,8 +59,8 @@ class TestFisherDiag:
         spec = ModelSpec("linear_regression", 2)
         theta = ParamVector.zeros(spec.layout())
         data = TaskDataset("t", [[1.0, 1000.0]], [7e-6])
-        g = per_example_grads(spec, "squared_error", theta, data)[0]
-        out = fisher_diag(spec, "squared_error", theta, data)
+        g = per_example_grads(spec, theta, data)[0]
+        out = fisher_diag(spec, theta, data)
         np.testing.assert_allclose(out.values, g * g + FISHER_FLOOR, rtol=1e-12)
         assert out.values[0] == pytest.approx(1.49e-10, rel=1e-9)
 
@@ -68,41 +68,43 @@ class TestFisherDiag:
         spec, theta, data = random_case(3, n=12)
         perm = np.random.default_rng(0).permutation(data.n)
         shuffled = TaskDataset(data.task_id, data.inputs[perm], data.targets[perm], data.seed)
-        a = fisher_diag(spec, "logistic_nll", theta, data)
-        b = fisher_diag(spec, "logistic_nll", theta, shuffled)
+        a = fisher_diag(spec, theta, data)
+        b = fisher_diag(spec, theta, shuffled)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12 * max(1.0, a.values.max()))
 
 
 class TestExactHessianDiag:
     def test_linear_sum_of_squares(self):
-        out = exact_hessian_diag(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0, 1.0], [9.0, 9.0]))
+        out = exact_hessian_diag(LIN1, theta_of(LIN1, [0.0]), data_1d([1.0, 1.0], [9.0, 9.0]))
         np.testing.assert_allclose(out.values, [2.0], atol=1e-15)
 
     def test_logistic_quarter_at_zero(self):
-        out = exact_hessian_diag(LOG1, "logistic_nll", theta_of(LOG1, [0.0]), data_1d([1.0], [1.0]))
+        out = exact_hessian_diag(LOG1, theta_of(LOG1, [0.0]), data_1d([1.0], [1.0]))
         np.testing.assert_allclose(out.values, [0.25], atol=1e-15)
 
     def test_linear_theta_independent(self):
         data = data_1d([1.0, -2.0, 0.5], [1.0, 2.0, 3.0])
-        a = exact_hessian_diag(LIN1, "squared_error", theta_of(LIN1, [0.0]), data)
-        b = exact_hessian_diag(LIN1, "squared_error", theta_of(LIN1, [17.0]), data)
+        a = exact_hessian_diag(LIN1, theta_of(LIN1, [0.0]), data)
+        b = exact_hessian_diag(LIN1, theta_of(LIN1, [17.0]), data)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_mlp_rejected(self):
         spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")
         theta = ParamVector.zeros(spec.layout())
         with pytest.raises(UnsupportedModelError):
-            exact_hessian_diag(spec, "logistic_nll", theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
+            exact_hessian_diag(spec, theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
 
-    @pytest.mark.parametrize("spec,loss_kind", [(LIN1, "squared_error"), (LOG1, "logistic_nll")])
-    def test_checks_inputs_like_the_loss(self, spec, loss_kind):
+    @pytest.mark.parametrize("spec,loss", [(LIN1, "squared_error"), (LOG1, "logistic_nll")])
+    def test_checks_inputs_like_the_loss(self, spec, loss):
+        assert spec.loss == loss
         theta = theta_of(spec, [0.5])
         with pytest.raises(LayoutError):
-            exact_hessian_diag(spec, loss_kind, theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
+            exact_hessian_diag(spec, theta, TaskDataset("t", [[1.0, 2.0]], [1.0]))
         with pytest.raises(LayoutError):
-            exact_hessian_diag(spec, loss_kind, ParamVector.zeros(ModelSpec(spec.kind, 2).layout()), data_1d([1.0], [1.0]))
-        with pytest.raises(ConfigError):
-            exact_hessian_diag(spec, "logistic_nll" if spec is LIN1 else "squared_error", theta, data_1d([1.0], [1.0]))
+            exact_hessian_diag(spec, ParamVector.zeros(ModelSpec(spec.kind, 2).layout()), data_1d([1.0], [1.0]))
+        if loss == "logistic_nll":
+            with pytest.raises(ConfigError, match=r"\{0,1\} targets"):
+                exact_hessian_diag(spec, theta, data_1d([1.0], [0.5]))
 
     def test_single_example_fisher_is_hessian_times_squared_residual(self):
         # With one example, fisher entry j is (x_j r)^2 and the linear
@@ -113,8 +115,8 @@ class TestExactHessianDiag:
         theta = ParamVector(spec.layout(), [0.1, 0.2, 0.3])
         data = TaskDataset("one", x, y)
         r = float((x @ theta.values - y)[0])
-        f = fisher_diag(spec, "squared_error", theta, data)
-        h = exact_hessian_diag(spec, "squared_error", theta, data)
+        f = fisher_diag(spec, theta, data)
+        h = exact_hessian_diag(spec, theta, data)
         np.testing.assert_allclose(f.values - FISHER_FLOOR, h.values * r * r, rtol=1e-12)
 
     def test_logistic_matches_fd_of_gradient(self):
@@ -127,14 +129,14 @@ class TestExactHessianDiag:
         from gradmerge.models import grad
 
         h = 1e-5
-        exact = exact_hessian_diag(spec, "logistic_nll", theta, data).values
+        exact = exact_hessian_diag(spec, theta, data).values
         for j in range(3):
             plus = theta.values.copy()
             minus = theta.values.copy()
             plus[j] += h
             minus[j] -= h
-            gp = grad(spec, "logistic_nll", ParamVector(theta.layout, plus), data).values[j]
-            gm = grad(spec, "logistic_nll", ParamVector(theta.layout, minus), data).values[j]
+            gp = grad(spec, ParamVector(theta.layout, plus), data).values[j]
+            gm = grad(spec, ParamVector(theta.layout, minus), data).values[j]
             assert exact[j] == pytest.approx((gp - gm) / (2 * h), abs=1e-6)
 
 
@@ -157,12 +159,12 @@ class TestAnchorCurvature:
 
     def test_fisher_delegates(self):
         a, (spec, theta, data) = self.h0("fisher", 4)
-        b = fisher_diag(spec, "logistic_nll", theta, data)
+        b = fisher_diag(spec, theta, data)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_exact_delegates(self):
         a, (spec, theta, data) = self.h0("exact", 5)
-        b = exact_hessian_diag(spec, "logistic_nll", theta, data)
+        b = exact_hessian_diag(spec, theta, data)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_unknown_source_rejected(self):

@@ -84,7 +84,6 @@ def linear_fixture(seed, T=2, d=3, n=12, name=None):
     return DiagnosticFixture(
         name=name or f"linear-{seed}",
         spec=spec,
-        loss_kind="squared_error",
         anchor=anchor,
         target=target,
         tasks=tuple(tasks),
@@ -109,7 +108,6 @@ def trained_fixture(seed, kind="logistic"):
         spec = ModelSpec(kind="logistic", n_features=d)
     else:
         spec = ModelSpec(kind="mlp", n_features=d, hidden=3, activation="tanh")
-    loss_kind = "logistic_nll"
     layout = spec.layout()
     anchor = QuadraticAnchor.ridge_only(layout, delta)
     cfg = TrainConfig(epochs=80, seed=seed)
@@ -119,18 +117,17 @@ def trained_fixture(seed, kind="logistic"):
         mean = 1.4 * np.array([np.cos(angle), np.sin(angle)])
         train = blob_data(rng, mean, n, f"blob{t}", seed=seed)
         test = blob_data(rng, mean, n, f"blob{t}-test", seed=seed)
-        ckpt = finetune_task(spec, loss_kind, train, anchor, cfg)
+        ckpt = finetune_task(spec, train, anchor, cfg)
         if kind == "logistic":
-            curv = exact_hessian_diag(spec, loss_kind, ckpt.params, train)
+            curv = exact_hessian_diag(spec, ckpt.params, train)
         else:
-            curv = fisher_diag(spec, loss_kind, ckpt.params, train)
+            curv = fisher_diag(spec, ckpt.params, train)
         tasks.append((1.0, Checkpoint.of(ckpt.params, curvature=curv), train, test))
         datasets.append(train)
-    target = train_joint_target(spec, loss_kind, datasets, [1.0] * T, anchor, cfg)
+    target = train_joint_target(spec, datasets, [1.0] * T, anchor, cfg)
     return DiagnosticFixture(
         name=f"{kind}-{seed}",
         spec=spec,
-        loss_kind=loss_kind,
         anchor=anchor,
         target=target.params,
         tasks=tuple(tasks),
@@ -148,7 +145,7 @@ class TestGradientMismatch:
             seed=0,
         )
         theta = ParamVector(layout_of(3), rng.normal(size=3))
-        out = gradient_mismatch(spec, "logistic_nll", theta, theta, data)
+        out = gradient_mismatch(spec, theta, theta, data)
         np.testing.assert_array_equal(out.values, np.zeros(3))
 
     def test_one_dimensional_fixture_values(self):
@@ -156,10 +153,10 @@ class TestGradientMismatch:
         d2 = data_1d("d2", [(1.0, 4.0)])
         target, theta1, theta2 = vec([2.0]), vec([1.0]), vec([2.0])
         np.testing.assert_allclose(
-            gradient_mismatch(LINEAR, "squared_error", target, theta1, d1).values, [1.0]
+            gradient_mismatch(LINEAR, target, theta1, d1).values, [1.0]
         )
         np.testing.assert_allclose(
-            gradient_mismatch(LINEAR, "squared_error", target, theta2, d2).values, [0.0]
+            gradient_mismatch(LINEAR, target, theta2, d2).values, [0.0]
         )
 
     def test_quadratic_mismatch_is_hessian_times_difference(self):
@@ -170,14 +167,14 @@ class TestGradientMismatch:
         data = TaskDataset(task_id="t", inputs=X, targets=rng.normal(size=n), seed=0)
         a = ParamVector(layout_of(d), rng.normal(size=d))
         b = ParamVector(layout_of(d), rng.normal(size=d))
-        mm = gradient_mismatch(spec, "squared_error", a, b, data)
-        h = exact_hessian_diag(spec, "squared_error", a, data)
+        mm = gradient_mismatch(spec, a, b, data)
+        h = exact_hessian_diag(spec, a, data)
         np.testing.assert_allclose(mm.values, h.values * (a.values - b.values), atol=1e-9)
 
     def test_layout_mismatch_rejected(self):
         d1 = data_1d("d1", [(1.0, 2.0)])
         with pytest.raises(LayoutError):
-            gradient_mismatch(LINEAR, "squared_error", vec([1.0]), vec([1.0, 2.0]), d1)
+            gradient_mismatch(LINEAR, vec([1.0]), vec([1.0, 2.0]), d1)
 
 
 class TestVerifyIdentity:
@@ -187,7 +184,7 @@ class TestVerifyIdentity:
             (1.0, vec([1.0]), data_1d("d1", [(1.0, 2.0)])),
             (1.0, vec([2.0]), data_1d("d2", [(1.0, 4.0)])),
         ]
-        residual = verify_identity(anchor, vec([2.0]), tasks, LINEAR, "squared_error")
+        residual = verify_identity(anchor, vec([2.0]), tasks, LINEAR)
         assert residual <= 1e-12
 
     def test_closed_form_solutions_satisfy_identity(self):
@@ -216,19 +213,19 @@ class TestVerifyIdentity:
                 datasets.append(data)
                 alphas.append(alpha)
             target = closed_form_solve(datasets, alphas, anchor)
-            residual = verify_identity(anchor, target, tasks, spec, "squared_error")
+            residual = verify_identity(anchor, target, tasks, spec)
             assert residual < 1e-8
 
     def test_empty_task_list_rejected(self):
         anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         with pytest.raises(ConfigError):
-            verify_identity(anchor, vec([0.0]), [], LINEAR, "squared_error")
+            verify_identity(anchor, vec([0.0]), [], LINEAR)
 
     def test_zero_penalty_rejected(self):
         anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=0.0)
         tasks = [(1.0, vec([1.0]), data_1d("d1", [(1.0, 2.0)]))]
         with pytest.raises(SingularCurvatureError):
-            verify_identity(anchor, vec([0.0]), tasks, LINEAR, "squared_error")
+            verify_identity(anchor, vec([0.0]), tasks, LINEAR)
 
     def test_residual_matches_stationarity_defects_exactly(self):
         # For arbitrary (non-stationary) parameter points the identity
@@ -259,32 +256,31 @@ class TestVerifyIdentity:
         a = anchor.anchor.values
         joint_defect = h0eff * (target.values - a)
         for alpha, _, data in tasks:
-            joint_defect = joint_defect + alpha * grad(spec, "logistic_nll", target, data).values
+            joint_defect = joint_defect + alpha * grad(spec, target, data).values
         expect = joint_defect.copy()
         for alpha, theta_t, data in tasks:
             task_defect = h0eff * (theta_t.values - a) + grad(
-                spec, "logistic_nll", theta_t, data
+                spec, theta_t, data
             ).values
             expect = expect - alpha * task_defect
         predicted = float(np.max(np.abs(expect / h0eff)))
-        residual = verify_identity(anchor, target, tasks, spec, "logistic_nll")
+        residual = verify_identity(anchor, target, tasks, spec)
         np.testing.assert_allclose(residual, predicted, rtol=1e-10, atol=1e-12)
 
     def test_trained_models_stay_within_reported_bound(self):
         fixture = trained_fixture(11, kind="logistic")
-        spec, loss_kind = fixture.spec, fixture.loss_kind
+        spec = fixture.spec
         tasks = [(a, c.params, tr) for a, c, tr, _ in fixture.tasks]
-        residual = verify_identity(fixture.anchor, fixture.target, tasks, spec, loss_kind)
+        residual = verify_identity(fixture.anchor, fixture.target, tasks, spec)
         joint_res = stationarity_residual(
             spec,
-            loss_kind,
             [tr for _, _, tr in tasks],
             [a for a, _, _ in tasks],
             fixture.anchor,
             fixture.target,
         )
         task_res = [
-            stationarity_residual(spec, loss_kind, [tr], [1.0], fixture.anchor, theta)
+            stationarity_residual(spec, [tr], [1.0], fixture.anchor, theta)
             for _, theta, tr in tasks
         ]
         bound = identity_residual_bound(
@@ -313,7 +309,7 @@ class TestTestLossDelta:
     def test_identical_points_give_zero(self):
         data = data_1d("d", [(1.0, 2.0), (2.0, 1.0)])
         theta = vec([0.7])
-        assert loss_delta(LINEAR, "squared_error", theta, theta, data) == (0.0, 0.0)
+        assert loss_delta(LINEAR, theta, theta, data) == (0.0, 0.0)
 
     def test_quadratic_taylor_remainder_bound(self):
         rng = np.random.default_rng(4)
@@ -321,11 +317,11 @@ class TestTestLossDelta:
         spec = ModelSpec(kind="linear_regression", n_features=d)
         X = orthogonal_design(rng, n, d)
         data = TaskDataset(task_id="t", inputs=X, targets=rng.normal(size=n), seed=0)
-        h = exact_hessian_diag(spec, "squared_error", ParamVector.zeros(layout_of(d)), data)
+        h = exact_hessian_diag(spec, ParamVector.zeros(layout_of(d)), data)
         for _ in range(10):
             target = ParamVector(layout_of(d), rng.normal(size=d))
             merged = ParamVector(layout_of(d), target.values + 0.1 * rng.normal(size=d))
-            exact, first_order = loss_delta(spec, "squared_error", target, merged, data)
+            exact, first_order = loss_delta(spec, target, merged, data)
             delta = target.values - merged.values
             remainder = abs(exact - first_order)
             assert remainder <= 0.5 * float(delta @ delta) * float(np.max(h.values)) + 1e-12
@@ -341,7 +337,7 @@ class TestTestLossDelta:
         )
         target = ParamVector(layout_of(2), [30.0, -20.0])
         merged = ParamVector(layout_of(2), [-25.0, 15.0])
-        exact, first_order = loss_delta(spec, "logistic_nll", target, merged, data)
+        exact, first_order = loss_delta(spec, target, merged, data)
         assert np.isfinite(exact) and np.isfinite(first_order)
 
 
@@ -434,7 +430,7 @@ class TestMismatchErrorCorrelation:
                 pooled = 0.0
                 for _, _, _, test in fixture.tasks:
                     exact, _ = loss_delta(
-                        fixture.spec, fixture.loss_kind, fixture.target, merged, test
+                        fixture.spec, fixture.target, merged, test
                     )
                     pooled += exact
                 mismatches.append(report.total_weighted_norm)

@@ -31,7 +31,7 @@ from gradmerge.harness import (
     sweep_alpha,
     train_target,
 )
-from gradmerge.models import ModelSpec, TaskDataset, accuracy, loss
+from gradmerge.models import MODEL_KINDS, ModelSpec, TaskDataset, accuracy, loss
 from gradmerge.params import load_checkpoint
 from gradmerge.training import TrainConfig, closed_form_solve
 
@@ -168,6 +168,8 @@ class TestExperimentSpec:
             ExperimentSpec(model=ModelSpec("linear_regression", 2))
         with pytest.raises(ConfigError):
             ExperimentSpec(loss="squared_error")
+        with pytest.raises(ConfigError, match="logistic_nll"):
+            ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3, activation="tanh"), loss="squared_error")
 
     @pytest.mark.parametrize("model", [{"kind": "logistic", "n_features": 2}, {"kind": "mlp", "n_features": 2, "hidden": 3, "activation": "tanh"}])
     def test_rejects_zero_ridge_for_classifiers(self, model):
@@ -185,8 +187,14 @@ class TestExperimentSpec:
         assert spec.anchor.delta == 0.0
 
     def test_rejects_exact_curvature_for_mlp(self):
-        with pytest.raises(ConfigError):
-            ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3), curvature="exact")
+        with pytest.raises(ConfigError, match="exact curvature"):
+            ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3, activation="tanh"), curvature="exact")
+
+    def test_rejects_exact_anchor_source_for_mlp(self):
+        # Refused when the spec is built, not after the anchor has trained.
+        model = {"kind": "mlp", "n_features": 2, "hidden": 3, "activation": "tanh"}
+        with pytest.raises(ConfigError, match="exact curvature"):
+            ExperimentSpec.from_dict({"model": model, "anchor": {"source": "exact"}})
 
     @pytest.mark.parametrize(
         "build,field",
@@ -317,6 +325,33 @@ class TestRunPipeline:
         state = run_pipeline(small_spec(epochs=7), seed=2)
         fits = [state.anchor, *state.tasks, train_target(state, 1.0)]
         assert [(ck.meta["epochs"], ck.meta["seed"]) for ck in fits] == [("7", "2"), ("7", "3"), ("7", "4"), ("7", "5")]
+
+
+class TestEveryAcceptedModel:
+    def test_each_accepted_kind_loss_and_activation_trains_and_scores(self):
+        # Every combination the spec accepts must train, and a classifier's
+        # anchor must beat chance by a clear margin on its own blobs.
+        accepted = []
+        for kind in MODEL_KINDS:
+            for loss_name in ("squared_error", "logistic_nll"):
+                for activation in (None, "tanh", "relu"):
+                    try:
+                        model = ModelSpec(kind, 2, hidden=4 if kind == "mlp" else None, activation=activation)
+                        spec = ExperimentSpec(model=model, loss=loss_name, methods=("ta", "ours"))
+                    except ConfigError:
+                        continue
+                    accepted.append((kind, loss_name, activation))
+                    spec = dataclasses.replace(spec, n_tasks=3)
+                    anchor = run_addition(spec, seed=0).outcomes["anchor"]
+                    if anchor.metric == "accuracy":
+                        assert anchor.avg > 0.6, (kind, loss_name, activation, anchor.avg)
+                    else:
+                        assert np.isfinite(anchor.avg)
+        assert accepted == [
+            ("linear_regression", "squared_error", None),
+            ("logistic", "logistic_nll", None),
+            ("mlp", "logistic_nll", "tanh"),
+        ]
 
 
 class TestRunAddition:
@@ -542,7 +577,7 @@ class TestSweepGrid:
 
         def score(ds):
             if spec.model.kind == "linear_regression":
-                return loss(spec.model, spec.loss, theta, ds) / ds.n
+                return loss(spec.model, theta, ds) / ds.n
             return accuracy(spec.model, theta, ds)
 
         pooled = TaskDataset(

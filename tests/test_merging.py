@@ -542,7 +542,25 @@ class TestLinearExactness:
 
 
 class TestDegenerateInputs:
-    """One rule across the catalog: no tasks, or missing curvature, raise."""
+    """One rule across the catalog: no tasks, or missing curvature, raise;
+    all-zero task weights give the anchor."""
+
+    @pytest.mark.parametrize("method", ADDITION_METHODS)
+    def test_all_zero_weights_give_the_anchor(self, method):
+        # Adding nothing leaves the anchor, also for ``am``, which otherwise ignores the weights.
+        inputs = random_inputs(np.random.default_rng(13), d=5, n_tasks=3)
+        anchor = inputs.anchor.params.values
+        zeroed = MergeInputs(inputs.anchor, tuple((0.0, ck) for _, ck in inputs.tasks), inputs.delta)
+        np.testing.assert_array_equal(merge(method, zeroed).values, anchor)
+        grid = merge_grid(method, inputs, (0.0, 1.0, -0.0))
+        np.testing.assert_array_equal(grid[[0, 2]], [anchor, anchor])
+        np.testing.assert_array_equal(grid[1], merge(method, inputs).values)
+
+    @pytest.mark.parametrize("method", CURVATURE_METHODS)
+    def test_zero_weights_still_need_curvature(self, method):
+        inputs = MergeInputs(anchor=ckpt([1.0, 2.0]), tasks=((0.0, ckpt([3.0, 0.0], [1.0, 2.0])),))
+        with pytest.raises(MissingCurvatureError):
+            merge(method, inputs)
 
     @pytest.mark.parametrize("method", ADDITION_METHODS)
     def test_zero_tasks_rejected(self, method):

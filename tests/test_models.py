@@ -34,10 +34,10 @@ def data_1d(xs, ys, task_id="t"):
     return TaskDataset(task_id, np.asarray(xs, dtype=float).reshape(-1, 1), ys)
 
 
-def random_pair(spec, loss_kind, seed, n=12):
+def random_pair(spec, seed, n=12):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, spec.n_features))
-    if loss_kind == "squared_error":
+    if spec.loss == "squared_error":
         y = rng.standard_normal(n)
     else:
         y = rng.integers(0, 2, n).astype(float)
@@ -76,18 +76,24 @@ class TestModelSpec:
             ModelSpec("transformer", 3)
 
     def test_bad_activation_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelSpec("mlp", 3, hidden=4, activation="gelu")
+        for activation in ("gelu", "relu", None):  # an MLP is tanh
+            with pytest.raises(ConfigError, match="activation"):
+                ModelSpec("mlp", 3, hidden=4, activation=activation)
+
+    def test_each_kind_has_one_loss(self):
+        assert ModelSpec("linear_regression", 2).loss == "squared_error"
+        assert ModelSpec("logistic", 2).loss == "logistic_nll"
+        assert ModelSpec("mlp", 2, hidden=3, activation="tanh").loss == "logistic_nll"
 
 
 class TestLoss:
     def test_linear_zero_theta(self):
-        value = loss(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
+        value = loss(LIN1, theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_logistic_zero_theta_is_ln2_per_example(self):
         data = data_1d([1.0, -1.0, 2.0, 0.5], [1, 0, 1, 0])
-        value = loss(LOG1, "logistic_nll", theta_of(LOG1, [0.0]), data)
+        value = loss(LOG1, theta_of(LOG1, [0.0]), data)
         assert value == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
     def test_linear_loss_is_exactly_quadratic(self):
@@ -98,92 +104,74 @@ class TestLoss:
         data = TaskDataset("q", X, y)
         theta = ParamVector(spec.layout(), rng.standard_normal(4))
         zero = ParamVector.zeros(spec.layout())
-        l0 = loss(spec, "squared_error", zero, data)
-        g0 = grad(spec, "squared_error", zero, data).values
+        l0 = loss(spec, zero, data)
+        g0 = grad(spec, zero, data).values
         quad = l0 + g0 @ theta.values + 0.5 * theta.values @ (X.T @ X) @ theta.values
-        assert loss(spec, "squared_error", theta, data) == pytest.approx(quad, abs=1e-9)
-
-    def test_loss_kind_model_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            loss(LIN1, "logistic_nll", theta_of(LIN1, [0.0]), data_1d([1.0], [1.0]))
+        assert loss(spec, theta, data) == pytest.approx(quad, abs=1e-9)
 
     def test_nonbinary_targets_rejected_for_nll(self):
         with pytest.raises(ConfigError):
-            loss(LOG1, "logistic_nll", theta_of(LOG1, [0.0]), data_1d([1.0], [0.5]))
+            loss(LOG1, theta_of(LOG1, [0.0]), data_1d([1.0], [0.5]))
 
     def test_layout_mismatch_rejected(self):
         wrong = ParamVector(ModelSpec("linear_regression", 2).layout(), [0.0, 0.0])
         with pytest.raises(LayoutError):
-            loss(LIN1, "squared_error", wrong, data_1d([1.0], [2.0]))
+            loss(LIN1, wrong, data_1d([1.0], [2.0]))
 
     def test_overflow_raises_numeric_error(self):
-        spec = ModelSpec("mlp", 1, hidden=2, activation="relu")
-        big = ParamVector(spec.layout(), np.full(spec.layout().total_len, 1e200))
+        # The output overflows to inf, and the label-0 loss to inf - 0 * inf.
+        spec = ModelSpec("mlp", 1, hidden=2, activation="tanh")
+        big = ParamVector(spec.layout(), np.full(spec.layout().total_len, 1e308))
         with pytest.raises(NumericError):
-            loss(spec, "squared_error", big, data_1d([1.0], [0.0]))
+            loss(spec, big, data_1d([1.0], [0.0]))
 
     @pytest.mark.parametrize(
-        "spec,loss_kind",
-        [(ModelSpec("logistic", 2), "logistic_nll"), (ModelSpec("mlp", 2, hidden=3, activation="tanh"), "squared_error")],
+        "spec",
+        [ModelSpec("logistic", 2), ModelSpec("mlp", 2, hidden=3, activation="tanh")],
         ids=["logistic", "mlp"],
     )
-    def test_empty_dataset_follows_the_grad_rule(self, spec, loss_kind):
+    def test_empty_dataset_follows_the_grad_rule(self, spec):
         # Built from lists, the empty inputs have shape (0, 0), not (0, 2).
         empty = TaskDataset("e", [], [])
         zeros = ParamVector.zeros(spec.layout())
-        assert loss(spec, loss_kind, zeros, empty) == 0.0
-        assert not np.any(grad(spec, loss_kind, zeros, empty).values)
+        assert loss(spec, zeros, empty) == 0.0
+        assert not np.any(grad(spec, zeros, empty).values)
 
     def test_mlp_loss_survives_checkpoint_round_trip(self, tmp_path):
         from gradmerge.params import Checkpoint, load_checkpoint, save_checkpoint
 
         spec = ModelSpec("mlp", 2, hidden=4, activation="tanh")
-        theta, data = random_pair(spec, "logistic_nll", 11)
-        before = loss(spec, "logistic_nll", theta, data)
+        theta, data = random_pair(spec, 11)
+        before = loss(spec, theta, data)
         save_checkpoint(Checkpoint.of(theta), tmp_path / "m")
-        after = loss(spec, "logistic_nll", load_checkpoint(tmp_path / "m").params, data)
+        after = loss(spec, load_checkpoint(tmp_path / "m").params, data)
         assert before == after
 
 
 class TestGrad:
     def test_linear_zero_theta(self):
-        g = grad(LIN1, "squared_error", theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
+        g = grad(LIN1, theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
         np.testing.assert_allclose(g.values, [-2.0], atol=1e-15)
 
     def test_matches_finite_differences_all_kinds(self):
         cases = [
-            (ModelSpec("linear_regression", 3), "squared_error"),
-            (ModelSpec("logistic", 3), "logistic_nll"),
-            (ModelSpec("mlp", 3, hidden=4, activation="tanh"), "logistic_nll"),
-            (ModelSpec("mlp", 3, hidden=4, activation="tanh"), "squared_error"),
+            ModelSpec("linear_regression", 3),
+            ModelSpec("logistic", 3),
+            ModelSpec("mlp", 3, hidden=4, activation="tanh"),
         ]
-        for spec, loss_kind in cases:
+        for spec in cases:
             for seed in range(4):
-                theta, data = random_pair(spec, loss_kind, seed)
-                g = grad(spec, loss_kind, theta, data).values
-                fd = fd_grad(spec, loss_kind, theta, data, h=1e-5).values
+                theta, data = random_pair(spec, seed)
+                g = grad(spec, theta, data).values
+                fd = fd_grad(spec, theta, data, h=1e-5).values
                 rel = np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g)))
-                assert rel < 1e-5, f"{spec.kind}/{loss_kind} seed {seed}: rel={rel:.3g}"
-
-    def test_relu_matches_fd_away_from_kinks(self):
-        spec = ModelSpec("mlp", 2, hidden=3, activation="relu")
-        seed = 0
-        while True:
-            theta, data = random_pair(spec, "logistic_nll", seed)
-            w1, b1, _, _ = spec._mlp_views(theta.values)
-            z1 = data.inputs @ w1.T + b1
-            if np.min(np.abs(z1)) > 1e-3:
-                break
-            seed += 1
-        g = grad(spec, "logistic_nll", theta, data).values
-        fd = fd_grad(spec, "logistic_nll", theta, data, h=1e-5).values
-        assert np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g))) < 1e-5
+                assert rel < 1e-5, f"{spec.kind} seed {seed}: rel={rel:.3g}"
 
     def test_quadratic_loss_fd_h_1em4(self):
         spec = ModelSpec("linear_regression", 4)
-        theta, data = random_pair(spec, "squared_error", 9)
-        g = grad(spec, "squared_error", theta, data).values
-        fd = fd_grad(spec, "squared_error", theta, data, h=1e-4).values
+        theta, data = random_pair(spec, 9)
+        g = grad(spec, theta, data).values
+        fd = fd_grad(spec, theta, data, h=1e-4).values
         assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))) < 1e-8
 
     def test_fd_perturbation_is_local_for_separable_linear(self):
@@ -194,49 +182,45 @@ class TestGrad:
         X = np.diag([1.0, 2.0, 0.5])
         data = TaskDataset("sep", X, [1.0, -1.0, 2.0])
         theta = ParamVector(spec.layout(), [0.3, 0.1, -0.2])
-        fd1 = fd_grad(spec, "squared_error", theta, data, h=1e-4).values
+        fd1 = fd_grad(spec, theta, data, h=1e-4).values
         bumped = theta.values.copy()
         bumped[1] += 0.25
-        fd2 = fd_grad(spec, "squared_error", ParamVector(theta.layout, bumped), data, h=1e-4).values
+        fd2 = fd_grad(spec, ParamVector(theta.layout, bumped), data, h=1e-4).values
         changed = np.abs(fd1 - fd2) > 1e-10
         assert changed[1] and not changed[0] and not changed[2]
 
     def test_fd_zero_step_rejected(self):
-        theta, data = random_pair(LIN1, "squared_error", 0)
+        theta, data = random_pair(LIN1, 0)
         with pytest.raises(ConfigError):
-            fd_grad(LIN1, "squared_error", theta, data, h=0.0)
+            fd_grad(LIN1, theta, data, h=0.0)
 
 
 class TestPerExampleGrads:
     def test_single_example_equals_grad(self):
-        theta, _ = random_pair(LOG1, "logistic_nll", 1)
+        theta, _ = random_pair(LOG1, 1)
         data = data_1d([0.7], [1.0])
-        gs = per_example_grads(LOG1, "logistic_nll", theta, data)
+        gs = per_example_grads(LOG1, theta, data)
         assert gs.shape == (1, 1)
         np.testing.assert_allclose(
-            gs[0], grad(LOG1, "logistic_nll", theta, data).values, atol=1e-15
+            gs[0], grad(LOG1, theta, data).values, atol=1e-15
         )
 
     def test_identical_examples_identical_grads(self):
-        theta, _ = random_pair(LOG1, "logistic_nll", 2)
+        theta, _ = random_pair(LOG1, 2)
         data = data_1d([0.7, 0.7], [1.0, 1.0])
-        gs = per_example_grads(LOG1, "logistic_nll", theta, data)
+        gs = per_example_grads(LOG1, theta, data)
         np.testing.assert_array_equal(gs[0], gs[1])
 
     def test_linear_two_example_fixture(self):
         data = data_1d([1.0, 1.0], [2.0, 4.0])
-        gs = per_example_grads(LIN1, "squared_error", theta_of(LIN1, [2.0]), data)
+        gs = per_example_grads(LIN1, theta_of(LIN1, [2.0]), data)
         np.testing.assert_allclose(gs, [[0.0], [-2.0]], atol=1e-15)
 
     def test_sum_equals_grad_sum(self):
-        for spec, loss_kind in [
-            (ModelSpec("mlp", 2, hidden=3, activation="tanh"), "logistic_nll"),
-            (ModelSpec("logistic", 4), "logistic_nll"),
-            (ModelSpec("linear_regression", 4), "squared_error"),
-        ]:
-            theta, data = random_pair(spec, loss_kind, 5)
-            total = per_example_grads(spec, loss_kind, theta, data).sum(axis=0)
-            direct = grad(spec, loss_kind, theta, data).values
+        for spec in [ModelSpec("mlp", 2, hidden=3, activation="tanh"), ModelSpec("logistic", 4), ModelSpec("linear_regression", 4)]:
+            theta, data = random_pair(spec, 5)
+            total = per_example_grads(spec, theta, data).sum(axis=0)
+            direct = grad(spec, theta, data).values
             np.testing.assert_allclose(total, direct, atol=1e-10)
 
 

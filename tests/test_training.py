@@ -28,12 +28,10 @@ def data_1d(xs, ys, task_id="t"):
     return TaskDataset(task_id, np.asarray(xs, dtype=float).reshape(-1, 1), ys)
 
 
-def anchored_objective(spec, loss_kind, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
+def anchored_objective(spec, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
     """Reference objective, independent of the trainers' fused evaluation:
     the weighted per-task losses from ``models.loss`` plus the anchored penalty."""
-    value = sum(
-        alpha * models.loss(spec, loss_kind, theta, data) for alpha, data in zip(alphas, datasets) if data.n
-    )
+    value = sum(alpha * models.loss(spec, theta, data) for alpha, data in zip(alphas, datasets) if data.n)
     diff = theta.values - anchor.anchor.values
     return float(value + 0.5 * np.sum(anchor.effective_diag * diff * diff))
 
@@ -129,13 +127,13 @@ class TestTrainAnchor:
     def test_linear_matches_closed_form(self):
         spec = ModelSpec("linear_regression", 4)
         data = random_linear(0)
-        ckpt = train_anchor(spec, "squared_error", data, delta=0.5, cfg=CFG)
+        ckpt = train_anchor(spec, data, delta=0.5, cfg=CFG)
         exact = closed_form_solve([data], [1.0], QuadraticAnchor.ridge_only(spec.layout(), 0.5))
         np.testing.assert_array_equal(ckpt.params.values, exact.values)
 
     def test_huge_delta_shrinks_theta(self):
         spec = ModelSpec("linear_regression", 4)
-        ckpt = train_anchor(spec, "squared_error", random_linear(1), delta=1e6, cfg=CFG)
+        ckpt = train_anchor(spec, random_linear(1), delta=1e6, cfg=CFG)
         assert np.linalg.norm(ckpt.params.values) < 1e-3
 
     def test_same_seed_identical(self):
@@ -144,12 +142,12 @@ class TestTrainAnchor:
         X = rng.standard_normal((40, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
         data = TaskDataset("c", X, y)
-        a = train_anchor(spec, "logistic_nll", data, delta=0.1, cfg=CFG)
-        b = train_anchor(spec, "logistic_nll", data, delta=0.1, cfg=CFG)
+        a = train_anchor(spec, data, delta=0.1, cfg=CFG)
+        b = train_anchor(spec, data, delta=0.1, cfg=CFG)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
     def test_meta_records_provenance(self):
-        ckpt = train_anchor(LIN1, "squared_error", data_1d([1.0], [2.0]), delta=1.0, cfg=CFG)
+        ckpt = train_anchor(LIN1, data_1d([1.0], [2.0]), delta=1.0, cfg=CFG)
         assert ckpt.meta["objective"] == "anchor"
         assert ckpt.meta["seed"] == "0"
         assert ckpt.meta["delta"] == repr(1.0)
@@ -160,9 +158,9 @@ class TestTrainAnchor:
         X = rng.standard_normal((50, 3))
         y = (X @ np.array([1.0, -1.0, 0.5]) > 0).astype(float)
         data = TaskDataset("c", X, y)
-        ckpt = train_anchor(spec, "logistic_nll", data, delta=0.2, cfg=CFG)
+        ckpt = train_anchor(spec, data, delta=0.2, cfg=CFG)
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.2)
-        res = stationarity_residual(spec, "logistic_nll", [data], [1.0], anchor, ckpt.params)
+        res = stationarity_residual(spec, [data], [1.0], anchor, ckpt.params)
         assert res <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
 
 
@@ -170,7 +168,7 @@ class TestFinetune:
     def test_1d_removal_fixture(self):
         # Anchor theta=2 with penalty weight 3, one example (x=1, y=4):
         # stationarity (theta-4) + 3(theta-2) = 0 gives theta = 2.5.
-        ckpt = finetune_task(LIN1, "squared_error", data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), CFG)
+        ckpt = finetune_task(LIN1, data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), CFG)
         np.testing.assert_allclose(ckpt.params.values, [2.5], atol=1e-6)
 
     def test_huge_h0_pins_to_anchor(self):
@@ -181,7 +179,7 @@ class TestFinetune:
             ParamVector(layout, [1.0, -1.0, 0.5, 0.0]),
             DiagCurvature.constant(layout, 1e6),
         )
-        ckpt = finetune_task(spec, "squared_error", data, anchor, CFG)
+        ckpt = finetune_task(spec, data, anchor, CFG)
         assert np.linalg.norm(ckpt.params.values - anchor.anchor.values) < 1e-3
 
     def test_stationarity_condition(self):
@@ -196,9 +194,9 @@ class TestFinetune:
         anchor = QuadraticAnchor(
             ParamVector(layout, [0.2, -0.1]), DiagCurvature.constant(layout, 2.0)
         )
-        ckpt = finetune_task(spec, "logistic_nll", data, anchor, CFG, anchor_id="base")
+        ckpt = finetune_task(spec, data, anchor, CFG, anchor_id="base")
         lhs = anchor.effective_diag * (ckpt.params.values - anchor.anchor.values)
-        rhs = -grad(spec, "logistic_nll", ckpt.params, data).values
+        rhs = -grad(spec, ckpt.params, data).values
         assert np.linalg.norm(lhs - rhs) <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
         assert ckpt.anchor_id == "base"
 
@@ -209,8 +207,8 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 4)
         layout = spec.layout()
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 1.0))
-        joint = train_joint_target(spec, "squared_error", [data], [1.0], anchor, CFG)
-        single = finetune_task(spec, "squared_error", data, anchor, CFG)
+        joint = train_joint_target(spec, [data], [1.0], anchor, CFG)
+        single = finetune_task(spec, data, anchor, CFG)
         np.testing.assert_allclose(joint.params.values, single.params.values, atol=1e-5)
 
     def test_matches_closed_form(self):
@@ -218,7 +216,7 @@ class TestJointTarget:
         layout = spec.layout()
         datasets = [random_linear(s, n=20, d=3) for s in (5, 6)]
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 1.0))
-        joint = train_joint_target(spec, "squared_error", datasets, [1.0, 1.0], anchor, CFG)
+        joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, CFG)
         exact = closed_form_solve(datasets, [1.0, 1.0], anchor)
         np.testing.assert_array_equal(joint.params.values, exact.values)
 
@@ -229,7 +227,7 @@ class TestJointTarget:
             ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature.constant(layout, 1.0)
         )
         joint = train_joint_target(
-            spec, "squared_error", [random_linear(8, d=3)], [0.0], anchor, CFG
+            spec, [random_linear(8, d=3)], [0.0], anchor, CFG
         )
         np.testing.assert_allclose(joint.params.values, anchor.anchor.values, atol=1e-5)
 
@@ -239,7 +237,7 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 3)
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 1.0)
         with pytest.raises(ConfigError):
-            train_joint_target(spec, "squared_error", [random_linear(9, d=3)], [alpha], anchor, CFG)
+            train_joint_target(spec, [random_linear(9, d=3)], [alpha], anchor, CFG)
 
     def test_joint_value_beats_trivial_candidates(self):
         spec = ModelSpec("logistic", 2)
@@ -252,15 +250,13 @@ class TestJointTarget:
             datasets.append(TaskDataset(f"t{t}", X, y))
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 0.5))
         alphas = [1.0, 1.0, 1.0]
-        joint = train_joint_target(spec, "logistic_nll", datasets, alphas, anchor, CFG)
-        value = anchored_objective(spec, "logistic_nll", datasets, alphas, anchor, joint.params)
+        joint = train_joint_target(spec, datasets, alphas, anchor, CFG)
+        value = anchored_objective(spec, datasets, alphas, anchor, joint.params)
         candidates = [anchor.anchor] + [
-            finetune_task(spec, "logistic_nll", d, anchor, CFG).params for d in datasets
+            finetune_task(spec, d, anchor, CFG).params for d in datasets
         ]
         for candidate in candidates:
-            assert value <= anchored_objective(
-                spec, "logistic_nll", datasets, alphas, anchor, candidate
-            ) + 1e-9
+            assert value <= anchored_objective(spec, datasets, alphas, anchor, candidate) + 1e-9
 
 
 class TestClosedFormSolve:
@@ -327,7 +323,7 @@ class TestNewton:
         h0 = rng.uniform(0.0, 1.0, d) if rng.random() < 0.5 else np.zeros(d)
         layout = spec.layout()
         anchor = QuadraticAnchor(ParamVector(layout, rng.standard_normal(d)), DiagCurvature(layout, h0), ridge)
-        theta = train_joint_target(spec, "logistic_nll", datasets, alphas, anchor, CFG).params.values
+        theta = train_joint_target(spec, datasets, alphas, anchor, CFG).params.values
         reference = lbfgs_logistic_reference(datasets, alphas, anchor)
         # Newton's stop rule leaves ||theta - theta*|| at most
         # NEWTON_TOL (1 + ||theta||) / min(h0 + delta), and delta >= 1e-2.
@@ -388,9 +384,9 @@ class TestMlpStationarity:
         residuals = []
         real_fit = training._fit
 
-        def fit(spec, loss_kind, datasets, alphas, anchor, cfg, x0):
-            theta = real_fit(spec, loss_kind, datasets, alphas, anchor, cfg, x0)
-            residual = stationarity_residual(spec, loss_kind, datasets, alphas, anchor, theta)
+        def fit(spec, datasets, alphas, anchor, cfg, x0):
+            theta = real_fit(spec, datasets, alphas, anchor, cfg, x0)
+            residual = stationarity_residual(spec, datasets, alphas, anchor, theta)
             residuals.append(residual / (1.0 + np.linalg.norm(theta.values)))
             return theta
 
@@ -435,15 +431,15 @@ class TestDecoupledStep:
         y = (X[:, 0] > 0).astype(float)
         data = TaskDataset("c", X, y)
         cfg = TrainConfig(epochs=40, seed=9)
-        a = train_anchor(spec, "logistic_nll", data, delta=0.1, cfg=cfg)
-        b = train_anchor(spec, "logistic_nll", data, delta=0.1, cfg=cfg)
+        a = train_anchor(spec, data, delta=0.1, cfg=cfg)
+        b = train_anchor(spec, data, delta=0.1, cfg=cfg)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
     def test_mlp_training_is_deterministic(self):
         data = classification(3, n=64)
         cfg = TrainConfig(epochs=40, seed=9)
-        a = train_anchor(MLP2, "logistic_nll", data, delta=0.1, cfg=cfg)
-        b = train_anchor(MLP2, "logistic_nll", data, delta=0.1, cfg=cfg)
+        a = train_anchor(MLP2, data, delta=0.1, cfg=cfg)
+        b = train_anchor(MLP2, data, delta=0.1, cfg=cfg)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
 
@@ -456,16 +452,15 @@ class TestConvexFitsIgnoreAdam:
     @settings(max_examples=30, deadline=None)
     def test_trained_params_do_not_depend_on_adam_settings(self, kind, epochs, seed):
         spec = ModelSpec(kind, 2)
-        loss_kind = "logistic_nll" if kind == "logistic" else "squared_error"
         data = classification(21, n=60)
         cfg = TrainConfig(epochs=epochs, seed=seed)
-        base = train_anchor(spec, loss_kind, data, delta=0.3, cfg=CFG).params
-        other = train_anchor(spec, loss_kind, data, delta=0.3, cfg=cfg).params
+        base = train_anchor(spec, data, delta=0.3, cfg=CFG).params
+        other = train_anchor(spec, data, delta=0.3, cfg=cfg).params
         np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
         anchor = QuadraticAnchor(base, DiagCurvature.constant(spec.layout(), 2.0), 0.3)
         task = classification(22, n=40)
-        tuned = finetune_task(spec, loss_kind, task, anchor, CFG).params
-        retuned = finetune_task(spec, loss_kind, task, anchor, cfg).params
+        tuned = finetune_task(spec, task, anchor, CFG).params
+        retuned = finetune_task(spec, task, anchor, cfg).params
         np.testing.assert_allclose(retuned.values, tuned.values, rtol=0.0, atol=1e-8)
 
 
@@ -503,7 +498,7 @@ class TestFitCost:
 
         monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
         cfg = TrainConfig(epochs=5, seed=0)
-        train_anchor(MLP2, "logistic_nll", classification(4, n=40), delta=0.1, cfg=cfg)
+        train_anchor(MLP2, classification(4, n=40), delta=0.1, cfg=cfg)
         assert adam_rows == [40] * 5
 
     @pytest.mark.parametrize("fit", ["anchor", "joint"])
@@ -541,9 +536,9 @@ class TestFitCost:
             counts.clear()
             cfg = TrainConfig(epochs=epochs, seed=0)
             if fit == "anchor":
-                train_anchor(MLP2, "logistic_nll", sets[0], delta=0.1, cfg=cfg)
+                train_anchor(MLP2, sets[0], delta=0.1, cfg=cfg)
             else:
-                train_joint_target(MLP2, "logistic_nll", sets, [1.0, 0.5], anchor, cfg)
+                train_joint_target(MLP2, sets, [1.0, 0.5], anchor, cfg)
             return dict(counts)
 
         short, long = run(10), run(40)
