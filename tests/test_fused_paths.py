@@ -15,8 +15,17 @@ from gradmerge.models import ModelSpec, TaskDataset, _grad, _hessian, _value_gra
 from gradmerge.params import ParamVector
 from gradmerge.training import TrainConfig, train_anchor
 
-CASES = [ModelSpec("linear_regression", 3), ModelSpec("logistic", 3), ModelSpec("mlp", 3, hidden=4, activation="tanh")]
-IDS = [spec.kind for spec in CASES]
+# Each kind at three features, plus the edge shapes its kernels reshape
+# around: a single feature (a one-column X and w1) and a single hidden unit.
+CASES = [
+    ModelSpec("linear_regression", 3),
+    ModelSpec("logistic", 3),
+    ModelSpec("mlp", 3, hidden=4, activation="tanh"),
+    ModelSpec("linear_regression", 1),
+    ModelSpec("logistic", 1),
+    ModelSpec("mlp", 1, hidden=1, activation="tanh"),
+]
+IDS = ["linear_regression", "logistic", "mlp", "linear_regression-d1", "logistic-d1", "mlp-d1-h1"]
 
 
 def random_pair(spec, seed, n=25):
@@ -116,11 +125,12 @@ class TestWeightedRowBlock:
         assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
         within_rounding(g, expected_grad, magnitude)
 
+    @pytest.mark.parametrize("n_features,hidden", [(3, 5), (1, 1)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_summed_mlp_gradient_equals_per_example_column_sums(self, seed):
+    def test_summed_mlp_gradient_equals_per_example_column_sums(self, n_features, hidden, seed):
         # The summed branch factors g and w2 out of its (n, h) products;
         # the per-example branch forms every dz1 explicitly.
-        spec = ModelSpec("mlp", 3, hidden=5, activation="tanh")
+        spec = ModelSpec("mlp", n_features, hidden=hidden, activation="tanh")
         theta, data = random_pair(spec, seed, n=40)
         G = per_example_grads(spec, theta, data)
         within_rounding(grad(spec, theta, data).values, G.sum(axis=0), np.abs(G).sum(axis=0))
