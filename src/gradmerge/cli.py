@@ -33,7 +33,6 @@ from .harness import (  # noqa: F401
     estimate_anchor_h0,
     estimate_task_curvature,
     evaluate_params,
-    evaluation_sets,
     fixture_from_state,
     gen_tasks,
     load_spec,
@@ -53,6 +52,7 @@ from .merging import ADDITION_METHODS, CURVATURE_METHODS, merged_checkpoint
 from .models import save_dataset
 from .oracles import oracle_summary, oracle_table_csv, run_oracle_suite
 from .params import Checkpoint, load_checkpoint, save_checkpoint
+from .training import task_weight
 
 __all__ = ["cli", "main", "build_parser"]
 
@@ -92,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
     add("remove", _cmd_remove, "subtract a task block and compare to retraining")
     p = add("diagnose", _cmd_diagnose, "emit the gradient-mismatch diagnostic table")
-    p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
+    p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
     add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid")
     p = add("oracle-check", _cmd_oracle_check, "run the independent numeric oracle suite")
     p.add_argument("--fixtures", type=int, default=50, help="fixtures per oracle family")
     p = add("report", _cmd_report, "full addition run plus diagnostics in one shot")
-    p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
+    p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
     return parser
 
 
@@ -176,7 +176,7 @@ def _cmd_merge(args) -> int:
     params = merge_checkpoints(anchor, tasks, spec.anchor.delta, args.method, args.alpha)
     merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks), anchor.anchor_id)
     save_checkpoint(merged, out / f"merged-{args.method}")
-    eval_sets = evaluation_sets(gen_tasks(spec, seed)[spec.n_tasks :])
+    eval_sets = gen_tasks(spec, seed)[spec.n_tasks + 1 :]
     outcome = evaluate_params(spec, args.method, args.alpha, params, eval_sets)
     print(
         f"merged-{args.method} alpha={args.alpha!r}: "

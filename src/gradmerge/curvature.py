@@ -2,7 +2,7 @@
 
 The merging and diagnostics modules consume per-parameter diagonal
 curvature for the anchor and for each task model.  Two estimators are
-provided:
+provided, and both refuse an empty dataset with :class:`EmptyDataError`:
 
 * :func:`fisher_diag` — empirical Fisher, the sum of squared per-example
   gradients evaluated at the observed targets: the same scale as the
@@ -48,10 +48,10 @@ def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -
     """Exact Hessian diagonal of the summed loss; linear and logistic only."""
     if spec.kind == "mlp":
         raise UnsupportedModelError("exact Hessian diagonals are only available for linear_regression and logistic")
+    if data.n == 0:
+        raise EmptyDataError("cannot estimate a Hessian diagonal from an empty dataset")
     _check_inputs(spec, theta, data)
     X = data.inputs
-    if data.n == 0:
-        return DiagCurvature.zeros(spec.layout())
     if spec.kind == "linear_regression":
         diag = np.sum(X * X, axis=0)
     else:

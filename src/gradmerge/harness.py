@@ -46,6 +46,7 @@ from .training import (
     QuadraticAnchor,
     TrainConfig,
     finetune_task,
+    task_weight,
     train_anchor,
     train_joint_target,
 )
@@ -73,7 +74,6 @@ __all__ = [
     "train_stage",
     "with_task_curvature",
     "run_pipeline",
-    "evaluation_sets",
     "MethodOutcome",
     "evaluate_params",
     "estimate_anchor_h0",
@@ -194,8 +194,8 @@ class PerTaskConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_train < 0:
-            raise ConfigError("n_train must be >= 0")
+        if self.n_train < 1:
+            raise ConfigError("n_train must be >= 1")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
         for name in ("noise", "separation", "spread_degrees"):
@@ -249,8 +249,8 @@ class ExperimentSpec:
             raise ConfigError("experiment name must be a nonempty string")
         if self.loss != self.model.loss:
             raise ConfigError(f"{self.model.kind} models use the {self.model.loss} loss, not {self.loss!r}")
-        if self.n_tasks < 1:
-            raise ConfigError("n_tasks must be >= 1")
+        if self.n_tasks < 2:  # task 0 trains the anchor; the rest are merged into it or removed from it
+            raise ConfigError(f"n_tasks must be >= 2, got {self.n_tasks}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.curvature not in ("fisher", "exact"):
@@ -383,10 +383,11 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     """Synthesize ``n_tasks`` train datasets followed by their test sets.
 
     Classification tasks are origin-symmetric Gaussian blobs whose class
-    mean rotates from task to task; regression tasks plant a random
-    weight vector per task over orthogonalized designs, which keeps the
-    squared-loss curvature diagonal exact.  The same spec and seed always
-    reproduce the same list.
+    mean rotates by equal steps, from 0 for task 0 to ``spread_degrees``
+    for the last task; regression tasks plant a random weight vector per
+    task over orthogonalized designs, which keeps the squared-loss
+    curvature diagonal exact.  The same spec and seed always reproduce the
+    same list.
     """
     seed = resolve_seed(spec, seed)
     rng = np.random.default_rng(seed)
@@ -399,7 +400,7 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     for t in range(spec.n_tasks):
         task_id = f"task{t}"
         if classify:
-            angle = spread * t / max(spec.n_tasks - 1, 1)
+            angle = spread * t / (spec.n_tasks - 1)
             mean = 0.5 * cfg.separation * _direction(d, angle)
             trains.append(_blob_task(rng, cfg, d, mean, cfg.n_train, task_id, seed))
             tests.append(_blob_task(rng, cfg, d, mean, cfg.n_test, task_id, seed))
@@ -427,9 +428,7 @@ def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDatas
 
 
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
-    """Per-task diagonal per ``spec.curvature``; zeros when the data is empty."""
-    if data.n == 0:
-        return DiagCurvature.zeros(spec.model.layout())
+    """Per-task diagonal per ``spec.curvature``."""
     if spec.curvature == "exact":
         return exact_hessian_diag(spec.model, theta, data)
     return fisher_diag(spec.model, theta, data)
@@ -491,12 +490,6 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
     anchor, quad, tuned = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     return PipelineState(spec, seed, trains, tests, anchor, quad, with_task_curvature(spec, tuned, trains[1:]))
-
-
-def evaluation_sets(test_sets) -> tuple[TaskDataset, ...]:
-    """The test sets an addition merge is scored on: the added tasks' sets,
-    or task 0's alone when no task was added."""
-    return tuple(test_sets[1:] if len(test_sets) > 1 else test_sets[:1])
 
 
 def _require_methods(spec: ExperimentSpec, allowed, protocol: str) -> None:
@@ -616,32 +609,16 @@ def evaluate_params(
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
 
-def _merge_rows(anchor: Checkpoint, tasks, delta: float, method: str, alphas) -> np.ndarray:
-    """``(A, d)`` catalog merges, row ``a`` with weight ``alphas[a]`` on every task.
-
-    With no task checkpoints every row is the anchor; at ``alpha == 0``
-    :func:`merge_grid` makes it the anchor.
-    """
-    tasks = tuple(tasks)
-    if not tasks:
-        return np.tile(anchor.params.values, (len(alphas), 1))
-    return merge_grid(method, MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta), alphas)
-
-
 def merge_checkpoints(anchor: Checkpoint, tasks, delta: float, method: str, alpha: float) -> ParamVector:
-    """One catalog merge with a uniform weight on every task checkpoint.
-
-    The one-row sweep merge: with no task checkpoints, or at ``alpha ==
-    0``, it is the anchor.
-    """
-    return ParamVector(anchor.layout, _merge_rows(anchor, tasks, delta, method, (alpha,))[0])
+    """One catalog merge with a uniform weight on every task checkpoint: the
+    one-row sweep merge, so at ``alpha == 0`` it is the anchor."""
+    inputs = MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta)
+    return ParamVector(anchor.layout, merge_grid(method, inputs, (alpha,))[0])
 
 
 def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     """Joint-target baseline trained on every added task at one weight."""
     added = list(state.train_sets[1:])
-    if not added:
-        return Checkpoint.of(state.anchor.params, anchor_id="anchor")
     cfg = TrainConfig(state.spec.epochs, state.seed + state.spec.n_tasks)
     return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, cfg, anchor_id="anchor")
 
@@ -740,13 +717,13 @@ def run_addition(
     checkpoints are persisted under ``out_dir`` when given.
     """
     _require_methods(spec, ADDITION_METHODS, "run_addition")
-    alpha = float(alpha)
+    alpha = task_weight(alpha)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
     if out is not None:
         save_run(out, state.anchor, state.tasks)
-    eval_sets = evaluation_sets(state.test_sets)
+    eval_sets = state.test_sets[1:]
     outcomes: dict[str, MethodOutcome] = {}
     with _Summary(out) as summary:
         for method in spec.methods:
@@ -779,50 +756,37 @@ class RemovalResult:
     rows: tuple[str, ...]
 
 
-def run_removal(spec: ExperimentSpec, out_dir=None, seed=None, datasets=None) -> RemovalResult:
+def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     """Forget the last task block of an anchor trained on pooled data.
 
-    The anchor trains on every block pooled; the removed block's task
-    model is fine-tuned from it under the estimated penalty, then
-    subtracted either as a plain increment ("remove-ta") or with the
-    curvature preconditioner ("remove-ours").  Both are compared against
-    retraining on the retained blocks alone, via parameter distance and
-    test metrics.  An empty removed block leaves the anchor unchanged.
-    ``datasets`` substitutes a pre-built train+test list (as produced by
-    :func:`gen_tasks`) for the generated one.
+    The anchor trains on every block pooled (the spec guarantees at least
+    two, each with data); the removed block's task model is fine-tuned
+    from it under the estimated penalty, then subtracted either as a plain
+    increment ("remove-ta") or with the curvature preconditioner
+    ("remove-ours").  Both are compared against retraining on the retained
+    blocks alone, via parameter distance and test metrics.
     """
     _require_methods(spec, REMOVAL_METHODS, "run_removal")
-    if spec.n_tasks < 2:
-        raise ConfigError("removal needs at least two task blocks")
     seed = resolve_seed(spec, seed)
-    sets = list(datasets) if datasets is not None else gen_tasks(spec, seed)
-    if len(sets) != 2 * spec.n_tasks:
-        raise ConfigError(
-            f"removal needs {2 * spec.n_tasks} datasets (train then test), got {len(sets)}"
-        )
+    sets = gen_tasks(spec, seed)
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
     removed = spec.n_tasks - 1
     out = output_dir(out_dir) if out_dir is not None else None
-    slice_data = trains[removed]
-    blocks = [(removed, slice_data)] if slice_data.n else []
-    anchor, quad, tuned = train_stage(spec, seed, _concat_datasets(trains, "large"), blocks)
-    if not tuned:  # an empty block leaves the anchor unchanged
-        tuned = (Checkpoint.of(anchor.params, anchor_id="anchor"),)
-    (task_ck,) = with_task_curvature(spec, tuned, [slice_data])
-    kept = _concat_datasets([trains[t] for t in range(spec.n_tasks) if t != removed], "kept")
+    anchor, quad, tuned = train_stage(spec, seed, _concat_datasets(trains, "large"), [(removed, trains[removed])])
+    (task_ck,) = with_task_curvature(spec, tuned, [trains[removed]])
+    kept = _concat_datasets(trains[:removed], "kept")
     hbar_minus = estimate_task_curvature(spec, anchor.params, kept)
     h0_eff = DiagCurvature(spec.model.layout(), quad.effective_diag)
     if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
     retrain = train_anchor(spec.model, kept, spec.anchor.delta, TrainConfig(spec.epochs, seed))
-    kept_tests = [tests[t] for t in range(spec.n_tasks) if t != removed]
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}
     summary = _Summary(out)
 
     def record(label: str, alpha: float, theta: ParamVector, stem: str | None) -> None:
-        outcomes[label] = evaluate_params(spec, label, alpha, theta, tests, kept_tests)
+        outcomes[label] = evaluate_params(spec, label, alpha, theta, tests, tests[:removed])
         dists[label] = float(np.linalg.norm(theta.values - retrain.params.values))
         if out is not None and stem is not None:
             save_checkpoint(Checkpoint.of(theta, anchor_id="anchor", meta={"method": label}), out / stem)
@@ -869,13 +833,14 @@ def sweep_alpha(
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
-    sets = _scoring_sets(spec, evaluation_sets(state.test_sets))
+    sets = _scoring_sets(spec, state.test_sets[1:])
+    inputs = MergeInputs(state.anchor, tuple((1.0, ck) for ck in state.tasks), spec.anchor.delta)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     with _Summary(out) as summary:
         for method in spec.methods:
-            values = _merge_rows(state.anchor, state.tasks, spec.anchor.delta, method, spec.alphas)
+            values = merge_grid(method, inputs, spec.alphas)
             _, avg, true_avg = _score_rows(spec, values, sets)
             avg = avg.tolist()
             series[method] = tuple(zip(spec.alphas, avg))
@@ -912,6 +877,7 @@ def build_diagnostic_fixture(
     spec: ExperimentSpec, seed=None, alpha: float = 1.0, state: PipelineState | None = None
 ):
     """Train the full pipeline plus joint target, packaged for diagnostics."""
+    alpha = task_weight(alpha)
     if state is None:
         state = run_pipeline(spec, seed)
     return fixture_from_state(state, train_target(state, alpha).params, alpha)

@@ -61,6 +61,7 @@ __all__ = [
     "train_anchor",
     "finetune_task",
     "train_joint_target",
+    "task_weight",
     "closed_form_solve",
     "adam_decoupled_minimize",
     "stationarity_residual",
@@ -412,6 +413,14 @@ def finetune_task(
     return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec))
 
 
+def task_weight(alpha) -> float:
+    """One task's weight in a joint target, as a float: finite and >= 0."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha < np.inf:
+        raise ConfigError(f"task weights must be finite and >= 0, got {alpha!r}")
+    return alpha
+
+
 def train_joint_target(
     spec: ModelSpec,
     datasets: list[TaskDataset],
@@ -423,10 +432,8 @@ def train_joint_target(
     """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty."""
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    if not all(0.0 <= a < np.inf for a in alphas):
-        raise ConfigError("joint-target alphas must be finite and >= 0")
     theta = _fit(
-        spec, list(datasets), [float(a) for a in alphas], anchor, cfg,
+        spec, list(datasets), [task_weight(a) for a in alphas], anchor, cfg,
         _init_theta(spec, cfg, anchor.anchor.values),
     )
     return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "joint_target", anchor.delta, spec))

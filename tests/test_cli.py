@@ -158,6 +158,33 @@ class TestParsing:
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["report", "sweep", "diagnose", "train"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n_tasks": 1}, {"n_tasks": 3, "per_task": {"n_train": 0}, "anchor": {"source": "exact"}, "curvature": "exact"}],
+        ids=["one_task", "no_train_data"],
+    )
+    def test_shape_no_protocol_can_run_exits_one_before_output(self, tmp_path, capsys, command, payload):
+        # Task 0 trains the anchor, and every other task is merged into it
+        # with its own data; the spec refuses both shapes before --out exists.
+        config = tmp_path / "shape.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli(command, "--config", config, "--out", tmp_path / "o") == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["report", "diagnose"])
+    def test_bad_weight_exits_one_before_training(self, small_config, capsys, monkeypatch, command, alpha):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the weight was checked")
+
+        monkeypatch.setattr(harness, "train_anchor", no_training)
+        config, out = small_config
+        assert run_cli(command, "--alpha", alpha, "--config", config, "--out", out) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_alpha_range_past_the_point_cap_exits_one(self, tmp_path, capsys):
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({"alphas": "0:1e308:1e-308"}))

@@ -88,6 +88,12 @@ class TestExactHessianDiag:
         b = exact_hessian_diag(LIN1, theta_of(LIN1, [17.0]), data)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("spec", [LIN1, LOG1], ids=["linear_regression", "logistic"])
+    def test_empty_dataset_rejected_like_the_fisher(self, spec):
+        empty = TaskDataset("e", np.zeros((0, 1)), [])
+        with pytest.raises(EmptyDataError):
+            exact_hessian_diag(spec, theta_of(spec, [0.0]), empty)
+
     def test_mlp_rejected(self):
         spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")
         theta = ParamVector.zeros(spec.layout())

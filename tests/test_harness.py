@@ -251,11 +251,6 @@ class TestGenTasks:
             np.testing.assert_array_equal(x.inputs, y.inputs)
             np.testing.assert_array_equal(x.targets, y.targets)
 
-    def test_single_task_pair(self):
-        sets = gen_tasks(small_spec(n_tasks=1))
-        assert len(sets) == 2
-        assert sets[0].task_id == sets[1].task_id == "task0"
-
     def test_blob_labels_and_symmetry(self):
         sets = gen_tasks(small_spec())
         train = sets[0]
@@ -287,14 +282,15 @@ class TestGenTasks:
         fit_test, _, _, _ = np.linalg.lstsq(test.inputs, test.targets, rcond=None)
         assert np.max(np.abs(fit_train - fit_test)) < 0.02
 
-    @pytest.mark.parametrize("kw", [dict(n_test=0), dict(noise=-1.0), dict(n_train=-5)])
+    @pytest.mark.parametrize("kw", [dict(n_test=0), dict(noise=-1.0), dict(n_train=-5), dict(n_train=0)])
     def test_invalid_per_task_params_raise(self, kw):
         with pytest.raises(ConfigError):
             PerTaskConfig(**kw)
 
     def test_invalid_task_count_raises(self):
-        with pytest.raises(ConfigError):
-            small_spec(n_tasks=0)
+        for n_tasks in (0, 1):
+            with pytest.raises(ConfigError, match="n_tasks must be >= 2"):
+                small_spec(n_tasks=n_tasks)
 
     def test_linear_needs_enough_rows(self):
         spec = linear_spec(per_task=PerTaskConfig(n_train=2, n_test=40))
@@ -378,17 +374,15 @@ class TestRunAddition:
         assert gap < 1e-6
         assert abs(res.outcomes["ours"].avg - res.outcomes["all-data"].avg) < 1e-6
 
-    def test_single_task_degenerates_to_anchor(self):
-        spec = small_spec(n_tasks=1)
-        res = run_addition(spec, seed=0, alpha=1.0)
-        for label in ("am", "ta", "ours", "all-data"):
-            np.testing.assert_array_equal(
-                res.outcomes[label].params.values, res.state.anchor.params.values
-            )
-
     def test_rejects_removal_methods(self):
         with pytest.raises(ConfigError):
             run_addition(small_spec(methods=REMOVAL_METHODS), seed=0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_refuses_a_bad_weight_before_writing(self, tmp_path, alpha):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            run_addition(small_spec(), out_dir=tmp_path / "o", seed=0, alpha=alpha)
+        assert not (tmp_path / "o").exists()
 
     def test_writes_summary_and_checkpoints(self, tmp_path):
         spec = small_spec()
@@ -443,19 +437,6 @@ class TestRunRemoval:
             for s in range(20)
         )
         assert wins >= 16
-
-    def test_empty_removed_block_leaves_anchor(self):
-        spec = default_removal_spec()
-        sets = gen_tasks(spec, seed=0)
-        d = spec.model.n_features
-        empty = TaskDataset("task2", np.zeros((0, d)), np.zeros(0))
-        sets[spec.n_tasks - 1] = empty
-        res = run_removal(spec, seed=0, datasets=sets)
-        for method in REMOVAL_METHODS:
-            np.testing.assert_array_equal(
-                res.outcomes[method].params.values, res.anchor.params.values
-            )
-        assert res.dists["anchor"] == 0.0
 
     def test_rejects_addition_methods_and_single_block(self):
         with pytest.raises(ConfigError):
@@ -624,16 +605,16 @@ class TestSweepGrid:
         ref = evaluate_params(spec, "ta", -0.5, params, default_state.test_sets[1:])
         assert sweep_alpha(spec, state=default_state).series["ta"][1] == (-0.5, ref.avg)
 
-    def test_single_task_sweeps_the_anchor(self):
-        spec = small_spec(n_tasks=1, methods=ADDITION_METHODS, alphas=EQUIVALENCE_GRID)
-        state = run_pipeline(spec, seed=0)
-        res = sweep_alpha(spec, state=state)
-        anchor = evaluate_params(spec, "anchor", 0.0, state.anchor.params, state.test_sets[:1])
-        for points in res.series.values():
-            assert [v for _, v in points] == [anchor.avg] * len(spec.alphas)
-
 
 class TestDiagnosticBridge:
+    def test_refuses_a_bad_weight_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the weight was checked")
+
+        monkeypatch.setattr("gradmerge.harness.train_anchor", no_training)
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            build_diagnostic_fixture(small_spec(), seed=0, alpha=-1.0)
+
     def test_fixture_reproduces_pipeline_merges(self, default_state):
         fixture = build_diagnostic_fixture(default_state.spec, state=default_state, alpha=1.0)
         from gradmerge.merging import merge
