@@ -8,7 +8,9 @@ run the higher-level protocols.  Everything an experiment needs lives in
 one JSON config (see :class:`gradmerge.harness.ExperimentSpec`); the
 flags ``--seed``, ``--out``, and ``--config`` are accepted by every
 subcommand, and the anchor curvature source is set only by the config's
-``anchor.source``.
+``anchor.source``.  :func:`cli` builds the spec (the removal default for
+``remove``), checks a protocol's method kind, and resolves the seed and
+``--out`` once, before any handler runs: a refused config writes nothing.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numeric
 failures (including a failing oracle suite).
@@ -26,7 +28,8 @@ from .errors import ConfigError, GradmergeError, MissingCurvatureError
 # ``estimate_task_curvature`` is unused here but stays importable:
 # ``perfbench/spans.py`` wraps it on this module.
 from .harness import (  # noqa: F401
-    ExperimentSpec,
+    REMOVAL_METHODS,
+    _require_methods,
     build_diagnostic_fixture,
     default_removal_spec,
     default_spec,
@@ -79,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gradmerge", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, methods=None) -> argparse.ArgumentParser:
+        # ``methods``: the method kind a protocol verb needs in the spec.
         p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, methods=methods)
         return p
 
     add("gen", _cmd_gen, "synthesize and write per-task train/test datasets")
@@ -90,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("merge", _cmd_merge, "merge saved checkpoints with one catalog method")
     p.add_argument("--method", required=True, choices=ADDITION_METHODS)
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
-    add("remove", _cmd_remove, "subtract a task block and compare to retraining")
-    p = add("diagnose", _cmd_diagnose, "emit the gradient-mismatch diagnostic table")
+    add("remove", _cmd_remove, "subtract a task block and compare to retraining", REMOVAL_METHODS)
+    p = add("diagnose", _cmd_diagnose, "emit the gradient-mismatch diagnostic table", ADDITION_METHODS)
     p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
-    add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid")
+    add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid", ADDITION_METHODS)
     p = add("oracle-check", _cmd_oracle_check, "run the independent numeric oracle suite")
     p.add_argument("--fixtures", type=int, default=50, help="fixtures per oracle family")
-    p = add("report", _cmd_report, "full addition run plus diagnostics in one shot")
+    p = add("report", _cmd_report, "full addition run plus diagnostics in one shot", ADDITION_METHODS)
     p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
     return parser
 
@@ -105,25 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = cache(build_parser)
 
 
-def _spec_for(args, removal: bool = False) -> ExperimentSpec:
-    config = getattr(args, "config", None)
-    if config is not None:
-        return load_spec(config)
-    return default_removal_spec() if removal else default_spec()
-
-
-def _seed_for(args, spec: ExperimentSpec) -> int:
-    return resolve_seed(spec, getattr(args, "seed", None))
-
-
-def _out_dir(args) -> Path:
-    return Path(getattr(args, "out", None) or "out")
-
-
-def _cmd_gen(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = output_dir(_out_dir(args))
+def _cmd_gen(args, spec, seed, out) -> int:
+    out = output_dir(out)
     sets = gen_tasks(spec, seed)
     for t, ds in enumerate(sets[: spec.n_tasks]):
         save_dataset(ds, out / f"task{t}.json")
@@ -133,10 +120,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = output_dir(_out_dir(args))
+def _cmd_train(args, spec, seed, out) -> int:
+    out = output_dir(out)
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     # The anchor is written without its penalty diagonal: ``fisher``
@@ -146,10 +131,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_fisher(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = _out_dir(args)
+def _cmd_fisher(args, spec, seed, out) -> int:
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor = load_checkpoint(out / "anchor")
     h0 = estimate_anchor_h0(spec, anchor.params, trains[0])
@@ -160,10 +142,7 @@ def _cmd_fisher(args) -> int:
     return 0
 
 
-def _cmd_merge(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = _out_dir(args)
+def _cmd_merge(args, spec, seed, out) -> int:
     stems = ["anchor"] + [f"task{t}" for t in range(1, spec.n_tasks)]
     anchor, *tasks = loaded = [load_checkpoint(out / stem) for stem in stems]
     if args.method in CURVATURE_METHODS:
@@ -185,20 +164,16 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_remove(args) -> int:
-    spec = _spec_for(args, removal=True)
-    seed = _seed_for(args, spec)
-    result = run_removal(spec, _out_dir(args), seed)
+def _cmd_remove(args, spec, seed, out) -> int:
+    result = run_removal(spec, out, seed)
     for method in spec.methods:
         print(f"{method}: distance to retrain {result.dists[method]!r}")
     print(f"anchor: distance to retrain {result.dists['anchor']!r}")
     return 0
 
 
-def _cmd_diagnose(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = output_dir(_out_dir(args))
+def _cmd_diagnose(args, spec, seed, out) -> int:
+    out = output_dir(out)
     fixture = build_diagnostic_fixture(spec, seed, alpha=args.alpha)
     rows = mismatch_vs_error_table(list(spec.methods), [fixture])
     write_text(out / "report.csv", mismatch_table_csv(rows))
@@ -206,19 +181,16 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    result = sweep_alpha(spec, _out_dir(args), seed)
+def _cmd_sweep(args, spec, seed, out) -> int:
+    result = sweep_alpha(spec, out, seed)
     for method, points in result.series.items():
         best_alpha, best = max(points, key=lambda p: p[1] if result.metric == "accuracy" else -p[1])
         print(f"{method}: best {result.metric} {best!r} at alpha={best_alpha!r}")
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    seed = resolve_seed(default_spec(), getattr(args, "seed", None))
-    out = output_dir(args.out) if getattr(args, "out", None) is not None else None
+def _cmd_oracle_check(args, spec, seed, out) -> int:
+    out = output_dir(out) if getattr(args, "out", None) is not None else None
     results = run_oracle_suite(seed=seed, n_fixtures=args.fixtures)
     print(oracle_table_csv(results), end="")
     print(oracle_summary(results))
@@ -227,10 +199,8 @@ def _cmd_oracle_check(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_report(args) -> int:
-    spec = _spec_for(args)
-    seed = _seed_for(args, spec)
-    out = output_dir(_out_dir(args))
+def _cmd_report(args, spec, seed, out) -> int:
+    out = output_dir(out)
     state = run_pipeline(spec, seed)
     result = run_addition(spec, out, seed, alpha=args.alpha, state=state)
     fixture = fixture_from_state(state, result.target.params, args.alpha)
@@ -247,7 +217,15 @@ def cli(argv=None) -> int:
     """Parse and dispatch; returns the process exit code instead of exiting."""
     try:
         args = _shared_parser().parse_args(argv)
-        return args.handler(args)
+        config = getattr(args, "config", None)
+        if config is not None:
+            spec = load_spec(config)
+        else:
+            spec = default_removal_spec() if args.command == "remove" else default_spec()
+        if args.methods is not None:
+            _require_methods(spec, args.methods, args.command)
+        seed = resolve_seed(spec, getattr(args, "seed", None))
+        return args.handler(args, spec, seed, Path(getattr(args, "out", None) or "out"))
     except SystemExit as exc:  # --help and friends
         code = exc.code
         if code is None:

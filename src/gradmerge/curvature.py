@@ -2,7 +2,8 @@
 
 The merging and diagnostics modules consume per-parameter diagonal
 curvature for the anchor and for each task model.  Two estimators are
-provided, and both refuse an empty dataset with :class:`EmptyDataError`:
+provided; a :class:`TaskDataset` always has data, so neither has an
+empty case:
 
 * :func:`fisher_diag` — empirical Fisher, the sum of squared per-example
   gradients evaluated at the observed targets: the same scale as the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyDataError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .models import ModelSpec, TaskDataset, _check_inputs, _sigmoid, per_example_grads
 from .params import DiagCurvature, ParamVector
 
@@ -38,8 +39,6 @@ FISHER_FLOOR = 1e-10
 
 def fisher_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Empirical Fisher diagonal: summed squared per-example gradients plus :data:`FISHER_FLOOR`."""
-    if data.n == 0:
-        raise EmptyDataError("cannot estimate a Fisher from an empty dataset")
     G = per_example_grads(spec, theta, data)
     return DiagCurvature(theta.layout, (G * G).sum(axis=0) + FISHER_FLOOR)
 
@@ -48,8 +47,6 @@ def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -
     """Exact Hessian diagonal of the summed loss; linear and logistic only."""
     if spec.kind == "mlp":
         raise UnsupportedModelError("exact Hessian diagonals are only available for linear_regression and logistic")
-    if data.n == 0:
-        raise EmptyDataError("cannot estimate a Hessian diagonal from an empty dataset")
     _check_inputs(spec, theta, data)
     X = data.inputs
     if spec.kind == "linear_regression":

@@ -51,7 +51,7 @@ class CorruptCheckpointError(IoError):
 
 
 class EmptyDataError(GradmergeError):
-    """An operation that needs at least one example received none."""
+    """A dataset was given no examples or no features."""
 
 
 class EmptyMergeError(GradmergeError):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import exact_hessian_diag, fisher_diag
-from .errors import ConfigError, EmptyDataError, IoError, LayoutError, NumericError, check_field_types
+from .errors import ConfigError, IoError, LayoutError, NumericError, check_field_types
 # ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
 from .merging import (  # noqa: F401
@@ -52,16 +52,11 @@ from .training import (
 )
 
 __all__ = [
-    "ENV_SEED_VAR",
     "REMOVAL_METHODS",
-    "HARNESS_METHODS",
     "SUMMARY_HEADER",
-    "MAX_ALPHA_POINTS",
     "PerTaskConfig",
     "AnchorConfig",
     "ExperimentSpec",
-    "parse_alphas",
-    "parse_h0_source",
     "load_spec",
     "default_spec",
     "default_removal_spec",
@@ -79,7 +74,6 @@ __all__ = [
     "estimate_anchor_h0",
     "estimate_task_curvature",
     "merge_checkpoints",
-    "train_target",
     "AdditionResult",
     "run_addition",
     "RemovalResult",
@@ -228,7 +222,8 @@ class ExperimentSpec:
     that existing configs load.  ``curvature`` picks the per-task
     diagonal estimator ("fisher" or "exact"); the anchor's diagonal is
     governed separately by ``anchor.source``.  MLPs have no exact
-    Hessian diagonal, so they take "fisher" for both.
+    Hessian diagonal, so they take "fisher" for both.  A linear_regression
+    task needs ``n_train`` and ``n_test`` of at least ``model.n_features``.
     ``epochs`` is the length of the Adam phase of MLP fits.
     """
 
@@ -253,6 +248,9 @@ class ExperimentSpec:
             raise ConfigError(f"n_tasks must be >= 2, got {self.n_tasks}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        rows, d = (self.per_task.n_train, self.per_task.n_test), self.model.n_features
+        if self.model.kind == "linear_regression" and min(rows) < d:  # a planted task orthogonalizes an (n, d) design
+            raise ConfigError(f"linear_regression needs n_train and n_test >= n_features ({d}), got {rows}")
         if self.curvature not in ("fisher", "exact"):
             raise ConfigError(f"curvature must be 'fisher' or 'exact', got {self.curvature!r}")
         if self.model.kind == "mlp" and "exact" in (self.curvature, self.anchor.source):
@@ -370,8 +368,6 @@ def _blob_task(rng, cfg: PerTaskConfig, d: int, mean: np.ndarray, n: int, task_i
 
 def _planted_linear_task(rng, cfg: PerTaskConfig, theta_star: np.ndarray, n: int, task_id: str, seed: int) -> TaskDataset:
     d = theta_star.shape[0]
-    if n < d:
-        raise ConfigError(f"a planted linear task needs at least {d} examples, got {n}")
     q, _ = np.linalg.qr(rng.standard_normal((n, d)))
     cols = rng.uniform(0.5, 2.0, size=d) * math.sqrt(n)
     inputs = q * cols
@@ -385,9 +381,9 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     Classification tasks are origin-symmetric Gaussian blobs whose class
     mean rotates by equal steps, from 0 for task 0 to ``spread_degrees``
     for the last task; regression tasks plant a random weight vector per
-    task over orthogonalized designs, which keeps the squared-loss
-    curvature diagonal exact.  The same spec and seed always reproduce the
-    same list.
+    task over orthogonalized designs (the spec keeps each at least
+    ``n_features`` rows tall), which keeps the squared-loss curvature
+    diagonal exact.  The same spec and seed always reproduce the same list.
     """
     seed = resolve_seed(spec, seed)
     rng = np.random.default_rng(seed)
@@ -533,8 +529,6 @@ def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
     for ds in (*eval_sets, *agg):
         if id(ds) in targets:
             continue
-        if ds.n == 0:
-            raise EmptyDataError(f"cannot score the empty test set {ds.task_id!r}")
         _check_data(spec.model, ds)
         targets[id(ds)] = (ds.targets == 1.0) if classify else ds.targets
     return eval_sets, agg, targets

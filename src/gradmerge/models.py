@@ -21,18 +21,20 @@ Conventions
   estimates square gradients, which amplifies any instability.
 * Classification tie at probability exactly 0.5 predicts class 1.
 
-Validation happens where data enters: the public functions check every
-call, while the kernels ``_forward``, ``_backward``, ``_value_grad``,
-``_grad`` and ``_hessian`` take the flat ``(d,)`` parameter array and
-trust their caller, so a fit checks each dataset once (:func:`_check_data`)
-and then steps on arrays.  The last three weight each row, so one call
-evaluates a fit's whole data term ``sum_t alpha_t L_t`` over its stacked
-tasks: its value and gradient, its gradient alone (for Adam), or its
-dense Hessian (for Newton).  The MLP's only hidden
-state is the tanh activation array ``a1``, built in place; its derivative
-is ``D = 1 - a1^2``.  The summed gradient
-keeps the output gradients ``g`` and ``w2`` out of the ``(n, h)``
-products: ``dW1 = w2 ((X g)^T D)^T`` and ``db1 = w2 (g^T D)``.
+Validation happens where data enters.  A :class:`TaskDataset` with no
+examples or no features is refused when it is built
+(:class:`EmptyDataError`), so no function here has an empty-data case.
+The public functions check every call, while the kernels ``_forward``,
+``_backward``, ``_value_grad``, ``_grad`` and ``_hessian`` take the flat
+``(d,)`` parameter array and trust their caller, so a fit checks each
+dataset once (:func:`_check_data`) and then steps on arrays.  The last
+three weight each row, so one call evaluates a fit's whole data term
+``sum_t alpha_t L_t`` over its stacked tasks: its value and gradient,
+its gradient alone (for Adam), or its dense Hessian (for Newton).  The
+MLP's only hidden state is the tanh activation array ``a1``, built in
+place; its derivative is ``D = 1 - a1^2``.  The summed gradient keeps
+the output gradients ``g`` and ``w2`` out of the ``(n, h)`` products:
+``dW1 = w2 ((X g)^T D)^T`` and ``db1 = w2 (g^T D)``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ ACTIVATIONS = ("tanh",)
 
 @dataclass(frozen=True, eq=False)
 class TaskDataset:
-    """Supervised examples with a task identifier and seed provenance."""
+    """Supervised examples with a task identifier and seed provenance.
+
+    Empty data, no rows or no feature columns, raises :class:`EmptyDataError`.
+    """
 
     task_id: str
     inputs: np.ndarray
@@ -82,10 +87,10 @@ class TaskDataset:
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
         targets = np.asarray(self.targets, dtype=np.float64).reshape(-1)
-        if inputs.size == 0:
-            inputs = inputs.reshape(0, inputs.shape[-1])
         if inputs.ndim != 2:
             raise ConfigError("dataset inputs must be a 2-D (n_examples, n_features) array")
+        if inputs.size == 0:
+            raise EmptyDataError(f"dataset {self.task_id!r} has no examples or no features")
         if inputs.shape[0] != targets.shape[0]:
             raise ConfigError(
                 f"dataset has {inputs.shape[0]} input rows but {targets.shape[0]} targets"
@@ -158,11 +163,11 @@ class ModelSpec:
 
 def _check_data(spec: ModelSpec, data: TaskDataset) -> None:
     """Feature count, and a classifier's {0,1} targets: what a fit checks once per dataset."""
-    if data.n and data.n_features != spec.n_features:
+    if data.n_features != spec.n_features:
         raise LayoutError(
             f"dataset has {data.n_features} features but the model expects {spec.n_features}"
         )
-    if spec.loss == "logistic_nll" and data.n:
+    if spec.loss == "logistic_nll":
         t = data.targets
         if not ((t == 0.0) | (t == 1.0)).all():
             raise ConfigError("logistic_nll requires {0,1} targets")
@@ -192,10 +197,8 @@ def _losses(spec: ModelSpec, out: np.ndarray, targets: np.ndarray) -> np.ndarray
 
 
 def loss(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
-    """The model's loss (:attr:`ModelSpec.loss`) summed over the dataset; 0.0 on empty data."""
+    """The model's loss (:attr:`ModelSpec.loss`) summed over the dataset."""
     _check_inputs(spec, theta, data)
-    if data.n == 0:
-        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         losses = _losses(spec, _forward(spec, theta.values, data.inputs)[0], data.targets)
     value = float(np.sum(losses))
@@ -245,16 +248,13 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
 
 
 def grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> ParamVector:
-    """Analytic gradient of :func:`loss`; zeros on empty data."""
+    """Analytic gradient of :func:`loss`."""
     _check_inputs(spec, theta, data)
-    layout = spec.layout()
-    if data.n == 0:
-        return ParamVector.zeros(layout)
     out, a1 = _forward(spec, theta.values, data.inputs)
     flat = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1)
     if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
-    return ParamVector(layout, flat)
+    return ParamVector(spec.layout(), flat)
 
 
 def _value_grad(spec: ModelSpec, values, X, y, w=1.0) -> tuple[float, np.ndarray]:
@@ -329,8 +329,6 @@ def _hessian(spec: ModelSpec, values, X, y, w) -> np.ndarray:
 def per_example_grads(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> np.ndarray:
     """``(n, d)`` per-example gradients in dataset order; the rows sum to :func:`grad`."""
     _check_inputs(spec, theta, data)
-    if data.n == 0:
-        return np.zeros((0, spec.layout().total_len))
     out, a1 = _forward(spec, theta.values, data.inputs)
     G = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1, per_example=True)
     if not np.isfinite(G).all():
@@ -365,8 +363,6 @@ def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
     """
     if spec.kind == "linear_regression":
         raise ConfigError("accuracy is undefined for linear_regression models")
-    if data.n == 0:
-        raise EmptyDataError("cannot compute accuracy on an empty dataset")
     _check_inputs(spec, theta, data)
     out = _forward(spec, theta.values, data.inputs)[0]
     pred = (out >= 0.0).astype(np.float64)

@@ -129,7 +129,7 @@ def joint_closed_form_oracle(
     blocks = [np.diag(sqrt_pen)]
     rhs = [sqrt_pen * anchor.anchor.values]
     for alpha, data in zip(alphas, datasets):
-        if data.n == 0 or alpha == 0.0:
+        if alpha == 0.0:
             continue
         if data.n_features != d:
             raise ConfigError("dataset width does not match the anchor layout")

@@ -142,12 +142,13 @@ class QuadraticAnchor:
 
 def _weighted_tasks(datasets, alphas):
     """(alpha, data) pairs that contribute to ``sum_t alpha_t * L_t``."""
-    return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0 and data.n]
+    return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0]
 
 
 def _rows(spec, datasets, alphas):
     """The row block ``(X, y, w)`` of ``sum_t alpha_t * L_t``: live tasks' rows, weighted by alpha."""
     live = _weighted_tasks(datasets, alphas)
+    # The empty pads give the block its shape when every weight is zero (a joint target at alpha 0).
     X = np.concatenate([np.zeros((0, spec.n_features))] + [data.inputs for _, data in live])
     y = np.concatenate([np.zeros(0)] + [data.targets for _, data in live])
     return X, y, np.concatenate([np.zeros(0)] + [np.full(data.n, alpha) for alpha, data in live])
@@ -461,8 +462,6 @@ def closed_form_solve(
     A = np.diag(anchor.effective_diag.copy())
     b = anchor.effective_diag * anchor.anchor.values
     for alpha, data in zip(alphas, datasets):
-        if data.n == 0:
-            continue
         if data.n_features != d:
             raise LayoutError("dataset width does not match the anchor layout")
         X, y = data.inputs, data.targets

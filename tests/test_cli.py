@@ -33,6 +33,10 @@ def run_cli(*argv):
     return cli([str(a) for a in argv])
 
 
+#: A linear config whose 4-row test sets are shorter than its 8 features.
+SHORT_LINEAR = {"model": {"kind": "linear_regression", "n_features": 8}, "loss": "squared_error", "per_task": {"n_test": 4}}
+
+
 class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
@@ -168,6 +172,29 @@ class TestParsing:
         # Task 0 trains the anchor, and every other task is merged into it
         # with its own data; the spec refuses both shapes before --out exists.
         config = tmp_path / "shape.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli(command, "--config", config, "--out", tmp_path / "o") == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("report", SHORT_LINEAR),
+            ("report", {"methods": ["remove-ta"]}),
+            ("diagnose", {"methods": ["remove-ta"]}),
+            ("remove", {"methods": ["ours"]}),
+        ],
+        ids=["short_linear-report", "removal_method-report", "removal_method-diagnose", "addition_method-remove"],
+    )
+    def test_config_a_protocol_cannot_run_exits_one_before_training(self, tmp_path, capsys, monkeypatch, command, payload):
+        # The spec refuses a linear task shorter than its feature count, and
+        # cli() refuses the wrong method kind, before --out exists.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(harness, "train_anchor", no_training)
+        config = tmp_path / "refused.json"
         config.write_text(json.dumps(payload))
         assert run_cli(command, "--config", config, "--out", tmp_path / "o") == 1
         assert "ConfigError" in capsys.readouterr().err
@@ -414,6 +441,23 @@ class TestOracleCheck:
         lines = (tmp_path / "oracle_table.csv").read_text().splitlines()
         assert lines[0] == ORACLE_TABLE_HEADER
         assert len(lines) == 1 + 5 * 3
+
+    def test_missing_config_exits_one_before_output(self, tmp_path, capsys):
+        argv = ["oracle-check", "--config", tmp_path / "missing.json", "--fixtures", "1", "--out", tmp_path / "o"]
+        assert run_cli(*argv) == 1
+        assert "IoError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_falls_back_to_the_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GRADMERGE_SEED", raising=False)
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"per_task": {"seed": 5}}))
+        assert run_cli("oracle-check", "--config", config, "--fixtures", "3") == 0
+        from_config = capsys.readouterr().out
+        assert run_cli("oracle-check", "--seed", "5", "--fixtures", "3") == 0
+        assert capsys.readouterr().out == from_config
+        assert run_cli("oracle-check", "--fixtures", "3") == 0
+        assert capsys.readouterr().out != from_config
 
     @pytest.mark.parametrize("fixtures", ["0", "-3"])
     def test_no_fixtures_exits_one(self, fixtures, capsys):

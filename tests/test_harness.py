@@ -293,9 +293,14 @@ class TestGenTasks:
                 small_spec(n_tasks=n_tasks)
 
     def test_linear_needs_enough_rows(self):
-        spec = linear_spec(per_task=PerTaskConfig(n_train=2, n_test=40))
-        with pytest.raises(ConfigError):
-            gen_tasks(spec)
+        # Each planted task orthogonalizes an (n, n_features) design, so the
+        # spec refuses a shorter train or test set before any data exists.
+        for per_task in (PerTaskConfig(n_train=2, n_test=40), PerTaskConfig(n_train=40, n_test=2)):
+            with pytest.raises(ConfigError, match="n_features"):
+                linear_spec(per_task=per_task)
+        short = {"model": {"kind": "linear_regression", "n_features": 8}, "loss": "squared_error", "per_task": {"n_test": 4}}
+        with pytest.raises(ConfigError, match="n_features"):
+            ExperimentSpec.from_dict(short)
 
 
 class TestRunPipeline:

@@ -125,18 +125,6 @@ class TestLoss:
         with pytest.raises(NumericError):
             loss(spec, big, data_1d([1.0], [0.0]))
 
-    @pytest.mark.parametrize(
-        "spec",
-        [ModelSpec("logistic", 2), ModelSpec("mlp", 2, hidden=3, activation="tanh")],
-        ids=["logistic", "mlp"],
-    )
-    def test_empty_dataset_follows_the_grad_rule(self, spec):
-        # Built from lists, the empty inputs have shape (0, 0), not (0, 2).
-        empty = TaskDataset("e", [], [])
-        zeros = ParamVector.zeros(spec.layout())
-        assert loss(spec, zeros, empty) == 0.0
-        assert not np.any(grad(spec, zeros, empty).values)
-
     def test_mlp_loss_survives_checkpoint_round_trip(self, tmp_path):
         from gradmerge.params import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -239,11 +227,6 @@ class TestPredictAccuracy:
         w = ParamVector(spec.layout(), [1.0, 1.0])
         assert accuracy(spec, w, data) == 1.0
 
-    def test_empty_dataset_rejected(self):
-        empty = TaskDataset("e", np.zeros((0, 1)), [])
-        with pytest.raises(EmptyDataError):
-            accuracy(LOG1, theta_of(LOG1, [0.0]), empty)
-
     def test_accuracy_undefined_for_regression(self):
         with pytest.raises(ConfigError):
             accuracy(LIN1, theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
@@ -271,3 +254,10 @@ class TestDatasetIO:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             TaskDataset("t", [[np.nan]], [1.0])
+
+    def test_empty_data_refused_at_construction(self):
+        # No rows, or rows with no features: no model, loss, curvature or
+        # fit has an empty-data case, because no such dataset exists.
+        for inputs, targets in [([], []), (np.zeros((0, 2)), []), (np.zeros((3, 0)), [0.0, 1.0, 0.0])]:
+            with pytest.raises(EmptyDataError):
+                TaskDataset("e", inputs, targets)

@@ -270,11 +270,6 @@ class TestClosedFormSolve:
         )
         np.testing.assert_allclose(out.values, [2.0], atol=1e-12)
 
-    def test_empty_data_returns_anchor(self):
-        empty = TaskDataset("e", np.zeros((0, 1)), [])
-        out = closed_form_solve([empty], [1.0], anchor_1d(3.0, 2.0))
-        np.testing.assert_allclose(out.values, [3.0], atol=1e-12)
-
     def test_singular_system_rejected(self):
         layout = ModelSpec("linear_regression", 2).layout()
         anchor = QuadraticAnchor.ridge_only(layout, 0.0)
