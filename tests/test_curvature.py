@@ -6,7 +6,7 @@ from gradmerge.curvature import (
     exact_hessian_diag,
     fisher_diag,
 )
-from gradmerge.errors import ConfigError, LayoutError, UnsupportedModelError
+from gradmerge.errors import ConfigError, EmptyDataError, LayoutError, UnsupportedModelError
 from gradmerge.harness import AnchorConfig, ExperimentSpec, estimate_anchor_h0
 from gradmerge.models import ModelSpec, TaskDataset, per_example_grads
 from gradmerge.params import ParamVector
@@ -47,6 +47,12 @@ class TestFisherDiag:
         out = fisher_diag(LIN1, theta_of(LIN1, [2.0]), data_1d([1.0, 1.0], [2.0, 4.0]))
         np.testing.assert_allclose(out.values, [4.0 + FISHER_FLOOR], rtol=1e-15)
 
+    def test_empty_dataset_rejected(self):
+        # The empty dataset is refused where it is built, so the call that
+        # would receive it raises the same EmptyDataError.
+        with pytest.raises(EmptyDataError):
+            fisher_diag(LIN1, theta_of(LIN1, [0.0]), TaskDataset("e", np.zeros((0, 1)), []))
+
     def test_floor_is_added_not_clipped(self):
         # One example with residual -7e-6: the squared gradients are 4.9e-11,
         # below the floor, and 4.9e-5, far above it.  Clipping would give
@@ -82,6 +88,11 @@ class TestExactHessianDiag:
         a = exact_hessian_diag(LIN1, theta_of(LIN1, [0.0]), data)
         b = exact_hessian_diag(LIN1, theta_of(LIN1, [17.0]), data)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("spec", [LIN1, LOG1], ids=["linear_regression", "logistic"])
+    def test_empty_dataset_rejected_like_the_fisher(self, spec):
+        with pytest.raises(EmptyDataError):
+            exact_hessian_diag(spec, theta_of(spec, [0.0]), TaskDataset("e", np.zeros((0, 1)), []))
 
     def test_mlp_rejected(self):
         spec = ModelSpec("mlp", 2, hidden=3, activation="tanh")

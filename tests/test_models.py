@@ -227,6 +227,10 @@ class TestPredictAccuracy:
         w = ParamVector(spec.layout(), [1.0, 1.0])
         assert accuracy(spec, w, data) == 1.0
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(EmptyDataError):
+            accuracy(LOG1, theta_of(LOG1, [0.0]), TaskDataset("e", np.zeros((0, 1)), []))
+
     def test_accuracy_undefined_for_regression(self):
         with pytest.raises(ConfigError):
             accuracy(LIN1, theta_of(LIN1, [0.0]), data_1d([1.0], [2.0]))
