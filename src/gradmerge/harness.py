@@ -34,6 +34,7 @@ from .errors import ConfigError, IoError, LayoutError, NumericError, check_field
 from .merging import (  # noqa: F401
     ADDITION_METHODS,
     MergeInputs,
+    _check_weights,
     merge,
     merge_grid,
     merge_task_arithmetic,
@@ -224,7 +225,12 @@ class ExperimentSpec:
     governed separately by ``anchor.source``.  MLPs have no exact
     Hessian diagonal, so they take "fisher" for both.  A linear_regression
     task needs ``n_train`` and ``n_test`` of at least ``model.n_features``.
-    ``epochs`` is the length of the Adam phase of MLP fits.
+    ``alphas`` may hold negative weights only if no method reads them as
+    mixture masses (``am``, ``wam``, ``fa``, ``ties``).  ``epochs`` is the
+    length of the Adam phase of the MLP fits that start from a random init
+    (the anchor and the removal retrain); the fine-tunes and the joint
+    target start at the anchor and run at most
+    :data:`~gradmerge.training.WARM_START_EPOCHS` (50) of them.
     """
 
     name: str = "default"
@@ -268,6 +274,8 @@ class ExperimentSpec:
             raise ConfigError("methods must not contain duplicates")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "alphas", parse_alphas(self.alphas))
+        for method in methods:  # the sweep's merges would refuse them only after training
+            _check_weights(method, self.alphas)
 
     @classmethod
     def from_dict(cls, payload) -> "ExperimentSpec":

@@ -89,6 +89,12 @@ _NONNEGATIVE_METHODS = ("am", "wam", "fa", "ties")
 TIES_KEEP = 0.2
 
 
+def _check_weights(method: str, weights) -> None:
+    """Refuse negative task weights for the methods in :data:`_NONNEGATIVE_METHODS`."""
+    if method in _NONNEGATIVE_METHODS and (np.asarray(weights) < 0).any():
+        raise ConfigError(f"{method} does not accept negative task weights")
+
+
 @dataclass(frozen=True, eq=False)
 class MergeInputs:
     """Anchor checkpoint, weighted task checkpoints, and a curvature ridge.
@@ -133,8 +139,7 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
     """
     if not inputs.tasks:
         raise EmptyMergeError(f"{method} needs at least one task checkpoint")
-    if method in _NONNEGATIVE_METHODS and (weights < 0).any():
-        raise ConfigError(f"{method} does not accept negative task weights")
+    _check_weights(method, weights)
     thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
     if method not in CURVATURE_METHODS:
         return thetas, None

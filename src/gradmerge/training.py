@@ -21,9 +21,12 @@ damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
 delta)``.  The MLP objective is not convex, and the minimum found depends
 on the path: an MLP fit first runs Adam, with the quadratic penalty
 applied *decoupled* from the adaptive preconditioner (the AdamW
-treatment of its L2 term), and the same Newton loop then refines the
-point Adam reached, on the exact Hessian (``models._hessian``: the
-Gauss-Newton part plus the residual term).  Where that Hessian is
+treatment of its L2 term), for ``epochs`` steps from a random init (the
+anchor, and the removal retrain) but at most :data:`WARM_START_EPOCHS`
+from the anchor (a fine-tune or a joint target, whose basin the anchor
+already picked; their later epochs saved Newton no work), and the same
+Newton loop then refines the point Adam reached, on the exact Hessian
+(``models._hessian``: the Gauss-Newton part plus the residual term).  Where that Hessian is
 indefinite the step uses the magnitudes of its eigenvalues, and next to
 a saddle, where the value can no longer rank such steps, the loop moves
 along the negative curvature instead of converging onto the saddle.
@@ -40,7 +43,7 @@ stationarity gate, which goes through the public, checked ``grad``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,8 +80,9 @@ RESIDUAL_TOL = 1e-4
 #: of the rounding noise a further step would chase.
 NEWTON_TOL = 1e-10
 
-#: Newton steps allowed per fit.  Convex fits take about 10; MLP fits
-#: starting where Adam stopped take a median of 10 and at most about 100.
+#: Newton steps allowed per fit.  Convex fits take about 10.  MLP fits,
+#: starting where Adam stopped, take a median of 12 and at most 111 (one
+#: fit over 100) over the 576 fits of seeds 0-95 of the mlp-report config.
 NEWTON_MAX_ITER = 200
 
 #: Longest step an MLP Newton iteration tries, in parameter units.  Longer
@@ -96,14 +100,26 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+#: Most Adam epochs an MLP fit that starts at the anchor runs (a fine-tune
+#: or a joint target); fits from a random init run the full ``epochs``.
+#: From the anchor, Adam's later epochs no longer save Newton any work: over
+#: seeds 100-147 of the mlp-report config, 0/20/30/50/100/200 warm epochs
+#: took 0.366/0.264/0.268/0.274/0.310/0.383 s and 168/112/110/105/106/107
+#: Hessian builds per report (one Newton step costs 10-15 Adam epochs).
+WARM_START_EPOCHS = 50
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """The Adam phase's epoch count and the seed of an MLP's initial point.
 
-    Only MLP fits read them.  Linear and logistic fits are convex and
-    solved exactly (normal equations, damped Newton), so neither changes
-    their result; both are still recorded in the checkpoint metadata.
+    Only MLP fits read them.  An MLP fit from a random init (the anchor,
+    and the removal retrain) runs ``epochs`` Adam epochs; a fine-tune and
+    a joint target, which start at the anchor, run at most
+    :data:`WARM_START_EPOCHS`, and their checkpoint metadata records the
+    epochs that ran.  Linear and logistic fits are convex and solved
+    exactly (normal equations, damped Newton), so neither value changes
+    their result; both are still recorded, as given, in the metadata.
     """
 
     epochs: int = 200
@@ -388,6 +404,13 @@ def _meta(cfg: TrainConfig, objective: str, delta: float, spec: ModelSpec) -> di
     }
 
 
+def _warm_start(spec: ModelSpec, cfg: TrainConfig) -> TrainConfig:
+    """The config of a fit that starts at the anchor: an MLP runs at most WARM_START_EPOCHS of Adam."""
+    if spec.kind != "mlp":
+        return cfg
+    return replace(cfg, epochs=min(cfg.epochs, WARM_START_EPOCHS))
+
+
 def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, cfg: TrainConfig) -> Checkpoint:
     """Train a base model: summed loss plus ``(delta/2) ||theta||^2``."""
     if delta < 0:
@@ -408,8 +431,10 @@ def finetune_task(
 
     The returned parameters approximately satisfy the stationarity
     condition ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
-    with residual norm at most ``1e-4 * (1 + ||theta||)``.
+    with residual norm at most ``1e-4 * (1 + ||theta||)``.  An MLP runs at
+    most :data:`WARM_START_EPOCHS` Adam epochs before Newton.
     """
+    cfg = _warm_start(spec, cfg)
     theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, anchor.anchor.values))
     return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec))
 
@@ -430,9 +455,14 @@ def train_joint_target(
     cfg: TrainConfig,
     anchor_id: str | None = None,
 ) -> Checkpoint:
-    """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty."""
+    """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty.
+
+    It starts at the anchor, so an MLP runs at most :data:`WARM_START_EPOCHS`
+    Adam epochs before Newton.
+    """
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
+    cfg = _warm_start(spec, cfg)
     theta = _fit(
         spec, list(datasets), [task_weight(a) for a in alphas], anchor, cfg,
         _init_theta(spec, cfg, anchor.anchor.values),

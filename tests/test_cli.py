@@ -184,12 +184,17 @@ class TestParsing:
             ("report", {"methods": ["remove-ta"]}),
             ("diagnose", {"methods": ["remove-ta"]}),
             ("remove", {"methods": ["ours"]}),
+            ("sweep", {"alphas": [-1.0, 0.5]}),
         ],
-        ids=["short_linear-report", "removal_method-report", "removal_method-diagnose", "addition_method-remove"],
+        ids=[
+            "short_linear-report", "removal_method-report", "removal_method-diagnose", "addition_method-remove",
+            "negative_alphas-sweep",
+        ],
     )
     def test_config_a_protocol_cannot_run_exits_one_before_training(self, tmp_path, capsys, monkeypatch, command, payload):
-        # The spec refuses a linear task shorter than its feature count, and
-        # cli() refuses the wrong method kind, before --out exists.
+        # The spec refuses a linear task shorter than its feature count and
+        # negative weights for am (the first method that reads them as
+        # masses), and cli() refuses the wrong method kind, before --out exists.
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError
+from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError, MissingCurvatureError
 from gradmerge.harness import (
     ADDITION_METHODS,
     MAX_ALPHA_POINTS,
@@ -185,6 +185,14 @@ class TestExperimentSpec:
         model = ModelSpec("linear_regression", 2)
         spec = ExperimentSpec(model=model, loss="squared_error", anchor=AnchorConfig(delta=0.0))
         assert spec.anchor.delta == 0.0
+
+    def test_negative_alphas_refused_for_methods_that_read_masses(self):
+        # The first such method names the refusal, as the sweep's merge would.
+        with pytest.raises(ConfigError, match="^am does not accept negative task weights$"):
+            ExperimentSpec.from_dict({"alphas": [-1.0, 0.5]})
+        with pytest.raises(ConfigError, match="^ties does not accept"):
+            ExperimentSpec(methods=("ta", "ties", "fa"), alphas="-1.0:0.0:0.5")
+        assert ExperimentSpec(methods=("ta", "ours"), alphas=(-1.0, 0.5)).alphas == (-1.0, 0.5)
 
     def test_rejects_exact_curvature_for_mlp(self):
         with pytest.raises(ConfigError, match="exact curvature"):
@@ -503,10 +511,13 @@ class TestSweepAlpha:
             sweep_alpha(default_removal_spec(), seed=0)
 
     def test_failure_keeps_finished_methods_rows(self, tmp_path, default_state):
-        # fa refuses the negative weight after ta has written its rows.
-        spec = dataclasses.replace(default_state.spec, methods=("ta", "fa"), alphas=(0.0, -0.5))
-        with pytest.raises(ConfigError):
-            sweep_alpha(spec, out_dir=tmp_path, state=default_state)
+        # fa finds no curvature on the task checkpoints after ta has written its rows.
+        bare = dataclasses.replace(
+            default_state, tasks=tuple(dataclasses.replace(ck, curvature=None) for ck in default_state.tasks)
+        )
+        spec = dataclasses.replace(default_state.spec, methods=("ta", "fa"), alphas=(0.0, 0.5))
+        with pytest.raises(MissingCurvatureError):
+            sweep_alpha(spec, out_dir=tmp_path, state=bare)
         ta = sweep_alpha(dataclasses.replace(spec, methods=("ta",)), state=default_state)
         assert (tmp_path / "summary.csv").read_text().splitlines() == [SUMMARY_HEADER, *ta.rows]
         assert (tmp_path / "sweep_ta.dat").exists()
@@ -597,12 +608,12 @@ class TestSweepGrid:
 
     @pytest.mark.parametrize("method", ("am", "wam", "fa", "ties"))
     def test_negative_weight_rejected_like_per_alpha_loop(self, default_state, method):
-        spec = dataclasses.replace(default_state.spec, methods=(method,), alphas=(0.0, -0.5))
+        # The spec refuses the grid with the per-alpha merge's message, before a sweep can start.
         with pytest.raises(ConfigError) as loop_error:
             merged(default_state, method, -0.5)
-        with pytest.raises(ConfigError) as sweep_error:
-            sweep_alpha(spec, state=default_state)
-        assert str(sweep_error.value) == str(loop_error.value)
+        with pytest.raises(ConfigError) as spec_error:
+            dataclasses.replace(default_state.spec, methods=(method,), alphas=(0.0, -0.5))
+        assert str(spec_error.value) == str(loop_error.value)
 
     def test_negative_weight_accepted_by_ta(self, default_state):
         spec = dataclasses.replace(default_state.spec, methods=("ta",), alphas=(0.0, -0.5))

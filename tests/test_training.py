@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 
 from gradmerge import models, training
 from gradmerge.errors import ConfigError, DivergenceError, SingularSystemError
-from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_pipeline, train_target
+from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_addition, run_pipeline, train_target
 from gradmerge.models import ModelSpec, TaskDataset
 from gradmerge.params import DiagCurvature, ParamVector
 from gradmerge.training import (
     NEWTON_TOL,
+    WARM_START_EPOCHS,
     QuadraticAnchor,
     TrainConfig,
     adam_decoupled_minimize,
@@ -389,6 +392,44 @@ class TestMlpStationarity:
         train_target(run_pipeline(self.SPEC, seed), 1.0)
         assert len(residuals) == 3
         assert max(residuals) <= 1e-9
+
+
+class TestWarmStartEpochs:
+    """MLP fits that start at the anchor run at most WARM_START_EPOCHS of Adam."""
+
+    @staticmethod
+    def spec(kind="mlp", epochs=120):
+        model = ModelSpec("mlp", 2, hidden=4, activation="tanh") if kind == "mlp" else ModelSpec(kind, 2)
+        return ExperimentSpec(model=model, n_tasks=3, per_task=PerTaskConfig(n_train=60, n_test=60), epochs=epochs)
+
+    def test_each_fit_gets_the_epochs_it_runs(self, monkeypatch):
+        # Order of fits: the anchor, then tasks 1 and 2, then the joint target.
+        received = []
+        real_adam = training.adam_decoupled_minimize
+
+        def adam(grad_fn, x0, cfg, anchor):
+            received.append(cfg.epochs)
+            return real_adam(grad_fn, x0, cfg, anchor)
+
+        monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
+        assert WARM_START_EPOCHS == 50
+        for kind, epochs, expected in (("mlp", 120, [120, 50, 50, 50]), ("mlp", 30, [30] * 4), ("logistic", 120, [])):
+            received.clear()
+            state = run_pipeline(self.spec(kind, epochs), seed=0)
+            target = train_target(state, 1.0)
+            assert received == expected, (kind, epochs)
+            if kind == "logistic":
+                metas = [state.anchor.meta, *(ck.meta for ck in state.tasks), target.meta]
+                assert [meta["epochs"] for meta in metas] == ["120"] * 4
+
+    def test_meta_files_record_the_epochs_that_ran(self, tmp_path):
+        run_addition(self.spec(), out_dir=tmp_path, seed=0)
+
+        def epochs(stem):
+            return json.loads((tmp_path / f"{stem}.meta.json").read_text())["meta"]["epochs"]
+
+        assert epochs("anchor") == "120"
+        assert [epochs(stem) for stem in ("task1", "task2", "target")] == ["50"] * 3
 
 
 class TestDecoupledStep:
