@@ -824,9 +824,12 @@ def sweep_alpha(
     """Evaluate every method in ``spec.methods`` across ``spec.alphas``.
 
     Training happens once and the test sets are checked once; each method
-    then merges the whole grid in one broadcast and scores each distinct
-    merged row once, with one product per test set.  ``summary.csv`` is
-    one stream that gets each method's aggregate rows as soon as they are
+    then merges the whole grid in one broadcast, and every method's grid
+    is merged before the first row is written, so a merge that fails
+    (say, on a pooled curvature that a negative weight leaves
+    non-positive) leaves no output behind.  Each distinct merged row is
+    scored once, with one product per test set.  ``summary.csv`` is one
+    stream that gets each method's aggregate rows as soon as they are
     scored, and each method also writes a two-column
     ``sweep_<method>.dat``, ready for any plotting tool.  Duplicate grid
     values produce duplicate rows, deterministically.
@@ -840,9 +843,9 @@ def sweep_alpha(
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
+    grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
     with _Summary(out) as summary:
-        for method in spec.methods:
-            values = merge_grid(method, inputs, spec.alphas)
+        for method, values in grids.items():
             _, avg, true_avg = _score_rows(spec, values, sets)
             avg = avg.tolist()
             series[method] = tuple(zip(spec.alphas, avg))

@@ -30,7 +30,9 @@ The public functions check every call, while the kernels ``_forward``,
 dataset once (:func:`_check_data`) and then steps on arrays.  The last
 three weight each row, so one call evaluates a fit's whole data term
 ``sum_t alpha_t L_t`` over its stacked tasks: its value and gradient,
-its gradient alone (for Adam), or its dense Hessian (for Newton).  The
+its gradient alone (for Adam), or its dense Hessian (for Newton), which
+reuses the forward pass ``(out, a1)`` that ``_value_grad`` returns and
+the data-only products a fit builds once (:class:`_HessianRows`).  The
 MLP's only hidden state is the tanh activation array ``a1``, built in
 place; its derivative is ``D = 1 - a1^2``.  The summed gradient keeps
 the output gradients ``g`` and ``w2`` out of the ``(n, h)`` products:
@@ -257,19 +259,19 @@ def grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> ParamVector:
     return ParamVector(spec.layout(), flat)
 
 
-def _value_grad(spec: ModelSpec, values, X, y, w=1.0) -> tuple[float, np.ndarray]:
-    """Weighted summed loss ``sum_i w_i l_i`` and its flat gradient from one forward pass.
+def _value_grad(spec: ModelSpec, values, X, y, w=1.0):
+    """Weighted summed loss ``sum_i w_i l_i``, its flat gradient, and their forward pass ``(out, a1)``.
 
     For rows that passed :func:`_check_data` and unit weights (1.0
-    multiplies exactly) this equals :func:`loss` and ``grad(...).values``,
-    raising the same overflow errors.
+    multiplies exactly) the first two equal :func:`loss` and
+    ``grad(...).values``, raising the same overflow errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
         value = float(np.sum(w * _losses(spec, out, y)))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
-    return value, _summed_grad(spec, values, X, y, w, out, a1)
+    return value, _summed_grad(spec, values, X, y, w, out, a1), (out, a1)
 
 
 def _grad(spec: ModelSpec, values, X, y, w=1.0) -> np.ndarray:
@@ -286,43 +288,81 @@ def _summed_grad(spec, values, X, y, w, out, a1) -> np.ndarray:
     return flat
 
 
-def _hessian(spec: ModelSpec, values, X, y, w) -> np.ndarray:
+class _HessianRows:
+    """A fit's row block ``X`` and what its MLP Hessians reuse, built once per fit.
+
+    ``XT`` (contiguous), ``xt = [X, 1]``, the ``(n, (d+1)^2)`` table of
+    ``xt`` column products, the flat positions in H of the residual term,
+    and the buffers each build overwrites: the ``(p, n)`` Jacobian ``JT``
+    and three ``(n, h)`` factors.
+    """
+
+    def __init__(self, spec: ModelSpec, X: np.ndarray):
+        self.X = X
+        if spec.kind != "mlp":
+            return
+        n, h, d, p = len(X), spec.hidden, spec.n_features, spec.layout().total_len
+        self.XT = np.ascontiguousarray(X.T)
+        self.xt = np.concatenate([X, np.ones((n, 1))], axis=1)
+        self.outer = (self.xt[:, :, None] * self.xt[:, None, :]).reshape(n, (d + 1) ** 2)
+        # Row j holds unit j's (w1_j, b1_j) coordinates; distinct units' blocks are disjoint.
+        unit = np.concatenate([np.arange(h * d).reshape(h, d), h * d + np.arange(h)[:, None]], axis=1)
+        w2_index = h * d + h + np.arange(h)[:, None]
+        # Each unit's (w1_j, b1_j) block, then its column and row against w2_j.
+        self.residual = np.concatenate([
+            (unit[:, :, None] * p + unit[:, None, :]).reshape(-1),
+            (unit * p + w2_index).reshape(-1),
+            (w2_index * p + unit).reshape(-1),
+        ])
+        self.JT = np.empty((p, n))
+        self.work = np.empty((3, n, h))
+
+
+def _hessian(spec: ModelSpec, values, rows: _HessianRows, y, w, fwd) -> np.ndarray:
     """Dense ``(d, d)`` Hessian of the weighted summed loss ``sum_i w_i l_i``.
 
-    The Gauss-Newton part ``Jc^T Jc`` has rows ``sqrt(w_i l_i'') J_i``,
-    where ``J_i`` is row i's output gradient; NumPy forms it as one
-    symmetric rank-k update at half the cost of a general product
-    (weights are >= 0).  The linear models have no other part.  The MLP
-    output adds the residual term ``sum_i r_i grad^2 f_i``, with
+    ``fwd`` is the forward pass :func:`_value_grad` returned at the same
+    ``values``, so a build runs none of its own.  The Gauss-Newton part
+    ``J^T J`` has rows ``sqrt(w_i l_i'') J_i``, where ``J_i`` is row i's
+    output gradient; NumPy forms it as one symmetric rank-k update at half
+    the cost of a general product (weights are >= 0).  The linear models
+    have no other part.  The MLP writes ``J`` transposed, in contiguous
+    row slabs of ``rows.JT``, and its output adds the residual term ``sum_i r_i grad^2 f_i``, with
     ``r_i = w_i l_i'``, which is block-diagonal per hidden unit ``j``:
     ``w2_j sum_i r_i tanh''(z_ij) xt_i xt_i^T`` on ``(w1_j, b1_j)``, with
     ``xt = [x, 1]``, and ``sum_i r_i tanh'(z_ij) xt_i`` against ``w2_j``.
+    Each product keeps the association order of :func:`_backward`'s
+    per-example rows, e.g. ``(sqrt(curv) w2) D``, so H is bitwise theirs.
     """
-    out, a1 = _forward(spec, values, X)
+    out, a1 = fwd
     if spec.loss == "squared_error":
         curv = w * np.ones_like(out)
     else:
         s = _sigmoid(out)
         curv = w * s * (1.0 - s)
     if a1 is None:
-        Xs = X * np.sqrt(curv)[:, None]
+        Xs = rows.X * np.sqrt(curv)[:, None]
         return Xs.T @ Xs
-    Jc = _backward(spec, values, X, np.sqrt(curv), a1, per_example=True)
-    H = Jc.T @ Jc
     h, d = spec.hidden, spec.n_features
     w2 = spec._mlp_views(values)[2]
+    g = np.sqrt(curv)
+    D, c, rD = rows.work
+    np.subtract(1.0, np.multiply(a1, a1, out=D), out=D)
+    JT = rows.JT
+    dz1 = np.multiply(w2[:, None], g, out=JT[h * d : h * d + h])
+    dz1 *= D.T
+    np.multiply(dz1[:, None, :], rows.XT, out=JT[: h * d].reshape(h, d, -1))
+    np.multiply(a1.T, g, out=JT[h * d + h : -1])
+    JT[-1] = g
+    H = JT @ JT.T
     r = w * _output_grads(spec, out, y)
-    xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)
-    # Row j holds unit j's (w1_j, b1_j) coordinates; distinct units' blocks are disjoint.
-    unit = np.concatenate([np.arange(h * d).reshape(h, d), h * d + np.arange(h)[:, None]], axis=1)
-    w2_index = h * d + h + np.arange(h)[:, None]
-    D = 1.0 - a1 * a1
-    c = (r[:, None] * w2) * (-2.0 * a1 * D)
-    outer = (xt[:, :, None] * xt[:, None, :]).reshape(len(X), -1)
-    H[unit[:, :, None], unit[:, None, :]] += (c.T @ outer).reshape(h, d + 1, d + 1)
-    cross = (r[:, None] * D).T @ xt
-    H[unit, w2_index] += cross
-    H[w2_index, unit] += cross
+    # c = (r w2) (-2 a1 D) and rD = r D stay (n, h) operands of the products below.
+    np.multiply(a1, -2.0, out=c)
+    c *= D
+    c *= np.multiply(r[:, None], w2, out=rD)
+    np.multiply(r[:, None], D, out=rD)
+    cross = (rD.T @ rows.xt).reshape(-1)
+    H.reshape(-1)[rows.residual] += np.concatenate([(c.T @ rows.outer).reshape(-1), cross, cross])
     return H
 
 

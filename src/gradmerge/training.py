@@ -37,8 +37,11 @@ block ``(X, y, w)``, each row weighted by its task's alpha, before its
 first step; every evaluation of the data term is then one kernel call on
 the flat ``(d,)`` parameter array, over the whole block: Adam runs
 full-batch on the gradient alone (``models._grad``), and Newton on
-``models._value_grad`` and ``models._hessian``.  Every fit ends in the same
-stationarity gate, which goes through the public, checked ``grad``.
+``models._value_grad`` and ``models._hessian``.  A Newton step's Hessian
+reuses the forward pass of the value/gradient evaluation at the same
+iterate, and the block's data-only products (``models._HessianRows``),
+which the fit builds once.  Every fit ends in the same stationarity
+gate, which goes through the public, checked ``grad``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .errors import (
     check_field_types,
 )
 # ``loss`` is unused here but stays importable: ``perfbench/spans.py`` wraps it on this module.
-from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _value_grad, grad, loss  # noqa: F401
+from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _HessianRows, _value_grad, grad, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
@@ -283,9 +286,9 @@ def _descend_negative_curvature(value_grad, theta, f, u, kappa, resolution):
     s = MLP_MAX_STEP
     while 0.25 * kappa * s * s > resolution:
         trial = theta + s * u
-        f_trial, g_trial = value_grad(trial)
+        f_trial, g_trial, fwd_trial = value_grad(trial)
         if f_trial <= f - 0.25 * kappa * s * s:
-            return trial, f_trial, g_trial
+            return trial, f_trial, g_trial, fwd_trial
         s *= 0.5
     return None
 
@@ -306,14 +309,17 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
     at the first iterate meeting :data:`NEWTON_TOL`, after
     :data:`NEWTON_MAX_ITER` steps, or at a step with no acceptable point;
     the caller's stationarity gate judges where it stopped.
+    ``value_grad(theta)`` returns the value, the gradient and the forward
+    pass behind them, and ``hessian(theta, fwd)`` builds H at an iterate
+    from that forward pass, so a Newton step runs no forward pass twice.
     """
-    f, g = value_grad(theta)
+    f, g, fwd = value_grad(theta)
     for _ in range(NEWTON_MAX_ITER):
         g_norm = np.linalg.norm(g)
         if g_norm <= NEWTON_TOL * (1.0 + np.linalg.norm(theta)):
             break
         try:
-            step, curvature, u = newton_step(hessian(theta), g)
+            step, curvature, u = newton_step(hessian(theta, fwd), g)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"Newton system is singular: {exc}") from exc
         decrease = -float(g @ step)
@@ -322,18 +328,18 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
         if not resolvable and curvature < 0.0:
             escaped = _descend_negative_curvature(value_grad, theta, f, u, -curvature, resolution)
             if escaped is not None:
-                theta, f, g = escaped
+                theta, f, g, fwd = escaped
                 continue
         t = 1.0
         for _ in range(60 if resolvable else 1):
             trial = theta + t * step
-            f_trial, g_trial = value_grad(trial)
+            f_trial, g_trial, fwd_trial = value_grad(trial)
             if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (np.linalg.norm(g_trial) < g_norm):
                 break
             t *= 0.5
         else:
             break
-        theta, f, g = trial, f_trial, g_trial
+        theta, f, g, fwd = trial, f_trial, g_trial, fwd_trial
     return theta
 
 
@@ -350,16 +356,17 @@ def _fit(
     for data in datasets:
         _check_data(spec, data)
     X, y, w = _rows(spec, datasets, alphas)
+    rows = _HessianRows(spec, X)
     a = anchor.anchor.values
     reg = anchor.effective_diag
 
     def full_value_grad(theta_values):
-        value, g = _value_grad(spec, theta_values, X, y, w)
+        value, g, fwd = _value_grad(spec, theta_values, X, y, w)
         diff = theta_values - a
-        return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff
+        return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff, fwd
 
-    def full_hessian(theta_values):
-        H = _hessian(spec, theta_values, X, y, w)
+    def full_hessian(theta_values, fwd):
+        H = _hessian(spec, theta_values, rows, y, w, fwd)
         H[np.diag_indices_from(H)] += reg
         return H
 

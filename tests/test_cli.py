@@ -408,6 +408,17 @@ class TestProtocols:
         assert (out / "sweep_ours.dat").exists()
         assert "best accuracy" in capsys.readouterr().out
 
+    def test_sweep_merge_failure_exits_two_before_writing_output(self, tmp_path, capsys):
+        # ta accepts the weight -1, but ours's pooled curvature is not
+        # positive there, which only the trained checkpoints can show.
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({"alphas": [-1.0, 0.5], "methods": ["ta", "ours"]}))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", config, "--out", out) == 2
+        assert "SingularCurvatureError" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+        assert not list(out.glob("sweep_*.dat"))
+
     def test_remove_prints_distances(self, tmp_path, capsys):
         out = tmp_path / "rem"
         assert run_cli("remove", "--out", out, "--seed", "0") == 0

@@ -1,17 +1,32 @@
 """The single-pass evaluators the training and curvature code rely on,
 checked against the public per-call functions they replace, and the
 Hessian kernel Newton steps with, checked against differences of the
-gradient."""
+gradient and, for the MLP, bitwise against the per-example Jacobian
+build."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradmerge.curvature import FISHER_FLOOR, fisher_diag
 from gradmerge.errors import ConfigError, LayoutError, NumericError
 from gradmerge import training
-from gradmerge.models import ModelSpec, TaskDataset, _grad, _hessian, _value_grad, grad, loss, per_example_grads
+from gradmerge.models import (
+    ModelSpec,
+    TaskDataset,
+    _backward,
+    _forward,
+    _grad,
+    _hessian,
+    _HessianRows,
+    _output_grads,
+    _sigmoid,
+    _value_grad,
+    grad,
+    loss,
+    per_example_grads,
+)
 from gradmerge.params import ParamVector
 from gradmerge.training import TrainConfig, train_anchor
 
@@ -44,7 +59,8 @@ class TestFusedValueGrad:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loss_and_grad(self, spec, seed):
         theta, data = random_pair(spec, seed)
-        value, g = _value_grad(spec, theta.values, data.inputs, data.targets)
+        value, g, (out, _) = _value_grad(spec, theta.values, data.inputs, data.targets)
+        np.testing.assert_array_equal(out, _forward(spec, theta.values, data.inputs)[0])
         assert value == pytest.approx(loss(spec, theta, data), rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g, grad(spec, theta, data).values, rtol=1e-12, atol=0.0)
 
@@ -61,7 +77,7 @@ class TestFusedValueGrad:
         # A fit whose every weight is zero (the joint target at alpha 0)
         # stacks an empty (0, d) row block, which no TaskDataset can hold.
         theta, _ = random_pair(spec, 0)
-        value, g = _value_grad(spec, theta.values, np.zeros((0, spec.n_features)), np.zeros(0))
+        value, g, _ = _value_grad(spec, theta.values, np.zeros((0, spec.n_features)), np.zeros(0))
         assert value == 0.0
         np.testing.assert_array_equal(g, np.zeros(spec.layout().total_len))
 
@@ -118,7 +134,7 @@ class TestWeightedRowBlock:
         datasets = [random_pair(spec, seed + t, n=n)[1] for t, (n, _) in enumerate(tasks)]
         alphas = [alpha for _, alpha in tasks]
         theta = random_pair(spec, seed)[0]
-        value, g = _value_grad(spec, theta.values, *training._rows(spec, datasets, alphas))
+        value, g, _ = _value_grad(spec, theta.values, *training._rows(spec, datasets, alphas))
         expected_value = sum(a * loss(spec, theta, ds) for a, ds in zip(alphas, datasets))
         expected_grad = sum(a * grad(spec, theta, ds).values for a, ds in zip(alphas, datasets))
         magnitude = sum(a * np.abs(per_example_grads(spec, theta, ds)).sum(axis=0) for a, ds in zip(alphas, datasets))
@@ -136,16 +152,55 @@ class TestWeightedRowBlock:
         within_rounding(grad(spec, theta, data).values, G.sum(axis=0), np.abs(G).sum(axis=0))
 
 
+def hessian_at(spec, values, X, y, w, rows=None):
+    """One kernel build at ``values``, from the forward pass ``_value_grad`` ran there."""
+    rows = _HessianRows(spec, X) if rows is None else rows
+    return _hessian(spec, values, rows, y, w, _value_grad(spec, values, X, y, w)[2])
+
+
+def per_example_hessian(spec, values, X, y, w):
+    """The MLP Hessian from ``_backward``'s ``(n, p)`` per-example Jacobian and
+    per-call fancy indexing: the build the kernel replaced, kept as its
+    bitwise reference."""
+    out, a1 = _forward(spec, values, X)
+    s = _sigmoid(out)
+    Jc = _backward(spec, values, X, np.sqrt(w * s * (1.0 - s)), a1, per_example=True)
+    H = Jc.T @ Jc
+    h, d = spec.hidden, spec.n_features
+    w2 = spec._mlp_views(values)[2]
+    r = w * _output_grads(spec, out, y)
+    xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    unit = np.concatenate([np.arange(h * d).reshape(h, d), h * d + np.arange(h)[:, None]], axis=1)
+    w2_index = h * d + h + np.arange(h)[:, None]
+    D = 1.0 - a1 * a1
+    c = (r[:, None] * w2) * (-2.0 * a1 * D)
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(len(X), -1)
+    H[unit[:, :, None], unit[:, None, :]] += (c.T @ outer).reshape(h, d + 1, d + 1)
+    cross = (r[:, None] * D).T @ xt
+    H[unit, w2_index] += cross
+    H[w2_index, unit] += cross
+    return H
+
+
+MLP_CASES = [spec for spec in CASES if spec.kind == "mlp"]
+MLP_IDS = [i for spec, i in zip(CASES, IDS) if spec.kind == "mlp"]
+
+
 class TestHessian:
     @given(case=st.integers(0, len(CASES) - 1), seed=st.integers(0, 2**16), n=st.integers(1, 30))
+    @example(case=2, seed=0, n=30)
+    @example(case=5, seed=1, n=1)
+    @example(case=5, seed=2, n=17)
     @settings(max_examples=60, deadline=None)
     def test_matches_central_differences_of_the_gradient(self, case, seed, n):
+        # Every third row has zero weight, the first among them, so n=1 is all zero.
         spec = CASES[case]
         theta, data = random_pair(spec, seed, n=n)
         X, y, values = data.inputs, data.targets, theta.values
         w = np.random.default_rng(seed).uniform(0.0, 2.0, n)
+        w[::3] = 0.0
         step = 1e-5
-        H = _hessian(spec, values, X, y, w)
+        H = hessian_at(spec, values, X, y, w)
         fd = np.empty_like(H)
         for j in range(values.size):
             e = np.zeros_like(values)
@@ -156,6 +211,30 @@ class TestHessian:
         scale = 1.0 + np.abs(fd).max()
         np.testing.assert_allclose(H, fd, rtol=0.0, atol=1e-6 * scale)
         np.testing.assert_allclose(H, H.T, rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("spec", MLP_CASES, ids=MLP_IDS)
+    @pytest.mark.parametrize("n", [1, 40, 700])
+    def test_mlp_equals_the_per_example_jacobian_build_bitwise(self, spec, n):
+        theta, data = random_pair(spec, n, n=n)
+        w = np.random.default_rng(n).uniform(0.0, 2.0, n)
+        w[::4] = 0.0
+        args = (spec, theta.values, data.inputs, data.targets, w)
+        np.testing.assert_array_equal(hessian_at(*args), per_example_hessian(*args))
+
+    @pytest.mark.parametrize("spec", MLP_CASES, ids=MLP_IDS)
+    def test_reused_products_carry_nothing_between_builds(self, spec):
+        # One fit's products serve every Newton step; JT and the work
+        # buffers are overwritten in full by each build.
+        first, data = random_pair(spec, 11, n=30)
+        second = random_pair(spec, 12)[0]
+        X, y = data.inputs, data.targets
+        w = np.random.default_rng(11).uniform(0.0, 2.0, len(y))
+        rows = _HessianRows(spec, X)
+        builds = [hessian_at(spec, theta.values, X, y, w, rows) for theta in (first, second, first)]
+        np.testing.assert_array_equal(builds[0], builds[2])
+        assert not np.array_equal(builds[0], builds[1])
+        for theta, H in zip((first, second, first), builds):
+            np.testing.assert_array_equal(H, hessian_at(spec, theta.values, X, y, w))
 
 
 class TestFisherReduction:

@@ -510,18 +510,16 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError):
             sweep_alpha(default_removal_spec(), seed=0)
 
-    def test_failure_keeps_finished_methods_rows(self, tmp_path, default_state):
-        # fa finds no curvature on the task checkpoints after ta has written its rows.
+    def test_failure_in_any_method_writes_no_output(self, tmp_path, default_state):
+        # fa finds no curvature on the task checkpoints; ta, listed first,
+        # merges fine, but no method's rows are written before every grid is merged.
         bare = dataclasses.replace(
             default_state, tasks=tuple(dataclasses.replace(ck, curvature=None) for ck in default_state.tasks)
         )
         spec = dataclasses.replace(default_state.spec, methods=("ta", "fa"), alphas=(0.0, 0.5))
         with pytest.raises(MissingCurvatureError):
             sweep_alpha(spec, out_dir=tmp_path, state=bare)
-        ta = sweep_alpha(dataclasses.replace(spec, methods=("ta",)), state=default_state)
-        assert (tmp_path / "summary.csv").read_text().splitlines() == [SUMMARY_HEADER, *ta.rows]
-        assert (tmp_path / "sweep_ta.dat").exists()
-        assert not (tmp_path / "sweep_fa.dat").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_summary_raises_io_error(self, tmp_path, default_state):
         (tmp_path / "summary.csv").mkdir()

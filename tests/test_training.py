@@ -61,6 +61,16 @@ def classification(seed, n):
     return TaskDataset("c", X, (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float))
 
 
+def counting(counts, name, fn):
+    """``fn``, adding each of its calls to ``counts[name]``."""
+
+    def wrapped(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+
+    return wrapped
+
+
 def evaluations_per_fit(monkeypatch, run):
     """Full-objective value/gradient evaluations of each fit that ``run()`` makes.
 
@@ -332,11 +342,13 @@ class TestNewton:
         # f = x^2 - y^2 + y^4/4 has a saddle at 0 and minima at (0, +-sqrt 2).
         # Next to the saddle the predicted decrease is below the value's
         # resolution, and the gradient-norm test alone would stop there.
+        # The value/gradient hands its Hessian no forward pass (None).
         def value_grad(p):
             x, y = p
-            return x * x - y * y + y**4 / 4, np.array([2 * x, -2 * y + y**3])
+            return x * x - y * y + y**4 / 4, np.array([2 * x, -2 * y + y**3]), None
 
-        def hessian(p):
+        def hessian(p, fwd):
+            assert fwd is None
             return np.diag([2.0, -2.0 + 3 * p[1] ** 2])
 
         theta = training._newton(value_grad, hessian, np.array([0.3, 1e-9]), training._saddle_free_step)
@@ -537,49 +549,63 @@ class TestFitCost:
         train_anchor(MLP2, classification(4, n=40), delta=0.1, cfg=cfg)
         assert adam_rows == [40] * 5
 
+    #: Two MLP tasks and an anchor off the origin, for the per-fit counts below.
+    SETS = [classification(30, n=40), classification(31, n=24)]
+    ANCHOR = QuadraticAnchor(
+        ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
+        DiagCurvature.constant(MLP2.layout(), 0.5),
+        0.1,
+    )
+
+    def fit_mlp(self, fit, epochs):
+        """One MLP fit: the anchor on the first task, or the joint target of both."""
+        cfg = TrainConfig(epochs=epochs, seed=0)
+        if fit == "anchor":
+            return train_anchor(MLP2, self.SETS[0], delta=0.1, cfg=cfg)
+        return train_joint_target(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, cfg)
+
     @pytest.mark.parametrize("fit", ["anchor", "joint"])
     def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
-        # Data checks, ParamVector and TaskDataset constructions happen once
-        # per fit: before its first step and in the final residual gate.
-        # Only the Adam kernel's calls grow with the number of Adam steps;
-        # the Newton phase that follows may need fewer value/gradient and
-        # Hessian evaluations after a longer Adam phase, so those need not.
-        sets = [classification(30, n=40), classification(31, n=24)]
-        anchor = QuadraticAnchor(
-            ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
-            DiagCurvature.constant(MLP2.layout(), 0.5),
-            0.1,
-        )
+        # Data checks, ParamVector and TaskDataset constructions, and the
+        # Hessian's data-only products happen once per fit: before its first
+        # step and in the final residual gate.  Only the Adam kernel's calls
+        # grow with the number of Adam steps; the Newton phase that follows
+        # may need fewer value/gradient and Hessian evaluations after a
+        # longer Adam phase, so those need not.
         counts = {}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                counts[name] = counts.get(name, 0) + 1
-                return fn(*args)
-
-            return wrapped
-
-        check = counting("data checks", models._check_data)
+        check = counting(counts, "data checks", models._check_data)
         monkeypatch.setattr(models, "_check_data", check)
         monkeypatch.setattr(training, "_check_data", check)
-        monkeypatch.setattr(training, "_grad", counting("Adam kernel calls", training._grad))
-        monkeypatch.setattr(training, "_value_grad", counting("Newton kernel calls", training._value_grad))
-        monkeypatch.setattr(training, "_hessian", counting("Newton kernel calls", training._hessian))
+        monkeypatch.setattr(training, "_grad", counting(counts, "Adam kernel calls", training._grad))
+        monkeypatch.setattr(training, "_value_grad", counting(counts, "Newton kernel calls", training._value_grad))
+        monkeypatch.setattr(training, "_hessian", counting(counts, "Newton kernel calls", training._hessian))
+        monkeypatch.setattr(training, "_HessianRows", counting(counts, "Hessian products", training._HessianRows))
         for cls in (ParamVector, TaskDataset):
-            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+            monkeypatch.setattr(cls, "__post_init__", counting(counts, cls.__name__, cls.__post_init__))
 
         def run(epochs):
             counts.clear()
-            cfg = TrainConfig(epochs=epochs, seed=0)
-            if fit == "anchor":
-                train_anchor(MLP2, sets[0], delta=0.1, cfg=cfg)
-            else:
-                train_joint_target(MLP2, sets, [1.0, 0.5], anchor, cfg)
+            self.fit_mlp(fit, epochs)
             return dict(counts)
 
         short, long = run(10), run(40)
         assert long.pop("Adam kernel calls") == 40 and short.pop("Adam kernel calls") == 10
-        del long["Newton kernel calls"], short["Newton kernel calls"]
+        assert long.pop("Newton kernel calls") > 0 and short.pop("Newton kernel calls") > 0
         assert long == short
         assert short.get("TaskDataset", 0) == 0
-        assert short["data checks"] == 2 * (1 if fit == "anchor" else len(sets))
+        assert short["data checks"] == 2 * (1 if fit == "anchor" else len(self.SETS))
+        assert short["Hessian products"] == 1
+
+    @pytest.mark.parametrize("fit", ["anchor", "joint"])
+    def test_mlp_hessian_builds_run_no_forward_pass(self, monkeypatch, fit):
+        # Every forward pass of an MLP fit belongs to an Adam epoch, a
+        # value/gradient evaluation (whose forward the Hessian at that
+        # iterate reuses) or the stationarity gate's per-task ``grad``.
+        counts = {}
+        monkeypatch.setattr(models, "_forward", counting(counts, "forward", models._forward))
+        monkeypatch.setattr(training, "_value_grad", counting(counts, "value_grad", training._value_grad))
+        monkeypatch.setattr(training, "_hessian", counting(counts, "hessian", training._hessian))
+        self.fit_mlp(fit, epochs=10)
+        gate = 1 if fit == "anchor" else len(self.SETS)
+        assert counts["hessian"] > 0
+        assert counts["forward"] == 10 + counts["value_grad"] + gate
