@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,77 +98,23 @@ HARNESS_METHODS = ADDITION_METHODS + REMOVAL_METHODS
 #: Column order of summary.csv rows.
 SUMMARY_HEADER = "method,alpha,task,metric,value"
 
-#: Most points an alpha range string may expand to.
-MAX_ALPHA_POINTS = 10_000
+#: The curvature diagonals that ``anchor.source`` and ``curvature`` may name.
+CURVATURE_SOURCES = ("fisher", "exact")
 
 
 def parse_alphas(value) -> tuple[float, ...]:
-    """Parse a weight grid: ``"start:stop:step"``, a number, or a sequence.
+    """A weight grid as floats: a nonempty sequence of finite real numbers.
 
-    Range strings include both endpoints (up to float rounding of the
-    step count), may expand to at most :data:`MAX_ALPHA_POINTS` values,
-    and are rounded to twelve decimals so that ``"0.0:1.0:0.1"`` yields
-    the clean 0.0, 0.1, ..., 1.0.
+    A string, a bare number and a ``bool`` element are refused, not coerced.
     """
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"alpha range must look like 'start:stop:step', got {value!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"unparseable alpha range {value!r}") from exc
-        if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
-            raise ConfigError("alpha range endpoints and step must be finite")
-        if step <= 0:
-            raise ConfigError("alpha range step must be > 0")
-        if stop < start:
-            raise ConfigError("alpha range must have stop >= start")
-        steps = (stop - start) / step + 1e-9
-        if not steps < MAX_ALPHA_POINTS:  # also refuses an overflow to inf
-            raise ConfigError(f"alpha range {value!r} has more than {MAX_ALPHA_POINTS} points")
-        count = int(steps) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        values = (float(value),)
-    else:
-        try:
-            values = tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"alphas must be a range string, a number, or a sequence of numbers, got {value!r}"
-            ) from exc
-    if not values:
-        raise ConfigError("alphas must be nonempty")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("alphas must be finite")
-    return values
-
-
-def parse_h0_source(source) -> str:
-    """Validate and normalize an anchor-curvature source string.
-
-    Accepted forms are ``"fisher"``, ``"exact"``, and ``"identity:SCALE"``
-    (bare ``"identity"`` means scale 1).
-    """
-    if not isinstance(source, str):
-        raise ConfigError(f"anchor curvature source must be a string, got {source!r}")
-    if source in ("fisher", "exact"):
-        return source
-    if source == "identity":
-        return "identity:1.0"
-    if source.startswith("identity:"):
-        tail = source.split(":", 1)[1]
-        try:
-            scale = float(tail)
-        except ValueError as exc:
-            raise ConfigError(f"bad identity curvature scale {tail!r}") from exc
-        if not (math.isfinite(scale) and scale > 0):
-            raise ConfigError("identity curvature scale must be finite and > 0")
-        return f"identity:{scale!r}"
-    raise ConfigError(
-        f"unknown anchor curvature source {source!r}; expected 'fisher', 'exact', or 'identity:SCALE'"
-    )
+    try:
+        values = () if isinstance(value, (str, bytes)) else tuple(value)
+    except TypeError:
+        values = ()
+    finite = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+    if not (values and finite):
+        raise ConfigError(f"alphas must be a nonempty list of finite numbers, got {value!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -177,7 +124,8 @@ class PerTaskConfig:
     Classification tasks put class 1 at ``+mean`` and class 0 at
     ``-mean`` where the mean has norm ``separation / 2`` and rotates by
     equal steps up to ``spread_degrees`` across tasks.  ``seed`` is the
-    run's seed when neither ``--seed`` nor ``GRADMERGE_SEED`` gives one.
+    run's seed when neither an integer seed override (``--seed``, or a
+    protocol's ``seed`` argument) nor ``GRADMERGE_SEED`` gives one.
     """
 
     n_train: int = 500
@@ -201,14 +149,19 @@ class PerTaskConfig:
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    """Where the anchor penalty diagonal comes from, plus ridge strength."""
+    """Where the anchor penalty diagonal comes from, plus ridge strength.
+
+    ``source`` is "fisher" or "exact", the estimators ``curvature`` picks
+    from; ``delta`` is finite and >= 0.
+    """
 
     source: str = "fisher"
     delta: float = 0.1
 
     def __post_init__(self):
         check_field_types(self)
-        object.__setattr__(self, "source", parse_h0_source(self.source))
+        if self.source not in CURVATURE_SOURCES:
+            raise ConfigError(f"anchor.source must be one of {CURVATURE_SOURCES}, got {self.source!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ConfigError(f"anchor delta must be finite and >= 0, got {self.delta!r}")
 
@@ -221,12 +174,13 @@ class ExperimentSpec:
     methods, but each protocol accepts only its own kind.  ``loss`` must
     name the model kind's own loss (``model.loss``); it stays a key so
     that existing configs load.  ``curvature`` picks the per-task
-    diagonal estimator ("fisher" or "exact"); the anchor's diagonal is
-    governed separately by ``anchor.source``.  MLPs have no exact
-    Hessian diagonal, so they take "fisher" for both.  A linear_regression
-    task needs ``n_train`` and ``n_test`` of at least ``model.n_features``.
-    ``alphas`` may hold negative weights only if no method reads them as
-    mixture masses (``am``, ``wam``, ``fa``, ``ties``).  ``epochs`` is the
+    diagonal estimator ("fisher" or "exact"); ``anchor.source`` picks the
+    anchor's from the same two.  MLPs have no exact Hessian diagonal, so
+    they take "fisher" for both.  A linear_regression task needs
+    ``n_train`` and ``n_test`` of at least ``model.n_features``.
+    ``alphas`` is a nonempty list of finite numbers (by default 0.0, 0.1,
+    ..., 1.0); it may hold negative weights only if no method reads them
+    as mixture masses (``am``, ``wam``, ``fa``, ``ties``).  ``epochs`` is the
     length of the Adam phase of the MLP fits that start from a random init
     (the anchor and the removal retrain); the fine-tunes and the joint
     target start at the anchor and run at most
@@ -241,7 +195,7 @@ class ExperimentSpec:
     anchor: AnchorConfig = field(default_factory=AnchorConfig)
     curvature: str = "fisher"
     methods: tuple[str, ...] = ADDITION_METHODS
-    alphas: tuple[float, ...] = field(default_factory=lambda: parse_alphas("0.0:1.0:0.1"))
+    alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     epochs: int = 200
 
     def __post_init__(self):
@@ -257,8 +211,8 @@ class ExperimentSpec:
         rows, d = (self.per_task.n_train, self.per_task.n_test), self.model.n_features
         if self.model.kind == "linear_regression" and min(rows) < d:  # a planted task orthogonalizes an (n, d) design
             raise ConfigError(f"linear_regression needs n_train and n_test >= n_features ({d}), got {rows}")
-        if self.curvature not in ("fisher", "exact"):
-            raise ConfigError(f"curvature must be 'fisher' or 'exact', got {self.curvature!r}")
+        if self.curvature not in CURVATURE_SOURCES:
+            raise ConfigError(f"curvature must be one of {CURVATURE_SOURCES}, got {self.curvature!r}")
         if self.model.kind == "mlp" and "exact" in (self.curvature, self.anchor.source):
             raise ConfigError("exact curvature is unavailable for mlp models; use 'fisher'")
         if self.anchor.delta == 0 and self.model.kind != "linear_regression":
@@ -341,6 +295,8 @@ def resolve_seed(spec: ExperimentSpec, override=None) -> int:
     """Explicit override beats the ``GRADMERGE_SEED`` env var beats the config; negative seeds are refused."""
     env = os.environ.get(ENV_SEED_VAR)
     if override is not None:
+        if not isinstance(override, numbers.Integral) or isinstance(override, bool):
+            raise ConfigError(f"seed must be an integer, got {override!r}")
         seed, source = int(override), "seed"
     elif env is not None:
         try:
@@ -423,10 +379,7 @@ def _concat_datasets(sets, task_id: str) -> TaskDataset:
 
 def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Anchor penalty diagonal per ``spec.anchor.source``."""
-    source = spec.anchor.source
-    if source.startswith("identity"):
-        return DiagCurvature.constant(spec.model.layout(), float(source.split(":", 1)[1]))
-    if source == "exact":
+    if spec.anchor.source == "exact":
         return exact_hessian_diag(spec.model, theta, data)
     return fisher_diag(spec.model, theta, data)
 

@@ -125,10 +125,6 @@ class DiagCurvature:
     def zeros(cls, layout: ParamLayout) -> "DiagCurvature":
         return cls(layout, np.zeros(layout.total_len))
 
-    @classmethod
-    def constant(cls, layout: ParamLayout, value: float) -> "DiagCurvature":
-        return cls(layout, np.full(layout.total_len, float(value)))
-
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:

@@ -145,8 +145,8 @@ class QuadraticAnchor:
     def __post_init__(self):
         if self.h0.layout != self.anchor.layout:
             raise LayoutError("anchor and h0 must share one layout")
-        if self.delta < 0:
-            raise ConfigError("delta must be >= 0")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise ConfigError("delta must be finite and >= 0")
 
     @property
     def effective_diag(self) -> np.ndarray:
@@ -420,8 +420,6 @@ def _warm_start(spec: ModelSpec, cfg: TrainConfig) -> TrainConfig:
 
 def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, cfg: TrainConfig) -> Checkpoint:
     """Train a base model: summed loss plus ``(delta/2) ||theta||^2``."""
-    if delta < 0:
-        raise ConfigError("delta must be >= 0")
     anchor = QuadraticAnchor.ridge_only(spec.layout(), delta)
     theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, None))
     return Checkpoint.of(theta, meta=_meta(cfg, "anchor", delta, spec))

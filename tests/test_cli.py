@@ -8,6 +8,7 @@ import pytest
 from gradmerge import cli as cli_module
 from gradmerge import harness
 from gradmerge.cli import cli
+from gradmerge.curvature import exact_hessian_diag, fisher_diag
 from gradmerge.diagnostics import MISMATCH_TABLE_HEADER
 from gradmerge.harness import SUMMARY_HEADER, default_spec, run_pipeline
 from gradmerge.oracles import ORACLE_TABLE_HEADER
@@ -126,14 +127,20 @@ class TestParsing:
             {"train": {"seed": 5}},
             {"train": {"epochs": 100}},
             {"per_task": {"identical": True}},
+            {"alphas": "0.0:1.0:0.1"},
+            {"alphas": 0.5},
+            {"alphas": [True]},
+            {"anchor": {"source": "identity:2.0"}},
         ],
         ids=[
             "batch_size", "grad_clip_norm", "fisher_mode", "max_examples", "h0_flag",
             "delta_floor", "lr", "train_seed", "train_epochs", "identical",
+            "alpha_range_string", "alpha_number", "alpha_bool", "identity_source",
         ],
     )
     def test_removed_option_exits_one(self, tmp_path, capsys, removed):
-        # The anchor curvature source is set only by ``anchor.source``, the
+        # The anchor curvature source is set only by ``anchor.source`` (to
+        # "fisher" or "exact"), the weights only as a list of numbers, the
         # run's seed only by --seed, GRADMERGE_SEED or ``per_task.seed``,
         # and the Adam phase's length only by the top-level ``epochs``.
         argv = ["report", "--out", tmp_path / "o"]
@@ -218,10 +225,12 @@ class TestParsing:
         assert not out.exists()
 
     def test_alpha_range_past_the_point_cap_exits_one(self, tmp_path, capsys):
+        # A range string is refused as a string, whatever it would expand to.
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({"alphas": "0:1e308:1e-308"}))
         assert run_cli("sweep", "--config", config, "--out", tmp_path / "o") == 1
-        assert "ConfigError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "alphas must be a nonempty list of finite numbers" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("route", ["flag", "env", "config"])
@@ -292,11 +301,15 @@ class TestStagedWorkflow:
     def test_fisher_reads_the_anchor_source_from_the_config(self, small_config):
         config, out = small_config
         payload = json.loads(config.read_text())
-        config.write_text(json.dumps({**payload, "anchor": {"source": "identity:2.0"}}))
-        assert run_cli("train", "--config", config, "--out", out) == 0
-        assert run_cli("fisher", "--config", config, "--out", out) == 0
+        config.write_text(json.dumps({**payload, "anchor": {"source": "exact"}}))
+        assert run_cli("train", "--config", config, "--out", out, "--seed", "0") == 0
+        assert run_cli("fisher", "--config", config, "--out", out, "--seed", "0") == 0
         anchor = load_checkpoint(out / "anchor")
-        np.testing.assert_array_equal(anchor.curvature.values, [2.0, 2.0])
+        spec = harness.load_spec(config)
+        anchor_data = harness.gen_tasks(spec, 0)[0]
+        expected = exact_hessian_diag(spec.model, anchor.params, anchor_data)
+        np.testing.assert_array_equal(anchor.curvature.values, expected.values)
+        assert not np.array_equal(expected.values, fisher_diag(spec.model, anchor.params, anchor_data).values)
 
     def test_train_estimates_no_task_curvature(self, small_config, monkeypatch):
         config, out = small_config

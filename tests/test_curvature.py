@@ -156,8 +156,10 @@ class TestAnchorCurvature:
         return estimate_anchor_h0(exp, theta, data), (spec, theta, data)
 
     def test_identity(self):
-        out, _ = self.h0("identity")
-        np.testing.assert_array_equal(out.values, [1.0, 1.0, 1.0])
+        # Only the two estimators are sources; a constant diagonal is not.
+        for source in ("identity", "identity:2.0"):
+            with pytest.raises(ConfigError, match="anchor.source"):
+                AnchorConfig(source=source)
 
     def test_identity_zero_scale_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,7 +9,6 @@ import pytest
 from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError, MissingCurvatureError
 from gradmerge.harness import (
     ADDITION_METHODS,
-    MAX_ALPHA_POINTS,
     REMOVAL_METHODS,
     SUMMARY_HEADER,
     AnchorConfig,
@@ -23,7 +22,6 @@ from gradmerge.harness import (
     load_spec,
     merge_checkpoints,
     parse_alphas,
-    parse_h0_source,
     resolve_seed,
     run_addition,
     run_pipeline,
@@ -83,48 +81,43 @@ def sweep(default_state):
 
 class TestParseAlphas:
     def test_range_string_is_inclusive_and_clean(self):
-        grid = parse_alphas("0.0:1.0:0.1")
+        # The default grid is the clean 0.0, 0.1, ..., 1.0 (0.3, not
+        # 0.1 * 3 == 0.30000000000000004); a range string is refused.
+        grid = ExperimentSpec().alphas
         assert grid == tuple(round(0.1 * i, 12) for i in range(11))
         assert 0.3 in grid and 1.0 in grid
+        with pytest.raises(ConfigError, match="list of finite numbers"):
+            parse_alphas("0.0:1.0:0.1")
 
     def test_single_number_and_sequence(self):
-        assert parse_alphas(0.5) == (0.5,)
+        with pytest.raises(ConfigError, match="list of finite numbers"):
+            parse_alphas(0.5)
         assert parse_alphas([1, 0.25]) == (1.0, 0.25)
+        assert parse_alphas(np.array([0.5, 1.0])) == (0.5, 1.0)
 
     def test_duplicates_survive(self):
         assert parse_alphas([0.5, 0.5]) == (0.5, 0.5)
 
     @pytest.mark.parametrize(
         "bad",
-        ["0:1", "0:1:0", "1:0:0.1", "a:b:c", [], [float("nan")], object()],
+        # float() would read the last two as (1.0, 0.5) and (0.5, 1.0).
+        ["0:1", "0:1:0", "1:0:0.1", "a:b:c", [], [float("nan")], object(), [True, 0.5], ["0.5", 1]],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_alphas(bad)
 
-    @pytest.mark.parametrize("huge", ["0:1e308:1e-308", "0:1:1e-300"], ids=["overflow", "1e300_points"])
-    def test_refuses_a_range_past_the_point_cap(self, huge):
-        # An infinite point count, and a finite one far too large to build.
-        with pytest.raises(ConfigError, match="points"):
-            parse_alphas(huge)
-
-    def test_point_cap_admits_exactly_its_count(self):
-        assert len(parse_alphas(f"0:{MAX_ALPHA_POINTS - 1}:1")) == MAX_ALPHA_POINTS
-        with pytest.raises(ConfigError, match="points"):
-            parse_alphas(f"0:{MAX_ALPHA_POINTS}:1")
-
 
 class TestParseH0Source:
-    def test_known_sources_normalize(self):
-        assert parse_h0_source("fisher") == "fisher"
-        assert parse_h0_source("exact") == "exact"
-        assert parse_h0_source("identity") == "identity:1.0"
-        assert parse_h0_source("identity:2.5") == "identity:2.5"
+    """The anchor source is parsed where :class:`AnchorConfig` is built: it
+    is "fisher" or "exact", the two estimators ``curvature`` names."""
 
     @pytest.mark.parametrize("bad", ["identity:0", "identity:x", "hessian", 3])
     def test_rejects_bad_sources(self, bad):
         with pytest.raises(ConfigError):
-            parse_h0_source(bad)
+            AnchorConfig(source=bad)
+        with pytest.raises(ConfigError):
+            ExperimentSpec.from_dict({"anchor": {"source": bad}})
 
 
 class TestExperimentSpec:
@@ -142,7 +135,7 @@ class TestExperimentSpec:
                 "per_task": {"n_train": 30, "n_test": 10, "noise": 0.1},
                 "anchor": {"source": "exact", "delta": 0.5},
                 "methods": ["ta"],
-                "alphas": "0.5:1.0:0.25",
+                "alphas": [0.5, 0.75, 1.0],
             }
         )
         assert spec.model.n_features == 4
@@ -191,7 +184,7 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match="^am does not accept negative task weights$"):
             ExperimentSpec.from_dict({"alphas": [-1.0, 0.5]})
         with pytest.raises(ConfigError, match="^ties does not accept"):
-            ExperimentSpec(methods=("ta", "ties", "fa"), alphas="-1.0:0.0:0.5")
+            ExperimentSpec(methods=("ta", "ties", "fa"), alphas=(-1.0, -0.5, 0.0))
         assert ExperimentSpec(methods=("ta", "ours"), alphas=(-1.0, 0.5)).alphas == (-1.0, 0.5)
 
     def test_rejects_exact_curvature_for_mlp(self):
@@ -242,6 +235,16 @@ class TestResolveSeed:
         monkeypatch.setenv("GRADMERGE_SEED", "11")
         assert resolve_seed(spec) == 11
         assert resolve_seed(spec, 3) == 3
+        assert resolve_seed(spec, np.int64(3)) == 3
+
+    @pytest.mark.parametrize("override", [2.7, True, "3", 3.0], ids=["fraction", "bool", "string", "integral_float"])
+    def test_override_must_be_an_integer(self, monkeypatch, override):
+        # int() would truncate or convert each of these: 2.7 would train at seed 2.
+        monkeypatch.delenv("GRADMERGE_SEED", raising=False)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            resolve_seed(small_spec(), override)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_pipeline(small_spec(), seed=override)
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("GRADMERGE_SEED", "eleven")
@@ -320,13 +323,6 @@ class TestRunPipeline:
             assert ck.curvature is not None
             assert ck.anchor_id == "anchor"
         assert default_state.quad.delta == spec.anchor.delta
-
-    def test_identity_source_gives_constant_diagonal(self):
-        spec = small_spec(anchor=AnchorConfig(source="identity:2.0", delta=0.1))
-        state = run_pipeline(spec, seed=0)
-        np.testing.assert_array_equal(
-            state.anchor.curvature.values, np.full(spec.model.layout().total_len, 2.0)
-        )
 
     def test_fits_take_epochs_from_the_spec_and_seeds_from_the_run(self):
         # The run's seed is the one seed source: the anchor trains at it,

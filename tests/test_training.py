@@ -159,6 +159,18 @@ class TestTrainAnchor:
         b = train_anchor(spec, data, delta=0.1, cfg=CFG)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_bad_delta_refused_before_training(self, monkeypatch, delta):
+        # QuadraticAnchor holds the one delta rule; a non-finite delta that
+        # reached training would fail late, as NumericError on an overflowed loss.
+        monkeypatch.setattr(training, "_fit", lambda *args: pytest.fail("trained before delta was checked"))
+        spec = ModelSpec("logistic", 1)
+        data = data_1d([-1.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
+            train_anchor(spec, data, delta, TrainConfig())
+        with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
+            QuadraticAnchor(ParamVector.zeros(spec.layout()), DiagCurvature.zeros(spec.layout()), delta)
+
     def test_meta_records_provenance(self):
         ckpt = train_anchor(LIN1, data_1d([1.0], [2.0]), delta=1.0, cfg=CFG)
         assert ckpt.meta["objective"] == "anchor"
@@ -190,7 +202,7 @@ class TestFinetune:
         data = random_linear(3)
         anchor = QuadraticAnchor(
             ParamVector(layout, [1.0, -1.0, 0.5, 0.0]),
-            DiagCurvature.constant(layout, 1e6),
+            DiagCurvature(layout, np.full(layout.total_len, 1e6)),
         )
         ckpt = finetune_task(spec, data, anchor, CFG)
         assert np.linalg.norm(ckpt.params.values - anchor.anchor.values) < 1e-3
@@ -205,7 +217,7 @@ class TestFinetune:
         data = TaskDataset("c", X, y)
         layout = spec.layout()
         anchor = QuadraticAnchor(
-            ParamVector(layout, [0.2, -0.1]), DiagCurvature.constant(layout, 2.0)
+            ParamVector(layout, [0.2, -0.1]), DiagCurvature(layout, np.full(layout.total_len, 2.0))
         )
         ckpt = finetune_task(spec, data, anchor, CFG, anchor_id="base")
         lhs = anchor.effective_diag * (ckpt.params.values - anchor.anchor.values)
@@ -219,7 +231,7 @@ class TestJointTarget:
         data = random_linear(4)
         spec = ModelSpec("linear_regression", 4)
         layout = spec.layout()
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 1.0))
+        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
         joint = train_joint_target(spec, [data], [1.0], anchor, CFG)
         single = finetune_task(spec, data, anchor, CFG)
         np.testing.assert_allclose(joint.params.values, single.params.values, atol=1e-5)
@@ -228,7 +240,7 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 3)
         layout = spec.layout()
         datasets = [random_linear(s, n=20, d=3) for s in (5, 6)]
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 1.0))
+        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
         joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, CFG)
         exact = closed_form_solve(datasets, [1.0, 1.0], anchor)
         np.testing.assert_array_equal(joint.params.values, exact.values)
@@ -237,7 +249,7 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 3)
         layout = spec.layout()
         anchor = QuadraticAnchor(
-            ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature.constant(layout, 1.0)
+            ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature(layout, np.full(layout.total_len, 1.0))
         )
         joint = train_joint_target(
             spec, [random_linear(8, d=3)], [0.0], anchor, CFG
@@ -261,7 +273,7 @@ class TestJointTarget:
             X = rng.standard_normal((40, 2))
             y = (X @ rng.standard_normal(2) > 0).astype(float)
             datasets.append(TaskDataset(f"t{t}", X, y))
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature.constant(layout, 0.5))
+        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 0.5)))
         alphas = [1.0, 1.0, 1.0]
         joint = train_joint_target(spec, datasets, alphas, anchor, CFG)
         value = anchored_objective(spec, datasets, alphas, anchor, joint.params)
@@ -505,7 +517,7 @@ class TestConvexFitsIgnoreAdam:
         base = train_anchor(spec, data, delta=0.3, cfg=CFG).params
         other = train_anchor(spec, data, delta=0.3, cfg=cfg).params
         np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
-        anchor = QuadraticAnchor(base, DiagCurvature.constant(spec.layout(), 2.0), 0.3)
+        anchor = QuadraticAnchor(base, DiagCurvature(base.layout, np.full(base.layout.total_len, 2.0)), 0.3)
         task = classification(22, n=40)
         tuned = finetune_task(spec, task, anchor, CFG).params
         retuned = finetune_task(spec, task, anchor, cfg).params
@@ -553,7 +565,7 @@ class TestFitCost:
     SETS = [classification(30, n=40), classification(31, n=24)]
     ANCHOR = QuadraticAnchor(
         ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
-        DiagCurvature.constant(MLP2.layout(), 0.5),
+        DiagCurvature(MLP2.layout(), np.full(MLP2.layout().total_len, 0.5)),
         0.1,
     )
 
