@@ -15,15 +15,8 @@ come out of it:
    addition falls off past its optimum.
 """
 
-from gradmerge import (
-    build_diagnostic_fixture,
-    default_spec,
-    merge,
-    mismatch_report,
-    run_addition,
-    run_pipeline,
-    sweep_alpha,
-)
+from gradmerge import default_spec, mismatch_report, run_addition, run_pipeline, sweep_alpha
+from gradmerge.harness import fixture_from_state
 
 spec = default_spec()
 seed = 0
@@ -40,10 +33,11 @@ for label in list(spec.methods) + ["all-data", "anchor"]:
     print(f"  {label:>8}: {outcome.avg:.3f}")
 
 # --- 2. gradient mismatch vs the joint target -----------------------------
-fixture = build_diagnostic_fixture(spec, seed, state=state)
+# Score the merges and the joint target that run_addition already made.
+fixture = fixture_from_state(state, result.target.params, 1.0)
 print("\ntotal gradient-mismatch norm vs the joint target:")
 for method in ("ta", "ours"):
-    report = mismatch_report(fixture, merge(method, fixture.merge_inputs()))
+    report = mismatch_report(fixture, result.outcomes[method].params)
     print(
         f"  {method:>8}: mismatch {report.total_weighted_norm:8.2f}"
         f"   parameter error {report.error_norm:.3f}"

@@ -51,13 +51,13 @@ from .harness import (  # noqa: F401
     with_task_curvature,
     write_text,
 )
-from .merging import ADDITION_METHODS, CURVATURE_METHODS, merged_checkpoint
+from .merging import ADDITION_METHODS, CURVATURE_METHODS, merge, merged_checkpoint
 from .models import save_dataset
 from .oracles import oracle_summary, oracle_table_csv, run_oracle_suite
 from .params import Checkpoint, load_checkpoint, save_checkpoint
 from .training import task_weight
 
-__all__ = ["cli", "main", "build_parser"]
+__all__ = ["cli", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,7 +175,7 @@ def _cmd_remove(args, spec, seed, out) -> int:
 def _cmd_diagnose(args, spec, seed, out) -> int:
     out = output_dir(out)
     fixture = build_diagnostic_fixture(spec, seed, alpha=args.alpha)
-    rows = mismatch_vs_error_table(list(spec.methods), [fixture])
+    rows = mismatch_vs_error_table(fixture, {m: merge(m, fixture.merge_inputs()) for m in spec.methods})
     write_text(out / "report.csv", mismatch_table_csv(rows))
     print(f"wrote {len(rows)} diagnostic rows to {out / 'report.csv'}")
     return 0
@@ -204,7 +204,7 @@ def _cmd_report(args, spec, seed, out) -> int:
     state = run_pipeline(spec, seed)
     result = run_addition(spec, out, seed, alpha=args.alpha, state=state)
     fixture = fixture_from_state(state, result.target.params, args.alpha)
-    rows = mismatch_vs_error_table(list(spec.methods), [fixture])
+    rows = mismatch_vs_error_table(fixture, {m: result.outcomes[m].params for m in spec.methods})
     write_text(out / "report.csv", mismatch_table_csv(rows))
     for label in list(spec.methods) + ["all-data", "anchor"]:
         outcome = result.outcomes[label]

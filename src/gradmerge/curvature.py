@@ -28,7 +28,6 @@ from .models import ModelSpec, TaskDataset, _check_inputs, _sigmoid, per_example
 from .params import DiagCurvature, ParamVector
 
 __all__ = [
-    "FISHER_FLOOR",
     "fisher_diag",
     "exact_hessian_diag",
 ]

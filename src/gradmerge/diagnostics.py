@@ -7,8 +7,10 @@ module computes those differences, checks the rewriting numerically, and
 tabulates how well the gradient-difference norm tracks actual test-loss
 degradation across merge methods.
 
-Everything here is evaluation-only: targets and task models must be
-supplied by the caller, and no function trains anything.
+A candidate is one merged parameter vector, scored against a fixture's
+target; the caller merges it, so the table scores the very merges a
+protocol evaluated.  Everything here is evaluation-only: nothing merges
+or trains.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, SingularCurvatureError
-from .merging import MergeInputs, merge
+from .merging import MergeInputs
 from .models import ModelSpec, TaskDataset, grad, loss
 from .params import Checkpoint, ParamVector
 from .training import QuadraticAnchor
@@ -27,14 +29,10 @@ __all__ = [
     "MismatchReport",
     "MismatchRow",
     "DiagnosticFixture",
-    "gradient_mismatch",
     "verify_identity",
-    "identity_residual_bound",
-    "test_loss_delta",
     "mismatch_report",
     "mismatch_vs_error_table",
     "mismatch_table_csv",
-    "MISMATCH_TABLE_HEADER",
 ]
 
 #: Column order of the diagnostic table CSV.
@@ -193,37 +191,12 @@ def identity_residual_bound(
     return total / h_min
 
 
-def test_loss_delta(
-    spec: ModelSpec, target: ParamVector, merged: ParamVector, test_data: TaskDataset
-) -> tuple[float, float]:
-    """Held-out loss gap between target and merged, exact and linearized.
-
-    Returns ``(loss(target) - loss(merged), grad(merged)^T (target -
-    merged))``; the second is the first-order estimate of the first and
-    the two agree when the models are close.
-    """
-    exact = loss(spec, target, test_data) - loss(spec, merged, test_data)
-    g = grad(spec, merged, test_data)
-    first_order = float(g.values @ (target.values - merged.values))
-    return float(exact), first_order
-
-
-def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> MismatchReport:
-    """Score one merged candidate against the fixture's target."""
-    return _mismatch_report(fixture, merged, _identity_residual(fixture))
-
-
-def _identity_residual(fixture: DiagnosticFixture) -> float:
-    """:func:`verify_identity` on the fixture's tasks: one value per fixture, whatever the merge."""
-    tasks = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
-    return verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec)
-
-
-def _mismatch_report(fixture: DiagnosticFixture, merged: ParamVector, residual: float) -> MismatchReport:
+def _score(fixture: DiagnosticFixture, residual: float, target_grads: list[ParamVector], merged: ParamVector) -> MismatchReport:
+    """Report for one candidate, given the target's gradient on each training split."""
     per_task = []
     total = 0.0
-    for alpha, _, train, _ in fixture.tasks:
-        mm = gradient_mismatch(fixture.spec, fixture.target, merged, train)
+    for (alpha, _, train, _), g_target in zip(fixture.tasks, target_grads):
+        mm = ParamVector(fixture.target.layout, g_target.values - grad(fixture.spec, merged, train).values)
         norm = float(np.linalg.norm(mm.values))
         per_task.append((train.task_id, norm))
         total += abs(float(alpha)) * norm
@@ -235,35 +208,47 @@ def _mismatch_report(fixture: DiagnosticFixture, merged: ParamVector, residual: 
     )
 
 
-def mismatch_vs_error_table(methods: list[str], fixtures: list[DiagnosticFixture]) -> list[MismatchRow]:
-    """Flat per-(method, fixture, task) table of mismatch vs actual error.
+def _target_side(fixture: DiagnosticFixture) -> tuple[float, list[ParamVector]]:
+    """The fixture's identity residual and the target's gradient on each training split."""
+    tasks = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
+    residual = verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec)
+    return residual, [grad(fixture.spec, fixture.target, train) for _, _, train in tasks]
 
-    Rows come out in deterministic method-major, fixture-minor, task
-    order; an empty fixture list yields an empty table.  Each fixture's
-    identity residual is computed once, at its first merge.
+
+def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> MismatchReport:
+    """Score one merged candidate against the fixture's target."""
+    return _score(fixture, *_target_side(fixture), merged)
+
+
+def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, ParamVector]) -> list[MismatchRow]:
+    """Per-(candidate, task) table of gradient mismatch vs actual error.
+
+    ``candidates`` maps each method name to its merged parameters, and
+    rows come out in that order, then in task order.  The target side
+    (the identity residual, the target's training gradients and its
+    held-out losses) is evaluated once per call.  The two loss-gap
+    columns are ``loss(target) - loss(merged)`` on each held-out split
+    and its first-order estimate ``grad(merged)^T (target - merged)``.
     """
+    spec, target = fixture.spec, fixture.target
+    residual, target_grads = _target_side(fixture)
+    target_losses = [loss(spec, target, test) for _, _, _, test in fixture.tasks]
     rows = []
-    residuals: dict[int, float] = {}
-    for method in methods:
-        for i, fixture in enumerate(fixtures):
-            merged = merge(method, fixture.merge_inputs())
-            if i not in residuals:
-                residuals[i] = _identity_residual(fixture)
-            report = _mismatch_report(fixture, merged, residuals[i])
-            for (alpha, _, train, test), (task_id, norm) in zip(fixture.tasks, report.per_task):
-                exact, first_order = test_loss_delta(fixture.spec, fixture.target, merged, test)
-                rows.append(
-                    MismatchRow(
-                        method=method,
-                        fixture=fixture.name,
-                        task_id=task_id,
-                        mismatch_l2=norm,
-                        error_l2=report.error_norm,
-                        identity_residual=report.identity_residual,
-                        test_loss_delta_exact=exact,
-                        test_loss_delta_fo=first_order,
-                    )
+    for method, merged in candidates.items():
+        report = _score(fixture, residual, target_grads, merged)
+        for (_, _, _, test), (task_id, norm), target_loss in zip(fixture.tasks, report.per_task, target_losses):
+            rows.append(
+                MismatchRow(
+                    method=method,
+                    fixture=fixture.name,
+                    task_id=task_id,
+                    mismatch_l2=norm,
+                    error_l2=report.error_norm,
+                    identity_residual=residual,
+                    test_loss_delta_exact=float(target_loss - loss(spec, merged, test)),
+                    test_loss_delta_fo=float(grad(spec, merged, test).values @ (target.values - merged.values)),
                 )
+            )
     return rows
 
 

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import exact_hessian_diag, fisher_diag
+from .diagnostics import DiagnosticFixture
 from .errors import ConfigError, IoError, LayoutError, NumericError, check_field_types
 # ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
@@ -814,10 +815,8 @@ def sweep_alpha(
     return SweepResult(state, metric, series, tuple(summary.rows))
 
 
-def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float):
+def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float) -> DiagnosticFixture:
     """Adapt a trained pipeline into a diagnostics fixture."""
-    from .diagnostics import DiagnosticFixture
-
     tasks = tuple(
         (float(alpha), ck, state.train_sets[t], state.test_sets[t])
         for t, ck in enumerate(state.tasks, start=1)
@@ -833,7 +832,7 @@ def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float):
 
 def build_diagnostic_fixture(
     spec: ExperimentSpec, seed=None, alpha: float = 1.0, state: PipelineState | None = None
-):
+) -> DiagnosticFixture:
     """Train the full pipeline plus joint target, packaged for diagnostics."""
     alpha = task_weight(alpha)
     if state is None:

@@ -67,7 +67,6 @@ from .params import Checkpoint, DiagCurvature, ParamVector
 
 __all__ = [
     "MergeInputs",
-    "TIES_KEEP",
     "merge_task_arithmetic",
     "merge_uncertainty",
     "remove_task",

@@ -61,11 +61,9 @@ from .params import ParamLayout, ParamVector
 __all__ = [
     "TaskDataset",
     "ModelSpec",
-    "MODEL_KINDS",
     "loss",
     "grad",
     "per_example_grads",
-    "fd_grad",
     "accuracy",
     "save_dataset",
 ]

@@ -40,19 +40,13 @@ __all__ = [
     "OracleResult",
     "joint_closed_form_oracle",
     "influence_oracle",
-    "map_surrogate_check",
-    "alt_removal_oracle",
     "MergeFixture",
     "RemovalFixture",
     "MapFixture",
-    "random_linear_dataset",
     "linear_merge_fixture",
-    "linear_removal_fixture",
-    "map_fixture",
     "run_oracle_suite",
     "oracle_table_csv",
     "oracle_summary",
-    "ORACLE_TABLE_HEADER",
 ]
 
 ORACLE_TABLE_HEADER = "name,status,abs_err,rel_err,tolerance"
@@ -74,8 +68,6 @@ class OracleResult:
     """
 
     name: str
-    reference: object
-    produced: object
     abs_err: float
     rel_err: float
     passed: bool
@@ -95,8 +87,6 @@ class OracleResult:
         passed = abs_err <= tolerance or rel_err <= tolerance
         return cls(
             name=name,
-            reference=reference,
-            produced=produced,
             abs_err=abs_err,
             rel_err=rel_err,
             passed=passed,

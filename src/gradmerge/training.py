@@ -68,9 +68,7 @@ __all__ = [
     "finetune_task",
     "train_joint_target",
     "task_weight",
-    "closed_form_solve",
     "adam_decoupled_minimize",
-    "stationarity_residual",
 ]
 
 #: Residual bound factor accepted by the trainers: the L2 norm of the

@@ -447,6 +447,47 @@ class TestProtocols:
         assert len(lines) == 1 + 2  # two methods x one fixture x one task
 
 
+    def test_report_scores_its_own_merges_and_evaluates_the_target_once_per_task(self, tmp_path, monkeypatch):
+        # The default spec merges 6 methods into 4 added tasks.  The table
+        # reuses run_addition's merges, and per task it takes the target's
+        # training gradient and held-out loss once; verify_identity takes
+        # 2 gradients per task.  Per candidate and task it takes 2 gradients
+        # and 1 loss.
+        from gradmerge import diagnostics, merging
+
+        counts = {"merge_grid": 0, "grad": 0, "loss": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "merge_grid", counting("merge_grid", harness.merge_grid))
+        monkeypatch.setattr(merging, "merge_grid", counting("merge_grid", merging.merge_grid))
+        monkeypatch.setattr(diagnostics, "grad", counting("grad", diagnostics.grad))
+        monkeypatch.setattr(diagnostics, "loss", counting("loss", diagnostics.loss))
+        assert run_cli("report", "--out", tmp_path / "out", "--seed", "0") == 0
+        assert counts == {"merge_grid": 6, "grad": 2 * 4 + 4 + 2 * 6 * 4, "loss": 4 + 6 * 4}
+
+    @pytest.mark.parametrize("alpha", ["0", "0.3", "1"])
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"model": {"kind": "mlp", "n_features": 2, "hidden": 16, "activation": "tanh"}, "n_tasks": 3}],
+        ids=["default", "mlp"],
+    )
+    def test_report_and_diagnose_write_the_same_table(self, tmp_path, config, alpha):
+        # Both merge at the same weight from the same anchor, curvature and
+        # task checkpoints, and train the same joint target.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        for command in ("report", "diagnose"):
+            argv = (command, "--config", path, "--out", tmp_path / command, "--seed", "1", "--alpha", alpha)
+            assert run_cli(*argv) == 0
+        assert (tmp_path / "report" / "report.csv").read_bytes() == (tmp_path / "diagnose" / "report.csv").read_bytes()
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("command", ["gen", "train", "report", "diagnose", "sweep", "remove", "oracle-check"])
     def test_out_naming_a_regular_file_exits_one(self, small_config, command, capsys):
@@ -498,7 +539,7 @@ class TestOracleCheck:
         from gradmerge import cli as cli_module
         from gradmerge.oracles import OracleResult
 
-        fake = [OracleResult("forced-fail", 1.0, 2.0, 1.0, 1.0, False, 1e-9)]
+        fake = [OracleResult("forced-fail", 1.0, 1.0, False, 1e-9)]
         monkeypatch.setattr(cli_module, "run_oracle_suite", lambda **kw: fake)
         assert run_cli("oracle-check") == 2
         assert "FAIL" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for gradient-difference diagnostics and the mismatch/error table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,10 +18,9 @@ from gradmerge.diagnostics import (
     mismatch_vs_error_table,
     verify_identity,
 )
-from gradmerge.diagnostics import test_loss_delta as loss_delta
-from gradmerge.errors import ConfigError, LayoutError, SingularCurvatureError
+from gradmerge.errors import ConfigError, LayoutError, NumericError, SingularCurvatureError
 from gradmerge.merging import merge
-from gradmerge.models import ModelSpec, TaskDataset, grad, loss
+from gradmerge.models import ModelSpec, TaskDataset, grad
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 from gradmerge.training import (
     QuadraticAnchor,
@@ -306,42 +307,69 @@ class TestIdentityResidualBound:
 
 
 class TestTestLossDelta:
+    """The table's held-out loss-gap columns: ``test_loss_delta_exact`` and ``test_loss_delta_fo``."""
+
     def test_identical_points_give_zero(self):
-        data = data_1d("d", [(1.0, 2.0), (2.0, 1.0)])
-        theta = vec([0.7])
-        assert loss_delta(LINEAR, theta, theta, data) == (0.0, 0.0)
+        fixture = linear_fixture(14)
+        rows = mismatch_vs_error_table(fixture, {"target": fixture.target})
+        assert len(rows) == len(fixture.tasks)
+        for row in rows:
+            assert (row.test_loss_delta_exact, row.test_loss_delta_fo) == (0.0, 0.0)
 
     def test_quadratic_taylor_remainder_bound(self):
         rng = np.random.default_rng(4)
-        d, n = 3, 14
-        spec = ModelSpec(kind="linear_regression", n_features=d)
-        X = orthogonal_design(rng, n, d)
-        data = TaskDataset(task_id="t", inputs=X, targets=rng.normal(size=n), seed=0)
-        h = exact_hessian_diag(spec, ParamVector.zeros(layout_of(d)), data)
-        for _ in range(10):
-            target = ParamVector(layout_of(d), rng.normal(size=d))
-            merged = ParamVector(layout_of(d), target.values + 0.1 * rng.normal(size=d))
-            exact, first_order = loss_delta(spec, target, merged, data)
-            delta = target.values - merged.values
-            remainder = abs(exact - first_order)
-            assert remainder <= 0.5 * float(delta @ delta) * float(np.max(h.values)) + 1e-12
+        fixture = linear_fixture(15, d=3, n=14)
+        target, spec, d = fixture.target, fixture.spec, fixture.target.values.size
+        candidates = {
+            f"c{i}": ParamVector(target.layout, target.values + 0.1 * rng.normal(size=d)) for i in range(10)
+        }
+        rows = mismatch_vs_error_table(fixture, candidates)
+        tests = [test for _, _, _, test in fixture.tasks] * len(candidates)
+        for row, test in zip(rows, tests, strict=True):
+            # The summed squared loss is quadratic: its gradient is affine,
+            # so unit steps read the Hessian off exactly.
+            g0 = grad(spec, ParamVector.zeros(target.layout), test).values
+            H = np.column_stack([grad(spec, ParamVector(target.layout, e), test).values - g0 for e in np.eye(d)])
+            delta = target.values - candidates[row.method].values
+            remainder = abs(row.test_loss_delta_exact - row.test_loss_delta_fo)
+            assert remainder <= 0.5 * float(delta @ delta) * float(np.max(np.linalg.eigvalsh(H))) + 1e-12
 
     def test_distant_logistic_points_stay_finite(self):
         rng = np.random.default_rng(5)
         spec = ModelSpec(kind="logistic", n_features=2)
-        data = TaskDataset(
-            task_id="t",
-            inputs=rng.normal(size=(8, 2)),
-            targets=(rng.uniform(size=8) > 0.5).astype(float),
-            seed=0,
+        layout = spec.layout()
+
+        def split(task_id):
+            inputs = rng.normal(size=(8, 2))
+            targets = (rng.uniform(size=8) > 0.5).astype(float)
+            return TaskDataset(task_id=task_id, inputs=inputs, targets=targets, seed=0)
+
+        fixture = DiagnosticFixture(
+            name="distant",
+            spec=spec,
+            anchor=QuadraticAnchor.ridge_only(layout, delta=1.0),
+            target=ParamVector(layout, [30.0, -20.0]),
+            tasks=((1.0, Checkpoint.of(ParamVector.zeros(layout)), split("t"), split("t-test")),),
         )
-        target = ParamVector(layout_of(2), [30.0, -20.0])
-        merged = ParamVector(layout_of(2), [-25.0, 15.0])
-        exact, first_order = loss_delta(spec, target, merged, data)
-        assert np.isfinite(exact) and np.isfinite(first_order)
+        (row,) = mismatch_vs_error_table(fixture, {"far": ParamVector(layout, [-25.0, 15.0])})
+        assert np.isfinite(row.test_loss_delta_exact) and np.isfinite(row.test_loss_delta_fo)
 
 
 class TestMismatchReportValidation:
+    def test_overflowing_gradient_difference_raises_numeric_error(self):
+        # Both gradients are finite (the linear gradient at x=1, y=0 is
+        # theta itself); only their difference overflows.
+        data = data_1d("d", [(1.0, 0.0)])
+        fixture = DiagnosticFixture(
+            name="overflow",
+            spec=LINEAR,
+            anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1e10),
+            target=vec([1e308]),
+            tasks=((1.0, Checkpoint.of(vec([0.0])), data, data),),
+        )
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            mismatch_report(fixture, vec([-1e308]))
+
     def test_negative_norm_rejected(self):
         with pytest.raises(ConfigError):
             MismatchReport(
@@ -352,38 +380,36 @@ class TestMismatchReportValidation:
             )
 
 
-class TestMismatchTable:
-    def test_empty_fixture_list_gives_empty_table(self):
-        rows = mismatch_vs_error_table(["ta", "ours"], [])
-        assert rows == []
-        assert mismatch_table_csv(rows) == MISMATCH_TABLE_HEADER + "\n"
+def merges(fixture, methods):
+    return {method: merge(method, fixture.merge_inputs()) for method in methods}
 
+
+class TestMismatchTable:
     def test_identical_methods_give_identical_rows(self):
         fixture = linear_fixture(6)
-        rows = mismatch_vs_error_table(["ta", "ta"], [fixture])
+        merged = merge("ta", fixture.merge_inputs())
+        rows = mismatch_vs_error_table(fixture, {"ta": merged, "ta-again": merged})
         half = len(rows) // 2
+        assert [r.method for r in rows] == ["ta"] * half + ["ta-again"] * half
         for first, second in zip(rows[:half], rows[half:]):
-            assert (first.task_id, first.mismatch_l2, first.error_l2) == (
-                second.task_id,
-                second.mismatch_l2,
-                second.error_l2,
-            )
+            assert dataclasses.replace(first, method="ta-again") == second
 
     def test_preconditioned_merge_beats_plain_increments_on_linear(self):
-        fixtures = [linear_fixture(seed) for seed in (7, 8, 9)]
-        rows = mismatch_vs_error_table(["ta", "ours"], fixtures)
-        ta = {(r.fixture, r.task_id): r for r in rows if r.method == "ta"}
-        ours = {(r.fixture, r.task_id): r for r in rows if r.method == "ours"}
-        assert ta.keys() == ours.keys()
-        for key, ours_row in ours.items():
-            assert ours_row.mismatch_l2 <= 1e-7
-            assert ours_row.error_l2 <= 1e-8
-            assert ours_row.mismatch_l2 <= ta[key].mismatch_l2
-            assert ours_row.identity_residual < 1e-8
+        for seed in (7, 8, 9):
+            fixture = linear_fixture(seed)
+            rows = mismatch_vs_error_table(fixture, merges(fixture, ["ta", "ours"]))
+            ta = {r.task_id: r for r in rows if r.method == "ta"}
+            ours = {r.task_id: r for r in rows if r.method == "ours"}
+            assert ta.keys() == ours.keys()
+            for key, ours_row in ours.items():
+                assert ours_row.mismatch_l2 <= 1e-7
+                assert ours_row.error_l2 <= 1e-8
+                assert ours_row.mismatch_l2 <= ta[key].mismatch_l2
+                assert ours_row.identity_residual < 1e-8
 
     def test_csv_rendering_shape(self):
         fixture = linear_fixture(10, T=3)
-        rows = mismatch_vs_error_table(["am", "ta"], [fixture])
+        rows = mismatch_vs_error_table(fixture, merges(fixture, ["am", "ta"]))
         text = mismatch_table_csv(rows)
         lines = text.splitlines()
         assert lines[0] == MISMATCH_TABLE_HEADER
@@ -395,18 +421,32 @@ class TestMismatchTable:
                 float(value)
 
     def test_identity_is_verified_once_per_fixture(self, monkeypatch):
-        # The identity residual depends on the fixture alone, not on the merge.
+        # The identity residual depends on the fixture alone, not on the
+        # candidate: one table call verifies it once, however many it scores.
         from gradmerge import diagnostics
 
         calls = []
         real = diagnostics.verify_identity
         monkeypatch.setattr(diagnostics, "verify_identity", lambda *args: calls.append(1) or real(*args))
         fixture = linear_fixture(13)
-        rows = mismatch_vs_error_table(["ta", "ours"], [fixture])
+        candidates = merges(fixture, ["ta", "ours"])
+        rows = mismatch_vs_error_table(fixture, candidates)
         assert len(calls) == 1
         for row in rows:
-            report = mismatch_report(fixture, merge(row.method, fixture.merge_inputs()))
+            report = mismatch_report(fixture, candidates[row.method])
             assert row.identity_residual == report.identity_residual
+
+    def test_rows_follow_candidate_order_and_match_the_report(self):
+        fixture = linear_fixture(16, T=3)
+        candidates = merges(fixture, ["ours", "am", "ta"])
+        rows = mismatch_vs_error_table(fixture, candidates)
+        task_ids = [train.task_id for _, _, train, _ in fixture.tasks]
+        assert [(r.method, r.task_id) for r in rows] == [(m, t) for m in candidates for t in task_ids]
+        for method, merged in candidates.items():
+            report = mismatch_report(fixture, merged)
+            scored = [(r.task_id, r.mismatch_l2) for r in rows if r.method == method]
+            assert tuple(scored) == report.per_task
+            assert {r.error_l2 for r in rows if r.method == method} == {report.error_norm}
 
     def test_report_matches_direct_merge(self):
         fixture = linear_fixture(12)
@@ -424,16 +464,14 @@ class TestMismatchErrorCorrelation:
         methods = ["am", "ta", "fa", "ours"]
         mismatches, gaps = [], []
         for fixture in fixtures:
-            for method in methods:
-                merged = merge(method, fixture.merge_inputs())
-                report = mismatch_report(fixture, merged)
+            candidates = merges(fixture, methods)
+            rows = mismatch_vs_error_table(fixture, candidates)
+            for method, merged in candidates.items():
                 pooled = 0.0
-                for _, _, _, test in fixture.tasks:
-                    exact, _ = loss_delta(
-                        fixture.spec, fixture.target, merged, test
-                    )
-                    pooled += exact
-                mismatches.append(report.total_weighted_norm)
+                for row in rows:
+                    if row.method == method:
+                        pooled += row.test_loss_delta_exact
+                mismatches.append(mismatch_report(fixture, merged).total_weighted_norm)
                 gaps.append(abs(pooled))
         rho = stats.spearmanr(mismatches, gaps).statistic
         assert rho > 0.0

@@ -65,8 +65,6 @@ class TestOracleResult:
         with pytest.raises(ConfigError):
             OracleResult(
                 name="x",
-                reference=0.0,
-                produced=1.0,
                 abs_err=1.0,
                 rel_err=np.inf,
                 passed=True,
