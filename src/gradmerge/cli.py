@@ -192,10 +192,11 @@ def _cmd_sweep(args, spec, seed, out) -> int:
 def _cmd_oracle_check(args, spec, seed, out) -> int:
     out = output_dir(out) if getattr(args, "out", None) is not None else None
     results = run_oracle_suite(seed=seed, n_fixtures=args.fixtures)
-    print(oracle_table_csv(results), end="")
+    table = oracle_table_csv(results)
+    print(table, end="")
     print(oracle_summary(results))
     if out is not None:
-        write_text(out / "oracle_table.csv", oracle_table_csv(results))
+        write_text(out / "oracle_table.csv", table)
     return 0 if all(r.passed for r in results) else 2
 
 

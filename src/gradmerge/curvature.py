@@ -38,8 +38,8 @@ FISHER_FLOOR = 1e-10
 
 def fisher_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Empirical Fisher diagonal: summed squared per-example gradients plus :data:`FISHER_FLOOR`."""
-    G = per_example_grads(spec, theta, data)
-    return DiagCurvature(theta.layout, (G * G).sum(axis=0) + FISHER_FLOOR)
+    G = per_example_grads(spec, theta, data)  # a fresh array, so it is squared in place
+    return DiagCurvature(theta.layout, np.square(G, out=G).sum(axis=0) + FISHER_FLOOR)
 
 
 def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:

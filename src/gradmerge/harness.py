@@ -321,23 +321,24 @@ def _direction(n_features: int, angle: float) -> np.ndarray:
     return u
 
 
-def _blob_task(rng, cfg: PerTaskConfig, d: int, mean: np.ndarray, n: int, task_id: str, seed: int) -> TaskDataset:
+def _blob_task(rng, cfg: PerTaskConfig, buf: np.ndarray, mean: np.ndarray, n: int, task_id: str, seed: int) -> TaskDataset:
     n_pos = n - n // 2
-    pos = mean + cfg.noise * rng.standard_normal((n_pos, d))
-    neg = -mean + cfg.noise * rng.standard_normal((n // 2, d))
-    inputs = np.vstack([pos, neg])
+    z = buf[:n]
+    rng.standard_normal(out=z)  # the same stream as drawing the n_pos and n // 2 rows apart
+    z *= cfg.noise
+    z[:n_pos] += mean
+    z[n_pos:] -= mean
     targets = np.concatenate([np.ones(n_pos), np.zeros(n // 2)])
     order = rng.permutation(n)
-    return TaskDataset(task_id, inputs[order], targets[order], seed)
+    return TaskDataset(task_id, z[order], targets[order], seed)
 
 
 def _planted_linear_task(rng, cfg: PerTaskConfig, theta_star: np.ndarray, n: int, task_id: str, seed: int) -> TaskDataset:
     d = theta_star.shape[0]
     q, _ = np.linalg.qr(rng.standard_normal((n, d)))
-    cols = rng.uniform(0.5, 2.0, size=d) * math.sqrt(n)
-    inputs = q * cols
-    targets = inputs @ theta_star + cfg.noise * rng.standard_normal(n)
-    return TaskDataset(task_id, inputs, targets, seed)
+    q *= rng.uniform(0.5, 2.0, size=d) * math.sqrt(n)
+    targets = q @ theta_star + cfg.noise * rng.standard_normal(n)
+    return TaskDataset(task_id, q, targets, seed)
 
 
 def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
@@ -349,6 +350,9 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     task over orthogonalized designs (the spec keeps each at least
     ``n_features`` rows tall), which keeps the squared-loss curvature
     diagonal exact.  The same spec and seed always reproduce the same list.
+
+    Blob sets draw into the first rows of one ``(max(n_train, n_test),
+    n_features)`` buffer per call and keep only its shuffled gather.
     """
     seed = resolve_seed(spec, seed)
     rng = np.random.default_rng(seed)
@@ -356,6 +360,7 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     d = spec.model.n_features
     classify = spec.model.kind != "linear_regression"
     spread = math.radians(cfg.spread_degrees)
+    buf = np.empty((max(cfg.n_train, cfg.n_test), d))
     trains: list[TaskDataset] = []
     tests: list[TaskDataset] = []
     for t in range(spec.n_tasks):
@@ -363,19 +368,13 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
         if classify:
             angle = spread * t / (spec.n_tasks - 1)
             mean = 0.5 * cfg.separation * _direction(d, angle)
-            trains.append(_blob_task(rng, cfg, d, mean, cfg.n_train, task_id, seed))
-            tests.append(_blob_task(rng, cfg, d, mean, cfg.n_test, task_id, seed))
+            trains.append(_blob_task(rng, cfg, buf, mean, cfg.n_train, task_id, seed))
+            tests.append(_blob_task(rng, cfg, buf, mean, cfg.n_test, task_id, seed))
         else:
             theta_star = rng.standard_normal(d)
             trains.append(_planted_linear_task(rng, cfg, theta_star, cfg.n_train, task_id, seed))
             tests.append(_planted_linear_task(rng, cfg, theta_star, cfg.n_test, task_id, seed))
     return trains + tests
-
-
-def _concat_datasets(sets, task_id: str) -> TaskDataset:
-    inputs = np.vstack([s.inputs for s in sets])
-    targets = np.concatenate([s.targets for s in sets])
-    return TaskDataset(task_id, inputs, targets, sets[0].seed)
 
 
 def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
@@ -728,9 +727,11 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
     removed = spec.n_tasks - 1
     out = output_dir(out_dir) if out_dir is not None else None
-    anchor, quad, tuned = train_stage(spec, seed, _concat_datasets(trains, "large"), [(removed, trains[removed])])
+    pooled = TaskDataset("large", np.vstack([s.inputs for s in trains]), np.concatenate([s.targets for s in trains]), seed)
+    anchor, quad, tuned = train_stage(spec, seed, pooled, [(removed, trains[removed])])
     (task_ck,) = with_task_curvature(spec, tuned, [trains[removed]])
-    kept = _concat_datasets(trains[:removed], "kept")
+    n_kept = pooled.n - trains[removed].n  # the retained blocks are the pooled rows before the removed one
+    kept = TaskDataset("kept", pooled.inputs[:n_kept], pooled.targets[:n_kept], pooled.seed)
     hbar_minus = estimate_task_curvature(spec, anchor.params, kept)
     h0_eff = DiagCurvature(spec.model.layout(), quad.effective_diag)
     if out is not None:

@@ -163,8 +163,15 @@ def _weighted_tasks(datasets, alphas):
 
 
 def _rows(spec, datasets, alphas):
-    """The row block ``(X, y, w)`` of ``sum_t alpha_t * L_t``: live tasks' rows, weighted by alpha."""
+    """The row block ``(X, y, w)`` of ``sum_t alpha_t * L_t``: live tasks' rows, weighted by alpha.
+
+    One live task (the anchor, a fine-tune, a retrain) gives its dataset's
+    own read-only arrays; several live tasks are stacked.
+    """
     live = _weighted_tasks(datasets, alphas)
+    if len(live) == 1:
+        ((alpha, data),) = live
+        return data.inputs, data.targets, np.full(data.n, alpha)
     # The empty pads give the block its shape when every weight is zero (a joint target at alpha 0).
     X = np.concatenate([np.zeros((0, spec.n_features))] + [data.inputs for _, data in live])
     y = np.concatenate([np.zeros(0)] + [data.targets for _, data in live])

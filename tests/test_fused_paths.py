@@ -141,6 +141,22 @@ class TestWeightedRowBlock:
         assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
         within_rounding(g, expected_grad, magnitude)
 
+    @pytest.mark.parametrize("spec", CASES[:3], ids=IDS[:3])
+    def test_one_live_task_reads_the_dataset_without_copying(self, spec):
+        # The anchor, a fine-tune or a retrain fits one dataset: its block is
+        # that dataset's own read-only arrays.  Several live tasks stack.
+        (_, first), (_, second) = random_pair(spec, 0), random_pair(spec, 1, n=7)
+        for datasets, alphas in (([first], [1.0]), ([second, first], [0.0, 0.5])):
+            X, y, w = training._rows(spec, datasets, alphas)
+            assert np.shares_memory(X, first.inputs) and np.shares_memory(y, first.targets)
+            np.testing.assert_array_equal(w, np.full(first.n, alphas[-1]))
+        X, y, w = training._rows(spec, [first, second], [1.0, 2.0])
+        assert not np.shares_memory(X, first.inputs) and not np.shares_memory(y, first.targets)
+        np.testing.assert_array_equal(X, np.vstack([first.inputs, second.inputs]))
+        np.testing.assert_array_equal(w, np.r_[np.full(first.n, 1.0), np.full(second.n, 2.0)])
+        X, y, w = training._rows(spec, [first, second], [0.0, 0.0])
+        assert X.shape == (0, spec.n_features) and y.shape == w.shape == (0,)
+
     @pytest.mark.parametrize("n_features,hidden", [(3, 5), (1, 1)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_summed_mlp_gradient_equals_per_example_column_sums(self, n_features, hidden, seed):
@@ -245,6 +261,9 @@ class TestFisherReduction:
         for g in per_example_grads(spec, theta, data):
             sq += g * g
         np.testing.assert_array_equal(fisher_diag(spec, theta, data).values, sq + FISHER_FLOOR)
+        # Squaring the fresh gradient matrix in place gives the products of ``G * G``.
+        G = per_example_grads(spec, theta, data)
+        np.testing.assert_array_equal(fisher_diag(spec, theta, data).values, (G * G).sum(axis=0) + FISHER_FLOOR)
 
 
 def test_model_layout_is_cached_without_changing_equality():

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gradmerge import harness
 from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError, MissingCurvatureError
 from gradmerge.harness import (
     ADDITION_METHODS,
@@ -252,7 +255,86 @@ class TestResolveSeed:
             resolve_seed(small_spec())
 
 
+def reference_gen_tasks(spec, seed):
+    """The generator as first written, one fresh array per step: the stream ``gen_tasks`` must keep."""
+    rng = np.random.default_rng(seed)
+    cfg, d = spec.per_task, spec.model.n_features
+    trains, tests = [], []
+    for t in range(spec.n_tasks):
+        if spec.model.kind == "linear_regression":
+            theta_star = rng.standard_normal(d)
+            for n, sets in ((cfg.n_train, trains), (cfg.n_test, tests)):
+                q, _ = np.linalg.qr(rng.standard_normal((n, d)))
+                cols = rng.uniform(0.5, 2.0, size=d) * math.sqrt(n)
+                inputs = q * cols
+                sets.append((inputs, inputs @ theta_star + cfg.noise * rng.standard_normal(n)))
+            continue
+        angle = math.radians(cfg.spread_degrees) * t / (spec.n_tasks - 1)
+        u = np.zeros(d)
+        if d == 1:
+            u[0] = 1.0
+        else:
+            u[:2] = math.cos(angle), math.sin(angle)
+        mean = 0.5 * cfg.separation * u
+        for n, sets in ((cfg.n_train, trains), (cfg.n_test, tests)):
+            pos = mean + cfg.noise * rng.standard_normal((n - n // 2, d))
+            neg = -mean + cfg.noise * rng.standard_normal((n // 2, d))
+            inputs = np.vstack([pos, neg])
+            targets = np.concatenate([np.ones(n - n // 2), np.zeros(n // 2)])
+            order = rng.permutation(n)
+            sets.append((inputs[order], targets[order]))
+    return trains + tests
+
+
+#: perfbench's mlp-report config.
+MLP_REPORT_CONFIG = {
+    "name": "mlp-report",
+    "model": {"kind": "mlp", "n_features": 2, "hidden": 16, "activation": "tanh"},
+    "loss": "logistic_nll",
+    "n_tasks": 5,
+    "per_task": {"n_train": 500, "n_test": 500},
+    "curvature": "fisher",
+}
+
+STREAM_CASES = {
+    "default-0": (default_spec(), 0),
+    "default-1": (default_spec(), 1),
+    "default-2": (default_spec(), 2),
+    "removal": (default_removal_spec(), 0),
+    "mlp-report": (ExperimentSpec.from_dict(MLP_REPORT_CONFIG), 3),
+    "linear": (linear_spec(), 0),
+    "odd-rows": (small_spec(per_task=PerTaskConfig(n_train=7, n_test=5)), 4),
+    "one-row": (small_spec(per_task=PerTaskConfig(n_train=1, n_test=1)), 5),
+    "d64": (small_spec(model=ModelSpec("logistic", 64), per_task=PerTaskConfig(n_train=101, n_test=101)), 6),
+}
+
+
 class TestGenTasks:
+    @pytest.mark.parametrize("spec,seed", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+    def test_arrays_match_the_reference_generator_bitwise(self, spec, seed):
+        # Blobs draw into one reused buffer with ``standard_normal(out=...)``
+        # and shift it in place; the draws and the arithmetic must stay those
+        # of fresh per-class arrays.
+        sets = gen_tasks(spec, seed)
+        expected = reference_gen_tasks(spec, seed)
+        assert len(sets) == len(expected) == 2 * spec.n_tasks
+        for ds, (inputs, targets) in zip(sets, expected):
+            assert ds.seed == seed
+            assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.targets, targets)
+
+    def test_a_call_holds_one_draw_buffer_beyond_what_it_returns(self):
+        spec = small_spec(n_tasks=4, model=ModelSpec("logistic", 32), per_task=PerTaskConfig(n_train=2000, n_test=500))
+        gen_tasks(spec, 0)  # first-call allocations (generator set-up) are not the data path's
+        tracemalloc.start()
+        try:
+            sets = gen_tasks(spec, 0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(ds.inputs.nbytes for ds in sets)
+        # The buffer is one largest input; separate class arrays and a stacked copy cost about twice that.
+        assert peak - current <= 1.25 * largest, (peak - current) / largest
+
     def test_same_spec_twice_identical(self):
         spec = small_spec()
         a, b = gen_tasks(spec), gen_tasks(spec)
@@ -454,6 +536,31 @@ class TestRunRemoval:
             run_removal(default_removal_spec().__class__(
                 name="one", n_tasks=1, methods=REMOVAL_METHODS, alphas=(1.0,)
             ), seed=0)
+
+    def test_retained_blocks_are_a_view_of_the_pooled_data(self, monkeypatch):
+        # The anchor trains on the pooled blocks; the retrain and its
+        # curvature read the retained ones, which are the pooled rows before
+        # the removed block, without a second copy.
+        seen = {}
+        stage, curvature = harness.train_stage, harness.estimate_task_curvature
+
+        def capture_stage(spec, seed, anchor_data, blocks):
+            seen["pooled"] = anchor_data
+            return stage(spec, seed, anchor_data, blocks)
+
+        def capture_curvature(spec, theta, data):
+            seen[data.task_id] = data
+            return curvature(spec, theta, data)
+
+        monkeypatch.setattr(harness, "train_stage", capture_stage)
+        monkeypatch.setattr(harness, "estimate_task_curvature", capture_curvature)
+        spec = default_removal_spec()
+        run_removal(spec, seed=0)
+        pooled, kept = seen["pooled"], seen["kept"]
+        assert np.shares_memory(kept.inputs, pooled.inputs) and np.shares_memory(kept.targets, pooled.targets)
+        trains = gen_tasks(spec, 0)[: spec.n_tasks - 1]
+        np.testing.assert_array_equal(kept.inputs, np.vstack([ds.inputs for ds in trains]))
+        np.testing.assert_array_equal(kept.targets, np.concatenate([ds.targets for ds in trains]))
 
     def test_writes_summary_with_distance_rows(self, tmp_path):
         res = run_removal(default_removal_spec(), out_dir=tmp_path, seed=0)
