@@ -35,7 +35,7 @@ linear = dataclasses.replace(
     model=ModelSpec("linear_regression", 3),
     loss="squared_error",
     per_task=PerTaskConfig(n_train=60, n_test=40, noise=0.3, seed=0),
-    anchor=AnchorConfig(source="exact", delta=0.5),
+    anchor=AnchorConfig(delta=0.5),
 )
 result = run_removal(linear, out_dir="demo_out_removal_linear", seed=0)
 print("\nsame protocol on linear regression (quadratic loss):")

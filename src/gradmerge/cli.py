@@ -7,10 +7,11 @@ curvature diagonals to them, ``merge`` applies one catalog method, and
 run the higher-level protocols.  Everything an experiment needs lives in
 one JSON config (see :class:`gradmerge.harness.ExperimentSpec`); the
 flags ``--seed``, ``--out``, and ``--config`` are accepted by every
-subcommand, and the anchor curvature source is set only by the config's
-``anchor.source``.  :func:`cli` builds the spec (the removal default for
-``remove``), checks a protocol's method kind, and resolves the seed and
-``--out`` once, before any handler runs: a refused config writes nothing.
+subcommand, and the curvature estimator, one for the anchor and the
+tasks alike, is set only by the config's ``curvature``.  :func:`cli`
+builds the spec (the removal default for ``remove``), checks a
+protocol's method kind, and resolves the seed and ``--out`` once, before
+any handler runs: a refused config writes nothing.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numeric
 failures (including a failing oracle suite).
@@ -39,7 +40,6 @@ from .harness import (  # noqa: F401
     fixture_from_state,
     gen_tasks,
     load_spec,
-    merge_checkpoints,
     output_dir,
     resolve_seed,
     run_addition,
@@ -51,7 +51,7 @@ from .harness import (  # noqa: F401
     with_task_curvature,
     write_text,
 )
-from .merging import ADDITION_METHODS, CURVATURE_METHODS, merge, merged_checkpoint
+from .merging import ADDITION_METHODS, CURVATURE_METHODS, MergeInputs, merge, merged_checkpoint
 from .models import save_dataset
 from .oracles import oracle_summary, oracle_table_csv, run_oracle_suite
 from .params import Checkpoint, load_checkpoint, save_checkpoint
@@ -125,7 +125,7 @@ def _cmd_train(args, spec, seed, out) -> int:
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     # The anchor is written without its penalty diagonal: ``fisher``
-    # estimates it, from the config's ``anchor.source``.
+    # estimates it, with the config's ``curvature`` estimator.
     save_run(out, Checkpoint.of(anchor.params, None, anchor.anchor_id, anchor.meta), tasks)
     print(f"wrote anchor and {len(tasks)} task checkpoints to {out}")
     return 0
@@ -152,7 +152,7 @@ def _cmd_merge(args, spec, seed, out) -> int:
                     f"checkpoint {str(out / stem)!r} has no curvature diagonal; "
                     "run the fisher step first"
                 )
-    params = merge_checkpoints(anchor, tasks, spec.anchor.delta, args.method, args.alpha)
+    params = merge(args.method, MergeInputs(anchor, tuple((args.alpha, ck) for ck in tasks), spec.anchor.delta))
     merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks), anchor.anchor_id)
     save_checkpoint(merged, out / f"merged-{args.method}")
     eval_sets = gen_tasks(spec, seed)[spec.n_tasks + 1 :]

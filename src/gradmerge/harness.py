@@ -31,7 +31,7 @@ import numpy as np
 from .curvature import exact_hessian_diag, fisher_diag
 from .diagnostics import DiagnosticFixture
 from .errors import ConfigError, IoError, LayoutError, NumericError, check_field_types
-# ``merge``, ``accuracy`` and ``loss`` are unused here but stay importable:
+# ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
 from .merging import (  # noqa: F401
     ADDITION_METHODS,
@@ -47,7 +47,6 @@ from .models import ModelSpec, TaskDataset, _check_data, _forward, _losses, accu
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     QuadraticAnchor,
-    TrainConfig,
     finetune_task,
     task_weight,
     train_anchor,
@@ -76,7 +75,6 @@ __all__ = [
     "evaluate_params",
     "estimate_anchor_h0",
     "estimate_task_curvature",
-    "merge_checkpoints",
     "AdditionResult",
     "run_addition",
     "RemovalResult",
@@ -99,7 +97,7 @@ HARNESS_METHODS = ADDITION_METHODS + REMOVAL_METHODS
 #: Column order of summary.csv rows.
 SUMMARY_HEADER = "method,alpha,task,metric,value"
 
-#: The curvature diagonals that ``anchor.source`` and ``curvature`` may name.
+#: The curvature diagonals that ``curvature`` may name.
 CURVATURE_SOURCES = ("fisher", "exact")
 
 
@@ -150,19 +148,12 @@ class PerTaskConfig:
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    """Where the anchor penalty diagonal comes from, plus ridge strength.
+    """The anchor penalty's ridge strength ``delta``, finite and >= 0."""
 
-    ``source`` is "fisher" or "exact", the estimators ``curvature`` picks
-    from; ``delta`` is finite and >= 0.
-    """
-
-    source: str = "fisher"
     delta: float = 0.1
 
     def __post_init__(self):
         check_field_types(self)
-        if self.source not in CURVATURE_SOURCES:
-            raise ConfigError(f"anchor.source must be one of {CURVATURE_SOURCES}, got {self.source!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ConfigError(f"anchor delta must be finite and >= 0, got {self.delta!r}")
 
@@ -174,18 +165,14 @@ class ExperimentSpec:
     ``methods`` may mix the addition catalog with the two removal
     methods, but each protocol accepts only its own kind.  ``loss`` must
     name the model kind's own loss (``model.loss``); it stays a key so
-    that existing configs load.  ``curvature`` picks the per-task
-    diagonal estimator ("fisher" or "exact"); ``anchor.source`` picks the
-    anchor's from the same two.  MLPs have no exact Hessian diagonal, so
-    they take "fisher" for both.  A linear_regression task needs
-    ``n_train`` and ``n_test`` of at least ``model.n_features``.
-    ``alphas`` is a nonempty list of finite numbers (by default 0.0, 0.1,
-    ..., 1.0); it may hold negative weights only if no method reads them
-    as mixture masses (``am``, ``wam``, ``fa``, ``ties``).  ``epochs`` is the
-    length of the Adam phase of the MLP fits that start from a random init
-    (the anchor and the removal retrain); the fine-tunes and the joint
-    target start at the anchor and run at most
-    :data:`~gradmerge.training.WARM_START_EPOCHS` (50) of them.
+    that existing configs load.  ``curvature`` picks the one diagonal
+    estimator ("fisher" or "exact") for the anchor penalty ``h0`` and for
+    every task.  MLPs have no exact Hessian diagonal, so they take
+    "fisher".  A linear_regression task needs ``n_train`` and ``n_test``
+    of at least ``model.n_features``.  ``alphas`` is a nonempty list of
+    finite numbers (by default 0.0, 0.1, ..., 1.0); it may hold negative
+    weights only if no method reads them as mixture masses (``am``,
+    ``wam``, ``fa``, ``ties``).
     """
 
     name: str = "default"
@@ -197,7 +184,6 @@ class ExperimentSpec:
     curvature: str = "fisher"
     methods: tuple[str, ...] = ADDITION_METHODS
     alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    epochs: int = 200
 
     def __post_init__(self):
         check_field_types(self)
@@ -207,14 +193,12 @@ class ExperimentSpec:
             raise ConfigError(f"{self.model.kind} models use the {self.model.loss} loss, not {self.loss!r}")
         if self.n_tasks < 2:  # task 0 trains the anchor; the rest are merged into it or removed from it
             raise ConfigError(f"n_tasks must be >= 2, got {self.n_tasks}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         rows, d = (self.per_task.n_train, self.per_task.n_test), self.model.n_features
         if self.model.kind == "linear_regression" and min(rows) < d:  # a planted task orthogonalizes an (n, d) design
             raise ConfigError(f"linear_regression needs n_train and n_test >= n_features ({d}), got {rows}")
         if self.curvature not in CURVATURE_SOURCES:
             raise ConfigError(f"curvature must be one of {CURVATURE_SOURCES}, got {self.curvature!r}")
-        if self.model.kind == "mlp" and "exact" in (self.curvature, self.anchor.source):
+        if self.model.kind == "mlp" and self.curvature == "exact":
             raise ConfigError("exact curvature is unavailable for mlp models; use 'fisher'")
         if self.anchor.delta == 0 and self.model.kind != "linear_regression":
             # On separable tasks a classifier's unridged loss has no minimizer.
@@ -285,7 +269,7 @@ def default_removal_spec() -> ExperimentSpec:
         name="removal",
         n_tasks=3,
         per_task=PerTaskConfig(n_train=150, n_test=200, separation=2.0, spread_degrees=90.0),
-        anchor=AnchorConfig(source="exact", delta=0.1),
+        anchor=AnchorConfig(delta=0.1),
         curvature="exact",
         methods=REMOVAL_METHODS,
         alphas=(1.0,),
@@ -377,18 +361,16 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
     return trains + tests
 
 
-def estimate_anchor_h0(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
-    """Anchor penalty diagonal per ``spec.anchor.source``."""
-    if spec.anchor.source == "exact":
-        return exact_hessian_diag(spec.model, theta, data)
-    return fisher_diag(spec.model, theta, data)
-
-
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
-    """Per-task diagonal per ``spec.curvature``."""
+    """The curvature diagonal per ``spec.curvature``, for the anchor and every task."""
     if spec.curvature == "exact":
         return exact_hessian_diag(spec.model, theta, data)
     return fisher_diag(spec.model, theta, data)
+
+
+# The anchor penalty ``h0`` comes from the same estimator.  A second name, not
+# a wrapper, so that ``perfbench/spans.py`` can wrap each call site once.
+estimate_anchor_h0 = estimate_task_curvature
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,18 +392,18 @@ def train_stage(
     """The anchored training stage that every protocol shares.
 
     Trains the anchor on ``anchor_data`` with seed ``seed``, estimates its
-    penalty diagonal ``h0`` per ``spec.anchor.source``, and fine-tunes
+    penalty diagonal ``h0`` per ``spec.curvature``, and fine-tunes
     each ``(t, data)`` of ``blocks`` under that penalty with seed ``seed +
     t``.  Returns the anchor checkpoint (carrying ``h0``), the quadratic
     penalty, and the fine-tuned checkpoints, which carry no curvature:
     :func:`with_task_curvature` is the separate step that adds it.
     """
-    base = train_anchor(spec.model, anchor_data, spec.anchor.delta, TrainConfig(spec.epochs, seed))
+    base = train_anchor(spec.model, anchor_data, spec.anchor.delta, seed)
     h0 = estimate_anchor_h0(spec, base.params, anchor_data)
     anchor = Checkpoint.of(base.params, h0, meta=base.meta)
     quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
     tuned = tuple(
-        finetune_task(spec.model, data, quad, TrainConfig(spec.epochs, seed + t), anchor_id="anchor")
+        finetune_task(spec.model, data, quad, seed + t, anchor_id="anchor")
         for t, data in blocks
     )
     return anchor, quad, tuned
@@ -564,18 +546,11 @@ def evaluate_params(
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
 
-def merge_checkpoints(anchor: Checkpoint, tasks, delta: float, method: str, alpha: float) -> ParamVector:
-    """One catalog merge with a uniform weight on every task checkpoint: the
-    one-row sweep merge, so at ``alpha == 0`` it is the anchor."""
-    inputs = MergeInputs(anchor, tuple((1.0, ck) for ck in tasks), delta)
-    return ParamVector(anchor.layout, merge_grid(method, inputs, (alpha,))[0])
-
-
 def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     """Joint-target baseline trained on every added task at one weight."""
     added = list(state.train_sets[1:])
-    cfg = TrainConfig(state.spec.epochs, state.seed + state.spec.n_tasks)
-    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, cfg, anchor_id="anchor")
+    seed = state.seed + state.spec.n_tasks
+    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, seed, anchor_id="anchor")
 
 
 def _metric_rows(outcome: MethodOutcome) -> list[str]:
@@ -679,10 +654,11 @@ def run_addition(
     if out is not None:
         save_run(out, state.anchor, state.tasks)
     eval_sets = state.test_sets[1:]
+    inputs = MergeInputs(state.anchor, tuple((alpha, ck) for ck in state.tasks), state.spec.anchor.delta)
     outcomes: dict[str, MethodOutcome] = {}
     with _Summary(out) as summary:
         for method in spec.methods:
-            params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
+            params = merge(method, inputs)
             outcomes[method] = evaluate_params(spec, method, alpha, params, eval_sets)
             if out is not None:
                 merged = merged_checkpoint(method, params, [alpha] * len(state.tasks), state.anchor.anchor_id)
@@ -737,7 +713,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
-    retrain = train_anchor(spec.model, kept, spec.anchor.delta, TrainConfig(spec.epochs, seed))
+    retrain = train_anchor(spec.model, kept, spec.anchor.delta, seed)
     outcomes: dict[str, MethodOutcome] = {}
     dists: dict[str, float] = {}
     summary = _Summary(out)

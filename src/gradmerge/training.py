@@ -21,8 +21,8 @@ damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
 delta)``.  The MLP objective is not convex, and the minimum found depends
 on the path: an MLP fit first runs Adam, with the quadratic penalty
 applied *decoupled* from the adaptive preconditioner (the AdamW
-treatment of its L2 term), for ``epochs`` steps from a random init (the
-anchor, and the removal retrain) but at most :data:`WARM_START_EPOCHS`
+treatment of its L2 term), for :data:`ADAM_EPOCHS` steps from a random
+init (the anchor, and the removal retrain) but :data:`WARM_START_EPOCHS`
 from the anchor (a fine-tune or a joint target, whose basin the anchor
 already picked; their later epochs saved Newton no work), and the same
 Newton loop then refines the point Adam reached, on the exact Hessian
@@ -46,7 +46,7 @@ gate, which goes through the public, checked ``grad``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,12 @@ from .errors import (
     DivergenceError,
     LayoutError,
     SingularSystemError,
-    check_field_types,
 )
 # ``loss`` is unused here but stays importable: ``perfbench/spans.py`` wraps it on this module.
 from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _HessianRows, _value_grad, grad, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 
 __all__ = [
-    "TrainConfig",
     "QuadraticAnchor",
     "train_anchor",
     "finetune_task",
@@ -101,35 +99,18 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-#: Most Adam epochs an MLP fit that starts at the anchor runs (a fine-tune
-#: or a joint target); fits from a random init run the full ``epochs``.
-#: From the anchor, Adam's later epochs no longer save Newton any work: over
-#: seeds 100-147 of the mlp-report config, 0/20/30/50/100/200 warm epochs
-#: took 0.366/0.264/0.268/0.274/0.310/0.383 s and 168/112/110/105/106/107
-#: Hessian builds per report (one Newton step costs 10-15 Adam epochs).
+#: Adam epochs of an MLP fit from a random init (the anchor, and the
+#: removal retrain).  Linear and logistic fits run no Adam; their
+#: checkpoint metadata records this count.
+ADAM_EPOCHS = 200
+
+#: Adam epochs of an MLP fit that starts at the anchor (a fine-tune or a
+#: joint target).  From the anchor, Adam's later epochs no longer save
+#: Newton any work: over seeds 100-147 of the mlp-report config,
+#: 0/20/30/50/100/200 warm epochs took 0.366/0.264/0.268/0.274/0.310/0.383 s
+#: and 168/112/110/105/106/107 Hessian builds per report (one Newton step
+#: costs 10-15 Adam epochs).
 WARM_START_EPOCHS = 50
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """The Adam phase's epoch count and the seed of an MLP's initial point.
-
-    Only MLP fits read them.  An MLP fit from a random init (the anchor,
-    and the removal retrain) runs ``epochs`` Adam epochs; a fine-tune and
-    a joint target, which start at the anchor, run at most
-    :data:`WARM_START_EPOCHS`, and their checkpoint metadata records the
-    epochs that ran.  Linear and logistic fits are convex and solved
-    exactly (normal equations, damped Newton), so neither value changes
-    their result; both are still recorded, as given, in the metadata.
-    """
-
-    epochs: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +175,13 @@ def stationarity_residual(spec, datasets, alphas, anchor: QuadraticAnchor, theta
 def adam_decoupled_minimize(
     grad_fn,
     x0: np.ndarray,
-    cfg: TrainConfig,
+    epochs: int,
     anchor: QuadraticAnchor,
 ) -> np.ndarray:
     """Full-batch Adam with the quadratic penalty applied outside the preconditioner.
 
     ``grad_fn(theta)`` must return the gradient of the summed data term
-    (Adam never needs its value).  It takes ``cfg.epochs`` steps with the
+    (Adam never needs its value).  It takes ``epochs`` steps with the
     ``ADAM_*`` constants.  The penalty is applied directly to the update, not fed
     through the Adam moments, using its proximal (implicit) form: after
     the gradient step, ``theta <- theta - f * (theta - a)`` with
@@ -217,7 +198,7 @@ def adam_decoupled_minimize(
     shrink = ADAM_LR * reg / (1.0 + ADAM_LR * reg)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for step in range(1, cfg.epochs + 1):
+    for step in range(1, epochs + 1):
         g = grad_fn(theta)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
@@ -353,7 +334,7 @@ def _fit(
     datasets: list[TaskDataset],
     alphas: list[float],
     anchor: QuadraticAnchor,
-    cfg: TrainConfig,
+    epochs: int,
     x0: np.ndarray,
 ) -> ParamVector:
     if anchor.anchor.layout != spec.layout():
@@ -381,7 +362,7 @@ def _fit(
         theta = _newton(full_value_grad, full_hessian, x0)
     else:
         # Nonconvex: the Adam path decides which local minimum Newton refines.
-        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, cfg, anchor)
+        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, epochs, anchor)
         theta = _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
     out = ParamVector(spec.layout(), theta)
     residual = stationarity_residual(spec, datasets, alphas, anchor, out)
@@ -393,60 +374,62 @@ def _fit(
     return out
 
 
-def _init_theta(spec: ModelSpec, cfg: TrainConfig, at: np.ndarray | None) -> np.ndarray:
+def _init_theta(spec: ModelSpec, seed: int) -> np.ndarray:
+    """The start of a fit from a random init: zeros, or for an MLP a seeded Gaussian."""
     layout = spec.layout()
-    if at is not None:
-        return np.array(at, dtype=np.float64)
     if spec.kind == "mlp":
         # Zero init is a symmetric saddle for an MLP; break it with a
         # small seeded Gaussian.
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         return 0.1 * rng.standard_normal(layout.total_len)
     return np.zeros(layout.total_len)
 
 
-def _meta(cfg: TrainConfig, objective: str, delta: float, spec: ModelSpec) -> dict[str, str]:
+def _meta(seed: int, epochs: int, objective: str, delta: float, spec: ModelSpec) -> dict[str, str]:
     return {
         "objective": objective,
-        "seed": str(cfg.seed),
-        "epochs": str(cfg.epochs),
+        "seed": str(seed),
+        "epochs": str(epochs),
         "delta": repr(float(delta)),
         "model": spec.kind,
         "loss": spec.loss,
     }
 
 
-def _warm_start(spec: ModelSpec, cfg: TrainConfig) -> TrainConfig:
-    """The config of a fit that starts at the anchor: an MLP runs at most WARM_START_EPOCHS of Adam."""
-    if spec.kind != "mlp":
-        return cfg
-    return replace(cfg, epochs=min(cfg.epochs, WARM_START_EPOCHS))
+def _warm_start(spec: ModelSpec) -> int:
+    """The Adam epochs of a fit that starts at the anchor: WARM_START_EPOCHS for an MLP."""
+    return WARM_START_EPOCHS if spec.kind == "mlp" else ADAM_EPOCHS
 
 
-def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, cfg: TrainConfig) -> Checkpoint:
-    """Train a base model: summed loss plus ``(delta/2) ||theta||^2``."""
+def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) -> Checkpoint:
+    """Train a base model: summed loss plus ``(delta/2) ||theta||^2``.
+
+    An MLP starts at a Gaussian drawn from ``seed`` and runs
+    :data:`ADAM_EPOCHS` Adam epochs before Newton.
+    """
     anchor = QuadraticAnchor.ridge_only(spec.layout(), delta)
-    theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, None))
-    return Checkpoint.of(theta, meta=_meta(cfg, "anchor", delta, spec))
+    theta = _fit(spec, [data], [1.0], anchor, ADAM_EPOCHS, _init_theta(spec, seed))
+    return Checkpoint.of(theta, meta=_meta(seed, ADAM_EPOCHS, "anchor", delta, spec))
 
 
 def finetune_task(
     spec: ModelSpec,
     data: TaskDataset,
     anchor: QuadraticAnchor,
-    cfg: TrainConfig,
+    seed: int,
     anchor_id: str | None = None,
 ) -> Checkpoint:
     """Fine-tune from an anchor under its quadratic penalty.
 
     The returned parameters approximately satisfy the stationarity
     condition ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
-    with residual norm at most ``1e-4 * (1 + ||theta||)``.  An MLP runs at
-    most :data:`WARM_START_EPOCHS` Adam epochs before Newton.
+    with residual norm at most ``1e-4 * (1 + ||theta||)``.  An MLP runs
+    :data:`WARM_START_EPOCHS` Adam epochs before Newton.  ``seed`` is
+    recorded in the metadata; the fit starts at the anchor.
     """
-    cfg = _warm_start(spec, cfg)
-    theta = _fit(spec, [data], [1.0], anchor, cfg, _init_theta(spec, cfg, anchor.anchor.values))
-    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "finetune", anchor.delta, spec))
+    epochs = _warm_start(spec)
+    theta = _fit(spec, [data], [1.0], anchor, epochs, anchor.anchor.values.copy())
+    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(seed, epochs, "finetune", anchor.delta, spec))
 
 
 def task_weight(alpha) -> float:
@@ -462,22 +445,21 @@ def train_joint_target(
     datasets: list[TaskDataset],
     alphas: list[float],
     anchor: QuadraticAnchor,
-    cfg: TrainConfig,
+    seed: int,
     anchor_id: str | None = None,
 ) -> Checkpoint:
     """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty.
 
-    It starts at the anchor, so an MLP runs at most :data:`WARM_START_EPOCHS`
-    Adam epochs before Newton.
+    It starts at the anchor, so an MLP runs :data:`WARM_START_EPOCHS` Adam
+    epochs before Newton; ``seed`` is recorded in the metadata.
     """
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    cfg = _warm_start(spec, cfg)
+    epochs = _warm_start(spec)
     theta = _fit(
-        spec, list(datasets), [task_weight(a) for a in alphas], anchor, cfg,
-        _init_theta(spec, cfg, anchor.anchor.values),
+        spec, list(datasets), [task_weight(a) for a in alphas], anchor, epochs, anchor.anchor.values.copy()
     )
-    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(cfg, "joint_target", anchor.delta, spec))
+    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(seed, epochs, "joint_target", anchor.delta, spec))
 
 
 def closed_form_solve(

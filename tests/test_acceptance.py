@@ -21,7 +21,6 @@ from gradmerge.harness import (
     default_spec,
     evaluate_params,
     fixture_from_state,
-    merge_checkpoints,
     run_addition,
     run_pipeline,
     run_removal,
@@ -188,8 +187,9 @@ def _ordering_seed(seed: int) -> tuple[bool, dict[str, float]]:
     state = run_pipeline(spec, seed=seed)
 
     acc = {}
+    inputs = MergeInputs(state.anchor, tuple((1.0, ck) for ck in state.tasks), state.spec.anchor.delta)
     for method in spec.methods:
-        params = merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, 1.0)
+        params = merge(method, inputs)
         acc[method] = evaluate_params(spec, method, 1.0, params, state.test_sets[1:]).avg
 
     target = train_target(state, alpha=1.0)

@@ -80,10 +80,9 @@ class TestParsing:
             {"n_tasks": "x"},
             {"per_task": {"n_train": "x"}},
             {"per_task": {"n_test": "abc"}},
-            {"epochs": "x"},
             {"per_task": {"seed": "x"}},
         ],
-        ids=["n_tasks", "n_train", "n_test", "epochs", "seed"],
+        ids=["n_tasks", "n_train", "n_test", "seed"],
     )
     def test_non_numeric_integer_field_exits_one(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -96,13 +95,12 @@ class TestParsing:
         [
             ({"n_tasks": 2.7}, "n_tasks"),
             ({"per_task": {"n_train": True}}, "n_train"),
-            ({"epochs": 1.5}, "epochs"),
             ({"per_task": {"seed": 2.5}}, "seed"),
             ({"model": {"kind": "mlp", "n_features": 2, "hidden": True, "activation": "tanh"}}, "hidden"),
             ({"model": {"kind": "logistic", "n_features": 2.5}}, "n_features"),
             ({"anchor": {"delta": True}}, "delta"),
         ],
-        ids=["n_tasks", "n_train", "epochs", "seed", "hidden", "n_features", "delta"],
+        ids=["n_tasks", "n_train", "seed", "hidden", "n_features", "delta"],
     )
     def test_fractional_or_boolean_number_exits_one(self, tmp_path, capsys, payload, field):
         # Integer fields take only an int and float fields never a bool;
@@ -131,18 +129,21 @@ class TestParsing:
             {"alphas": 0.5},
             {"alphas": [True]},
             {"anchor": {"source": "identity:2.0"}},
+            {"epochs": 100},
+            {"anchor": {"source": "fisher"}},
         ],
         ids=[
             "batch_size", "grad_clip_norm", "fisher_mode", "max_examples", "h0_flag",
             "delta_floor", "lr", "train_seed", "train_epochs", "identical",
             "alpha_range_string", "alpha_number", "alpha_bool", "identity_source",
+            "epochs", "anchor_source",
         ],
     )
     def test_removed_option_exits_one(self, tmp_path, capsys, removed):
-        # The anchor curvature source is set only by ``anchor.source`` (to
-        # "fisher" or "exact"), the weights only as a list of numbers, the
-        # run's seed only by --seed, GRADMERGE_SEED or ``per_task.seed``,
-        # and the Adam phase's length only by the top-level ``epochs``.
+        # The curvature estimator, the anchor's and the tasks', is set only
+        # by ``curvature`` (to "fisher" or "exact"), the weights only as a
+        # list of numbers, the run's seed only by --seed, GRADMERGE_SEED or
+        # ``per_task.seed``, and the Adam phase's length by no option at all.
         argv = ["report", "--out", tmp_path / "o"]
         if removed == "--h0":
             argv += ["--h0", "identity:2.0"]
@@ -156,12 +157,13 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "change",
-        [{"loss": "squared_error"}, {"model": {"activation": "relu"}}, {"anchor": {"source": "exact"}}],
-        ids=["squared_error_loss", "relu", "exact_anchor_source"],
+        [{"loss": "squared_error"}, {"model": {"activation": "relu"}}, {"anchor": {"source": "exact"}}, {"curvature": "exact"}],
+        ids=["squared_error_loss", "relu", "exact_anchor_source", "exact_curvature"],
     )
     def test_mlp_config_it_cannot_run_exits_one_before_training(self, tmp_path, capsys, change):
         # A classifier MLP is tanh with the logistic loss and has no exact
-        # Hessian diagonal; each refusal comes before any output is written.
+        # Hessian diagonal (``anchor.source`` is no longer a key at all);
+        # each refusal comes before any output is written.
         model = {"kind": "mlp", "n_features": 2, "hidden": 4, "activation": "tanh"} | change.get("model", {})
         config = tmp_path / "mlp.json"
         config.write_text(json.dumps({**change, "model": model}))
@@ -172,7 +174,7 @@ class TestParsing:
     @pytest.mark.parametrize("command", ["report", "sweep", "diagnose", "train"])
     @pytest.mark.parametrize(
         "payload",
-        [{"n_tasks": 1}, {"n_tasks": 3, "per_task": {"n_train": 0}, "anchor": {"source": "exact"}, "curvature": "exact"}],
+        [{"n_tasks": 1}, {"n_tasks": 3, "per_task": {"n_train": 0}, "curvature": "exact"}],
         ids=["one_task", "no_train_data"],
     )
     def test_shape_no_protocol_can_run_exits_one_before_output(self, tmp_path, capsys, command, payload):
@@ -299,9 +301,10 @@ class TestStagedWorkflow:
         assert run_cli("fisher", "--config", config, "--out", out) == 1
 
     def test_fisher_reads_the_anchor_source_from_the_config(self, small_config):
+        # The anchor's source is the config's one ``curvature`` estimator.
         config, out = small_config
         payload = json.loads(config.read_text())
-        config.write_text(json.dumps({**payload, "anchor": {"source": "exact"}}))
+        config.write_text(json.dumps({**payload, "curvature": "exact"}))
         assert run_cli("train", "--config", config, "--out", out, "--seed", "0") == 0
         assert run_cli("fisher", "--config", config, "--out", out, "--seed", "0") == 0
         anchor = load_checkpoint(out / "anchor")

@@ -7,7 +7,7 @@ from gradmerge.curvature import (
     fisher_diag,
 )
 from gradmerge.errors import ConfigError, EmptyDataError, LayoutError, UnsupportedModelError
-from gradmerge.harness import AnchorConfig, ExperimentSpec, estimate_anchor_h0
+from gradmerge.harness import ExperimentSpec, estimate_anchor_h0, estimate_task_curvature
 from gradmerge.models import ModelSpec, TaskDataset, per_example_grads
 from gradmerge.params import ParamVector
 
@@ -147,23 +147,26 @@ class TestExactHessianDiag:
 
 
 class TestAnchorCurvature:
-    """The anchor source string is dispatched by ``harness.estimate_anchor_h0``."""
+    """``spec.curvature`` picks the anchor's estimator, dispatched by ``harness.estimate_anchor_h0``."""
 
     @staticmethod
-    def h0(source, seed=4):
+    def h0(curvature, seed=4):
         spec, theta, data = random_case(seed)
-        exp = ExperimentSpec(model=spec, anchor=AnchorConfig(source=source))
+        exp = ExperimentSpec(model=spec, curvature=curvature)
         return estimate_anchor_h0(exp, theta, data), (spec, theta, data)
 
     def test_identity(self):
-        # Only the two estimators are sources; a constant diagonal is not.
+        # Only the two estimators are sources; a constant diagonal is not,
+        # and the anchor has no source key of its own.
         for source in ("identity", "identity:2.0"):
-            with pytest.raises(ConfigError, match="anchor.source"):
-                AnchorConfig(source=source)
+            with pytest.raises(ConfigError, match="curvature"):
+                ExperimentSpec(curvature=source)
+            with pytest.raises(ConfigError, match="unknown keys"):
+                ExperimentSpec.from_dict({"anchor": {"source": source}})
 
     def test_identity_zero_scale_rejected(self):
         with pytest.raises(ConfigError):
-            AnchorConfig(source="identity:0.0")
+            ExperimentSpec(curvature="identity:0.0")
 
     def test_fisher_delegates(self):
         a, (spec, theta, data) = self.h0("fisher", 4)
@@ -175,6 +178,13 @@ class TestAnchorCurvature:
         b = exact_hessian_diag(spec, theta, data)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("curvature", ["fisher", "exact"])
+    def test_anchor_and_task_estimators_agree_bitwise(self, curvature):
+        # One estimator serves h0 and every task diagonal.
+        a, (spec, theta, data) = self.h0(curvature, 6)
+        b = estimate_task_curvature(ExperimentSpec(model=spec, curvature=curvature), theta, data)
+        assert a.values.tobytes() == b.values.tobytes()
+
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
-            AnchorConfig(source="kfac")
+            ExperimentSpec(curvature="kfac")

@@ -24,7 +24,6 @@ from gradmerge.models import ModelSpec, TaskDataset, grad
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 from gradmerge.training import (
     QuadraticAnchor,
-    TrainConfig,
     closed_form_solve,
     finetune_task,
     stationarity_residual,
@@ -111,21 +110,20 @@ def trained_fixture(seed, kind="logistic"):
         spec = ModelSpec(kind="mlp", n_features=d, hidden=3, activation="tanh")
     layout = spec.layout()
     anchor = QuadraticAnchor.ridge_only(layout, delta)
-    cfg = TrainConfig(epochs=80, seed=seed)
     tasks, datasets = [], []
     for t in range(T):
         angle = rng.uniform(0, np.pi)
         mean = 1.4 * np.array([np.cos(angle), np.sin(angle)])
         train = blob_data(rng, mean, n, f"blob{t}", seed=seed)
         test = blob_data(rng, mean, n, f"blob{t}-test", seed=seed)
-        ckpt = finetune_task(spec, train, anchor, cfg)
+        ckpt = finetune_task(spec, train, anchor, seed)
         if kind == "logistic":
             curv = exact_hessian_diag(spec, ckpt.params, train)
         else:
             curv = fisher_diag(spec, ckpt.params, train)
         tasks.append((1.0, Checkpoint.of(ckpt.params, curvature=curv), train, test))
         datasets.append(train)
-    target = train_joint_target(spec, datasets, [1.0] * T, anchor, cfg)
+    target = train_joint_target(spec, datasets, [1.0] * T, anchor, seed)
     return DiagnosticFixture(
         name=f"{kind}-{seed}",
         spec=spec,

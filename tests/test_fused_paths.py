@@ -28,7 +28,7 @@ from gradmerge.models import (
     per_example_grads,
 )
 from gradmerge.params import ParamVector
-from gradmerge.training import TrainConfig, train_anchor
+from gradmerge.training import train_anchor
 
 # Each kind at three features, plus the edge shapes its kernels reshape
 # around: a single feature (a one-column X and w1) and a single hidden unit.
@@ -96,7 +96,7 @@ class TestFusedValueGrad:
             with pytest.raises(error):
                 loss(spec, theta, data)
             with pytest.raises(error):
-                train_anchor(spec, data, 0.1, TrainConfig())
+                train_anchor(spec, data, 0.1, 0)
         assert evals == []
         monkeypatch.undo()
         spec = ModelSpec("mlp", 1, hidden=2, activation="tanh")

@@ -23,7 +23,6 @@ from gradmerge.harness import (
     evaluate_params,
     gen_tasks,
     load_spec,
-    merge_checkpoints,
     parse_alphas,
     resolve_seed,
     run_addition,
@@ -32,14 +31,15 @@ from gradmerge.harness import (
     sweep_alpha,
     train_target,
 )
+from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import MODEL_KINDS, ModelSpec, TaskDataset, accuracy, loss
 from gradmerge.params import load_checkpoint
-from gradmerge.training import TrainConfig, closed_form_solve
+from gradmerge.training import ADAM_EPOCHS, closed_form_solve
 
 
 def merged(state, method, alpha):
     """One catalog merge over a trained pipeline state, as ``run_addition`` makes it."""
-    return merge_checkpoints(state.anchor, state.tasks, state.spec.anchor.delta, method, alpha)
+    return merge(method, MergeInputs(state.anchor, tuple((alpha, ck) for ck in state.tasks), state.spec.anchor.delta))
 
 
 def small_spec(**kw):
@@ -63,7 +63,7 @@ def linear_spec(**kw):
         loss="squared_error",
         n_tasks=3,
         per_task=PerTaskConfig(n_train=60, n_test=40, noise=0.3, seed=0),
-        anchor=AnchorConfig(source="exact", delta=0.5),
+        anchor=AnchorConfig(delta=0.5),
         curvature="exact",
         methods=("ta", "ours"),
         alphas=(1.0,),
@@ -112,14 +112,16 @@ class TestParseAlphas:
 
 
 class TestParseH0Source:
-    """The anchor source is parsed where :class:`AnchorConfig` is built: it
-    is "fisher" or "exact", the two estimators ``curvature`` names."""
+    """The anchor penalty ``h0`` comes from the one estimator ``curvature``
+    names, "fisher" or "exact"; ``anchor`` has no source key of its own."""
 
     @pytest.mark.parametrize("bad", ["identity:0", "identity:x", "hessian", 3])
     def test_rejects_bad_sources(self, bad):
-        with pytest.raises(ConfigError):
-            AnchorConfig(source=bad)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="curvature"):
+            ExperimentSpec(curvature=bad)
+        with pytest.raises(ConfigError, match="curvature"):
+            ExperimentSpec.from_dict({"curvature": bad})
+        with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentSpec.from_dict({"anchor": {"source": bad}})
 
 
@@ -136,14 +138,15 @@ class TestExperimentSpec:
                 "loss": "squared_error",
                 "n_tasks": 2,
                 "per_task": {"n_train": 30, "n_test": 10, "noise": 0.1},
-                "anchor": {"source": "exact", "delta": 0.5},
+                "anchor": {"delta": 0.5},
+                "curvature": "exact",
                 "methods": ["ta"],
                 "alphas": [0.5, 0.75, 1.0],
             }
         )
         assert spec.model.n_features == 4
         assert spec.alphas == (0.5, 0.75, 1.0)
-        assert spec.anchor.source == "exact"
+        assert (spec.anchor.delta, spec.curvature) == (0.5, "exact")
 
     def test_rejects_unknown_keys_anywhere(self):
         with pytest.raises(ConfigError):
@@ -195,9 +198,13 @@ class TestExperimentSpec:
             ExperimentSpec(model=ModelSpec("mlp", 2, hidden=3, activation="tanh"), curvature="exact")
 
     def test_rejects_exact_anchor_source_for_mlp(self):
-        # Refused when the spec is built, not after the anchor has trained.
+        # Refused when the spec is built, not after the anchor has trained:
+        # ``curvature`` is the anchor's source too, and ``anchor.source`` is
+        # no longer a key.
         model = {"kind": "mlp", "n_features": 2, "hidden": 3, "activation": "tanh"}
         with pytest.raises(ConfigError, match="exact curvature"):
+            ExperimentSpec.from_dict({"model": model, "curvature": "exact"})
+        with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentSpec.from_dict({"model": model, "anchor": {"source": "exact"}})
 
     @pytest.mark.parametrize(
@@ -207,10 +214,8 @@ class TestExperimentSpec:
             (lambda: ModelSpec("mlp", 2, hidden=True, activation="tanh"), "hidden"),
             (lambda: PerTaskConfig(n_train=2.5), "n_train"),
             (lambda: AnchorConfig(delta=True), "delta"),
-            (lambda: ExperimentSpec(epochs=1.5), "epochs"),
-            (lambda: TrainConfig(epochs=1.5), "epochs"),
         ],
-        ids=["experiment", "model", "per_task", "anchor", "epochs", "train"],
+        ids=["experiment", "model", "per_task", "anchor"],
     )
     def test_python_built_sections_hold_fields_to_their_types(self, build, field):
         # Configs built in Python get the JSON boundary's type rule: a
@@ -406,12 +411,14 @@ class TestRunPipeline:
             assert ck.anchor_id == "anchor"
         assert default_state.quad.delta == spec.anchor.delta
 
-    def test_fits_take_epochs_from_the_spec_and_seeds_from_the_run(self):
+    def test_fits_record_the_adam_constant_and_seeds_from_the_run(self):
         # The run's seed is the one seed source: the anchor trains at it,
-        # task t at seed + t and the joint target at seed + n_tasks.
-        state = run_pipeline(small_spec(epochs=7), seed=2)
+        # task t at seed + t and the joint target at seed + n_tasks.  A
+        # logistic fit runs no Adam and records the constant ADAM_EPOCHS.
+        state = run_pipeline(small_spec(), seed=2)
         fits = [state.anchor, *state.tasks, train_target(state, 1.0)]
-        assert [(ck.meta["epochs"], ck.meta["seed"]) for ck in fits] == [("7", "2"), ("7", "3"), ("7", "4"), ("7", "5")]
+        epochs = str(ADAM_EPOCHS)
+        assert [(ck.meta["epochs"], ck.meta["seed"]) for ck in fits] == [(epochs, "2"), (epochs, "3"), (epochs, "4"), (epochs, "5")]
 
 
 class TestEveryAcceptedModel:

@@ -334,6 +334,37 @@ class TestMergeInvariances:
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
+class TestEffectiveWeights:
+    """``ours`` moves coordinate j of the anchor along each task's increment
+    by the paper's weight ``alpha_t (h0 + delta + h_t) / hbar``."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_tasks=st.integers(1, 5),
+        delta=st.floats(0.0, 1.0),
+        scales=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_sum_to_one_plus_the_excess_mass_on_the_anchor(self, seed, n_tasks, delta, scales):
+        # Every task sits at one increment e from the anchor, so each merged
+        # row's (merged - anchor) / e is its weights' sum, which per
+        # coordinate is 1 + (sum_t alpha_t - 1) (h0 + delta) / hbar.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        a = rng.uniform(-1.0, 1.0, d)
+        theta = a + rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2.0, d)
+        h0 = rng.uniform(0.1, 2.0, d)
+        curvs = rng.uniform(0.0, 3.0, (n_tasks, d))
+        alphas = rng.uniform(0.0, 2.0, n_tasks)
+        tasks = tuple((float(alpha), ckpt(theta, h)) for alpha, h in zip(alphas, curvs))
+        merged = merge_grid("ours", MergeInputs(ckpt(a, h0), tasks, delta), scales)
+        for scale, row in zip(scales, merged):
+            weights = scale * alphas
+            hbar = h0 + delta + weights @ curvs
+            expected = 1.0 + (weights.sum() - 1.0) * (h0 + delta) / hbar
+            np.testing.assert_allclose((row - a) / (theta - a), expected, rtol=1e-12, atol=1e-12)
+
+
 class TestTies:
     """``ties`` at d = 5, where ``ceil(TIES_KEEP * 5) = 1`` coordinate per task survives."""
 

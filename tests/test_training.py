@@ -11,10 +11,10 @@ from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_a
 from gradmerge.models import ModelSpec, TaskDataset
 from gradmerge.params import DiagCurvature, ParamVector
 from gradmerge.training import (
+    ADAM_EPOCHS,
     NEWTON_TOL,
     WARM_START_EPOCHS,
     QuadraticAnchor,
-    TrainConfig,
     adam_decoupled_minimize,
     closed_form_solve,
     finetune_task,
@@ -24,7 +24,6 @@ from gradmerge.training import (
 )
 
 LIN1 = ModelSpec("linear_regression", 1)
-CFG = TrainConfig(epochs=100, seed=0)
 
 
 def data_1d(xs, ys, task_id="t"):
@@ -125,28 +124,23 @@ def lbfgs_logistic_reference(datasets, alphas, anchor):
     return minimize(half_squared_gradient, theta, jac=True, method="L-BFGS-B", options=options).x
 
 
-class TestTrainConfig:
+class TestAdamConstants:
     def test_defaults(self):
-        cfg = TrainConfig()
-        assert (cfg.epochs, cfg.seed) == (200, 0)
+        assert (ADAM_EPOCHS, WARM_START_EPOCHS) == (200, 50)
         assert (training.ADAM_LR, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (0.05, 0.9, 0.999, 1e-8)
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
 
 
 class TestTrainAnchor:
     def test_linear_matches_closed_form(self):
         spec = ModelSpec("linear_regression", 4)
         data = random_linear(0)
-        ckpt = train_anchor(spec, data, delta=0.5, cfg=CFG)
+        ckpt = train_anchor(spec, data, delta=0.5, seed=0)
         exact = closed_form_solve([data], [1.0], QuadraticAnchor.ridge_only(spec.layout(), 0.5))
         np.testing.assert_array_equal(ckpt.params.values, exact.values)
 
     def test_huge_delta_shrinks_theta(self):
         spec = ModelSpec("linear_regression", 4)
-        ckpt = train_anchor(spec, random_linear(1), delta=1e6, cfg=CFG)
+        ckpt = train_anchor(spec, random_linear(1), delta=1e6, seed=0)
         assert np.linalg.norm(ckpt.params.values) < 1e-3
 
     def test_same_seed_identical(self):
@@ -155,8 +149,8 @@ class TestTrainAnchor:
         X = rng.standard_normal((40, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
         data = TaskDataset("c", X, y)
-        a = train_anchor(spec, data, delta=0.1, cfg=CFG)
-        b = train_anchor(spec, data, delta=0.1, cfg=CFG)
+        a = train_anchor(spec, data, delta=0.1, seed=0)
+        b = train_anchor(spec, data, delta=0.1, seed=0)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
     @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
@@ -167,12 +161,12 @@ class TestTrainAnchor:
         spec = ModelSpec("logistic", 1)
         data = data_1d([-1.0, 1.0], [0.0, 1.0])
         with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
-            train_anchor(spec, data, delta, TrainConfig())
+            train_anchor(spec, data, delta, 0)
         with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
             QuadraticAnchor(ParamVector.zeros(spec.layout()), DiagCurvature.zeros(spec.layout()), delta)
 
     def test_meta_records_provenance(self):
-        ckpt = train_anchor(LIN1, data_1d([1.0], [2.0]), delta=1.0, cfg=CFG)
+        ckpt = train_anchor(LIN1, data_1d([1.0], [2.0]), delta=1.0, seed=0)
         assert ckpt.meta["objective"] == "anchor"
         assert ckpt.meta["seed"] == "0"
         assert ckpt.meta["delta"] == repr(1.0)
@@ -183,7 +177,7 @@ class TestTrainAnchor:
         X = rng.standard_normal((50, 3))
         y = (X @ np.array([1.0, -1.0, 0.5]) > 0).astype(float)
         data = TaskDataset("c", X, y)
-        ckpt = train_anchor(spec, data, delta=0.2, cfg=CFG)
+        ckpt = train_anchor(spec, data, delta=0.2, seed=0)
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.2)
         res = stationarity_residual(spec, [data], [1.0], anchor, ckpt.params)
         assert res <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
@@ -193,7 +187,7 @@ class TestFinetune:
     def test_1d_removal_fixture(self):
         # Anchor theta=2 with penalty weight 3, one example (x=1, y=4):
         # stationarity (theta-4) + 3(theta-2) = 0 gives theta = 2.5.
-        ckpt = finetune_task(LIN1, data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), CFG)
+        ckpt = finetune_task(LIN1, data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), 0)
         np.testing.assert_allclose(ckpt.params.values, [2.5], atol=1e-6)
 
     def test_huge_h0_pins_to_anchor(self):
@@ -204,7 +198,7 @@ class TestFinetune:
             ParamVector(layout, [1.0, -1.0, 0.5, 0.0]),
             DiagCurvature(layout, np.full(layout.total_len, 1e6)),
         )
-        ckpt = finetune_task(spec, data, anchor, CFG)
+        ckpt = finetune_task(spec, data, anchor, 0)
         assert np.linalg.norm(ckpt.params.values - anchor.anchor.values) < 1e-3
 
     def test_stationarity_condition(self):
@@ -219,7 +213,7 @@ class TestFinetune:
         anchor = QuadraticAnchor(
             ParamVector(layout, [0.2, -0.1]), DiagCurvature(layout, np.full(layout.total_len, 2.0))
         )
-        ckpt = finetune_task(spec, data, anchor, CFG, anchor_id="base")
+        ckpt = finetune_task(spec, data, anchor, 0, anchor_id="base")
         lhs = anchor.effective_diag * (ckpt.params.values - anchor.anchor.values)
         rhs = -grad(spec, ckpt.params, data).values
         assert np.linalg.norm(lhs - rhs) <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
@@ -232,8 +226,8 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 4)
         layout = spec.layout()
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
-        joint = train_joint_target(spec, [data], [1.0], anchor, CFG)
-        single = finetune_task(spec, data, anchor, CFG)
+        joint = train_joint_target(spec, [data], [1.0], anchor, 0)
+        single = finetune_task(spec, data, anchor, 0)
         np.testing.assert_allclose(joint.params.values, single.params.values, atol=1e-5)
 
     def test_matches_closed_form(self):
@@ -241,7 +235,7 @@ class TestJointTarget:
         layout = spec.layout()
         datasets = [random_linear(s, n=20, d=3) for s in (5, 6)]
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
-        joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, CFG)
+        joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, 0)
         exact = closed_form_solve(datasets, [1.0, 1.0], anchor)
         np.testing.assert_array_equal(joint.params.values, exact.values)
 
@@ -252,7 +246,7 @@ class TestJointTarget:
             ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature(layout, np.full(layout.total_len, 1.0))
         )
         joint = train_joint_target(
-            spec, [random_linear(8, d=3)], [0.0], anchor, CFG
+            spec, [random_linear(8, d=3)], [0.0], anchor, 0
         )
         np.testing.assert_allclose(joint.params.values, anchor.anchor.values, atol=1e-5)
 
@@ -262,7 +256,7 @@ class TestJointTarget:
         spec = ModelSpec("linear_regression", 3)
         anchor = QuadraticAnchor.ridge_only(spec.layout(), 1.0)
         with pytest.raises(ConfigError):
-            train_joint_target(spec, [random_linear(9, d=3)], [alpha], anchor, CFG)
+            train_joint_target(spec, [random_linear(9, d=3)], [alpha], anchor, 0)
 
     def test_joint_value_beats_trivial_candidates(self):
         spec = ModelSpec("logistic", 2)
@@ -275,10 +269,10 @@ class TestJointTarget:
             datasets.append(TaskDataset(f"t{t}", X, y))
         anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 0.5)))
         alphas = [1.0, 1.0, 1.0]
-        joint = train_joint_target(spec, datasets, alphas, anchor, CFG)
+        joint = train_joint_target(spec, datasets, alphas, anchor, 0)
         value = anchored_objective(spec, datasets, alphas, anchor, joint.params)
         candidates = [anchor.anchor] + [
-            finetune_task(spec, d, anchor, CFG).params for d in datasets
+            finetune_task(spec, d, anchor, 0).params for d in datasets
         ]
         for candidate in candidates:
             assert value <= anchored_objective(spec, datasets, alphas, anchor, candidate) + 1e-9
@@ -343,7 +337,7 @@ class TestNewton:
         h0 = rng.uniform(0.0, 1.0, d) if rng.random() < 0.5 else np.zeros(d)
         layout = spec.layout()
         anchor = QuadraticAnchor(ParamVector(layout, rng.standard_normal(d)), DiagCurvature(layout, h0), ridge)
-        theta = train_joint_target(spec, datasets, alphas, anchor, CFG).params.values
+        theta = train_joint_target(spec, datasets, alphas, anchor, 0).params.values
         reference = lbfgs_logistic_reference(datasets, alphas, anchor)
         # Newton's stop rule leaves ||theta - theta*|| at most
         # NEWTON_TOL (1 + ||theta||) / min(h0 + delta), and delta >= 1e-2.
@@ -406,8 +400,8 @@ class TestMlpStationarity:
         residuals = []
         real_fit = training._fit
 
-        def fit(spec, datasets, alphas, anchor, cfg, x0):
-            theta = real_fit(spec, datasets, alphas, anchor, cfg, x0)
+        def fit(spec, datasets, alphas, anchor, epochs, x0):
+            theta = real_fit(spec, datasets, alphas, anchor, epochs, x0)
             residual = stationarity_residual(spec, datasets, alphas, anchor, theta)
             residuals.append(residual / (1.0 + np.linalg.norm(theta.values)))
             return theta
@@ -419,32 +413,31 @@ class TestMlpStationarity:
 
 
 class TestWarmStartEpochs:
-    """MLP fits that start at the anchor run at most WARM_START_EPOCHS of Adam."""
+    """MLP fits from a random init run ADAM_EPOCHS of Adam; from the anchor, WARM_START_EPOCHS."""
 
     @staticmethod
-    def spec(kind="mlp", epochs=120):
+    def spec(kind="mlp"):
         model = ModelSpec("mlp", 2, hidden=4, activation="tanh") if kind == "mlp" else ModelSpec(kind, 2)
-        return ExperimentSpec(model=model, n_tasks=3, per_task=PerTaskConfig(n_train=60, n_test=60), epochs=epochs)
+        return ExperimentSpec(model=model, n_tasks=3, per_task=PerTaskConfig(n_train=60, n_test=60))
 
     def test_each_fit_gets_the_epochs_it_runs(self, monkeypatch):
         # Order of fits: the anchor, then tasks 1 and 2, then the joint target.
         received = []
         real_adam = training.adam_decoupled_minimize
 
-        def adam(grad_fn, x0, cfg, anchor):
-            received.append(cfg.epochs)
-            return real_adam(grad_fn, x0, cfg, anchor)
+        def adam(grad_fn, x0, epochs, anchor):
+            received.append(epochs)
+            return real_adam(grad_fn, x0, epochs, anchor)
 
         monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
-        assert WARM_START_EPOCHS == 50
-        for kind, epochs, expected in (("mlp", 120, [120, 50, 50, 50]), ("mlp", 30, [30] * 4), ("logistic", 120, [])):
+        for kind, expected in (("mlp", [ADAM_EPOCHS] + [WARM_START_EPOCHS] * 3), ("logistic", [])):
             received.clear()
-            state = run_pipeline(self.spec(kind, epochs), seed=0)
+            state = run_pipeline(self.spec(kind), seed=0)
             target = train_target(state, 1.0)
-            assert received == expected, (kind, epochs)
+            assert received == expected, kind
             if kind == "logistic":
                 metas = [state.anchor.meta, *(ck.meta for ck in state.tasks), target.meta]
-                assert [meta["epochs"] for meta in metas] == ["120"] * 4
+                assert [meta["epochs"] for meta in metas] == [str(ADAM_EPOCHS)] * 4
 
     def test_meta_files_record_the_epochs_that_ran(self, tmp_path):
         run_addition(self.spec(), out_dir=tmp_path, seed=0)
@@ -452,7 +445,7 @@ class TestWarmStartEpochs:
         def epochs(stem):
             return json.loads((tmp_path / f"{stem}.meta.json").read_text())["meta"]["epochs"]
 
-        assert epochs("anchor") == "120"
+        assert epochs("anchor") == "200"
         assert [epochs(stem) for stem in ("task1", "task2", "target")] == ["50"] * 3
 
 
@@ -467,8 +460,7 @@ class TestDecoupledStep:
         def zero_grad(theta):
             return np.zeros_like(theta)
 
-        cfg = TrainConfig(epochs=1, seed=0)
-        out = adam_decoupled_minimize(zero_grad, x0, cfg, anchor)
+        out = adam_decoupled_minimize(zero_grad, x0, 1, anchor)
         # Coordinate 0 has positive penalty: strictly toward the anchor.
         assert abs(out[0]) < abs(x0[0])
         # Coordinate 1 has zero penalty and zero gradient: unchanged.
@@ -482,7 +474,7 @@ class TestDecoupledStep:
             return np.full_like(theta, np.nan)
 
         with pytest.raises(DivergenceError):
-            adam_decoupled_minimize(explode, np.zeros(1), TrainConfig(epochs=1), anchor)
+            adam_decoupled_minimize(explode, np.zeros(1), 1, anchor)
 
     def test_training_is_deterministic(self):
         spec = ModelSpec("logistic", 2)
@@ -490,16 +482,14 @@ class TestDecoupledStep:
         X = rng.standard_normal((64, 2))
         y = (X[:, 0] > 0).astype(float)
         data = TaskDataset("c", X, y)
-        cfg = TrainConfig(epochs=40, seed=9)
-        a = train_anchor(spec, data, delta=0.1, cfg=cfg)
-        b = train_anchor(spec, data, delta=0.1, cfg=cfg)
+        a = train_anchor(spec, data, delta=0.1, seed=9)
+        b = train_anchor(spec, data, delta=0.1, seed=9)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
     def test_mlp_training_is_deterministic(self):
         data = classification(3, n=64)
-        cfg = TrainConfig(epochs=40, seed=9)
-        a = train_anchor(MLP2, data, delta=0.1, cfg=cfg)
-        b = train_anchor(MLP2, data, delta=0.1, cfg=cfg)
+        a = train_anchor(MLP2, data, delta=0.1, seed=9)
+        b = train_anchor(MLP2, data, delta=0.1, seed=9)
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
 
@@ -511,16 +501,20 @@ class TestConvexFitsIgnoreAdam:
     )
     @settings(max_examples=30, deadline=None)
     def test_trained_params_do_not_depend_on_adam_settings(self, kind, epochs, seed):
+        # The seed reaches a fit through the public trainers; an Adam length
+        # other than the constants only through the private ``_fit``.
         spec = ModelSpec(kind, 2)
         data = classification(21, n=60)
-        cfg = TrainConfig(epochs=epochs, seed=seed)
-        base = train_anchor(spec, data, delta=0.3, cfg=CFG).params
-        other = train_anchor(spec, data, delta=0.3, cfg=cfg).params
+        base = train_anchor(spec, data, delta=0.3, seed=0).params
+        other = train_anchor(spec, data, delta=0.3, seed=seed).params
         np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
+        ridge = QuadraticAnchor.ridge_only(spec.layout(), 0.3)
+        refit = training._fit(spec, [data], [1.0], ridge, epochs, np.zeros(base.layout.total_len))
+        np.testing.assert_allclose(refit.values, base.values, rtol=0.0, atol=1e-8)
         anchor = QuadraticAnchor(base, DiagCurvature(base.layout, np.full(base.layout.total_len, 2.0)), 0.3)
         task = classification(22, n=40)
-        tuned = finetune_task(spec, task, anchor, CFG).params
-        retuned = finetune_task(spec, task, anchor, cfg).params
+        tuned = finetune_task(spec, task, anchor, 0).params
+        retuned = training._fit(spec, [task], [1.0], anchor, epochs, base.values.copy())
         np.testing.assert_allclose(retuned.values, tuned.values, rtol=0.0, atol=1e-8)
 
 
@@ -557,9 +551,8 @@ class TestFitCost:
             return out
 
         monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
-        cfg = TrainConfig(epochs=5, seed=0)
-        train_anchor(MLP2, classification(4, n=40), delta=0.1, cfg=cfg)
-        assert adam_rows == [40] * 5
+        train_anchor(MLP2, classification(4, n=40), delta=0.1, seed=0)
+        assert adam_rows == [40] * ADAM_EPOCHS
 
     #: Two MLP tasks and an anchor off the origin, for the per-fit counts below.
     SETS = [classification(30, n=40), classification(31, n=24)]
@@ -570,11 +563,11 @@ class TestFitCost:
     )
 
     def fit_mlp(self, fit, epochs):
-        """One MLP fit: the anchor on the first task, or the joint target of both."""
-        cfg = TrainConfig(epochs=epochs, seed=0)
+        """One MLP fit of ``epochs`` Adam epochs: the anchor on the first task, or the joint target of both."""
         if fit == "anchor":
-            return train_anchor(MLP2, self.SETS[0], delta=0.1, cfg=cfg)
-        return train_joint_target(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, cfg)
+            ridge = QuadraticAnchor.ridge_only(MLP2.layout(), 0.1)
+            return training._fit(MLP2, self.SETS[:1], [1.0], ridge, epochs, training._init_theta(MLP2, 0))
+        return training._fit(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, epochs, self.ANCHOR.anchor.values.copy())
 
     @pytest.mark.parametrize("fit", ["anchor", "joint"])
     def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
