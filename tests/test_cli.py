@@ -80,9 +80,10 @@ class TestParsing:
             {"n_tasks": "x"},
             {"per_task": {"n_train": "x"}},
             {"per_task": {"n_test": "abc"}},
+            {"epochs": "x"},  # no longer a key: refused as unknown
             {"per_task": {"seed": "x"}},
         ],
-        ids=["n_tasks", "n_train", "n_test", "seed"],
+        ids=["n_tasks", "n_train", "n_test", "epochs", "seed"],
     )
     def test_non_numeric_integer_field_exits_one(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -95,12 +96,13 @@ class TestParsing:
         [
             ({"n_tasks": 2.7}, "n_tasks"),
             ({"per_task": {"n_train": True}}, "n_train"),
+            ({"epochs": 1.5}, "epochs"),  # no longer a key: refused as unknown
             ({"per_task": {"seed": 2.5}}, "seed"),
             ({"model": {"kind": "mlp", "n_features": 2, "hidden": True, "activation": "tanh"}}, "hidden"),
             ({"model": {"kind": "logistic", "n_features": 2.5}}, "n_features"),
             ({"anchor": {"delta": True}}, "delta"),
         ],
-        ids=["n_tasks", "n_train", "seed", "hidden", "n_features", "delta"],
+        ids=["n_tasks", "n_train", "epochs", "seed", "hidden", "n_features", "delta"],
     )
     def test_fractional_or_boolean_number_exits_one(self, tmp_path, capsys, payload, field):
         # Integer fields take only an int and float fields never a bool;
