@@ -19,7 +19,6 @@ from .harness import (
     AnchorConfig,
     ExperimentSpec,
     PerTaskConfig,
-    build_diagnostic_fixture,
     default_removal_spec,
     default_spec,
     run_addition,
@@ -53,7 +52,6 @@ __all__ = [
     "run_addition",
     "run_removal",
     "sweep_alpha",
-    "build_diagnostic_fixture",
     "mismatch_report",
     "ADDITION_METHODS",
     "MergeInputs",

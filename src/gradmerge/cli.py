@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: ``gen`` writes datasets,
 ``train`` writes anchor and task checkpoints, ``fisher`` attaches
 curvature diagonals to them, ``merge`` applies one catalog method, and
-``remove``, ``diagnose``, ``sweep``, ``oracle-check``, and ``report``
-run the higher-level protocols.  Everything an experiment needs lives in
+``remove``, ``sweep``, ``oracle-check``, and ``report`` run the
+higher-level protocols.  Everything an experiment needs lives in
 one JSON config (see :class:`gradmerge.harness.ExperimentSpec`); the
 flags ``--seed``, ``--out``, and ``--config`` are accepted by every
 subcommand, and the curvature estimator, one for the anchor and the
@@ -31,7 +31,6 @@ from .errors import ConfigError, GradmergeError, MissingCurvatureError
 from .harness import (  # noqa: F401
     REMOVAL_METHODS,
     _require_methods,
-    build_diagnostic_fixture,
     default_removal_spec,
     default_spec,
     estimate_anchor_h0,
@@ -95,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=ADDITION_METHODS)
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
     add("remove", _cmd_remove, "subtract a task block and compare to retraining", REMOVAL_METHODS)
-    p = add("diagnose", _cmd_diagnose, "emit the gradient-mismatch diagnostic table", ADDITION_METHODS)
-    p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
     add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid", ADDITION_METHODS)
     p = add("oracle-check", _cmd_oracle_check, "run the independent numeric oracle suite")
     p.add_argument("--fixtures", type=int, default=50, help="fixtures per oracle family")
@@ -169,15 +166,6 @@ def _cmd_remove(args, spec, seed, out) -> int:
     for method in spec.methods:
         print(f"{method}: distance to retrain {result.dists[method]!r}")
     print(f"anchor: distance to retrain {result.dists['anchor']!r}")
-    return 0
-
-
-def _cmd_diagnose(args, spec, seed, out) -> int:
-    out = output_dir(out)
-    fixture = build_diagnostic_fixture(spec, seed, alpha=args.alpha)
-    rows = mismatch_vs_error_table(fixture, {m: merge(m, fixture.merge_inputs()) for m in spec.methods})
-    write_text(out / "report.csv", mismatch_table_csv(rows))
-    print(f"wrote {len(rows)} diagnostic rows to {out / 'report.csv'}")
     return 0
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, SingularCurvatureError
-from .merging import MergeInputs
 from .models import ModelSpec, TaskDataset, grad, loss
 from .params import Checkpoint, ParamVector
 from .training import QuadraticAnchor
@@ -82,6 +81,10 @@ class MismatchRow:
     test_loss_delta_exact: float
     test_loss_delta_fo: float
 
+    def __post_init__(self):
+        if any(not np.isfinite(n) or n < 0 for n in (self.mismatch_l2, self.error_l2, self.identity_residual)):
+            raise ConfigError("report norms must be finite and >= 0")
+
     def as_csv(self) -> str:
         values = (self.mismatch_l2, self.error_l2, self.identity_residual, self.test_loss_delta_exact, self.test_loss_delta_fo)
         return ",".join([self.method, self.fixture, self.task_id] + [repr(float(v)) for v in values])
@@ -110,14 +113,6 @@ class DiagnosticFixture:
         for _, ckpt, _, _ in self.tasks:
             if ckpt.layout != layout:
                 raise LayoutError("fixture task checkpoints must match the model layout")
-
-    def merge_inputs(self) -> MergeInputs:
-        anchor_ckpt = Checkpoint.of(self.anchor.anchor, curvature=self.anchor.h0)
-        return MergeInputs(
-            anchor=anchor_ckpt,
-            tasks=tuple((alpha, ckpt) for alpha, ckpt, _, _ in self.tasks),
-            delta=self.anchor.delta,
-        )
 
 
 def gradient_mismatch(spec: ModelSpec, target: ParamVector, task_theta: ParamVector, data: TaskDataset) -> ParamVector:
@@ -191,33 +186,14 @@ def identity_residual_bound(
     return total / h_min
 
 
-def _score(fixture: DiagnosticFixture, residual: float, target_grads: list[ParamVector], merged: ParamVector) -> MismatchReport:
-    """Report for one candidate, given the target's gradient on each training split."""
-    per_task = []
-    total = 0.0
-    for (alpha, _, train, _), g_target in zip(fixture.tasks, target_grads):
-        mm = ParamVector(fixture.target.layout, g_target.values - grad(fixture.spec, merged, train).values)
-        norm = float(np.linalg.norm(mm.values))
-        per_task.append((train.task_id, norm))
-        total += abs(float(alpha)) * norm
-    return MismatchReport(
-        per_task=tuple(per_task),
-        total_weighted_norm=total,
-        error_norm=float(np.linalg.norm(fixture.target.values - merged.values)),
-        identity_residual=residual,
-    )
-
-
-def _target_side(fixture: DiagnosticFixture) -> tuple[float, list[ParamVector]]:
-    """The fixture's identity residual and the target's gradient on each training split."""
-    tasks = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
-    residual = verify_identity(fixture.anchor, fixture.target, tasks, fixture.spec)
-    return residual, [grad(fixture.spec, fixture.target, train) for _, _, train in tasks]
-
-
 def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> MismatchReport:
-    """Score one merged candidate against the fixture's target."""
-    return _score(fixture, *_target_side(fixture), merged)
+    """Score one merged candidate against the fixture's target: its rows of :func:`mismatch_vs_error_table`."""
+    rows = mismatch_vs_error_table(fixture, {"candidate": merged})
+    total = 0.0
+    for (alpha, *_), row in zip(fixture.tasks, rows):
+        total += abs(float(alpha)) * row.mismatch_l2
+    per_task = tuple((row.task_id, row.mismatch_l2) for row in rows)
+    return MismatchReport(per_task, total, rows[0].error_l2, rows[0].identity_residual)
 
 
 def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, ParamVector]) -> list[MismatchRow]:
@@ -231,19 +207,25 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
     and its first-order estimate ``grad(merged)^T (target - merged)``.
     """
     spec, target = fixture.spec, fixture.target
-    residual, target_grads = _target_side(fixture)
+    trains = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
+    residual = verify_identity(fixture.anchor, target, trains, spec)
+    target_grads = [grad(spec, target, train).values for _, _, train in trains]
     target_losses = [loss(spec, target, test) for _, _, _, test in fixture.tasks]
     rows = []
     for method, merged in candidates.items():
-        report = _score(fixture, residual, target_grads, merged)
-        for (_, _, _, test), (task_id, norm), target_loss in zip(fixture.tasks, report.per_task, target_losses):
+        # ParamVector refuses a gradient difference that overflowed.
+        mismatches = [
+            ParamVector(target.layout, g - grad(spec, merged, train).values) for g, (_, _, train) in zip(target_grads, trains)
+        ]
+        error = float(np.linalg.norm(target.values - merged.values))
+        for (_, _, train, test), mm, target_loss in zip(fixture.tasks, mismatches, target_losses):
             rows.append(
                 MismatchRow(
                     method=method,
                     fixture=fixture.name,
-                    task_id=task_id,
-                    mismatch_l2=norm,
-                    error_l2=report.error_norm,
+                    task_id=train.task_id,
+                    mismatch_l2=float(np.linalg.norm(mm.values)),
+                    error_l2=error,
                     identity_residual=residual,
                     test_loss_delta_exact=float(target_loss - loss(spec, merged, test)),
                     test_loss_delta_fo=float(grad(spec, merged, test).values @ (target.values - merged.values)),

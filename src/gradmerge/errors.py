@@ -94,8 +94,11 @@ def _scalar_fields(cls) -> tuple:
 
 def check_field_types(config) -> None:
     """Hold each scalar field of a config dataclass to its (string) annotation: ``int``
-    admits any ``numbers.Integral``, ``float`` any ``numbers.Real``, only ``bool`` a ``bool``."""
+    admits any ``numbers.Integral``, ``float`` any ``numbers.Real``, only ``bool`` a ``bool``.
+    A number is then stored as a plain ``int`` or ``float``, so ``1`` and ``1.0`` build equal configs."""
     for name, annotation, kinds in _scalar_fields(type(config)):
         value = getattr(config, name)
         if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             raise ConfigError(f"{type(config).__name__} field {name!r} must be {annotation}, got {value!r}")
+        if value is not None and (numbers.Integral in kinds or numbers.Real in kinds):
+            object.__setattr__(config, name, int(value) if numbers.Integral in kinds else float(value))

@@ -82,7 +82,6 @@ __all__ = [
     "SweepResult",
     "sweep_alpha",
     "fixture_from_state",
-    "build_diagnostic_fixture",
 ]
 
 #: Environment variable that overrides the config seed when set.
@@ -456,7 +455,7 @@ class MethodOutcome:
 
 
 def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
-    """Check each distinct test set once, for any number of :func:`_score_rows` calls.
+    """Check each distinct test set once, for any number of :func:`_evaluate_rows` calls.
 
     Returns ``(eval_sets, aggregate_sets, targets)``; ``aggregate_sets``
     defaults to ``eval_sets`` and ``targets`` maps ``id(ds)`` to what the
@@ -477,7 +476,7 @@ def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
     return eval_sets, agg, targets
 
 
-def _score_rows(spec: ExperimentSpec, values: np.ndarray, sets):
+def _evaluate_rows(spec: ExperimentSpec, values: np.ndarray, sets):
     """Score every row of ``values`` ``(A, d)`` on ``sets`` from :func:`_scoring_sets`.
 
     Returns the per-set scores of the eval sets as a list of ``(A,)``
@@ -541,7 +540,7 @@ def evaluate_params(
         raise LayoutError("theta layout does not match the model's canonical layout")
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     sets = _scoring_sets(spec, eval_sets, aggregate_sets)
-    per_task, avg, true_avg = _score_rows(spec, theta.values[None], sets)
+    per_task, avg, true_avg = _evaluate_rows(spec, theta.values[None], sets)
     per_task = tuple((ds.task_id, float(col[0])) for ds, col in zip(eval_sets, per_task))
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
@@ -777,7 +776,7 @@ def sweep_alpha(
     grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
     with _Summary(out) as summary:
         for method, values in grids.items():
-            _, avg, true_avg = _score_rows(spec, values, sets)
+            _, avg, true_avg = _evaluate_rows(spec, values, sets)
             avg = avg.tolist()
             series[method] = tuple(zip(spec.alphas, avg))
             avg_text = [repr(v) for v in avg]
@@ -793,25 +792,6 @@ def sweep_alpha(
 
 
 def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float) -> DiagnosticFixture:
-    """Adapt a trained pipeline into a diagnostics fixture."""
-    tasks = tuple(
-        (float(alpha), ck, state.train_sets[t], state.test_sets[t])
-        for t, ck in enumerate(state.tasks, start=1)
-    )
-    return DiagnosticFixture(
-        name=state.spec.name,
-        spec=state.spec.model,
-        anchor=state.quad,
-        target=target,
-        tasks=tasks,
-    )
-
-
-def build_diagnostic_fixture(
-    spec: ExperimentSpec, seed=None, alpha: float = 1.0, state: PipelineState | None = None
-) -> DiagnosticFixture:
-    """Train the full pipeline plus joint target, packaged for diagnostics."""
-    alpha = task_weight(alpha)
-    if state is None:
-        state = run_pipeline(spec, seed)
-    return fixture_from_state(state, train_target(state, alpha).params, alpha)
+    """Adapt a trained pipeline into a diagnostics fixture, each added task at weight ``alpha``."""
+    tasks = tuple((float(alpha), ck, state.train_sets[t], state.test_sets[t]) for t, ck in enumerate(state.tasks, start=1))
+    return DiagnosticFixture(name=state.spec.name, spec=state.spec.model, anchor=state.quad, target=target, tasks=tasks)

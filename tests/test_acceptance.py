@@ -195,7 +195,7 @@ def _ordering_seed(seed: int) -> tuple[bool, dict[str, float]]:
     target = train_target(state, alpha=1.0)
     fixture = fixture_from_state(state, target.params, alpha=1.0)
     mismatch = {
-        method: mismatch_report(fixture, merge(method, fixture.merge_inputs())).total_weighted_norm
+        method: mismatch_report(fixture, merge(method, inputs)).total_weighted_norm
         for method in spec.methods
     }
 

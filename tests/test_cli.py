@@ -9,10 +9,11 @@ from gradmerge import cli as cli_module
 from gradmerge import harness
 from gradmerge.cli import cli
 from gradmerge.curvature import exact_hessian_diag, fisher_diag
-from gradmerge.diagnostics import MISMATCH_TABLE_HEADER
-from gradmerge.harness import SUMMARY_HEADER, default_spec, run_pipeline
+from gradmerge.diagnostics import MISMATCH_TABLE_HEADER, mismatch_table_csv, mismatch_vs_error_table
+from gradmerge.harness import SUMMARY_HEADER, default_spec, fixture_from_state, load_spec, run_pipeline, train_target
+from gradmerge.merging import MergeInputs, merge
 from gradmerge.oracles import ORACLE_TABLE_HEADER
-from gradmerge.params import load_checkpoint
+from gradmerge.params import Checkpoint, load_checkpoint
 
 
 @pytest.fixture()
@@ -56,6 +57,14 @@ class TestParsing:
 
     def test_unknown_subcommand_exits_one(self):
         assert run_cli("frobnicate") == 1
+
+    def test_removed_diagnose_verb_exits_one_and_writes_nothing(self, small_config, capsys):
+        # ``report`` writes the same report.csv, next to summary.csv and the checkpoints.
+        config, out = small_config
+        assert run_cli("diagnose", "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "invalid choice: 'diagnose'" in err
+        assert not out.exists()
 
     def test_global_flags_work_before_and_after_verb(self, small_config, capsys):
         config, out = small_config
@@ -173,7 +182,7 @@ class TestParsing:
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["report", "sweep", "diagnose", "train"])
+    @pytest.mark.parametrize("command", ["report", "sweep", "train"])
     @pytest.mark.parametrize(
         "payload",
         [{"n_tasks": 1}, {"n_tasks": 3, "per_task": {"n_train": 0}, "curvature": "exact"}],
@@ -193,12 +202,11 @@ class TestParsing:
         [
             ("report", SHORT_LINEAR),
             ("report", {"methods": ["remove-ta"]}),
-            ("diagnose", {"methods": ["remove-ta"]}),
             ("remove", {"methods": ["ours"]}),
             ("sweep", {"alphas": [-1.0, 0.5]}),
         ],
         ids=[
-            "short_linear-report", "removal_method-report", "removal_method-diagnose", "addition_method-remove",
+            "short_linear-report", "removal_method-report", "addition_method-remove",
             "negative_alphas-sweep",
         ],
     )
@@ -217,7 +225,7 @@ class TestParsing:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
-    @pytest.mark.parametrize("command", ["report", "diagnose"])
+    @pytest.mark.parametrize("command", ["report"])
     def test_bad_weight_exits_one_before_training(self, small_config, capsys, monkeypatch, command, alpha):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the weight was checked")
@@ -332,12 +340,6 @@ class TestStagedWorkflow:
         assert run_cli("fisher", "--config", config, "--out", out) == 0
         assert len(calls) == 1  # n_tasks - 1
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
-    def test_non_finite_joint_target_weight_exits_one(self, small_config, capsys, alpha):
-        config, out = small_config
-        assert run_cli("diagnose", "--alpha", alpha, "--config", config, "--out", out, "--seed", "0") == 1
-        assert "ConfigError" in capsys.readouterr().err
-
     def test_train_then_fisher_equals_run_pipeline(self, tmp_path):
         assert run_cli("train", "--out", tmp_path, "--seed", "3") == 0
         assert run_cli("fisher", "--out", tmp_path, "--seed", "3") == 0
@@ -444,13 +446,6 @@ class TestProtocols:
         assert "remove-ours: distance to retrain" in stdout
         assert (out / "summary.csv").exists()
 
-    def test_diagnose_writes_report(self, small_config):
-        config, out = small_config
-        assert run_cli("diagnose", "--config", config, "--out", out, "--seed", "0") == 0
-        lines = (out / "report.csv").read_text().splitlines()
-        assert lines[0] == MISMATCH_TABLE_HEADER
-        assert len(lines) == 1 + 2  # two methods x one fixture x one task
-
 
     def test_report_scores_its_own_merges_and_evaluates_the_target_once_per_task(self, tmp_path, monkeypatch):
         # The default spec merges 6 methods into 4 added tasks.  The table
@@ -482,19 +477,23 @@ class TestProtocols:
         [{}, {"model": {"kind": "mlp", "n_features": 2, "hidden": 16, "activation": "tanh"}, "n_tasks": 3}],
         ids=["default", "mlp"],
     )
-    def test_report_and_diagnose_write_the_same_table(self, tmp_path, config, alpha):
-        # Both merge at the same weight from the same anchor, curvature and
-        # task checkpoints, and train the same joint target.
+    def test_report_writes_the_library_table(self, tmp_path, config, alpha):
+        # The library path on a fresh pipeline: the fixture holds a joint
+        # target trained at the weight, and each method merges the fixture's
+        # own anchor, penalty and task checkpoints.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
-        for command in ("report", "diagnose"):
-            argv = (command, "--config", path, "--out", tmp_path / command, "--seed", "1", "--alpha", alpha)
-            assert run_cli(*argv) == 0
-        assert (tmp_path / "report" / "report.csv").read_bytes() == (tmp_path / "diagnose" / "report.csv").read_bytes()
+        assert run_cli("report", "--config", path, "--out", tmp_path / "out", "--seed", "1", "--alpha", alpha) == 0
+        state, weight = run_pipeline(load_spec(path), 1), float(alpha)
+        fixture = fixture_from_state(state, train_target(state, weight).params, weight)
+        anchor = Checkpoint.of(fixture.anchor.anchor, curvature=fixture.anchor.h0)
+        inputs = MergeInputs(anchor, tuple((a, ck) for a, ck, _, _ in fixture.tasks), fixture.anchor.delta)
+        rows = mismatch_vs_error_table(fixture, {m: merge(m, inputs) for m in state.spec.methods})
+        assert (tmp_path / "out" / "report.csv").read_text() == mismatch_table_csv(rows)
 
 
 class TestOutputErrors:
-    @pytest.mark.parametrize("command", ["gen", "train", "report", "diagnose", "sweep", "remove", "oracle-check"])
+    @pytest.mark.parametrize("command", ["gen", "train", "report", "sweep", "remove", "oracle-check"])
     def test_out_naming_a_regular_file_exits_one(self, small_config, command, capsys):
         config, out = small_config
         out.write_text("not a directory\n")

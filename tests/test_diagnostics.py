@@ -19,7 +19,7 @@ from gradmerge.diagnostics import (
     verify_identity,
 )
 from gradmerge.errors import ConfigError, LayoutError, NumericError, SingularCurvatureError
-from gradmerge.merging import merge
+from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import ModelSpec, TaskDataset, grad
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
 from gradmerge.training import (
@@ -356,17 +356,32 @@ class TestTestLossDelta:
 class TestMismatchReportValidation:
     def test_overflowing_gradient_difference_raises_numeric_error(self):
         # Both gradients are finite (the linear gradient at x=1, y=0 is
-        # theta itself); only their difference overflows.
+        # theta itself); only their difference overflows.  The held-out
+        # split at x=0 keeps the target's loss and gradient finite.
         data = data_1d("d", [(1.0, 0.0)])
         fixture = DiagnosticFixture(
             name="overflow",
             spec=LINEAR,
             anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1e10),
             target=vec([1e308]),
+            tasks=((1.0, Checkpoint.of(vec([0.0])), data, data_1d("t", [(0.0, 0.0)])),),
+        )
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="parameter values must be finite"):
+            mismatch_report(fixture, vec([-1e308]))
+
+    def test_table_refuses_a_parameter_error_that_overflows(self):
+        # At x=0 every gradient and loss is zero; only the distance from
+        # the candidate to the target overflows.
+        data = data_1d("d", [(0.0, 0.0)])
+        fixture = DiagnosticFixture(
+            name="far",
+            spec=LINEAR,
+            anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1.0),
+            target=vec([1e308]),
             tasks=((1.0, Checkpoint.of(vec([0.0])), data, data),),
         )
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            mismatch_report(fixture, vec([-1e308]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
+            mismatch_vs_error_table(fixture, {"far": vec([-1e308])})
 
     def test_negative_norm_rejected(self):
         with pytest.raises(ConfigError):
@@ -378,14 +393,20 @@ class TestMismatchReportValidation:
             )
 
 
+def inputs_of(fixture):
+    """The fixture's anchor, penalty and weighted task checkpoints as merge inputs."""
+    anchor = Checkpoint.of(fixture.anchor.anchor, curvature=fixture.anchor.h0)
+    return MergeInputs(anchor, tuple((alpha, ckpt) for alpha, ckpt, _, _ in fixture.tasks), fixture.anchor.delta)
+
+
 def merges(fixture, methods):
-    return {method: merge(method, fixture.merge_inputs()) for method in methods}
+    return {method: merge(method, inputs_of(fixture)) for method in methods}
 
 
 class TestMismatchTable:
     def test_identical_methods_give_identical_rows(self):
         fixture = linear_fixture(6)
-        merged = merge("ta", fixture.merge_inputs())
+        merged = merge("ta", inputs_of(fixture))
         rows = mismatch_vs_error_table(fixture, {"ta": merged, "ta-again": merged})
         half = len(rows) // 2
         assert [r.method for r in rows] == ["ta"] * half + ["ta-again"] * half
@@ -448,7 +469,7 @@ class TestMismatchTable:
 
     def test_report_matches_direct_merge(self):
         fixture = linear_fixture(12)
-        merged = merge("ours", fixture.merge_inputs())
+        merged = merge("ours", inputs_of(fixture))
         report = mismatch_report(fixture, merged)
         assert report.error_norm <= 1e-8
         assert report.total_weighted_norm <= 1e-7

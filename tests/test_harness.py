@@ -17,10 +17,10 @@ from gradmerge.harness import (
     AnchorConfig,
     ExperimentSpec,
     PerTaskConfig,
-    build_diagnostic_fixture,
     default_removal_spec,
     default_spec,
     evaluate_params,
+    fixture_from_state,
     gen_tasks,
     load_spec,
     parse_alphas,
@@ -33,7 +33,7 @@ from gradmerge.harness import (
 )
 from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import MODEL_KINDS, ModelSpec, TaskDataset, accuracy, loss
-from gradmerge.params import load_checkpoint
+from gradmerge.params import Checkpoint, load_checkpoint
 from gradmerge.training import ADAM_EPOCHS, closed_form_solve
 
 
@@ -226,6 +226,20 @@ class TestExperimentSpec:
     def test_numpy_integers_pass_integer_fields(self):
         spec = ExperimentSpec(n_tasks=np.int64(2), per_task=PerTaskConfig(n_train=np.int32(20), n_test=20))
         assert len(gen_tasks(spec, 0)) == 4
+
+    def test_int_and_float_spellings_build_one_serialized_spec(self):
+        # Each number is stored in its field's annotated type, so writing 1
+        # for a float field gives the spec that writing 1.0 gives.
+        def serialized(per_task):
+            return json.dumps(dataclasses.asdict(ExperimentSpec.from_dict({"per_task": per_task})), sort_keys=True)
+
+        assert serialized({"noise": 1, "separation": 2}) == serialized({"noise": 1.0, "separation": 2.0})
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self):
+        spec = ExperimentSpec(n_tasks=np.int64(2), per_task=PerTaskConfig(n_train=np.int32(20), noise=np.float64(0.6)))
+        model = ModelSpec("mlp", np.int64(2), hidden=np.int64(3), activation="tanh")
+        assert type(spec.per_task.noise) is float and spec.per_task.noise == 0.6
+        assert [type(v) for v in (spec.n_tasks, spec.per_task.n_train, model.n_features, model.hidden)] == [int] * 4
 
     def test_load_spec_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -730,40 +744,41 @@ class TestSweepGrid:
         assert sweep_alpha(spec, state=default_state).series["ta"][1] == (-0.5, ref.avg)
 
 
+@pytest.fixture(scope="module")
+def bridged(default_state):
+    """The diagnostics fixture ``report`` builds at weight 1, and merge inputs read back from it."""
+    fixture = fixture_from_state(default_state, train_target(default_state, 1.0).params, 1.0)
+    anchor = Checkpoint.of(fixture.anchor.anchor, curvature=fixture.anchor.h0)
+    tasks = tuple((alpha, ck) for alpha, ck, _, _ in fixture.tasks)
+    return fixture, MergeInputs(anchor, tasks, fixture.anchor.delta)
+
+
 class TestDiagnosticBridge:
     def test_refuses_a_bad_weight_before_training(self, monkeypatch):
+        # report's table is built at run_addition's weight, which is checked first.
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the weight was checked")
 
         monkeypatch.setattr("gradmerge.harness.train_anchor", no_training)
         with pytest.raises(ConfigError, match="finite and >= 0"):
-            build_diagnostic_fixture(small_spec(), seed=0, alpha=-1.0)
+            run_addition(small_spec(), seed=0, alpha=-1.0)
 
-    def test_fixture_reproduces_pipeline_merges(self, default_state):
-        fixture = build_diagnostic_fixture(default_state.spec, state=default_state, alpha=1.0)
-        from gradmerge.merging import merge
-
+    def test_fixture_reproduces_pipeline_merges(self, default_state, bridged):
+        _, inputs = bridged
         for method in ("ta", "ours"):
-            via_fixture = merge(method, fixture.merge_inputs())
+            via_fixture = merge(method, inputs)
             via_state = merged(default_state, method, 1.0)
             np.testing.assert_allclose(via_fixture.values, via_state.values, atol=1e-12)
 
-    def test_ties_is_the_registry_rule(self, default_state):
-        from gradmerge.merging import MergeInputs, merge
-
+    def test_ties_is_the_registry_rule(self, default_state, bridged):
         spec = default_state.spec
         inputs = MergeInputs(default_state.anchor, tuple((1.0, ck) for ck in default_state.tasks), spec.anchor.delta)
         expected = merge("ties", inputs).values.tobytes()
         assert merged(default_state, "ties", 1.0).values.tobytes() == expected
-        fixture = build_diagnostic_fixture(spec, state=default_state, alpha=1.0)
-        assert merge("ties", fixture.merge_inputs()).values.tobytes() == expected
+        assert merge("ties", bridged[1]).values.tobytes() == expected
 
-    def test_fixture_mismatch_orders_ta_and_ours(self, default_state):
+    def test_fixture_mismatch_orders_ta_and_ours(self, default_state, bridged):
         from gradmerge.diagnostics import mismatch_report
 
-        fixture = build_diagnostic_fixture(default_state.spec, state=default_state, alpha=1.0)
-        mm = {
-            m: mismatch_report(fixture, merged(default_state, m, 1.0)).total_weighted_norm
-            for m in ("ta", "ours")
-        }
+        mm = {m: mismatch_report(bridged[0], merged(default_state, m, 1.0)).total_weighted_norm for m in ("ta", "ours")}
         assert mm["ours"] < mm["ta"]

@@ -317,6 +317,21 @@ class TestCheckpointIO:
         with pytest.raises(CorruptCheckpointError, match="has_curvature"):
             load_checkpoint(stem)
 
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [("meta", [["seed", "7"]], "non-string meta"), ("meta", {"seed": 7}, "non-string meta"), ("anchor_id", 3, "anchor_id")],
+        ids=["meta_not_an_object", "non_string_meta_value", "non_string_anchor_id"],
+    )
+    def test_malformed_metadata_field_rejected(self, tmp_path, key, value, match):
+        # A list of pairs is refused as ``meta``, although dict() would accept it.
+        stem = tmp_path / "ck"
+        save_checkpoint(self.make_ckpt(False), stem)
+        doc = json.loads((tmp_path / "ck.meta.json").read_text())
+        doc[key] = value
+        (tmp_path / "ck.meta.json").write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match=match):
+            load_checkpoint(stem)
+
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(IoError):
             load_checkpoint(tmp_path / "nope")
