@@ -121,9 +121,10 @@ def _cmd_train(args, spec, seed, out) -> int:
     out = output_dir(out)
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
     anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
-    # The anchor is written without its penalty diagonal: ``fisher``
-    # estimates it, with the config's ``curvature`` estimator.
-    save_run(out, Checkpoint.of(anchor.params, None, anchor.anchor_id, anchor.meta), tasks)
+    # The anchor is written with its params and meta but without its
+    # penalty diagonal: ``fisher`` estimates it, with the config's
+    # ``curvature`` estimator.
+    save_run(out, Checkpoint(anchor.params, meta=anchor.meta), tasks)
     print(f"wrote anchor and {len(tasks)} task checkpoints to {out}")
     return 0
 
@@ -134,7 +135,7 @@ def _cmd_fisher(args, spec, seed, out) -> int:
     h0 = estimate_anchor_h0(spec, anchor.params, trains[0])
     tasks = [load_checkpoint(out / f"task{t}") for t in range(1, spec.n_tasks)]
     tasks = with_task_curvature(spec, tasks, trains[1:])
-    save_run(out, Checkpoint.of(anchor.params, h0, anchor.anchor_id, anchor.meta), tasks)
+    save_run(out, Checkpoint(anchor.params, h0, anchor.meta), tasks)
     print(f"attached curvature to anchor and {len(tasks)} task checkpoints in {out}")
     return 0
 
@@ -150,7 +151,7 @@ def _cmd_merge(args, spec, seed, out) -> int:
                     "run the fisher step first"
                 )
     params = merge(args.method, MergeInputs(anchor, tuple((args.alpha, ck) for ck in tasks), spec.anchor.delta))
-    merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks), anchor.anchor_id)
+    merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks))
     save_checkpoint(merged, out / f"merged-{args.method}")
     eval_sets = gen_tasks(spec, seed)[spec.n_tasks + 1 :]
     outcome = evaluate_params(spec, args.method, args.alpha, params, eval_sets)

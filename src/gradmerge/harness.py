@@ -399,19 +399,16 @@ def train_stage(
     """
     base = train_anchor(spec.model, anchor_data, spec.anchor.delta, seed)
     h0 = estimate_anchor_h0(spec, base.params, anchor_data)
-    anchor = Checkpoint.of(base.params, h0, meta=base.meta)
+    anchor = Checkpoint(base.params, h0, base.meta)
     quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
-    tuned = tuple(
-        finetune_task(spec.model, data, quad, seed + t, anchor_id="anchor")
-        for t, data in blocks
-    )
+    tuned = tuple(finetune_task(spec.model, data, quad, seed + t) for t, data in blocks)
     return anchor, quad, tuned
 
 
 def with_task_curvature(spec: ExperimentSpec, tasks, datasets) -> tuple[Checkpoint, ...]:
     """The task-curvature step: each checkpoint plus its diagonal on its own training data."""
     return tuple(
-        Checkpoint.of(ck.params, estimate_task_curvature(spec, ck.params, data), ck.anchor_id, ck.meta)
+        Checkpoint(ck.params, estimate_task_curvature(spec, ck.params, data), ck.meta)
         for ck, data in zip(tasks, datasets, strict=True)
     )
 
@@ -549,7 +546,7 @@ def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     """Joint-target baseline trained on every added task at one weight."""
     added = list(state.train_sets[1:])
     seed = state.seed + state.spec.n_tasks
-    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, seed, anchor_id="anchor")
+    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, seed)
 
 
 def _metric_rows(outcome: MethodOutcome) -> list[str]:
@@ -660,7 +657,7 @@ def run_addition(
             params = merge(method, inputs)
             outcomes[method] = evaluate_params(spec, method, alpha, params, eval_sets)
             if out is not None:
-                merged = merged_checkpoint(method, params, [alpha] * len(state.tasks), state.anchor.anchor_id)
+                merged = merged_checkpoint(method, params, [alpha] * len(state.tasks))
                 save_checkpoint(merged, out / f"merged-{method}")
             summary.add(_metric_rows(outcomes[method]))
         target = train_target(state, alpha)
@@ -721,7 +718,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
         outcomes[label] = evaluate_params(spec, label, alpha, theta, tests, tests[:removed])
         dists[label] = float(np.linalg.norm(theta.values - retrain.params.values))
         if out is not None and stem is not None:
-            save_checkpoint(Checkpoint.of(theta, anchor_id="anchor", meta={"method": label}), out / stem)
+            save_checkpoint(Checkpoint(theta, meta={"method": label}), out / stem)
         summary.add(_metric_rows(outcomes[label]) + [f"{label},{alpha!r},all,dist_retrain,{dists[label]!r}"])
 
     with summary:

@@ -303,7 +303,7 @@ def remove_task(
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
 
 
-def merged_checkpoint(method: str, params: ParamVector, alphas, anchor_id: str | None = None) -> Checkpoint:
+def merged_checkpoint(method: str, params: ParamVector, alphas) -> Checkpoint:
     """Wrap a merge result as a checkpoint recording method and weights."""
     meta = {"method": method, "alphas": ",".join(repr(float(a)) for a in alphas)}
-    return Checkpoint.of(params, anchor_id=anchor_id, meta=meta)
+    return Checkpoint(params, meta=meta)

@@ -296,14 +296,14 @@ def linear_merge_fixture(rng: np.random.Generator, seed: int = 0) -> MergeFixtur
         theta_t = (h0 * a + data.inputs.T @ data.targets) / (h0 + ht)
         alpha = float(rng.uniform(0.3, 1.0))
         tasks.append(
-            (alpha, Checkpoint.of(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, ht)))
+            (alpha, Checkpoint(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, ht)))
         )
         datasets.append(data)
         alphas.append(alpha)
     anchor_vec = ParamVector(layout, a)
     h0_diag = DiagCurvature(layout, h0)
     inputs = MergeInputs(
-        anchor=Checkpoint.of(anchor_vec, curvature=h0_diag), tasks=tuple(tasks)
+        anchor=Checkpoint(anchor_vec, curvature=h0_diag), tasks=tuple(tasks)
     )
     return MergeFixture(
         inputs=inputs,
@@ -342,10 +342,10 @@ def linear_removal_fixture(rng: np.random.Generator, seed: int = 0) -> RemovalFi
     )
     removed = tuple(range(n_keep, n_keep + n_drop))
     return RemovalFixture(
-        anchor=Checkpoint.of(ParamVector(layout, theta_llm)),
+        anchor=Checkpoint(ParamVector(layout, theta_llm)),
         task=(
             1.0,
-            Checkpoint.of(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, h_drop)),
+            Checkpoint(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, h_drop)),
         ),
         full_data=full,
         removed=removed,
@@ -372,8 +372,8 @@ def map_fixture(rng: np.random.Generator) -> MapFixture:
         for _ in range(T)
     )
     inputs = MergeInputs(
-        anchor=Checkpoint.of(anchor, curvature=h0),
-        tasks=tuple((alpha, Checkpoint.of(theta, curvature=ht)) for alpha, theta, ht in tasks),
+        anchor=Checkpoint(anchor, curvature=h0),
+        tasks=tuple((alpha, Checkpoint(theta, curvature=ht)) for alpha, theta, ht in tasks),
     )
     return MapFixture(anchor=anchor, h0=h0, tasks=tasks, inputs=inputs)
 

@@ -8,7 +8,7 @@ the types here are the common currency of the whole package.  They
 validate their values once, on construction.
 
 Checkpoints are stored as two files sharing a stem: ``<stem>.meta.json``
-(layout, anchor reference, free-form string metadata) and
+(layout, curvature flag, free-form string metadata) and
 ``<stem>.f64le`` (raw little-endian float64 values, parameters first,
 then the curvature diagonal when present).  The representation is chosen
 so that a save/load round trip is bit-exact and the metadata stays
@@ -128,36 +128,24 @@ class DiagCurvature:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Parameters plus optional curvature, anchor reference, and metadata."""
+    """Parameters plus optional curvature and string metadata."""
 
-    layout: ParamLayout
     params: ParamVector
     curvature: DiagCurvature | None = None
-    anchor_id: str | None = None
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.params.layout != self.layout:
-            raise LayoutError("checkpoint params layout does not match checkpoint layout")
         if self.curvature is not None and self.curvature.layout != self.layout:
             raise LayoutError("checkpoint curvature layout does not match checkpoint layout")
-        if self.anchor_id is not None and not isinstance(self.anchor_id, str):
-            raise ConfigError("anchor_id must be a string or None")
         meta = dict(self.meta)
         for key, value in meta.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ConfigError(f"checkpoint meta must map strings to strings, got {key!r}: {value!r}")
         object.__setattr__(self, "meta", meta)
 
-    @classmethod
-    def of(
-        cls,
-        params: ParamVector,
-        curvature: DiagCurvature | None = None,
-        anchor_id: str | None = None,
-        meta: Mapping[str, str] | None = None,
-    ) -> "Checkpoint":
-        return cls(params.layout, params, curvature, anchor_id, dict(meta or {}))
+    @property
+    def layout(self) -> ParamLayout:
+        return self.params.layout
 
 
 def _meta_path(path_stem) -> Path:
@@ -172,7 +160,6 @@ def save_checkpoint(ckpt: Checkpoint, path_stem) -> None:
     """Write ``<stem>.meta.json`` and ``<stem>.f64le`` for a checkpoint."""
     doc = {
         "layout": [[name, list(shape)] for name, shape in ckpt.layout.entries],
-        "anchor_id": ckpt.anchor_id,
         "has_curvature": ckpt.curvature is not None,
         "meta": dict(ckpt.meta),
     }
@@ -187,7 +174,11 @@ def save_checkpoint(ckpt: Checkpoint, path_stem) -> None:
 
 
 def load_checkpoint(path_stem) -> Checkpoint:
-    """Inverse of :func:`save_checkpoint`; validates lengths and finiteness."""
+    """Inverse of :func:`save_checkpoint`; validates lengths and finiteness.
+
+    Metadata keys other than ``layout``, ``has_curvature`` and ``meta``
+    are ignored.
+    """
     try:
         meta_text = _meta_path(path_stem).read_text()
         blob = _blob_path(path_stem).read_bytes()
@@ -199,7 +190,7 @@ def load_checkpoint(path_stem) -> Checkpoint:
         raise CorruptCheckpointError(f"unparseable checkpoint metadata {path_stem!s}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} is not an object")
-    for key in ("layout", "anchor_id", "has_curvature", "meta"):
+    for key in ("layout", "has_curvature", "meta"):
         if key not in doc:
             raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} is missing key {key!r}")
     try:
@@ -211,9 +202,6 @@ def load_checkpoint(path_stem) -> Checkpoint:
         not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
     ):
         raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} has non-string meta entries")
-    anchor_id = doc["anchor_id"]
-    if anchor_id is not None and not isinstance(anchor_id, str):
-        raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} has a non-string anchor_id")
     has_curvature = doc["has_curvature"]
     if not isinstance(has_curvature, bool):
         raise CorruptCheckpointError(f"checkpoint metadata {path_stem!s} has a non-boolean has_curvature")
@@ -226,4 +214,4 @@ def load_checkpoint(path_stem) -> Checkpoint:
     values = np.frombuffer(blob, dtype="<f8")
     params = ParamVector(layout, values[:n])
     curvature = DiagCurvature(layout, values[n:]) if has_curvature else None
-    return Checkpoint(layout, params, curvature, anchor_id, meta)
+    return Checkpoint(params, curvature, meta)

@@ -100,8 +100,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 #: Adam epochs of an MLP fit from a random init (the anchor, and the
-#: removal retrain).  Linear and logistic fits run no Adam; their
-#: checkpoint metadata records this count.
+#: removal retrain).  Linear and logistic fits run no Adam and their
+#: checkpoint metadata records no epochs.
 ADAM_EPOCHS = 200
 
 #: Adam epochs of an MLP fit that starts at the anchor (a fine-tune or a
@@ -389,16 +389,12 @@ def _meta(seed: int, epochs: int, objective: str, delta: float, spec: ModelSpec)
     return {
         "objective": objective,
         "seed": str(seed),
-        "epochs": str(epochs),
+        # Linear and logistic fits run no Adam: only an MLP's meta records epochs.
+        **({"epochs": str(epochs)} if spec.kind == "mlp" else {}),
         "delta": repr(float(delta)),
         "model": spec.kind,
         "loss": spec.loss,
     }
-
-
-def _warm_start(spec: ModelSpec) -> int:
-    """The Adam epochs of a fit that starts at the anchor: WARM_START_EPOCHS for an MLP."""
-    return WARM_START_EPOCHS if spec.kind == "mlp" else ADAM_EPOCHS
 
 
 def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) -> Checkpoint:
@@ -409,7 +405,7 @@ def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) ->
     """
     anchor = QuadraticAnchor.ridge_only(spec.layout(), delta)
     theta = _fit(spec, [data], [1.0], anchor, ADAM_EPOCHS, _init_theta(spec, seed))
-    return Checkpoint.of(theta, meta=_meta(seed, ADAM_EPOCHS, "anchor", delta, spec))
+    return Checkpoint(theta, meta=_meta(seed, ADAM_EPOCHS, "anchor", delta, spec))
 
 
 def finetune_task(
@@ -417,7 +413,6 @@ def finetune_task(
     data: TaskDataset,
     anchor: QuadraticAnchor,
     seed: int,
-    anchor_id: str | None = None,
 ) -> Checkpoint:
     """Fine-tune from an anchor under its quadratic penalty.
 
@@ -427,9 +422,8 @@ def finetune_task(
     :data:`WARM_START_EPOCHS` Adam epochs before Newton.  ``seed`` is
     recorded in the metadata; the fit starts at the anchor.
     """
-    epochs = _warm_start(spec)
-    theta = _fit(spec, [data], [1.0], anchor, epochs, anchor.anchor.values.copy())
-    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(seed, epochs, "finetune", anchor.delta, spec))
+    theta = _fit(spec, [data], [1.0], anchor, WARM_START_EPOCHS, anchor.anchor.values.copy())
+    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "finetune", anchor.delta, spec))
 
 
 def task_weight(alpha) -> float:
@@ -446,7 +440,6 @@ def train_joint_target(
     alphas: list[float],
     anchor: QuadraticAnchor,
     seed: int,
-    anchor_id: str | None = None,
 ) -> Checkpoint:
     """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty.
 
@@ -455,11 +448,10 @@ def train_joint_target(
     """
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    epochs = _warm_start(spec)
     theta = _fit(
-        spec, list(datasets), [task_weight(a) for a in alphas], anchor, epochs, anchor.anchor.values.copy()
+        spec, list(datasets), [task_weight(a) for a in alphas], anchor, WARM_START_EPOCHS, anchor.anchor.values.copy()
     )
-    return Checkpoint.of(theta, anchor_id=anchor_id, meta=_meta(seed, epochs, "joint_target", anchor.delta, spec))
+    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "joint_target", anchor.delta, spec))
 
 
 def closed_form_solve(

@@ -44,7 +44,7 @@ from gradmerge.training import stationarity_residual
 def ckpt(values, curvature=None):
     layout = ParamLayout([("w", (len(values),))])
     curv = None if curvature is None else DiagCurvature(layout, curvature)
-    return Checkpoint.of(ParamVector(layout, values), curvature=curv)
+    return Checkpoint(ParamVector(layout, values), curvature=curv)
 
 
 @pytest.mark.criterion(1, "preconditioned merge equals the stacked joint solve on 50 fixtures (<1e-9, <5s)")
@@ -253,17 +253,16 @@ def test_determinism_and_serialization(tmp_path):
         assert mismatched == [], f"{label} rerun differs in {mismatched}"
 
     rng = np.random.default_rng(20260831)
-    original = Checkpoint.of(
+    original = Checkpoint(
         ParamVector(ParamLayout([("w", (7,))]), rng.standard_normal(7)),
         curvature=DiagCurvature(ParamLayout([("w", (7,))]), rng.uniform(0.1, 3.0, size=7)),
-        anchor_id="anchor",
         meta={"objective": "round-trip"},
     )
     save_checkpoint(original, tmp_path / "ck1")
     loaded = load_checkpoint(tmp_path / "ck1")
     assert loaded.params.values.tobytes() == original.params.values.tobytes()
     assert loaded.curvature.values.tobytes() == original.curvature.values.tobytes()
-    assert loaded.anchor_id == original.anchor_id and loaded.meta == original.meta
+    assert loaded.meta == original.meta
     save_checkpoint(loaded, tmp_path / "ck2")
     for suffix in (".meta.json", ".f64le"):
         assert (tmp_path / f"ck2{suffix}").read_bytes() == (tmp_path / f"ck1{suffix}").read_bytes()

@@ -349,7 +349,7 @@ class TestStagedWorkflow:
             disk = load_checkpoint(tmp_path / stem)
             assert disk.params.values.tobytes() == ck.params.values.tobytes(), stem
             assert disk.curvature.values.tobytes() == ck.curvature.values.tobytes(), stem
-            assert (disk.anchor_id, disk.meta) == (ck.anchor_id, ck.meta), stem
+            assert disk.meta == ck.meta, stem
 
     def test_negative_weight_numeric_failure_exits_two(self, small_config, capsys):
         config, out = small_config
@@ -486,7 +486,7 @@ class TestProtocols:
         assert run_cli("report", "--config", path, "--out", tmp_path / "out", "--seed", "1", "--alpha", alpha) == 0
         state, weight = run_pipeline(load_spec(path), 1), float(alpha)
         fixture = fixture_from_state(state, train_target(state, weight).params, weight)
-        anchor = Checkpoint.of(fixture.anchor.anchor, curvature=fixture.anchor.h0)
+        anchor = Checkpoint(fixture.anchor.anchor, curvature=fixture.anchor.h0)
         inputs = MergeInputs(anchor, tuple((a, ck) for a, ck, _, _ in fixture.tasks), fixture.anchor.delta)
         rows = mismatch_vs_error_table(fixture, {m: merge(m, inputs) for m in state.spec.methods})
         assert (tmp_path / "out" / "report.csv").read_text() == mismatch_table_csv(rows)

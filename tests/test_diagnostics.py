@@ -79,7 +79,7 @@ def linear_fixture(seed, T=2, d=3, n=12, name=None):
         test = TaskDataset(task_id=f"task{t}-test", inputs=X_test, targets=y_test, seed=seed)
         theta_t = closed_form_solve([train], [1.0], anchor)
         ht = DiagCurvature(layout, np.einsum("ij,ij->j", X, X))
-        tasks.append((1.0, Checkpoint.of(theta_t, curvature=ht), train, test))
+        tasks.append((1.0, Checkpoint(theta_t, curvature=ht), train, test))
     target = closed_form_solve([tr for _, _, tr, _ in tasks], [1.0] * T, anchor)
     return DiagnosticFixture(
         name=name or f"linear-{seed}",
@@ -121,7 +121,7 @@ def trained_fixture(seed, kind="logistic"):
             curv = exact_hessian_diag(spec, ckpt.params, train)
         else:
             curv = fisher_diag(spec, ckpt.params, train)
-        tasks.append((1.0, Checkpoint.of(ckpt.params, curvature=curv), train, test))
+        tasks.append((1.0, Checkpoint(ckpt.params, curvature=curv), train, test))
         datasets.append(train)
     target = train_joint_target(spec, datasets, [1.0] * T, anchor, seed)
     return DiagnosticFixture(
@@ -347,7 +347,7 @@ class TestTestLossDelta:
             spec=spec,
             anchor=QuadraticAnchor.ridge_only(layout, delta=1.0),
             target=ParamVector(layout, [30.0, -20.0]),
-            tasks=((1.0, Checkpoint.of(ParamVector.zeros(layout)), split("t"), split("t-test")),),
+            tasks=((1.0, Checkpoint(ParamVector.zeros(layout)), split("t"), split("t-test")),),
         )
         (row,) = mismatch_vs_error_table(fixture, {"far": ParamVector(layout, [-25.0, 15.0])})
         assert np.isfinite(row.test_loss_delta_exact) and np.isfinite(row.test_loss_delta_fo)
@@ -364,7 +364,7 @@ class TestMismatchReportValidation:
             spec=LINEAR,
             anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1e10),
             target=vec([1e308]),
-            tasks=((1.0, Checkpoint.of(vec([0.0])), data, data_1d("t", [(0.0, 0.0)])),),
+            tasks=((1.0, Checkpoint(vec([0.0])), data, data_1d("t", [(0.0, 0.0)])),),
         )
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="parameter values must be finite"):
             mismatch_report(fixture, vec([-1e308]))
@@ -378,7 +378,7 @@ class TestMismatchReportValidation:
             spec=LINEAR,
             anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1.0),
             target=vec([1e308]),
-            tasks=((1.0, Checkpoint.of(vec([0.0])), data, data),),
+            tasks=((1.0, Checkpoint(vec([0.0])), data, data),),
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
             mismatch_vs_error_table(fixture, {"far": vec([-1e308])})
@@ -395,7 +395,7 @@ class TestMismatchReportValidation:
 
 def inputs_of(fixture):
     """The fixture's anchor, penalty and weighted task checkpoints as merge inputs."""
-    anchor = Checkpoint.of(fixture.anchor.anchor, curvature=fixture.anchor.h0)
+    anchor = Checkpoint(fixture.anchor.anchor, curvature=fixture.anchor.h0)
     return MergeInputs(anchor, tuple((alpha, ckpt) for alpha, ckpt, _, _ in fixture.tasks), fixture.anchor.delta)
 
 

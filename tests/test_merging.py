@@ -48,7 +48,7 @@ def curv(values):
 def ckpt(values, curvature=None):
     params = vec(values)
     curv_obj = None if curvature is None else curv(curvature)
-    return Checkpoint.of(params, curvature=curv_obj)
+    return Checkpoint(params, curvature=curv_obj)
 
 
 def random_inputs(rng, d=4, n_tasks=3, with_curvature=True, delta=0.0):
@@ -488,7 +488,7 @@ class TestRemoveTask:
         (alpha_last, last), kept = inputs.tasks[-1], inputs.tasks[:-1]
         hbar_minus = inputs.anchor.curvature.values + sum(a * ck.curvature.values for a, ck in kept)
         removed = remove_task(
-            Checkpoint.of(merged), (alpha_last, Checkpoint.of(finetuned, last.curvature)), curv(hbar_minus), penalty
+            Checkpoint(merged), (alpha_last, Checkpoint(finetuned, last.curvature)), curv(hbar_minus), penalty
         ).values
         expected = merge_uncertainty(MergeInputs(inputs.anchor, kept, inputs.delta)).values
         assert np.max(np.abs(removed - expected)) <= 1e-9 * np.max(np.abs(expected))
@@ -521,10 +521,10 @@ class TestLinearExactness:
                 theta_t = closed_form_solve([data], [1.0], quad)
                 ht = DiagCurvature(layout, np.einsum("ij,ij->j", X, X))
                 alphas.append(float(rng.uniform(0.3, 1.0)))
-                tasks.append((alphas[-1], Checkpoint.of(theta_t, curvature=ht)))
+                tasks.append((alphas[-1], Checkpoint(theta_t, curvature=ht)))
                 datasets.append(data)
             inputs = MergeInputs(
-                anchor=Checkpoint.of(anchor_theta, curvature=h0), tasks=tuple(tasks)
+                anchor=Checkpoint(anchor_theta, curvature=h0), tasks=tuple(tasks)
             )
             merged = merge_uncertainty(inputs).values
             joint = closed_form_solve(datasets, alphas, quad).values
@@ -562,8 +562,8 @@ class TestLinearExactness:
             )
             theta_t = closed_form_solve([drop], [1.0], finetune)
             out = remove_task(
-                Checkpoint.of(anchor_theta),
-                (1.0, Checkpoint.of(theta_t, curvature=DiagCurvature(layout, h_drop))),
+                Checkpoint(anchor_theta),
+                (1.0, Checkpoint(theta_t, curvature=DiagCurvature(layout, h_drop))),
                 hbar_minus=DiagCurvature(layout, h_keep),
                 h0=DiagCurvature(layout, h0_vals),
                 delta=delta,

@@ -131,7 +131,7 @@ class TestLoss:
         spec = ModelSpec("mlp", 2, hidden=4, activation="tanh")
         theta, data = random_pair(spec, 11)
         before = loss(spec, theta, data)
-        save_checkpoint(Checkpoint.of(theta), tmp_path / "m")
+        save_checkpoint(Checkpoint(theta), tmp_path / "m")
         after = loss(spec, load_checkpoint(tmp_path / "m").params, data)
         assert before == after
 

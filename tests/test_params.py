@@ -125,8 +125,8 @@ def weighted_sum(terms):
     """``sum_k w_k v_k`` through the merge kernel: task arithmetic around a
     zero anchor, so each term's increment is the vector itself."""
     layout = terms[0][1].layout
-    zero = Checkpoint.of(ParamVector(layout, np.zeros(layout.total_len)))
-    tasks = tuple((w, Checkpoint.of(v)) for w, v in terms)
+    zero = Checkpoint(ParamVector(layout, np.zeros(layout.total_len)))
+    tasks = tuple((w, Checkpoint(v)) for w, v in terms)
     return merge_task_arithmetic(MergeInputs(anchor=zero, tasks=tasks))
 
 
@@ -178,7 +178,7 @@ class TestPreconditionCombine:
     def test_zero_increments_return_anchor(self):
         anchor = vec([1.0, -1.0, 2.0])
         h = diag([1.0, 2.0, 3.0], anchor.layout)
-        base = Checkpoint.of(anchor, curvature=h)
+        base = Checkpoint(anchor, curvature=h)
         out = merge_uncertainty(MergeInputs(anchor=base, tasks=((1.0, base),)))
         np.testing.assert_array_equal(out.values, anchor.values)
 
@@ -188,8 +188,8 @@ class TestPreconditionCombine:
         ones = diag([1.0, 1.0], anchor.layout)
         zeros = DiagCurvature.zeros(anchor.layout)
         inputs = MergeInputs(
-            anchor=Checkpoint.of(anchor, curvature=ones),
-            tasks=((1.0, Checkpoint.of(theta, curvature=zeros)),),
+            anchor=Checkpoint(anchor, curvature=ones),
+            tasks=((1.0, Checkpoint(theta, curvature=zeros)),),
         )
         out = merge_uncertainty(inputs)
         np.testing.assert_allclose(out.values, theta.values, atol=1e-15)
@@ -202,10 +202,10 @@ class TestPreconditionCombine:
         anchor = vec([0.0])
         one = diag([1.0], anchor.layout)
         inputs = MergeInputs(
-            anchor=Checkpoint.of(anchor, curvature=one),
+            anchor=Checkpoint(anchor, curvature=one),
             tasks=(
-                (1.0, Checkpoint.of(vec([1.0], anchor.layout), curvature=one)),
-                (1.0, Checkpoint.of(vec([2.0], anchor.layout), curvature=one)),
+                (1.0, Checkpoint(vec([1.0], anchor.layout), curvature=one)),
+                (1.0, Checkpoint(vec([2.0], anchor.layout), curvature=one)),
             ),
         )
         out = merge_uncertainty(inputs)
@@ -215,17 +215,17 @@ class TestPreconditionCombine:
         anchor = vec([0.0, 0.0])
         one = diag([1.0, 1.0], anchor.layout)
         bad = DiagCurvature(anchor.layout, [1.0, 0.0])
-        task = (1.0, Checkpoint.of(anchor, curvature=one))
+        task = (1.0, Checkpoint(anchor, curvature=one))
         with pytest.raises(SingularCurvatureError):
-            remove_task(Checkpoint.of(anchor), task, hbar_minus=bad, h0=one)
+            remove_task(Checkpoint(anchor), task, hbar_minus=bad, h0=one)
 
     def test_layout_mismatch_rejected(self):
         anchor = vec([0.0, 0.0])
         one = diag([1.0, 1.0], anchor.layout)
         theta = vec([1.0])
-        task = (1.0, Checkpoint.of(theta, curvature=diag([1.0], theta.layout)))
+        task = (1.0, Checkpoint(theta, curvature=diag([1.0], theta.layout)))
         with pytest.raises(LayoutError):
-            remove_task(Checkpoint.of(anchor), task, hbar_minus=one, h0=one)
+            remove_task(Checkpoint(anchor), task, hbar_minus=one, h0=one)
 
     @given(
         st.floats(1e-6, 1e6),
@@ -237,11 +237,11 @@ class TestPreconditionCombine:
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, c, theta, h0, ht, hbar):
         layout = ParamLayout((("w", (3,)),))
-        anchor = Checkpoint.of(ParamVector(layout, [0.5, -0.5, 1.0]))
+        anchor = Checkpoint(ParamVector(layout, [0.5, -0.5, 1.0]))
 
         def step(scale):
             curv = DiagCurvature(layout, scale * np.asarray(ht))
-            task = (0.7, Checkpoint.of(ParamVector(layout, theta), curvature=curv))
+            task = (0.7, Checkpoint(ParamVector(layout, theta), curvature=curv))
             return remove_task(
                 anchor,
                 task,
@@ -258,7 +258,7 @@ class TestCheckpointIO:
         layout = ParamLayout((("w", (3,)),))
         params = ParamVector(layout, [1.5, -2.25, 0.0])
         curvature = DiagCurvature(layout, [0.5, 1.0, 2.0]) if with_curvature else None
-        return Checkpoint(layout, params, curvature, "anchor-0", {"seed": "7", "note": "x"})
+        return Checkpoint(params, curvature, {"seed": "7", "note": "x"})
 
     def test_round_trip_bit_exact(self, tmp_path):
         ckpt = self.make_ckpt(True)
@@ -268,7 +268,6 @@ class TestCheckpointIO:
         assert back.layout == ckpt.layout
         assert back.params.values.tobytes() == ckpt.params.values.tobytes()
         assert back.curvature.values.tobytes() == ckpt.curvature.values.tobytes()
-        assert back.anchor_id == ckpt.anchor_id
         assert back.meta == ckpt.meta
 
     def test_blob_size_without_curvature(self, tmp_path):
@@ -319,8 +318,8 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize(
         "key,value,match",
-        [("meta", [["seed", "7"]], "non-string meta"), ("meta", {"seed": 7}, "non-string meta"), ("anchor_id", 3, "anchor_id")],
-        ids=["meta_not_an_object", "non_string_meta_value", "non_string_anchor_id"],
+        [("meta", [["seed", "7"]], "non-string meta"), ("meta", {"seed": 7}, "non-string meta")],
+        ids=["meta_not_an_object", "non_string_meta_value"],
     )
     def test_malformed_metadata_field_rejected(self, tmp_path, key, value, match):
         # A list of pairs is refused as ``meta``, although dict() would accept it.
@@ -351,10 +350,27 @@ class TestCheckpointIO:
             load_checkpoint(stem)
 
     def test_checkpoint_layout_mismatch_rejected(self):
+        # The checkpoint's layout is its params' layout; a curvature
+        # diagonal of another layout is refused.
         layout = ParamLayout((("w", (2,)),))
         other = ParamLayout((("w", (3,)),))
-        with pytest.raises(LayoutError):
-            Checkpoint(other, ParamVector(layout, [1.0, 2.0]))
+        with pytest.raises(LayoutError, match="curvature layout"):
+            Checkpoint(ParamVector(layout, [1.0, 2.0]), DiagCurvature(other, [1.0, 1.0, 1.0]))
+
+    def test_metadata_with_an_anchor_id_key_loads_unchanged(self, tmp_path):
+        # Checkpoints written before the format dropped ``anchor_id`` still
+        # carry the key; the loader ignores it.
+        ckpt = self.make_ckpt(True)
+        stem = tmp_path / "ck"
+        save_checkpoint(ckpt, stem)
+        doc = json.loads((tmp_path / "ck.meta.json").read_text())
+        doc = {"layout": doc["layout"], "anchor_id": "anchor", **doc}
+        (tmp_path / "ck.meta.json").write_text(json.dumps(doc, indent=2) + "\n")
+        back = load_checkpoint(stem)
+        assert back.layout == ckpt.layout
+        assert back.params.values.tobytes() == ckpt.params.values.tobytes()
+        assert back.curvature.values.tobytes() == ckpt.curvature.values.tobytes()
+        assert back.meta == ckpt.meta
 
     @given(values=st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=16))
     @settings(max_examples=50, deadline=None)
@@ -362,7 +378,7 @@ class TestCheckpointIO:
         import tempfile
 
         layout = ParamLayout((("w", (len(values),)),))
-        ckpt = Checkpoint.of(ParamVector(layout, values))
+        ckpt = Checkpoint(ParamVector(layout, values))
         with tempfile.TemporaryDirectory() as tmp:
             stem = f"{tmp}/c"
             save_checkpoint(ckpt, stem)

@@ -213,11 +213,10 @@ class TestFinetune:
         anchor = QuadraticAnchor(
             ParamVector(layout, [0.2, -0.1]), DiagCurvature(layout, np.full(layout.total_len, 2.0))
         )
-        ckpt = finetune_task(spec, data, anchor, 0, anchor_id="base")
+        ckpt = finetune_task(spec, data, anchor, 0)
         lhs = anchor.effective_diag * (ckpt.params.values - anchor.anchor.values)
         rhs = -grad(spec, ckpt.params, data).values
         assert np.linalg.norm(lhs - rhs) <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
-        assert ckpt.anchor_id == "base"
 
 
 class TestJointTarget:
@@ -437,7 +436,7 @@ class TestWarmStartEpochs:
             assert received == expected, kind
             if kind == "logistic":
                 metas = [state.anchor.meta, *(ck.meta for ck in state.tasks), target.meta]
-                assert [meta["epochs"] for meta in metas] == [str(ADAM_EPOCHS)] * 4
+                assert ["epochs" in meta for meta in metas] == [False] * 4
 
     def test_meta_files_record_the_epochs_that_ran(self, tmp_path):
         run_addition(self.spec(), out_dir=tmp_path, seed=0)
