@@ -115,17 +115,13 @@ class DiagnosticFixture:
                 raise LayoutError("fixture task checkpoints must match the model layout")
 
 
-def gradient_mismatch(spec: ModelSpec, target: ParamVector, task_theta: ParamVector, data: TaskDataset) -> ParamVector:
-    """Difference of summed-loss gradients between two parameter points.
+def _mismatch(spec: ModelSpec, target_grad: np.ndarray, theta: ParamVector, data: TaskDataset) -> np.ndarray:
+    """``grad(target) - grad(theta)`` on ``data``, given the target's gradient there.
 
-    Returns ``grad(target) - grad(task_theta)`` on ``data``; callers
-    report its L2 norm.  For squared-error losses this equals the Hessian
-    times the parameter difference, so it doubles as an exact curvature
-    probe.
+    Refuses a difference that overflowed (``NumericError``, from
+    :class:`ParamVector`).
     """
-    g_target = grad(spec, target, data)
-    g_task = grad(spec, task_theta, data)
-    return ParamVector(target.layout, g_target.values - g_task.values)
+    return ParamVector(theta.layout, target_grad - grad(spec, theta, data).values).values
 
 
 def verify_identity(
@@ -133,6 +129,7 @@ def verify_identity(
     target: ParamVector,
     tasks: list[tuple[float, ParamVector, TaskDataset]],
     spec: ModelSpec,
+    target_grads: list[np.ndarray] | None = None,
 ) -> float:
     """Max-norm residual of the error-rewriting identity.
 
@@ -145,18 +142,21 @@ def verify_identity(
     is zero whenever target and every task model are exactly stationary
     for their anchored objectives.  For approximately trained models the
     residual is bounded by :func:`identity_residual_bound`.
+    ``target_grads`` holds ``grad_t(target)`` per task when the caller
+    already has them.
     """
     if not tasks:
         raise ConfigError("the identity needs at least one task")
     h0eff = anchor.effective_diag
     if (h0eff <= 0.0).any():
         raise SingularCurvatureError("anchor penalty diagonal must be strictly positive")
+    if target_grads is None:
+        target_grads = [grad(spec, target, data).values for _, _, data in tasks]
     a = anchor.anchor.values
     residual = target.values - a
-    for alpha, theta_t, data in tasks:
+    for (alpha, theta_t, data), g in zip(tasks, target_grads):
         residual = residual - float(alpha) * (theta_t.values - a)
-        mm = gradient_mismatch(spec, target, theta_t, data)
-        residual = residual + float(alpha) * mm.values / h0eff
+        residual = residual + float(alpha) * _mismatch(spec, g, theta_t, data) / h0eff
     return float(np.max(np.abs(residual)))
 
 
@@ -208,15 +208,12 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
     """
     spec, target = fixture.spec, fixture.target
     trains = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
-    residual = verify_identity(fixture.anchor, target, trains, spec)
     target_grads = [grad(spec, target, train).values for _, _, train in trains]
+    residual = verify_identity(fixture.anchor, target, trains, spec, target_grads)
     target_losses = [loss(spec, target, test) for _, _, _, test in fixture.tasks]
     rows = []
     for method, merged in candidates.items():
-        # ParamVector refuses a gradient difference that overflowed.
-        mismatches = [
-            ParamVector(target.layout, g - grad(spec, merged, train).values) for g, (_, _, train) in zip(target_grads, trains)
-        ]
+        mismatches = [_mismatch(spec, g, merged, train) for g, (_, _, train) in zip(target_grads, trains)]
         error = float(np.linalg.norm(target.values - merged.values))
         for (_, _, train, test), mm, target_loss in zip(fixture.tasks, mismatches, target_losses):
             rows.append(
@@ -224,7 +221,7 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
                     method=method,
                     fixture=fixture.name,
                     task_id=train.task_id,
-                    mismatch_l2=float(np.linalg.norm(mm.values)),
+                    mismatch_l2=float(np.linalg.norm(mm)),
                     error_l2=error,
                     identity_residual=residual,
                     test_loss_delta_exact=float(target_loss - loss(spec, merged, test)),

@@ -700,12 +700,11 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     removed = spec.n_tasks - 1
     out = output_dir(out_dir) if out_dir is not None else None
     pooled = TaskDataset("large", np.vstack([s.inputs for s in trains]), np.concatenate([s.targets for s in trains]), seed)
-    anchor, quad, tuned = train_stage(spec, seed, pooled, [(removed, trains[removed])])
+    anchor, _, tuned = train_stage(spec, seed, pooled, [(removed, trains[removed])])
     (task_ck,) = with_task_curvature(spec, tuned, [trains[removed]])
     n_kept = pooled.n - trains[removed].n  # the retained blocks are the pooled rows before the removed one
     kept = TaskDataset("kept", pooled.inputs[:n_kept], pooled.targets[:n_kept], pooled.seed)
     hbar_minus = estimate_task_curvature(spec, anchor.params, kept)
-    h0_eff = DiagCurvature(spec.model.layout(), quad.effective_diag)
     if out is not None:
         save_checkpoint(anchor, out / "anchor")
         save_checkpoint(task_ck, out / "removed-task")
@@ -726,7 +725,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
             if method == "remove-ta":
                 theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
             else:
-                theta = remove_task(anchor, (1.0, task_ck), hbar_minus, h0_eff, spec.anchor.delta)
+                theta = remove_task(anchor, (1.0, task_ck), hbar_minus, spec.anchor.delta)
             record(method, 1.0, theta, f"merged-{method}")
         record("retrain", 0.0, retrain.params, "retrain")
         record("anchor", 0.0, anchor.params, None)

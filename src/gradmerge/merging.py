@@ -36,7 +36,8 @@ name is one rule.  With ``h0`` the anchor curvature plus the ridge
   jointly trained model, and its output is the stationary point of the
   quadratic surrogate objective checked by the oracles module.
 * :func:`remove_task` — one row, coefficient ``-alpha (h0 + h_t) /
-  (hbar_minus + delta)``: subtract one task's contribution from a model
+  (hbar_minus + delta)``, with ``h0`` again the anchor checkpoint's
+  curvature plus ``delta``: subtract one task's contribution from a model
   trained on a superset of data.  On anchored linear regression with
   exact curvature this coincides with leave-subset-out retraining.
 
@@ -275,31 +276,31 @@ def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
 
 
 def remove_task(
-    anchor: Checkpoint,
-    task: tuple[float, Checkpoint],
-    hbar_minus: DiagCurvature,
-    h0: DiagCurvature,
-    delta: float = 0.0,
+    anchor: Checkpoint, task: tuple[float, Checkpoint], hbar_minus: DiagCurvature, delta: float = 0.0
 ) -> ParamVector:
     """Subtract one task's contribution from an anchor model.
 
     ``anchor - alpha * (h0 + h_t) / (hbar_minus + delta) * (theta_t -
-    anchor)``, where ``hbar_minus`` is the curvature of the *retained*
-    data at the anchor and ``h0`` the penalty diagonal the task model was
-    fine-tuned under.  The plain increment-subtraction variant is
-    :func:`merge_task_arithmetic` with a negative weight.
+    anchor)``, where ``h0`` is the anchor checkpoint's curvature plus
+    ``delta`` (the penalty the task model was fine-tuned under, read as
+    :func:`merge_uncertainty` reads it) and ``hbar_minus`` is the
+    curvature of the *retained* data at the anchor.  The plain
+    increment-subtraction variant is :func:`merge_task_arithmetic` with a
+    negative weight.
     """
     alpha, ckpt = task
     layout = anchor.layout
-    if ckpt.layout != layout or hbar_minus.layout != layout or h0.layout != layout:
+    if ckpt.layout != layout or hbar_minus.layout != layout:
         raise LayoutError("removal inputs must share the anchor layout")
     if ckpt.curvature is None:
         raise MissingCurvatureError("remove_task needs curvature on the task checkpoint")
+    if anchor.curvature is None:
+        raise MissingCurvatureError("remove_task needs curvature on the anchor checkpoint")
     if delta < 0 or not math.isfinite(delta):
         raise ConfigError("delta must be finite and >= 0")
     denom = hbar_minus.values + delta
     _require_positive(denom, "retained-data curvature plus delta")
-    coef = -float(alpha) * (h0.values + ckpt.curvature.values) / denom
+    coef = -float(alpha) * ((anchor.curvature.values + delta) + ckpt.curvature.values) / denom
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
 
 

@@ -450,9 +450,9 @@ class TestProtocols:
     def test_report_scores_its_own_merges_and_evaluates_the_target_once_per_task(self, tmp_path, monkeypatch):
         # The default spec merges 6 methods into 4 added tasks.  The table
         # reuses run_addition's merges, and per task it takes the target's
-        # training gradient and held-out loss once; verify_identity takes
-        # 2 gradients per task.  Per candidate and task it takes 2 gradients
-        # and 1 loss.
+        # training gradient and held-out loss once; verify_identity reuses
+        # those gradients and takes 1 more per task.  Per candidate and task
+        # it takes 2 gradients and 1 loss.
         from gradmerge import diagnostics, merging
 
         counts = {"merge_grid": 0, "grad": 0, "loss": 0}
@@ -469,7 +469,7 @@ class TestProtocols:
         monkeypatch.setattr(diagnostics, "grad", counting("grad", diagnostics.grad))
         monkeypatch.setattr(diagnostics, "loss", counting("loss", diagnostics.loss))
         assert run_cli("report", "--out", tmp_path / "out", "--seed", "0") == 0
-        assert counts == {"merge_grid": 6, "grad": 2 * 4 + 4 + 2 * 6 * 4, "loss": 4 + 6 * 4}
+        assert counts == {"merge_grid": 6, "grad": 4 + 4 + 2 * 6 * 4, "loss": 4 + 6 * 4}
 
     @pytest.mark.parametrize("alpha", ["0", "0.3", "1"])
     @pytest.mark.parametrize(
@@ -543,7 +543,7 @@ class TestOracleCheck:
         from gradmerge import cli as cli_module
         from gradmerge.oracles import OracleResult
 
-        fake = [OracleResult("forced-fail", 1.0, 1.0, False, 1e-9)]
+        fake = [OracleResult("forced-fail", 1.0, 1.0, 1e-9)]
         monkeypatch.setattr(cli_module, "run_oracle_suite", lambda **kw: fake)
         assert run_cli("oracle-check") == 2
         assert "FAIL" in capsys.readouterr().out

@@ -11,7 +11,6 @@ from gradmerge.diagnostics import (
     MISMATCH_TABLE_HEADER,
     DiagnosticFixture,
     MismatchReport,
-    gradient_mismatch,
     identity_residual_bound,
     mismatch_report,
     mismatch_table_csv,
@@ -133,7 +132,22 @@ def trained_fixture(seed, kind="logistic"):
     )
 
 
+def mismatch_l2(spec, target, candidate, data):
+    """The table's ``mismatch_l2`` of ``candidate`` against ``target`` on one task split."""
+    fixture = DiagnosticFixture(
+        name="one-task",
+        spec=spec,
+        anchor=QuadraticAnchor.ridge_only(target.layout, delta=1.0),
+        target=target,
+        tasks=((1.0, Checkpoint(target), data, data),),
+    )
+    (row,) = mismatch_vs_error_table(fixture, {"candidate": candidate})
+    return row.mismatch_l2
+
+
 class TestGradientMismatch:
+    """The table's ``mismatch_l2``: the norm of ``grad(target) - grad(candidate)`` on a task's training split."""
+
     def test_same_point_gives_zero_vector(self):
         rng = np.random.default_rng(0)
         spec = ModelSpec(kind="logistic", n_features=3)
@@ -144,19 +158,15 @@ class TestGradientMismatch:
             seed=0,
         )
         theta = ParamVector(layout_of(3), rng.normal(size=3))
-        out = gradient_mismatch(spec, theta, theta, data)
-        np.testing.assert_array_equal(out.values, np.zeros(3))
+        assert mismatch_l2(spec, theta, theta, data) == 0.0
 
     def test_one_dimensional_fixture_values(self):
         d1 = data_1d("d1", [(1.0, 2.0)])
         d2 = data_1d("d2", [(1.0, 4.0)])
-        target, theta1, theta2 = vec([2.0]), vec([1.0]), vec([2.0])
-        np.testing.assert_allclose(
-            gradient_mismatch(LINEAR, target, theta1, d1).values, [1.0]
-        )
-        np.testing.assert_allclose(
-            gradient_mismatch(LINEAR, target, theta2, d2).values, [0.0]
-        )
+        target = vec([2.0])
+        np.testing.assert_allclose(mismatch_l2(LINEAR, target, vec([1.0]), d1), 1.0)
+        np.testing.assert_allclose(mismatch_l2(LINEAR, target, vec([1.0]), d2), 1.0)
+        assert mismatch_l2(LINEAR, target, vec([2.0]), d2) == 0.0
 
     def test_quadratic_mismatch_is_hessian_times_difference(self):
         rng = np.random.default_rng(1)
@@ -166,14 +176,14 @@ class TestGradientMismatch:
         data = TaskDataset(task_id="t", inputs=X, targets=rng.normal(size=n), seed=0)
         a = ParamVector(layout_of(d), rng.normal(size=d))
         b = ParamVector(layout_of(d), rng.normal(size=d))
-        mm = gradient_mismatch(spec, a, b, data)
         h = exact_hessian_diag(spec, a, data)
-        np.testing.assert_allclose(mm.values, h.values * (a.values - b.values), atol=1e-9)
+        expected = np.linalg.norm(h.values * (a.values - b.values))
+        np.testing.assert_allclose(mismatch_l2(spec, a, b, data), expected, atol=1e-9)
 
     def test_layout_mismatch_rejected(self):
         d1 = data_1d("d1", [(1.0, 2.0)])
         with pytest.raises(LayoutError):
-            gradient_mismatch(LINEAR, vec([1.0]), vec([1.0, 2.0]), d1)
+            mismatch_l2(LINEAR, vec([1.0]), vec([1.0, 2.0]), d1)
 
 
 class TestVerifyIdentity:

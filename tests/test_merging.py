@@ -307,13 +307,9 @@ class TestMergeInvariances:
         for method in CURVATURE_METHODS:
             np.testing.assert_allclose(merge(method, scaled).values, merge(method, inputs).values, atol=1e-12)
         # Removal: scaling h0, h_t and the retained curvature together.
-        anchor, (alpha, task) = inputs.anchor, inputs.tasks[0]
-        h0, hbar_minus = anchor.curvature, inputs.tasks[1][1].curvature
-        removed = remove_task(anchor, (alpha, task), hbar_minus, h0)
-        scaled_task = (alpha, ckpt(task.params.values, scale * task.curvature.values))
-        scaled_removed = remove_task(
-            anchor, scaled_task, curv(scale * hbar_minus.values), curv(scale * h0.values)
-        )
+        (alpha, task), hbar_minus = inputs.tasks[0], inputs.tasks[1][1].curvature
+        removed = remove_task(inputs.anchor, (alpha, task), hbar_minus)
+        scaled_removed = remove_task(scaled.anchor, scaled.tasks[0], curv(scale * hbar_minus.values))
         np.testing.assert_allclose(scaled_removed.values, removed.values, atol=1e-12)
 
     @given(
@@ -412,24 +408,23 @@ class TestTies:
 
 class TestRemoveTask:
     def test_identical_task_leaves_anchor(self):
-        anchor = ckpt([2.0, -1.0])
+        anchor = ckpt([2.0, -1.0], [2.0, 2.0])
         out = remove_task(
             anchor,
             (1.0, ckpt([2.0, -1.0], [1.0, 1.0])),
             hbar_minus=curv([1.0, 1.0]),
-            h0=curv([3.0, 3.0]),
             delta=1.0,
         )
         np.testing.assert_allclose(out.values, [2.0, -1.0])
 
     def test_one_dimensional_fixture_matches_retrain(self):
         # Anchor 2.0 solves the ridge-penalized fit of {(1,2),(1,4)} with
-        # delta=1; removing the example (1,4) retrains to exactly 1.0.
+        # delta=1, where the data curvature is 2; removing the example (1,4)
+        # retrains to exactly 1.0.
         out = remove_task(
-            ckpt([2.0]),
+            ckpt([2.0], [2.0]),
             (1.0, ckpt([2.5], [1.0])),
             hbar_minus=curv([1.0]),
-            h0=curv([3.0]),
             delta=1.0,
         )
         np.testing.assert_allclose(out.values, [1.0], atol=1e-12)
@@ -437,40 +432,56 @@ class TestRemoveTask:
     def test_nonpositive_retained_curvature_rejected(self):
         with pytest.raises(SingularCurvatureError):
             remove_task(
-                ckpt([2.0]),
+                ckpt([2.0], [3.0]),
                 (1.0, ckpt([2.5], [1.0])),
                 hbar_minus=curv([0.0]),
-                h0=curv([3.0]),
                 delta=0.0,
             )
 
     def test_missing_task_curvature_rejected(self):
         with pytest.raises(MissingCurvatureError):
             remove_task(
-                ckpt([2.0]),
+                ckpt([2.0], [2.0]),
                 (1.0, ckpt([2.5])),
                 hbar_minus=curv([1.0]),
-                h0=curv([3.0]),
                 delta=1.0,
             )
+
+    def test_missing_anchor_curvature_rejected(self):
+        # The anchor checkpoint's curvature is h0; no fallback stands in for it.
+        with pytest.raises(MissingCurvatureError, match="anchor"):
+            remove_task(ckpt([2.0]), (1.0, ckpt([2.5], [1.0])), hbar_minus=curv([1.0]), delta=1.0)
+
+    @given(seed=st.integers(0, 10_000), delta=st.floats(0.01, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_adds_delta_to_the_anchor_curvature(self, seed, delta):
+        # a - alpha (h0 + delta + h_t) / (hbar_minus + delta) (theta_t - a),
+        # with h0 the anchor checkpoint's own curvature.
+        rng = np.random.default_rng(seed)
+        inputs = random_inputs(rng, d=5, n_tasks=1)
+        anchor, (alpha, task) = inputs.anchor, inputs.tasks[0]
+        hbar_minus = rng.uniform(0.1, 3.0, size=5)
+        a, theta_t = anchor.params.values, task.params.values
+        h0, h_t = anchor.curvature.values, task.curvature.values
+        expected = a - alpha * (h0 + delta + h_t) / (hbar_minus + delta) * (theta_t - a)
+        out = remove_task(anchor, (alpha, task), curv(hbar_minus), delta).values
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(LayoutError):
             remove_task(
-                ckpt([2.0]),
+                ckpt([2.0], [2.0]),
                 (1.0, ckpt([2.5, 0.0], [1.0, 1.0])),
                 hbar_minus=curv([1.0]),
-                h0=curv([3.0]),
                 delta=1.0,
             )
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError):
             remove_task(
-                ckpt([2.0]),
+                ckpt([2.0], [2.0]),
                 (1.0, ckpt([2.5], [1.0])),
                 hbar_minus=curv([1.0]),
-                h0=curv([3.0]),
                 delta=-1.0,
             )
 
@@ -488,7 +499,7 @@ class TestRemoveTask:
         (alpha_last, last), kept = inputs.tasks[-1], inputs.tasks[:-1]
         hbar_minus = inputs.anchor.curvature.values + sum(a * ck.curvature.values for a, ck in kept)
         removed = remove_task(
-            Checkpoint(merged), (alpha_last, Checkpoint(finetuned, last.curvature)), curv(hbar_minus), penalty
+            Checkpoint(merged, penalty), (alpha_last, Checkpoint(finetuned, last.curvature)), curv(hbar_minus)
         ).values
         expected = merge_uncertainty(MergeInputs(inputs.anchor, kept, inputs.delta)).values
         assert np.max(np.abs(removed - expected)) <= 1e-9 * np.max(np.abs(expected))
@@ -555,17 +566,14 @@ class TestLinearExactness:
             h_keep = np.einsum("ij,ij->j", X_keep, X_keep)
             h_drop = np.einsum("ij,ij->j", X_drop, X_drop)
             # Fine-tune the removed task from the anchor under the full-data
-            # curvature penalty h0 = delta + sum of both data blocks minus its own.
-            h0_vals = delta + h_keep
-            finetune = QuadraticAnchor(
-                anchor=anchor_theta, h0=DiagCurvature(layout, h0_vals), delta=0.0
-            )
+            # curvature penalty minus its own: the anchor curvature h_keep plus delta.
+            anchor_curv = DiagCurvature(layout, h_keep)
+            finetune = QuadraticAnchor(anchor=anchor_theta, h0=anchor_curv, delta=delta)
             theta_t = closed_form_solve([drop], [1.0], finetune)
             out = remove_task(
-                Checkpoint(anchor_theta),
+                Checkpoint(anchor_theta, anchor_curv),
                 (1.0, Checkpoint(theta_t, curvature=DiagCurvature(layout, h_drop))),
                 hbar_minus=DiagCurvature(layout, h_keep),
-                h0=DiagCurvature(layout, h0_vals),
                 delta=delta,
             )
             retrained = closed_form_solve([keep], [1.0], ridge)
@@ -617,7 +625,7 @@ class TestDegenerateInputs:
             with pytest.raises(NumericError):
                 merge(method, huge)
         with pytest.raises(NumericError):
-            remove_task(huge.anchor, huge.tasks[0], curv([1.0, 1.0]), curv([1.0, 1.0]))
+            remove_task(huge.anchor, huge.tasks[0], curv([1.0, 1.0]))
 
     def test_fisher_mean_of_extreme_entries_stays_finite(self):
         huge = MergeInputs(

@@ -173,7 +173,7 @@ class TestPreconditionCombine:
     """The curvature-preconditioned update ``anchor + sum_t alpha_t (h0 +
     h_t) / hbar * (theta_t - anchor)``.  ``merge_uncertainty`` pools
     ``hbar`` itself; ``remove_task`` takes it explicitly and flips the
-    sign of the step."""
+    sign of the step.  Both read ``h0`` from the anchor checkpoint."""
 
     def test_zero_increments_return_anchor(self):
         anchor = vec([1.0, -1.0, 2.0])
@@ -217,7 +217,7 @@ class TestPreconditionCombine:
         bad = DiagCurvature(anchor.layout, [1.0, 0.0])
         task = (1.0, Checkpoint(anchor, curvature=one))
         with pytest.raises(SingularCurvatureError):
-            remove_task(Checkpoint(anchor), task, hbar_minus=bad, h0=one)
+            remove_task(Checkpoint(anchor, one), task, hbar_minus=bad)
 
     def test_layout_mismatch_rejected(self):
         anchor = vec([0.0, 0.0])
@@ -225,7 +225,7 @@ class TestPreconditionCombine:
         theta = vec([1.0])
         task = (1.0, Checkpoint(theta, curvature=diag([1.0], theta.layout)))
         with pytest.raises(LayoutError):
-            remove_task(Checkpoint(anchor), task, hbar_minus=one, h0=one)
+            remove_task(Checkpoint(anchor, one), task, hbar_minus=one)
 
     @given(
         st.floats(1e-6, 1e6),
@@ -237,17 +237,12 @@ class TestPreconditionCombine:
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, c, theta, h0, ht, hbar):
         layout = ParamLayout((("w", (3,)),))
-        anchor = Checkpoint(ParamVector(layout, [0.5, -0.5, 1.0]))
 
         def step(scale):
+            anchor = Checkpoint(ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature(layout, scale * np.asarray(h0)))
             curv = DiagCurvature(layout, scale * np.asarray(ht))
             task = (0.7, Checkpoint(ParamVector(layout, theta), curvature=curv))
-            return remove_task(
-                anchor,
-                task,
-                hbar_minus=DiagCurvature(layout, scale * np.asarray(hbar)),
-                h0=DiagCurvature(layout, scale * np.asarray(h0)),
-            ).values
+            return remove_task(anchor, task, hbar_minus=DiagCurvature(layout, scale * np.asarray(hbar))).values
 
         base = step(1.0)
         np.testing.assert_allclose(step(c), base, atol=1e-12 * max(1.0, np.abs(base).max()))
