@@ -20,18 +20,19 @@ from gradmerge import (
 
 rng = np.random.default_rng(0)
 
-# One random anchored merge problem: an anchor model, T task datasets with
-# orthogonalized features (so the diagonal curvature is the exact Hessian),
-# and per-task fine-tunes that solve their anchored objectives in closed
-# form.
+# One random anchored merge problem: the merge inputs (an anchor model with
+# its curvature, and weighted per-task fine-tunes that solve their anchored
+# objectives in closed form) and T task datasets with orthogonalized
+# features (so the diagonal curvature is the exact Hessian).
 fixture = linear_merge_fixture(rng)
 n_tasks = len(fixture.datasets)
-dim = fixture.quad.anchor.layout.total_len
+dim = fixture.inputs.layout.total_len
 print(f"problem: {n_tasks} linear tasks, {dim} parameters")
 
-# The reference nobody has at merge time: train on all tasks jointly.
-# Here it is one stacked least-squares solve.
-target = joint_closed_form_oracle(list(fixture.datasets), list(fixture.alphas), fixture.quad)
+# The reference nobody has at merge time: train on all tasks jointly, from
+# the anchor, penalty and weights of the same merge inputs.  Here it is one
+# stacked least-squares solve.
+target = joint_closed_form_oracle(fixture.inputs, list(fixture.datasets))
 
 # Route 1: add the raw increments (task arithmetic).
 ta = merge_task_arithmetic(fixture.inputs)

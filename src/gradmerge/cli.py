@@ -120,9 +120,9 @@ def _cmd_gen(args, spec, seed, out) -> int:
 def _cmd_train(args, spec, seed, out) -> int:
     out = output_dir(out)
     trains = gen_tasks(spec, seed)[: spec.n_tasks]
-    anchor, _, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
-    # The anchor is written with its params and meta but without its
-    # penalty diagonal: ``fisher`` estimates it, with the config's
+    anchor, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
+    # The anchor is written without the curvature ``h0`` the fine-tunes
+    # were trained under: ``fisher`` estimates it again, with the config's
     # ``curvature`` estimator.
     save_run(out, Checkpoint(anchor.params, meta=anchor.meta), tasks)
     print(f"wrote anchor and {len(tasks)} task checkpoints to {out}")

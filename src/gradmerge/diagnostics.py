@@ -7,10 +7,12 @@ module computes those differences, checks the rewriting numerically, and
 tabulates how well the gradient-difference norm tracks actual test-loss
 degradation across merge methods.
 
-A candidate is one merged parameter vector, scored against a fixture's
-target; the caller merges it, so the table scores the very merges a
-protocol evaluated.  Everything here is evaluation-only: nothing merges
-or trains.
+A fixture holds the :class:`~gradmerge.merging.MergeInputs` of the
+merges it scores: the anchor, its penalty ``h0 + delta`` and the task
+weights are read from them, as the merge reads them.  A candidate is one
+merged parameter vector, scored against the fixture's target; the caller
+merges it, so the table scores the very merges a protocol evaluated.
+Everything here is evaluation-only: nothing merges or trains.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, SingularCurvatureError
+from .merging import MergeInputs
 from .models import ModelSpec, TaskDataset, grad, loss
-from .params import Checkpoint, ParamVector
-from .training import QuadraticAnchor
+from .params import ParamVector, anchor_penalty
 
 __all__ = [
     "MismatchReport",
@@ -94,25 +96,23 @@ class MismatchRow:
 class DiagnosticFixture:
     """Everything needed to score merge methods on one problem instance.
 
-    ``tasks`` holds, per task, the merge weight, the task checkpoint
-    (parameters plus curvature for the curvature-aware methods), the
-    training split the gradients are measured on, and a held-out split
-    for loss deltas.  ``target`` is the jointly trained reference model.
+    ``inputs`` is the merge being scored, and ``splits`` holds per task the
+    training split the gradients are measured on and a held-out split for
+    loss deltas.  ``target`` is the jointly trained reference model.
     """
 
     name: str
     spec: ModelSpec
-    anchor: QuadraticAnchor
+    inputs: MergeInputs
     target: ParamVector
-    tasks: tuple[tuple[float, Checkpoint, TaskDataset, TaskDataset], ...]
+    splits: tuple[tuple[TaskDataset, TaskDataset], ...]
 
     def __post_init__(self):
         layout = self.spec.layout()
-        if self.target.layout != layout or self.anchor.anchor.layout != layout:
-            raise LayoutError("fixture target and anchor must match the model layout")
-        for _, ckpt, _, _ in self.tasks:
-            if ckpt.layout != layout:
-                raise LayoutError("fixture task checkpoints must match the model layout")
+        if self.target.layout != layout or self.inputs.layout != layout:
+            raise LayoutError("fixture target and merge inputs must match the model layout")
+        if len(self.splits) != len(self.inputs.tasks):
+            raise ConfigError(f"fixture has {len(self.inputs.tasks)} tasks but {len(self.splits)} (train, test) splits")
 
 
 def _mismatch(spec: ModelSpec, target_grad: np.ndarray, theta: ParamVector, data: TaskDataset) -> np.ndarray:
@@ -125,9 +125,9 @@ def _mismatch(spec: ModelSpec, target_grad: np.ndarray, theta: ParamVector, data
 
 
 def verify_identity(
-    anchor: QuadraticAnchor,
+    inputs: MergeInputs,
     target: ParamVector,
-    tasks: list[tuple[float, ParamVector, TaskDataset]],
+    datasets: list[TaskDataset],
     spec: ModelSpec,
     target_grads: list[np.ndarray] | None = None,
 ) -> float:
@@ -140,44 +140,43 @@ def verify_identity(
             + sum_t alpha_t (h0 + delta)^-1 [grad_t(target) - grad_t(theta_t)]
 
     is zero whenever target and every task model are exactly stationary
-    for their anchored objectives.  For approximately trained models the
-    residual is bounded by :func:`identity_residual_bound`.
-    ``target_grads`` holds ``grad_t(target)`` per task when the caller
-    already has them.
+    for their anchored objectives.  The anchor, ``h0 + delta``, the
+    weights ``alpha_t`` and the task models ``theta_t`` come from
+    ``inputs``; task t was trained on ``datasets[t]``.  For approximately
+    trained models the residual is bounded by
+    :func:`identity_residual_bound`.  ``target_grads`` holds
+    ``grad_t(target)`` per task when the caller already has them.
     """
-    if not tasks:
+    if not inputs.tasks:
         raise ConfigError("the identity needs at least one task")
-    h0eff = anchor.effective_diag
+    h0eff = anchor_penalty(inputs.anchor, inputs.delta)
     if (h0eff <= 0.0).any():
         raise SingularCurvatureError("anchor penalty diagonal must be strictly positive")
     if target_grads is None:
-        target_grads = [grad(spec, target, data).values for _, _, data in tasks]
-    a = anchor.anchor.values
+        target_grads = [grad(spec, target, data).values for data in datasets]
+    a = inputs.anchor.params.values
     residual = target.values - a
-    for (alpha, theta_t, data), g in zip(tasks, target_grads):
-        residual = residual - float(alpha) * (theta_t.values - a)
-        residual = residual + float(alpha) * _mismatch(spec, g, theta_t, data) / h0eff
+    for (alpha, ckpt), data, g in zip(inputs.tasks, datasets, target_grads, strict=True):
+        residual = residual - alpha * (ckpt.params.values - a)
+        residual = residual + alpha * _mismatch(spec, g, ckpt.params, data) / h0eff
     return float(np.max(np.abs(residual)))
 
 
-def identity_residual_bound(
-    anchor: QuadraticAnchor,
-    joint_residual: float,
-    task_residuals: list[float],
-    alphas: list[float],
-) -> float:
+def identity_residual_bound(inputs: MergeInputs, joint_residual: float, task_residuals: list[float]) -> float:
     """Upper bound on the identity residual from training tolerances.
 
     The residual vector equals the inverse penalty diagonal applied to
     the joint stationarity defect minus the weighted task defects, so its
     max norm is at most the summed defect norms divided by the smallest
-    penalty entry.  The bound holds for the residual in exact arithmetic;
-    it has no rounding term, so once the fits are stationary to rounding
-    level, both sides are rounding noise.
+    penalty entry.  The penalty and the weights are those of ``inputs``,
+    and ``task_residuals`` has one entry per task.  The bound holds for
+    the residual in exact arithmetic; it has no rounding term, so once the
+    fits are stationary to rounding level, both sides are rounding noise.
     """
+    alphas = inputs.alphas
     if len(task_residuals) != len(alphas):
-        raise ConfigError("task_residuals and alphas must have equal length")
-    h_min = float(np.min(anchor.effective_diag))
+        raise ConfigError("task_residuals and the merge's tasks must have equal length")
+    h_min = float(np.min(anchor_penalty(inputs.anchor, inputs.delta)))
     if h_min <= 0.0:
         raise SingularCurvatureError("anchor penalty diagonal must be strictly positive")
     total = float(joint_residual) + sum(
@@ -190,8 +189,8 @@ def mismatch_report(fixture: DiagnosticFixture, merged: ParamVector) -> Mismatch
     """Score one merged candidate against the fixture's target: its rows of :func:`mismatch_vs_error_table`."""
     rows = mismatch_vs_error_table(fixture, {"candidate": merged})
     total = 0.0
-    for (alpha, *_), row in zip(fixture.tasks, rows):
-        total += abs(float(alpha)) * row.mismatch_l2
+    for alpha, row in zip(fixture.inputs.alphas, rows):
+        total += abs(alpha) * row.mismatch_l2
     per_task = tuple((row.task_id, row.mismatch_l2) for row in rows)
     return MismatchReport(per_task, total, rows[0].error_l2, rows[0].identity_residual)
 
@@ -207,15 +206,15 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
     and its first-order estimate ``grad(merged)^T (target - merged)``.
     """
     spec, target = fixture.spec, fixture.target
-    trains = [(alpha, ckpt.params, train) for alpha, ckpt, train, _ in fixture.tasks]
-    target_grads = [grad(spec, target, train).values for _, _, train in trains]
-    residual = verify_identity(fixture.anchor, target, trains, spec, target_grads)
-    target_losses = [loss(spec, target, test) for _, _, _, test in fixture.tasks]
+    trains = [train for train, _ in fixture.splits]
+    target_grads = [grad(spec, target, train).values for train in trains]
+    residual = verify_identity(fixture.inputs, target, trains, spec, target_grads)
+    target_losses = [loss(spec, target, test) for _, test in fixture.splits]
     rows = []
     for method, merged in candidates.items():
-        mismatches = [_mismatch(spec, g, merged, train) for g, (_, _, train) in zip(target_grads, trains)]
+        mismatches = [_mismatch(spec, g, merged, train) for g, train in zip(target_grads, trains)]
         error = float(np.linalg.norm(target.values - merged.values))
-        for (_, _, train, test), mm, target_loss in zip(fixture.tasks, mismatches, target_losses):
+        for (train, test), mm, target_loss in zip(fixture.splits, mismatches, target_losses):
             rows.append(
                 MismatchRow(
                     method=method,

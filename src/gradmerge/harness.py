@@ -46,7 +46,6 @@ from .merging import (  # noqa: F401
 from .models import ModelSpec, TaskDataset, _check_data, _forward, _losses, accuracy, loss  # noqa: F401
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
-    QuadraticAnchor,
     finetune_task,
     task_weight,
     train_anchor,
@@ -374,35 +373,32 @@ estimate_anchor_h0 = estimate_task_curvature
 
 @dataclass(frozen=True, eq=False)
 class PipelineState:
-    """Trained anchor, fine-tuned tasks, and the datasets behind them."""
+    """Trained anchor (carrying ``h0``), fine-tuned tasks, and the datasets behind them."""
 
     spec: ExperimentSpec
     seed: int
     train_sets: tuple[TaskDataset, ...]
     test_sets: tuple[TaskDataset, ...]
     anchor: Checkpoint
-    quad: QuadraticAnchor
     tasks: tuple[Checkpoint, ...]
 
 
 def train_stage(
     spec: ExperimentSpec, seed: int, anchor_data: TaskDataset, blocks
-) -> tuple[Checkpoint, QuadraticAnchor, tuple[Checkpoint, ...]]:
+) -> tuple[Checkpoint, tuple[Checkpoint, ...]]:
     """The anchored training stage that every protocol shares.
 
     Trains the anchor on ``anchor_data`` with seed ``seed``, estimates its
-    penalty diagonal ``h0`` per ``spec.curvature``, and fine-tunes
-    each ``(t, data)`` of ``blocks`` under that penalty with seed ``seed +
-    t``.  Returns the anchor checkpoint (carrying ``h0``), the quadratic
-    penalty, and the fine-tuned checkpoints, which carry no curvature:
+    curvature ``h0`` per ``spec.curvature``, and fine-tunes each ``(t,
+    data)`` of ``blocks`` under the penalty ``h0 + spec.anchor.delta``
+    with seed ``seed + t``.  Returns the anchor checkpoint, which carries
+    ``h0``, and the fine-tuned checkpoints, which carry no curvature:
     :func:`with_task_curvature` is the separate step that adds it.
     """
     base = train_anchor(spec.model, anchor_data, spec.anchor.delta, seed)
-    h0 = estimate_anchor_h0(spec, base.params, anchor_data)
-    anchor = Checkpoint(base.params, h0, base.meta)
-    quad = QuadraticAnchor(anchor.params, h0, spec.anchor.delta)
-    tuned = tuple(finetune_task(spec.model, data, quad, seed + t) for t, data in blocks)
-    return anchor, quad, tuned
+    anchor = Checkpoint(base.params, estimate_anchor_h0(spec, base.params, anchor_data), base.meta)
+    tuned = tuple(finetune_task(spec.model, data, anchor, spec.anchor.delta, seed + t) for t, data in blocks)
+    return anchor, tuned
 
 
 def with_task_curvature(spec: ExperimentSpec, tasks, datasets) -> tuple[Checkpoint, ...]:
@@ -423,8 +419,8 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     seed = resolve_seed(spec, seed)
     sets = gen_tasks(spec, seed)
     trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
-    anchor, quad, tuned = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
-    return PipelineState(spec, seed, trains, tests, anchor, quad, with_task_curvature(spec, tuned, trains[1:]))
+    anchor, tuned = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
+    return PipelineState(spec, seed, trains, tests, anchor, with_task_curvature(spec, tuned, trains[1:]))
 
 
 def _require_methods(spec: ExperimentSpec, allowed, protocol: str) -> None:
@@ -546,7 +542,8 @@ def train_target(state: PipelineState, alpha: float) -> Checkpoint:
     """Joint-target baseline trained on every added task at one weight."""
     added = list(state.train_sets[1:])
     seed = state.seed + state.spec.n_tasks
-    return train_joint_target(state.spec.model, added, [float(alpha)] * len(added), state.quad, seed)
+    alphas = [float(alpha)] * len(added)
+    return train_joint_target(state.spec.model, added, alphas, state.anchor, state.spec.anchor.delta, seed)
 
 
 def _metric_rows(outcome: MethodOutcome) -> list[str]:
@@ -700,7 +697,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     removed = spec.n_tasks - 1
     out = output_dir(out_dir) if out_dir is not None else None
     pooled = TaskDataset("large", np.vstack([s.inputs for s in trains]), np.concatenate([s.targets for s in trains]), seed)
-    anchor, _, tuned = train_stage(spec, seed, pooled, [(removed, trains[removed])])
+    anchor, tuned = train_stage(spec, seed, pooled, [(removed, trains[removed])])
     (task_ck,) = with_task_curvature(spec, tuned, [trains[removed]])
     n_kept = pooled.n - trains[removed].n  # the retained blocks are the pooled rows before the removed one
     kept = TaskDataset("kept", pooled.inputs[:n_kept], pooled.targets[:n_kept], pooled.seed)
@@ -788,6 +785,7 @@ def sweep_alpha(
 
 
 def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float) -> DiagnosticFixture:
-    """Adapt a trained pipeline into a diagnostics fixture, each added task at weight ``alpha``."""
-    tasks = tuple((float(alpha), ck, state.train_sets[t], state.test_sets[t]) for t, ck in enumerate(state.tasks, start=1))
-    return DiagnosticFixture(name=state.spec.name, spec=state.spec.model, anchor=state.quad, target=target, tasks=tasks)
+    """Adapt a trained pipeline into a diagnostics fixture of the merge :func:`run_addition` makes at ``alpha``."""
+    inputs = MergeInputs(state.anchor, tuple((alpha, ck) for ck in state.tasks), state.spec.anchor.delta)
+    splits = tuple(zip(state.train_sets[1:], state.test_sets[1:]))
+    return DiagnosticFixture(state.spec.name, state.spec.model, inputs, target, splits)

@@ -64,7 +64,7 @@ from .errors import (
     NumericError,
     SingularCurvatureError,
 )
-from .params import Checkpoint, DiagCurvature, ParamVector
+from .params import Checkpoint, DiagCurvature, ParamVector, anchor_penalty
 
 __all__ = [
     "MergeInputs",
@@ -99,8 +99,11 @@ def _check_weights(method: str, weights) -> None:
 class MergeInputs:
     """Anchor checkpoint, weighted task checkpoints, and a curvature ridge.
 
-    ``delta`` is added elementwise to the anchor curvature wherever a
-    merge uses it, mirroring the ridge used when the anchor was trained.
+    ``delta`` is the ridge the task models were fine-tuned under.  Only
+    ``ours`` reads it, adding it elementwise to the anchor curvature
+    (:func:`~gradmerge.params.anchor_penalty`); ``fa`` weighs by the
+    anchor curvature ``F0`` alone, the other methods read no curvature,
+    and :func:`remove_task` takes its own ``delta``.
     Negative task weights are legal at this level; merges that cannot
     interpret them reject them individually.
     """
@@ -212,7 +215,7 @@ def _ties(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray
 
 
 def _uncertainty(inputs: MergeInputs, thetas, curvs, weights: np.ndarray) -> np.ndarray:
-    h0 = inputs.anchor.curvature.values + inputs.delta
+    h0 = anchor_penalty(inputs.anchor, inputs.delta)
     weights = weights[:, :, None]
     hbar = h0 + (weights * curvs).sum(axis=1)
     _require_positive(hbar, "pooled curvature")
@@ -294,13 +297,10 @@ def remove_task(
         raise LayoutError("removal inputs must share the anchor layout")
     if ckpt.curvature is None:
         raise MissingCurvatureError("remove_task needs curvature on the task checkpoint")
-    if anchor.curvature is None:
-        raise MissingCurvatureError("remove_task needs curvature on the anchor checkpoint")
-    if delta < 0 or not math.isfinite(delta):
-        raise ConfigError("delta must be finite and >= 0")
+    h0 = anchor_penalty(anchor, delta)
     denom = hbar_minus.values + delta
     _require_positive(denom, "retained-data curvature plus delta")
-    coef = -float(alpha) * ((anchor.curvature.values + delta) + ckpt.curvature.values) / denom
+    coef = -float(alpha) * (h0 + ckpt.curvature.values) / denom
     return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
 
 

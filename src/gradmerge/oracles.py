@@ -5,10 +5,14 @@ tested modules do not use: the joint solve stacks rows into one
 least-squares problem handled by SVD, the influence oracle factorizes
 dense normal matrices with Cholesky, and gradients are formed inline
 rather than through the model zoo.  Keeping the paths disjoint means an
-agreement between module and oracle is evidence, not circularity.  Both
-solves run on NumPy's LAPACK bindings: ``np.linalg.lstsq`` (the SVD-based
-``gelsd`` driver) for the joint solve and ``np.linalg.cholesky`` for the
-normal matrices, so the oracles load no SciPy.
+agreement between module and oracle is evidence, not circularity.  The
+joint solve and the surrogate check take the :class:`MergeInputs` of the
+merge they check, and form the penalty ``h0 + delta`` from it inline; the
+joint solve reads only the anchor, the penalty and the task weights, never
+the task checkpoints.  Both solves run on NumPy's LAPACK bindings:
+``np.linalg.lstsq`` (the SVD-based ``gelsd`` driver) for the joint solve
+and ``np.linalg.cholesky`` for the normal matrices, so the oracles load
+no SciPy.
 
 The randomized suite draws features from a standard normal and targets
 from a planted coefficient vector plus noise with standard deviation
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    MissingCurvatureError,
     NumericError,
     SingularCurvatureError,
     SingularSystemError,
@@ -34,7 +39,6 @@ from .errors import (
 from .merging import MergeInputs, merge_uncertainty, remove_task
 from .models import TaskDataset
 from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
-from .training import QuadraticAnchor
 
 __all__ = [
     "OracleResult",
@@ -90,25 +94,28 @@ def _vector_layout(d: int) -> ParamLayout:
     return ParamLayout([("w", (d,))])
 
 
-def joint_closed_form_oracle(
-    datasets: list[TaskDataset], alphas: list[float], anchor: QuadraticAnchor
-) -> ParamVector:
+def joint_closed_form_oracle(inputs: MergeInputs, datasets: list[TaskDataset]) -> ParamVector:
     """Exact anchored least-squares solution via one stacked SVD solve.
 
-    The weighted task losses and the anchor penalty are rewritten as a
-    single tall least-squares system and solved with an SVD-based
-    routine; no normal equations are formed, so the path shares nothing
-    with the training module's direct solver.
+    The joint target of the merge ``inputs``: its anchor, penalty ``h0 +
+    delta`` and task weights, with task t trained on ``datasets[t]``; the
+    task checkpoints are never read.  The weighted task losses and the
+    anchor penalty are rewritten as a single tall least-squares system and
+    solved with an SVD-based routine; no normal equations are formed, so
+    the path shares nothing with the training module's direct solver.
     """
+    alphas = inputs.alphas
     if len(datasets) != len(alphas):
-        raise ConfigError("datasets and alphas must have equal length")
+        raise ConfigError("datasets and task weights must have equal length")
     if any(a < 0 for a in alphas):
         raise ConfigError("oracle weights must be >= 0")
-    layout = anchor.anchor.layout
+    if inputs.anchor.curvature is None:
+        raise MissingCurvatureError("the joint oracle needs curvature on the anchor checkpoint")
+    layout = inputs.layout
     d = layout.total_len
-    sqrt_pen = np.sqrt(anchor.effective_diag)
+    sqrt_pen = np.sqrt(inputs.anchor.curvature.values + inputs.delta)
     blocks = [np.diag(sqrt_pen)]
-    rhs = [sqrt_pen * anchor.anchor.values]
+    rhs = [sqrt_pen * inputs.anchor.params.values]
     for alpha, data in zip(alphas, datasets):
         if alpha == 0.0:
             continue
@@ -183,6 +190,8 @@ def map_surrogate_check(inputs: MergeInputs, candidate: ParamVector) -> float:
     ``h0 + delta + h_t``, with weight ``alpha_t``; its gradient is zero
     exactly at the preconditioned merge output.
     """
+    if any(ckpt.curvature is None for ckpt in (inputs.anchor, *(ckpt for _, ckpt in inputs.tasks))):
+        raise MissingCurvatureError("the surrogate check needs curvature on the anchor and every task checkpoint")
     c = candidate.values
     a = inputs.anchor.params.values
     h0 = inputs.anchor.curvature.values + inputs.delta
@@ -219,12 +228,11 @@ def alt_removal_oracle(
 
 @dataclass(frozen=True, eq=False)
 class MergeFixture:
-    """Linear-regression merge problem with exactly diagonal task Hessians."""
+    """Linear-regression merge inputs with exactly diagonal task Hessians (``delta`` 0),
+    and in ``datasets[t]`` the training data of task t."""
 
     inputs: MergeInputs
     datasets: tuple[TaskDataset, ...]
-    alphas: tuple[float, ...]
-    quad: QuadraticAnchor
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +284,7 @@ def linear_merge_fixture(rng: np.random.Generator, seed: int = 0) -> MergeFixtur
     layout = _vector_layout(d)
     a = rng.standard_normal(d)
     h0 = rng.uniform(0.5, 2.0, size=d)
-    tasks, datasets, alphas = [], [], []
+    tasks, datasets = [], []
     for t in range(T):
         n = d + int(rng.integers(2, 30))
         data = random_linear_dataset(rng, d, n, orthogonal=True, task_id=f"task{t}", seed=seed)
@@ -287,18 +295,8 @@ def linear_merge_fixture(rng: np.random.Generator, seed: int = 0) -> MergeFixtur
             (alpha, Checkpoint(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, ht)))
         )
         datasets.append(data)
-        alphas.append(alpha)
-    anchor_vec = ParamVector(layout, a)
-    h0_diag = DiagCurvature(layout, h0)
-    inputs = MergeInputs(
-        anchor=Checkpoint(anchor_vec, curvature=h0_diag), tasks=tuple(tasks)
-    )
-    return MergeFixture(
-        inputs=inputs,
-        datasets=tuple(datasets),
-        alphas=tuple(alphas),
-        quad=QuadraticAnchor(anchor=anchor_vec, h0=h0_diag, delta=0.0),
-    )
+    anchor = Checkpoint(ParamVector(layout, a), curvature=DiagCurvature(layout, h0))
+    return MergeFixture(inputs=MergeInputs(anchor, tuple(tasks)), datasets=tuple(datasets))
 
 
 def linear_removal_fixture(rng: np.random.Generator, seed: int = 0) -> RemovalFixture:
@@ -375,7 +373,7 @@ def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
     for i in range(n_fixtures):
         fix = linear_merge_fixture(rng, seed=seed)
         merged = merge_uncertainty(fix.inputs)
-        joint = joint_closed_form_oracle(list(fix.datasets), list(fix.alphas), fix.quad)
+        joint = joint_closed_form_oracle(fix.inputs, list(fix.datasets))
         results.append(OracleResult.compare(f"merge-joint-{i:02d}", joint, merged, 1e-9))
     for i in range(n_fixtures):
         d = int(rng.integers(1, 11))

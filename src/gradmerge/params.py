@@ -31,6 +31,7 @@ from .errors import (
     CorruptCheckpointError,
     IoError,
     LayoutError,
+    MissingCurvatureError,
     NumericError,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "ParamVector",
     "DiagCurvature",
     "Checkpoint",
+    "anchor_penalty",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -146,6 +148,18 @@ class Checkpoint:
     @property
     def layout(self) -> ParamLayout:
         return self.params.layout
+
+
+def anchor_penalty(anchor: Checkpoint, delta: float) -> np.ndarray:
+    """The anchored penalty diagonal ``h0 + delta``: the anchor's curvature plus a finite ridge >= 0.
+
+    Training, merging, removal and the diagnostics read it here; only the oracles form it again.
+    """
+    if anchor.curvature is None:
+        raise MissingCurvatureError("the anchor penalty needs curvature on the anchor checkpoint")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConfigError("delta must be finite and >= 0")
+    return anchor.curvature.values + delta
 
 
 def _meta_path(path_stem) -> Path:

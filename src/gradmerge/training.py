@@ -8,10 +8,14 @@ Three objectives are supported, all over the summed per-example loss
 * joint target:           ``sum_t alpha_t L_t(theta) + (1/2) ||theta - a||^2_{H0 + delta}``
 
 where the anchored quadratic penalty uses a diagonal scaling matrix
-(a Mahalanobis distance to the anchor ``a``).  Downstream identities in
-the merging and diagnostics modules assume the returned parameters are
-(approximately) stationary points of these objectives, so convergence is
-expressed as a stationarity-residual bound rather than an epoch count.
+(a Mahalanobis distance to the anchor ``a``).  Every trainer takes the
+anchor as a checkpoint plus ``delta``: ``a`` is its parameters and
+``H0`` its curvature (:func:`~gradmerge.params.anchor_penalty`); base
+training is the same objective toward a zero checkpoint with zero
+curvature.  Downstream identities in the merging and diagnostics modules
+assume the returned parameters are (approximately) stationary points of
+these objectives, so convergence is expressed as a stationarity-residual
+bound rather than an epoch count.
 
 The linear and logistic objectives are strictly convex once the penalty
 is positive, and at desk scale their dense ``(d, d)`` Hessian is cheap to
@@ -46,8 +50,6 @@ gate, which goes through the public, checked ``grad``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -58,10 +60,9 @@ from .errors import (
 )
 # ``loss`` is unused here but stays importable: ``perfbench/spans.py`` wraps it on this module.
 from .models import ModelSpec, TaskDataset, _check_data, _grad, _hessian, _HessianRows, _value_grad, grad, loss  # noqa: F401
-from .params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
+from .params import Checkpoint, DiagCurvature, ParamVector, anchor_penalty
 
 __all__ = [
-    "QuadraticAnchor",
     "train_anchor",
     "finetune_task",
     "train_joint_target",
@@ -113,31 +114,6 @@ ADAM_EPOCHS = 200
 WARM_START_EPOCHS = 50
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticAnchor:
-    """Anchor point plus diagonal penalty scaling and ridge strength."""
-
-    anchor: ParamVector
-    h0: DiagCurvature
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.h0.layout != self.anchor.layout:
-            raise LayoutError("anchor and h0 must share one layout")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise ConfigError("delta must be finite and >= 0")
-
-    @property
-    def effective_diag(self) -> np.ndarray:
-        """Elementwise penalty diagonal, ``h0 + delta``."""
-        return self.h0.values + self.delta
-
-    @classmethod
-    def ridge_only(cls, layout: ParamLayout, delta: float) -> "QuadraticAnchor":
-        """Plain ridge toward the origin: anchor 0, h0 = 0, given delta."""
-        return cls(ParamVector.zeros(layout), DiagCurvature.zeros(layout), delta)
-
-
 def _weighted_tasks(datasets, alphas):
     """(alpha, data) pairs that contribute to ``sum_t alpha_t * L_t``."""
     return [(alpha, data) for alpha, data in zip(alphas, datasets) if alpha != 0.0]
@@ -159,7 +135,7 @@ def _rows(spec, datasets, alphas):
     return X, y, np.concatenate([np.zeros(0)] + [np.full(data.n, alpha) for alpha, data in live])
 
 
-def stationarity_residual(spec, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
+def stationarity_residual(spec, datasets, alphas, anchor: Checkpoint, delta: float, theta: ParamVector) -> float:
     """L2 norm of the full-objective gradient at theta.
 
     Built from the public :func:`grad`, so the trainers' final gate is an
@@ -168,21 +144,17 @@ def stationarity_residual(spec, datasets, alphas, anchor: QuadraticAnchor, theta
     g = np.zeros(theta.layout.total_len)
     for alpha, data in _weighted_tasks(datasets, alphas):
         g += alpha * grad(spec, theta, data).values
-    g = g + anchor.effective_diag * (theta.values - anchor.anchor.values)
+    g = g + anchor_penalty(anchor, delta) * (theta.values - anchor.params.values)
     return float(np.linalg.norm(g))
 
 
-def adam_decoupled_minimize(
-    grad_fn,
-    x0: np.ndarray,
-    epochs: int,
-    anchor: QuadraticAnchor,
-) -> np.ndarray:
+def adam_decoupled_minimize(grad_fn, x0: np.ndarray, epochs: int, a: np.ndarray, reg: np.ndarray) -> np.ndarray:
     """Full-batch Adam with the quadratic penalty applied outside the preconditioner.
 
     ``grad_fn(theta)`` must return the gradient of the summed data term
     (Adam never needs its value).  It takes ``epochs`` steps with the
-    ``ADAM_*`` constants.  The penalty is applied directly to the update, not fed
+    ``ADAM_*`` constants.  The penalty ``(1/2) ||theta - a||^2_reg`` (``reg``
+    is ``h0 + delta``) is applied directly to the update, not fed
     through the Adam moments, using its proximal (implicit) form: after
     the gradient step, ``theta <- theta - f * (theta - a)`` with
     ``f = lr*reg / (1 + lr*reg)``.  For small ``lr*reg`` this matches the
@@ -193,8 +165,6 @@ def adam_decoupled_minimize(
     non-finite gradient does, raises :class:`DivergenceError`.
     """
     theta = np.array(x0, dtype=np.float64)
-    reg = anchor.effective_diag
-    a = anchor.anchor.values
     shrink = ADAM_LR * reg / (1.0 + ADAM_LR * reg)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -333,18 +303,18 @@ def _fit(
     spec: ModelSpec,
     datasets: list[TaskDataset],
     alphas: list[float],
-    anchor: QuadraticAnchor,
+    anchor: Checkpoint,
+    delta: float,
     epochs: int,
     x0: np.ndarray,
 ) -> ParamVector:
-    if anchor.anchor.layout != spec.layout():
+    if anchor.layout != spec.layout():
         raise LayoutError("anchor layout does not match the model")
+    a, reg = anchor.params.values, anchor_penalty(anchor, delta)
     for data in datasets:
         _check_data(spec, data)
     X, y, w = _rows(spec, datasets, alphas)
     rows = _HessianRows(spec, X)
-    a = anchor.anchor.values
-    reg = anchor.effective_diag
 
     def full_value_grad(theta_values):
         value, g, fwd = _value_grad(spec, theta_values, X, y, w)
@@ -357,15 +327,15 @@ def _fit(
         return H
 
     if spec.kind == "linear_regression":
-        theta = closed_form_solve(datasets, alphas, anchor).values
+        theta = closed_form_solve(datasets, alphas, anchor, delta).values
     elif spec.kind == "logistic":
         theta = _newton(full_value_grad, full_hessian, x0)
     else:
         # Nonconvex: the Adam path decides which local minimum Newton refines.
-        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, epochs, anchor)
+        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, epochs, a, reg)
         theta = _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
     out = ParamVector(spec.layout(), theta)
-    residual = stationarity_residual(spec, datasets, alphas, anchor, out)
+    residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
     bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
     if residual > bound:
         raise DivergenceError(
@@ -400,30 +370,34 @@ def _meta(seed: int, epochs: int, objective: str, delta: float, spec: ModelSpec)
 def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) -> Checkpoint:
     """Train a base model: summed loss plus ``(delta/2) ||theta||^2``.
 
-    An MLP starts at a Gaussian drawn from ``seed`` and runs
+    That is the anchored objective toward a zero checkpoint with zero
+    curvature.  An MLP starts at a Gaussian drawn from ``seed`` and runs
     :data:`ADAM_EPOCHS` Adam epochs before Newton.
     """
-    anchor = QuadraticAnchor.ridge_only(spec.layout(), delta)
-    theta = _fit(spec, [data], [1.0], anchor, ADAM_EPOCHS, _init_theta(spec, seed))
+    layout = spec.layout()
+    origin = Checkpoint(ParamVector.zeros(layout), DiagCurvature.zeros(layout))
+    theta = _fit(spec, [data], [1.0], origin, delta, ADAM_EPOCHS, _init_theta(spec, seed))
     return Checkpoint(theta, meta=_meta(seed, ADAM_EPOCHS, "anchor", delta, spec))
 
 
 def finetune_task(
     spec: ModelSpec,
     data: TaskDataset,
-    anchor: QuadraticAnchor,
+    anchor: Checkpoint,
+    delta: float,
     seed: int,
 ) -> Checkpoint:
-    """Fine-tune from an anchor under its quadratic penalty.
+    """Fine-tune from an anchor checkpoint under its penalty ``h0 + delta``.
 
-    The returned parameters approximately satisfy the stationarity
-    condition ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
+    ``h0`` is the anchor's curvature, which it must carry.  The returned
+    parameters approximately satisfy the stationarity condition
+    ``(h0 + delta) * (theta - a) = -grad L_t(theta)``,
     with residual norm at most ``1e-4 * (1 + ||theta||)``.  An MLP runs
     :data:`WARM_START_EPOCHS` Adam epochs before Newton.  ``seed`` is
     recorded in the metadata; the fit starts at the anchor.
     """
-    theta = _fit(spec, [data], [1.0], anchor, WARM_START_EPOCHS, anchor.anchor.values.copy())
-    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "finetune", anchor.delta, spec))
+    theta = _fit(spec, [data], [1.0], anchor, delta, WARM_START_EPOCHS, anchor.params.values.copy())
+    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "finetune", delta, spec))
 
 
 def task_weight(alpha) -> float:
@@ -438,26 +412,27 @@ def train_joint_target(
     spec: ModelSpec,
     datasets: list[TaskDataset],
     alphas: list[float],
-    anchor: QuadraticAnchor,
+    anchor: Checkpoint,
+    delta: float,
     seed: int,
 ) -> Checkpoint:
-    """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty.
+    """Train the joint target: ``sum_t alpha_t L_t`` plus the anchored penalty ``h0 + delta``.
 
     It starts at the anchor, so an MLP runs :data:`WARM_START_EPOCHS` Adam
     epochs before Newton; ``seed`` is recorded in the metadata.
     """
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    theta = _fit(
-        spec, list(datasets), [task_weight(a) for a in alphas], anchor, WARM_START_EPOCHS, anchor.anchor.values.copy()
-    )
-    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "joint_target", anchor.delta, spec))
+    weights = [task_weight(a) for a in alphas]
+    theta = _fit(spec, list(datasets), weights, anchor, delta, WARM_START_EPOCHS, anchor.params.values.copy())
+    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "joint_target", delta, spec))
 
 
 def closed_form_solve(
     datasets: list[TaskDataset],
     alphas: list[float],
-    anchor: QuadraticAnchor,
+    anchor: Checkpoint,
+    delta: float,
 ) -> ParamVector:
     """Exact anchored least-squares solve (linear regression only).
 
@@ -471,10 +446,11 @@ def closed_form_solve(
     """
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
-    layout = anchor.anchor.layout
+    layout = anchor.layout
     d = layout.total_len
-    A = np.diag(anchor.effective_diag.copy())
-    b = anchor.effective_diag * anchor.anchor.values
+    penalty = anchor_penalty(anchor, delta)
+    A = np.diag(penalty)
+    b = penalty * anchor.params.values
     for alpha, data in zip(alphas, datasets):
         if data.n_features != d:
             raise LayoutError("dataset width does not match the anchor layout")

@@ -55,7 +55,7 @@ def test_merge_matches_joint_solution_on_random_fixtures():
     for i in range(50):
         fix = linear_merge_fixture(rng, seed=i)
         merged = merge_uncertainty(fix.inputs)
-        joint = joint_closed_form_oracle(list(fix.datasets), list(fix.alphas), fix.quad)
+        joint = joint_closed_form_oracle(fix.inputs, list(fix.datasets))
         worst = max(worst, float(np.max(np.abs(merged.values - joint.values))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9, f"worst merge-vs-joint error {worst:.3e}"
@@ -87,29 +87,23 @@ def test_identity_residual_closed_form_and_trained():
     worst = 0.0
     for i in range(20):
         fix = linear_merge_fixture(rng, seed=i)
-        layout = fix.quad.anchor.layout
-        target = joint_closed_form_oracle(list(fix.datasets), list(fix.alphas), fix.quad)
-        tasks = [
-            (alpha, ck.params, data)
-            for (alpha, ck), data in zip(fix.inputs.tasks, fix.datasets)
-        ]
-        model = ModelSpec("linear_regression", layout.total_len)
-        worst = max(worst, verify_identity(fix.quad, target, tasks, model))
+        target = joint_closed_form_oracle(fix.inputs, list(fix.datasets))
+        model = ModelSpec("linear_regression", fix.inputs.layout.total_len)
+        worst = max(worst, verify_identity(fix.inputs, target, list(fix.datasets), model))
     assert worst < 1e-8, f"worst closed-form identity residual {worst:.3e}"
 
     spec = default_spec()
     state = run_pipeline(spec, seed=0)
     target = train_target(state, alpha=1.0)
     added = list(state.train_sets[1:])
-    alphas = [1.0] * len(added)
-    tasks = [(1.0, ck.params, data) for ck, data in zip(state.tasks, added)]
-    residual = verify_identity(state.quad, target.params, tasks, spec.model)
-    joint_defect = stationarity_residual(spec.model, added, alphas, state.quad, target.params)
+    inputs = MergeInputs(state.anchor, tuple((1.0, ck) for ck in state.tasks), spec.anchor.delta)
+    residual = verify_identity(inputs, target.params, added, spec.model)
+    joint_defect = stationarity_residual(spec.model, added, list(inputs.alphas), state.anchor, inputs.delta, target.params)
     task_defects = [
-        stationarity_residual(spec.model, [data], [1.0], state.quad, ck.params)
+        stationarity_residual(spec.model, [data], [1.0], state.anchor, inputs.delta, ck.params)
         for ck, data in zip(state.tasks, added)
     ]
-    bound = identity_residual_bound(state.quad, joint_defect, task_defects, alphas)
+    bound = identity_residual_bound(inputs, joint_defect, task_defects)
     assert residual <= bound, f"trained identity residual {residual:.3e} exceeds bound {bound:.3e}"
 
     elapsed = time.perf_counter() - start

@@ -11,9 +11,9 @@ from gradmerge.cli import cli
 from gradmerge.curvature import exact_hessian_diag, fisher_diag
 from gradmerge.diagnostics import MISMATCH_TABLE_HEADER, mismatch_table_csv, mismatch_vs_error_table
 from gradmerge.harness import SUMMARY_HEADER, default_spec, fixture_from_state, load_spec, run_pipeline, train_target
-from gradmerge.merging import MergeInputs, merge
+from gradmerge.merging import merge
 from gradmerge.oracles import ORACLE_TABLE_HEADER
-from gradmerge.params import Checkpoint, load_checkpoint
+from gradmerge.params import load_checkpoint
 
 
 @pytest.fixture()
@@ -486,9 +486,7 @@ class TestProtocols:
         assert run_cli("report", "--config", path, "--out", tmp_path / "out", "--seed", "1", "--alpha", alpha) == 0
         state, weight = run_pipeline(load_spec(path), 1), float(alpha)
         fixture = fixture_from_state(state, train_target(state, weight).params, weight)
-        anchor = Checkpoint(fixture.anchor.anchor, curvature=fixture.anchor.h0)
-        inputs = MergeInputs(anchor, tuple((a, ck) for a, ck, _, _ in fixture.tasks), fixture.anchor.delta)
-        rows = mismatch_vs_error_table(fixture, {m: merge(m, inputs) for m in state.spec.methods})
+        rows = mismatch_vs_error_table(fixture, {m: merge(m, fixture.inputs) for m in state.spec.methods})
         assert (tmp_path / "out" / "report.csv").read_text() == mismatch_table_csv(rows)
 
 

@@ -20,9 +20,8 @@ from gradmerge.diagnostics import (
 from gradmerge.errors import ConfigError, LayoutError, NumericError, SingularCurvatureError
 from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import ModelSpec, TaskDataset, grad
-from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
+from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector, anchor_penalty
 from gradmerge.training import (
-    QuadraticAnchor,
     closed_form_solve,
     finetune_task,
     stationarity_residual,
@@ -39,6 +38,18 @@ def layout_of(d):
 def vec(values):
     values = np.atleast_1d(np.asarray(values, dtype=float))
     return ParamVector(layout_of(values.size), values)
+
+
+def origin(layout):
+    """The anchor of plain ridge: zero parameters with zero curvature."""
+    return Checkpoint(ParamVector.zeros(layout), DiagCurvature.zeros(layout))
+
+
+def ridge_inputs(thetas, delta, alphas=None):
+    """Merge inputs around the ridge anchor, one task checkpoint (no curvature) per theta, weight 1 by default."""
+    alphas = [1.0] * len(thetas) if alphas is None else alphas
+    layout = thetas[0].layout if thetas else layout_of(1)
+    return MergeInputs(origin(layout), tuple((a, Checkpoint(theta)) for a, theta in zip(alphas, thetas)), delta)
 
 
 def data_1d(task_id, pairs, seed=0):
@@ -62,12 +73,8 @@ def linear_fixture(seed, T=2, d=3, n=12, name=None):
     rng = np.random.default_rng(seed)
     layout = layout_of(d)
     spec = ModelSpec(kind="linear_regression", n_features=d)
-    anchor = QuadraticAnchor(
-        anchor=ParamVector(layout, rng.normal(size=d)),
-        h0=DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)),
-        delta=0.0,
-    )
-    tasks = []
+    anchor = Checkpoint(ParamVector(layout, rng.normal(size=d)), DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)))
+    tasks, splits = [], []
     for t in range(T):
         X = orthogonal_design(rng, n, d)
         theta_star = rng.normal(size=d)
@@ -76,16 +83,17 @@ def linear_fixture(seed, T=2, d=3, n=12, name=None):
         X_test = rng.normal(size=(n, d))
         y_test = X_test @ theta_star + 0.1 * rng.normal(size=n)
         test = TaskDataset(task_id=f"task{t}-test", inputs=X_test, targets=y_test, seed=seed)
-        theta_t = closed_form_solve([train], [1.0], anchor)
+        theta_t = closed_form_solve([train], [1.0], anchor, 0.0)
         ht = DiagCurvature(layout, np.einsum("ij,ij->j", X, X))
-        tasks.append((1.0, Checkpoint(theta_t, curvature=ht), train, test))
-    target = closed_form_solve([tr for _, _, tr, _ in tasks], [1.0] * T, anchor)
+        tasks.append((1.0, Checkpoint(theta_t, curvature=ht)))
+        splits.append((train, test))
+    target = closed_form_solve([train for train, _ in splits], [1.0] * T, anchor, 0.0)
     return DiagnosticFixture(
         name=name or f"linear-{seed}",
         spec=spec,
-        anchor=anchor,
+        inputs=MergeInputs(anchor, tuple(tasks)),
         target=target,
-        tasks=tuple(tasks),
+        splits=tuple(splits),
     )
 
 
@@ -107,28 +115,27 @@ def trained_fixture(seed, kind="logistic"):
         spec = ModelSpec(kind="logistic", n_features=d)
     else:
         spec = ModelSpec(kind="mlp", n_features=d, hidden=3, activation="tanh")
-    layout = spec.layout()
-    anchor = QuadraticAnchor.ridge_only(layout, delta)
-    tasks, datasets = [], []
+    anchor = origin(spec.layout())
+    tasks, splits = [], []
     for t in range(T):
         angle = rng.uniform(0, np.pi)
         mean = 1.4 * np.array([np.cos(angle), np.sin(angle)])
         train = blob_data(rng, mean, n, f"blob{t}", seed=seed)
         test = blob_data(rng, mean, n, f"blob{t}-test", seed=seed)
-        ckpt = finetune_task(spec, train, anchor, seed)
+        ckpt = finetune_task(spec, train, anchor, delta, seed)
         if kind == "logistic":
             curv = exact_hessian_diag(spec, ckpt.params, train)
         else:
             curv = fisher_diag(spec, ckpt.params, train)
-        tasks.append((1.0, Checkpoint(ckpt.params, curvature=curv), train, test))
-        datasets.append(train)
-    target = train_joint_target(spec, datasets, [1.0] * T, anchor, seed)
+        tasks.append((1.0, Checkpoint(ckpt.params, curvature=curv)))
+        splits.append((train, test))
+    target = train_joint_target(spec, [train for train, _ in splits], [1.0] * T, anchor, delta, seed)
     return DiagnosticFixture(
         name=f"{kind}-{seed}",
         spec=spec,
-        anchor=anchor,
+        inputs=MergeInputs(anchor, tuple(tasks), delta),
         target=target.params,
-        tasks=tuple(tasks),
+        splits=tuple(splits),
     )
 
 
@@ -137,9 +144,9 @@ def mismatch_l2(spec, target, candidate, data):
     fixture = DiagnosticFixture(
         name="one-task",
         spec=spec,
-        anchor=QuadraticAnchor.ridge_only(target.layout, delta=1.0),
+        inputs=ridge_inputs([target], delta=1.0),
         target=target,
-        tasks=((1.0, Checkpoint(target), data, data),),
+        splits=((data, data),),
     )
     (row,) = mismatch_vs_error_table(fixture, {"candidate": candidate})
     return row.mismatch_l2
@@ -188,12 +195,9 @@ class TestGradientMismatch:
 
 class TestVerifyIdentity:
     def test_one_dimensional_fixture_is_exact(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
-        tasks = [
-            (1.0, vec([1.0]), data_1d("d1", [(1.0, 2.0)])),
-            (1.0, vec([2.0]), data_1d("d2", [(1.0, 4.0)])),
-        ]
-        residual = verify_identity(anchor, vec([2.0]), tasks, LINEAR)
+        inputs = ridge_inputs([vec([1.0]), vec([2.0])], delta=1.0)
+        datasets = [data_1d("d1", [(1.0, 2.0)]), data_1d("d2", [(1.0, 4.0)])]
+        residual = verify_identity(inputs, vec([2.0]), datasets, LINEAR)
         assert residual <= 1e-12
 
     def test_closed_form_solutions_satisfy_identity(self):
@@ -203,11 +207,7 @@ class TestVerifyIdentity:
             T = int(rng.integers(1, 4))
             layout = layout_of(d)
             spec = ModelSpec(kind="linear_regression", n_features=d)
-            anchor = QuadraticAnchor(
-                anchor=ParamVector(layout, rng.normal(size=d)),
-                h0=DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)),
-                delta=0.1,
-            )
+            anchor = Checkpoint(ParamVector(layout, rng.normal(size=d)), DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)))
             tasks, datasets, alphas = [], [], []
             for t in range(T):
                 # General (non-orthogonal) designs: the identity itself only
@@ -216,25 +216,22 @@ class TestVerifyIdentity:
                 X = rng.normal(size=(n, d))
                 y = rng.normal(size=n)
                 data = TaskDataset(task_id=f"t{t}", inputs=X, targets=y, seed=trial)
-                theta_t = closed_form_solve([data], [1.0], anchor)
+                theta_t = closed_form_solve([data], [1.0], anchor, 0.1)
                 alpha = float(rng.uniform(0.3, 1.0))
-                tasks.append((alpha, theta_t, data))
+                tasks.append((alpha, Checkpoint(theta_t)))
                 datasets.append(data)
                 alphas.append(alpha)
-            target = closed_form_solve(datasets, alphas, anchor)
-            residual = verify_identity(anchor, target, tasks, spec)
+            target = closed_form_solve(datasets, alphas, anchor, 0.1)
+            residual = verify_identity(MergeInputs(anchor, tuple(tasks), 0.1), target, datasets, spec)
             assert residual < 1e-8
 
     def test_empty_task_list_rejected(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         with pytest.raises(ConfigError):
-            verify_identity(anchor, vec([0.0]), [], LINEAR)
+            verify_identity(ridge_inputs([], delta=1.0), vec([0.0]), [], LINEAR)
 
     def test_zero_penalty_rejected(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=0.0)
-        tasks = [(1.0, vec([1.0]), data_1d("d1", [(1.0, 2.0)]))]
         with pytest.raises(SingularCurvatureError):
-            verify_identity(anchor, vec([0.0]), tasks, LINEAR)
+            verify_identity(ridge_inputs([vec([1.0])], delta=0.0), vec([0.0]), [data_1d("d1", [(1.0, 2.0)])], LINEAR)
 
     def test_residual_matches_stationarity_defects_exactly(self):
         # For arbitrary (non-stationary) parameter points the identity
@@ -244,11 +241,7 @@ class TestVerifyIdentity:
         d, T, n = 3, 2, 12
         layout = layout_of(d)
         spec = ModelSpec(kind="logistic", n_features=d)
-        anchor = QuadraticAnchor(
-            anchor=ParamVector(layout, rng.normal(size=d)),
-            h0=DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)),
-            delta=0.25,
-        )
+        anchor = Checkpoint(ParamVector(layout, rng.normal(size=d)), DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)))
         tasks, datasets, alphas = [], [], []
         for t in range(T):
             data = TaskDataset(
@@ -261,8 +254,8 @@ class TestVerifyIdentity:
             datasets.append(data)
             alphas.append(tasks[-1][0])
         target = ParamVector(layout, rng.normal(size=d))
-        h0eff = anchor.effective_diag
-        a = anchor.anchor.values
+        h0eff = anchor_penalty(anchor, 0.25)
+        a = anchor.params.values
         joint_defect = h0eff * (target.values - a)
         for alpha, _, data in tasks:
             joint_defect = joint_defect + alpha * grad(spec, target, data).values
@@ -273,45 +266,34 @@ class TestVerifyIdentity:
             ).values
             expect = expect - alpha * task_defect
         predicted = float(np.max(np.abs(expect / h0eff)))
-        residual = verify_identity(anchor, target, tasks, spec)
+        inputs = MergeInputs(anchor, tuple((alpha, Checkpoint(theta_t)) for alpha, theta_t, _ in tasks), 0.25)
+        residual = verify_identity(inputs, target, datasets, spec)
         np.testing.assert_allclose(residual, predicted, rtol=1e-10, atol=1e-12)
 
     def test_trained_models_stay_within_reported_bound(self):
         fixture = trained_fixture(11, kind="logistic")
-        spec = fixture.spec
-        tasks = [(a, c.params, tr) for a, c, tr, _ in fixture.tasks]
-        residual = verify_identity(fixture.anchor, fixture.target, tasks, spec)
-        joint_res = stationarity_residual(
-            spec,
-            [tr for _, _, tr in tasks],
-            [a for a, _, _ in tasks],
-            fixture.anchor,
-            fixture.target,
-        )
+        spec, inputs = fixture.spec, fixture.inputs
+        trains = [train for train, _ in fixture.splits]
+        residual = verify_identity(inputs, fixture.target, trains, spec)
+        joint_res = stationarity_residual(spec, trains, list(inputs.alphas), inputs.anchor, inputs.delta, fixture.target)
         task_res = [
-            stationarity_residual(spec, [tr], [1.0], fixture.anchor, theta)
-            for _, theta, tr in tasks
+            stationarity_residual(spec, [train], [1.0], inputs.anchor, inputs.delta, ckpt.params)
+            for (_, ckpt), train in zip(inputs.tasks, trains)
         ]
-        bound = identity_residual_bound(
-            fixture.anchor, joint_res, task_res, [a for a, _, _ in tasks]
-        )
+        bound = identity_residual_bound(inputs, joint_res, task_res)
         assert residual <= bound
 
 
 class TestIdentityResidualBound:
     def test_simple_value(self):
-        anchor = QuadraticAnchor(
-            anchor=vec([0.0, 0.0]),
-            h0=DiagCurvature(layout_of(2), [2.0, 4.0]),
-            delta=0.0,
-        )
-        bound = identity_residual_bound(anchor, 0.1, [0.2, 0.3], [1.0, 2.0])
+        anchor = Checkpoint(vec([0.0, 0.0]), DiagCurvature(layout_of(2), [2.0, 4.0]))
+        inputs = MergeInputs(anchor, ((1.0, anchor), (2.0, anchor)))
+        bound = identity_residual_bound(inputs, 0.1, [0.2, 0.3])
         np.testing.assert_allclose(bound, (0.1 + 0.2 + 0.6) / 2.0)
 
     def test_length_mismatch_rejected(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         with pytest.raises(ConfigError):
-            identity_residual_bound(anchor, 0.0, [0.1], [1.0, 1.0])
+            identity_residual_bound(ridge_inputs([vec([0.0]), vec([0.0])], delta=1.0), 0.0, [0.1])
 
 
 class TestTestLossDelta:
@@ -320,7 +302,7 @@ class TestTestLossDelta:
     def test_identical_points_give_zero(self):
         fixture = linear_fixture(14)
         rows = mismatch_vs_error_table(fixture, {"target": fixture.target})
-        assert len(rows) == len(fixture.tasks)
+        assert len(rows) == len(fixture.splits)
         for row in rows:
             assert (row.test_loss_delta_exact, row.test_loss_delta_fo) == (0.0, 0.0)
 
@@ -332,7 +314,7 @@ class TestTestLossDelta:
             f"c{i}": ParamVector(target.layout, target.values + 0.1 * rng.normal(size=d)) for i in range(10)
         }
         rows = mismatch_vs_error_table(fixture, candidates)
-        tests = [test for _, _, _, test in fixture.tasks] * len(candidates)
+        tests = [test for _, test in fixture.splits] * len(candidates)
         for row, test in zip(rows, tests, strict=True):
             # The summed squared loss is quadratic: its gradient is affine,
             # so unit steps read the Hessian off exactly.
@@ -355,9 +337,9 @@ class TestTestLossDelta:
         fixture = DiagnosticFixture(
             name="distant",
             spec=spec,
-            anchor=QuadraticAnchor.ridge_only(layout, delta=1.0),
+            inputs=ridge_inputs([ParamVector.zeros(layout)], delta=1.0),
             target=ParamVector(layout, [30.0, -20.0]),
-            tasks=((1.0, Checkpoint(ParamVector.zeros(layout)), split("t"), split("t-test")),),
+            splits=((split("t"), split("t-test")),),
         )
         (row,) = mismatch_vs_error_table(fixture, {"far": ParamVector(layout, [-25.0, 15.0])})
         assert np.isfinite(row.test_loss_delta_exact) and np.isfinite(row.test_loss_delta_fo)
@@ -372,9 +354,9 @@ class TestMismatchReportValidation:
         fixture = DiagnosticFixture(
             name="overflow",
             spec=LINEAR,
-            anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1e10),
+            inputs=ridge_inputs([vec([0.0])], delta=1e10),
             target=vec([1e308]),
-            tasks=((1.0, Checkpoint(vec([0.0])), data, data_1d("t", [(0.0, 0.0)])),),
+            splits=((data, data_1d("t", [(0.0, 0.0)])),),
         )
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="parameter values must be finite"):
             mismatch_report(fixture, vec([-1e308]))
@@ -386,12 +368,19 @@ class TestMismatchReportValidation:
         fixture = DiagnosticFixture(
             name="far",
             spec=LINEAR,
-            anchor=QuadraticAnchor.ridge_only(layout_of(1), delta=1.0),
+            inputs=ridge_inputs([vec([0.0])], delta=1.0),
             target=vec([1e308]),
-            tasks=((1.0, Checkpoint(vec([0.0])), data, data),),
+            splits=((data, data),),
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
             mismatch_vs_error_table(fixture, {"far": vec([-1e308])})
+
+    def test_fixture_refuses_a_split_count_other_than_its_task_count(self):
+        # One (train, test) pair per task of the merge inputs; zip would drop the rest.
+        fixture = linear_fixture(17, T=2)
+        for splits in (fixture.splits[:1], fixture.splits + fixture.splits[:1]):
+            with pytest.raises(ConfigError, match="2 tasks"):
+                dataclasses.replace(fixture, splits=splits)
 
     def test_negative_norm_rejected(self):
         with pytest.raises(ConfigError):
@@ -403,20 +392,14 @@ class TestMismatchReportValidation:
             )
 
 
-def inputs_of(fixture):
-    """The fixture's anchor, penalty and weighted task checkpoints as merge inputs."""
-    anchor = Checkpoint(fixture.anchor.anchor, curvature=fixture.anchor.h0)
-    return MergeInputs(anchor, tuple((alpha, ckpt) for alpha, ckpt, _, _ in fixture.tasks), fixture.anchor.delta)
-
-
 def merges(fixture, methods):
-    return {method: merge(method, inputs_of(fixture)) for method in methods}
+    return {method: merge(method, fixture.inputs) for method in methods}
 
 
 class TestMismatchTable:
     def test_identical_methods_give_identical_rows(self):
         fixture = linear_fixture(6)
-        merged = merge("ta", inputs_of(fixture))
+        merged = merge("ta", fixture.inputs)
         rows = mismatch_vs_error_table(fixture, {"ta": merged, "ta-again": merged})
         half = len(rows) // 2
         assert [r.method for r in rows] == ["ta"] * half + ["ta-again"] * half
@@ -469,7 +452,7 @@ class TestMismatchTable:
         fixture = linear_fixture(16, T=3)
         candidates = merges(fixture, ["ours", "am", "ta"])
         rows = mismatch_vs_error_table(fixture, candidates)
-        task_ids = [train.task_id for _, _, train, _ in fixture.tasks]
+        task_ids = [train.task_id for train, _ in fixture.splits]
         assert [(r.method, r.task_id) for r in rows] == [(m, t) for m in candidates for t in task_ids]
         for method, merged in candidates.items():
             report = mismatch_report(fixture, merged)
@@ -479,11 +462,11 @@ class TestMismatchTable:
 
     def test_report_matches_direct_merge(self):
         fixture = linear_fixture(12)
-        merged = merge("ours", inputs_of(fixture))
+        merged = merge("ours", fixture.inputs)
         report = mismatch_report(fixture, merged)
         assert report.error_norm <= 1e-8
         assert report.total_weighted_norm <= 1e-7
-        assert len(report.per_task) == len(fixture.tasks)
+        assert len(report.per_task) == len(fixture.inputs.tasks)
 
 
 class TestMismatchErrorCorrelation:

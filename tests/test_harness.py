@@ -33,7 +33,7 @@ from gradmerge.harness import (
 )
 from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import MODEL_KINDS, ModelSpec, TaskDataset, accuracy, loss
-from gradmerge.params import Checkpoint, load_checkpoint
+from gradmerge.params import load_checkpoint
 from gradmerge.training import closed_form_solve
 
 
@@ -422,7 +422,8 @@ class TestRunPipeline:
         assert default_state.anchor.curvature is not None
         for ck in default_state.tasks:
             assert ck.curvature is not None
-        assert default_state.quad.delta == spec.anchor.delta
+        # Every task was fine-tuned under the anchor's curvature plus the spec's ridge.
+        assert [ck.meta["delta"] for ck in default_state.tasks] == [repr(spec.anchor.delta)] * len(default_state.tasks)
 
     def test_fits_record_the_adam_constant_and_seeds_from_the_run(self):
         # The run's seed is the one seed source: the anchor trains at it,
@@ -478,7 +479,7 @@ class TestRunAddition:
         state = run_pipeline(spec, seed=0)
         res = run_addition(spec, state=state, alpha=1.0)
         ref = closed_form_solve(
-            list(state.train_sets[1:]), [1.0] * (spec.n_tasks - 1), state.quad
+            list(state.train_sets[1:]), [1.0] * (spec.n_tasks - 1), state.anchor, spec.anchor.delta
         )
         gap = np.max(np.abs(res.outcomes["ours"].params.values - ref.values))
         assert gap < 1e-6
@@ -744,11 +745,8 @@ class TestSweepGrid:
 
 @pytest.fixture(scope="module")
 def bridged(default_state):
-    """The diagnostics fixture ``report`` builds at weight 1, and merge inputs read back from it."""
-    fixture = fixture_from_state(default_state, train_target(default_state, 1.0).params, 1.0)
-    anchor = Checkpoint(fixture.anchor.anchor, curvature=fixture.anchor.h0)
-    tasks = tuple((alpha, ck) for alpha, ck, _, _ in fixture.tasks)
-    return fixture, MergeInputs(anchor, tasks, fixture.anchor.delta)
+    """The diagnostics fixture ``report`` builds at weight 1."""
+    return fixture_from_state(default_state, train_target(default_state, 1.0).params, 1.0)
 
 
 class TestDiagnosticBridge:
@@ -762,7 +760,7 @@ class TestDiagnosticBridge:
             run_addition(small_spec(), seed=0, alpha=-1.0)
 
     def test_fixture_reproduces_pipeline_merges(self, default_state, bridged):
-        _, inputs = bridged
+        inputs = bridged.inputs
         for method in ("ta", "ours"):
             via_fixture = merge(method, inputs)
             via_state = merged(default_state, method, 1.0)
@@ -773,10 +771,10 @@ class TestDiagnosticBridge:
         inputs = MergeInputs(default_state.anchor, tuple((1.0, ck) for ck in default_state.tasks), spec.anchor.delta)
         expected = merge("ties", inputs).values.tobytes()
         assert merged(default_state, "ties", 1.0).values.tobytes() == expected
-        assert merge("ties", bridged[1]).values.tobytes() == expected
+        assert merge("ties", bridged.inputs).values.tobytes() == expected
 
     def test_fixture_mismatch_orders_ta_and_ours(self, default_state, bridged):
         from gradmerge.diagnostics import mismatch_report
 
-        mm = {m: mismatch_report(bridged[0], merged(default_state, m, 1.0)).total_weighted_norm for m in ("ta", "ours")}
+        mm = {m: mismatch_report(bridged, merged(default_state, m, 1.0)).total_weighted_norm for m in ("ta", "ours")}
         assert mm["ours"] < mm["ta"]

@@ -28,7 +28,7 @@ from gradmerge.merging import (
 from gradmerge.models import TaskDataset
 from gradmerge.oracles import linear_merge_fixture
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
-from gradmerge.training import QuadraticAnchor, closed_form_solve
+from gradmerge.training import closed_form_solve
 
 
 def layout_of(d):
@@ -495,7 +495,7 @@ class TestRemoveTask:
         inputs, layout = fix.inputs, fix.inputs.layout
         merged = merge_uncertainty(inputs)
         penalty = curv(np.random.default_rng(penalty_seed).uniform(0.1, 10.0, layout.total_len))
-        finetuned = closed_form_solve([fix.datasets[-1]], [1.0], QuadraticAnchor(merged, penalty))
+        finetuned = closed_form_solve([fix.datasets[-1]], [1.0], Checkpoint(merged, penalty), 0.0)
         (alpha_last, last), kept = inputs.tasks[-1], inputs.tasks[:-1]
         hbar_minus = inputs.anchor.curvature.values + sum(a * ck.curvature.values for a, ck in kept)
         removed = remove_task(
@@ -520,25 +520,20 @@ class TestLinearExactness:
             T = int(rng.integers(2, 5))
             n = d + int(rng.integers(2, 20))
             layout = layout_of(d)
-            anchor_theta = ParamVector(layout, rng.normal(size=d))
-            h0 = DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d))
-            quad = QuadraticAnchor(anchor=anchor_theta, h0=h0, delta=0.0)
+            anchor = Checkpoint(ParamVector(layout, rng.normal(size=d)), DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)))
             alphas, tasks, datasets = [], [], []
             for t in range(T):
                 X = orthogonal_design(rng, n, d)
                 theta_star = rng.normal(size=d)
                 y = X @ theta_star + 0.1 * rng.normal(size=n)
                 data = TaskDataset(task_id=f"t{t}", inputs=X, targets=y, seed=trial)
-                theta_t = closed_form_solve([data], [1.0], quad)
+                theta_t = closed_form_solve([data], [1.0], anchor, 0.0)
                 ht = DiagCurvature(layout, np.einsum("ij,ij->j", X, X))
                 alphas.append(float(rng.uniform(0.3, 1.0)))
                 tasks.append((alphas[-1], Checkpoint(theta_t, curvature=ht)))
                 datasets.append(data)
-            inputs = MergeInputs(
-                anchor=Checkpoint(anchor_theta, curvature=h0), tasks=tuple(tasks)
-            )
-            merged = merge_uncertainty(inputs).values
-            joint = closed_form_solve(datasets, alphas, quad).values
+            merged = merge_uncertainty(MergeInputs(anchor, tuple(tasks))).values
+            joint = closed_form_solve(datasets, alphas, anchor, 0.0).values
             np.testing.assert_allclose(merged, joint, atol=1e-9)
 
     def test_removal_equals_leave_dataset_out_closed_form(self):
@@ -558,25 +553,21 @@ class TestLinearExactness:
             y_drop = X_drop @ theta_star + 0.1 * rng.normal(size=n_drop)
             keep = TaskDataset(task_id="keep", inputs=X_keep, targets=y_keep, seed=trial)
             drop = TaskDataset(task_id="drop", inputs=X_drop, targets=y_drop, seed=trial)
-            zero = ParamVector.zeros(layout)
-            ridge = QuadraticAnchor(
-                anchor=zero, h0=DiagCurvature.zeros(layout), delta=delta
-            )
-            anchor_theta = closed_form_solve([keep, drop], [1.0, 1.0], ridge)
+            origin = Checkpoint(ParamVector.zeros(layout), DiagCurvature.zeros(layout))
+            anchor_theta = closed_form_solve([keep, drop], [1.0, 1.0], origin, delta)
             h_keep = np.einsum("ij,ij->j", X_keep, X_keep)
             h_drop = np.einsum("ij,ij->j", X_drop, X_drop)
             # Fine-tune the removed task from the anchor under the full-data
             # curvature penalty minus its own: the anchor curvature h_keep plus delta.
-            anchor_curv = DiagCurvature(layout, h_keep)
-            finetune = QuadraticAnchor(anchor=anchor_theta, h0=anchor_curv, delta=delta)
-            theta_t = closed_form_solve([drop], [1.0], finetune)
+            anchor = Checkpoint(anchor_theta, DiagCurvature(layout, h_keep))
+            theta_t = closed_form_solve([drop], [1.0], anchor, delta)
             out = remove_task(
-                Checkpoint(anchor_theta, anchor_curv),
+                anchor,
                 (1.0, Checkpoint(theta_t, curvature=DiagCurvature(layout, h_drop))),
                 hbar_minus=DiagCurvature(layout, h_keep),
                 delta=delta,
             )
-            retrained = closed_form_solve([keep], [1.0], ridge)
+            retrained = closed_form_solve([keep], [1.0], origin, delta)
             np.testing.assert_allclose(out.values, retrained.values, atol=1e-9)
 
 

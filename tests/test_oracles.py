@@ -7,6 +7,7 @@ import pytest
 
 from gradmerge.errors import (
     ConfigError,
+    MissingCurvatureError,
     SingularCurvatureError,
     SingularSystemError,
 )
@@ -28,7 +29,7 @@ from gradmerge.oracles import (
     run_oracle_suite,
 )
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector
-from gradmerge.training import QuadraticAnchor, closed_form_solve
+from gradmerge.training import closed_form_solve
 
 
 def layout_of(d):
@@ -38,6 +39,20 @@ def layout_of(d):
 def vec(values):
     values = np.atleast_1d(np.asarray(values, dtype=float))
     return ParamVector(layout_of(values.size), values)
+
+
+def joint_inputs(params, h0, alphas, delta):
+    """Merge inputs for the joint oracle: the anchor, its curvature, the ridge and the task weights.
+
+    The oracle never reads the task checkpoints, so each task is the anchor itself.
+    """
+    anchor = Checkpoint(params, DiagCurvature(params.layout, h0))
+    return MergeInputs(anchor, tuple((alpha, anchor) for alpha in alphas), delta)
+
+
+def ridge_inputs(d, alphas, delta):
+    """Joint-oracle inputs of plain ridge toward the origin: anchor 0 with zero curvature."""
+    return joint_inputs(vec(np.zeros(d)), np.zeros(d), alphas, delta)
 
 
 def data_1d(task_id, pairs, seed=0):
@@ -66,41 +81,38 @@ class TestOracleResult:
 
 class TestJointClosedFormOracle:
     def test_one_dimensional_fixture(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         datasets = [data_1d("d1", [(1.0, 2.0)]), data_1d("d2", [(1.0, 4.0)])]
-        out = joint_closed_form_oracle(datasets, [1.0, 1.0], anchor)
+        out = joint_closed_form_oracle(ridge_inputs(1, [1.0, 1.0], delta=1.0), datasets)
         np.testing.assert_allclose(out.values, [2.0], atol=1e-12)
 
     def test_zero_weight_drops_a_dataset(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         d1 = data_1d("d1", [(1.0, 2.0)])
         d2 = data_1d("d2", [(1.0, 100.0)])
-        both = joint_closed_form_oracle([d1, d2], [1.0, 0.0], anchor)
-        single = joint_closed_form_oracle([d1], [1.0], anchor)
+        both = joint_closed_form_oracle(ridge_inputs(1, [1.0, 0.0], delta=1.0), [d1, d2])
+        single = joint_closed_form_oracle(ridge_inputs(1, [1.0], delta=1.0), [d1])
         np.testing.assert_allclose(both.values, single.values, atol=1e-12)
 
     def test_no_data_returns_anchor(self):
-        layout = layout_of(3)
-        anchor = QuadraticAnchor(
-            anchor=vec([1.0, -2.0, 0.5]),
-            h0=DiagCurvature(layout, [1.0, 2.0, 3.0]),
-            delta=0.0,
-        )
-        out = joint_closed_form_oracle([], [], anchor)
+        inputs = joint_inputs(vec([1.0, -2.0, 0.5]), [1.0, 2.0, 3.0], [], delta=0.0)
+        out = joint_closed_form_oracle(inputs, [])
         np.testing.assert_allclose(out.values, [1.0, -2.0, 0.5], atol=1e-12)
 
     def test_rank_deficient_system_rejected(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(2), delta=0.0)
         data = TaskDataset(
             task_id="t", inputs=np.array([[1.0, 0.0]]), targets=np.array([1.0]), seed=0
         )
         with pytest.raises(SingularSystemError):
-            joint_closed_form_oracle([data], [1.0], anchor)
+            joint_closed_form_oracle(ridge_inputs(2, [1.0], delta=0.0), [data])
 
     def test_negative_weight_rejected(self):
-        anchor = QuadraticAnchor.ridge_only(layout_of(1), delta=1.0)
         with pytest.raises(ConfigError):
-            joint_closed_form_oracle([data_1d("d", [(1.0, 1.0)])], [-1.0], anchor)
+            joint_closed_form_oracle(ridge_inputs(1, [-1.0], delta=1.0), [data_1d("d", [(1.0, 1.0)])])
+
+    def test_anchor_without_curvature_rejected(self):
+        # The penalty h0 + delta reads h0 from the anchor checkpoint, as the merge does.
+        inputs = dataclasses.replace(ridge_inputs(1, [1.0], delta=1.0), anchor=Checkpoint(vec([0.0])))
+        with pytest.raises(MissingCurvatureError, match="anchor"):
+            joint_closed_form_oracle(inputs, [data_1d("d", [(1.0, 1.0)])])
 
     def test_agrees_with_direct_normal_equation_solver(self):
         # Two independent exact paths (SVD on stacked rows vs a dense
@@ -108,12 +120,7 @@ class TestJointClosedFormOracle:
         rng = np.random.default_rng(0)
         for trial in range(10):
             d = int(rng.integers(1, 8))
-            layout = layout_of(d)
-            anchor = QuadraticAnchor(
-                anchor=ParamVector(layout, rng.normal(size=d)),
-                h0=DiagCurvature(layout, rng.uniform(0.5, 2.0, size=d)),
-                delta=0.1,
-            )
+            anchor = Checkpoint(vec(rng.normal(size=d)), DiagCurvature(layout_of(d), rng.uniform(0.5, 2.0, size=d)))
             datasets, alphas = [], []
             for t in range(int(rng.integers(1, 4))):
                 n = d + 6
@@ -121,8 +128,8 @@ class TestJointClosedFormOracle:
                 y = rng.normal(size=n)
                 datasets.append(TaskDataset(task_id=f"t{t}", inputs=X, targets=y, seed=trial))
                 alphas.append(float(rng.uniform(0.2, 1.0)))
-            a = joint_closed_form_oracle(datasets, alphas, anchor)
-            b = closed_form_solve(datasets, alphas, anchor)
+            a = joint_closed_form_oracle(MergeInputs(anchor, tuple((alpha, anchor) for alpha in alphas), 0.1), datasets)
+            b = closed_form_solve(datasets, alphas, anchor, 0.1)
             np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 
@@ -208,6 +215,19 @@ class TestMapSurrogateCheck:
         inputs = MergeInputs(Checkpoint(anchor, one), ((1.0, Checkpoint(vec([1.0, 2.0]), one)),))
         assert map_surrogate_check(inputs, anchor) > 0.1
 
+    def test_anchor_without_curvature_rejected(self):
+        inputs = map_fixture(np.random.default_rng(6)).inputs
+        bare = dataclasses.replace(inputs, anchor=Checkpoint(inputs.anchor.params))
+        with pytest.raises(MissingCurvatureError):
+            map_surrogate_check(bare, inputs.anchor.params)
+
+    def test_task_without_curvature_rejected(self):
+        inputs = map_fixture(np.random.default_rng(6)).inputs
+        (alpha, first), *rest = inputs.tasks
+        bare = dataclasses.replace(inputs, tasks=((alpha, Checkpoint(first.params)), *rest))
+        with pytest.raises(MissingCurvatureError):
+            map_surrogate_check(bare, inputs.anchor.params)
+
     def test_zero_increments_are_stationary_at_anchor(self):
         layout = layout_of(2)
         anchor = vec([0.3, -0.7])
@@ -261,7 +281,7 @@ class TestMergeFixtureExactness:
         for _ in range(20):
             fix = linear_merge_fixture(rng)
             merged = merge_uncertainty(fix.inputs)
-            joint = joint_closed_form_oracle(list(fix.datasets), list(fix.alphas), fix.quad)
+            joint = joint_closed_form_oracle(fix.inputs, list(fix.datasets))
             np.testing.assert_allclose(merged.values, joint.values, atol=1e-9)
 
 

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradmerge import models, training
-from gradmerge.errors import ConfigError, DivergenceError, SingularSystemError
+from gradmerge.errors import ConfigError, DivergenceError, MissingCurvatureError, SingularSystemError
 from gradmerge.harness import ExperimentSpec, PerTaskConfig, default_spec, run_addition, run_pipeline, train_target
 from gradmerge.models import ModelSpec, TaskDataset
-from gradmerge.params import DiagCurvature, ParamVector
+from gradmerge.params import Checkpoint, DiagCurvature, ParamVector, anchor_penalty
 from gradmerge.training import (
     ADAM_EPOCHS,
     NEWTON_TOL,
     WARM_START_EPOCHS,
-    QuadraticAnchor,
     adam_decoupled_minimize,
     closed_form_solve,
     finetune_task,
@@ -30,17 +29,33 @@ def data_1d(xs, ys, task_id="t"):
     return TaskDataset(task_id, np.asarray(xs, dtype=float).reshape(-1, 1), ys)
 
 
-def anchored_objective(spec, datasets, alphas, anchor: QuadraticAnchor, theta: ParamVector) -> float:
+def anchored_objective(spec, datasets, alphas, anchor: Checkpoint, delta, theta: ParamVector) -> float:
     """Reference objective, independent of the trainers' fused evaluation:
     the weighted per-task losses from ``models.loss`` plus the anchored penalty."""
     value = sum(alpha * models.loss(spec, theta, data) for alpha, data in zip(alphas, datasets) if data.n)
-    diff = theta.values - anchor.anchor.values
-    return float(value + 0.5 * np.sum(anchor.effective_diag * diff * diff))
+    diff = theta.values - anchor.params.values
+    return float(value + 0.5 * np.sum(anchor_penalty(anchor, delta) * diff * diff))
 
 
-def anchor_1d(value, h0, delta=0.0):
-    layout = LIN1.layout()
-    return QuadraticAnchor(ParamVector(layout, [value]), DiagCurvature(layout, [h0]), delta)
+def anchor_of(layout, values, h0) -> Checkpoint:
+    """An anchor checkpoint: parameters ``values`` and curvature ``h0``, each broadcast to the layout."""
+    shape = layout.total_len
+    return Checkpoint(ParamVector(layout, np.broadcast_to(values, shape)), DiagCurvature(layout, np.broadcast_to(h0, shape)))
+
+
+def origin(layout) -> Checkpoint:
+    """The anchor of base training: zero parameters with zero curvature."""
+    return anchor_of(layout, 0.0, 0.0)
+
+
+def anchor_1d(value, h0):
+    return anchor_of(LIN1.layout(), value, h0)
+
+
+def refuse_steps(monkeypatch, what):
+    """Fail the test if a fit builds its row block or takes a step before ``what`` is checked."""
+    for step in ("_rows", "_newton", "adam_decoupled_minimize"):
+        monkeypatch.setattr(training, step, lambda *args: pytest.fail(f"trained before {what} was checked"))
 
 
 def random_linear(seed, n=30, d=4):
@@ -92,7 +107,7 @@ def evaluations_per_fit(monkeypatch, run):
     return run(), counts
 
 
-def lbfgs_logistic_reference(datasets, alphas, anchor):
+def lbfgs_logistic_reference(datasets, alphas, anchor, delta):
     """Minimizer of the anchored logistic objective, by SciPy's L-BFGS-B alone.
 
     L-BFGS-B on the objective stalls once its value changes by less than
@@ -107,7 +122,7 @@ def lbfgs_logistic_reference(datasets, alphas, anchor):
     X = np.vstack([data.inputs for data in datasets])
     y = np.concatenate([data.targets for data in datasets])
     w = np.concatenate([np.full(data.n, alpha) for data, alpha in zip(datasets, alphas)])
-    a, reg = anchor.anchor.values, anchor.effective_diag
+    a, reg = anchor.params.values, anchor.curvature.values + delta
 
     def objective(theta):
         z = X @ theta
@@ -135,7 +150,7 @@ class TestTrainAnchor:
         spec = ModelSpec("linear_regression", 4)
         data = random_linear(0)
         ckpt = train_anchor(spec, data, delta=0.5, seed=0)
-        exact = closed_form_solve([data], [1.0], QuadraticAnchor.ridge_only(spec.layout(), 0.5))
+        exact = closed_form_solve([data], [1.0], origin(spec.layout()), 0.5)
         np.testing.assert_array_equal(ckpt.params.values, exact.values)
 
     def test_huge_delta_shrinks_theta(self):
@@ -155,15 +170,22 @@ class TestTrainAnchor:
 
     @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
     def test_bad_delta_refused_before_training(self, monkeypatch, delta):
-        # QuadraticAnchor holds the one delta rule; a non-finite delta that
-        # reached training would fail late, as NumericError on an overflowed loss.
-        monkeypatch.setattr(training, "_fit", lambda *args: pytest.fail("trained before delta was checked"))
+        # ``params.anchor_penalty`` holds the one delta rule; a non-finite delta
+        # that reached training would fail late, as NumericError on an
+        # overflowed loss.  Every trainer reads the penalty before its fit
+        # builds its row block or takes a step.
+        refuse_steps(monkeypatch, "delta")
         spec = ModelSpec("logistic", 1)
         data = data_1d([-1.0, 1.0], [0.0, 1.0])
+        anchor = anchor_of(spec.layout(), 0.0, 1.0)
         with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
             train_anchor(spec, data, delta, 0)
         with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
-            QuadraticAnchor(ParamVector.zeros(spec.layout()), DiagCurvature.zeros(spec.layout()), delta)
+            finetune_task(spec, data, anchor, delta, 0)
+        with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
+            train_joint_target(spec, [data], [1.0], anchor, delta, 0)
+        with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
+            anchor_penalty(origin(spec.layout()), delta)
 
     def test_meta_records_provenance(self):
         ckpt = train_anchor(LIN1, data_1d([1.0], [2.0]), delta=1.0, seed=0)
@@ -178,8 +200,7 @@ class TestTrainAnchor:
         y = (X @ np.array([1.0, -1.0, 0.5]) > 0).astype(float)
         data = TaskDataset("c", X, y)
         ckpt = train_anchor(spec, data, delta=0.2, seed=0)
-        anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.2)
-        res = stationarity_residual(spec, [data], [1.0], anchor, ckpt.params)
+        res = stationarity_residual(spec, [data], [1.0], origin(spec.layout()), 0.2, ckpt.params)
         assert res <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
 
 
@@ -187,19 +208,16 @@ class TestFinetune:
     def test_1d_removal_fixture(self):
         # Anchor theta=2 with penalty weight 3, one example (x=1, y=4):
         # stationarity (theta-4) + 3(theta-2) = 0 gives theta = 2.5.
-        ckpt = finetune_task(LIN1, data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), 0)
+        ckpt = finetune_task(LIN1, data_1d([1.0], [4.0]), anchor_1d(2.0, 3.0), 0.0, 0)
         np.testing.assert_allclose(ckpt.params.values, [2.5], atol=1e-6)
 
     def test_huge_h0_pins_to_anchor(self):
         spec = ModelSpec("linear_regression", 4)
         layout = spec.layout()
         data = random_linear(3)
-        anchor = QuadraticAnchor(
-            ParamVector(layout, [1.0, -1.0, 0.5, 0.0]),
-            DiagCurvature(layout, np.full(layout.total_len, 1e6)),
-        )
-        ckpt = finetune_task(spec, data, anchor, 0)
-        assert np.linalg.norm(ckpt.params.values - anchor.anchor.values) < 1e-3
+        anchor = anchor_of(layout, [1.0, -1.0, 0.5, 0.0], 1e6)
+        ckpt = finetune_task(spec, data, anchor, 0.0, 0)
+        assert np.linalg.norm(ckpt.params.values - anchor.params.values) < 1e-3
 
     def test_stationarity_condition(self):
         from gradmerge.models import grad
@@ -210,13 +228,20 @@ class TestFinetune:
         y = (X[:, 0] > 0).astype(float)
         data = TaskDataset("c", X, y)
         layout = spec.layout()
-        anchor = QuadraticAnchor(
-            ParamVector(layout, [0.2, -0.1]), DiagCurvature(layout, np.full(layout.total_len, 2.0))
-        )
-        ckpt = finetune_task(spec, data, anchor, 0)
-        lhs = anchor.effective_diag * (ckpt.params.values - anchor.anchor.values)
+        anchor = anchor_of(layout, [0.2, -0.1], 2.0)
+        ckpt = finetune_task(spec, data, anchor, 0.0, 0)
+        lhs = anchor_penalty(anchor, 0.0) * (ckpt.params.values - anchor.params.values)
         rhs = -grad(spec, ckpt.params, data).values
         assert np.linalg.norm(lhs - rhs) <= 1e-4 * (1.0 + np.linalg.norm(ckpt.params.values))
+
+
+    def test_anchor_without_curvature_refused_before_training(self, monkeypatch):
+        # The penalty h0 + delta reads h0 from the anchor checkpoint.
+        refuse_steps(monkeypatch, "the anchor curvature")
+        spec = ModelSpec("logistic", 1)
+        bare = Checkpoint(ParamVector.zeros(spec.layout()))
+        with pytest.raises(MissingCurvatureError, match="anchor"):
+            finetune_task(spec, data_1d([-1.0, 1.0], [0.0, 1.0]), bare, 0.1, 0)
 
 
 class TestJointTarget:
@@ -224,38 +249,40 @@ class TestJointTarget:
         data = random_linear(4)
         spec = ModelSpec("linear_regression", 4)
         layout = spec.layout()
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
-        joint = train_joint_target(spec, [data], [1.0], anchor, 0)
-        single = finetune_task(spec, data, anchor, 0)
+        anchor = anchor_of(layout, 0.0, 1.0)
+        joint = train_joint_target(spec, [data], [1.0], anchor, 0.0, 0)
+        single = finetune_task(spec, data, anchor, 0.0, 0)
         np.testing.assert_allclose(joint.params.values, single.params.values, atol=1e-5)
 
     def test_matches_closed_form(self):
         spec = ModelSpec("linear_regression", 3)
         layout = spec.layout()
         datasets = [random_linear(s, n=20, d=3) for s in (5, 6)]
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 1.0)))
-        joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, 0)
-        exact = closed_form_solve(datasets, [1.0, 1.0], anchor)
+        anchor = anchor_of(layout, 0.0, 1.0)
+        joint = train_joint_target(spec, datasets, [1.0, 1.0], anchor, 0.0, 0)
+        exact = closed_form_solve(datasets, [1.0, 1.0], anchor, 0.0)
         np.testing.assert_array_equal(joint.params.values, exact.values)
 
     def test_zero_alphas_return_anchor(self):
         spec = ModelSpec("linear_regression", 3)
         layout = spec.layout()
-        anchor = QuadraticAnchor(
-            ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature(layout, np.full(layout.total_len, 1.0))
-        )
-        joint = train_joint_target(
-            spec, [random_linear(8, d=3)], [0.0], anchor, 0
-        )
-        np.testing.assert_allclose(joint.params.values, anchor.anchor.values, atol=1e-5)
+        anchor = anchor_of(layout, [0.5, -0.5, 1.0], 1.0)
+        joint = train_joint_target(spec, [random_linear(8, d=3)], [0.0], anchor, 0.0, 0)
+        np.testing.assert_allclose(joint.params.values, anchor.params.values, atol=1e-5)
+
+    def test_anchor_without_curvature_refused_before_training(self, monkeypatch):
+        refuse_steps(monkeypatch, "the anchor curvature")
+        spec = ModelSpec("logistic", 1)
+        bare = Checkpoint(ParamVector.zeros(spec.layout()))
+        with pytest.raises(MissingCurvatureError, match="anchor"):
+            train_joint_target(spec, [data_1d([-1.0, 1.0], [0.0, 1.0])], [1.0], bare, 0.1, 0)
 
     # ``a < 0`` is False for NaN, so a sign test alone lets NaN through.
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_alpha_rejected(self, alpha):
         spec = ModelSpec("linear_regression", 3)
-        anchor = QuadraticAnchor.ridge_only(spec.layout(), 1.0)
         with pytest.raises(ConfigError):
-            train_joint_target(spec, [random_linear(9, d=3)], [alpha], anchor, 0)
+            train_joint_target(spec, [random_linear(9, d=3)], [alpha], origin(spec.layout()), 1.0, 0)
 
     def test_joint_value_beats_trivial_candidates(self):
         spec = ModelSpec("logistic", 2)
@@ -266,47 +293,41 @@ class TestJointTarget:
             X = rng.standard_normal((40, 2))
             y = (X @ rng.standard_normal(2) > 0).astype(float)
             datasets.append(TaskDataset(f"t{t}", X, y))
-        anchor = QuadraticAnchor(ParamVector.zeros(layout), DiagCurvature(layout, np.full(layout.total_len, 0.5)))
+        anchor = anchor_of(layout, 0.0, 0.5)
         alphas = [1.0, 1.0, 1.0]
-        joint = train_joint_target(spec, datasets, alphas, anchor, 0)
-        value = anchored_objective(spec, datasets, alphas, anchor, joint.params)
-        candidates = [anchor.anchor] + [
-            finetune_task(spec, d, anchor, 0).params for d in datasets
-        ]
+        joint = train_joint_target(spec, datasets, alphas, anchor, 0.0, 0)
+        value = anchored_objective(spec, datasets, alphas, anchor, 0.0, joint.params)
+        candidates = [anchor.params] + [finetune_task(spec, d, anchor, 0.0, 0).params for d in datasets]
         for candidate in candidates:
-            assert value <= anchored_objective(spec, datasets, alphas, anchor, candidate) + 1e-9
+            assert value <= anchored_objective(spec, datasets, alphas, anchor, 0.0, candidate) + 1e-9
 
 
 class TestClosedFormSolve:
     def test_single_point(self):
-        out = closed_form_solve([data_1d([1.0], [2.0])], [1.0], anchor_1d(0.0, 1.0))
+        out = closed_form_solve([data_1d([1.0], [2.0])], [1.0], anchor_1d(0.0, 1.0), 0.0)
         np.testing.assert_allclose(out.values, [1.0], atol=1e-12)
 
     def test_two_datasets(self):
         out = closed_form_solve(
-            [data_1d([1.0], [2.0]), data_1d([1.0], [4.0])], [1.0, 1.0], anchor_1d(0.0, 1.0)
+            [data_1d([1.0], [2.0]), data_1d([1.0], [4.0])], [1.0, 1.0], anchor_1d(0.0, 1.0), 0.0
         )
         np.testing.assert_allclose(out.values, [2.0], atol=1e-12)
 
     def test_singular_system_rejected(self):
         layout = ModelSpec("linear_regression", 2).layout()
-        anchor = QuadraticAnchor.ridge_only(layout, 0.0)
         rank_deficient = TaskDataset("r", [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(SingularSystemError):
-            closed_form_solve([rank_deficient], [1.0], anchor)
+            closed_form_solve([rank_deficient], [1.0], origin(layout), 0.0)
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(13)
         datasets = [random_linear(s, n=25, d=5) for s in (20, 21, 22)]
         layout = ModelSpec("linear_regression", 5).layout()
-        anchor = QuadraticAnchor(
-            ParamVector(layout, rng.standard_normal(5)),
-            DiagCurvature(layout, rng.uniform(0.5, 2.0, 5)),
-        )
+        anchor = anchor_of(layout, rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
         alphas = [0.5, 1.0, 2.0]
-        theta = closed_form_solve(datasets, alphas, anchor).values
-        A = np.diag(anchor.effective_diag.copy())
-        b = anchor.effective_diag * anchor.anchor.values
+        theta = closed_form_solve(datasets, alphas, anchor, 0.0).values
+        A = np.diag(anchor.curvature.values)
+        b = anchor.curvature.values * anchor.params.values
         for alpha, d in zip(alphas, datasets):
             A += alpha * d.inputs.T @ d.inputs
             b += alpha * d.inputs.T @ d.targets
@@ -335,9 +356,9 @@ class TestNewton:
         alphas = rng.uniform(0.0, 2.0, n_sets).tolist()
         h0 = rng.uniform(0.0, 1.0, d) if rng.random() < 0.5 else np.zeros(d)
         layout = spec.layout()
-        anchor = QuadraticAnchor(ParamVector(layout, rng.standard_normal(d)), DiagCurvature(layout, h0), ridge)
-        theta = train_joint_target(spec, datasets, alphas, anchor, 0).params.values
-        reference = lbfgs_logistic_reference(datasets, alphas, anchor)
+        anchor = anchor_of(layout, rng.standard_normal(d), h0)
+        theta = train_joint_target(spec, datasets, alphas, anchor, ridge, 0).params.values
+        reference = lbfgs_logistic_reference(datasets, alphas, anchor, ridge)
         # Newton's stop rule leaves ||theta - theta*|| at most
         # NEWTON_TOL (1 + ||theta||) / min(h0 + delta), and delta >= 1e-2.
         atol = NEWTON_TOL / 1e-2 * (1.0 + np.linalg.norm(reference))
@@ -399,9 +420,9 @@ class TestMlpStationarity:
         residuals = []
         real_fit = training._fit
 
-        def fit(spec, datasets, alphas, anchor, epochs, x0):
-            theta = real_fit(spec, datasets, alphas, anchor, epochs, x0)
-            residual = stationarity_residual(spec, datasets, alphas, anchor, theta)
+        def fit(spec, datasets, alphas, anchor, delta, epochs, x0):
+            theta = real_fit(spec, datasets, alphas, anchor, delta, epochs, x0)
+            residual = stationarity_residual(spec, datasets, alphas, anchor, delta, theta)
             residuals.append(residual / (1.0 + np.linalg.norm(theta.values)))
             return theta
 
@@ -424,9 +445,9 @@ class TestWarmStartEpochs:
         received = []
         real_adam = training.adam_decoupled_minimize
 
-        def adam(grad_fn, x0, epochs, anchor):
+        def adam(grad_fn, x0, epochs, a, reg):
             received.append(epochs)
-            return real_adam(grad_fn, x0, epochs, anchor)
+            return real_adam(grad_fn, x0, epochs, a, reg)
 
         monkeypatch.setattr(training, "adam_decoupled_minimize", adam)
         for kind, expected in (("mlp", [ADAM_EPOCHS] + [WARM_START_EPOCHS] * 3), ("logistic", [])):
@@ -450,30 +471,24 @@ class TestWarmStartEpochs:
 
 class TestDecoupledStep:
     def test_one_step_moves_toward_anchor_on_zero_data_loss(self):
-        layout = ModelSpec("linear_regression", 2).layout()
-        anchor = QuadraticAnchor(
-            ParamVector.zeros(layout), DiagCurvature(layout, [1.0, 0.0])
-        )
         x0 = np.array([3.0, -1.0])
 
         def zero_grad(theta):
             return np.zeros_like(theta)
 
-        out = adam_decoupled_minimize(zero_grad, x0, 1, anchor)
+        # Anchor 0 with penalty diagonal (1, 0).
+        out = adam_decoupled_minimize(zero_grad, x0, 1, np.zeros(2), np.array([1.0, 0.0]))
         # Coordinate 0 has positive penalty: strictly toward the anchor.
         assert abs(out[0]) < abs(x0[0])
         # Coordinate 1 has zero penalty and zero gradient: unchanged.
         assert out[1] == x0[1]
 
     def test_divergence_detected(self):
-        spec = ModelSpec("linear_regression", 1)
-        anchor = QuadraticAnchor.ridge_only(spec.layout(), 0.0)
-
         def explode(theta):
             return np.full_like(theta, np.nan)
 
         with pytest.raises(DivergenceError):
-            adam_decoupled_minimize(explode, np.zeros(1), 1, anchor)
+            adam_decoupled_minimize(explode, np.zeros(1), 1, np.zeros(1), np.zeros(1))
 
     def test_training_is_deterministic(self):
         spec = ModelSpec("logistic", 2)
@@ -507,13 +522,12 @@ class TestConvexFitsIgnoreAdam:
         base = train_anchor(spec, data, delta=0.3, seed=0).params
         other = train_anchor(spec, data, delta=0.3, seed=seed).params
         np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
-        ridge = QuadraticAnchor.ridge_only(spec.layout(), 0.3)
-        refit = training._fit(spec, [data], [1.0], ridge, epochs, np.zeros(base.layout.total_len))
+        refit = training._fit(spec, [data], [1.0], origin(spec.layout()), 0.3, epochs, np.zeros(base.layout.total_len))
         np.testing.assert_allclose(refit.values, base.values, rtol=0.0, atol=1e-8)
-        anchor = QuadraticAnchor(base, DiagCurvature(base.layout, np.full(base.layout.total_len, 2.0)), 0.3)
+        anchor = anchor_of(base.layout, base.values, 2.0)
         task = classification(22, n=40)
-        tuned = finetune_task(spec, task, anchor, 0).params
-        retuned = training._fit(spec, [task], [1.0], anchor, epochs, base.values.copy())
+        tuned = finetune_task(spec, task, anchor, 0.3, 0).params
+        retuned = training._fit(spec, [task], [1.0], anchor, 0.3, epochs, base.values.copy())
         np.testing.assert_allclose(retuned.values, tuned.values, rtol=0.0, atol=1e-8)
 
 
@@ -555,18 +569,14 @@ class TestFitCost:
 
     #: Two MLP tasks and an anchor off the origin, for the per-fit counts below.
     SETS = [classification(30, n=40), classification(31, n=24)]
-    ANCHOR = QuadraticAnchor(
-        ParamVector(MLP2.layout(), np.full(MLP2.layout().total_len, 0.1)),
-        DiagCurvature(MLP2.layout(), np.full(MLP2.layout().total_len, 0.5)),
-        0.1,
-    )
+    #: Both fits use the ridge 0.1.
+    ANCHOR = anchor_of(MLP2.layout(), 0.1, 0.5)
 
     def fit_mlp(self, fit, epochs):
         """One MLP fit of ``epochs`` Adam epochs: the anchor on the first task, or the joint target of both."""
         if fit == "anchor":
-            ridge = QuadraticAnchor.ridge_only(MLP2.layout(), 0.1)
-            return training._fit(MLP2, self.SETS[:1], [1.0], ridge, epochs, training._init_theta(MLP2, 0))
-        return training._fit(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, epochs, self.ANCHOR.anchor.values.copy())
+            return training._fit(MLP2, self.SETS[:1], [1.0], origin(MLP2.layout()), 0.1, epochs, training._init_theta(MLP2, 0))
+        return training._fit(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, 0.1, epochs, self.ANCHOR.params.values.copy())
 
     @pytest.mark.parametrize("fit", ["anchor", "joint"])
     def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
