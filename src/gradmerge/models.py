@@ -31,8 +31,9 @@ dataset once (:func:`_check_data`) and then steps on arrays.  The last
 three weight each row, so one call evaluates a fit's whole data term
 ``sum_t alpha_t L_t`` over its stacked tasks: its value and gradient,
 its gradient alone (for Adam), or its dense Hessian (for Newton), which
-reuses the forward pass ``(out, a1)`` that ``_value_grad`` returns and
-the data-only products a fit builds once (:class:`_HessianRows`).  The
+reuses the forward pass ``(out, a1, s)`` that ``_value_grad`` returns,
+``s`` being the classifiers' output sigmoid, evaluated once per iterate,
+and the data-only products a fit builds once (:class:`_HessianRows`).  The
 MLP's only hidden state is the tanh activation array ``a1``, built in
 place; its derivative is ``D = 1 - a1^2``.  The summed gradient keeps
 the output gradients ``g`` and ``w2`` out of the ``(n, h)`` products:
@@ -258,29 +259,32 @@ def grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> ParamVector:
 
 
 def _value_grad(spec: ModelSpec, values, X, y, w=1.0):
-    """Weighted summed loss ``sum_i w_i l_i``, its flat gradient, and their forward pass ``(out, a1)``.
+    """Weighted summed loss ``sum_i w_i l_i``, its flat gradient, and their forward pass ``(out, a1, s)``.
 
-    For rows that passed :func:`_check_data` and unit weights (1.0
-    multiplies exactly) the first two equal :func:`loss` and
+    ``s`` is the output sigmoid of a ``logistic_nll`` kind (None for
+    squared error), computed once here for the gradient and reused by
+    :func:`_hessian`.  For rows that passed :func:`_check_data` and unit
+    weights (1.0 multiplies exactly) the first two equal :func:`loss` and
     ``grad(...).values``, raising the same overflow errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
-        value = float(np.sum(w * _losses(spec, out, y)))
+        value = float((w * _losses(spec, out, y)).sum())
+        s = None if spec.loss == "squared_error" else 1.0 / (1.0 + np.exp(-out))
     if not np.isfinite(value):
         raise NumericError("loss overflowed to a non-finite value")
-    return value, _summed_grad(spec, values, X, y, w, out, a1), (out, a1)
+    return value, _summed_grad(spec, values, X, w * ((out if s is None else s) - y), a1), (out, a1, s)
 
 
 def _grad(spec: ModelSpec, values, X, y, w=1.0) -> np.ndarray:
     """The gradient :func:`_value_grad` returns, without forming the loss value."""
     with np.errstate(over="ignore", invalid="ignore"):
         out, a1 = _forward(spec, values, X)
-        return _summed_grad(spec, values, X, y, w, out, a1)
+        return _summed_grad(spec, values, X, w * _output_grads(spec, out, y), a1)
 
 
-def _summed_grad(spec, values, X, y, w, out, a1) -> np.ndarray:
-    flat = _backward(spec, values, X, w * _output_grads(spec, out, y), a1)
+def _summed_grad(spec, values, X, g, a1) -> np.ndarray:
+    flat = _backward(spec, values, X, g, a1)
     if not np.isfinite(flat).all():
         raise NumericError("gradient overflowed to non-finite values")
     return flat
@@ -319,8 +323,9 @@ class _HessianRows:
 def _hessian(spec: ModelSpec, values, rows: _HessianRows, y, w, fwd) -> np.ndarray:
     """Dense ``(d, d)`` Hessian of the weighted summed loss ``sum_i w_i l_i``.
 
-    ``fwd`` is the forward pass :func:`_value_grad` returned at the same
-    ``values``, so a build runs none of its own.  The Gauss-Newton part
+    ``fwd`` is the forward pass ``(out, a1, s)`` :func:`_value_grad`
+    returned at the same ``values``, so a build runs none of its own and
+    evaluates no sigmoid.  The Gauss-Newton part
     ``J^T J`` has rows ``sqrt(w_i l_i'') J_i``, where ``J_i`` is row i's
     output gradient; NumPy forms it as one symmetric rank-k update at half
     the cost of a general product (weights are >= 0).  The linear models
@@ -332,12 +337,8 @@ def _hessian(spec: ModelSpec, values, rows: _HessianRows, y, w, fwd) -> np.ndarr
     Each product keeps the association order of :func:`_backward`'s
     per-example rows, e.g. ``(sqrt(curv) w2) D``, so H is bitwise theirs.
     """
-    out, a1 = fwd
-    if spec.loss == "squared_error":
-        curv = w * np.ones_like(out)
-    else:
-        s = _sigmoid(out)
-        curv = w * s * (1.0 - s)
+    out, a1, s = fwd
+    curv = w * np.ones_like(out) if s is None else w * s * (1.0 - s)
     if a1 is None:
         Xs = rows.X * np.sqrt(curv)[:, None]
         return Xs.T @ Xs
@@ -353,7 +354,7 @@ def _hessian(spec: ModelSpec, values, rows: _HessianRows, y, w, fwd) -> np.ndarr
     np.multiply(a1.T, g, out=JT[h * d + h : -1])
     JT[-1] = g
     H = JT @ JT.T
-    r = w * _output_grads(spec, out, y)
+    r = w * (s - y)
     # c = (r w2) (-2 a1 D) and rD = r D stay (n, h) operands of the products below.
     np.multiply(a1, -2.0, out=c)
     c *= D

@@ -24,7 +24,7 @@ the exact Hessian and none of the exactness identities can hold).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -363,8 +363,9 @@ def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
     Four families, ``n_fixtures`` draws each: preconditioned merge vs the
     stacked joint solve; one-shot removal vs retrain inside the influence
     oracle; the removal update vs the retrain and vs the gradient-at-
-    anchor variant; and the surrogate-gradient norm at the merge output.
-    All fixtures derive from the single seed, which callers should log.
+    anchor variant; and the surrogate-gradient norm at the merge output,
+    under a ridge ``delta`` drawn from {0, 0.1, 1} per fixture.  All
+    fixtures derive from the single seed, which callers should log.
     """
     if n_fixtures < 1:
         raise ConfigError(f"a suite of zero checks proves nothing: n_fixtures must be >= 1, got {n_fixtures}")
@@ -394,8 +395,9 @@ def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
         results.append(OracleResult.compare(f"removal-grad-{i:02d}", grad_form, removed_model, 1e-9))
     for i in range(n_fixtures):
         fix = map_fixture(rng)
-        candidate = merge_uncertainty(fix.inputs)
-        norm = map_surrogate_check(fix.inputs, candidate)
+        inputs = replace(fix.inputs, delta=float(rng.choice([0.0, 0.1, 1.0])))
+        candidate = merge_uncertainty(inputs)
+        norm = map_surrogate_check(inputs, candidate)
         tol = 1e-9 * (1.0 + float(np.linalg.norm(candidate.values)))
         results.append(OracleResult.compare(f"map-grad-{i:02d}", 0.0, norm, tol))
     return results

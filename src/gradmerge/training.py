@@ -43,12 +43,19 @@ the flat ``(d,)`` parameter array, over the whole block: Adam runs
 full-batch on the gradient alone (``models._grad``), and Newton on
 ``models._value_grad`` and ``models._hessian``.  A Newton step's Hessian
 reuses the forward pass of the value/gradient evaluation at the same
-iterate, and the block's data-only products (``models._HessianRows``),
-which the fit builds once.  Every fit ends in the same stationarity
-gate, which goes through the public, checked ``grad``.
+iterate, output sigmoid included, so each iterate evaluates it once, and
+the block's data-only products (``models._HessianRows``), which the fit
+builds once.  The loop's bookkeeping avoids NumPy's Python wrappers,
+with the same bits: a norm is ``math.sqrt(v @ v)``, which is
+``np.linalg.norm(v)`` for a 1-D float64 ``v``, a sum is the array's
+``sum()`` method, and the penalty is added to H's diagonal through a
+strided view.  Every fit ends in the same stationarity gate, which goes
+through the public, checked ``grad``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -123,12 +130,14 @@ def _rows(spec, datasets, alphas):
     """The row block ``(X, y, w)`` of ``sum_t alpha_t * L_t``: live tasks' rows, weighted by alpha.
 
     One live task (the anchor, a fine-tune, a retrain) gives its dataset's
-    own read-only arrays; several live tasks are stacked.
+    own read-only arrays and its weight as the float alpha, which
+    multiplies exactly as a row of alphas would; several live tasks are
+    stacked, with one weight per row.
     """
     live = _weighted_tasks(datasets, alphas)
     if len(live) == 1:
         ((alpha, data),) = live
-        return data.inputs, data.targets, np.full(data.n, alpha)
+        return data.inputs, data.targets, alpha
     # The empty pads give the block its shape when every weight is zero (a joint target at alpha 0).
     X = np.concatenate([np.zeros((0, spec.n_features))] + [data.inputs for _, data in live])
     y = np.concatenate([np.zeros(0)] + [data.targets for _, data in live])
@@ -228,7 +237,7 @@ def _saddle_free_step(H, g):
         lowest, u = lam[0], (V[:, 0] if g @ V[:, 0] <= 0.0 else -V[:, 0])
     else:
         step, lowest, u = _convex_step(H, g)
-    return step / max(1.0, np.linalg.norm(step) / MLP_MAX_STEP), lowest, u
+    return step / max(1.0, math.sqrt(step @ step) / MLP_MAX_STEP), lowest, u
 
 
 def _descend_negative_curvature(value_grad, theta, f, u, kappa, resolution):
@@ -271,8 +280,8 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
     """
     f, g, fwd = value_grad(theta)
     for _ in range(NEWTON_MAX_ITER):
-        g_norm = np.linalg.norm(g)
-        if g_norm <= NEWTON_TOL * (1.0 + np.linalg.norm(theta)):
+        g_norm = math.sqrt(g @ g)
+        if g_norm <= NEWTON_TOL * (1.0 + math.sqrt(theta @ theta)):
             break
         try:
             step, curvature, u = newton_step(hessian(theta, fwd), g)
@@ -290,7 +299,7 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
         for _ in range(60 if resolvable else 1):
             trial = theta + t * step
             f_trial, g_trial, fwd_trial = value_grad(trial)
-            if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (np.linalg.norm(g_trial) < g_norm):
+            if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (math.sqrt(g_trial @ g_trial) < g_norm):
                 break
             t *= 0.5
         else:
@@ -319,11 +328,12 @@ def _fit(
     def full_value_grad(theta_values):
         value, g, fwd = _value_grad(spec, theta_values, X, y, w)
         diff = theta_values - a
-        return value + 0.5 * np.sum(reg * diff * diff), g + reg * diff, fwd
+        pull = reg * diff
+        return value + 0.5 * (pull * diff).sum(), g + pull, fwd
 
     def full_hessian(theta_values, fwd):
         H = _hessian(spec, theta_values, rows, y, w, fwd)
-        H[np.diag_indices_from(H)] += reg
+        H.flat[:: len(H) + 1] += reg
         return H
 
     if spec.kind == "linear_regression":

@@ -1,8 +1,8 @@
 """The single-pass evaluators the training and curvature code rely on,
 checked against the public per-call functions they replace, and the
 Hessian kernel Newton steps with, checked against differences of the
-gradient and, for the MLP, bitwise against the per-example Jacobian
-build."""
+gradient and bitwise: for the MLP against the per-example Jacobian
+build, for the convex kinds against ``Xs^T Xs`` from a fresh sigmoid."""
 
 import numpy as np
 import pytest
@@ -59,7 +59,8 @@ class TestFusedValueGrad:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loss_and_grad(self, spec, seed):
         theta, data = random_pair(spec, seed)
-        value, g, (out, _) = _value_grad(spec, theta.values, data.inputs, data.targets)
+        value, g, fwd = _value_grad(spec, theta.values, data.inputs, data.targets)
+        out = fwd[0]
         np.testing.assert_array_equal(out, _forward(spec, theta.values, data.inputs)[0])
         assert value == pytest.approx(loss(spec, theta, data), rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g, grad(spec, theta, data).values, rtol=1e-12, atol=0.0)
@@ -200,6 +201,8 @@ def per_example_hessian(spec, values, X, y, w):
 
 MLP_CASES = [spec for spec in CASES if spec.kind == "mlp"]
 MLP_IDS = [i for spec, i in zip(CASES, IDS) if spec.kind == "mlp"]
+CONVEX_CASES = [spec for spec in CASES if spec.kind != "mlp"]
+CONVEX_IDS = [i for spec, i in zip(CASES, IDS) if spec.kind != "mlp"]
 
 
 class TestHessian:
@@ -236,6 +239,27 @@ class TestHessian:
         w[::4] = 0.0
         args = (spec, theta.values, data.inputs, data.targets, w)
         np.testing.assert_array_equal(hessian_at(*args), per_example_hessian(*args))
+
+    @pytest.mark.parametrize("spec", CONVEX_CASES, ids=CONVEX_IDS)
+    @pytest.mark.parametrize("n", [1, 40, 700])
+    def test_convex_equals_the_scaled_row_build_bitwise(self, spec, n):
+        # The kernel reads the sigmoid from the forward tuple; the reference
+        # computes it afresh from a separate forward pass.
+        theta, data = random_pair(spec, n, n=n)
+        w = np.random.default_rng(n).uniform(0.0, 2.0, n)
+        w[::4] = 0.0
+        X, y, values = data.inputs, data.targets, theta.values
+        fwd = _value_grad(spec, values, X, y, w)[2]
+        out = _forward(spec, values, X)[0]
+        if spec.loss == "squared_error":
+            assert fwd[2] is None
+            curv = w * np.ones_like(out)
+        else:
+            s = _sigmoid(out)
+            np.testing.assert_array_equal(fwd[2], s)
+            curv = w * s * (1.0 - s)
+        Xs = X * np.sqrt(curv)[:, None]
+        np.testing.assert_array_equal(_hessian(spec, values, _HessianRows(spec, X), y, w, fwd), Xs.T @ Xs)
 
     @pytest.mark.parametrize("spec", MLP_CASES, ids=MLP_IDS)
     def test_reused_products_carry_nothing_between_builds(self, spec):

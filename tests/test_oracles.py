@@ -12,6 +12,7 @@ from gradmerge.errors import (
     SingularSystemError,
 )
 from gradmerge.merging import MergeInputs, merge_uncertainty, remove_task
+from gradmerge import oracles
 from gradmerge.models import TaskDataset
 from gradmerge.oracles import (
     ORACLE_TABLE_HEADER,
@@ -289,6 +290,20 @@ class TestOracleSuite:
     def test_small_suite_all_pass(self):
         results = run_oracle_suite(seed=7, n_fixtures=10)
         assert len(results) == 50
+        assert all(r.passed for r in results)
+
+    def test_map_family_checks_a_ridge(self, monkeypatch):
+        # The surrogate adds delta to the anchor curvature; a suite that
+        # only ever passes delta 0 leaves that sum unchecked.
+        deltas = []
+
+        def recording(inputs, candidate):
+            deltas.append(inputs.delta)
+            return map_surrogate_check(inputs, candidate)
+
+        monkeypatch.setattr(oracles, "map_surrogate_check", recording)
+        results = run_oracle_suite(seed=7, n_fixtures=10)
+        assert len(deltas) == 10 and any(delta > 0.0 for delta in deltas)
         assert all(r.passed for r in results)
 
     def test_suite_is_deterministic(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -363,6 +364,17 @@ class TestNewton:
         # NEWTON_TOL (1 + ||theta||) / min(h0 + delta), and delta >= 1e-2.
         atol = NEWTON_TOL / 1e-2 * (1.0 + np.linalg.norm(reference))
         np.testing.assert_allclose(theta, reference, rtol=0.0, atol=atol)
+
+    @given(
+        magnitudes=st.lists(st.floats(1e-150, 1e150), min_size=1, max_size=80),
+        signs=st.lists(st.booleans(), min_size=80, max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loop_norm_is_bitwise_numpys(self, magnitudes, signs):
+        # The loop takes norms as sqrt(v @ v); its stops and steps match
+        # np.linalg.norm's only while the two round identically.
+        v = np.array([m if positive else -m for m, positive in zip(magnitudes, signs)])
+        assert math.sqrt(v @ v) == np.linalg.norm(v)
 
     def test_nonconvex_step_leaves_a_saddle_it_cannot_rank_by_value(self):
         # f = x^2 - y^2 + y^4/4 has a saddle at 0 and minima at (0, +-sqrt 2).
