@@ -228,7 +228,3 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
-
-
-if __name__ == "__main__":
-    main()

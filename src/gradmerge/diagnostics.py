@@ -147,8 +147,6 @@ def verify_identity(
     :func:`identity_residual_bound`.  ``target_grads`` holds
     ``grad_t(target)`` per task when the caller already has them.
     """
-    if not inputs.tasks:
-        raise ConfigError("the identity needs at least one task")
     h0eff = anchor_penalty(inputs.anchor, inputs.delta)
     if (h0eff <= 0.0).any():
         raise SingularCurvatureError("anchor penalty diagonal must be strictly positive")

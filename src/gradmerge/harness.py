@@ -722,7 +722,7 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
             if method == "remove-ta":
                 theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
             else:
-                theta = remove_task(anchor, (1.0, task_ck), hbar_minus, spec.anchor.delta)
+                theta = remove_task(MergeInputs(anchor, ((1.0, task_ck),), spec.anchor.delta), hbar_minus)
             record(method, 1.0, theta, f"merged-{method}")
         record("retrain", 0.0, retrain.params, "retrain")
         record("anchor", 0.0, anchor.params, None)

@@ -35,15 +35,17 @@ name is one rule.  With ``h0`` the anchor curvature plus the ridge
   anchored linear regression with exact Hessians it reproduces the
   jointly trained model, and its output is the stationary point of the
   quadratic surrogate objective checked by the oracles module.
-* :func:`remove_task` — one row, coefficient ``-alpha (h0 + h_t) /
-  (hbar_minus + delta)``, with ``h0`` again the anchor checkpoint's
-  curvature plus ``delta``: subtract one task's contribution from a model
-  trained on a superset of data.  On anchored linear regression with
-  exact curvature this coincides with leave-subset-out retraining.
+* :func:`remove_task` — ``ours`` run backwards: base anchor, coefficient
+  ``-alpha_t (h0 + h_t) / (hbar_minus + delta)``, where ``hbar_minus`` is
+  the curvature of the data left once every listed task is removed:
+  subtract the listed tasks' contribution from a model trained on a
+  superset of data.  On anchored linear regression with exact curvature
+  this coincides with leave-subset-out retraining.
 
-Degenerate inputs follow one rule across the catalog: a merge of zero
-tasks raises :class:`EmptyMergeError`, a method in ``CURVATURE_METHODS``
-raises :class:`MissingCurvatureError` when a checkpoint it reads has no
+Degenerate inputs follow one rule across the catalog: :class:`MergeInputs`
+refuses an empty task list with :class:`EmptyMergeError` where it is
+built, a method in ``CURVATURE_METHODS`` (and :func:`remove_task`) raises
+:class:`MissingCurvatureError` when a checkpoint it reads has no
 curvature, and a merge whose task weights are all zero is the anchor
 (adding nothing leaves it unchanged, exactly; ``am`` would otherwise
 ignore the weights).
@@ -100,20 +102,23 @@ class MergeInputs:
     """Anchor checkpoint, weighted task checkpoints, and a curvature ridge.
 
     ``delta`` is the ridge the task models were fine-tuned under.  Only
-    ``ours`` reads it, adding it elementwise to the anchor curvature
-    (:func:`~gradmerge.params.anchor_penalty`); ``fa`` weighs by the
-    anchor curvature ``F0`` alone, the other methods read no curvature,
-    and :func:`remove_task` takes its own ``delta``.
+    ``ours`` and :func:`remove_task` read it, adding it elementwise to the
+    anchor curvature (:func:`~gradmerge.params.anchor_penalty`); ``fa``
+    weighs by the anchor curvature ``F0`` alone, and the other methods
+    read no curvature.  A merge needs at least one task: an empty list
+    raises :class:`EmptyMergeError` here.
     Negative task weights are legal at this level; merges that cannot
     interpret them reject them individually.
     """
 
     anchor: Checkpoint
-    tasks: tuple[tuple[float, Checkpoint], ...] = ()
+    tasks: tuple[tuple[float, Checkpoint], ...]
     delta: float = 0.0
 
     def __post_init__(self):
         tasks = tuple((float(alpha), ckpt) for alpha, ckpt in self.tasks)
+        if not tasks:
+            raise EmptyMergeError("a merge needs at least one task checkpoint")
         layout = self.anchor.layout
         for alpha, ckpt in tasks:
             if not math.isfinite(alpha):
@@ -140,8 +145,6 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
     the task curvatures ``(T, d)`` (otherwise ``None``); those methods
     also read the anchor's curvature.
     """
-    if not inputs.tasks:
-        raise EmptyMergeError(f"{method} needs at least one task checkpoint")
     _check_weights(method, weights)
     thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
     if method not in CURVATURE_METHODS:
@@ -278,30 +281,22 @@ def merge_uncertainty(inputs: MergeInputs) -> ParamVector:
     return merge("ours", inputs)
 
 
-def remove_task(
-    anchor: Checkpoint, task: tuple[float, Checkpoint], hbar_minus: DiagCurvature, delta: float = 0.0
-) -> ParamVector:
-    """Subtract one task's contribution from an anchor model.
+def remove_task(inputs: MergeInputs, hbar_minus: DiagCurvature) -> ParamVector:
+    """``ours`` run backwards: subtract the listed tasks' contribution from the anchor model.
 
-    ``anchor - alpha * (h0 + h_t) / (hbar_minus + delta) * (theta_t -
-    anchor)``, where ``h0`` is the anchor checkpoint's curvature plus
-    ``delta`` (the penalty the task model was fine-tuned under, read as
-    :func:`merge_uncertainty` reads it) and ``hbar_minus`` is the
-    curvature of the *retained* data at the anchor.  The plain
-    increment-subtraction variant is :func:`merge_task_arithmetic` with a
-    negative weight.
+    ``anchor - sum_t alpha_t (h0 + h_t) / (hbar_minus + delta) (theta_t -
+    anchor)``, with ``h0`` and ``h_t`` read as :func:`merge_uncertainty`
+    reads them and ``hbar_minus`` the curvature at the anchor of the data
+    left once every listed task is removed, on the anchor layout.  The
+    plain variant is :func:`merge_task_arithmetic` with negative weights.
     """
-    alpha, ckpt = task
-    layout = anchor.layout
-    if ckpt.layout != layout or hbar_minus.layout != layout:
-        raise LayoutError("removal inputs must share the anchor layout")
-    if ckpt.curvature is None:
-        raise MissingCurvatureError("remove_task needs curvature on the task checkpoint")
-    h0 = anchor_penalty(anchor, delta)
-    denom = hbar_minus.values + delta
+    weights = np.array([inputs.alphas])
+    thetas, curvs = _stack(inputs, "ours", weights)
+    h0 = anchor_penalty(inputs.anchor, inputs.delta)
+    denom = anchor_penalty(Checkpoint(inputs.anchor.params, hbar_minus), inputs.delta)
     _require_positive(denom, "retained-data curvature plus delta")
-    coef = -float(alpha) * (h0 + ckpt.curvature.values) / denom
-    return ParamVector(layout, _kernel(anchor.params.values, ckpt.params.values[None], coef[None, None])[0])
+    coef = -weights[:, :, None] * (h0 + curvs) / denom
+    return ParamVector(inputs.layout, _kernel(inputs.anchor.params.values, thetas, coef)[0])
 
 
 def merged_checkpoint(method: str, params: ParamVector, alphas) -> Checkpoint:

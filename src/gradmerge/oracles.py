@@ -9,10 +9,12 @@ agreement between module and oracle is evidence, not circularity.  The
 joint solve and the surrogate check take the :class:`MergeInputs` of the
 merge they check, and form the penalty ``h0 + delta`` from it inline; the
 joint solve reads only the anchor, the penalty and the task weights, never
-the task checkpoints.  Both solves run on NumPy's LAPACK bindings:
-``np.linalg.lstsq`` (the SVD-based ``gelsd`` driver) for the joint solve
-and ``np.linalg.cholesky`` for the normal matrices, so the oracles load
-no SciPy.
+the task checkpoints.  The fixtures hand out the same type: a merge or
+removal fixture holds the ``MergeInputs`` it checks, and
+:func:`map_fixture` returns one bare.  Both solves run on NumPy's LAPACK
+bindings: ``np.linalg.lstsq`` (the SVD-based ``gelsd`` driver) for the
+joint solve and ``np.linalg.cholesky`` for the normal matrices, so the
+oracles load no SciPy.
 
 The randomized suite draws features from a standard normal and targets
 from a planted coefficient vector plus noise with standard deviation
@@ -46,7 +48,6 @@ __all__ = [
     "influence_oracle",
     "MergeFixture",
     "RemovalFixture",
-    "MapFixture",
     "linear_merge_fixture",
     "run_oracle_suite",
     "oracle_table_csv",
@@ -239,24 +240,17 @@ class MergeFixture:
 class RemovalFixture:
     """Ridge-trained base model plus one removable data block.
 
-    The anchor checkpoint carries the pooled data curvature ``h_keep +
-    h_drop``; the task model was fine-tuned under that plus ``delta``.
+    ``inputs`` holds the removal: its anchor checkpoint carries the pooled
+    data curvature ``h_keep + h_drop``, its one task (weight 1) was
+    fine-tuned under that plus ``inputs.delta``, and ``hbar_minus`` is
+    the kept block's curvature.
     """
 
-    anchor: Checkpoint
-    task: tuple[float, Checkpoint]
+    inputs: MergeInputs
     full_data: TaskDataset
     removed: tuple[int, ...]
     removed_data: TaskDataset
     hbar_minus: DiagCurvature
-    delta: float
-
-
-@dataclass(frozen=True, eq=False)
-class MapFixture:
-    """Random positive-curvature merge inputs (``delta`` 0) for the surrogate-gradient check."""
-
-    inputs: MergeInputs
 
 
 def random_linear_dataset(
@@ -327,22 +321,19 @@ def linear_removal_fixture(rng: np.random.Generator, seed: int = 0) -> RemovalFi
         seed=seed,
     )
     removed = tuple(range(n_keep, n_keep + n_drop))
+    anchor = Checkpoint(ParamVector(layout, theta_llm), curvature=DiagCurvature(layout, h_keep + h_drop))
+    task = Checkpoint(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, h_drop))
     return RemovalFixture(
-        anchor=Checkpoint(ParamVector(layout, theta_llm), curvature=DiagCurvature(layout, h_keep + h_drop)),
-        task=(
-            1.0,
-            Checkpoint(ParamVector(layout, theta_t), curvature=DiagCurvature(layout, h_drop)),
-        ),
+        inputs=MergeInputs(anchor, ((1.0, task),), delta),
         full_data=full,
         removed=removed,
         removed_data=drop,
         hbar_minus=DiagCurvature(layout, h_keep),
-        delta=delta,
     )
 
 
-def map_fixture(rng: np.random.Generator) -> MapFixture:
-    """Random strictly positive curvatures and task parameters."""
+def map_fixture(rng: np.random.Generator) -> MergeInputs:
+    """Random positive-curvature merge inputs (``delta`` 0) for the surrogate-gradient check."""
     d = int(rng.integers(1, 11))
     T = int(rng.integers(1, 5))
     layout = _vector_layout(d)
@@ -354,7 +345,7 @@ def map_fixture(rng: np.random.Generator) -> MapFixture:
         )
         for _ in range(T)
     )
-    return MapFixture(MergeInputs(anchor, tasks))
+    return MergeInputs(anchor, tasks)
 
 
 def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
@@ -386,16 +377,13 @@ def run_oracle_suite(seed: int = 0, n_fixtures: int = 50) -> list[OracleResult]:
         results.append(OracleResult.compare(f"influence-self-{i:02d}", retrain, one_shot, 1e-9))
     for i in range(n_fixtures):
         fix = linear_removal_fixture(rng, seed=seed)
-        removed_model = remove_task(fix.anchor, fix.task, fix.hbar_minus, fix.delta)
-        retrain = influence_oracle(fix.full_data, list(fix.removed), fix.delta)
+        removed_model = remove_task(fix.inputs, fix.hbar_minus)
+        retrain = influence_oracle(fix.full_data, list(fix.removed), fix.inputs.delta)
         results.append(OracleResult.compare(f"removal-retrain-{i:02d}", retrain, removed_model, 1e-9))
-        grad_form = alt_removal_oracle(
-            fix.anchor.params, fix.removed_data, fix.delta, fix.hbar_minus
-        )
+        grad_form = alt_removal_oracle(fix.inputs.anchor.params, fix.removed_data, fix.inputs.delta, fix.hbar_minus)
         results.append(OracleResult.compare(f"removal-grad-{i:02d}", grad_form, removed_model, 1e-9))
     for i in range(n_fixtures):
-        fix = map_fixture(rng)
-        inputs = replace(fix.inputs, delta=float(rng.choice([0.0, 0.1, 1.0])))
+        inputs = replace(map_fixture(rng), delta=float(rng.choice([0.0, 0.1, 1.0])))
         candidate = merge_uncertainty(inputs)
         norm = map_surrogate_check(inputs, candidate)
         tol = 1e-9 * (1.0 + float(np.linalg.norm(candidate.values)))

@@ -36,21 +36,22 @@ a saddle, where the value can no longer rank such steps, the loop moves
 along the negative curvature instead of converging onto the saddle.
 No fit needs SciPy.
 
-A fit checks its datasets once and stacks its live tasks into one row
-block ``(X, y, w)``, each row weighted by its task's alpha, before its
-first step; every evaluation of the data term is then one kernel call on
-the flat ``(d,)`` parameter array, over the whole block: Adam runs
-full-batch on the gradient alone (``models._grad``), and Newton on
-``models._value_grad`` and ``models._hessian``.  A Newton step's Hessian
-reuses the forward pass of the value/gradient evaluation at the same
-iterate, output sigmoid included, so each iterate evaluates it once, and
-the block's data-only products (``models._HessianRows``), which the fit
-builds once.  The loop's bookkeeping avoids NumPy's Python wrappers,
-with the same bits: a norm is ``math.sqrt(v @ v)``, which is
-``np.linalg.norm(v)`` for a 1-D float64 ``v``, a sum is the array's
-``sum()`` method, and the penalty is added to H's diagonal through a
-strided view.  Every fit ends in the same stationarity gate, which goes
-through the public, checked ``grad``.
+A fit checks its datasets once.  A linear fit then goes straight to the
+closed-form solve, which loops over the datasets itself; an iterative
+fit stacks its live tasks into one row block ``(X, y, w)``, each row
+weighted by its task's alpha, before its first step.  Every evaluation
+of the data term is then one kernel call on the flat ``(d,)`` parameter
+array, over the whole block: Adam runs full-batch on the gradient alone
+(``models._grad``), and Newton on ``models._value_grad`` and
+``models._hessian``.  A Newton step's Hessian reuses the forward pass of
+the value/gradient evaluation at the same iterate, output sigmoid
+included, so each iterate evaluates it once, and the block's data-only
+products (``models._HessianRows``), which the fit builds once.  The
+loop's bookkeeping avoids NumPy's Python wrappers, with the same bits: a
+norm is ``math.sqrt(v @ v)``, which is ``np.linalg.norm(v)`` for a 1-D
+float64 ``v``, a sum is the array's ``sum()`` method, and the penalty is
+added to H's diagonal through a strided view.  Every fit ends in the
+same stationarity gate, which goes through the public, checked ``grad``.
 """
 
 from __future__ import annotations
@@ -322,6 +323,22 @@ def _fit(
     a, reg = anchor.params.values, anchor_penalty(anchor, delta)
     for data in datasets:
         _check_data(spec, data)
+    if spec.kind == "linear_regression":
+        theta = closed_form_solve(datasets, alphas, anchor, delta).values
+    else:
+        theta = _iterate(spec, datasets, alphas, a, reg, epochs, x0)
+    out = ParamVector(spec.layout(), theta)
+    residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
+    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
+    if residual > bound:
+        raise DivergenceError(
+            f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"
+        )
+    return out
+
+
+def _iterate(spec: ModelSpec, datasets, alphas, a: np.ndarray, reg: np.ndarray, epochs: int, x0: np.ndarray) -> np.ndarray:
+    """Minimize a logistic or MLP anchored objective by Newton (after Adam, for an MLP)."""
     X, y, w = _rows(spec, datasets, alphas)
     rows = _HessianRows(spec, X)
 
@@ -336,22 +353,11 @@ def _fit(
         H.flat[:: len(H) + 1] += reg
         return H
 
-    if spec.kind == "linear_regression":
-        theta = closed_form_solve(datasets, alphas, anchor, delta).values
-    elif spec.kind == "logistic":
-        theta = _newton(full_value_grad, full_hessian, x0)
-    else:
-        # Nonconvex: the Adam path decides which local minimum Newton refines.
-        theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, epochs, a, reg)
-        theta = _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
-    out = ParamVector(spec.layout(), theta)
-    residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
-    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
-    if residual > bound:
-        raise DivergenceError(
-            f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"
-        )
-    return out
+    if spec.kind == "logistic":
+        return _newton(full_value_grad, full_hessian, x0)
+    # Nonconvex: the Adam path decides which local minimum Newton refines.
+    theta = adam_decoupled_minimize(lambda th: _grad(spec, th, X, y, w), x0, epochs, a, reg)
+    return _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
 
 
 def _init_theta(spec: ModelSpec, seed: int) -> np.ndarray:

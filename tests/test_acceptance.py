@@ -69,8 +69,8 @@ def test_removal_matches_one_shot_update_and_retrain():
     worst_update, worst_retrain = 0.0, 0.0
     for i in range(50):
         fix = linear_removal_fixture(rng, seed=i)
-        removed = remove_task(fix.anchor, fix.task, fix.hbar_minus, fix.delta)
-        one_shot, retrain = _influence_pair(fix.full_data, list(fix.removed), fix.delta)
+        removed = remove_task(fix.inputs, fix.hbar_minus)
+        one_shot, retrain = _influence_pair(fix.full_data, list(fix.removed), fix.inputs.delta)
         worst_update = max(worst_update, float(np.max(np.abs(removed.values - one_shot))))
         worst_retrain = max(worst_retrain, float(np.max(np.abs(removed.values - retrain))))
     elapsed = time.perf_counter() - start
@@ -141,9 +141,9 @@ def test_reductions_to_simple_merges():
 def test_merge_output_is_surrogate_stationary():
     rng = np.random.default_rng(20260829)
     for _ in range(50):
-        fix = map_fixture(rng)
-        candidate = merge_uncertainty(fix.inputs)
-        norm = map_surrogate_check(fix.inputs, candidate)
+        inputs = map_fixture(rng)
+        candidate = merge_uncertainty(inputs)
+        norm = map_surrogate_check(inputs, candidate)
         bound = 1e-9 * (1.0 + float(np.linalg.norm(candidate.values)))
         assert norm < bound, f"surrogate gradient norm {norm:.3e} >= {bound:.3e}"
 

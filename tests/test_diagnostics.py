@@ -225,10 +225,6 @@ class TestVerifyIdentity:
             residual = verify_identity(MergeInputs(anchor, tuple(tasks), 0.1), target, datasets, spec)
             assert residual < 1e-8
 
-    def test_empty_task_list_rejected(self):
-        with pytest.raises(ConfigError):
-            verify_identity(ridge_inputs([], delta=1.0), vec([0.0]), [], LINEAR)
-
     def test_zero_penalty_rejected(self):
         with pytest.raises(SingularCurvatureError):
             verify_identity(ridge_inputs([vec([1.0])], delta=0.0), vec([0.0]), [data_1d("d1", [(1.0, 2.0)])], LINEAR)

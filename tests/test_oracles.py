@@ -93,11 +93,6 @@ class TestJointClosedFormOracle:
         single = joint_closed_form_oracle(ridge_inputs(1, [1.0], delta=1.0), [d1])
         np.testing.assert_allclose(both.values, single.values, atol=1e-12)
 
-    def test_no_data_returns_anchor(self):
-        inputs = joint_inputs(vec([1.0, -2.0, 0.5]), [1.0, 2.0, 3.0], [], delta=0.0)
-        out = joint_closed_form_oracle(inputs, [])
-        np.testing.assert_allclose(out.values, [1.0, -2.0, 0.5], atol=1e-12)
-
     def test_rank_deficient_system_rejected(self):
         data = TaskDataset(
             task_id="t", inputs=np.array([[1.0, 0.0]]), targets=np.array([1.0]), seed=0
@@ -194,16 +189,16 @@ class TestMapSurrogateCheck:
     def test_merge_output_is_stationary(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            fix = map_fixture(rng)
-            candidate = merge_uncertainty(fix.inputs)
-            norm = map_surrogate_check(fix.inputs, candidate)
+            inputs = map_fixture(rng)
+            candidate = merge_uncertainty(inputs)
+            norm = map_surrogate_check(inputs, candidate)
             assert norm < 1e-9 * (1.0 + float(np.linalg.norm(candidate.values)))
 
     def test_merge_output_is_stationary_with_a_ridge(self):
         # The check adds ``inputs.delta`` to the anchor curvature itself, as the merge does.
         rng = np.random.default_rng(5)
         for delta in (0.1, 1.0, 10.0):
-            inputs = dataclasses.replace(map_fixture(rng).inputs, delta=delta)
+            inputs = dataclasses.replace(map_fixture(rng), delta=delta)
             candidate = merge_uncertainty(inputs)
             norm = map_surrogate_check(inputs, candidate)
             assert norm < 1e-9 * (1.0 + float(np.linalg.norm(candidate.values)))
@@ -217,13 +212,13 @@ class TestMapSurrogateCheck:
         assert map_surrogate_check(inputs, anchor) > 0.1
 
     def test_anchor_without_curvature_rejected(self):
-        inputs = map_fixture(np.random.default_rng(6)).inputs
+        inputs = map_fixture(np.random.default_rng(6))
         bare = dataclasses.replace(inputs, anchor=Checkpoint(inputs.anchor.params))
         with pytest.raises(MissingCurvatureError):
             map_surrogate_check(bare, inputs.anchor.params)
 
     def test_task_without_curvature_rejected(self):
-        inputs = map_fixture(np.random.default_rng(6)).inputs
+        inputs = map_fixture(np.random.default_rng(6))
         (alpha, first), *rest = inputs.tasks
         bare = dataclasses.replace(inputs, tasks=((alpha, Checkpoint(first.params)), *rest))
         with pytest.raises(MissingCurvatureError):
@@ -268,10 +263,10 @@ class TestAltRemovalOracle:
         for _ in range(20):
             fix = linear_removal_fixture(rng)
             grad_form = alt_removal_oracle(
-                fix.anchor.params, fix.removed_data, fix.delta, fix.hbar_minus
+                fix.inputs.anchor.params, fix.removed_data, fix.inputs.delta, fix.hbar_minus
             )
-            retrain = influence_oracle(fix.full_data, list(fix.removed), fix.delta)
-            removed_model = remove_task(fix.anchor, fix.task, fix.hbar_minus, fix.delta)
+            retrain = influence_oracle(fix.full_data, list(fix.removed), fix.inputs.delta)
+            removed_model = remove_task(fix.inputs, fix.hbar_minus)
             np.testing.assert_allclose(grad_form.values, retrain.values, atol=1e-9)
             np.testing.assert_allclose(grad_form.values, removed_model.values, atol=1e-9)
 

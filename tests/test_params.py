@@ -217,7 +217,7 @@ class TestPreconditionCombine:
         bad = DiagCurvature(anchor.layout, [1.0, 0.0])
         task = (1.0, Checkpoint(anchor, curvature=one))
         with pytest.raises(SingularCurvatureError):
-            remove_task(Checkpoint(anchor, one), task, hbar_minus=bad)
+            remove_task(MergeInputs(Checkpoint(anchor, one), (task,)), hbar_minus=bad)
 
     def test_layout_mismatch_rejected(self):
         anchor = vec([0.0, 0.0])
@@ -225,7 +225,7 @@ class TestPreconditionCombine:
         theta = vec([1.0])
         task = (1.0, Checkpoint(theta, curvature=diag([1.0], theta.layout)))
         with pytest.raises(LayoutError):
-            remove_task(Checkpoint(anchor, one), task, hbar_minus=one)
+            remove_task(MergeInputs(Checkpoint(anchor, one), (task,)), hbar_minus=one)
 
     @given(
         st.floats(1e-6, 1e6),
@@ -242,7 +242,7 @@ class TestPreconditionCombine:
             anchor = Checkpoint(ParamVector(layout, [0.5, -0.5, 1.0]), DiagCurvature(layout, scale * np.asarray(h0)))
             curv = DiagCurvature(layout, scale * np.asarray(ht))
             task = (0.7, Checkpoint(ParamVector(layout, theta), curvature=curv))
-            return remove_task(anchor, task, hbar_minus=DiagCurvature(layout, scale * np.asarray(hbar))).values
+            return remove_task(MergeInputs(anchor, (task,)), hbar_minus=DiagCurvature(layout, scale * np.asarray(hbar))).values
 
         base = step(1.0)
         np.testing.assert_allclose(step(c), base, atol=1e-12 * max(1.0, np.abs(base).max()))
