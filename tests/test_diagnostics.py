@@ -17,7 +17,7 @@ from gradmerge.diagnostics import (
     mismatch_vs_error_table,
     verify_identity,
 )
-from gradmerge.errors import ConfigError, LayoutError, NumericError, SingularCurvatureError
+from gradmerge.errors import ConfigError, EmptyMergeError, LayoutError, NumericError, SingularCurvatureError
 from gradmerge.merging import MergeInputs, merge
 from gradmerge.models import ModelSpec, TaskDataset, grad
 from gradmerge.params import Checkpoint, DiagCurvature, ParamLayout, ParamVector, anchor_penalty
@@ -224,6 +224,11 @@ class TestVerifyIdentity:
             target = closed_form_solve(datasets, alphas, anchor, 0.1)
             residual = verify_identity(MergeInputs(anchor, tuple(tasks), 0.1), target, datasets, spec)
             assert residual < 1e-8
+
+    def test_empty_task_list_rejected(self):
+        # An empty task list never reaches verify_identity: MergeInputs refuses it.
+        with pytest.raises(EmptyMergeError):
+            verify_identity(ridge_inputs([], delta=1.0), vec([0.0]), [], LINEAR)
 
     def test_zero_penalty_rejected(self):
         with pytest.raises(SingularCurvatureError):

@@ -106,6 +106,10 @@ class TestAverages:
         inputs = MergeInputs(anchor=ckpt([4.0]), tasks=((0.75, ckpt([2.0])), (0.75, ckpt([8.0]))))
         np.testing.assert_allclose(merge("wam", inputs).values, [0.75 * 2 + 0.75 * 8])
 
+    def test_empty_task_list_rejected(self):
+        with pytest.raises(EmptyMergeError):
+            merge("am", MergeInputs(anchor=ckpt([0.0]), tasks=()))
+
     @pytest.mark.parametrize("method", ["am", "wam"])
     def test_negative_alpha_rejected(self, method):
         inputs = MergeInputs(anchor=ckpt([0.0]), tasks=((-1.0, ckpt([1.0])),))
@@ -582,11 +586,12 @@ class TestDegenerateInputs:
         with pytest.raises(MissingCurvatureError):
             merge(method, inputs)
 
-    def test_zero_tasks_rejected(self):
+    @pytest.mark.parametrize("method", ADDITION_METHODS)
+    def test_zero_tasks_rejected(self, method):
         # Refused where the inputs are built, so no merge, removal, oracle or
         # diagnostic has an empty case of its own.
         with pytest.raises(EmptyMergeError):
-            MergeInputs(ckpt([1.0, 2.0], [1.0, 1.0]), ())
+            merge(method, MergeInputs(ckpt([1.0, 2.0], [1.0, 1.0]), ()))
 
     @pytest.mark.parametrize("method", ADDITION_METHODS)
     def test_anchor_without_curvature(self, method):

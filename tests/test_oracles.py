@@ -93,6 +93,14 @@ class TestJointClosedFormOracle:
         single = joint_closed_form_oracle(ridge_inputs(1, [1.0], delta=1.0), [d1])
         np.testing.assert_allclose(both.values, single.values, atol=1e-12)
 
+    def test_no_data_returns_anchor(self):
+        # Zero-weight tasks put no rows in the stacked system; only the
+        # anchor penalty is left, and its minimiser is the anchor.
+        data = TaskDataset(task_id="t", inputs=np.ones((2, 3)), targets=np.array([5.0, -5.0]), seed=0)
+        inputs = joint_inputs(vec([1.0, -2.0, 0.5]), [1.0, 2.0, 3.0], [0.0, 0.0], delta=0.0)
+        out = joint_closed_form_oracle(inputs, [data, data])
+        np.testing.assert_allclose(out.values, [1.0, -2.0, 0.5], atol=1e-12)
+
     def test_rank_deficient_system_rejected(self):
         data = TaskDataset(
             task_id="t", inputs=np.array([[1.0, 0.0]]), targets=np.array([1.0]), seed=0
