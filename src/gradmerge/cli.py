@@ -9,9 +9,9 @@ one JSON config (see :class:`gradmerge.harness.ExperimentSpec`); the
 flags ``--seed``, ``--out``, and ``--config`` are accepted by every
 subcommand, and the curvature estimator, one for the anchor and the
 tasks alike, is set only by the config's ``curvature``.  :func:`cli`
-builds the spec (the removal default for ``remove``), checks a
-protocol's method kind, and resolves the seed and ``--out`` once, before
-any handler runs: a refused config writes nothing.
+builds the spec (the removal default for ``remove``) and resolves the
+seed and ``--out`` once; each protocol checks its own method kind before
+``--out`` exists, so a refused config writes nothing.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numeric
 failures (including a failing oracle suite).
@@ -25,12 +25,10 @@ from functools import cache
 from pathlib import Path
 
 from .diagnostics import mismatch_table_csv, mismatch_vs_error_table
-from .errors import ConfigError, GradmergeError, MissingCurvatureError
-# ``estimate_task_curvature`` is unused here but stays importable:
-# ``perfbench/spans.py`` wraps it on this module.
+from .errors import ConfigError, GradmergeError
+# ``run_pipeline`` and ``estimate_task_curvature`` are unused here but stay
+# importable: ``perfbench/spans.py`` wraps them on this module.
 from .harness import (  # noqa: F401
-    REMOVAL_METHODS,
-    _require_methods,
     default_removal_spec,
     default_spec,
     estimate_anchor_h0,
@@ -50,7 +48,7 @@ from .harness import (  # noqa: F401
     with_task_curvature,
     write_text,
 )
-from .merging import ADDITION_METHODS, CURVATURE_METHODS, MergeInputs, merge, merged_checkpoint
+from .merging import ADDITION_METHODS, MergeInputs, merge, merged_checkpoint
 from .models import save_dataset
 from .oracles import oracle_summary, oracle_table_csv, run_oracle_suite
 from .params import Checkpoint, load_checkpoint, save_checkpoint
@@ -81,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gradmerge", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, handler, help_text: str, methods=None) -> argparse.ArgumentParser:
-        # ``methods``: the method kind a protocol verb needs in the spec.
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
-        p.set_defaults(handler=handler, methods=methods)
+        p.set_defaults(handler=handler)
         return p
 
     add("gen", _cmd_gen, "synthesize and write per-task train/test datasets")
@@ -93,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("merge", _cmd_merge, "merge saved checkpoints with one catalog method")
     p.add_argument("--method", required=True, choices=ADDITION_METHODS)
     p.add_argument("--alpha", type=float, default=1.0, help="uniform task weight")
-    add("remove", _cmd_remove, "subtract a task block and compare to retraining", REMOVAL_METHODS)
-    add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid", ADDITION_METHODS)
+    add("remove", _cmd_remove, "subtract a task block and compare to retraining")
+    add("sweep", _cmd_sweep, "trace aggregate metrics across the weight grid")
     p = add("oracle-check", _cmd_oracle_check, "run the independent numeric oracle suite")
     p.add_argument("--fixtures", type=int, default=50, help="fixtures per oracle family")
-    p = add("report", _cmd_report, "full addition run plus diagnostics in one shot", ADDITION_METHODS)
+    p = add("report", _cmd_report, "full addition run plus diagnostics in one shot")
     p.add_argument("--alpha", type=task_weight, default=1.0, help="uniform task weight, finite and >= 0")
     return parser
 
@@ -108,10 +105,10 @@ _shared_parser = cache(build_parser)
 
 def _cmd_gen(args, spec, seed, out) -> int:
     out = output_dir(out)
-    sets = gen_tasks(spec, seed)
-    for t, ds in enumerate(sets[: spec.n_tasks]):
+    trains, tests = gen_tasks(spec, seed)
+    for t, ds in enumerate(trains):
         save_dataset(ds, out / f"task{t}.json")
-    for t, ds in enumerate(sets[spec.n_tasks :]):
+    for t, ds in enumerate(tests):
         save_dataset(ds, out / f"task{t}_test.json")
     print(f"wrote {2 * spec.n_tasks} datasets to {out}")
     return 0
@@ -119,7 +116,7 @@ def _cmd_gen(args, spec, seed, out) -> int:
 
 def _cmd_train(args, spec, seed, out) -> int:
     out = output_dir(out)
-    trains = gen_tasks(spec, seed)[: spec.n_tasks]
+    trains, _ = gen_tasks(spec, seed)
     anchor, tasks = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     # The anchor is written without the curvature ``h0`` the fine-tunes
     # were trained under: ``fisher`` estimates it again, with the config's
@@ -130,7 +127,7 @@ def _cmd_train(args, spec, seed, out) -> int:
 
 
 def _cmd_fisher(args, spec, seed, out) -> int:
-    trains = gen_tasks(spec, seed)[: spec.n_tasks]
+    trains, _ = gen_tasks(spec, seed)
     anchor = load_checkpoint(out / "anchor")
     h0 = estimate_anchor_h0(spec, anchor.params, trains[0])
     tasks = [load_checkpoint(out / f"task{t}") for t in range(1, spec.n_tasks)]
@@ -142,19 +139,12 @@ def _cmd_fisher(args, spec, seed, out) -> int:
 
 def _cmd_merge(args, spec, seed, out) -> int:
     stems = ["anchor"] + [f"task{t}" for t in range(1, spec.n_tasks)]
-    anchor, *tasks = loaded = [load_checkpoint(out / stem) for stem in stems]
-    if args.method in CURVATURE_METHODS:
-        for stem, ck in zip(stems, loaded):
-            if ck.curvature is None:
-                raise MissingCurvatureError(
-                    f"checkpoint {str(out / stem)!r} has no curvature diagonal; "
-                    "run the fisher step first"
-                )
+    anchor, *tasks = [load_checkpoint(out / stem) for stem in stems]
     params = merge(args.method, MergeInputs(anchor, tuple((args.alpha, ck) for ck in tasks), spec.anchor.delta))
     merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks))
     save_checkpoint(merged, out / f"merged-{args.method}")
-    eval_sets = gen_tasks(spec, seed)[spec.n_tasks + 1 :]
-    outcome = evaluate_params(spec, args.method, args.alpha, params, eval_sets)
+    _, tests = gen_tasks(spec, seed)
+    outcome = evaluate_params(spec, args.method, args.alpha, params, tests[1:])
     print(
         f"merged-{args.method} alpha={args.alpha!r}: "
         f"avg {outcome.metric} {outcome.avg!r}, true avg {outcome.true_avg!r}"
@@ -190,10 +180,8 @@ def _cmd_oracle_check(args, spec, seed, out) -> int:
 
 
 def _cmd_report(args, spec, seed, out) -> int:
-    out = output_dir(out)
-    state = run_pipeline(spec, seed)
-    result = run_addition(spec, out, seed, alpha=args.alpha, state=state)
-    fixture = fixture_from_state(state, result.target.params, args.alpha)
+    result = run_addition(spec, out, seed, alpha=args.alpha)
+    fixture = fixture_from_state(result.state, result.target.params, args.alpha)
     rows = mismatch_vs_error_table(fixture, {m: result.outcomes[m].params for m in spec.methods})
     write_text(out / "report.csv", mismatch_table_csv(rows))
     for label in list(spec.methods) + ["all-data", "anchor"]:
@@ -212,8 +200,6 @@ def cli(argv=None) -> int:
             spec = load_spec(config)
         else:
             spec = default_removal_spec() if args.command == "remove" else default_spec()
-        if args.methods is not None:
-            _require_methods(spec, args.methods, args.command)
         seed = resolve_seed(spec, getattr(args, "seed", None))
         return args.handler(args, spec, seed, Path(getattr(args, "out", None) or "out"))
     except SystemExit as exc:  # --help and friends

@@ -323,15 +323,15 @@ def _planted_linear_task(rng, cfg: PerTaskConfig, theta_star: np.ndarray, n: int
     return TaskDataset(task_id, q, targets, seed)
 
 
-def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
-    """Synthesize ``n_tasks`` train datasets followed by their test sets.
+def gen_tasks(spec: ExperimentSpec, seed=None) -> tuple[tuple[TaskDataset, ...], tuple[TaskDataset, ...]]:
+    """Synthesize a run's split: ``(trains, tests)``, one of each per task.
 
     Classification tasks are origin-symmetric Gaussian blobs whose class
     mean rotates by equal steps, from 0 for task 0 to ``spread_degrees``
     for the last task; regression tasks plant a random weight vector per
     task over orthogonalized designs (the spec keeps each at least
     ``n_features`` rows tall), which keeps the squared-loss curvature
-    diagonal exact.  The same spec and seed always reproduce the same list.
+    diagonal exact.  The same spec and seed always reproduce the same sets.
 
     Blob sets draw into the first rows of one ``(max(n_train, n_test),
     n_features)`` buffer per call and keep only its shuffled gather.
@@ -356,7 +356,7 @@ def gen_tasks(spec: ExperimentSpec, seed=None) -> list[TaskDataset]:
             theta_star = rng.standard_normal(d)
             trains.append(_planted_linear_task(rng, cfg, theta_star, cfg.n_train, task_id, seed))
             tests.append(_planted_linear_task(rng, cfg, theta_star, cfg.n_test, task_id, seed))
-    return trains + tests
+    return tuple(trains), tuple(tests)
 
 
 def estimate_task_curvature(spec: ExperimentSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
@@ -373,7 +373,7 @@ estimate_anchor_h0 = estimate_task_curvature
 
 @dataclass(frozen=True, eq=False)
 class PipelineState:
-    """Trained anchor (carrying ``h0``), fine-tuned tasks, and the datasets behind them."""
+    """Trained anchor (carrying ``h0``), fine-tuned tasks and their split; :meth:`merge_inputs` builds the run's merge."""
 
     spec: ExperimentSpec
     seed: int
@@ -381,6 +381,10 @@ class PipelineState:
     test_sets: tuple[TaskDataset, ...]
     anchor: Checkpoint
     tasks: tuple[Checkpoint, ...]
+
+    def merge_inputs(self, alpha: float) -> MergeInputs:
+        """The anchor and every fine-tuned task at weight ``alpha``."""
+        return MergeInputs(self.anchor, tuple((alpha, ck) for ck in self.tasks), self.spec.anchor.delta)
 
 
 def train_stage(
@@ -417,16 +421,22 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     state is ready for any merge in the catalog.
     """
     seed = resolve_seed(spec, seed)
-    sets = gen_tasks(spec, seed)
-    trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
+    trains, tests = gen_tasks(spec, seed)
     anchor, tuned = train_stage(spec, seed, trains[0], enumerate(trains[1:], start=1))
     return PipelineState(spec, seed, trains, tests, anchor, with_task_curvature(spec, tuned, trains[1:]))
 
 
-def _require_methods(spec: ExperimentSpec, allowed, protocol: str) -> None:
+def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: PipelineState | None = None) -> None:
+    """Refuse a method of another kind, or a ``state`` trained under another spec
+    than ``spec`` (``methods`` and ``alphas`` aside: the protocol reads those)."""
     bad = [m for m in spec.methods if m not in allowed]
     if bad:
         raise ConfigError(f"{protocol} only handles the methods {allowed}, got {bad}")
+    if state is not None:
+        names = [f.name for f in dataclasses.fields(spec) if f.name not in ("methods", "alphas")]
+        differ = [name for name in names if getattr(spec, name) != getattr(state.spec, name)]
+        if differ:
+            raise ConfigError(f"{protocol} was given a state trained under another spec: its {differ} differ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,7 +626,6 @@ class AdditionResult:
     """Everything :func:`run_addition` computed, plus the CSV rows it wrote."""
 
     state: PipelineState
-    alpha: float
     outcomes: dict[str, MethodOutcome]
     target: Checkpoint
     rows: tuple[str, ...]
@@ -637,9 +646,10 @@ def run_addition(
     the unmerged starting point.  ``summary.csv`` is one stream that gets
     each method's rows as soon as they are scored, so partial results
     survive a failure, and the anchor, task, target, and merged
-    checkpoints are persisted under ``out_dir`` when given.
+    checkpoints are persisted under ``out_dir`` when given.  A ``state``
+    given must be a run of ``spec``, whatever its ``methods``.
     """
-    _require_methods(spec, ADDITION_METHODS, "run_addition")
+    _require_runnable(spec, ADDITION_METHODS, "run_addition", state)
     alpha = task_weight(alpha)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
@@ -647,7 +657,7 @@ def run_addition(
     if out is not None:
         save_run(out, state.anchor, state.tasks)
     eval_sets = state.test_sets[1:]
-    inputs = MergeInputs(state.anchor, tuple((alpha, ck) for ck in state.tasks), state.spec.anchor.delta)
+    inputs = state.merge_inputs(alpha)
     outcomes: dict[str, MethodOutcome] = {}
     with _Summary(out) as summary:
         for method in spec.methods:
@@ -663,18 +673,14 @@ def run_addition(
         if out is not None:
             save_checkpoint(target, out / "target")
         summary.add(_metric_rows(outcomes["all-data"]) + _metric_rows(outcomes["anchor"]))
-    return AdditionResult(state, alpha, outcomes, target, tuple(summary.rows))
+    return AdditionResult(state, outcomes, target, tuple(summary.rows))
 
 
 @dataclass(frozen=True, eq=False)
 class RemovalResult:
     """Removal-protocol outputs: distances to retrain plus test metrics."""
 
-    spec: ExperimentSpec
-    seed: int
     removed_task_id: str
-    anchor: Checkpoint
-    retrain: Checkpoint
     outcomes: dict[str, MethodOutcome]
     dists: dict[str, float]
     rows: tuple[str, ...]
@@ -690,10 +696,9 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     ("remove-ours").  Both are compared against retraining on the retained
     blocks alone, via parameter distance and test metrics.
     """
-    _require_methods(spec, REMOVAL_METHODS, "run_removal")
+    _require_runnable(spec, REMOVAL_METHODS, "run_removal")
     seed = resolve_seed(spec, seed)
-    sets = gen_tasks(spec, seed)
-    trains, tests = tuple(sets[: spec.n_tasks]), tuple(sets[spec.n_tasks :])
+    trains, tests = gen_tasks(spec, seed)
     removed = spec.n_tasks - 1
     out = output_dir(out_dir) if out_dir is not None else None
     pooled = TaskDataset("large", np.vstack([s.inputs for s in trains]), np.concatenate([s.targets for s in trains]), seed)
@@ -726,16 +731,13 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
             record(method, 1.0, theta, f"merged-{method}")
         record("retrain", 0.0, retrain.params, "retrain")
         record("anchor", 0.0, anchor.params, None)
-    return RemovalResult(
-        spec, seed, f"task{removed}", anchor, retrain, outcomes, dists, tuple(summary.rows)
-    )
+    return RemovalResult(f"task{removed}", outcomes, dists, tuple(summary.rows))
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Aggregate metric traces across the weight grid, per method."""
 
-    state: PipelineState
     metric: str
     series: dict[str, tuple[tuple[float, float], ...]]
     rows: tuple[str, ...]
@@ -755,14 +757,15 @@ def sweep_alpha(
     stream that gets each method's aggregate rows as soon as they are
     scored, and each method also writes a two-column
     ``sweep_<method>.dat``, ready for any plotting tool.  Duplicate grid
-    values produce duplicate rows, deterministically.
+    values produce duplicate rows, deterministically.  A ``state`` given
+    must be a run of ``spec``, whatever its ``methods`` and ``alphas``.
     """
-    _require_methods(spec, ADDITION_METHODS, "sweep_alpha")
+    _require_runnable(spec, ADDITION_METHODS, "sweep_alpha", state)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
     sets = _scoring_sets(spec, state.test_sets[1:])
-    inputs = MergeInputs(state.anchor, tuple((1.0, ck) for ck in state.tasks), spec.anchor.delta)
+    inputs = state.merge_inputs(1.0)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
@@ -781,11 +784,10 @@ def sweep_alpha(
                 for a, v, t in zip(alpha_text, avg_text, true_avg.tolist())
                 for row in (f"{method},{a},avg,{metric},{v}", f"{method},{a},true_avg,{metric},{t!r}")
             ])
-    return SweepResult(state, metric, series, tuple(summary.rows))
+    return SweepResult(metric, series, tuple(summary.rows))
 
 
 def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float) -> DiagnosticFixture:
     """Adapt a trained pipeline into a diagnostics fixture of the merge :func:`run_addition` makes at ``alpha``."""
-    inputs = MergeInputs(state.anchor, tuple((alpha, ck) for ck in state.tasks), state.spec.anchor.delta)
     splits = tuple(zip(state.train_sets[1:], state.test_sets[1:]))
-    return DiagnosticFixture(state.spec.name, state.spec.model, inputs, target, splits)
+    return DiagnosticFixture(state.spec.name, state.spec.model, state.merge_inputs(alpha), target, splits)

@@ -203,17 +203,18 @@ class TestParsing:
             ("report", SHORT_LINEAR),
             ("report", {"methods": ["remove-ta"]}),
             ("remove", {"methods": ["ours"]}),
+            ("sweep", {"methods": ["remove-ta"]}),
             ("sweep", {"alphas": [-1.0, 0.5]}),
         ],
         ids=[
             "short_linear-report", "removal_method-report", "addition_method-remove",
-            "negative_alphas-sweep",
+            "removal_method-sweep", "negative_alphas-sweep",
         ],
     )
     def test_config_a_protocol_cannot_run_exits_one_before_training(self, tmp_path, capsys, monkeypatch, command, payload):
         # The spec refuses a linear task shorter than its feature count and
         # negative weights for am (the first method that reads them as
-        # masses), and cli() refuses the wrong method kind, before --out exists.
+        # masses), and each protocol refuses the wrong method kind, before --out exists.
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
@@ -291,7 +292,7 @@ class TestStagedWorkflow:
         err = capsys.readouterr().err
         assert code == 1
         assert "MissingCurvatureError" in err
-        assert str(out / "anchor") in err
+        assert not list(out.glob("merged-ours.*"))
 
         assert run_cli("fisher", "--config", config, "--out", out, "--seed", "0") == 0
         assert load_checkpoint(out / "anchor").curvature is not None
@@ -319,7 +320,7 @@ class TestStagedWorkflow:
         assert run_cli("fisher", "--config", config, "--out", out, "--seed", "0") == 0
         anchor = load_checkpoint(out / "anchor")
         spec = harness.load_spec(config)
-        anchor_data = harness.gen_tasks(spec, 0)[0]
+        anchor_data = harness.gen_tasks(spec, 0)[0][0]
         expected = exact_hessian_diag(spec.model, anchor.params, anchor_data)
         np.testing.assert_array_equal(anchor.curvature.values, expected.values)
         assert not np.array_equal(expected.values, fisher_diag(spec.model, anchor.params, anchor_data).values)

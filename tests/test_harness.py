@@ -225,7 +225,8 @@ class TestExperimentSpec:
 
     def test_numpy_integers_pass_integer_fields(self):
         spec = ExperimentSpec(n_tasks=np.int64(2), per_task=PerTaskConfig(n_train=np.int32(20), n_test=20))
-        assert len(gen_tasks(spec, 0)) == 4
+        trains, tests = gen_tasks(spec, 0)
+        assert len(trains) == len(tests) == 2
 
     def test_int_and_float_spellings_build_one_serialized_spec(self):
         # Each number is stored in its field's annotated type, so writing 1
@@ -334,7 +335,8 @@ class TestGenTasks:
         # Blobs draw into one reused buffer with ``standard_normal(out=...)``
         # and shift it in place; the draws and the arithmetic must stay those
         # of fresh per-class arrays.
-        sets = gen_tasks(spec, seed)
+        trains, tests = gen_tasks(spec, seed)
+        sets = trains + tests
         expected = reference_gen_tasks(spec, seed)
         assert len(sets) == len(expected) == 2 * spec.n_tasks
         for ds, (inputs, targets) in zip(sets, expected):
@@ -346,17 +348,18 @@ class TestGenTasks:
         gen_tasks(spec, 0)  # first-call allocations (generator set-up) are not the data path's
         tracemalloc.start()
         try:
-            sets = gen_tasks(spec, 0)
+            trains, tests = gen_tasks(spec, 0)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        largest = max(ds.inputs.nbytes for ds in sets)
+        largest = max(ds.inputs.nbytes for ds in trains + tests)
         # The buffer is one largest input; separate class arrays and a stacked copy cost about twice that.
         assert peak - current <= 1.25 * largest, (peak - current) / largest
 
     def test_same_spec_twice_identical(self):
         spec = small_spec()
-        a, b = gen_tasks(spec), gen_tasks(spec)
+        (trains_a, tests_a), (trains_b, tests_b) = gen_tasks(spec), gen_tasks(spec)
+        a, b = trains_a + tests_a, trains_b + tests_b
         assert len(a) == len(b) == 2 * spec.n_tasks
         for x, y in zip(a, b):
             assert x.task_id == y.task_id
@@ -364,8 +367,8 @@ class TestGenTasks:
             np.testing.assert_array_equal(x.targets, y.targets)
 
     def test_blob_labels_and_symmetry(self):
-        sets = gen_tasks(small_spec())
-        train = sets[0]
+        trains, _ = gen_tasks(small_spec())
+        train = trains[0]
         assert set(np.unique(train.targets)) <= {0.0, 1.0}
         pos = train.inputs[train.targets == 1.0].mean(axis=0)
         neg = train.inputs[train.targets == 0.0].mean(axis=0)
@@ -380,16 +383,16 @@ class TestGenTasks:
         assert accuracy(spec.model, state.anchor.params, state.test_sets[0]) >= 0.995
 
     def test_linear_designs_have_diagonal_gram(self):
-        sets = gen_tasks(linear_spec())
-        for ds in sets:
+        trains, tests = gen_tasks(linear_spec())
+        for ds in trains + tests:
             gram = ds.inputs.T @ ds.inputs
             off = gram - np.diag(np.diag(gram))
             assert np.max(np.abs(off)) < 1e-8
 
     def test_linear_train_and_test_share_planted_weights(self):
         spec = linear_spec(per_task=PerTaskConfig(n_train=200, n_test=200, noise=0.01, seed=0))
-        sets = gen_tasks(spec)
-        train, test = sets[0], sets[spec.n_tasks]
+        trains, tests = gen_tasks(spec)
+        train, test = trains[0], tests[0]
         fit_train, _, _, _ = np.linalg.lstsq(train.inputs, train.targets, rcond=None)
         fit_test, _, _, _ = np.linalg.lstsq(test.inputs, test.targets, rcond=None)
         assert np.max(np.abs(fit_train - fit_test)) < 0.02
@@ -489,6 +492,18 @@ class TestRunAddition:
         with pytest.raises(ConfigError):
             run_addition(small_spec(methods=REMOVAL_METHODS), seed=0)
 
+    @pytest.mark.parametrize("protocol", [run_addition, sweep_alpha], ids=["run_addition", "sweep_alpha"])
+    def test_a_given_state_must_come_from_the_spec(self, tmp_path, default_state, protocol):
+        # A state trained under another delta would be merged under the
+        # given spec's delta, a merge that matches no run.
+        spec = dataclasses.replace(default_state.spec, anchor=AnchorConfig(delta=5.0))
+        with pytest.raises(ConfigError, match="'anchor'"):
+            protocol(spec, out_dir=tmp_path / "o", state=default_state)
+        assert not (tmp_path / "o").exists()
+        # The methods and weights are the protocol's own to choose.
+        spec = dataclasses.replace(default_state.spec, methods=("ta", "ours"), alphas=(0.5, 1.0))
+        assert len(protocol(spec, state=default_state).rows) > 0
+
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_refuses_a_bad_weight_before_writing(self, tmp_path, alpha):
         with pytest.raises(ConfigError, match="finite and >= 0"):
@@ -578,7 +593,7 @@ class TestRunRemoval:
         run_removal(spec, seed=0)
         pooled, kept = seen["pooled"], seen["kept"]
         assert np.shares_memory(kept.inputs, pooled.inputs) and np.shares_memory(kept.targets, pooled.targets)
-        trains = gen_tasks(spec, 0)[: spec.n_tasks - 1]
+        trains = gen_tasks(spec, 0)[0][:-1]  # the retained blocks
         np.testing.assert_array_equal(kept.inputs, np.vstack([ds.inputs for ds in trains]))
         np.testing.assert_array_equal(kept.targets, np.concatenate([ds.targets for ds in trains]))
 
