@@ -14,6 +14,15 @@ trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
 weights without retraining anything; it merges the whole grid in one
 batch per method and scores each distinct merged row once.
+
+A score depends only on the scored parameters and the test set, so every
+protocol prints the same bits for the same merge.  A classifier predicts
+class 1 where its output is >= 0.  A logistic output is read as the
+exact sign of ``x . v`` in up to three stages: a float32 product settles
+each entry whose size clears a rounding bound, a float64 dot settles
+most of the rest, and a sum of ``Fraction`` products the remainder
+(``models._SignKernel``).  An MLP takes its own float64 forward pass per
+row, and a linear model its own product ``X @ v`` per row.
 """
 
 from __future__ import annotations
@@ -43,7 +52,17 @@ from .merging import (  # noqa: F401
     merged_checkpoint,
     remove_task,
 )
-from .models import ModelSpec, TaskDataset, _check_data, _forward, _losses, accuracy, loss  # noqa: F401
+from .models import (  # noqa: F401
+    ModelSpec,
+    TaskDataset,
+    _check_data,
+    _forward,
+    _losses,
+    _predict,
+    _SignKernel,
+    accuracy,
+    loss,
+)
 from .params import Checkpoint, DiagCurvature, ParamVector, save_checkpoint
 from .training import (
     finetune_task,
@@ -479,38 +498,51 @@ def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
     return eval_sets, agg, targets
 
 
-def _evaluate_rows(spec: ExperimentSpec, values: np.ndarray, sets):
-    """Score every row of ``values`` ``(A, d)`` on ``sets`` from :func:`_scoring_sets`.
+def _evaluate_rows(spec: ExperimentSpec, blocks, sets):
+    """Score every row of each block ``(A, d)`` of ``blocks`` on ``sets`` from :func:`_scoring_sets`.
 
-    Returns the per-set scores of the eval sets as a list of ``(A,)``
-    columns plus the ``(A,)`` ``avg`` and ``true_avg`` over the aggregate
-    sets.  Each distinct row, keyed by its exact bytes, is scored once and
-    its scores are copied to its repeats.  Linear models take one
-    ``(U, d) @ (d, n)`` product per distinct set, the MLP one forward pass
-    per distinct row.  Pooled accuracy is the total count of correct
-    predictions over the total n; a pooled loss averages the concatenated
-    per-example losses.
+    Returns, per block, the per-set scores of the eval sets as a list of
+    ``(A,)`` columns plus the ``(A,)`` ``avg`` and ``true_avg`` over the
+    aggregate sets.  Each distinct row of a block, keyed by its exact
+    bytes, is scored once and its scores are copied to its repeats.
+    Scoring is set-major: each distinct set is prepared once and every
+    block is scored on it before the next set, so one set's copy is
+    alive at a time.  A row's scores depend only on the row and the set.
+    A classifier predicts class 1 where its output is >= 0
+    (:func:`models._predict`): a logistic output is the exact sign of
+    ``x . v``, settled by a float32 screen against the set's float32 copy,
+    a float64 recheck or an exact ``Fraction`` sum
+    (:class:`models._SignKernel`), and an MLP row takes its own float64
+    forward pass.  A linear row takes its own product ``X @ v``.  Pooled
+    accuracy is the total count of correct predictions over the total n;
+    a pooled loss averages the concatenated per-example losses.
     """
     eval_sets, agg, targets = sets
     model = spec.model
     classify = model.kind != "linear_regression"
-    slots: dict[bytes, int] = {}
-    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in values], dtype=np.intp)
-    unique = np.empty((len(slots), values.shape[1]))
-    unique[inverse] = values
-    scored = {}  # id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
-    for ds in (*eval_sets, *agg):
-        if id(ds) in scored:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            if model.kind == "mlp":
-                out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
-            else:
-                out = unique @ ds.inputs.T
+    keyed = []  # per block: (inverse, unique rows)
+    for values in blocks:
+        slots: dict[bytes, int] = {}
+        inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in values], dtype=np.intp)
+        unique = np.empty((len(slots), values.shape[1]))
+        unique[inverse] = values
+        keyed.append((inverse, unique))
+    scored = [{} for _ in keyed]  # per block, id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
+    for ds in {id(ds): ds for ds in (*eval_sets, *agg)}.values():
+        kernel = _SignKernel(ds.inputs) if model.kind == "logistic" else None
+        for (_, unique), scores in zip(keyed, scored):
             if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
-                scored[id(ds)] = ((out >= 0.0) == targets[id(ds)]).sum(axis=1, dtype=np.uint32)
+                pred = _predict(model, unique, ds.inputs, kernel)
+                scores[id(ds)] = (pred == targets[id(ds)]).sum(axis=1, dtype=np.uint32)
             else:
-                scored[id(ds)] = _losses(model, out, targets[id(ds)])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
+                    scores[id(ds)] = _losses(model, out, targets[id(ds)])
+    return [_aggregate(classify, eval_sets, agg, scores, inverse) for (inverse, _), scores in zip(keyed, scored)]
+
+
+def _aggregate(classify: bool, eval_sets, agg, scored, inverse):
+    """One block's per-set columns, ``avg`` and ``true_avg`` from its distinct rows' ``scored``."""
 
     def score(ds: TaskDataset) -> np.ndarray:
         return scored[id(ds)] / ds.n if classify else scored[id(ds)].mean(axis=1)
@@ -538,12 +570,17 @@ def evaluate_params(
 
     ``aggregate_sets`` (default: ``eval_sets``) controls which sets enter
     the two aggregates; the per-task column always covers ``eval_sets``.
+    ``theta`` is scored as one row of :func:`_evaluate_rows`, by the same
+    rule and to the same bits as in a sweep.  A logistic per-task accuracy
+    counts exact signs of ``x . theta`` (float32 screen, float64 recheck,
+    exact sum) and equals :func:`models.accuracy`; a linear loss reads the
+    row's own product ``X @ theta``.
     """
     if theta.layout != spec.model.layout():
         raise LayoutError("theta layout does not match the model's canonical layout")
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     sets = _scoring_sets(spec, eval_sets, aggregate_sets)
-    per_task, avg, true_avg = _evaluate_rows(spec, theta.values[None], sets)
+    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [theta.values[None]], sets)
     per_task = tuple((ds.task_id, float(col[0])) for ds, col in zip(eval_sets, per_task))
     return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
 
@@ -752,10 +789,11 @@ def sweep_alpha(
     then merges the whole grid in one broadcast, and every method's grid
     is merged before the first row is written, so a merge that fails
     (say, on a pooled curvature that a negative weight leaves
-    non-positive) leaves no output behind.  Each distinct merged row is
-    scored once, with one product per test set.  ``summary.csv`` is one
-    stream that gets each method's aggregate rows as soon as they are
-    scored, and each method also writes a two-column
+    non-positive) leaves no output behind.  Every method's grid is then
+    scored in one :func:`_evaluate_rows` call, which prepares each test
+    set once and scores each distinct merged row once.  ``summary.csv``
+    is one stream that gets the methods' aggregate rows in order, and
+    each method also writes a two-column
     ``sweep_<method>.dat``, ready for any plotting tool.  Duplicate grid
     values produce duplicate rows, deterministically.  A ``state`` given
     must be a run of ``spec``, whatever its ``methods`` and ``alphas``.
@@ -770,9 +808,9 @@ def sweep_alpha(
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
+    scores = _evaluate_rows(spec, list(grids.values()), sets)
     with _Summary(out) as summary:
-        for method, values in grids.items():
-            _, avg, true_avg = _evaluate_rows(spec, values, sets)
+        for method, (_, avg, true_avg) in zip(grids, scores):
             avg = avg.tolist()
             series[method] = tuple(zip(spec.alphas, avg))
             avg_text = [repr(v) for v in avg]

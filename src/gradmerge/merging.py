@@ -149,9 +149,9 @@ def _stack(inputs: MergeInputs, method: str, weights: np.ndarray):
     thetas = np.stack([ckpt.params.values for _, ckpt in inputs.tasks])
     if method not in CURVATURE_METHODS:
         return thetas, None
-    for i, (_, ckpt) in enumerate(inputs.tasks):
+    for t, (_, ckpt) in enumerate(inputs.tasks, start=1):  # task t is a run's ``task{t}`` checkpoint
         if ckpt.curvature is None:
-            raise MissingCurvatureError(f"{method} needs curvature on every task checkpoint; task {i} has none")
+            raise MissingCurvatureError(f"{method} needs curvature on every task checkpoint; task {t} has none")
     if inputs.anchor.curvature is None:
         raise MissingCurvatureError(f"{method} needs curvature on the anchor checkpoint")
     return thetas, np.stack([ckpt.curvature.values for _, ckpt in inputs.tasks])

@@ -43,6 +43,7 @@ the output gradients ``g`` and ``w2`` out of the ``(n, h)`` products:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -189,6 +190,91 @@ def _forward(spec: ModelSpec, values: np.ndarray, X: np.ndarray):
     a1 += b1
     np.tanh(a1, out=a1)
     return a1 @ w2 + b2, a1
+
+
+#: The float32 and float64 unit roundoffs, and the norm bound past which the float32 screen could overflow.
+_U32, _U64, _SCREEN_MAX = 2.0**-24, 2.0**-53, 2.0**100
+
+
+class _SignKernel:
+    """A set's examples ``X`` ``(n, d)`` as the certified sign reads them, built once per set.
+
+    ``XT32`` is a contiguous float32 ``(d, n)`` copy and ``norm`` the largest
+    example norm ``max_j ||x_j||_2``.  :meth:`signs` gives the exact sign of
+    ``x . v`` in up to three stages:
+
+    * screen: ``o = v32 @ XT32`` settles an entry when ``|o| > 2 (c32
+      ||v|| ||x|| + 2^-146 (||v||_1 + ||x||_1 + d))``, with ``c32 = (d+4)
+      u32 / (1 - (d+4) u32)`` covering both roundings to float32 and any
+      summation order, the ``2^-146`` term covering subnormals, ``||x||``
+      the set's largest norm and ``||.||_1 <= sqrt(d) ||.||_2``; the
+      comparison runs in float64, where a float32 ``|o|`` is exact.  A
+      block settles nothing here if a row's ``||v||``, ``||x||`` or their
+      product exceeds ``2^100``, where float32 could overflow (or if
+      ``(d+4) u32 >= 1``, where the bound fails);
+    * recheck: an unsettled entry's float64 dot ``p`` settles it when ``|p|
+      > 2 (c64 sum_k |v_k x_k| + d 2^-1070)``, ``c64`` as ``c32`` with
+      ``u64``;
+    * exact: anything left is a sum of :class:`fractions.Fraction` products.
+
+    So a sign depends only on ``v`` and ``x``: not on the other rows
+    scored with it, nor on the BLAS kernel.  ``rechecked`` and ``exact``
+    count the entries that reached the last two stages.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.rechecked = self.exact = 0
+        with np.errstate(over="ignore"):  # an entry past float32's range is inf, and trips the screen's guard
+            self.XT32 = np.ascontiguousarray(X.T, dtype=np.float32)
+        self.norm = math.sqrt(np.einsum("ij,ij->i", X, X).max())  # einsum overflows to inf without a warning
+
+    def signs(self, V: np.ndarray) -> np.ndarray:
+        """``x . v >= 0`` for each row ``v`` of ``V`` ``(U, d)`` and example ``x``: a ``(U, n)`` bool."""
+        X, m = self.X, self.norm
+        n, d = X.shape
+        norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+        top = float(norms.max())
+        if max(top, m, top * m) > _SCREEN_MAX or (d + 4) * _U32 >= 1.0:  # the screen settles nothing
+            signs = np.empty((len(V), n), dtype=bool)
+            i, j = np.divmod(np.arange(signs.size), n)
+        else:
+            c32, rd = (d + 4) * _U32 / (1.0 - (d + 4) * _U32), math.sqrt(d)
+            tol = norms * (2.0 * (c32 * m + 2.0**-146 * rd)) + 2.0**-145 * (rd * m + d)
+            out = V.astype(np.float32) @ self.XT32  # compared with tol in float64, which is exact
+            signs = out >= 0.0
+            np.abs(out, out=out)
+            rows = (out.min(axis=1) <= tol).nonzero()[0]
+            if not len(rows):
+                return signs
+            k = (out[rows] <= tol[rows, None]).ravel().nonzero()[0]
+            i, j = rows[k // n], k % n
+        Vi, Xj = V[i], X[j]
+        dots = np.einsum("ij,ij->i", Vi, Xj)
+        c64 = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
+        sure = np.abs(dots) > 2.0 * (c64 * np.einsum("ij,ij->i", np.abs(Vi), np.abs(Xj)) + d * 2.0**-1070)
+        signs[i, j] = dots >= 0.0
+        left = (~sure).nonzero()[0]
+        self.rechecked += len(i)
+        self.exact += len(left)
+        if len(left):  # imported here: ``fractions`` loads ``decimal``, about 0.5 MB per process
+            from fractions import Fraction
+        for a, b in zip(i[left].tolist(), j[left].tolist()):
+            signs[a, b] = sum(Fraction(p) * Fraction(q) for p, q in zip(V[a].tolist(), X[b].tolist())) >= 0
+        return signs
+
+
+def _predict(spec: ModelSpec, V: np.ndarray, X: np.ndarray, kernel: _SignKernel | None = None) -> np.ndarray:
+    """Class-1 predictions ``(U, n)`` of the rows ``V`` ``(U, d)`` on ``X``: output >= 0, ties to class 1.
+
+    A logistic output is read as the exact sign of ``x . v`` (``kernel``, the
+    :class:`_SignKernel` of ``X``, is built here unless given); an MLP row takes
+    its own float64 forward pass.
+    """
+    if spec.kind == "logistic":
+        return (kernel or _SignKernel(X)).signs(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([_forward(spec, v, X)[0] >= 0.0 for v in V])
 
 
 def _losses(spec: ModelSpec, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -397,15 +483,18 @@ def accuracy(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
     """Fraction of examples whose thresholded prediction matches the target.
 
     The decision rule is sigmoid(output) >= 0.5, i.e. raw output >= 0,
-    with the tie at exactly 0.5 predicting class 1.  Only classification
+    with the tie at exactly 0.5 predicting class 1 (:func:`_predict`): a
+    logistic output is read as the exact sign of ``x . v``, certified by
+    :class:`_SignKernel`'s float32 screen, float64 recheck and exact sum,
+    and an MLP output is its float64 forward pass.  This is the value
+    ``harness.evaluate_params`` reports per task.  Only classification
     models (logistic, mlp) support this.
     """
     if spec.kind == "linear_regression":
         raise ConfigError("accuracy is undefined for linear_regression models")
     _check_inputs(spec, theta, data)
-    out = _forward(spec, theta.values, data.inputs)[0]
-    pred = (out >= 0.0).astype(np.float64)
-    return float(np.mean(pred == data.targets))
+    pred = _predict(spec, theta.values[None], data.inputs)[0]
+    return int((pred == (data.targets == 1.0)).sum(dtype=np.uint32)) / data.n
 
 
 def save_dataset(data: TaskDataset, path) -> None:

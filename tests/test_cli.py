@@ -301,6 +301,16 @@ class TestStagedWorkflow:
         assert merged.meta["method"] == "ours"
         assert "avg accuracy" in capsys.readouterr().out
 
+    def test_missing_curvature_names_the_task_file(self, tmp_path, capsys):
+        # Tasks count from 1, like the task1.. checkpoints and the summary.csv task ids.
+        config, out = tmp_path / "spec.json", tmp_path / "out"
+        config.write_text(json.dumps({"n_tasks": 3, "per_task": {"n_train": 60, "n_test": 60}}))
+        assert run_cli("train", "--config", config, "--out", out) == 0
+        assert load_checkpoint(out / "task1").curvature is None
+        capsys.readouterr()
+        assert run_cli("merge", "--method", "ours", "--config", config, "--out", out) == 1
+        assert "task 1 has none" in capsys.readouterr().err
+
     def test_plain_average_merges_without_curvature(self, small_config):
         config, out = small_config
         assert run_cli("train", "--config", config, "--out", out) == 0
