@@ -13,7 +13,11 @@ configured method and scores it against a jointly trained baseline,
 trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
 weights without retraining anything; it merges the whole grid in one
-batch per method and scores each distinct merged row once.
+batch per method.  All three have one shape: compute every row, score
+them all in one :func:`_evaluate_rows` pass (which prepares each test set
+once and scores each distinct row once), then write every file of the
+run.  So a protocol that raises has written nothing into its output
+directory.
 
 A score depends only on the scored parameters and the test set, so every
 protocol prints the same bits for the same merge.  A classifier predicts
@@ -558,6 +562,30 @@ def _aggregate(classify: bool, eval_sets, agg, scored, inverse):
     return [col[inverse] for col in per_task], avg[inverse], true_avg[inverse]
 
 
+def _outcomes(spec: ExperimentSpec, rows, eval_sets, aggregate_sets=None) -> list[MethodOutcome]:
+    """Score ``rows``, each ``(label, alpha, theta)``, as one block of :func:`_evaluate_rows`.
+
+    ``aggregate_sets`` (default: ``eval_sets``) controls which sets enter
+    the two aggregates; the per-task column always covers ``eval_sets``.
+    Each test set is checked and prepared once for the whole block, and
+    each row scores to the same bits as alone or in a sweep.
+    """
+    layout = spec.model.layout()
+    if any(theta.layout != layout for _, _, theta in rows):
+        raise LayoutError("theta layout does not match the model's canonical layout")
+    metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
+    sets = _scoring_sets(spec, eval_sets, aggregate_sets)
+    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [np.stack([theta.values for _, _, theta in rows])], sets)
+    columns, avg, true_avg = [col.tolist() for col in per_task], avg.tolist(), true_avg.tolist()
+    return [
+        MethodOutcome(
+            label, float(alpha), theta, metric,
+            tuple((ds.task_id, col[i]) for ds, col in zip(sets[0], columns)), avg[i], true_avg[i],
+        )
+        for i, (label, alpha, theta) in enumerate(rows)
+    ]
+
+
 def evaluate_params(
     spec: ExperimentSpec,
     method: str,
@@ -568,21 +596,15 @@ def evaluate_params(
 ) -> MethodOutcome:
     """Score parameters on each test set plus the pooled concatenation.
 
-    ``aggregate_sets`` (default: ``eval_sets``) controls which sets enter
-    the two aggregates; the per-task column always covers ``eval_sets``.
-    ``theta`` is scored as one row of :func:`_evaluate_rows`, by the same
-    rule and to the same bits as in a sweep.  A logistic per-task accuracy
-    counts exact signs of ``x . theta`` (float32 screen, float64 recheck,
-    exact sum) and equals :func:`models.accuracy`; a linear loss reads the
-    row's own product ``X @ theta``.
+    The one-row call of :func:`_outcomes`, which scores every protocol's
+    rows, so ``theta`` scores by the same rule and to the same bits as in
+    ``report``, ``remove`` or a sweep.  A logistic per-task accuracy counts exact signs
+    of ``x . theta`` (float32 screen, float64 recheck, exact sum) and
+    equals :func:`models.accuracy`; a linear loss reads the row's own
+    product ``X @ theta``.
     """
-    if theta.layout != spec.model.layout():
-        raise LayoutError("theta layout does not match the model's canonical layout")
-    metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    sets = _scoring_sets(spec, eval_sets, aggregate_sets)
-    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [theta.values[None]], sets)
-    per_task = tuple((ds.task_id, float(col[0])) for ds, col in zip(eval_sets, per_task))
-    return MethodOutcome(method, float(alpha), theta, metric, per_task, float(avg[0]), float(true_avg[0]))
+    (outcome,) = _outcomes(spec, [(method, alpha, theta)], eval_sets, aggregate_sets)
+    return outcome
 
 
 def train_target(state: PipelineState, alpha: float) -> Checkpoint:
@@ -624,38 +646,14 @@ def save_run(out: Path, anchor: Checkpoint, tasks) -> None:
         save_checkpoint(ck, out / f"task{t}")
 
 
-class _Summary:
-    """A run's ``summary.csv`` rows, written as one stream.
-
-    :meth:`add` keeps a batch of rows and, given an output directory,
-    appends it to the file and flushes, so partial results survive a
-    failure.  The first batch creates the file and writes the header.
-    """
-
-    def __init__(self, out: Path | None):
-        self.rows: list[str] = []
-        self._path = None if out is None else out / "summary.csv"
-        self._file = None
-
-    def __enter__(self) -> "_Summary":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._file is not None:
-            self._file.close()
-
-    def add(self, rows) -> None:
-        self.rows.extend(rows)
-        if self._path is None:
-            return
-        try:
-            if self._file is None:
-                self._file = open(self._path, "w")
-                self._file.write(SUMMARY_HEADER + "\n")
-            self._file.writelines(f"{row}\n" for row in rows)
-            self._file.flush()
-        except OSError as exc:
-            raise IoError(f"failed to write {self._path!s}: {exc}") from exc
+def _write_run(out: Path, checkpoints, rows, texts=()) -> None:
+    """A protocol's write phase, once every row is scored: each ``(stem,
+    checkpoint)``, then ``summary.csv`` holding ``rows``, then each ``(name, text)``."""
+    for stem, ck in checkpoints:
+        save_checkpoint(ck, out / stem)
+    write_text(out / "summary.csv", "".join(f"{row}\n" for row in (SUMMARY_HEADER, *rows)))
+    for name, text in texts:
+        write_text(out / name, text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,39 +676,32 @@ def run_addition(
     """Anchor-plus-tasks protocol: merge every configured method and score it.
 
     Fine-tuned tasks 1..T-1 are merged into the task-0 anchor at weight
-    ``alpha`` and evaluated on the added tasks' test sets, alongside an
-    "all-data" row for the jointly trained target and an "anchor" row for
-    the unmerged starting point.  ``summary.csv`` is one stream that gets
-    each method's rows as soon as they are scored, so partial results
-    survive a failure, and the anchor, task, target, and merged
-    checkpoints are persisted under ``out_dir`` when given.  A ``state``
-    given must be a run of ``spec``, whatever its ``methods``.
+    ``alpha``, and the joint target is trained on the added tasks at the
+    same weight.  Every merge, an "all-data" row for the target and an
+    "anchor" row for the unmerged starting point are then scored on the
+    added tasks' test sets in one pass.  Only then, when ``out_dir`` is
+    given, are the anchor, task, merged and target checkpoints and
+    ``summary.csv`` written, so a run that fails leaves ``out_dir`` empty.
+    A ``state`` given must be a run of ``spec``, whatever its ``methods``.
     """
     _require_runnable(spec, ADDITION_METHODS, "run_addition", state)
     alpha = task_weight(alpha)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
+    inputs = state.merge_inputs(alpha)
+    merges = {method: merge(method, inputs) for method in spec.methods}
+    target = train_target(state, alpha)
+    rows = [(m, alpha, params) for m, params in merges.items()]
+    rows += [("all-data", alpha, target.params), ("anchor", 0.0, state.anchor.params)]
+    outcomes = {o.method: o for o in _outcomes(spec, rows, state.test_sets[1:])}
+    summary = [row for outcome in outcomes.values() for row in _metric_rows(outcome)]
     if out is not None:
         save_run(out, state.anchor, state.tasks)
-    eval_sets = state.test_sets[1:]
-    inputs = state.merge_inputs(alpha)
-    outcomes: dict[str, MethodOutcome] = {}
-    with _Summary(out) as summary:
-        for method in spec.methods:
-            params = merge(method, inputs)
-            outcomes[method] = evaluate_params(spec, method, alpha, params, eval_sets)
-            if out is not None:
-                merged = merged_checkpoint(method, params, [alpha] * len(state.tasks))
-                save_checkpoint(merged, out / f"merged-{method}")
-            summary.add(_metric_rows(outcomes[method]))
-        target = train_target(state, alpha)
-        outcomes["all-data"] = evaluate_params(spec, "all-data", alpha, target.params, eval_sets)
-        outcomes["anchor"] = evaluate_params(spec, "anchor", 0.0, state.anchor.params, eval_sets)
-        if out is not None:
-            save_checkpoint(target, out / "target")
-        summary.add(_metric_rows(outcomes["all-data"]) + _metric_rows(outcomes["anchor"]))
-    return AdditionResult(state, outcomes, target, tuple(summary.rows))
+        weights = [alpha] * len(state.tasks)
+        merged = [(f"merged-{m}", merged_checkpoint(m, params, weights)) for m, params in merges.items()]
+        _write_run(out, [*merged, ("target", target)], summary)
+    return AdditionResult(state, outcomes, target, tuple(summary))
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,7 +722,10 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     from it under the estimated penalty, then subtracted either as a plain
     increment ("remove-ta") or with the curvature preconditioner
     ("remove-ours").  Both are compared against retraining on the retained
-    blocks alone, via parameter distance and test metrics.
+    blocks alone, via parameter distance and test metrics: every removal
+    and the "retrain" and "anchor" rows are scored in one pass, and only
+    then, when ``out_dir`` is given, are the checkpoints and
+    ``summary.csv`` written, so a run that fails leaves ``out_dir`` empty.
     """
     _require_runnable(spec, REMOVAL_METHODS, "run_removal")
     seed = resolve_seed(spec, seed)
@@ -744,31 +738,29 @@ def run_removal(spec: ExperimentSpec, out_dir=None, seed=None) -> RemovalResult:
     n_kept = pooled.n - trains[removed].n  # the retained blocks are the pooled rows before the removed one
     kept = TaskDataset("kept", pooled.inputs[:n_kept], pooled.targets[:n_kept], pooled.seed)
     hbar_minus = estimate_task_curvature(spec, anchor.params, kept)
-    if out is not None:
-        save_checkpoint(anchor, out / "anchor")
-        save_checkpoint(task_ck, out / "removed-task")
+    rows = []
+    for method in spec.methods:
+        if method == "remove-ta":
+            theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
+        else:
+            theta = remove_task(MergeInputs(anchor, ((1.0, task_ck),), spec.anchor.delta), hbar_minus)
+        rows.append((method, 1.0, theta))
     retrain = train_anchor(spec.model, kept, spec.anchor.delta, seed)
-    outcomes: dict[str, MethodOutcome] = {}
-    dists: dict[str, float] = {}
-    summary = _Summary(out)
-
-    def record(label: str, alpha: float, theta: ParamVector, stem: str | None) -> None:
-        outcomes[label] = evaluate_params(spec, label, alpha, theta, tests, tests[:removed])
-        dists[label] = float(np.linalg.norm(theta.values - retrain.params.values))
-        if out is not None and stem is not None:
-            save_checkpoint(Checkpoint(theta, meta={"method": label}), out / stem)
-        summary.add(_metric_rows(outcomes[label]) + [f"{label},{alpha!r},all,dist_retrain,{dists[label]!r}"])
-
-    with summary:
-        for method in spec.methods:
-            if method == "remove-ta":
-                theta = merge_task_arithmetic(MergeInputs(anchor, ((-1.0, task_ck),), spec.anchor.delta))
-            else:
-                theta = remove_task(MergeInputs(anchor, ((1.0, task_ck),), spec.anchor.delta), hbar_minus)
-            record(method, 1.0, theta, f"merged-{method}")
-        record("retrain", 0.0, retrain.params, "retrain")
-        record("anchor", 0.0, anchor.params, None)
-    return RemovalResult(f"task{removed}", outcomes, dists, tuple(summary.rows))
+    rows += [("retrain", 0.0, retrain.params), ("anchor", 0.0, anchor.params)]
+    outcomes = {o.method: o for o in _outcomes(spec, rows, tests, tests[:removed])}
+    dists = {label: float(np.linalg.norm(theta.values - retrain.params.values)) for label, _, theta in rows}
+    summary = [
+        row
+        for label, outcome in outcomes.items()
+        for row in (*_metric_rows(outcome), f"{label},{outcome.alpha!r},all,dist_retrain,{dists[label]!r}")
+    ]
+    if out is not None:
+        saved = [
+            (label if label == "retrain" else f"merged-{label}", Checkpoint(theta, meta={"method": label}))
+            for label, _, theta in rows[:-1]  # the anchor row is the "anchor" checkpoint itself
+        ]
+        _write_run(out, [("anchor", anchor), ("removed-task", task_ck), *saved], summary)
+    return RemovalResult(f"task{removed}", outcomes, dists, tuple(summary))
 
 
 @dataclass(frozen=True, eq=False)
@@ -787,14 +779,12 @@ def sweep_alpha(
 
     Training happens once and the test sets are checked once; each method
     then merges the whole grid in one broadcast, and every method's grid
-    is merged before the first row is written, so a merge that fails
-    (say, on a pooled curvature that a negative weight leaves
-    non-positive) leaves no output behind.  Every method's grid is then
-    scored in one :func:`_evaluate_rows` call, which prepares each test
-    set once and scores each distinct merged row once.  ``summary.csv``
-    is one stream that gets the methods' aggregate rows in order, and
-    each method also writes a two-column
-    ``sweep_<method>.dat``, ready for any plotting tool.  Duplicate grid
+    is scored in one :func:`_evaluate_rows` call, which prepares each test
+    set once and scores each distinct merged row once.  Only then, when
+    ``out_dir`` is given, are ``summary.csv`` (the methods' aggregate rows
+    in order) and one two-column ``sweep_<method>.dat`` per method written,
+    so a merge that fails (say, on a pooled curvature that a negative
+    weight leaves non-positive) leaves ``out_dir`` empty.  Duplicate grid
     values produce duplicate rows, deterministically.  A ``state`` given
     must be a run of ``spec``, whatever its ``methods`` and ``alphas``.
     """
@@ -805,24 +795,25 @@ def sweep_alpha(
     sets = _scoring_sets(spec, state.test_sets[1:])
     inputs = state.merge_inputs(1.0)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    alpha_text = [repr(a) for a in spec.alphas]
-    series: dict[str, tuple[tuple[float, float], ...]] = {}
     grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
     scores = _evaluate_rows(spec, list(grids.values()), sets)
-    with _Summary(out) as summary:
-        for method, (_, avg, true_avg) in zip(grids, scores):
-            avg = avg.tolist()
-            series[method] = tuple(zip(spec.alphas, avg))
-            avg_text = [repr(v) for v in avg]
-            if out is not None:
-                dat = "".join(f"{a} {v}\n" for a, v in zip(alpha_text, avg_text))
-                write_text(out / f"sweep_{method}.dat", dat)
-            summary.add([
-                row
-                for a, v, t in zip(alpha_text, avg_text, true_avg.tolist())
-                for row in (f"{method},{a},avg,{metric},{v}", f"{method},{a},true_avg,{metric},{t!r}")
-            ])
-    return SweepResult(metric, series, tuple(summary.rows))
+    alpha_text = [repr(a) for a in spec.alphas]
+    series: dict[str, tuple[tuple[float, float], ...]] = {}
+    summary: list[str] = []
+    dats = []
+    for method, (_, avg, true_avg) in zip(grids, scores):
+        avg = avg.tolist()
+        series[method] = tuple(zip(spec.alphas, avg))
+        avg_text = [repr(v) for v in avg]
+        dats.append((f"sweep_{method}.dat", "".join(f"{a} {v}\n" for a, v in zip(alpha_text, avg_text))))
+        summary += [
+            row
+            for a, v, t in zip(alpha_text, avg_text, true_avg.tolist())
+            for row in (f"{method},{a},avg,{metric},{v}", f"{method},{a},true_avg,{metric},{t!r}")
+        ]
+    if out is not None:
+        _write_run(out, (), summary, dats)
+    return SweepResult(metric, series, tuple(summary))
 
 
 def fixture_from_state(state: PipelineState, target: ParamVector, alpha: float) -> DiagnosticFixture:

@@ -168,10 +168,12 @@ def _kernel(base, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
     Evaluated at half scale, which is exact for normal floats and keeps
     ``rows - base`` finite whenever the merge is (a Fisher mean of -1e308
     and 1e308, say); an overflowing merge raises :class:`NumericError`.
+    Callers evaluate it and its coefficients under ``np.errstate(over=
+    "ignore", invalid="ignore")``, so that this check (or
+    :func:`_require_positive`) is the one signal of an overflow.
     """
     half = 0.5 * base
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = 2.0 * (half + (coef * (0.5 * rows - half)).sum(axis=1))
+    values = 2.0 * (half + (coef * (0.5 * rows - half)).sum(axis=1))
     if not np.isfinite(values).all():
         raise NumericError("parameter values must be finite")
     return values
@@ -251,12 +253,13 @@ def merge_grid(method: str, inputs: MergeInputs, scales) -> np.ndarray:
         raise ConfigError("merge scales must be finite")
     if method not in _RULES:
         raise ConfigError(f"unknown merge method {method!r}; expected one of {ADDITION_METHODS}")
-    weights = scales[:, None] * np.array(inputs.alphas)
-    thetas, curvs = _stack(inputs, method, weights)
-    values = np.tile(inputs.anchor.params.values, (len(weights), 1))
-    live = weights.any(axis=1)
-    if live.any():
-        values[live] = _RULES[method](inputs, thetas, curvs, weights[live])
+    with np.errstate(over="ignore", invalid="ignore"):  # see _kernel
+        weights = scales[:, None] * np.array(inputs.alphas)
+        thetas, curvs = _stack(inputs, method, weights)
+        values = np.tile(inputs.anchor.params.values, (len(weights), 1))
+        live = weights.any(axis=1)
+        if live.any():
+            values[live] = _RULES[method](inputs, thetas, curvs, weights[live])
     return values
 
 
@@ -295,8 +298,9 @@ def remove_task(inputs: MergeInputs, hbar_minus: DiagCurvature) -> ParamVector:
     h0 = anchor_penalty(inputs.anchor, inputs.delta)
     denom = anchor_penalty(Checkpoint(inputs.anchor.params, hbar_minus), inputs.delta)
     _require_positive(denom, "retained-data curvature plus delta")
-    coef = -weights[:, :, None] * (h0 + curvs) / denom
-    return ParamVector(inputs.layout, _kernel(inputs.anchor.params.values, thetas, coef)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # see _kernel
+        values = _kernel(inputs.anchor.params.values, thetas, -weights[:, :, None] * (h0 + curvs) / denom)
+    return ParamVector(inputs.layout, values[0])
 
 
 def merged_checkpoint(method: str, params: ParamVector, alphas) -> Checkpoint:

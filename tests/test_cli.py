@@ -450,6 +450,13 @@ class TestProtocols:
         assert not (out / "summary.csv").exists()
         assert not list(out.glob("sweep_*.dat"))
 
+    def test_report_merge_failure_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # wam overflows at this weight, after the pipeline is trained.
+        out = tmp_path / "out"
+        assert run_cli("report", "--alpha", "1e308", "--out", out) == 2
+        assert "NumericError" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_remove_prints_distances(self, tmp_path, capsys):
         out = tmp_path / "rem"
         assert run_cli("remove", "--out", out, "--seed", "0") == 0
@@ -481,6 +488,26 @@ class TestProtocols:
         monkeypatch.setattr(diagnostics, "loss", counting("loss", diagnostics.loss))
         assert run_cli("report", "--out", tmp_path / "out", "--seed", "0") == 0
         assert counts == {"merge_grid": 6, "grad": 4 + 4 + 2 * 6 * 4, "loss": 4 + 6 * 4}
+
+    @pytest.mark.parametrize("command, built", [("report", 4), ("remove", 3)])
+    def test_protocols_prepare_each_test_set_once(self, tmp_path, monkeypatch, command, built):
+        # Every row of a default report (6 merges, the target, the anchor)
+        # is scored in one pass over its 4 added tasks' test sets, and every
+        # row of a default remove (2 removals, the retrain, the anchor) in
+        # one pass over its 3 blocks' test sets.
+        from gradmerge import models
+
+        kernels = []
+
+        class CountingKernel(models._SignKernel):
+            def __init__(self, X):
+                kernels.append(X)
+                super().__init__(X)
+
+        monkeypatch.setattr(models, "_SignKernel", CountingKernel)
+        monkeypatch.setattr(harness, "_SignKernel", CountingKernel)
+        assert run_cli(command, "--out", tmp_path / "out", "--seed", "0") == 0
+        assert len(kernels) == built
 
     @pytest.mark.parametrize("alpha", ["0", "0.3", "1"])
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gradmerge import harness
-from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError, MissingCurvatureError
+from gradmerge.errors import ConfigError, EmptyDataError, IoError, LayoutError, MissingCurvatureError, NumericError
 from gradmerge.harness import (
     ADDITION_METHODS,
     REMOVAL_METHODS,
@@ -510,6 +510,13 @@ class TestRunAddition:
             run_addition(small_spec(), out_dir=tmp_path / "o", seed=0, alpha=alpha)
         assert not (tmp_path / "o").exists()
 
+    def test_a_failing_merge_writes_nothing(self, tmp_path, default_state):
+        # wam overflows at this weight; am, listed first, merges fine, but
+        # no file is written before every row is merged and scored.
+        with pytest.raises(NumericError):
+            run_addition(default_state.spec, out_dir=tmp_path / "o", alpha=1e308, state=default_state)
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_writes_summary_and_checkpoints(self, tmp_path):
         spec = small_spec()
         res = run_addition(spec, out_dir=tmp_path, seed=0, alpha=1.0)
@@ -596,6 +603,17 @@ class TestRunRemoval:
         trains = gen_tasks(spec, 0)[0][:-1]  # the retained blocks
         np.testing.assert_array_equal(kept.inputs, np.vstack([ds.inputs for ds in trains]))
         np.testing.assert_array_equal(kept.targets, np.concatenate([ds.targets for ds in trains]))
+
+    def test_a_failing_removal_writes_nothing(self, tmp_path, monkeypatch):
+        # remove-ta, listed first, succeeds; the anchor and the removed task
+        # are trained, but no file is written before every row is scored.
+        def fail(inputs, hbar_minus):
+            raise NumericError("parameter values must be finite")
+
+        monkeypatch.setattr(harness, "remove_task", fail)
+        with pytest.raises(NumericError):
+            run_removal(default_removal_spec(), out_dir=tmp_path / "o", seed=0)
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_writes_summary_with_distance_rows(self, tmp_path):
         res = run_removal(default_removal_spec(), out_dir=tmp_path, seed=0)

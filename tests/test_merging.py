@@ -1,5 +1,7 @@
 """Tests for the merging catalog and the data-removal update."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 from gradmerge.errors import (
     ConfigError,
     EmptyMergeError,
+    GradmergeError,
     LayoutError,
     MissingCurvatureError,
     NumericError,
     SingularCurvatureError,
 )
+from gradmerge.harness import default_spec, run_pipeline
 from gradmerge.merging import (
     ADDITION_METHODS,
     CURVATURE_METHODS,
@@ -565,6 +569,12 @@ class TestLinearExactness:
             np.testing.assert_allclose(out.values, retrained.values, atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def trained():
+    """The seed-0 default pipeline: trained checkpoints with estimated curvature."""
+    return run_pipeline(default_spec(), seed=0)
+
+
 class TestDegenerateInputs:
     """One rule across the catalog: no tasks, or missing curvature, raise;
     all-zero task weights give the anchor."""
@@ -612,6 +622,22 @@ class TestDegenerateInputs:
                 merge(method, huge)
         with pytest.raises(NumericError):
             remove_task(huge, curv([1.0, 1.0]))
+
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    @pytest.mark.parametrize("method", [*ADDITION_METHODS, "remove_task"])
+    def test_extreme_weights_merge_or_raise_without_warnings(self, trained, method, scale):
+        # The kernel's finiteness check and the positivity checks are the
+        # only signals of an overflow: NumPy prints no RuntimeWarning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                if method == "remove_task":
+                    values = remove_task(trained.merge_inputs(scale), trained.anchor.curvature).values
+                else:
+                    values = merge_grid(method, trained.merge_inputs(1.0), (scale,))
+            except GradmergeError:
+                return
+        assert np.isfinite(values).all()
 
     def test_fisher_mean_of_extreme_entries_stays_finite(self):
         huge = MergeInputs(
