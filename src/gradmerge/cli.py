@@ -11,7 +11,9 @@ subcommand, and the curvature estimator, one for the anchor and the
 tasks alike, is set only by the config's ``curvature``.  :func:`cli`
 builds the spec (the removal default for ``remove``) and resolves the
 seed and ``--out`` once; each protocol checks its own method kind before
-``--out`` exists, so a refused config writes nothing.
+``--out`` exists, so a refused config writes nothing.  The protocols write
+every file of their run (``report.csv`` too) once all of it is computed,
+so their handlers only print, and a protocol that fails leaves ``--out`` empty.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numeric
 failures (including a failing oracle suite).
@@ -24,17 +26,17 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .diagnostics import mismatch_table_csv, mismatch_vs_error_table
+# ``mismatch_vs_error_table``, ``run_pipeline`` and ``estimate_task_curvature``
+# are unused here but stay importable: ``perfbench/spans.py`` wraps them on
+# this module.
+from .diagnostics import mismatch_vs_error_table  # noqa: F401
 from .errors import ConfigError, GradmergeError
-# ``run_pipeline`` and ``estimate_task_curvature`` are unused here but stay
-# importable: ``perfbench/spans.py`` wraps them on this module.
 from .harness import (  # noqa: F401
     default_removal_spec,
     default_spec,
     estimate_anchor_h0,
     estimate_task_curvature,
     evaluate_params,
-    fixture_from_state,
     gen_tasks,
     load_spec,
     output_dir,
@@ -181,9 +183,6 @@ def _cmd_oracle_check(args, spec, seed, out) -> int:
 
 def _cmd_report(args, spec, seed, out) -> int:
     result = run_addition(spec, out, seed, alpha=args.alpha)
-    fixture = fixture_from_state(result.state, result.target.params, args.alpha)
-    rows = mismatch_vs_error_table(fixture, {m: result.outcomes[m].params for m in spec.methods})
-    write_text(out / "report.csv", mismatch_table_csv(rows))
     for label in list(spec.methods) + ["all-data", "anchor"]:
         outcome = result.outcomes[label]
         print(f"{label}: avg {outcome.metric} {outcome.avg!r}, true avg {outcome.true_avg!r}")

@@ -39,7 +39,8 @@ FISHER_FLOOR = 1e-10
 def fisher_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:
     """Empirical Fisher diagonal: summed squared per-example gradients plus :data:`FISHER_FLOOR`."""
     G = per_example_grads(spec, theta, data)  # a fresh array, so it is squared in place
-    return DiagCurvature(theta.layout, np.square(G, out=G).sum(axis=0) + FISHER_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # DiagCurvature refuses a non-finite sum
+        return DiagCurvature(theta.layout, np.square(G, out=G).sum(axis=0) + FISHER_FLOOR)
 
 
 def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> DiagCurvature:

@@ -9,6 +9,7 @@ Identical spec and seed always reproduce byte-identical outputs.
 
 Three protocols are provided: :func:`run_addition` merges every
 configured method and scores it against a jointly trained baseline,
+with the gradient-mismatch table of each merge against it,
 :func:`run_removal` subtracts one task's contribution from an anchor
 trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
@@ -16,8 +17,8 @@ weights without retraining anything; it merges the whole grid in one
 batch per method.  All three have one shape: compute every row, score
 them all in one :func:`_evaluate_rows` pass (which prepares each test set
 once and scores each distinct row once), then write every file of the
-run.  So a protocol that raises has written nothing into its output
-directory.
+run in one :func:`_write_run` call (``report.csv`` included).  So a
+protocol that raises has written nothing into its output directory.
 
 A score depends only on the scored parameters and the test set, so every
 protocol prints the same bits for the same merge.  A classifier predicts
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import exact_hessian_diag, fisher_diag
-from .diagnostics import DiagnosticFixture
+from .diagnostics import DiagnosticFixture, MismatchRow, mismatch_table_csv, mismatch_vs_error_table
 from .errors import ConfigError, IoError, LayoutError, NumericError, check_field_types
 # ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
@@ -480,37 +481,17 @@ class MethodOutcome:
     true_avg: float
 
 
-def _scoring_sets(spec: ExperimentSpec, eval_sets, aggregate_sets=None):
-    """Check each distinct test set once, for any number of :func:`_evaluate_rows` calls.
-
-    Returns ``(eval_sets, aggregate_sets, targets)``; ``aggregate_sets``
-    defaults to ``eval_sets`` and ``targets`` maps ``id(ds)`` to what the
-    set is scored against.  A classifier's targets must be ``{0,1}``, the
-    rule :func:`models.accuracy` applies, and become bool labels here.
-    """
-    classify = spec.model.kind != "linear_regression"
-    eval_sets = tuple(eval_sets)
-    agg = tuple(eval_sets if aggregate_sets is None else aggregate_sets)
-    if not agg:
-        raise ConfigError("evaluation needs at least one aggregate dataset")
-    targets = {}
-    for ds in (*eval_sets, *agg):
-        if id(ds) in targets:
-            continue
-        _check_data(spec.model, ds)
-        targets[id(ds)] = (ds.targets == 1.0) if classify else ds.targets
-    return eval_sets, agg, targets
-
-
-def _evaluate_rows(spec: ExperimentSpec, blocks, sets):
-    """Score every row of each block ``(A, d)`` of ``blocks`` on ``sets`` from :func:`_scoring_sets`.
+def _evaluate_rows(spec: ExperimentSpec, blocks, eval_sets, aggregate_sets=None):
+    """Score every row of each block ``(A, d)`` of ``blocks`` on ``eval_sets``.
 
     Returns, per block, the per-set scores of the eval sets as a list of
-    ``(A,)`` columns plus the ``(A,)`` ``avg`` and ``true_avg`` over the
-    aggregate sets.  Each distinct row of a block, keyed by its exact
-    bytes, is scored once and its scores are copied to its repeats.
-    Scoring is set-major: each distinct set is prepared once and every
-    block is scored on it before the next set, so one set's copy is
+    ``(A,)`` columns plus the ``(A,)`` ``avg`` and ``true_avg`` over
+    ``aggregate_sets`` (default: ``eval_sets``).  Each distinct set is
+    checked once; a classifier's targets must be ``{0,1}``, the rule
+    :func:`models.accuracy` applies.  Each distinct row of a block, keyed
+    by its exact bytes, is scored once and its scores are copied to its
+    repeats.  Scoring is set-major: each distinct set is prepared once and
+    every block is scored on it before the next set, so one set's copy is
     alive at a time.  A row's scores depend only on the row and the set.
     A classifier predicts class 1 where its output is >= 0
     (:func:`models._predict`): a logistic output is the exact sign of
@@ -521,9 +502,15 @@ def _evaluate_rows(spec: ExperimentSpec, blocks, sets):
     accuracy is the total count of correct predictions over the total n;
     a pooled loss averages the concatenated per-example losses.
     """
-    eval_sets, agg, targets = sets
     model = spec.model
     classify = model.kind != "linear_regression"
+    eval_sets = tuple(eval_sets)
+    agg = tuple(eval_sets if aggregate_sets is None else aggregate_sets)
+    if not agg:
+        raise ConfigError("evaluation needs at least one aggregate dataset")
+    distinct = {id(ds): ds for ds in (*eval_sets, *agg)}
+    for ds in distinct.values():
+        _check_data(model, ds)
     keyed = []  # per block: (inverse, unique rows)
     for values in blocks:
         slots: dict[bytes, int] = {}
@@ -532,16 +519,17 @@ def _evaluate_rows(spec: ExperimentSpec, blocks, sets):
         unique[inverse] = values
         keyed.append((inverse, unique))
     scored = [{} for _ in keyed]  # per block, id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
-    for ds in {id(ds): ds for ds in (*eval_sets, *agg)}.values():
+    for ds in distinct.values():
         kernel = _SignKernel(ds.inputs) if model.kind == "logistic" else None
+        labels = (ds.targets == 1.0) if classify else None
         for (_, unique), scores in zip(keyed, scored):
             if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
                 pred = _predict(model, unique, ds.inputs, kernel)
-                scores[id(ds)] = (pred == targets[id(ds)]).sum(axis=1, dtype=np.uint32)
+                scores[id(ds)] = (pred == labels).sum(axis=1, dtype=np.uint32)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
-                    scores[id(ds)] = _losses(model, out, targets[id(ds)])
+                    scores[id(ds)] = _losses(model, out, ds.targets)
     return [_aggregate(classify, eval_sets, agg, scores, inverse) for (inverse, _), scores in zip(keyed, scored)]
 
 
@@ -574,13 +562,13 @@ def _outcomes(spec: ExperimentSpec, rows, eval_sets, aggregate_sets=None) -> lis
     if any(theta.layout != layout for _, _, theta in rows):
         raise LayoutError("theta layout does not match the model's canonical layout")
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    sets = _scoring_sets(spec, eval_sets, aggregate_sets)
-    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [np.stack([theta.values for _, _, theta in rows])], sets)
+    eval_sets = tuple(eval_sets)
+    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [np.stack([t.values for _, _, t in rows])], eval_sets, aggregate_sets)
     columns, avg, true_avg = [col.tolist() for col in per_task], avg.tolist(), true_avg.tolist()
     return [
         MethodOutcome(
             label, float(alpha), theta, metric,
-            tuple((ds.task_id, col[i]) for ds, col in zip(sets[0], columns)), avg[i], true_avg[i],
+            tuple((ds.task_id, col[i]) for ds, col in zip(eval_sets, columns)), avg[i], true_avg[i],
         )
         for i, (label, alpha, theta) in enumerate(rows)
     ]
@@ -639,11 +627,15 @@ def write_text(path, text: str) -> None:
         raise IoError(f"failed to write {path!s}: {exc}") from exc
 
 
+def _run_checkpoints(anchor: Checkpoint, tasks) -> list[tuple[str, Checkpoint]]:
+    """A run's ``(stem, checkpoint)`` pairs: ``anchor`` and ``task1`` .. ``task{T-1}``."""
+    return [("anchor", anchor), *((f"task{t}", ck) for t, ck in enumerate(tasks, start=1))]
+
+
 def save_run(out: Path, anchor: Checkpoint, tasks) -> None:
     """Write a run's checkpoints under ``out`` as ``anchor`` and ``task1`` .. ``task{T-1}``."""
-    save_checkpoint(anchor, out / "anchor")
-    for t, ck in enumerate(tasks, start=1):
-        save_checkpoint(ck, out / f"task{t}")
+    for stem, ck in _run_checkpoints(anchor, tasks):
+        save_checkpoint(ck, out / stem)
 
 
 def _write_run(out: Path, checkpoints, rows, texts=()) -> None:
@@ -658,12 +650,13 @@ def _write_run(out: Path, checkpoints, rows, texts=()) -> None:
 
 @dataclass(frozen=True, eq=False)
 class AdditionResult:
-    """Everything :func:`run_addition` computed, plus the CSV rows it wrote."""
+    """Everything :func:`run_addition` computed, plus the CSV rows it wrote (``table``: ``report.csv``'s)."""
 
     state: PipelineState
     outcomes: dict[str, MethodOutcome]
     target: Checkpoint
     rows: tuple[str, ...]
+    table: tuple[MismatchRow, ...]
 
 
 def run_addition(
@@ -679,9 +672,11 @@ def run_addition(
     ``alpha``, and the joint target is trained on the added tasks at the
     same weight.  Every merge, an "all-data" row for the target and an
     "anchor" row for the unmerged starting point are then scored on the
-    added tasks' test sets in one pass.  Only then, when ``out_dir`` is
-    given, are the anchor, task, merged and target checkpoints and
-    ``summary.csv`` written, so a run that fails leaves ``out_dir`` empty.
+    added tasks' test sets in one pass, and the gradient-mismatch table
+    scores each merge against the target.  Only then, when ``out_dir`` is
+    given, are the anchor, task, merged and target checkpoints,
+    ``summary.csv`` and ``report.csv`` written, so a run that fails leaves
+    ``out_dir`` empty.
     A ``state`` given must be a run of ``spec``, whatever its ``methods``.
     """
     _require_runnable(spec, ADDITION_METHODS, "run_addition", state)
@@ -696,12 +691,13 @@ def run_addition(
     rows += [("all-data", alpha, target.params), ("anchor", 0.0, state.anchor.params)]
     outcomes = {o.method: o for o in _outcomes(spec, rows, state.test_sets[1:])}
     summary = [row for outcome in outcomes.values() for row in _metric_rows(outcome)]
+    table = tuple(mismatch_vs_error_table(fixture_from_state(state, target.params, alpha), merges))
     if out is not None:
-        save_run(out, state.anchor, state.tasks)
         weights = [alpha] * len(state.tasks)
         merged = [(f"merged-{m}", merged_checkpoint(m, params, weights)) for m, params in merges.items()]
-        _write_run(out, [*merged, ("target", target)], summary)
-    return AdditionResult(state, outcomes, target, tuple(summary))
+        checkpoints = [*_run_checkpoints(state.anchor, state.tasks), *merged, ("target", target)]
+        _write_run(out, checkpoints, summary, [("report.csv", mismatch_table_csv(table))])
+    return AdditionResult(state, outcomes, target, tuple(summary), table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -792,11 +788,10 @@ def sweep_alpha(
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)
-    sets = _scoring_sets(spec, state.test_sets[1:])
     inputs = state.merge_inputs(1.0)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
-    scores = _evaluate_rows(spec, list(grids.values()), sets)
+    scores = _evaluate_rows(spec, list(grids.values()), state.test_sets[1:])
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     summary: list[str] = []

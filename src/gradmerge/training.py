@@ -323,13 +323,14 @@ def _fit(
     a, reg = anchor.params.values, anchor_penalty(anchor, delta)
     for data in datasets:
         _check_data(spec, data)
-    if spec.kind == "linear_regression":
-        theta = closed_form_solve(datasets, alphas, anchor, delta).values
-    else:
-        theta = _iterate(spec, datasets, alphas, a, reg, epochs, x0)
-    out = ParamVector(spec.layout(), theta)
-    residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
-    bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a finiteness check or the gate
+        if spec.kind == "linear_regression":
+            theta = closed_form_solve(datasets, alphas, anchor, delta).values
+        else:
+            theta = _iterate(spec, datasets, alphas, a, reg, epochs, x0)
+        out = ParamVector(spec.layout(), theta)
+        residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
+        bound = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(theta)))
     if residual > bound:
         raise DivergenceError(
             f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"

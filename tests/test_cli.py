@@ -1,16 +1,27 @@
 """Tests for the command-line interface: subcommands, exit codes, files."""
 
+import filecmp
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from gradmerge import cli as cli_module
-from gradmerge import harness
+from gradmerge import errors, harness
 from gradmerge.cli import cli
 from gradmerge.curvature import exact_hessian_diag, fisher_diag
 from gradmerge.diagnostics import MISMATCH_TABLE_HEADER, mismatch_table_csv, mismatch_vs_error_table
-from gradmerge.harness import SUMMARY_HEADER, default_spec, fixture_from_state, load_spec, run_pipeline, train_target
+from gradmerge.errors import NumericError
+from gradmerge.harness import (
+    SUMMARY_HEADER,
+    default_spec,
+    fixture_from_state,
+    load_spec,
+    run_addition,
+    run_pipeline,
+    train_target,
+)
 from gradmerge.merging import merge
 from gradmerge.oracles import ORACLE_TABLE_HEADER
 from gradmerge.params import load_checkpoint
@@ -457,6 +468,27 @@ class TestProtocols:
         assert "NumericError" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_report_whose_table_raises_exits_two_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # report.csv is written in the protocol's one write phase, so a table
+        # that fails after every row is scored still leaves --out empty.
+        def raising(fixture, candidates):
+            raise NumericError("table overflowed")
+
+        monkeypatch.setattr(harness, "mismatch_vs_error_table", raising)
+        out = tmp_path / "out"
+        assert run_cli("report", "--out", out, "--seed", "0") == 2
+        assert "NumericError: table overflowed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_library_addition_run_writes_the_report_files(self, tmp_path):
+        library, command = tmp_path / "library", tmp_path / "cli"
+        result = run_addition(default_spec(), library, seed=0)
+        assert run_cli("report", "--seed", "0", "--out", command) == 0
+        names = sorted(p.name for p in library.iterdir())
+        assert names == sorted(p.name for p in command.iterdir())
+        assert [n for n in names if not filecmp.cmp(library / n, command / n, shallow=False)] == []
+        assert (library / "report.csv").read_text() == mismatch_table_csv(result.table)
+
     def test_remove_prints_distances(self, tmp_path, capsys):
         out = tmp_path / "rem"
         assert run_cli("remove", "--out", out, "--seed", "0") == 0
@@ -526,6 +558,38 @@ class TestProtocols:
         fixture = fixture_from_state(state, train_target(state, weight).params, weight)
         rows = mismatch_vs_error_table(fixture, {m: merge(m, fixture.inputs) for m in state.spec.methods})
         assert (tmp_path / "out" / "report.csv").read_text() == mismatch_table_csv(rows)
+
+
+#: A logistic config whose fits overflow at its huge class separation.
+WIDE_SEPARATED = {"model": {"kind": "logistic", "n_features": 6}, "n_tasks": 3,
+                  "per_task": {"separation": 1e300, "n_train": 40, "n_test": 40}}
+
+#: Configs whose fits overflow (huge class separation or noise), each under one verb.
+OVERFLOWING = {
+    "wide-report": ("report", WIDE_SEPARATED),
+    "wide-remove": ("remove", {**WIDE_SEPARATED, "methods": ["remove-ta", "remove-ours"]}),
+    "linear-report": ("report", {"model": {"kind": "linear_regression", "n_features": 3}, "loss": "squared_error",
+                                 "per_task": {"noise": 1e300, "n_train": 20, "n_test": 20}}),
+    "blob-sweep": ("sweep", {"per_task": {"separation": 1e200}}),
+}
+
+
+class TestNumericFailures:
+    @pytest.mark.parametrize("case", list(OVERFLOWING))
+    def test_overflowing_fit_exits_two_with_one_error_line_and_no_warning(self, tmp_path, capsys, case):
+        # The fits' finiteness checks and stationarity gate are the one
+        # signal; a NumPy RuntimeWarning on the way would raise here.
+        command, config = OVERFLOWING[case]
+        path, out = tmp_path / "spec.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(command, "--config", path, "--out", out, "--seed", "0") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        name = lines[0].split(":")[1].strip()
+        assert issubclass(getattr(errors, name), errors.GradmergeError)
+        assert list(out.iterdir()) == []
 
 
 class TestOutputErrors:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from gradmerge.harness import (
     ExperimentSpec,
     _evaluate_rows,
-    _scoring_sets,
     evaluate_params,
     run_addition,
     run_pipeline,
@@ -90,7 +89,7 @@ class TestCertifiedSign:
         V, X = draw_case(seed, d, u, n, ev, ex, kind)
         targets = np.random.default_rng(seed + 1).integers(0, 2, n)
         spec = ExperimentSpec(model=ModelSpec("logistic", d))
-        sets = _scoring_sets(spec, [TaskDataset("t", X, targets)])
+        sets = [TaskDataset("t", X, targets)]
         expected = (exact_signs(V, X) == (targets == 1)).sum(axis=1) / n
         blocks = [V, np.repeat(V, 2, axis=0)[::-1], *(V[r : r + 1] for r in range(u))]
         block, twice, *alone = [per_task[0] for per_task, _, _ in _evaluate_rows(spec, blocks, sets)]
@@ -175,10 +174,9 @@ class TestLinearRowsAlone:
     def test_row_loss_is_bitwise_equal_alone_in_a_grid_and_duplicated(self):
         spec = ExperimentSpec.from_dict(LINEAR)
         state = run_pipeline(spec, 0)
-        sets = _scoring_sets(spec, state.test_sets[1:])
         grid = merge_grid("ours", state.merge_inputs(1.0), np.linspace(0.0, 1.5, 31))
         blocks = [grid, np.repeat(grid, 2, axis=0), *(grid[r : r + 1] for r in range(len(grid)))]
-        (cols, avg, true_avg), (cols2, avg2, true_avg2), *alone = _evaluate_rows(spec, blocks, sets)
+        (cols, avg, true_avg), (cols2, avg2, true_avg2), *alone = _evaluate_rows(spec, blocks, state.test_sets[1:])
         for r, (one_cols, one_avg, one_true) in enumerate(alone):
             got = [c[0] for c in one_cols] + [one_avg[0], one_true[0]]
             for block in ([c[r] for c in cols] + [avg[r], true_avg[r]], [c[2 * r + 1] for c in cols2] + [avg2[2 * r + 1], true_avg2[2 * r + 1]]):
