@@ -144,9 +144,9 @@ def _cmd_merge(args, spec, seed, out) -> int:
     anchor, *tasks = [load_checkpoint(out / stem) for stem in stems]
     params = merge(args.method, MergeInputs(anchor, tuple((args.alpha, ck) for ck in tasks), spec.anchor.delta))
     merged = merged_checkpoint(args.method, params, [args.alpha] * len(tasks))
-    save_checkpoint(merged, out / f"merged-{args.method}")
     _, tests = gen_tasks(spec, seed)
     outcome = evaluate_params(spec, args.method, args.alpha, params, tests[1:])
+    save_checkpoint(merged, out / f"merged-{args.method}")  # only once scored, so a failure writes nothing
     print(
         f"merged-{args.method} alpha={args.alpha!r}: "
         f"avg {outcome.metric} {outcome.avg!r}, true avg {outcome.true_avg!r}"

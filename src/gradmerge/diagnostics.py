@@ -12,7 +12,9 @@ merges it scores: the anchor, its penalty ``h0 + delta`` and the task
 weights are read from them, as the merge reads them.  A candidate is one
 merged parameter vector, scored against the fixture's target; the caller
 merges it, so the table scores the very merges a protocol evaluated.
-Everything here is evaluation-only: nothing merges or trains.
+The table checks its inputs once and then runs the fits' kernels, one
+forward pass per held-out split.  Everything here is evaluation-only:
+nothing merges or trains.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, LayoutError, SingularCurvatureError
 from .merging import MergeInputs
-from .models import ModelSpec, TaskDataset, grad, loss
+from .models import ModelSpec, TaskDataset, _check_data, _grad, _value_grad, grad
 from .params import ParamVector, anchor_penalty
 
 __all__ = [
@@ -115,15 +117,6 @@ class DiagnosticFixture:
             raise ConfigError(f"fixture has {len(self.inputs.tasks)} tasks but {len(self.splits)} (train, test) splits")
 
 
-def _mismatch(spec: ModelSpec, target_grad: np.ndarray, theta: ParamVector, data: TaskDataset) -> np.ndarray:
-    """``grad(target) - grad(theta)`` on ``data``, given the target's gradient there.
-
-    Refuses a difference that overflowed (``NumericError``, from
-    :class:`ParamVector`).
-    """
-    return ParamVector(theta.layout, target_grad - grad(spec, theta, data).values).values
-
-
 def verify_identity(
     inputs: MergeInputs,
     target: ParamVector,
@@ -156,7 +149,7 @@ def verify_identity(
     residual = target.values - a
     for (alpha, ckpt), data, g in zip(inputs.tasks, datasets, target_grads, strict=True):
         residual = residual - alpha * (ckpt.params.values - a)
-        residual = residual + alpha * _mismatch(spec, g, ckpt.params, data) / h0eff
+        residual = residual + alpha * ParamVector(ckpt.layout, g - grad(spec, ckpt.params, data).values).values / h0eff
     return float(np.max(np.abs(residual)))
 
 
@@ -197,34 +190,38 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
     """Per-(candidate, task) table of gradient mismatch vs actual error.
 
     ``candidates`` maps each method name to its merged parameters, and
-    rows come out in that order, then in task order.  The target side
-    (the identity residual, the target's training gradients and its
-    held-out losses) is evaluated once per call.  The two loss-gap
+    rows come out in that order, then in task order.  The two loss-gap
     columns are ``loss(target) - loss(merged)`` on each held-out split
     and its first-order estimate ``grad(merged)^T (target - merged)``.
+    Each split and each candidate's layout is checked once, here.  Then
+    the target and each candidate take, per task, ``_grad`` on the
+    training split and one ``_value_grad`` (a single forward pass) on the
+    held-out split: at unit weight, bitwise :func:`grad` and ``loss``.  A
+    gradient difference that overflows raises ``NumericError``.
     """
-    spec, target = fixture.spec, fixture.target
-    trains = [train for train, _ in fixture.splits]
-    target_grads = [grad(spec, target, train).values for train in trains]
-    residual = verify_identity(fixture.inputs, target, trains, spec, target_grads)
-    target_losses = [loss(spec, target, test) for _, test in fixture.splits]
+    spec, target, splits = fixture.spec, fixture.target, fixture.splits
+    for split in splits:
+        for data in split:
+            _check_data(spec, data)
+    if any(merged.layout != spec.layout() for merged in candidates.values()):
+        raise LayoutError("theta layout does not match the model's canonical layout")
+
+    def evaluate(values):
+        grads = [_grad(spec, values, train.inputs, train.targets) for train, _ in splits]
+        return grads, [_value_grad(spec, values, test.inputs, test.targets)[:2] for _, test in splits]
+
+    target_grads, target_tests = evaluate(target.values)
+    residual = verify_identity(fixture.inputs, target, [train for train, _ in splits], spec, target_grads)
     rows = []
     for method, merged in candidates.items():
-        mismatches = [_mismatch(spec, g, merged, train) for g, train in zip(target_grads, trains)]
-        error = float(np.linalg.norm(target.values - merged.values))
-        for (train, test), mm, target_loss in zip(fixture.splits, mismatches, target_losses):
-            rows.append(
-                MismatchRow(
-                    method=method,
-                    fixture=fixture.name,
-                    task_id=train.task_id,
-                    mismatch_l2=float(np.linalg.norm(mm)),
-                    error_l2=error,
-                    identity_residual=residual,
-                    test_loss_delta_exact=float(target_loss - loss(spec, merged, test)),
-                    test_loss_delta_fo=float(grad(spec, merged, test).values @ (target.values - merged.values)),
-                )
-            )
+        grads, tests = evaluate(merged.values)
+        step = target.values - merged.values
+        error = float(np.linalg.norm(step))
+        per_task = zip(splits, target_grads, grads, target_tests, tests)
+        for (train, _), tg, g, (target_loss, _), (value, test_grad) in per_task:
+            mismatch = float(np.linalg.norm(ParamVector(merged.layout, tg - g).values))
+            delta_fo = float(test_grad @ step)
+            rows.append(MismatchRow(method, fixture.name, train.task_id, mismatch, error, residual, target_loss - value, delta_fo))
     return rows
 
 

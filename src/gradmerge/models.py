@@ -310,7 +310,8 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     """Backprop output gradients ``g`` to the flat parameter gradient.
 
     Returns the summed ``(d,)`` gradient, or the ``(n, d)`` matrix of
-    per-example gradients when ``per_example`` is set.
+    per-example gradients when ``per_example`` is set (only the empirical
+    Fisher asks for those).
     """
     if a1 is None:
         return X * g[:, None] if per_example else X.T @ g
@@ -318,18 +319,9 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
     D = a1 * a1
     np.subtract(1.0, D, out=D)
     if per_example:
-        # Written column block by column block into one array: broadcasting
-        # over a short feature axis and concatenating along axis 1 both copy
-        # in runs of a few elements.
-        n, h, d = len(g), spec.hidden, spec.n_features
-        G = np.empty((n, h * d + 2 * h + 1))
-        dz1 = np.multiply(g[:, None] * w2, D, out=G[:, h * d : h * d + h])
-        dW1 = G[:, : h * d].reshape(n, h, d)
-        for k in range(d):
-            np.multiply(dz1, X[:, k : k + 1], out=dW1[:, :, k])
-        np.multiply(a1, g[:, None], out=G[:, h * d + h : -1])
-        G[:, -1] = g
-        return G
+        dz1 = g[:, None] * w2 * D
+        dW1 = (dz1[:, :, None] * X[:, None, :]).reshape(len(g), -1)
+        return np.concatenate([dW1, dz1, a1 * g[:, None], g[:, None]], axis=1)
     dW1 = w2[:, None] * ((X * g[:, None]).T @ D).T
     return np.concatenate([dW1.reshape(-1), w2 * (g @ D), a1.T @ g, np.array([g.sum()])])
 

@@ -373,6 +373,20 @@ class TestStagedWorkflow:
             assert disk.curvature.values.tobytes() == ck.curvature.values.tobytes(), stem
             assert disk.meta == ck.meta, stem
 
+    def test_merge_that_fails_scoring_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # ta merges at this weight, but its held-out loss overflows; the
+        # merged checkpoint is written only once it is scored.
+        config, out = tmp_path / "linear.json", tmp_path / "out"
+        config.write_text(json.dumps(
+            {"model": {"kind": "linear_regression", "n_features": 3}, "loss": "squared_error", "curvature": "exact"}
+        ))
+        assert run_cli("train", "--config", config, "--out", out) == 0
+        assert run_cli("fisher", "--config", config, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("merge", "--method", "ta", "--alpha", "1e200", "--config", config, "--out", out) == 2
+        assert "NumericError" in capsys.readouterr().err
+        assert not list(out.glob("merged-ta.*"))
+
     def test_negative_weight_numeric_failure_exits_two(self, small_config, capsys):
         config, out = small_config
         assert run_cli("train", "--config", config, "--out", out) == 0
@@ -499,13 +513,14 @@ class TestProtocols:
 
     def test_report_scores_its_own_merges_and_evaluates_the_target_once_per_task(self, tmp_path, monkeypatch):
         # The default spec merges 6 methods into 4 added tasks.  The table
-        # reuses run_addition's merges, and per task it takes the target's
-        # training gradient and held-out loss once; verify_identity reuses
-        # those gradients and takes 1 more per task.  Per candidate and task
-        # it takes 2 gradients and 1 loss.
+        # reuses run_addition's merges and evaluates the target once: per
+        # vector (the target, then each merge) and task it takes one
+        # training gradient and one held-out loss and gradient pass.
+        # verify_identity reuses the target's gradients and takes one
+        # checked gradient per task checkpoint.
         from gradmerge import diagnostics, merging
 
-        counts = {"merge_grid": 0, "grad": 0, "loss": 0}
+        counts = {"merge_grid": 0, "_grad": 0, "_value_grad": 0, "grad": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -516,10 +531,10 @@ class TestProtocols:
 
         monkeypatch.setattr(harness, "merge_grid", counting("merge_grid", harness.merge_grid))
         monkeypatch.setattr(merging, "merge_grid", counting("merge_grid", merging.merge_grid))
-        monkeypatch.setattr(diagnostics, "grad", counting("grad", diagnostics.grad))
-        monkeypatch.setattr(diagnostics, "loss", counting("loss", diagnostics.loss))
+        for name in ("_grad", "_value_grad", "grad"):
+            monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
         assert run_cli("report", "--out", tmp_path / "out", "--seed", "0") == 0
-        assert counts == {"merge_grid": 6, "grad": 4 + 4 + 2 * 6 * 4, "loss": 4 + 6 * 4}
+        assert counts == {"merge_grid": 6, "_grad": (1 + 6) * 4, "_value_grad": (1 + 6) * 4, "grad": 4}
 
     @pytest.mark.parametrize("command, built", [("report", 4), ("remove", 3)])
     def test_protocols_prepare_each_test_set_once(self, tmp_path, monkeypatch, command, built):

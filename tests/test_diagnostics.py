@@ -449,6 +449,32 @@ class TestMismatchTable:
             report = mismatch_report(fixture, candidates[row.method])
             assert row.identity_residual == report.identity_residual
 
+    def test_default_table_checks_each_split_once_and_runs_one_pass_per_vector_and_split(self, monkeypatch):
+        # The default spec: 6 merges and the target over 4 added tasks, so 8
+        # splits.  Each split is checked once, and each task checkpoint once
+        # more by verify_identity's checked gradient; each vector takes one
+        # forward pass per split, and verify_identity one per task.
+        from gradmerge import diagnostics, harness, models
+
+        state = harness.run_pipeline(harness.default_spec(), 0)
+        fixture = harness.fixture_from_state(state, harness.train_target(state, 1.0).params, 1.0)
+        candidates = merges(fixture, state.spec.methods)
+        counts = {"_forward": 0, "_check_data": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(models, "_forward", counting("_forward", models._forward))
+        check = counting("_check_data", models._check_data)
+        monkeypatch.setattr(models, "_check_data", check)
+        monkeypatch.setattr(diagnostics, "_check_data", check, raising=False)  # the table's own binding
+        mismatch_vs_error_table(fixture, candidates)
+        assert counts == {"_forward": (1 + 6) * 8 + 4, "_check_data": 8 + 4}
+
     def test_rows_follow_candidate_order_and_match_the_report(self):
         fixture = linear_fixture(16, T=3)
         candidates = merges(fixture, ["ours", "am", "ta"])
