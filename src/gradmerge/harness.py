@@ -15,10 +15,11 @@ trained on pooled data and compares against retraining without it, and
 :func:`sweep_alpha` traces aggregate metrics across a grid of task
 weights without retraining anything; it merges the whole grid in one
 batch per method.  All three have one shape: compute every row, score
-them all in one :func:`_evaluate_rows` pass (which prepares each test set
-once and scores each distinct row once), then write every file of the
-run in one :func:`_write_run` call (``report.csv`` included).  So a
-protocol that raises has written nothing into its output directory.
+them all as one array in one :func:`_evaluate_rows` call (which prepares
+each test set once and scores each distinct row once, even across a
+sweep's methods), then write every file of the run in one
+:func:`_write_run` call (``report.csv`` included).  So a protocol that
+raises has written nothing into its output directory.
 
 A score depends only on the scored parameters and the test set, so every
 protocol prints the same bits for the same merge.  A classifier predicts
@@ -26,7 +27,7 @@ class 1 where its output is >= 0.  A logistic output is read as the
 exact sign of ``x . v`` in up to three stages: a float32 product settles
 each entry whose size clears a rounding bound, a float64 dot settles
 most of the rest, and a sum of ``Fraction`` products the remainder
-(``models._SignKernel``).  An MLP takes its own float64 forward pass per
+(:func:`models._predict`).  An MLP takes its own float64 forward pass per
 row, and a linear model its own product ``X @ v`` per row.
 """
 
@@ -64,7 +65,6 @@ from .models import (  # noqa: F401
     _forward,
     _losses,
     _predict,
-    _SignKernel,
     accuracy,
     loss,
 )
@@ -481,26 +481,21 @@ class MethodOutcome:
     true_avg: float
 
 
-def _evaluate_rows(spec: ExperimentSpec, blocks, eval_sets, aggregate_sets=None):
-    """Score every row of each block ``(A, d)`` of ``blocks`` on ``eval_sets``.
+def _evaluate_rows(spec: ExperimentSpec, values: np.ndarray, eval_sets, aggregate_sets=None):
+    """Score every row of ``values`` ``(R, d)`` on ``eval_sets``.
 
-    Returns, per block, the per-set scores of the eval sets as a list of
-    ``(A,)`` columns plus the ``(A,)`` ``avg`` and ``true_avg`` over
+    Returns the per-set scores of the eval sets as a list of ``(R,)``
+    columns plus the ``(R,)`` ``avg`` and ``true_avg`` over
     ``aggregate_sets`` (default: ``eval_sets``).  Each distinct set is
     checked once; a classifier's targets must be ``{0,1}``, the rule
-    :func:`models.accuracy` applies.  Each distinct row of a block, keyed
-    by its exact bytes, is scored once and its scores are copied to its
-    repeats.  Scoring is set-major: each distinct set is prepared once and
-    every block is scored on it before the next set, so one set's copy is
-    alive at a time.  A row's scores depend only on the row and the set.
-    A classifier predicts class 1 where its output is >= 0
-    (:func:`models._predict`): a logistic output is the exact sign of
-    ``x . v``, settled by a float32 screen against the set's float32 copy,
-    a float64 recheck or an exact ``Fraction`` sum
-    (:class:`models._SignKernel`), and an MLP row takes its own float64
-    forward pass.  A linear row takes its own product ``X @ v``.  Pooled
-    accuracy is the total count of correct predictions over the total n;
-    a pooled loss averages the concatenated per-example losses.
+    :func:`models.accuracy` applies.  Each distinct row, keyed by its exact
+    bytes, is scored once and its scores are copied to its repeats.
+    Scoring is set-major: a classifier's distinct rows take one
+    :func:`models._predict` call per distinct set, and a linear row its own
+    product ``X @ v``.  A row's scores depend only on the row and the set,
+    so a caller may stack any rows into one call.  Pooled accuracy is the
+    total count of correct predictions over the total n; a pooled loss
+    averages the concatenated per-example losses.
     """
     model = spec.model
     classify = model.kind != "linear_regression"
@@ -511,30 +506,18 @@ def _evaluate_rows(spec: ExperimentSpec, blocks, eval_sets, aggregate_sets=None)
     distinct = {id(ds): ds for ds in (*eval_sets, *agg)}
     for ds in distinct.values():
         _check_data(model, ds)
-    keyed = []  # per block: (inverse, unique rows)
-    for values in blocks:
-        slots: dict[bytes, int] = {}
-        inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in values], dtype=np.intp)
-        unique = np.empty((len(slots), values.shape[1]))
-        unique[inverse] = values
-        keyed.append((inverse, unique))
-    scored = [{} for _ in keyed]  # per block, id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
-    for ds in distinct.values():
-        kernel = _SignKernel(ds.inputs) if model.kind == "logistic" else None
-        labels = (ds.targets == 1.0) if classify else None
-        for (_, unique), scores in zip(keyed, scored):
-            if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
-                pred = _predict(model, unique, ds.inputs, kernel)
-                scores[id(ds)] = (pred == labels).sum(axis=1, dtype=np.uint32)
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
-                    scores[id(ds)] = _losses(model, out, ds.targets)
-    return [_aggregate(classify, eval_sets, agg, scores, inverse) for (inverse, _), scores in zip(keyed, scored)]
-
-
-def _aggregate(classify: bool, eval_sets, agg, scored, inverse):
-    """One block's per-set columns, ``avg`` and ``true_avg`` from its distinct rows' ``scored``."""
+    slots: dict[bytes, int] = {}
+    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in values], dtype=np.intp)
+    unique = np.empty((len(slots), values.shape[1]))
+    unique[inverse] = values
+    scored = {}  # id(dataset) -> (U,) correct-prediction counts, or (U, n) losses
+    for key, ds in distinct.items():
+        if classify:  # a uint32 sum is exact below 2**32 rows, and twice as fast as count_nonzero
+            scored[key] = (_predict(model, unique, ds.inputs) == (ds.targets == 1.0)).sum(axis=1, dtype=np.uint32)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.stack([_forward(model, v, ds.inputs)[0] for v in unique])
+                scored[key] = _losses(model, out, ds.targets)
 
     def score(ds: TaskDataset) -> np.ndarray:
         return scored[id(ds)] / ds.n if classify else scored[id(ds)].mean(axis=1)
@@ -551,19 +534,19 @@ def _aggregate(classify: bool, eval_sets, agg, scored, inverse):
 
 
 def _outcomes(spec: ExperimentSpec, rows, eval_sets, aggregate_sets=None) -> list[MethodOutcome]:
-    """Score ``rows``, each ``(label, alpha, theta)``, as one block of :func:`_evaluate_rows`.
+    """Score ``rows``, each ``(label, alpha, theta)``, in one :func:`_evaluate_rows` call.
 
     ``aggregate_sets`` (default: ``eval_sets``) controls which sets enter
     the two aggregates; the per-task column always covers ``eval_sets``.
-    Each test set is checked and prepared once for the whole block, and
-    each row scores to the same bits as alone or in a sweep.
+    Each test set is checked and prepared once for all the rows, and each
+    row scores to the same bits as alone or in a sweep.
     """
     layout = spec.model.layout()
     if any(theta.layout != layout for _, _, theta in rows):
         raise LayoutError("theta layout does not match the model's canonical layout")
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
     eval_sets = tuple(eval_sets)
-    ((per_task, avg, true_avg),) = _evaluate_rows(spec, [np.stack([t.values for _, _, t in rows])], eval_sets, aggregate_sets)
+    per_task, avg, true_avg = _evaluate_rows(spec, np.stack([t.values for _, _, t in rows]), eval_sets, aggregate_sets)
     columns, avg, true_avg = [col.tolist() for col in per_task], avg.tolist(), true_avg.tolist()
     return [
         MethodOutcome(
@@ -774,15 +757,16 @@ def sweep_alpha(
     """Evaluate every method in ``spec.methods`` across ``spec.alphas``.
 
     Training happens once and the test sets are checked once; each method
-    then merges the whole grid in one broadcast, and every method's grid
-    is scored in one :func:`_evaluate_rows` call, which prepares each test
-    set once and scores each distinct merged row once.  Only then, when
+    then merges the whole grid in one broadcast, and every method's grid is
+    stacked into one array scored in one :func:`_evaluate_rows` call, which
+    prepares each test set once and scores each distinct vector once across
+    the sweep (every method's weight-0 row is the anchor).  Only then, when
     ``out_dir`` is given, are ``summary.csv`` (the methods' aggregate rows
     in order) and one two-column ``sweep_<method>.dat`` per method written,
-    so a merge that fails (say, on a pooled curvature that a negative
-    weight leaves non-positive) leaves ``out_dir`` empty.  Duplicate grid
-    values produce duplicate rows, deterministically.  A ``state`` given
-    must be a run of ``spec``, whatever its ``methods`` and ``alphas``.
+    so a merge that fails (say, on a pooled curvature that a negative weight
+    leaves non-positive) leaves ``out_dir`` empty.  Duplicate grid values
+    produce duplicate rows, deterministically.  A ``state`` given must be a
+    run of ``spec``, whatever its ``methods`` and ``alphas``.
     """
     _require_runnable(spec, ADDITION_METHODS, "sweep_alpha", state)
     out = output_dir(out_dir) if out_dir is not None else None
@@ -790,13 +774,13 @@ def sweep_alpha(
         state = run_pipeline(spec, seed)
     inputs = state.merge_inputs(1.0)
     metric = "accuracy" if spec.model.kind != "linear_regression" else "loss"
-    grids = {method: merge_grid(method, inputs, spec.alphas) for method in spec.methods}
-    scores = _evaluate_rows(spec, list(grids.values()), state.test_sets[1:])
+    values = np.concatenate([merge_grid(method, inputs, spec.alphas) for method in spec.methods])
+    _, avgs, true_avgs = _evaluate_rows(spec, values, state.test_sets[1:])
     alpha_text = [repr(a) for a in spec.alphas]
     series: dict[str, tuple[tuple[float, float], ...]] = {}
     summary: list[str] = []
     dats = []
-    for method, (_, avg, true_avg) in zip(grids, scores):
+    for method, avg, true_avg in zip(spec.methods, avgs.reshape(len(spec.methods), -1), true_avgs.reshape(len(spec.methods), -1)):
         avg = avg.tolist()
         series[method] = tuple(zip(spec.alphas, avg))
         avg_text = [repr(v) for v in avg]

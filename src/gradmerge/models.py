@@ -195,6 +195,9 @@ def _forward(spec: ModelSpec, values: np.ndarray, X: np.ndarray):
 #: The float32 and float64 unit roundoffs, and the norm bound past which the float32 screen could overflow.
 _U32, _U64, _SCREEN_MAX = 2.0**-24, 2.0**-53, 2.0**100
 
+#: Entries :meth:`_SignKernel.signs` settles at once (or one row), so its memory does not grow with the rows.
+_SCREEN_ENTRIES = 2**17
+
 
 class _SignKernel:
     """A set's examples ``X`` ``(n, d)`` as the certified sign reads them, built once per set.
@@ -209,9 +212,9 @@ class _SignKernel:
       summation order, the ``2^-146`` term covering subnormals, ``||x||``
       the set's largest norm and ``||.||_1 <= sqrt(d) ||.||_2``; the
       comparison runs in float64, where a float32 ``|o|`` is exact.  A
-      block settles nothing here if a row's ``||v||``, ``||x||`` or their
-      product exceeds ``2^100``, where float32 could overflow (or if
-      ``(d+4) u32 >= 1``, where the bound fails);
+      row settles nothing here if its ``||v||`` or ``||v|| ||x||`` exceeds
+      ``2^100``, where float32 could overflow, and no row does if ``||x||``
+      does (or if ``(d+4) u32 >= 1``, where the bound fails);
     * recheck: an unsettled entry's float64 dot ``p`` settles it when ``|p|
       > 2 (c64 sum_k |v_k x_k| + d 2^-1070)``, ``c64`` as ``c32`` with
       ``u64``;
@@ -231,22 +234,29 @@ class _SignKernel:
 
     def signs(self, V: np.ndarray) -> np.ndarray:
         """``x . v >= 0`` for each row ``v`` of ``V`` ``(U, d)`` and example ``x``: a ``(U, n)`` bool."""
+        signs = np.empty((len(V), len(self.X)), dtype=bool)
+        step = max(1, _SCREEN_ENTRIES // len(self.X))
+        for r in range(0, len(V), step):
+            self._settle(V[r : r + step], signs[r : r + step])
+        return signs
+
+    def _settle(self, V: np.ndarray, signs: np.ndarray) -> None:
+        """Write the signs of the rows ``V`` into ``signs``, through all three stages."""
         X, m = self.X, self.norm
         n, d = X.shape
         norms = np.sqrt(np.einsum("ij,ij->i", V, V))
-        top = float(norms.max())
-        if max(top, m, top * m) > _SCREEN_MAX or (d + 4) * _U32 >= 1.0:  # the screen settles nothing
-            signs = np.empty((len(V), n), dtype=bool)
+        if m > _SCREEN_MAX or (d + 4) * _U32 >= 1.0:  # the screen settles nothing
             i, j = np.divmod(np.arange(signs.size), n)
         else:
             c32, rd = (d + 4) * _U32 / (1.0 - (d + 4) * _U32), math.sqrt(d)
             tol = norms * (2.0 * (c32 * m + 2.0**-146 * rd)) + 2.0**-145 * (rd * m + d)
-            out = V.astype(np.float32) @ self.XT32  # compared with tol in float64, which is exact
-            signs = out >= 0.0
-            np.abs(out, out=out)
-            rows = (out.min(axis=1) <= tol).nonzero()[0]
+            wild = norms > _SCREEN_MAX / max(m, 1.0)  # screened as zero rows, whose entries all stay unsettled
+            screened = np.where(wild[:, None], 0.0, V) if wild.any() else V
+            out = screened.astype(np.float32) @ self.XT32  # compared with tol in float64, which is exact
+            np.greater_equal(out, 0.0, out=signs)
+            rows = (np.abs(out, out=out).min(axis=1) <= tol).nonzero()[0]
             if not len(rows):
-                return signs
+                return
             k = (out[rows] <= tol[rows, None]).ravel().nonzero()[0]
             i, j = rows[k // n], k % n
         Vi, Xj = V[i], X[j]
@@ -261,18 +271,18 @@ class _SignKernel:
             from fractions import Fraction
         for a, b in zip(i[left].tolist(), j[left].tolist()):
             signs[a, b] = sum(Fraction(p) * Fraction(q) for p, q in zip(V[a].tolist(), X[b].tolist())) >= 0
-        return signs
 
 
-def _predict(spec: ModelSpec, V: np.ndarray, X: np.ndarray, kernel: _SignKernel | None = None) -> np.ndarray:
+def _predict(spec: ModelSpec, V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Class-1 predictions ``(U, n)`` of the rows ``V`` ``(U, d)`` on ``X``: output >= 0, ties to class 1.
 
-    A logistic output is read as the exact sign of ``x . v`` (``kernel``, the
-    :class:`_SignKernel` of ``X``, is built here unless given); an MLP row takes
-    its own float64 forward pass.
+    A logistic output is read as the exact sign of ``x . v`` through the
+    :class:`_SignKernel` of ``X``, built once per call, so a caller scores
+    all its rows on a set in one call; an MLP row takes its own float64
+    forward pass.
     """
     if spec.kind == "logistic":
-        return (kernel or _SignKernel(X)).signs(V)
+        return _SignKernel(X).signs(V)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.stack([_forward(spec, v, X)[0] >= 0.0 for v in V])
 

@@ -93,6 +93,9 @@ NEWTON_TOL = 1e-10
 #: fit over 100) over the 576 fits of seeds 0-95 of the mlp-report config.
 NEWTON_MAX_ITER = 200
 
+#: Halvings a Newton step tries, backtracking or moving along negative curvature, before it gives up.
+NEWTON_MAX_HALVINGS = 60
+
 #: Longest step an MLP Newton iteration tries, in parameter units.  Longer
 #: steps on an indefinite model can carry a fine-tune out of the basin
 #: Adam chose, far from the anchor, where the merge's quadratic picture
@@ -247,15 +250,17 @@ def _descend_negative_curvature(value_grad, theta, f, u, kappa, resolution):
     s starts at :data:`MLP_MAX_STEP` and halves.  Along a unit descent
     direction u of curvature ``-kappa`` the quadratic model falls by more
     than ``kappa s^2 / 2``; a trial must realise half of that, and halving
-    stops once half is no longer resolvable.
+    stops once half is no longer resolvable, or after
+    :data:`NEWTON_MAX_HALVINGS` trials.
     """
-    s = MLP_MAX_STEP
-    while 0.25 * kappa * s * s > resolution:
+    for k in range(NEWTON_MAX_HALVINGS):
+        s = MLP_MAX_STEP * 0.5**k
+        if 0.25 * kappa * s * s <= resolution:
+            break
         trial = theta + s * u
         f_trial, g_trial, fwd_trial = value_grad(trial)
         if f_trial <= f - 0.25 * kappa * s * s:
             return trial, f_trial, g_trial, fwd_trial
-        s *= 0.5
     return None
 
 
@@ -297,7 +302,7 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
                 theta, f, g, fwd = escaped
                 continue
         t = 1.0
-        for _ in range(60 if resolvable else 1):
+        for _ in range(NEWTON_MAX_HALVINGS if resolvable else 1):
             trial = theta + t * step
             f_trial, g_trial, fwd_trial = value_grad(trial)
             if (f_trial <= f - 1e-4 * t * decrease) if resolvable else (math.sqrt(g_trial @ g_trial) < g_norm):

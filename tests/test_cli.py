@@ -552,7 +552,6 @@ class TestProtocols:
                 super().__init__(X)
 
         monkeypatch.setattr(models, "_SignKernel", CountingKernel)
-        monkeypatch.setattr(harness, "_SignKernel", CountingKernel)
         assert run_cli(command, "--out", tmp_path / "out", "--seed", "0") == 0
         assert len(kernels) == built
 

@@ -7,12 +7,14 @@ A linear row's loss comes from its own product ``X @ v``.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradmerge import harness, models
 from gradmerge.harness import (
     ExperimentSpec,
     _evaluate_rows,
@@ -83,6 +85,14 @@ class TestCertifiedSign:
         V, X = draw_case(seed, d, u, n, ev, ex, kind)
         np.testing.assert_array_equal(_SignKernel(X).signs(V), exact_signs(V, X))
 
+    @given(**CASE, entries=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_signs_equal_the_reference_in_screen_chunks_of_any_size(self, seed, d, u, n, ev, ex, kind, entries):
+        # The screen runs over row chunks of _SCREEN_ENTRIES products (or one row).
+        V, X = draw_case(seed, d, u, n, ev, ex, kind)
+        with mock.patch.object(models, "_SCREEN_ENTRIES", entries):
+            np.testing.assert_array_equal(_SignKernel(X).signs(V), exact_signs(V, X))
+
     @given(**CASE)
     @settings(max_examples=60, deadline=None)
     def test_counts_equal_the_reference_alone_in_a_block_and_duplicated(self, seed, d, u, n, ev, ex, kind):
@@ -92,10 +102,35 @@ class TestCertifiedSign:
         sets = [TaskDataset("t", X, targets)]
         expected = (exact_signs(V, X) == (targets == 1)).sum(axis=1) / n
         blocks = [V, np.repeat(V, 2, axis=0)[::-1], *(V[r : r + 1] for r in range(u))]
-        block, twice, *alone = [per_task[0] for per_task, _, _ in _evaluate_rows(spec, blocks, sets)]
+        block, twice, *alone = [_evaluate_rows(spec, values, sets)[0][0] for values in blocks]
         assert block.tolist() == expected.tolist()
         assert twice.tolist() == np.repeat(expected, 2)[::-1].tolist()
         assert [col[0] for col in alone] == expected.tolist()
+
+
+class TestSweepScoresEachVectorOnce:
+    def test_one_sign_call_per_set_on_the_distinct_rows_of_every_grid(self, monkeypatch):
+        # Every method's grid is scored in one block, so a vector that two
+        # methods share (the weight-0 anchor row, at least) is scored once.
+        spec = ExperimentSpec()
+        state = run_pipeline(spec, 0)
+        grids, calls = [], []
+        real_signs = _SignKernel.signs
+
+        def recording_grid(*args):
+            grids.append(merge_grid(*args))
+            return grids[-1]
+
+        def counting_signs(kernel, V):
+            calls.append(len(V))
+            return real_signs(kernel, V)
+
+        monkeypatch.setattr(harness, "merge_grid", recording_grid)
+        monkeypatch.setattr(_SignKernel, "signs", counting_signs)
+        sweep_alpha(spec, state=state)
+        distinct = {row.tobytes() for grid in grids for row in grid}
+        assert len(grids) == len(spec.methods)
+        assert calls == [len(distinct)] * len(state.test_sets[1:])
 
 
 class TestStages:
@@ -131,6 +166,12 @@ class TestStages:
         signs, rechecked, exact = self.run([[2.0**130, -(2.0**100)]], [[2.0**-140, 2.0**-40]])
         assert signs == [[False]]
         assert (rechecked, exact) == (1, 0)
+
+    def test_guard_sends_only_the_rows_that_trip_it_to_the_recheck(self):
+        # The first row's norm trips the guard; the second row's clear signs are settled by the screen.
+        signs, rechecked, exact = self.run([[2.0**130, -(2.0**100)], [1.0, 2.0]], [[1.0, 1.0], [-1.0, 0.25]])
+        assert signs == [[True, False], [True, False]]
+        assert (rechecked, exact) == (2, 0)
 
 
 class TestOnePrediction:
@@ -176,7 +217,7 @@ class TestLinearRowsAlone:
         state = run_pipeline(spec, 0)
         grid = merge_grid("ours", state.merge_inputs(1.0), np.linspace(0.0, 1.5, 31))
         blocks = [grid, np.repeat(grid, 2, axis=0), *(grid[r : r + 1] for r in range(len(grid)))]
-        (cols, avg, true_avg), (cols2, avg2, true_avg2), *alone = _evaluate_rows(spec, blocks, state.test_sets[1:])
+        (cols, avg, true_avg), (cols2, avg2, true_avg2), *alone = [_evaluate_rows(spec, values, state.test_sets[1:]) for values in blocks]
         for r, (one_cols, one_avg, one_true) in enumerate(alone):
             got = [c[0] for c in one_cols] + [one_avg[0], one_true[0]]
             for block in ([c[r] for c in cols] + [avg[r], true_avg[r]], [c[2 * r + 1] for c in cols2] + [avg2[2 * r + 1], true_avg2[2 * r + 1]]):

@@ -417,6 +417,23 @@ class TestNewton:
         np.testing.assert_allclose(state.anchor.params.values, [5.578, 0.103], atol=1e-3)
         assert max(evals) <= TestFitCost.MAX_CONVEX_EVALS
 
+    def test_doomed_mlp_fit_fails_within_the_halving_cap(self, monkeypatch):
+        # At this noise and delta the anchor fit's negative curvature is so
+        # large that halving its step until the decrease is unresolvable
+        # takes about 200 trials per Newton step.  Each step may try at most
+        # NEWTON_MAX_HALVINGS moves along it and one full step after.
+        spec = ExperimentSpec.from_dict({
+            "model": {"kind": "mlp", "n_features": 6, "hidden": 1, "activation": "tanh"},
+            "n_tasks": 4,
+            "per_task": {"n_train": 33, "noise": 4.2e108},
+            "anchor": {"delta": 6.4e82},
+        })
+        counts = {}
+        monkeypatch.setattr(training, "_value_grad", counting(counts, "value_grad", training._value_grad))
+        with pytest.raises(DivergenceError):
+            run_pipeline(spec, 0)
+        assert counts["value_grad"] <= 1 + training.NEWTON_MAX_ITER * (60 + 1)
+
 
 class TestMlpStationarity:
     SPEC = ExperimentSpec(
