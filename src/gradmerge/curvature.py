@@ -49,9 +49,10 @@ def exact_hessian_diag(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -
         raise UnsupportedModelError("exact Hessian diagonals are only available for linear_regression and logistic")
     _check_inputs(spec, theta, data)
     X = data.inputs
-    if spec.kind == "linear_regression":
-        diag = np.sum(X * X, axis=0)
-    else:
-        s = _sigmoid(X @ theta.values)
-        diag = (s * (1.0 - s)) @ (X * X)
+    with np.errstate(over="ignore", invalid="ignore"):  # DiagCurvature refuses a non-finite diagonal
+        if spec.kind == "linear_regression":
+            diag = np.sum(X * X, axis=0)
+        else:
+            s = _sigmoid(X @ theta.values)
+            diag = (s * (1.0 - s)) @ (X * X)
     return DiagCurvature(spec.layout(), diag)

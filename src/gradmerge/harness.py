@@ -450,9 +450,10 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
     return PipelineState(spec, seed, trains, tests, anchor, with_task_curvature(spec, tuned, trains[1:]))
 
 
-def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: PipelineState | None = None) -> None:
+def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: PipelineState | None = None, seed=None) -> None:
     """Refuse a method of another kind, or a ``state`` trained under another spec
-    than ``spec`` (``methods`` and ``alphas`` aside: the protocol reads those)."""
+    than ``spec`` (``methods`` and ``alphas`` aside: the protocol reads those)
+    or, when ``seed`` is given, under another seed."""
     bad = [m for m in spec.methods if m not in allowed]
     if bad:
         raise ConfigError(f"{protocol} only handles the methods {allowed}, got {bad}")
@@ -461,6 +462,8 @@ def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: Pipel
         differ = [name for name in names if getattr(spec, name) != getattr(state.spec, name)]
         if differ:
             raise ConfigError(f"{protocol} was given a state trained under another spec: its {differ} differ")
+        if seed is not None and resolve_seed(spec, seed) != state.seed:
+            raise ConfigError(f"{protocol} was given seed {seed!r} with a state trained at seed {state.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,9 +663,9 @@ def run_addition(
     given, are the anchor, task, merged and target checkpoints,
     ``summary.csv`` and ``report.csv`` written, so a run that fails leaves
     ``out_dir`` empty.
-    A ``state`` given must be a run of ``spec``, whatever its ``methods``.
+    A ``state`` given must be a run of ``spec`` (and ``seed``, if given), whatever its ``methods``.
     """
-    _require_runnable(spec, ADDITION_METHODS, "run_addition", state)
+    _require_runnable(spec, ADDITION_METHODS, "run_addition", state, seed)
     alpha = task_weight(alpha)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
@@ -766,9 +769,9 @@ def sweep_alpha(
     so a merge that fails (say, on a pooled curvature that a negative weight
     leaves non-positive) leaves ``out_dir`` empty.  Duplicate grid values
     produce duplicate rows, deterministically.  A ``state`` given must be a
-    run of ``spec``, whatever its ``methods`` and ``alphas``.
+    run of ``spec`` (and ``seed``, if given), whatever its ``methods`` and ``alphas``.
     """
-    _require_runnable(spec, ADDITION_METHODS, "sweep_alpha", state)
+    _require_runnable(spec, ADDITION_METHODS, "sweep_alpha", state, seed)
     out = output_dir(out_dir) if out_dir is not None else None
     if state is None:
         state = run_pipeline(spec, seed)

@@ -24,7 +24,8 @@ Conventions
 Validation happens where data enters.  A :class:`TaskDataset` with no
 examples or no features is refused when it is built
 (:class:`EmptyDataError`), so no function here has an empty-data case.
-The public functions check every call, while the kernels ``_forward``,
+The public functions check every call (an overflow shows only as their
+own :class:`NumericError`, never as a NumPy warning), while the kernels ``_forward``,
 ``_backward``, ``_value_grad``, ``_grad`` and ``_hessian`` take the flat
 ``(d,)`` parameter array and trust their caller, so a fit checks each
 dataset once (:func:`_check_data`) and then steps on arrays.  The last
@@ -305,9 +306,8 @@ def loss(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 or 1 without warnings."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 or 1 (its callers hold the errstate)."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _output_grads(spec: ModelSpec, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -337,13 +337,9 @@ def _backward(spec, values, X, g, a1, per_example=False) -> np.ndarray:
 
 
 def grad(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> ParamVector:
-    """Analytic gradient of :func:`loss`."""
+    """Analytic gradient of :func:`loss`: the :func:`_grad` kernel at unit weight."""
     _check_inputs(spec, theta, data)
-    out, a1 = _forward(spec, theta.values, data.inputs)
-    flat = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1)
-    if not np.isfinite(flat).all():
-        raise NumericError("gradient overflowed to non-finite values")
-    return ParamVector(spec.layout(), flat)
+    return ParamVector(spec.layout(), _grad(spec, theta.values, data.inputs, data.targets))
 
 
 def _value_grad(spec: ModelSpec, values, X, y, w=1.0):
@@ -456,8 +452,9 @@ def _hessian(spec: ModelSpec, values, rows: _HessianRows, y, w, fwd) -> np.ndarr
 def per_example_grads(spec: ModelSpec, theta: ParamVector, data: TaskDataset) -> np.ndarray:
     """``(n, d)`` per-example gradients in dataset order; the rows sum to :func:`grad`."""
     _check_inputs(spec, theta, data)
-    out, a1 = _forward(spec, theta.values, data.inputs)
-    G = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1, per_example=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, a1 = _forward(spec, theta.values, data.inputs)
+        G = _backward(spec, theta.values, data.inputs, _output_grads(spec, out, data.targets), a1, per_example=True)
     if not np.isfinite(G).all():
         raise NumericError("per-example gradients overflowed to non-finite values")
     return G

@@ -25,16 +25,18 @@ damped Newton on ``sum_t alpha_t X_t^T diag(s (1 - s)) X_t + diag(h0 +
 delta)``.  The MLP objective is not convex, and the minimum found depends
 on the path: an MLP fit first runs Adam, with the quadratic penalty
 applied *decoupled* from the adaptive preconditioner (the AdamW
-treatment of its L2 term), for :data:`ADAM_EPOCHS` steps from a random
-init (the anchor, and the removal retrain) but :data:`WARM_START_EPOCHS`
-from the anchor (a fine-tune or a joint target, whose basin the anchor
-already picked; their later epochs saved Newton no work), and the same
-Newton loop then refines the point Adam reached, on the exact Hessian
+treatment of its L2 term), for :data:`ADAM_EPOCHS` steps in a base fit
+(the anchor, and the removal retrain) but :data:`WARM_START_EPOCHS` in
+any other (a fine-tune or a joint target, whose basin the anchor already
+picked; their later epochs saved Newton no work), and the same Newton
+loop then refines the point Adam reached, on the exact Hessian
 (``models._hessian``: the Gauss-Newton part plus the residual term).  Where that Hessian is
 indefinite the step uses the magnitudes of its eigenvalues, and next to
 a saddle, where the value can no longer rank such steps, the loop moves
 along the negative curvature instead of converging onto the saddle.
-No fit needs SciPy.
+No fit needs SciPy.  Each trainer is one :func:`_fit` call, which holds
+the one start rule: a fit starts at its anchor's parameters, except an
+MLP base fit, which starts at a small Gaussian drawn from its seed.
 
 A fit checks its datasets once.  A linear fit then goes straight to the
 closed-form solve, which loops over the datasets itself; an iterative
@@ -151,8 +153,8 @@ def _rows(spec, datasets, alphas):
 def stationarity_residual(spec, datasets, alphas, anchor: Checkpoint, delta: float, theta: ParamVector) -> float:
     """L2 norm of the full-objective gradient at theta.
 
-    Built from the public :func:`grad`, so the trainers' final gate is an
-    independent check on the fused evaluation they optimize with.
+    Built from the public, checked :func:`grad` of each task alone, so the
+    trainers' final gate checks the stacked, weighted row block they step on.
     """
     g = np.zeros(theta.layout.total_len)
     for alpha, data in _weighted_tasks(datasets, alphas):
@@ -314,24 +316,26 @@ def _newton(value_grad, hessian, theta, newton_step=_convex_step):
     return theta
 
 
-def _fit(
-    spec: ModelSpec,
-    datasets: list[TaskDataset],
-    alphas: list[float],
-    anchor: Checkpoint,
-    delta: float,
-    epochs: int,
-    x0: np.ndarray,
-) -> ParamVector:
+def _fit(spec: ModelSpec, datasets, alphas, anchor: Checkpoint, delta: float, seed: int, objective: str) -> Checkpoint:
+    """Fit ``objective`` toward ``anchor`` and return its checkpoint, gated on stationarity.
+
+    Only the base objective (``"anchor"``) runs :data:`ADAM_EPOCHS` Adam
+    epochs, the others :data:`WARM_START_EPOCHS`.  Every fit starts at its
+    anchor's parameters, except an MLP base fit, which starts at ``0.1 *`` a
+    Gaussian drawn from ``seed``: zero init is a symmetric saddle for an MLP.
+    """
     if anchor.layout != spec.layout():
         raise LayoutError("anchor layout does not match the model")
     a, reg = anchor.params.values, anchor_penalty(anchor, delta)
     for data in datasets:
         _check_data(spec, data)
+    epochs = ADAM_EPOCHS if objective == "anchor" else WARM_START_EPOCHS
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a finiteness check or the gate
         if spec.kind == "linear_regression":
             theta = closed_form_solve(datasets, alphas, anchor, delta).values
         else:
+            cold = spec.kind == "mlp" and objective == "anchor"
+            x0 = 0.1 * np.random.default_rng(seed).standard_normal(a.size) if cold else a
             theta = _iterate(spec, datasets, alphas, a, reg, epochs, x0)
         out = ParamVector(spec.layout(), theta)
         residual = stationarity_residual(spec, datasets, alphas, anchor, delta, out)
@@ -340,7 +344,16 @@ def _fit(
         raise DivergenceError(
             f"training failed to reach stationarity: residual {residual:.3e} > bound {bound:.3e}"
         )
-    return out
+    meta = {
+        "objective": objective,
+        "seed": str(seed),
+        # Linear and logistic fits run no Adam: only an MLP's meta records epochs.
+        **({"epochs": str(epochs)} if spec.kind == "mlp" else {}),
+        "delta": repr(float(delta)),
+        "model": spec.kind,
+        "loss": spec.loss,
+    }
+    return Checkpoint(out, meta=meta)
 
 
 def _iterate(spec: ModelSpec, datasets, alphas, a: np.ndarray, reg: np.ndarray, epochs: int, x0: np.ndarray) -> np.ndarray:
@@ -366,29 +379,6 @@ def _iterate(spec: ModelSpec, datasets, alphas, a: np.ndarray, reg: np.ndarray, 
     return _newton(full_value_grad, full_hessian, theta, _saddle_free_step)
 
 
-def _init_theta(spec: ModelSpec, seed: int) -> np.ndarray:
-    """The start of a fit from a random init: zeros, or for an MLP a seeded Gaussian."""
-    layout = spec.layout()
-    if spec.kind == "mlp":
-        # Zero init is a symmetric saddle for an MLP; break it with a
-        # small seeded Gaussian.
-        rng = np.random.default_rng(seed)
-        return 0.1 * rng.standard_normal(layout.total_len)
-    return np.zeros(layout.total_len)
-
-
-def _meta(seed: int, epochs: int, objective: str, delta: float, spec: ModelSpec) -> dict[str, str]:
-    return {
-        "objective": objective,
-        "seed": str(seed),
-        # Linear and logistic fits run no Adam: only an MLP's meta records epochs.
-        **({"epochs": str(epochs)} if spec.kind == "mlp" else {}),
-        "delta": repr(float(delta)),
-        "model": spec.kind,
-        "loss": spec.loss,
-    }
-
-
 def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) -> Checkpoint:
     """Train a base model: summed loss plus ``(delta/2) ||theta||^2``.
 
@@ -398,8 +388,7 @@ def train_anchor(spec: ModelSpec, data: TaskDataset, delta: float, seed: int) ->
     """
     layout = spec.layout()
     origin = Checkpoint(ParamVector.zeros(layout), DiagCurvature.zeros(layout))
-    theta = _fit(spec, [data], [1.0], origin, delta, ADAM_EPOCHS, _init_theta(spec, seed))
-    return Checkpoint(theta, meta=_meta(seed, ADAM_EPOCHS, "anchor", delta, spec))
+    return _fit(spec, [data], [1.0], origin, delta, seed, "anchor")
 
 
 def finetune_task(
@@ -418,8 +407,7 @@ def finetune_task(
     :data:`WARM_START_EPOCHS` Adam epochs before Newton.  ``seed`` is
     recorded in the metadata; the fit starts at the anchor.
     """
-    theta = _fit(spec, [data], [1.0], anchor, delta, WARM_START_EPOCHS, anchor.params.values.copy())
-    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "finetune", delta, spec))
+    return _fit(spec, [data], [1.0], anchor, delta, seed, "finetune")
 
 
 def task_weight(alpha) -> float:
@@ -446,8 +434,7 @@ def train_joint_target(
     if len(datasets) != len(alphas):
         raise ConfigError("datasets and alphas must have equal length")
     weights = [task_weight(a) for a in alphas]
-    theta = _fit(spec, list(datasets), weights, anchor, delta, WARM_START_EPOCHS, anchor.params.values.copy())
-    return Checkpoint(theta, meta=_meta(seed, WARM_START_EPOCHS, "joint_target", delta, spec))
+    return _fit(spec, list(datasets), weights, anchor, delta, seed, "joint_target")
 
 
 def closed_form_solve(

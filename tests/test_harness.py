@@ -504,6 +504,14 @@ class TestRunAddition:
         spec = dataclasses.replace(default_state.spec, methods=("ta", "ours"), alphas=(0.5, 1.0))
         assert len(protocol(spec, state=default_state).rows) > 0
 
+    @pytest.mark.parametrize("protocol", [run_addition, sweep_alpha], ids=["run_addition", "sweep_alpha"])
+    def test_a_given_state_must_come_from_the_seed(self, tmp_path, default_state, protocol):
+        # A seed-0 state passed with seed 5 would report the seed-0 run as seed 5's.
+        with pytest.raises(ConfigError, match="seed 5 with a state trained at seed 0"):
+            protocol(default_state.spec, out_dir=tmp_path / "o", seed=5, state=default_state)
+        assert not (tmp_path / "o").exists()
+        assert protocol(default_state.spec, seed=0, state=default_state).rows == protocol(default_state.spec, state=default_state).rows
+
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_refuses_a_bad_weight_before_writing(self, tmp_path, alpha):
         with pytest.raises(ConfigError, match="finite and >= 0"):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from gradmerge.curvature import exact_hessian_diag, fisher_diag
 from gradmerge.errors import (
     ConfigError,
     EmptyDataError,
+    GradmergeError,
     LayoutError,
     NumericError,
 )
@@ -210,6 +212,25 @@ class TestPerExampleGrads:
             total = per_example_grads(spec, theta, data).sum(axis=0)
             direct = grad(spec, theta, data).values
             np.testing.assert_allclose(total, direct, atol=1e-10)
+
+
+class TestOverflowRule:
+    """The package's own finiteness checks are the only signal of an overflow: no NumPy warning escapes."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fn", [loss, grad, per_example_grads, fisher_diag, exact_hessian_diag], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("linear_regression", 2), ModelSpec("logistic", 2), ModelSpec("mlp", 2, hidden=3, activation="tanh")],
+        ids=lambda spec: spec.kind,
+    )
+    def test_huge_values_return_or_raise_the_packages_error(self, spec, fn):
+        data = TaskDataset("huge", [[1e200, 1e200], [-1e200, 3.0]], [1.0, 0.0])
+        theta = ParamVector(spec.layout(), np.full(spec.layout().total_len, 1e200))
+        try:
+            fn(spec, theta, data)
+        except GradmergeError:
+            pass
 
 
 class TestPredictAccuracy:

@@ -449,11 +449,12 @@ class TestMlpStationarity:
         residuals = []
         real_fit = training._fit
 
-        def fit(spec, datasets, alphas, anchor, delta, epochs, x0):
-            theta = real_fit(spec, datasets, alphas, anchor, delta, epochs, x0)
+        def fit(spec, datasets, alphas, anchor, delta, seed, objective):
+            fitted = real_fit(spec, datasets, alphas, anchor, delta, seed, objective)
+            theta = fitted.params
             residual = stationarity_residual(spec, datasets, alphas, anchor, delta, theta)
             residuals.append(residual / (1.0 + np.linalg.norm(theta.values)))
-            return theta
+            return fitted
 
         monkeypatch.setattr(training, "_fit", fit)
         train_target(run_pipeline(self.SPEC, seed), 1.0)
@@ -544,19 +545,22 @@ class TestConvexFitsIgnoreAdam:
     )
     @settings(max_examples=30, deadline=None)
     def test_trained_params_do_not_depend_on_adam_settings(self, kind, epochs, seed):
-        # The seed reaches a fit through the public trainers; an Adam length
-        # other than the constants only through the private ``_fit``.
+        # The seed reaches a fit through the public trainers, and the Adam
+        # length through the module's two constants.
         spec = ModelSpec(kind, 2)
         data = classification(21, n=60)
         base = train_anchor(spec, data, delta=0.3, seed=0).params
         other = train_anchor(spec, data, delta=0.3, seed=seed).params
         np.testing.assert_allclose(other.values, base.values, rtol=0.0, atol=1e-8)
-        refit = training._fit(spec, [data], [1.0], origin(spec.layout()), 0.3, epochs, np.zeros(base.layout.total_len))
-        np.testing.assert_allclose(refit.values, base.values, rtol=0.0, atol=1e-8)
         anchor = anchor_of(base.layout, base.values, 2.0)
         task = classification(22, n=40)
         tuned = finetune_task(spec, task, anchor, 0.3, 0).params
-        retuned = training._fit(spec, [task], [1.0], anchor, 0.3, epochs, base.values.copy())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "ADAM_EPOCHS", epochs)
+            patch.setattr(training, "WARM_START_EPOCHS", epochs)
+            refit = train_anchor(spec, data, delta=0.3, seed=0).params
+            retuned = finetune_task(spec, task, anchor, 0.3, 0).params
+        np.testing.assert_allclose(refit.values, base.values, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(retuned.values, tuned.values, rtol=0.0, atol=1e-8)
 
 
@@ -601,11 +605,13 @@ class TestFitCost:
     #: Both fits use the ridge 0.1.
     ANCHOR = anchor_of(MLP2.layout(), 0.1, 0.5)
 
-    def fit_mlp(self, fit, epochs):
+    def fit_mlp(self, monkeypatch, fit, epochs):
         """One MLP fit of ``epochs`` Adam epochs: the anchor on the first task, or the joint target of both."""
+        monkeypatch.setattr(training, "ADAM_EPOCHS", epochs)
+        monkeypatch.setattr(training, "WARM_START_EPOCHS", epochs)
         if fit == "anchor":
-            return training._fit(MLP2, self.SETS[:1], [1.0], origin(MLP2.layout()), 0.1, epochs, training._init_theta(MLP2, 0))
-        return training._fit(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, 0.1, epochs, self.ANCHOR.params.values.copy())
+            return training._fit(MLP2, self.SETS[:1], [1.0], origin(MLP2.layout()), 0.1, 0, "anchor")
+        return training._fit(MLP2, self.SETS, [1.0, 0.5], self.ANCHOR, 0.1, 0, "joint_target")
 
     @pytest.mark.parametrize("fit", ["anchor", "joint"])
     def test_mlp_fit_validates_once_not_per_step(self, monkeypatch, fit):
@@ -628,7 +634,7 @@ class TestFitCost:
 
         def run(epochs):
             counts.clear()
-            self.fit_mlp(fit, epochs)
+            self.fit_mlp(monkeypatch, fit, epochs)
             return dict(counts)
 
         short, long = run(10), run(40)
@@ -648,7 +654,7 @@ class TestFitCost:
         monkeypatch.setattr(models, "_forward", counting(counts, "forward", models._forward))
         monkeypatch.setattr(training, "_value_grad", counting(counts, "value_grad", training._value_grad))
         monkeypatch.setattr(training, "_hessian", counting(counts, "hessian", training._hessian))
-        self.fit_mlp(fit, epochs=10)
+        self.fit_mlp(monkeypatch, fit, epochs=10)
         gate = 1 if fit == "anchor" else len(self.SETS)
         assert counts["hessian"] > 0
         assert counts["forward"] == 10 + counts["value_grad"] + gate
