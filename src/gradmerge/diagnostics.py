@@ -215,13 +215,14 @@ def mismatch_vs_error_table(fixture: DiagnosticFixture, candidates: dict[str, Pa
     rows = []
     for method, merged in candidates.items():
         grads, tests = evaluate(merged.values)
-        step = target.values - merged.values
-        error = float(np.linalg.norm(step))
-        per_task = zip(splits, target_grads, grads, target_tests, tests)
-        for (train, _), tg, g, (target_loss, _), (value, test_grad) in per_task:
-            mismatch = float(np.linalg.norm(ParamVector(merged.layout, tg - g).values))
-            delta_fo = float(test_grad @ step)
-            rows.append(MismatchRow(method, fixture.name, train.task_id, mismatch, error, residual, target_loss - value, delta_fo))
+        with np.errstate(over="ignore"):  # a value past the float range reads inf, which MismatchRow refuses in a norm
+            step = target.values - merged.values
+            error = float(np.linalg.norm(step))
+            per_task = zip(splits, target_grads, grads, target_tests, tests)
+            for (train, _), tg, g, (target_loss, _), (value, test_grad) in per_task:
+                mismatch = float(np.linalg.norm(ParamVector(merged.layout, tg - g).values))
+                delta_fo = float(test_grad @ step)
+                rows.append(MismatchRow(method, fixture.name, train.task_id, mismatch, error, residual, target_loss - value, delta_fo))
     return rows
 
 

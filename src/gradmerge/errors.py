@@ -9,6 +9,7 @@ attribute, so new exception types should subclass the appropriate base.
 
 import dataclasses
 import functools
+import math
 import numbers
 
 __all__ = [
@@ -84,21 +85,59 @@ class DivergenceError(NumericError):
     """Training diverged or failed to reach the required stationarity."""
 
 
+#: The value types each annotation name admits; a field whose annotation names any other type is a section.
+_ADMITS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "None": type(None)}
+
+
 @functools.cache
-def _scalar_fields(cls) -> tuple:
-    """``(name, annotation, admitted types)`` of each scalar field of config class ``cls``."""
-    admits = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str, "None": type(None)}
-    fields = ((f, tuple(admits.get(k.strip()) for k in f.type.split("|"))) for f in dataclasses.fields(cls))
-    return tuple((f.name, f.type, kinds) for f, kinds in fields if None not in kinds)
+def _declared(cls) -> tuple:
+    """``(field, many, admitted types)`` of each field of ``cls`` but its sections, which check their own fields;
+    ``many`` marks a ``tuple[X, ...]`` field, typed as ``X``."""
+    fields = ((f, f.type.startswith("tuple[")) for f in dataclasses.fields(cls))
+    typed = ((f, many, tuple(_ADMITS.get(k.strip()) for k in (f.type[6:-6] if many else f.type).split("|"))) for f, many in fields)
+    return tuple(entry for entry in typed if None not in entry[2])
 
 
-def check_field_types(config) -> None:
-    """Hold each scalar field of a config dataclass to its (string) annotation: ``int``
-    admits any ``numbers.Integral``, ``float`` any ``numbers.Real``, only ``bool`` a ``bool``.
-    A number is then stored as a plain ``int`` or ``float``, so ``1`` and ``1.0`` build equal configs."""
-    for name, annotation, kinds in _scalar_fields(type(config)):
-        value = getattr(config, name)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise ConfigError(f"{type(config).__name__} field {name!r} must be {annotation}, got {value!r}")
-        if value is not None and (numbers.Integral in kinds or numbers.Real in kinds):
-            object.__setattr__(config, name, int(value) if numbers.Integral in kinds else float(value))
+def check_fields(config) -> None:
+    """Hold each field of a config dataclass to its (string) annotation and to the bound in its
+    ``metadata``: ``"min"`` (of a string, its length), ``"finite"``, ``"choices"`` and, for a
+    ``tuple[X, ...]`` field (a nonempty list, each element held to ``X`` and the bound), ``"unique"``.
+    ``int`` admits any ``numbers.Integral`` and ``float`` any ``numbers.Real``, but neither a ``bool``.
+    A number is stored as a plain ``int`` or ``float``, so ``1`` and ``1.0`` build equal configs."""
+    for f, many, kinds in _declared(type(config)):
+        value = getattr(config, f.name)
+        if many:
+            try:
+                items = () if isinstance(value, (str, bytes)) else tuple(value)
+            except TypeError:
+                items = ()
+            if not items:
+                noun = "finite numbers" if f.metadata.get("finite") else "strings"
+                raise ConfigError(f"{f.name} must be a nonempty list of {noun}, got {value!r}")
+            value = tuple(_checked(config, f, kinds, v) for v in items)
+            if f.metadata.get("unique") and len(set(value)) != len(value):
+                raise ConfigError(f"{f.name} must not contain duplicates, got {value!r}")
+        else:
+            value = _checked(config, f, kinds, value)
+        object.__setattr__(config, f.name, value)
+
+
+def _checked(config, f, kinds, value):
+    """``value`` as field ``f`` of ``config`` stores it; a value of another type or outside the bound raises."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigError(f"{type(config).__name__} field {f.name!r} must be {f.type}, got {value!r}")
+    if value is None:
+        return value
+    if str not in kinds:  # a number
+        try:
+            value = int(value) if numbers.Integral in kinds else float(value)
+        except OverflowError:  # an integer past 1e308 for a float field
+            raise ConfigError(f"{f.name} is too large for a float") from None
+    choices, low, finite = f.metadata.get("choices"), f.metadata.get("min"), f.metadata.get("finite")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+    subject, size = (f"len({f.name})", len(value)) if isinstance(value, str) else (f.name, value)
+    if (low is not None and not size >= low) or (finite and not math.isfinite(size)):
+        rule = " and ".join(r for r in ("finite" if finite else "", "" if low is None else f">= {low}") if r)
+        raise ConfigError(f"{subject} must be {rule}, got {value!r}")
+    return value

@@ -45,7 +45,7 @@ import numpy as np
 
 from .curvature import exact_hessian_diag, fisher_diag
 from .diagnostics import DiagnosticFixture, MismatchRow, mismatch_table_csv, mismatch_vs_error_table
-from .errors import ConfigError, IoError, LayoutError, NumericError, check_field_types
+from .errors import ConfigError, IoError, LayoutError, NumericError, check_fields
 # ``accuracy`` and ``loss`` are unused here but stay importable:
 # ``perfbench/spans.py`` wraps them on this module.
 from .merging import (  # noqa: F401
@@ -59,6 +59,7 @@ from .merging import (  # noqa: F401
     remove_task,
 )
 from .models import (  # noqa: F401
+    LOSSES,
     ModelSpec,
     TaskDataset,
     _check_data,
@@ -123,19 +124,7 @@ SUMMARY_HEADER = "method,alpha,task,metric,value"
 CURVATURE_SOURCES = ("fisher", "exact")
 
 
-def parse_alphas(value) -> tuple[float, ...]:
-    """A weight grid as floats: a nonempty sequence of finite real numbers.
-
-    A string, a bare number and a ``bool`` element are refused, not coerced.
-    """
-    try:
-        values = () if isinstance(value, (str, bytes)) else tuple(value)
-    except TypeError:
-        values = ()
-    finite = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
-    if not (values and finite):
-        raise ConfigError(f"alphas must be a nonempty list of finite numbers, got {value!r}")
-    return tuple(float(v) for v in values)
+_NONNEGATIVE = {"min": 0, "finite": True}
 
 
 @dataclass(frozen=True)
@@ -149,93 +138,66 @@ class PerTaskConfig:
     protocol's ``seed`` argument) nor ``GRADMERGE_SEED`` gives one.
     """
 
-    n_train: int = 500
-    n_test: int = 500
-    noise: float = 0.6
-    separation: float = 2.2
-    spread_degrees: float = 80.0
-    seed: int = 0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
-        if self.n_test < 1:
-            raise ConfigError("n_test must be >= 1")
-        for name in ("noise", "separation", "spread_degrees"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
+    n_train: int = field(default=500, metadata={"min": 1})
+    n_test: int = field(default=500, metadata={"min": 1})
+    noise: float = field(default=0.6, metadata=_NONNEGATIVE)
+    separation: float = field(default=2.2, metadata=_NONNEGATIVE)
+    spread_degrees: float = field(default=80.0, metadata=_NONNEGATIVE)
+    seed: int = field(default=0, metadata={"min": 0})
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class AnchorConfig:
     """The anchor penalty's ridge strength ``delta``, finite and >= 0."""
 
-    delta: float = 0.1
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ConfigError(f"anchor delta must be finite and >= 0, got {self.delta!r}")
+    delta: float = field(default=0.1, metadata=_NONNEGATIVE)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Complete, JSON-serializable description of one experiment run.
 
-    ``methods`` may mix the addition catalog with the two removal
-    methods, but each protocol accepts only its own kind.  ``loss`` must
-    name the model kind's own loss (``model.loss``); it stays a key so
-    that existing configs load.  ``curvature`` picks the one diagonal
-    estimator ("fisher" or "exact") for the anchor penalty ``h0`` and for
-    every task.  MLPs have no exact Hessian diagonal, so they take
-    "fisher".  A linear_regression task needs ``n_train`` and ``n_test``
-    of at least ``model.n_features``.  ``alphas`` is a nonempty list of
-    finite numbers (by default 0.0, 0.1, ..., 1.0); it may hold negative
-    weights only if no method reads them as mixture masses (``am``,
-    ``wam``, ``fa``, ``ties``).
+    Each field's own type and bound is declared on it and held by
+    :func:`errors.check_fields`; ``__post_init__`` holds the rules that
+    join fields.  ``methods`` may mix the addition catalog with the two
+    removal methods, but each protocol accepts only its own kind.
+    ``loss`` defaults to, and may only name, the model kind's own loss
+    (``model.loss``); it stays a key so that existing configs load.
+    ``curvature`` picks the one diagonal estimator for the anchor penalty
+    ``h0`` and for every task; MLPs have no exact Hessian diagonal, so
+    they take "fisher".  A linear_regression task needs ``n_train`` and
+    ``n_test`` of at least ``model.n_features``.  ``alphas`` (by default
+    0.0, 0.1, ..., 1.0) may hold negative weights only if no method reads
+    them as mixture masses (``am``, ``wam``, ``fa``, ``ties``).
     """
 
-    name: str = "default"
+    name: str = field(default="default", metadata={"min": 1})
     model: ModelSpec = field(default_factory=lambda: ModelSpec("logistic", 2))
-    loss: str = "logistic_nll"
-    n_tasks: int = 5
+    loss: str | None = field(default=None, metadata={"choices": LOSSES})
+    n_tasks: int = field(default=5, metadata={"min": 2})  # task 0 trains the anchor; the rest are merged into it or removed from it
     per_task: PerTaskConfig = field(default_factory=PerTaskConfig)
     anchor: AnchorConfig = field(default_factory=AnchorConfig)
-    curvature: str = "fisher"
-    methods: tuple[str, ...] = ADDITION_METHODS
-    alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    curvature: str = field(default="fisher", metadata={"choices": CURVATURE_SOURCES})
+    methods: tuple[str, ...] = field(default=ADDITION_METHODS, metadata={"choices": HARNESS_METHODS, "unique": True})
+    alphas: tuple[float, ...] = field(default=tuple(i / 10 for i in range(11)), metadata={"finite": True})
 
     def __post_init__(self):
-        check_field_types(self)
-        if not self.name:
-            raise ConfigError("experiment name must be a nonempty string")
-        if self.loss != self.model.loss:
+        check_fields(self)
+        if self.loss is None:
+            object.__setattr__(self, "loss", self.model.loss)
+        elif self.loss != self.model.loss:
             raise ConfigError(f"{self.model.kind} models use the {self.model.loss} loss, not {self.loss!r}")
-        if self.n_tasks < 2:  # task 0 trains the anchor; the rest are merged into it or removed from it
-            raise ConfigError(f"n_tasks must be >= 2, got {self.n_tasks}")
         rows, d = (self.per_task.n_train, self.per_task.n_test), self.model.n_features
         if self.model.kind == "linear_regression" and min(rows) < d:  # a planted task orthogonalizes an (n, d) design
             raise ConfigError(f"linear_regression needs n_train and n_test >= n_features ({d}), got {rows}")
-        if self.curvature not in CURVATURE_SOURCES:
-            raise ConfigError(f"curvature must be one of {CURVATURE_SOURCES}, got {self.curvature!r}")
         if self.model.kind == "mlp" and self.curvature == "exact":
             raise ConfigError("exact curvature is unavailable for mlp models; use 'fisher'")
         if self.anchor.delta == 0 and self.model.kind != "linear_regression":
             # On separable tasks a classifier's unridged loss has no minimizer.
             raise ConfigError(f"anchor.delta must be > 0 for {self.model.kind} models")
-        methods = tuple(self.methods)
-        if not methods:
-            raise ConfigError("methods must be nonempty")
-        unknown = [m for m in methods if m not in HARNESS_METHODS]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}; expected a subset of {HARNESS_METHODS}")
-        if len(set(methods)) != len(methods):
-            raise ConfigError("methods must not contain duplicates")
-        object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "alphas", parse_alphas(self.alphas))
-        for method in methods:  # the sweep's merges would refuse them only after training
+        for method in self.methods:  # the sweep's merges would refuse them only after training
             _check_weights(method, self.alphas)
 
     @classmethod
@@ -250,7 +212,7 @@ _SECTIONS = {c.__name__: c for c in (ModelSpec, PerTaskConfig, AnchorConfig)}
 
 def _from_json(cls, payload, what: str):
     """The config boundary: build ``cls`` and its sections from parsed JSON.
-    Unknown keys are rejected; each ``__post_init__`` checks its field types."""
+    Unknown keys are rejected; each ``__post_init__`` checks its fields."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} must be a JSON object")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -261,7 +223,7 @@ def _from_json(cls, payload, what: str):
         name: _from_json(_SECTIONS[types[name]], value, f"config section {name!r}") if types[name] in _SECTIONS else value
         for name, value in payload.items()
     }
-    try:  # a wrong-typed value (``"methods": 5``) fails as TypeError or ValueError
+    try:  # a missing required key fails as TypeError
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
@@ -453,7 +415,8 @@ def run_pipeline(spec: ExperimentSpec, seed=None) -> PipelineState:
 def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: PipelineState | None = None, seed=None) -> None:
     """Refuse a method of another kind, or a ``state`` trained under another spec
     than ``spec`` (``methods`` and ``alphas`` aside: the protocol reads those)
-    or, when ``seed`` is given, under another seed."""
+    or under another seed than ``seed`` or, if that is None, ``GRADMERGE_SEED``
+    when set (``per_task.seed`` is part of the spec)."""
     bad = [m for m in spec.methods if m not in allowed]
     if bad:
         raise ConfigError(f"{protocol} only handles the methods {allowed}, got {bad}")
@@ -462,8 +425,9 @@ def _require_runnable(spec: ExperimentSpec, allowed, protocol: str, state: Pipel
         differ = [name for name in names if getattr(spec, name) != getattr(state.spec, name)]
         if differ:
             raise ConfigError(f"{protocol} was given a state trained under another spec: its {differ} differ")
-        if seed is not None and resolve_seed(spec, seed) != state.seed:
-            raise ConfigError(f"{protocol} was given seed {seed!r} with a state trained at seed {state.seed}")
+        given = resolve_seed(spec, seed) if seed is not None or ENV_SEED_VAR in os.environ else state.seed
+        if given != state.seed:
+            raise ConfigError(f"{protocol} was given seed {given} with a state trained at seed {state.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -57,7 +57,7 @@ from .errors import (
     IoError,
     LayoutError,
     NumericError,
-    check_field_types,
+    check_fields,
 )
 from .params import ParamLayout, ParamVector
 
@@ -73,6 +73,7 @@ __all__ = [
 
 MODEL_KINDS = ("linear_regression", "logistic", "mlp")
 ACTIVATIONS = ("tanh",)
+LOSSES = ("squared_error", "logistic_nll")  # linear_regression's, and the classifiers' Bernoulli NLL
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,32 +118,26 @@ class TaskDataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description for one of the three model kinds."""
+    """Architecture description for one of the three model kinds: an ``mlp`` needs ``hidden``, and its
+    ``activation`` defaults to ``tanh``; both must be left out (None) for the other kinds."""
 
-    kind: str
-    n_features: int
-    hidden: int | None = None
-    activation: str | None = None
+    kind: str = field(metadata={"choices": MODEL_KINDS})
+    n_features: int = field(metadata={"min": 1})
+    hidden: int | None = field(default=None, metadata={"min": 1})
+    activation: str | None = field(default=None, metadata={"choices": ACTIVATIONS})
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if self.n_features < 1:
-            raise ConfigError("n_features must be >= 1")
-        if self.kind == "mlp":
-            if self.hidden is None or self.hidden < 1:
-                raise ConfigError("mlp models require a positive hidden width")
-            if self.activation not in ACTIVATIONS:
-                raise ConfigError(f"mlp activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        else:
-            if self.hidden is not None or self.activation is not None:
-                raise ConfigError(f"hidden/activation are only valid for mlp, not {self.kind!r}")
+        check_fields(self)
+        if self.kind != "mlp" and (self.hidden is not None or self.activation is not None):
+            raise ConfigError(f"hidden/activation are only valid for mlp, not {self.kind!r}")
+        if self.kind == "mlp" and self.hidden is None:
+            raise ConfigError("mlp models require a hidden width")
+        object.__setattr__(self, "activation", self.activation or ("tanh" if self.kind == "mlp" else None))
 
     @property
     def loss(self) -> str:
-        """The loss this kind is defined with: the classifiers' is the Bernoulli NLL."""
-        return "squared_error" if self.kind == "linear_regression" else "logistic_nll"
+        """The loss this kind is defined with, one of :data:`LOSSES`."""
+        return LOSSES[0] if self.kind == "linear_regression" else LOSSES[1]
 
     def layout(self) -> ParamLayout:
         """Canonical parameter layout for this architecture."""

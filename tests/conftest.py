@@ -1,7 +1,16 @@
 """Shared pytest hooks: collect acceptance-criterion outcomes and print a
-one-line PASS/FAIL verdict per criterion after the run."""
+one-line PASS/FAIL verdict per criterion after the run; and the hypothesis
+profiles that set the fuzz property's budget."""
 
 import pytest
+from hypothesis import settings
+
+# The fuzz property (tests/test_fuzz_cli.py) takes its example budget from the
+# loaded profile; every other property sets its own.  Tier-1 runs 60 examples,
+# and CI's fuzz step a larger fixed budget: pytest --hypothesis-profile=fuzz.
+settings.register_profile("tier1", max_examples=60)
+settings.register_profile("fuzz", max_examples=8000)
+settings.load_profile("tier1")
 
 _RESULTS = {}
 _DESCRIPTIONS = {}

